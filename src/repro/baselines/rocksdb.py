@@ -76,13 +76,6 @@ class RocksDBStore(KVStore):
             return self.tree.get_many(keys)
         return self.tree.get_many(keys, busy_hook=self._busy_hook(busy_out))
 
-    def delete_many(self, keys, busy_out=None, capture_errors=False):
-        if capture_errors:
-            return super().delete_many(keys, busy_out, capture_errors)
-        if busy_out is None:
-            return self.tree.delete_many(keys)
-        return self.tree.delete_many(keys, busy_hook=self._busy_hook(busy_out))
-
     def scan(self, start: bytes, count: int):
         return self.tree.scan(start, count)
 

@@ -348,33 +348,25 @@ class HyperDB(KVStore):
     # same order, same float accumulation — minus per-op dispatch, health
     # peeks, and epoch entry, all of which are no-ops while the devices
     # are unguarded (no injector, or no health windows planned).  Guarded
-    # devices fall back to the per-op loop so window boundaries still land
-    # between ops; results are bit-identical either way.
+    # devices, admission control and ``capture_errors`` take the inherited
+    # per-op loops (``KVStore``) so window boundaries still land between
+    # ops; results are bit-identical either way.  ``delete_many`` has no
+    # unguarded caller and is the inherited loop outright.
 
     def put_many(self, keys, values, busy_out=None, capture_errors=False) -> list:
-        nvme_tr = self.nvme_device.traffic
-        sata_tr = self.sata_device.traffic
         if (
             self.nvme_device._health_guarded
             or self.sata_device._health_guarded
             or self.admission is not None
             or capture_errors
         ):
-            out = []
-            for key, value in zip(keys, values):
-                try:
-                    out.append(self.put(key, value))
-                except DeviceOfflineError as exc:
-                    if not capture_errors:
-                        raise
-                    out.append(exc)
-                if busy_out is not None:
-                    busy_out.append((nvme_tr._busy_s, sata_tr._busy_s))
-            return out
+            return super().put_many(keys, values, busy_out, capture_errors)
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
         if not keys:
             return []
+        nvme_tr = self.nvme_device.traffic
+        sata_tr = self.sata_device.traffic
         puts = self.stats.counter("puts")
         partition_for_key = self.performance_tier.partition_for_key
         invalidate = self.promotion.invalidate
@@ -441,7 +433,7 @@ class HyperDB(KVStore):
             partition = partition_for_key(key)
             partition._record_access(key)
             append(None)
-            service = partition._put_locked_deferred(
+            service = partition._put_locked(
                 Record(key, value, self._seqno), fg, defer, flush
             )
             if service is not None:
@@ -461,83 +453,19 @@ class HyperDB(KVStore):
         flush()
         return out
 
-    def delete_many(self, keys, busy_out=None, capture_errors=False) -> list:
-        nvme_tr = self.nvme_device.traffic
-        sata_tr = self.sata_device.traffic
-        if (
-            self.nvme_device._health_guarded
-            or self.sata_device._health_guarded
-            or self.admission is not None
-            or capture_errors
-        ):
-            out = []
-            for key in keys:
-                try:
-                    out.append(self.delete(key))
-                except DeviceOfflineError as exc:
-                    if not capture_errors:
-                        raise
-                    out.append(exc)
-                if busy_out is not None:
-                    busy_out.append((nvme_tr._busy_s, sata_tr._busy_s))
-            return out
-        if not isinstance(keys, (list, tuple)):
-            keys = list(keys)
-        if not keys:
-            return []
-        deletes = self.stats.counter("deletes")
-        partition_for_key = self.performance_tier.partition_for_key
-        invalidate = self.promotion.invalidate
-        migration = self.migration
-        busy_append = busy_out.append if busy_out is not None else None
-        tombstone = Record.tombstone
-        out = []
-        append = out.append
-        for key in keys:
-            deletes.value += 1
-            self._seqno += 1
-            partition = partition_for_key(key)
-            partition._record_access(key)
-            service = partition._put_locked(
-                tombstone(key, self._seqno), TrafficKind.FOREGROUND
-            )
-            invalidate(key)
-            if partition.over_high_watermark():
-                migration.run_if_needed()
-            if migration.has_catch_up and migration.capacity_online():
-                migration.run_catch_up()
-            append(service)
-            if busy_append is not None:
-                busy_append((nvme_tr._busy_s, sata_tr._busy_s))
-        return out
-
     def get_many(self, keys, busy_out=None, capture_errors=False) -> list:
-        nvme_tr = self.nvme_device.traffic
-        sata_tr = self.sata_device.traffic
         if (
             self.nvme_device._health_guarded
             or self.sata_device._health_guarded
             or capture_errors
         ):
-            out = []
-            for key in keys:
-                try:
-                    out.append(self.get(key))
-                except (DeviceOfflineError, CorruptionError) as exc:
-                    # A captured CorruptionError is a *detected* corrupt
-                    # read (capacity-tier checksum failure with no healthy
-                    # copy left) — the caller sees the detection instead of
-                    # silently wrong bytes.
-                    if not capture_errors:
-                        raise
-                    out.append(exc)
-                if busy_out is not None:
-                    busy_out.append((nvme_tr._busy_s, sata_tr._busy_s))
-            return out
+            return super().get_many(keys, busy_out, capture_errors)
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
         if not keys:
             return []
+        nvme_tr = self.nvme_device.traffic
+        sata_tr = self.sata_device.traffic
         gets = self.stats.counter("gets")
         # Hit counters are fetched lazily (get-or-create on first hit) so
         # the registry's contents and insertion order match the per-op

@@ -10,7 +10,7 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
-from repro.common.errors import DeviceOfflineError
+from repro.common.errors import CorruptionError, DeviceOfflineError
 from repro.simssd.device import SimDevice
 
 
@@ -46,72 +46,57 @@ class KVStore(abc.ABC):
     # ------------------------------------------------------- batched ops
     #
     # Batched variants carry a whole slice of the workload through the
-    # store in one call, eliminating per-op dispatch overhead on the
-    # Python hot path.  Engines override them with fused loops; these
-    # defaults preserve exact per-op semantics (same call order, same
-    # float accumulation) so batched and per-op runs stay bit-identical.
+    # store in one call.  Engines override ``put_many``/``get_many`` with
+    # fused loops for unguarded devices; these defaults are the guarded
+    # path — one scalar call per op, so health-window boundaries land
+    # between ops — and every engine falls back to them under an injector,
+    # admission control, or ``capture_errors``.  Results are bit-identical
+    # either way (same call order, same float accumulation).
     #
     # ``busy_out``, when given, receives one tuple per op of cumulative
     # per-device busy seconds *after* that op, in ``devices()`` order —
     # the runner differences consecutive rows to attribute latency.
     # ``capture_errors=True`` converts a ``DeviceOfflineError`` on an op
-    # into that op's result slot instead of aborting the batch.
+    # (for reads also a ``CorruptionError``: a *detected* corrupt read
+    # with no healthy copy left) into that op's result slot instead of
+    # aborting the batch.
+
+    def _each(self, op, arg_rows, caught, busy_out, capture_errors) -> list:
+        """The guarded loop: ``op(*args)`` per row, one busy row per op."""
+        devs = list(self.devices().values()) if busy_out is not None else None
+        out = []
+        for args in arg_rows:
+            try:
+                out.append(op(*args))
+            except caught as exc:
+                if not capture_errors:
+                    raise
+                out.append(exc)
+            if devs is not None:
+                busy_out.append(tuple(d.busy_seconds() for d in devs))
+        return out
 
     def put_many(
         self, keys, values, busy_out=None, capture_errors=False
     ) -> list:
         """Batched :meth:`put`.  Returns per-op service seconds (or the
         captured exception in that op's slot)."""
-        devs = list(self.devices().values()) if busy_out is not None else None
-        out = []
-        for key, value in zip(keys, values):
-            try:
-                out.append(self.put(key, value))
-            except DeviceOfflineError as exc:
-                if not capture_errors:
-                    raise
-                out.append(exc)
-            if devs is not None:
-                busy_out.append(tuple(d.busy_seconds() for d in devs))
-        return out
+        return self._each(
+            self.put, zip(keys, values), DeviceOfflineError,
+            busy_out, capture_errors,
+        )
 
     def get_many(self, keys, busy_out=None, capture_errors=False) -> list:
         """Batched :meth:`get`.  Returns per-op ``(value_or_none,
         service_seconds)`` tuples (or the captured exception)."""
-        devs = list(self.devices().values()) if busy_out is not None else None
-        out = []
-        for key in keys:
-            try:
-                out.append(self.get(key))
-            except DeviceOfflineError as exc:
-                if not capture_errors:
-                    raise
-                out.append(exc)
-            if devs is not None:
-                busy_out.append(tuple(d.busy_seconds() for d in devs))
-        return out
+        return self._each(
+            self.get, zip(keys), (DeviceOfflineError, CorruptionError),
+            busy_out, capture_errors,
+        )
 
     def delete_many(self, keys, busy_out=None, capture_errors=False) -> list:
         """Batched :meth:`delete`.  Returns per-op service seconds (or the
         captured exception in that op's slot)."""
-        devs = list(self.devices().values()) if busy_out is not None else None
-        out = []
-        for key in keys:
-            try:
-                out.append(self.delete(key))
-            except DeviceOfflineError as exc:
-                if not capture_errors:
-                    raise
-                out.append(exc)
-            if devs is not None:
-                busy_out.append(tuple(d.busy_seconds() for d in devs))
-        return out
-
-    # ------------------------------------------------------- conveniences
-
-    def multi_put(self, pairs) -> float:
-        """Bulk load helper; returns total service seconds."""
-        total = 0.0
-        for key, value in pairs:
-            total += self.put(key, value)
-        return total
+        return self._each(
+            self.delete, zip(keys), DeviceOfflineError, busy_out, capture_errors
+        )

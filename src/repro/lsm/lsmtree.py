@@ -378,22 +378,14 @@ class LSMTree:
 
         ``busy_hook``, when given, is invoked after every op (the store
         layer snapshots per-device busy seconds into latency rows there).
-        Admission control or an active recorder falls back to the per-op
-        write so stall ordering and emitted events stay exact; either way
-        the calls, their order, and the float math match :meth:`put`
-        bit for bit.
+        The calls, their order, and the float math match :meth:`put` bit
+        for bit (``_write`` with its lookups hoisted), so stall ordering
+        and emitted events are exact under admission control or a
+        recorder too.
         """
-        if self.admission is not None or obs.RECORDER is not None:
-            write = self._write
-            out = []
-            for key, value in zip(keys, values):
-                self._seqno += 1
-                out.append(write(Record(key, value, self._seqno)))
-                if busy_hook is not None:
-                    busy_hook()
-            return out
+        admission = self.admission
         wal = self.wal
-        puts = self.stats.counter("puts")
+        puts = None  # fetched where ``_write`` would create it
         mem = self._memtable
         mem_put = mem.put
         out = []
@@ -401,8 +393,12 @@ class LSMTree:
         for key, value in zip(keys, values):
             self._seqno += 1
             rec = Record(key, value, self._seqno)
-            service = wal.append(rec) if wal is not None else 0.0
+            service = self._admission_gate() if admission is not None else 0.0
+            if wal is not None:
+                service += wal.append(rec)
             mem_put(rec)
+            if puts is None:
+                puts = self.stats.counter("puts")
             puts.value += 1
             if mem.is_full:
                 service += self.flush()
@@ -410,17 +406,6 @@ class LSMTree:
                 mem_put = mem.put
             self.last_op_service = service
             append(service)
-            if busy_hook is not None:
-                busy_hook()
-        return out
-
-    def delete_many(self, keys, busy_hook=None) -> list[float]:
-        """Batched :meth:`delete`: tombstones through the fused write loop."""
-        write = self._write
-        out = []
-        for key in keys:
-            self._seqno += 1
-            out.append(write(Record.tombstone(key, self._seqno)))
             if busy_hook is not None:
                 busy_hook()
         return out

@@ -58,6 +58,27 @@ class PageStore:
             self.cache.invalidate(page_id)
         self.device.trim(1)
 
+    def _slot_page(
+        self, page_id: int, offset: int, length: int, npages: int
+    ) -> bytearray:
+        """Validate a slot write's target; returns the head page's buffer."""
+        page = self._pages.get(page_id)
+        if page is None:
+            raise ReproError(f"write to unallocated page {page_id}")
+        if offset < 0 or offset + length > self.page_size * npages:
+            raise ReproError(
+                f"write [{offset}, {offset + length}) exceeds "
+                f"{npages} page(s)"
+            )
+        return page
+
+    @staticmethod
+    def _splice(page: bytearray, offset: int, payload: bytes) -> None:
+        end = offset + len(payload)
+        if end > len(page):
+            page.extend(b"\x00" * (end - len(page)))
+        page[offset:end] = payload
+
     def write(
         self,
         page_id: int,
@@ -78,43 +99,17 @@ class PageStore:
         only a prefix, a transient failure beyond retries persists nothing,
         and a successful write may land with one flipped bit.
         """
-        page = self._pages.get(page_id)
-        if page is None:
-            raise ReproError(f"write to unallocated page {page_id}")
-        if offset < 0 or offset + len(data) > self.page_size * npages:
-            raise ReproError(
-                f"write [{offset}, {offset + len(data)}) exceeds "
-                f"{npages} page(s)"
-            )
-
+        page = self._slot_page(page_id, offset, len(data), npages)
         inj = self.device.injector
-        if inj is None:
-            # No injector: the charge cannot crash, fail, or corrupt, so
-            # skip the closure and exception plumbing on the hot path.
-            service = self.device.write_pages(npages, kind, sequential=False)
-            end = offset + len(data)
-            if end > len(page):
-                page.extend(b"\x00" * (end - len(page)))
-            page[offset:end] = data
-            if cache is not None:
-                cache.invalidate(page_id)
-            return service
-
-        def apply(payload: bytes) -> None:
-            end = offset + len(payload)
-            if end > len(page):
-                page.extend(b"\x00" * (end - len(page)))
-            page[offset:end] = payload
-
         try:
             service = self.device.write_pages(npages, kind, sequential=False)
         except PowerLossError as e:
             keep = inj.torn_prefix_len(len(data), e.torn_fraction)
-            apply(data[:keep])
+            self._splice(page, offset, data[:keep])
             if cache is not None:
                 cache.invalidate(page_id)
             raise
-        apply(inj.corrupt_payload(data) if inj is not None else data)
+        self._splice(page, offset, data if inj is None else inj.corrupt_payload(data))
         if cache is not None:
             cache.invalidate(page_id)
         return service
@@ -122,26 +117,16 @@ class PageStore:
     def write_nocharge(
         self, page_id: int, offset: int, data: bytes, cache=None, npages: int = 1
     ) -> None:
-        """Splice slot bytes and drop the cached copy WITHOUT charging.
+        """:meth:`write` minus the device charge.
 
-        For batch writers (zone-split resettling) that defer their device
-        charges into one grouped :meth:`SimDevice.write_pages_batch` call.
-        Only legal while the device is on its unguarded fastpath — with no
-        injector a write cannot crash, fail, or corrupt, so splicing before
-        the (deferred) charge is unobservable.
+        For writers that defer their charges into one grouped
+        :meth:`SimDevice.write_pages_batch` call (``defer`` in
+        :meth:`repro.nvme.zone.Zone.write_record`).  Only legal while the
+        device is on its unguarded fastpath — with no injector a write
+        cannot crash, fail, or corrupt, so splicing before the (deferred)
+        charge is unobservable.
         """
-        page = self._pages.get(page_id)
-        if page is None:
-            raise ReproError(f"write to unallocated page {page_id}")
-        if offset < 0 or offset + len(data) > self.page_size * npages:
-            raise ReproError(
-                f"write [{offset}, {offset + len(data)}) exceeds "
-                f"{npages} page(s)"
-            )
-        end = offset + len(data)
-        if end > len(page):
-            page.extend(b"\x00" * (end - len(page)))
-        page[offset:end] = data
+        self._splice(self._slot_page(page_id, offset, len(data), npages), offset, data)
         if cache is not None:
             cache.invalidate(page_id)
 

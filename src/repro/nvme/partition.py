@@ -218,18 +218,28 @@ class Partition:
         with self.page_store.device.health_epoch:
             return self._put_locked(rec, kind)
 
-    def _put_locked(self, rec: Record, kind: TrafficKind) -> float:
+    def _put_locked(
+        self, rec: Record, kind: TrafficKind, defer=None, flush=None
+    ) -> Optional[float]:
         """The :meth:`put` body, minus tracker touch and health epoch.
 
-        Batched callers that have already established (or safely skipped)
-        the epoch call this directly; see :meth:`put_many`.
+        Charging policy is the caller's.  By default every slot write
+        charges the device immediately.  A batch caller on the unguarded
+        fastpath passes ``defer``/``flush`` instead: the common paths
+        (in-place update, fresh slot) splice their pages uncharged and
+        register with the caller's charge group via ``defer(npages)``; the
+        rare paths that charge other I/O directly — the resized-slot
+        tombstone + rewrite, and a zone split's GC — call ``flush()``
+        first, so the device ledger advances in exactly the per-op order.
+        Returns the service charged directly, or ``None`` when the charge
+        was deferred.
         """
         service = 0.0
         loc: Optional[SlotLocation] = self.index.get(rec.key)
         needed = rec.encoded_size
         if loc is not None and needed <= loc.slot_size:
             zone = self._zone_by_id(loc.zone_id)
-            new_loc, s = zone.update_in_place(loc, rec, kind, self.cache)
+            new_loc, s = zone.update_in_place(loc, rec, kind, self.cache, defer)
             # An updated object diverges from its SATA copy: it can no
             # longer be dropped on eviction, so the promotion label is
             # cleared.
@@ -244,94 +254,23 @@ class Partition:
             return s
         # New object, or resized: new slot, tombstone at the old location.
         if loc is not None:
+            # The tombstone and the rewrite charge immediately, so the
+            # group's earlier charges must land first.
+            if flush is not None:
+                flush()
+            defer = None
             old_zone = self._zone_by_id(loc.zone_id)
             service += old_zone.write_tombstone(loc, kind, self.cache)
             old_zone.remove_object(rec.key, loc)
         zone = self.zone_for_key(rec.key)
         slot_size = self.config.slot_class_for(needed)
-        new_loc, s = zone.write_record(rec, slot_size, kind, self.cache)
-        service += s
+        new_loc, s = zone.write_record(rec, slot_size, kind, self.cache, defer=defer)
         self.index.insert(rec.key, new_loc)
         self._written_bytes += needed
         self._written_objects += 1
         self._maybe_calibrate_tracker()
-        self._maybe_split_zone(zone)
-        return service
-
-    def _put_locked_deferred(self, rec: Record, kind: TrafficKind, defer, flush):
-        """:meth:`_put_locked` with the slot-write charge deferred.
-
-        ``defer(npages)`` registers the current op's foreground slot write
-        with the caller's charge group; ``flush()`` applies the group.
-        The common paths (in-place update, fresh slot) splice pages
-        without charging and defer; the rare paths that charge other I/O
-        directly — resized-slot rewrite, and the zone split's GC — flush
-        first, so the device ledger advances in exactly the per-op order.
-        Returns the service charged directly, or ``None`` when the charge
-        was fully deferred.  Fastpath-only: callers gate on the devices
-        being unguarded.
-        """
-        loc: Optional[SlotLocation] = self.index.get(rec.key)
-        needed = rec.encoded_size
-        if loc is not None and needed <= loc.slot_size:
-            zone = self._zone_by_id(loc.zone_id)
-            new_loc, npages = zone.update_in_place_deferred(loc, rec, self.cache)
-            defer(npages)
-            new_loc.promoted = False
-            self.index.insert(rec.key, new_loc)
-            self._written_bytes += needed
-            self._written_objects += 1
-            self._maybe_calibrate_tracker()
-            return None
-        if loc is not None:
-            # Resized: the tombstone and rewrite charge immediately, so
-            # the group's earlier charges must land first.
-            flush()
-            old_zone = self._zone_by_id(loc.zone_id)
-            service = old_zone.write_tombstone(loc, kind, self.cache)
-            old_zone.remove_object(rec.key, loc)
-            zone = self.zone_for_key(rec.key)
-            slot_size = self.config.slot_class_for(needed)
-            new_loc, s = zone.write_record(rec, slot_size, kind, self.cache)
-            service += s
-            self.index.insert(rec.key, new_loc)
-            self._written_bytes += needed
-            self._written_objects += 1
-            self._maybe_calibrate_tracker()
-            self._maybe_split_zone(zone)
-            return service
-        zone = self.zone_for_key(rec.key)
-        slot_size = self.config.slot_class_for(needed)
-        new_loc, npages = zone.write_record_deferred(rec, slot_size, self.cache)
-        defer(npages)
-        self.index.insert(rec.key, new_loc)
-        self._written_bytes += needed
-        self._written_objects += 1
-        self._maybe_calibrate_tracker()
-        # Inlined _maybe_split_zone's cheapest early-outs (identical
-        # checks): most puts skip the call entirely.
-        if zone.key_range is not None and len(zone.keys) > 8:
-            self._maybe_split_zone(zone, pre_charge=flush)
-        return None
-
-    def put_many(
-        self, recs, kind: TrafficKind = TrafficKind.FOREGROUND
-    ) -> list[float]:
-        """Batched :meth:`put` over a sequence of records.
-
-        When the device is health-guarded, each put needs its own epoch
-        (window boundaries must land between ops), so the batch degrades
-        to per-op puts.  Unguarded, epochs are pure no-ops and the loop
-        is fused.  ``self.tracker`` is re-read every iteration: a put may
-        trigger tracker calibration, replacing it mid-batch.
-        """
-        if self.page_store.device._health_guarded:
-            return [self.put(rec, kind) for rec in recs]
-        out = []
-        for rec in recs:
-            self._record_access(rec.key)
-            out.append(self._put_locked(rec, kind))
-        return out
+        self._maybe_split_zone(zone, pre_charge=flush)
+        return None if s is None else service + s
 
     def delete(self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND) -> float:
         """Remove an object (tombstone the slot, drop the index entry)."""
@@ -685,8 +624,10 @@ class Partition:
         # background queue (no-op on single-queue devices).
         device.begin_background_job(TrafficKind.GC)
         self.page_store.read_many(zone.page_ids(), TrafficKind.GC)
-        fast = device._fastpath and obs.RECORDER is None
         pending: list[int] = []
+        defer = (
+            pending.append if device._fastpath and obs.RECORDER is None else None
+        )
         for key in keys:
             loc: SlotLocation = self.index.get(key)
             if loc is None or loc.zone_id != zone.zone_id:
@@ -699,16 +640,10 @@ class Partition:
             rec = Record(key, rec.value, rec.seqno, rec.deleted)
             dest = left if key < median else right
             zone.remove_object(key, loc)
-            if fast:
-                new_loc, npages = dest.write_record_deferred(
-                    rec, loc.slot_size, self.cache, promoted=loc.promoted
-                )
-                pending.append(npages)
-            else:
-                new_loc, _ = dest.write_record(
-                    rec, loc.slot_size, TrafficKind.GC, self.cache,
-                    promoted=loc.promoted,
-                )
+            new_loc, _ = dest.write_record(
+                rec, loc.slot_size, TrafficKind.GC, self.cache,
+                promoted=loc.promoted, defer=defer,
+            )
             self.index.insert(key, new_loc)
         if pending:
             device.write_pages_batch(pending, TrafficKind.GC, sequential=False)

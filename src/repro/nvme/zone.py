@@ -186,6 +186,24 @@ class Zone:
 
     # ---------------------------------------------------------------- I/O
 
+    def _write_slot(self, page_id, offset, payload, npages, kind, cache, defer):
+        """Write one slot's bytes under the caller's charging policy.
+
+        ``defer is None`` charges the device now and returns the service
+        time.  Otherwise the bytes are spliced uncharged, ``defer(npages)``
+        hands the charge to the caller's group — paid later with one
+        :meth:`repro.simssd.device.SimDevice.write_pages_batch` call — and
+        the service is ``None``.  Deferral is fastpath-only (see
+        :meth:`PageStore.write_nocharge`).
+        """
+        if defer is None:
+            return self.page_store.write(
+                page_id, offset, payload, kind, cache, npages=npages
+            )
+        self.page_store.write_nocharge(page_id, offset, payload, cache, npages=npages)
+        defer(npages)
+        return None
+
     def write_record(
         self,
         rec: Record,
@@ -193,8 +211,10 @@ class Zone:
         kind: TrafficKind = TrafficKind.FOREGROUND,
         cache=None,
         promoted: bool = False,
-    ) -> tuple[SlotLocation, float]:
-        """Place ``rec`` into a fresh ``slot_size`` slot and write the page."""
+        defer=None,
+    ) -> tuple[SlotLocation, Optional[float]]:
+        """Place ``rec`` into a fresh ``slot_size`` slot and write the page
+        (``defer``: see :meth:`_write_slot`)."""
         kr = self.key_range  # inlined ``accepts`` (one call per store write)
         if kr is not None and not kr.contains(rec.key):
             raise ReproError(f"key {rec.key!r} outside zone {self.zone_id} range")
@@ -209,47 +229,12 @@ class Zone:
             len(payload), rec.seqno, promoted, crc=zlib.crc32(payload),
         )
         npages = -(-slot_size // self.page_store.page_size)
-        service = self.page_store.write(
-            page_id, slot_index * slot_size, payload, kind, cache, npages=npages
+        service = self._write_slot(
+            page_id, slot_index * slot_size, payload, npages, kind, cache, defer
         )
         self.keys[rec.key] = None
         self.used_bytes += len(payload)
         return loc, service
-
-    def write_record_deferred(
-        self,
-        rec: Record,
-        slot_size: int,
-        cache=None,
-        promoted: bool = False,
-    ) -> tuple[SlotLocation, int]:
-        """:meth:`write_record` minus the device charge.
-
-        Returns ``(location, npages_to_charge)`` so a batch resettler can
-        pay for the whole run of slot writes with one grouped
-        :meth:`repro.simssd.device.SimDevice.write_pages_batch` call.
-        Fastpath-only (see :meth:`PageStore.write_nocharge`).
-        """
-        kr = self.key_range
-        if kr is not None and not kr.contains(rec.key):
-            raise ReproError(f"key {rec.key!r} outside zone {self.zone_id} range")
-        payload = encode_record(rec)
-        if len(payload) > slot_size:
-            raise ReproError(
-                f"record of {len(payload)}B does not fit slot class {slot_size}"
-            )
-        page_id, slot_index = self.allocate_slot(slot_size)
-        loc = SlotLocation(
-            self.zone_id, page_id, slot_index, slot_size,
-            len(payload), rec.seqno, promoted, crc=zlib.crc32(payload),
-        )
-        npages = -(-slot_size // self.page_store.page_size)
-        self.page_store.write_nocharge(
-            page_id, slot_index * slot_size, payload, cache, npages=npages
-        )
-        self.keys[rec.key] = None
-        self.used_bytes += len(payload)
-        return loc, npages
 
     def update_in_place(
         self,
@@ -257,15 +242,16 @@ class Zone:
         rec: Record,
         kind: TrafficKind = TrafficKind.FOREGROUND,
         cache=None,
-    ) -> tuple[SlotLocation, float]:
+        defer=None,
+    ) -> tuple[SlotLocation, Optional[float]]:
         """Overwrite an object inside its existing slot (§3.2: small objects
-        update in place)."""
+        update in place; ``defer``: see :meth:`_write_slot`)."""
         payload = encode_record(rec)
         if len(payload) > loc.slot_size:
             raise ReproError("in-place update does not fit the slot")
         npages = -(-loc.slot_size // self.page_store.page_size)
-        service = self.page_store.write(
-            loc.page_id, loc.offset, payload, kind, cache, npages=npages
+        service = self._write_slot(
+            loc.page_id, loc.offset, payload, npages, kind, cache, defer
         )
         self.used_bytes += len(payload) - loc.record_size
         new_loc = SlotLocation(
@@ -273,33 +259,6 @@ class Zone:
             len(payload), rec.seqno, loc.promoted, crc=zlib.crc32(payload),
         )
         return new_loc, service
-
-    def update_in_place_deferred(
-        self,
-        loc: SlotLocation,
-        rec: Record,
-        cache=None,
-    ) -> tuple[SlotLocation, int]:
-        """:meth:`update_in_place` minus the device charge.
-
-        Returns ``(location, npages_to_charge)``; the caller pays for a
-        run of in-place updates with one grouped
-        :meth:`repro.simssd.device.SimDevice.write_pages_batch` call.
-        Fastpath-only (see :meth:`PageStore.write_nocharge`).
-        """
-        payload = encode_record(rec)
-        if len(payload) > loc.slot_size:
-            raise ReproError("in-place update does not fit the slot")
-        npages = -(-loc.slot_size // self.page_store.page_size)
-        self.page_store.write_nocharge(
-            loc.page_id, loc.offset, payload, cache, npages=npages
-        )
-        self.used_bytes += len(payload) - loc.record_size
-        new_loc = SlotLocation(
-            loc.zone_id, loc.page_id, loc.slot_index, loc.slot_size,
-            len(payload), rec.seqno, loc.promoted, crc=zlib.crc32(payload),
-        )
-        return new_loc, npages
 
     def read_object(
         self,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from repro import obs
 from repro.perf.harness import (
@@ -52,12 +51,6 @@ def main(argv: list[str] | None = None) -> int:
         "with traced runs)",
     )
     parser.add_argument(
-        "--e2e-mode", choices=("columnar", "batched", "per-op"),
-        default="columnar",
-        help="dispatch mode for the e2e benches; all modes produce "
-        "bit-identical results (CI diffs the printed DIGEST lines)",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="run each bench under cProfile and dump the top functions by "
         "cumulative time (profiling overhead is real: numbers from a "
@@ -71,7 +64,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     scale = PerfScale.smoke() if args.smoke else PerfScale.full()
-    scale = replace(scale, e2e_mode=args.e2e_mode)
     recorder = obs.install() if args.trace_out else None
     if args.profile:
         from repro.perf.profiling import profile_benches
@@ -107,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     for name, res in results.items():
         if res.extra and "digest" in res.extra:
-            print(f"DIGEST {name} [{res.extra['e2e_mode']}] {res.extra['digest']}")
+            print(f"DIGEST {name} {res.extra['digest']}")
     if run and "speedup_vs_baseline" in run:
         headline = run["speedup_vs_baseline"].get("ycsb_e2e")
         if headline is not None:

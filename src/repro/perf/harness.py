@@ -60,12 +60,6 @@ class PerfScale:
     e2e_records: int
     e2e_operations: int
     mode: str = "full"
-    #: Dispatch mode for the e2e benches: ``columnar`` (the default
-    #: request pipeline: batch dispatch + vectorized attribution),
-    #: ``batched`` (batch dispatch, per-op attribution), or ``per-op``.
-    #: All three produce bit-identical results (see
-    #: ``BenchResult.extra['digest']``); CI diffs them.
-    e2e_mode: str = "columnar"
     #: parallel_e2e fan-out shape: independent YCSB cells per measurement.
     par_cells: int = 4
     par_records: int = 1_000
@@ -290,8 +284,9 @@ def _run_digest(load_total: float, result) -> str:
     Floats go in as ``float.hex()`` (exact bits, no rounding), dicts in
     sorted key order, histograms as their raw sample buffers — so two
     runs digest equal iff their results are bit-identical.  This is the
-    batching contract's enforcement hook: CI runs the e2e bench in both
-    dispatch modes and diffs the digests.
+    request-path contract's enforcement hook: CI diffs the smoke digest
+    against the pinned ``results/DIGEST_ycsb_e2e_smoke.txt``, and tier-1
+    diffs the runner against the scalar reference executor with it.
     """
     import hashlib
 
@@ -330,7 +325,6 @@ def bench_ycsb_e2e(scale: PerfScale) -> BenchResult:
         clients=bscale.clients,
         background_threads=bscale.background_threads,
         seed=bscale.seed,
-        mode=scale.e2e_mode,
     )
     t0 = time.perf_counter()
     load_total = runner.load()
@@ -341,10 +335,7 @@ def bench_ycsb_e2e(scale: PerfScale) -> BenchResult:
     return BenchResult(
         scale.e2e_records + scale.e2e_operations,
         seconds,
-        extra={
-            "e2e_mode": scale.e2e_mode,
-            "digest": _run_digest(load_total, result),
-        },
+        extra={"digest": _run_digest(load_total, result)},
     )
 
 
@@ -480,7 +471,6 @@ def _queue_depth_cell(
         clients=bscale.clients,
         background_threads=bscale.background_threads,
         seed=bscale.seed,
-        mode="columnar",
     )
     runner.load()
     result = runner.run(YCSB_WORKLOADS["A"], bscale.operations)

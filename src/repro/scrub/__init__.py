@@ -1,4 +1,4 @@
-"""Background integrity scrub & replica repair (DESIGN.md §14)."""
+"""Background integrity scrub & replica repair (DESIGN.md §13)."""
 
 from repro.scrub.scrubber import (
     ScrubConfig,

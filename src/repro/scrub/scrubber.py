@@ -1,5 +1,5 @@
 """Background integrity scrub & repair: turn silent corruption into healed
-corruption (DESIGN.md §14).
+corruption (DESIGN.md §13).
 
 A real tiered KV store runs proactive media scrubbing as *background
 traffic* — exactly the traffic class this paper models.  The

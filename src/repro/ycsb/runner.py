@@ -32,7 +32,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro import obs
-from repro.common.keys import encode_key, encode_keys
+from repro.common.keys import encode_keys
 from repro.common.stats import LatencyHistogram
 from repro.core.interface import KVStore
 from repro.ycsb.distributions import (
@@ -120,9 +120,6 @@ class RunResult:
 class WorkloadRunner:
     """Loads a store and executes YCSB workloads against it."""
 
-    #: Recognized execution modes (see ``mode`` below).
-    MODES = ("per-op", "batched", "columnar")
-
     def __init__(
         self,
         store: KVStore,
@@ -131,31 +128,10 @@ class WorkloadRunner:
         clients: int = 8,
         background_threads: int = 8,
         seed: int = 0,
-        batched: bool = True,
-        mode: Optional[str] = None,
     ) -> None:
         if record_count <= 0:
             raise ValueError(f"record_count must be positive, got {record_count}")
         self.store = store
-        #: Execution mode for the run phase.  All three produce
-        #: bit-identical results (same calls in the same order, same float
-        #: accumulation), so the choice is purely a hot-path dispatch
-        #: optimization:
-        #:
-        #: * ``per-op`` — one Python call chain per op (the traceable
-        #:   reference path; forced whenever per-op tracing is installed);
-        #: * ``batched`` — contiguous same-type op slices carried through
-        #:   the store's batch API, per-op attribution loop;
-        #: * ``columnar`` — batched dispatch plus a vectorized epilogue:
-        #:   busy-delta attribution, queueing shares, and histogram fills
-        #:   are numpy array passes over the whole op stream.
-        if mode is None:
-            mode = "batched" if batched else "per-op"
-        if mode not in self.MODES:
-            raise ValueError(f"unknown runner mode {mode!r}; have {self.MODES}")
-        self.mode = mode
-        #: Back-compat flag: True for any batch-dispatch mode.
-        self.batched = mode != "per-op"
         self.record_count = record_count
         self.value_size = value_size
         self.clients = clients
@@ -168,9 +144,11 @@ class WorkloadRunner:
 
     # ---------------------------------------------------------------- load
 
-    def _value(self, key_id: int) -> bytes:
-        start = (key_id * 131) % (len(self._value_pool) - self.value_size)
-        return self._value_pool[start : start + self.value_size]
+    def _values(self, key_ids: list[int]) -> list[bytes]:
+        pool = self._value_pool
+        vs = self.value_size
+        m = len(pool) - vs
+        return [pool[s : s + vs] for s in [(k * 131) % m for k in key_ids]]
 
     def load(self, shuffle: bool = True) -> float:
         """Insert the initial dataset (random order, like the paper's load
@@ -185,19 +163,8 @@ class WorkloadRunner:
             if shuffle:
                 self.rng.shuffle(ids)
             total = 0.0
-            if self.batched:
-                keys = encode_keys(ids)
-                pool = self._value_pool
-                vs = self.value_size
-                starts = ((ids * 131) % (len(pool) - vs)).tolist()
-                values = [pool[s : s + vs] for s in starts]
-                for s in self.store.put_many(keys, values):
-                    total += s
-            else:
-                for kid in ids:
-                    total += self.store.put(
-                        encode_key(int(kid)), self._value(int(kid))
-                    )
+            for s in self.store.put_many(encode_keys(ids), self._values(ids.tolist())):
+                total += s
             self.store.finalize()
         return total
 
@@ -251,31 +218,11 @@ class WorkloadRunner:
         ops = (OpType.READ, OpType.UPDATE, OpType.INSERT, OpType.SCAN, OpType.RMW)
         choices = self.rng.choice(len(ops), size=operations, p=mix)
 
-        service_samples: dict[OpType, list[float]] = {op: [] for op in ops}
-        #: Per-op device shares, parallel to service_samples[op]: which
-        #: device served the op's foreground I/O (for queue attribution).
-        device_shares: dict[OpType, list[dict[str, float]]] = {op: [] for op in ops}
         device_names = list(devices)
-        device_objs = list(devices.values())
-        choice_list: list[int] = choices.tolist()  # python ints iterate faster
-
         trace = obs.RECORDER
-        col_state = None
-        if self.mode == "columnar" and trace is None:
-            cpu_total, fg_service_total, col_state = self._run_columnar(
-                spec, ops, choice_list, generator, device_objs,
-            )
-        elif self.batched and trace is None:
-            cpu_total, fg_service_total = self._run_batched(
-                spec, ops, choice_list, generator,
-                device_names, device_objs, service_samples, device_shares,
-            )
-        else:
-            cpu_total, fg_service_total = self._run_per_op(
-                spec, ops, choice_list, generator,
-                device_names, device_objs, service_samples, device_shares,
-                trace,
-            )
+        cpu_total, fg_service_total, columns = self._execute(
+            spec, ops, choices.tolist(), generator, list(devices.values()), trace
+        )
 
         self.store.finalize()
         snap_after = {name: d.traffic.snapshot() for name, d in devices.items()}
@@ -315,14 +262,7 @@ class WorkloadRunner:
             )
             for name in traffic
         }
-        if col_state is not None:
-            latency_by_op = self._latencies_columnar(
-                ops, col_state, device_names, rho_by_device
-            )
-        else:
-            latency_by_op = self._latencies(
-                service_samples, device_shares, rho_by_device
-            )
+        latency_by_op = self._latencies(ops, columns, device_names, rho_by_device)
 
         utilization = {}
         for name, dev in devices.items():
@@ -344,320 +284,132 @@ class WorkloadRunner:
             space_used={n: d.used_bytes for n, d in devices.items()},
         )
 
-    # --------------------------------------------------- execution engines
+    # ------------------------------------------------------ execution
 
-    def _run_per_op(
-        self, spec, ops, choice_list, generator,
-        device_names, device_objs, service_samples, device_shares, trace,
-    ) -> tuple[float, float]:
-        """One Python call chain per op (the traceable reference path)."""
-        cpu_total = 0.0
-        fg_service_total = 0.0
-        # Request keys are drawn in contiguous batches between inserts (the
-        # only ops that change the generator's item count): vectorized draws
-        # that consume the RNG stream exactly as per-op draws would.
-        insert_code = ops.index(OpType.INSERT)
-        n_choices = len(choice_list)
-        key_buf: "np.ndarray | list[int]" = []
-        buf_pos = 0
-        for i, op_idx in enumerate(choice_list):
-            op = ops[op_idx]
-            busy_before = [d.busy_seconds() for d in device_objs]
-            if trace is not None:
-                op_t0 = sum(busy_before)
-                trace.begin("op", t=op_t0, op=op.value)
-            cpu = CPU_PER_OP
-            if op is OpType.INSERT:
-                kid = self.record_count + self._insert_count
-                self._insert_count += 1
-                generator.set_item_count(self.record_count + self._insert_count)
-                service = self.store.put(encode_key(kid), self._value(kid))
-                cpu += CPU_PER_BYTE * self.value_size
-            else:
-                if buf_pos >= len(key_buf):
-                    j = i
-                    while j < n_choices and choice_list[j] != insert_code:
-                        j += 1
-                    key_buf = generator.next_many(j - i)
-                    buf_pos = 0
-                kid = int(key_buf[buf_pos])
-                buf_pos += 1
-                key = encode_key(kid)
-                if op is OpType.READ:
-                    _, service = self.store.get(key)
-                elif op is OpType.UPDATE:
-                    service = self.store.put(key, self._value(kid))
-                    cpu += CPU_PER_BYTE * self.value_size
-                elif op is OpType.SCAN:
-                    pairs, service = self.store.scan(key, spec.scan_length)
-                    cpu += CPU_PER_BYTE * sum(len(v) for _, v in pairs)
-                else:  # RMW
-                    _, s1 = self.store.get(key)
-                    s2 = self.store.put(key, self._value(kid))
-                    service = s1 + s2
-                    cpu += CPU_PER_BYTE * self.value_size
-            service_samples[op].append(service + cpu)
-            # Attribute the op's foreground service to the devices whose
-            # busy time moved during it; background work triggered inside
-            # the call inflates the deltas, so shares are normalized to the
-            # foreground service.
-            shares: dict[str, float] = {}
-            total_delta = 0.0
-            for k, d in enumerate(device_objs):
-                delta = d.busy_seconds() - busy_before[k]
-                if delta > 0:
-                    shares[device_names[k]] = delta
-                    total_delta += delta
-            if trace is not None:
-                # Busy time is monotonic, so the positive deltas summed into
-                # total_delta are exactly how far the devices moved.
-                trace.end(
-                    "op", t=op_t0 + total_delta, op=op.value,
-                    service_s=service + cpu,
-                )
-            if total_delta > 0 and service > 0:
-                scale_f = min(1.0, service / total_delta)
-                if scale_f < 1.0:
-                    shares = {n: v * scale_f for n, v in shares.items()}
-            else:
-                shares = {}
-            device_shares[op].append(shares)
-            cpu_total += cpu
-            fg_service_total += service
-        return cpu_total, fg_service_total
-
-    def _run_batched(
-        self, spec, ops, choice_list, generator,
-        device_names, device_objs, service_samples, device_shares,
-    ) -> tuple[float, float]:
-        """Slice the op stream into contiguous same-type runs and carry each
-        through the store's batch API.
-
-        Latency attribution moves to batch granularity: the store reports
-        cumulative per-device busy seconds after every op (``busy_out``
-        rows), and consecutive rows are differenced here — the same floats
-        the per-op path reads via ``busy_seconds()`` snapshots, so shares,
-        samples, and totals are bit-identical to :meth:`_run_per_op`.
-        """
-        store = self.store
-        insert_code = ops.index(OpType.INSERT)
-        n_choices = len(choice_list)
-        n_devices = len(device_objs)
-        value_cpu = CPU_PER_OP + CPU_PER_BYTE * self.value_size
-        cpu_total = 0.0
-        fg_service_total = 0.0
-        key_buf: "np.ndarray | list[int]" = []
-        buf_pos = 0
-        row_prev = tuple(d.busy_seconds() for d in device_objs)
-        i = 0
-        while i < n_choices:
-            op_idx = choice_list[i]
-            op = ops[op_idx]
-            if op is OpType.INSERT:
-                kid = self.record_count + self._insert_count
-                self._insert_count += 1
-                generator.set_item_count(self.record_count + self._insert_count)
-                service = store.put(encode_key(kid), self._value(kid))
-                rows = [tuple(d.busy_seconds() for d in device_objs)]
-                services = [service]
-                cpus = None
-                op_cpu = value_cpu
-                count = 1
-                j = i + 1
-            else:
-                j = i + 1
-                while j < n_choices and choice_list[j] == op_idx:
-                    j += 1
-                count = j - i
-                # Draw the slice's keys, replicating the per-op refill
-                # points exactly: the buffer refills at the same op indexes
-                # with the same draw sizes, so the RNG stream is identical.
-                kids: list[int] = []
-                while len(kids) < count:
-                    if buf_pos >= len(key_buf):
-                        k0 = i + len(kids)
-                        jj = k0
-                        while jj < n_choices and choice_list[jj] != insert_code:
-                            jj += 1
-                        key_buf = generator.next_many(jj - k0)
-                        buf_pos = 0
-                    take = min(count - len(kids), len(key_buf) - buf_pos)
-                    kids.extend(
-                        int(x) for x in key_buf[buf_pos : buf_pos + take]
-                    )
-                    buf_pos += take
-                keys = encode_keys(kids)
-                rows = []
-                cpus = None
-                if op is OpType.READ:
-                    results = store.get_many(keys, busy_out=rows)
-                    services = [s for _, s in results]
-                    op_cpu = CPU_PER_OP
-                elif op is OpType.UPDATE:
-                    pool = self._value_pool
-                    vs = self.value_size
-                    m = len(pool) - vs
-                    values = [
-                        pool[s0 : s0 + vs] for s0 in [(k * 131) % m for k in kids]
-                    ]
-                    services = store.put_many(keys, values, busy_out=rows)
-                    op_cpu = value_cpu
-                elif op is OpType.SCAN:
-                    services = []
-                    cpus = []
-                    for key in keys:
-                        pairs, service = store.scan(key, spec.scan_length)
-                        services.append(service)
-                        cpus.append(
-                            CPU_PER_OP
-                            + CPU_PER_BYTE * sum(len(v) for _, v in pairs)
-                        )
-                        rows.append(tuple(d.busy_seconds() for d in device_objs))
-                    op_cpu = 0.0
-                else:  # RMW
-                    services = []
-                    for kid, key in zip(kids, keys):
-                        _, s1 = store.get(key)
-                        s2 = store.put(key, self._value(kid))
-                        services.append(s1 + s2)
-                        rows.append(tuple(d.busy_seconds() for d in device_objs))
-                    op_cpu = value_cpu
-            samples = service_samples[op]
-            shares_list = device_shares[op]
-            for idx in range(count):
-                service = services[idx]
-                row = rows[idx]
-                shares: dict[str, float] = {}
-                total_delta = 0.0
-                for k in range(n_devices):
-                    delta = row[k] - row_prev[k]
-                    if delta > 0:
-                        shares[device_names[k]] = delta
-                        total_delta += delta
-                row_prev = row
-                if total_delta > 0 and service > 0:
-                    scale_f = min(1.0, service / total_delta)
-                    if scale_f < 1.0:
-                        shares = {n: v * scale_f for n, v in shares.items()}
-                else:
-                    shares = {}
-                cpu = cpus[idx] if cpus is not None else op_cpu
-                samples.append(service + cpu)
-                shares_list.append(shares)
-                cpu_total += cpu
-                fg_service_total += service
-            i = j
-        return cpu_total, fg_service_total
-
-    def _run_columnar(
-        self, spec, ops, choice_list, generator, device_objs,
+    def _execute(
+        self, spec, ops, choice_list, generator, device_objs, trace
     ) -> tuple[float, float, tuple]:
-        """Batched dispatch with a fully columnar epilogue.
+        """The run loop: contiguous same-type slices of the op stream go
+        through the store's batch API, and flat op-ordered columns come back.
 
-        The op stream is sliced into contiguous same-type runs exactly
-        like :meth:`_run_batched` (same store calls, same RNG draws), but
-        per-op attribution is deferred: the loop only collects flat,
-        op-ordered columns — busy rows, service times, CPU costs — and
-        :meth:`_latencies_columnar` turns them into shares, queueing
-        penalties, and histograms with numpy array passes.  Every array
-        operation reproduces the scalar path's float math bit-for-bit
-        (elementwise IEEE ops are the same ops; sequential accumulation
-        uses ``np.add.accumulate``, which is left-to-right like ``+=``),
-        so results are byte-identical to the other modes.
+        Per-op attribution is deferred: the loop only collects busy rows
+        (cumulative per-device busy seconds after every op — ``busy_out``
+        rows from the store, or ``busy_seconds()`` snapshots around the
+        scalar scan / read-modify-write calls), service times and CPU
+        costs; :meth:`_latencies` turns them into shares, queueing
+        penalties and histograms with numpy array passes.
+
+        With a recorder installed each slice is cut to one op and
+        bracketed by an ``op`` begin/end pair — a traced run is the same
+        loop with batches of one, so device I/O events nest inside their
+        op and results are bit-identical to the untraced run.
         """
         store = self.store
         insert_code = ops.index(OpType.INSERT)
         n_choices = len(choice_list)
         value_cpu = CPU_PER_OP + CPU_PER_BYTE * self.value_size
-        key_buf: "np.ndarray | list[int]" = []
+        key_buf = np.empty(0, dtype=np.int64)
         buf_pos = 0
         row0 = tuple(d.busy_seconds() for d in device_objs)
         rows: list[tuple] = []
-        services_flat: list[float] = []
-        cpus_flat: list[float] = []
+        services: list[float] = []
+        cpus: list[float] = []
         i = 0
         while i < n_choices:
             op_idx = choice_list[i]
             op = ops[op_idx]
+            j = i + 1
+            if trace is None and op is not OpType.INSERT:
+                while j < n_choices and choice_list[j] == op_idx:
+                    j += 1
+            count = j - i
+            if trace is not None:
+                before = rows[-1] if rows else row0
+                op_t0 = sum(before)
+                trace.begin("op", t=op_t0, op=op.value)
             if op is OpType.INSERT:
-                kid = self.record_count + self._insert_count
+                # The only op that changes the generator's item count.
+                kids = [self.record_count + self._insert_count]
                 self._insert_count += 1
                 generator.set_item_count(self.record_count + self._insert_count)
-                services_flat.append(store.put(encode_key(kid), self._value(kid)))
-                rows.append(tuple(d.busy_seconds() for d in device_objs))
-                cpus_flat.append(value_cpu)
-                i += 1
-                continue
-            j = i + 1
-            while j < n_choices and choice_list[j] == op_idx:
-                j += 1
-            count = j - i
-            # Same refill points and draw sizes as the per-op path: the
-            # RNG stream is identical (see _run_batched).
-            kids: list[int] = []
-            while len(kids) < count:
+            else:
+                # Request keys are drawn in one vectorized call per
+                # insert-free stretch of the stream, so a slice (which never
+                # spans an insert) finds the buffer either empty or covering it.
                 if buf_pos >= len(key_buf):
-                    k0 = i + len(kids)
-                    jj = k0
-                    while jj < n_choices and choice_list[jj] != insert_code:
-                        jj += 1
-                    key_buf = generator.next_many(jj - k0)
+                    k = i
+                    while k < n_choices and choice_list[k] != insert_code:
+                        k += 1
+                    key_buf = generator.next_many(k - i)
                     buf_pos = 0
-                take = min(count - len(kids), len(key_buf) - buf_pos)
-                kids.extend(int(x) for x in key_buf[buf_pos : buf_pos + take])
-                buf_pos += take
+                kids = key_buf[buf_pos : buf_pos + count].tolist()
+                buf_pos += count
             keys = encode_keys(kids)
             if op is OpType.READ:
-                results = store.get_many(keys, busy_out=rows)
-                services_flat.extend(s for _, s in results)
-                cpus_flat.extend([CPU_PER_OP] * count)
-            elif op is OpType.UPDATE:
-                pool = self._value_pool
-                vs = self.value_size
-                m = len(pool) - vs
-                values = [
-                    pool[s0 : s0 + vs] for s0 in [(k * 131) % m for k in kids]
-                ]
-                services_flat.extend(store.put_many(keys, values, busy_out=rows))
-                cpus_flat.extend([value_cpu] * count)
+                services.extend(s for _, s in store.get_many(keys, busy_out=rows))
+                cpus.extend([CPU_PER_OP] * count)
+            elif op is OpType.UPDATE or op is OpType.INSERT:
+                services.extend(
+                    store.put_many(keys, self._values(kids), busy_out=rows)
+                )
+                cpus.extend([value_cpu] * count)
             elif op is OpType.SCAN:
                 for key in keys:
                     pairs, service = store.scan(key, spec.scan_length)
-                    services_flat.append(service)
-                    cpus_flat.append(
+                    services.append(service)
+                    cpus.append(
                         CPU_PER_OP + CPU_PER_BYTE * sum(len(v) for _, v in pairs)
                     )
                     rows.append(tuple(d.busy_seconds() for d in device_objs))
             else:  # RMW
-                for kid, key in zip(kids, keys):
+                for key, value in zip(keys, self._values(kids)):
                     _, s1 = store.get(key)
-                    s2 = store.put(key, self._value(kid))
-                    services_flat.append(s1 + s2)
-                    cpus_flat.append(value_cpu)
+                    s2 = store.put(key, value)
+                    services.append(s1 + s2)
+                    cpus.append(value_cpu)
                     rows.append(tuple(d.busy_seconds() for d in device_objs))
+            if trace is not None:
+                # Busy time is monotonic, so the positive deltas are exactly
+                # how far the devices moved during the op.
+                moved = 0.0
+                for after_k, before_k in zip(rows[-1], before):
+                    delta = after_k - before_k
+                    if delta > 0:
+                        moved += delta
+                trace.end(
+                    "op", t=op_t0 + moved, op=op.value,
+                    service_s=services[-1] + cpus[-1],
+                )
             i = j
-        service_arr = np.asarray(services_flat, dtype=np.float64)
-        cpu_arr = np.asarray(cpus_flat, dtype=np.float64)
+        service_arr = np.asarray(services, dtype=np.float64)
+        cpu_arr = np.asarray(cpus, dtype=np.float64)
         # Sequential left-to-right totals, bit-identical to scalar `+=`.
         cpu_total = float(np.add.accumulate(cpu_arr)[-1]) if len(cpu_arr) else 0.0
         fg_service_total = (
             float(np.add.accumulate(service_arr)[-1]) if len(service_arr) else 0.0
         )
-        col_state = (np.asarray(choice_list), service_arr, cpu_arr, row0, rows)
-        return cpu_total, fg_service_total, col_state
+        columns = (np.asarray(choice_list), service_arr, cpu_arr, row0, rows)
+        return cpu_total, fg_service_total, columns
 
-    def _latencies_columnar(
-        self, ops, col_state, device_names, rho_by_device,
+    def _latencies(
+        self, ops, columns, device_names, rho_by_device,
     ) -> Dict[str, LatencyHistogram]:
-        """Vectorized twin of :meth:`_latencies` over the flat op columns.
+        """Service times + sampled queueing delay → latency histograms.
+
+        Each op's foreground service is attributed to the devices whose
+        busy time moved during it (background work triggered inside the
+        call inflates the deltas, so shares are normalized to the
+        foreground service), and its queueing penalty uses the utilization
+        of exactly those devices: an NVMe-only put does not wait behind
+        SATA compaction, but a read that dips into the capacity tier does.
 
         Shares, scaling, and queueing sums are elementwise array ops whose
-        per-op float math is identical to the scalar path: deltas are the
-        same subtractions, ``min(1.0, service/total)`` the same divide and
-        compare, and the per-device share×factor sum accumulates in device
-        order starting from zero, exactly like the scalar ``sum(...)``.
+        per-op float math is that of a scalar loop (the reference executor
+        in tests/): deltas are the same subtractions, ``min(1.0,
+        service/total)`` the same divide and compare, and the per-device
+        share×factor sum accumulates in device order starting from zero.
         """
-        codes, service_arr, cpu_arr, row0, rows = col_state
+        codes, service_arr, cpu_arr, row0, rows = columns
         n = len(service_arr)
         out: Dict[str, LatencyHistogram] = {}
         if n == 0:
@@ -757,37 +509,6 @@ class WorkloadRunner:
             bound = transfer + fg_lat / self.clients + bg_lat / bg_threads
             device_bound = max(device_bound, bound)
         return max(client_bound, device_bound, 1e-9)
-
-    def _latencies(
-        self,
-        samples: dict[OpType, list[float]],
-        device_shares: dict[OpType, list[dict[str, float]]],
-        rho_by_device: Dict[str, float],
-    ) -> Dict[str, LatencyHistogram]:
-        """Service times + sampled queueing delay → latency histograms.
-
-        Each op's queueing penalty uses the utilization of the devices it
-        actually touched: an NVMe-only put does not wait behind SATA
-        compaction, but a read that dips into the capacity tier does.
-        """
-        factor = {n: r / (1.0 - r) for n, r in rho_by_device.items()}
-        out: Dict[str, LatencyHistogram] = {}
-        for op, values in samples.items():
-            if not values:
-                continue
-            arr = np.asarray(values)
-            queued_service = np.array(
-                [
-                    sum(share * factor.get(name, 0.0) for name, share in shares.items())
-                    for shares in device_shares[op]
-                ]
-            )
-            noise = self.rng.exponential(1.0, size=len(arr))
-            latencies = arr + queued_service * noise
-            hist = LatencyHistogram(initial_capacity=max(16, len(arr)))
-            hist.record_many(latencies)
-            out[op.value] = hist
-        return out
 
 
 def _busy_seconds(lanes: Dict[str, Dict[str, float]]) -> float:

@@ -233,6 +233,27 @@ class TestPrismDBStore:
         assert store.promotions > 0
         assert store.slabs.index.get(k(5)) is not None
 
+    def test_get_many_captures_corrupt_slot(self):
+        # One flipped byte in one NVMe slot fails that slot's CRC in
+        # Zone.read_object.  A capture_errors batch must land the
+        # CorruptionError in that op's slot — the shared KVStore loop used
+        # to capture only DeviceOfflineError, so one corrupt slot aborted
+        # the whole chaos batch on engines without their own get_many.
+        from repro.common.errors import CorruptionError
+
+        store = self.make_store(nvme_mib=8)
+        keys = [k(i) for i in range(20)]
+        values = [b"v%03d" % i * 20 for i in range(20)]
+        store.put_many(keys, values)
+        loc = store.slabs.index.get(keys[7])
+        page = store.slabs.page_store._pages[loc.page_id]
+        page[loc.offset + loc.record_size - 1] ^= 0x01
+        slots = store.get_many(keys, capture_errors=True)
+        assert isinstance(slots[7], CorruptionError)
+        assert [s[0] for s in slots[:7] + slots[8:]] == values[:7] + values[8:]
+        with pytest.raises(CorruptionError):
+            store.get_many(keys)
+
     def test_wal_options_rejected(self):
         from repro.common.errors import ReproError
 

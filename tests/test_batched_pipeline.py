@@ -1,10 +1,11 @@
 """Batched request pipeline equivalence (the batching contract).
 
 The batch entry points (``put_many``/``get_many``/``delete_many``, the
-runner's batched dispatch, the cluster router batches) are control-flow
+runner's sliced dispatch, the cluster router batches) are control-flow
 fusion only: every test here asserts *bit-identical* results against the
-per-op path — service floats, traffic ledgers, latency histograms, and
-counter registries including insertion order.
+per-op path (for whole runs: the scalar reference executor in
+``tests/reference_runner.py``) — service floats, traffic ledgers,
+latency histograms, and counter registries including insertion order.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.bench.context import BenchScale, build_store
 from repro.common.keys import encode_key, encode_keys
 from repro.ycsb.runner import WorkloadRunner
 from repro.ycsb.workload import YCSB_WORKLOADS
+from tests.reference_runner import ReferenceRunner
 
 SCALE_KW = dict(
     record_count=600,
@@ -27,30 +29,29 @@ SCALE_KW = dict(
 )
 
 
-def _fresh_runner(store_name: str, batched: bool) -> WorkloadRunner:
+def _fresh_runner(store_name: str, runner_cls) -> WorkloadRunner:
     scale = BenchScale(**SCALE_KW)
     store = build_store(store_name, scale)
-    return WorkloadRunner(
+    return runner_cls(
         store,
         record_count=scale.record_count,
         value_size=scale.value_size,
         clients=scale.clients,
         background_threads=scale.background_threads,
         seed=scale.seed,
-        batched=batched,
     )
 
 
-def _execute(store_name: str, workload: str, batched: bool):
-    runner = _fresh_runner(store_name, batched)
+def _execute(store_name: str, workload: str, runner_cls):
+    runner = _fresh_runner(store_name, runner_cls)
     load_total = runner.load()
     result = runner.run(YCSB_WORKLOADS[workload], SCALE_KW["operations"])
     return runner, load_total, result
 
 
 def _assert_identical(store_name: str, workload: str) -> None:
-    r_b, load_b, res_b = _execute(store_name, workload, batched=True)
-    r_p, load_p, res_p = _execute(store_name, workload, batched=False)
+    r_b, load_b, res_b = _execute(store_name, workload, WorkloadRunner)
+    r_p, load_p, res_p = _execute(store_name, workload, ReferenceRunner)
 
     assert load_b == load_p, "load-phase service totals diverge"
     assert res_b.operations == res_p.operations
@@ -77,12 +78,12 @@ def _assert_identical(store_name: str, workload: str) -> None:
 
 
 @pytest.mark.parametrize("workload", ["A", "B", "D", "E"])
-def test_hyperdb_batched_equals_per_op(workload):
+def test_hyperdb_runner_equals_scalar_reference(workload):
     _assert_identical("hyperdb", workload)
 
 
 @pytest.mark.parametrize("workload", ["A", "B"])
-def test_rocksdb_batched_equals_per_op(workload):
+def test_rocksdb_runner_equals_scalar_reference(workload):
     _assert_identical("rocksdb", workload)
 
 

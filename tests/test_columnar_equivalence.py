@@ -1,11 +1,12 @@
 """Columnar execution equivalence (the columnar contract).
 
-The columnar mode vectorizes pure work — bloom probes, candidate-table
+The run path vectorizes pure work — bloom probes, candidate-table
 resolution, latency attribution, grouped device charging — but every I/O
 still lands in op order.  These tests enforce the contract end to end:
 the e2e digest (traffic ledgers, utilization, space, raw latency
-samples) must be byte-identical across ``per-op``, ``batched``, and
-``columnar`` dispatch for both engines, across all YCSB mixes, and with
+samples) of the runner's single path must be byte-identical to the
+scalar reference executor (``tests/reference_runner.py``: public scalar
+API, one op at a time) for both engines, across all YCSB mixes, and with
 a fault injector and health windows active (where the guarded devices
 must fall back to the scalar paths without skipping any charge).
 """
@@ -32,6 +33,7 @@ from repro.simssd import (
 )
 from repro.ycsb.runner import WorkloadRunner
 from repro.ycsb.workload import YCSB_WORKLOADS
+from tests.reference_runner import ReferenceRunner
 
 KiB = 1024
 
@@ -44,20 +46,17 @@ SCALE_KW = dict(
     seed=13,
 )
 
-MODES = ("per-op", "batched", "columnar")
 
-
-def _digest_for(store_factory, workload: str, mode: str):
+def _digest_for(store_factory, workload: str, runner_cls):
     scale = BenchScale(**SCALE_KW)
     store = store_factory(scale)
-    runner = WorkloadRunner(
+    runner = runner_cls(
         store,
         record_count=scale.record_count,
         value_size=scale.value_size,
         clients=scale.clients,
         background_threads=scale.background_threads,
         seed=scale.seed,
-        mode=mode,
     )
     load_total = runner.load()
     result = runner.run(YCSB_WORKLOADS[workload], SCALE_KW["operations"])
@@ -68,32 +67,26 @@ def _digest_for(store_factory, workload: str, mode: str):
     return _run_digest(load_total, result), counters
 
 
-def _assert_all_modes_equal(store_factory, workload: str) -> None:
-    digests = {}
-    counter_views = {}
-    for mode in MODES:
-        digests[mode], counter_views[mode] = _digest_for(
-            store_factory, workload, mode
-        )
-    assert digests["batched"] == digests["per-op"], f"{workload}: batched != per-op"
-    assert digests["columnar"] == digests["per-op"], f"{workload}: columnar != per-op"
+def _assert_matches_reference(store_factory, workload: str) -> None:
+    digest, counters = _digest_for(store_factory, workload, WorkloadRunner)
+    ref_digest, ref_counters = _digest_for(store_factory, workload, ReferenceRunner)
+    assert digest == ref_digest, f"{workload}: runner != scalar reference"
     # Counter registries must agree in value AND insertion order: fused
     # paths create counters lazily exactly where the per-op path does.
-    assert counter_views["batched"] == counter_views["per-op"]
-    assert counter_views["columnar"] == counter_views["per-op"]
+    assert counters == ref_counters
 
 
 # ----------------------------------------------------- unguarded, all mixes
 
 
 @pytest.mark.parametrize("workload", sorted(YCSB_WORKLOADS))
-def test_hyperdb_three_modes_identical(workload):
-    _assert_all_modes_equal(lambda s: build_store("hyperdb", s), workload)
+def test_hyperdb_matches_scalar_reference(workload):
+    _assert_matches_reference(lambda s: build_store("hyperdb", s), workload)
 
 
 @pytest.mark.parametrize("workload", sorted(YCSB_WORKLOADS))
-def test_rocksdb_three_modes_identical(workload):
-    _assert_all_modes_equal(lambda s: build_store("rocksdb", s), workload)
+def test_rocksdb_matches_scalar_reference(workload):
+    _assert_matches_reference(lambda s: build_store("rocksdb", s), workload)
 
 
 # ------------------------------------------- guarded: injector + windows
@@ -102,7 +95,7 @@ def test_rocksdb_three_modes_identical(workload):
 def _faulted_hyperdb(scale: BenchScale) -> HyperDB:
     # Brownout both tiers mid-run: the guarded devices force every batch
     # entry point onto its per-op fallback, and window boundaries must
-    # land between ops identically in all three modes.
+    # land between ops exactly where the scalar reference puts them.
     windows = (
         HealthWindow("nvme-sim", HealthState.BROWNOUT, 200, 900, 4.0),
         HealthWindow("sata-sim", HealthState.BROWNOUT, 400, 1600, 8.0),
@@ -131,8 +124,8 @@ def _faulted_hyperdb(scale: BenchScale) -> HyperDB:
 
 
 @pytest.mark.parametrize("workload", ["A", "B"])
-def test_hyperdb_three_modes_identical_under_faults(workload):
-    _assert_all_modes_equal(_faulted_hyperdb, workload)
+def test_hyperdb_matches_scalar_reference_under_faults(workload):
+    _assert_matches_reference(_faulted_hyperdb, workload)
 
 
 def test_guarded_device_never_skips_charges():

@@ -122,7 +122,7 @@ class TestRng:
 
 
 class TestKVStoreInterface:
-    def test_multi_put(self):
+    def test_put_many_bulk_load(self):
         from repro.baselines import RocksDBStore
 
         nvme = SimDevice(
@@ -138,6 +138,6 @@ class TestKVStoreInterface:
         )
         sata = make_fs(64).device
         store = RocksDBStore(nvme, sata)
-        total = store.multi_put((encode_key(i), b"v") for i in range(100))
-        assert total >= 0
+        services = store.put_many((encode_key(i) for i in range(100)), [b"v"] * 100)
+        assert len(services) == 100 and sum(services) >= 0
         assert store.get(encode_key(42))[0] == b"v"

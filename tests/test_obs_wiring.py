@@ -96,8 +96,32 @@ class TestTracingIsInert:
         assert traced.elapsed_s == plain.elapsed_s
         assert traced.throughput_ops == plain.throughput_ops
         assert traced.space_used == plain.space_used
+        assert traced.utilization == plain.utilization
         for op, hist in plain.latency_by_op.items():
             assert list(traced.latency_by_op[op].samples()) == list(hist.samples())
+        # A traced run is the one run loop with slices of one op: exactly
+        # one op begin/end pair per operation, pairs never overlap, and
+        # everything emitted during the run (device I/O included) nests
+        # inside the op that caused it.
+        assert rec.dropped == 0
+        events = rec.events()
+        first = next(i for i, e in enumerate(events) if e.type == "op_begin")
+        last = max(i for i, e in enumerate(events) if e.type == "op_end")
+        ops_seen = io_inside = 0
+        open_depth = None
+        for ev in events[first : last + 1]:
+            if ev.type == "op_begin":
+                assert open_depth is None
+                open_depth = ev.depth
+            elif ev.type == "op_end":
+                assert open_depth == ev.depth
+                open_depth = None
+                ops_seen += 1
+            else:
+                assert open_depth is not None and ev.depth > open_depth
+                io_inside += ev.type == "io"
+        assert ops_seen == rec.counts["op_begin"] == rec.counts["op_end"] == 1500
+        assert io_inside > 0
 
 
 class TestTracingIsExact:

@@ -1,4 +1,4 @@
-"""Tests for the background integrity scrub & repair subsystem (DESIGN.md §14).
+"""Tests for the background integrity scrub & repair subsystem (DESIGN.md §13).
 
 Covers the scrubber's repair escalation ladder on every surface it walks
 (zone slots, semi-SSTable blocks, checkpoints), the health pause/catch-up
