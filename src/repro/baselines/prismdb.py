@@ -331,7 +331,7 @@ class PrismDBStore(KVStore):
 
     def scan(self, start: bytes, count: int):
         busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
-        from repro.lsm.iterator import merge_records
+        from repro.lsm.iterator import batched_stream, merge_records
 
         def slab_stream():
             for key, _ in self.slabs.index.items(start=start):
@@ -339,9 +339,11 @@ class PrismDBStore(KVStore):
                 if rec is not None:
                     yield rec
 
-        sata_pairs, _ = self.tree.scan(start, count * 2)
-        sata_records = iter(
-            Record(k, v, 0) for k, v in sata_pairs
+        # Slab-resident tombstones shadow tree records, so one 2 x count
+        # batch can run dry before ``count`` live keys are out: it refills.
+        sata_records = batched_stream(
+            lambda pos: [Record(k, v, 0) for k, v in self.tree.scan(pos, count * 2)[0]],
+            start, count * 2,
         )
         out = []
         for rec in merge_records([slab_stream(), sata_records], drop_tombstones=True):

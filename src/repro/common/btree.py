@@ -174,9 +174,25 @@ class BTreeIndex:
             leaf = leaf.next
             idx = 0
 
-    def keys(self) -> Iterator[bytes]:
-        for k, _ in self.items():
-            yield k
+    def keys(self, start: Optional[bytes] = None, end: Optional[bytes] = None) -> Iterator[bytes]:
+        """Lazy ordered key cursor over ``[start, end)``: one descent, then
+        the leaf chain, touching only the leaves consumed.  Each leaf is
+        snapshotted on arrival, so deleting keys already yielded neither
+        skips nor repeats a neighbour (a key deleted after its leaf's
+        snapshot is still yielded; inserts mid-iteration are unsupported).
+        """
+        if start is None:
+            leaf, idx = self._leftmost_leaf(), 0
+        else:
+            leaf = self._find_leaf(start)
+            idx = bisect_left(leaf.keys, start)
+        while leaf is not None:
+            snapshot = leaf.keys[idx:]
+            if end is not None and snapshot and snapshot[-1] >= end:
+                yield from snapshot[: bisect_left(snapshot, end)]
+                return
+            yield from snapshot
+            leaf, idx = leaf.next, 0
 
     def first_key(self) -> Optional[bytes]:
         leaf = self._leftmost_leaf()

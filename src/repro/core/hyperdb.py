@@ -27,7 +27,7 @@ from repro.core.interface import KVStore
 from repro.health import admission as admission_mod
 from repro.health.admission import AdmissionController
 from repro.health.state import HealthState
-from repro.lsm.iterator import merge_records
+from repro.lsm.iterator import batched_stream, merge_records
 from repro.lsm.semi.engine import CapacityTier
 from repro.lsm.semi.levels import SemiLevelConfig
 from repro.migration.promotion import PromotionManager
@@ -299,10 +299,7 @@ class HyperDB(KVStore):
         self.stats.counter("semi_corrupt_blocks").add()
         tier = self.performance_tier
         rescued = harmless = lost = 0
-        keys = sorted(
-            k for k, e in table._key_map.items() if e[0] == block.block_id
-        )
-        for key in keys:
+        for key in table.keys_of_block(block):
             if key in superseded:
                 continue
             partition = tier.partition_for_key(key)
@@ -556,15 +553,16 @@ class HyperDB(KVStore):
                 if pos is None:
                     break
 
-        sata_records, _ = self.capacity_tier.scan(
-            start, count * 2, prefetch=self.config.enable_scan_prefetch
+        # NVMe-resident versions shadow capacity-tier ones, so one 2 x count
+        # batch can run dry before ``count`` live keys are out: it refills.
+        prefetch = self.config.enable_scan_prefetch
+        sata_stream = batched_stream(
+            lambda pos: self.capacity_tier.scan(pos, count * 2, prefetch=prefetch)[0],
+            start, count * 2,
         )
 
         out: list[tuple[bytes, bytes]] = []
-        merged = merge_records(
-            [nvme_stream(), iter(sata_records)], drop_tombstones=True
-        )
-        for rec in merged:
+        for rec in merge_records([nvme_stream(), sata_stream], drop_tombstones=True):
             out.append((rec.key, rec.value))
             if len(out) >= count:
                 break

@@ -14,6 +14,7 @@ import numpy as np
 from repro.common.records import Record
 from repro.lsm.semi.compaction import PreemptiveBlockCompactor
 from repro.lsm.semi.levels import SemiLevelConfig, SemiLevels
+from repro.lsm.semi.semisstable import SemiSSTable
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
@@ -126,57 +127,58 @@ class CapacityTier:
         ``prefetch=True`` enables the paper's *future-work* optimization:
         the blocks a scan will touch are identified up front from the index
         and fetched per-table as coalesced sequential runs.
+
+        Each level lists at most ``want`` candidates per round.  A level
+        that hit the limit has unlisted keys past its last candidate, so a
+        round emits nothing beyond the smallest such key (``bound``); a
+        scan still short of ``count`` resumes from the bound's successor.
         """
         device_before = self.fs.device.busy_seconds()
-        want = count + 16  # slack for tombstones
-        # key -> shallowest level holding it (the authoritative version).
-        owner: dict[bytes, int] = {}
-        for level_no in range(self.levels.num_levels, 0, -1):
-            tables = sorted(
-                (
-                    t
-                    for t in self.levels.tables_overlapping(level_no, start, None)
-                    if t.num_valid_records > 0
-                ),
-                key=lambda t: t.declared_range.lo,
-            )
-            got = 0
-            for t in tables:
-                for key in t.keys_from(start, want - got):
-                    owner[key] = level_no  # shallower levels overwrite
-                    got += 1
-                if got >= want:
-                    break
-        keys = sorted(owner)
-        if prefetch:
-            self._prefetch_scan_blocks(keys, owner, kind)
         out: list[Record] = []
-        for key in keys:
-            table = self.levels.table_for_key(owner[key], key)
-            rec, _ = table.get(key, kind, self.cache)
-            if rec is None or rec.is_tombstone:
-                continue
-            out.append(rec)
-            if len(out) >= count:
-                break
+        while start is not None:
+            want = count - len(out) + 16  # slack for tombstones
+            # key -> the table listing it; shallower levels overwrite.
+            owner: dict[bytes, SemiSSTable] = {}
+            bound: Optional[bytes] = None
+            for level_no in range(self.levels.num_levels, 0, -1):
+                got = 0
+                live = self.levels.level(level_no).live_tables()
+                for t in sorted(
+                    (t for t in live if t.declared_range.hi > start),
+                    key=lambda t: t.declared_range.lo,
+                ):
+                    keys = t.keys_from(start, want - got)
+                    owner.update(dict.fromkeys(keys, t))
+                    got += len(keys)
+                    if got >= want:
+                        if bound is None or keys[-1] < bound:
+                            bound = keys[-1]
+                        break
+            keys = sorted(owner)
+            if prefetch:
+                self._prefetch_scan_blocks(keys, owner, kind)
+            start = None if bound is None else bound + b"\x00"
+            for key in keys:
+                if bound is not None and key > bound:
+                    break
+                rec, _ = owner[key].get_indexed(key, kind, self.cache)
+                if rec.is_tombstone:
+                    continue
+                out.append(rec)
+                if len(out) >= count:
+                    start = None
+                    break
         return out, self.fs.device.busy_seconds() - device_before
 
     def _prefetch_scan_blocks(self, keys, owner, kind) -> None:
         """Bulk-read every block the scan will touch into the page cache."""
         if self.cache is None:
             return  # nowhere to stage prefetched blocks
-        by_table: dict[int, tuple] = {}
+        by_table: dict[SemiSSTable, dict] = {}
         for key in keys:
-            table = self.levels.table_for_key(owner[key], key)
-            entry = table._key_map.get(key)
-            if entry is None:
-                continue
-            block = table._blocks_by_id[entry[0]]
-            tid = id(table)
-            if tid not in by_table:
-                by_table[tid] = (table, {})
-            by_table[tid][1][block.block_id] = block
-        for table, blocks in by_table.values():
+            block = owner[key].block_of(key)
+            by_table.setdefault(owner[key], {})[block.block_id] = block
+        for table, blocks in by_table.items():
             table.read_blocks_bulk(list(blocks.values()), kind, self.cache)
 
     # --------------------------------------------------------- accounting

@@ -19,6 +19,7 @@ larger than its live payload — :attr:`SemiSSTable.dirty_ratio` and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -88,13 +89,8 @@ class SemiSSTable:
         self.block_size = block_size
         self.bits_per_key = bits_per_key
         self.file: SimFile = fs.create(f"semi_{table_id:08d}")
-        self.blocks: list[SemiBlock] = []
-        # key -> (block_id, seqno, record_size); the table's "index block".
-        self._key_map: dict[bytes, tuple[int, int, int]] = {}
-        self._blocks_by_id: dict[int, SemiBlock] = {}
-        self._next_block_id = 0
+        self._reset_index()
         self._bloom = BloomFilter(4096, bits_per_key)
-        self._valid_bytes = 0
         #: Bumped by full_compact so cached block decodes of the previous
         #: file generation (same name, same offsets) cannot alias.
         self._generation = 0
@@ -106,6 +102,22 @@ class SemiSSTable:
         #: about to overwrite anyway.  ``None`` (the default) keeps the
         #: historical behavior: the :class:`CorruptionError` propagates.
         self.on_corrupt_block = None
+
+    def _reset_index(self) -> None:
+        """Empty block list and index (construction, full compaction, destroy)."""
+        self.blocks: list[SemiBlock] = []
+        self._blocks_by_id: dict[int, SemiBlock] = {}
+        self._next_block_id = 0
+        # key -> (block_id, seqno, record_size); the table's "index block".
+        self._key_map: dict[bytes, tuple[int, int, int]] = {}
+        self._valid_bytes = 0
+        self._key_bytes = 0  # sum of len(key) over _key_map
+        # The index's other two access paths.  By block: the keys each live
+        # block was written with, filtered against ``_key_map`` on read.
+        # In order: a sorted key view built on first use and dropped by
+        # every mutation, so write-only traffic never builds it.
+        self._block_keys: dict[int, list[bytes]] = {}
+        self._sorted_keys: Optional[list[bytes]] = None
 
     # ----------------------------------------------------------- metadata
 
@@ -154,21 +166,38 @@ class SemiSSTable:
     def index_read_size(self) -> int:
         """Bytes a worker reads to fetch this table's keys from index blocks
         (Algorithm 1 reads only index blocks, never data blocks)."""
-        key_bytes = sum(len(k) for k in self._key_map)
         # Prefix compression on sorted fixed-width keys: ~half the raw size.
-        return self._index_size_estimate() + key_bytes // 2
+        return self._index_size_estimate() + self._key_bytes // 2
 
     def contains_key(self, key: bytes) -> bool:
         """Index-only membership test (no data-block I/O)."""
         return key in self._key_map
 
     def valid_keys(self) -> list[bytes]:
-        return sorted(self._key_map)
+        """Every valid key in order — the table's sorted view itself, so
+        read-only for callers: built on first use, dropped on mutation."""
+        view = self._sorted_keys
+        if view is None:
+            view = self._sorted_keys = sorted(self._key_map)
+        return view
 
     def keys_from(self, start: bytes, limit: int) -> list[bytes]:
         """Up to ``limit`` sorted valid keys >= ``start`` — an index-only
         operation (the key list lives in the index blocks)."""
-        return sorted(k for k in self._key_map if k >= start)[:limit]
+        view = self.valid_keys()
+        i = bisect_left(view, start)
+        return view[i : i + limit]
+
+    def keys_of_block(self, block: SemiBlock) -> list[bytes]:
+        """Sorted keys whose valid copy lives in ``block`` (index-only)."""
+        key_map, bid = self._key_map, block.block_id
+        keys = self._block_keys.get(bid, ())
+        return [k for k in keys if (e := key_map.get(k)) is not None and e[0] == bid]
+
+    def _valid_records(self, block: SemiBlock, records: list[Record]) -> list[Record]:
+        """The records read from ``block`` that the index still points at."""
+        key_map, bid = self._key_map, block.block_id
+        return [r for r in records if (e := key_map.get(r.key)) is not None and e[0] == bid]
 
     def key_seqno(self, key: bytes) -> Optional[int]:
         """Sequence number of the table's valid copy of ``key``, if any."""
@@ -185,12 +214,18 @@ class SemiSSTable:
         self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND, cache=None
     ) -> tuple[Optional[Record], float]:
         """Point lookup.  Returns ``(record_or_none, service_time)``."""
-        if key not in self._bloom:
+        if key not in self._bloom or key not in self._key_map:
             return None, 0.0
-        entry = self._key_map.get(key)
-        if entry is None:
-            return None, 0.0
-        block = self._blocks_by_id[entry[0]]
+        return self.get_indexed(key, kind, cache)
+
+    def block_of(self, key: bytes) -> SemiBlock:
+        """The block holding the valid copy of a key the index lists."""
+        return self._blocks_by_id[self._key_map[key][0]]
+
+    def get_indexed(self, key: bytes, kind: TrafficKind, cache=None) -> tuple[Record, float]:
+        """:meth:`get` for a key just read out of this table's own index
+        (a scan candidate): no bloom probe, one block read."""
+        block = self._blocks_by_id[self._key_map[key][0]]  # block_of, inlined: hot
         records, service = self._read_block(block, kind, cache)
         for rec in records:
             if rec.key == key:
@@ -276,10 +311,7 @@ class SemiSSTable:
                 self.on_corrupt_block(self, block, frozenset())
                 self._kill_block(block)
                 continue
-            for rec in records:
-                entry = self._key_map.get(rec.key)
-                if entry is not None and entry[0] == block.block_id:
-                    out.append(rec)
+            out += self._valid_records(block, records)
         out.sort(key=lambda r: r.key)
         return iter(out)
 
@@ -362,14 +394,11 @@ class SemiSSTable:
                 self.on_corrupt_block(self, block, frozenset(incoming))
                 continue
             service += s
-            for rec in block_records:
-                entry = self._key_map.get(rec.key)
-                if (
-                    entry is not None
-                    and entry[0] == block.block_id
-                    and rec.key not in incoming
-                ):
-                    survivors.append(rec)
+            survivors += [
+                rec
+                for rec in self._valid_records(block, block_records)
+                if rec.key not in incoming
+            ]
 
         merged = sorted(
             list(incoming.values()) + survivors, key=lambda r: r.key
@@ -389,8 +418,8 @@ class SemiSSTable:
 
         The metadata installs run after the charges; they touch no device
         state, so the ledger — and the per-block service times summed by
-        sequential accumulation — is bit-identical to per-block
-        :meth:`_write_block` calls.
+        sequential accumulation — is bit-identical to appending and
+        installing block by block.
         """
         chunks: list[list[Record]] = []
         chunk: list[Record] = []
@@ -415,12 +444,6 @@ class SemiSSTable:
         np.add.accumulate(total, out=total)
         return float(total[-1])
 
-    def _write_block(self, chunk: list[Record], kind: TrafficKind) -> float:
-        payload = encode_block(chunk)
-        offset, service = self.file.append(payload, kind, sequential=True)
-        self._install_block(chunk, payload, offset)
-        return service
-
     def _install_block(
         self, chunk: list[Record], payload: bytes, offset: int
     ) -> None:
@@ -436,24 +459,32 @@ class SemiSSTable:
         self._next_block_id += 1
         self.blocks.append(block)
         self._blocks_by_id[block.block_id] = block
+        self._sorted_keys = None
         key_map = self._key_map
         for rec in chunk:
             old = key_map.get(rec.key)
             if old is not None:
                 self._retire_entry(rec.key, old)
+            else:
+                self._key_bytes += len(rec.key)
             key_map[rec.key] = (block.block_id, rec.seqno, rec.encoded_size)
             self._valid_bytes += rec.encoded_size
-        self._bloom.add_many([rec.key for rec in chunk])
+        keys = self._block_keys[block.block_id] = [rec.key for rec in chunk]
+        self._bloom.add_many(keys)
 
     def _retire_entry(self, key: bytes, entry: tuple[int, int, int]) -> None:
         old_block = self._blocks_by_id[entry[0]]
         old_block.valid_count -= 1
+        if old_block.valid_count == 0:
+            del self._block_keys[entry[0]]
         self._valid_bytes -= entry[2]
 
     def _invalidate(self, key: bytes) -> bool:
         entry = self._key_map.pop(key, None)
         if entry is None:
             return False
+        self._sorted_keys = None
+        self._key_bytes -= len(key)
         self._retire_entry(key, entry)
         return True
 
@@ -481,12 +512,7 @@ class SemiSSTable:
             self.on_corrupt_block(self, block, frozenset((key,)))
             self._kill_block(block)
             return [], 0.0
-        survivors = [
-            rec
-            for rec in records
-            if (e := self._key_map.get(rec.key)) is not None
-            and e[0] == block.block_id
-        ]
+        survivors = self._valid_records(block, records)
         self._kill_block(block)
         return survivors, service
 
@@ -494,9 +520,11 @@ class SemiSSTable:
         """Drop every index entry still pointing at ``block``."""
         if block.valid_count == 0:
             return
-        for key in [k for k, e in self._key_map.items() if e[0] == block.block_id]:
-            entry = self._key_map.pop(key)
-            self._valid_bytes -= entry[2]
+        self._sorted_keys = None
+        for key in self.keys_of_block(block):
+            self._valid_bytes -= self._key_map.pop(key)[2]
+            self._key_bytes -= len(key)
+        del self._block_keys[block.block_id]
         block.valid_count = 0
 
     def _rewrite_index(self, kind: TrafficKind) -> float:
@@ -523,11 +551,7 @@ class SemiSSTable:
         self.fs.delete(old_name)
         self.file = self.fs.create(old_name)
         self._generation += 1
-        self.blocks = []
-        self._blocks_by_id = {}
-        self._key_map = {}
-        self._next_block_id = 0
-        self._valid_bytes = 0
+        self._reset_index()
         self._bloom = BloomFilter(max(1024, len(live)), self.bits_per_key)
         if live:
             service += self._append_blocks(live, kind)
@@ -538,10 +562,7 @@ class SemiSSTable:
         """Delete the backing file and drop all state."""
         if self.fs.exists(self.file.name):
             self.fs.delete(self.file.name)
-        self.blocks = []
-        self._blocks_by_id = {}
-        self._key_map = {}
-        self._valid_bytes = 0
+        self._reset_index()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_right
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro import obs
 from repro.common.btree import BTreeIndex
@@ -327,9 +327,9 @@ class Partition:
         self.index.delete(key)
         return True
 
-    def keys_in_range(self, start: bytes, end: Optional[bytes]) -> list[bytes]:
-        """Index-only ordered key listing (used by scans)."""
-        return [k for k, _ in self.index.items(start=start, end=end)]
+    def keys_in_range(self, start: bytes, end: Optional[bytes]) -> Iterator[bytes]:
+        """Index-only ordered key cursor (used by scans), lazy."""
+        return self.index.keys(start, end)
 
     # ---------------------------------------------------------- promotion
 

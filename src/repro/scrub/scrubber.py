@@ -353,9 +353,7 @@ class Scrubber:
             except CorruptionError:
                 pass
         # Per-key triage of the block's valid records against the NVMe tier.
-        lost = sorted(
-            k for k, e in table._key_map.items() if e[0] == block.block_id
-        )
+        lost = table.keys_of_block(block)
         tier = self.db.performance_tier
         healed: list[Record] = []
         for key in lost:

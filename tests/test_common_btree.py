@@ -109,3 +109,57 @@ class TestBTreeProperties:
             model.pop(k, None)
         assert [k for k, _ in bt.items()] == sorted(model)
         assert len(bt) == len(model)
+
+
+bounds = st.one_of(st.none(), st.integers(min_value=0, max_value=520).map(encode_key))
+
+
+class TestKeyCursor:
+    """``keys(start, end)`` equals the keys of ``items(start, end)`` — on
+    trees with under-full and emptied leaves, for ``end`` inside, between
+    and past leaves — and survives deletion of what it already yielded."""
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=500), min_size=1),
+        st.lists(st.integers(min_value=0, max_value=500)),
+        st.lists(st.tuples(bounds, bounds), min_size=1, max_size=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_items(self, inserts, deletes, ranges):
+        bt = BTreeIndex(order=4)
+        for kid in inserts:
+            bt.insert(encode_key(kid), kid)
+        for kid in deletes:
+            bt.delete(encode_key(kid))
+        for start, end in ranges:
+            assert list(bt.keys(start, end)) == [k for k, _ in bt.items(start, end)]
+        assert list(bt.keys()) == [k for k, _ in bt.items()]
+
+    @given(
+        st.sets(st.integers(min_value=0, max_value=300), min_size=1),
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_deleting_the_yielded_key_mid_iteration(self, ids, start, every):
+        bt = BTreeIndex(order=4)
+        for kid in ids:
+            bt.insert(encode_key(kid), kid)
+        expected = [k for k, _ in bt.items(start=encode_key(start))]
+        got = []
+        for n, key in enumerate(bt.keys(encode_key(start))):
+            got.append(key)
+            if n % every == 0:
+                bt.delete(key)
+        assert got == expected
+
+    def test_lazy(self):
+        bt = BTreeIndex(order=4)
+        for kid in range(1000):
+            bt.insert(encode_key(kid), kid)
+        cursor = bt.keys(encode_key(10))
+        assert next(cursor) == encode_key(10)
+        # Nothing past the first leaf was touched: a key inserted far ahead
+        # of the cursor is still seen when the walk gets there.
+        bt.insert(encode_key(5000), 5000)
+        assert list(cursor)[-1] == encode_key(5000)

@@ -1,0 +1,171 @@
+"""Range scans against a sorted-dict model, on every engine.
+
+``scan(start, n)`` must return exactly the first ``n`` live items >=
+``start`` — keys and values — whatever mix of tiers, tombstones and
+compaction state the records sit in.  The stores are sized so that
+demotion and capacity-tier compaction run during the load.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
+
+from repro.bench import BenchScale, STORE_NAMES, build_store
+from repro.common.keys import encode_key
+from repro.common.records import Record
+
+VALUE_SIZE = 512
+#: Keys loaded before a script runs (even ids; odd ids are the absent
+#: scan starts).
+LOADED = 3000
+MAX_SCAN = 120
+
+
+class ModelledStore:
+    """A store, loaded with ``ids`` in shuffled order, and the dict it must
+    agree with."""
+
+    def __init__(self, name: str, scale: BenchScale, ids=()) -> None:
+        self.store = build_store(name, scale)
+        self.value_size = scale.value_size
+        self.model: dict[int, bytes] = {}
+        ids = np.array(ids, dtype=np.int64)
+        np.random.default_rng(7).shuffle(ids)
+        for i in ids.tolist():
+            self.put(i, i)
+
+    @classmethod
+    def small(cls, name: str) -> "ModelledStore":
+        """The even ids below ``2 * LOADED``; ``record_count`` spans the odd
+        ids too, so the ratio is halved to keep NVMe well under the load."""
+        scale = BenchScale(
+            record_count=2 * LOADED, value_size=VALUE_SIZE, nvme_ratio=0.35 / 2
+        )
+        return cls(name, scale, range(0, 2 * LOADED, 2))
+
+    @classmethod
+    def dense(cls, name: str, loaded: int = 20_000) -> "ModelledStore":
+        """The geometry the scan bugs were first reproduced on."""
+        scale = BenchScale(record_count=20_000, nvme_ratio=0.35)
+        return cls(name, scale, range(loaded))
+
+    def put(self, key_id: int, tag: int) -> None:
+        self.model[key_id] = bytes([tag % 256]) * self.value_size
+        self.store.put(encode_key(key_id), self.model[key_id])
+
+    def delete(self, key_id: int) -> None:
+        self.model.pop(key_id, None)
+        self.store.delete(encode_key(key_id))
+
+    def check_scan(self, start_id: int, n: int) -> None:
+        got, _ = self.store.scan(encode_key(start_id), n)
+        live = sorted(k for k in self.model if k >= start_id)[:n]
+        assert [k for k, _ in got] == [encode_key(k) for k in live]
+        assert [v for _, v in got] == [self.model[k] for k in live]
+
+
+key_ids = st.integers(min_value=0, max_value=2 * LOADED + 50)
+scan_lengths = st.integers(min_value=1, max_value=MAX_SCAN)
+steps = st.one_of(
+    st.tuples(st.just("scan"), key_ids, scan_lengths),
+    st.tuples(st.just("put"), key_ids, st.integers(0, 255)),
+    # Delete >= 3n consecutive loaded keys from ``start``, then scan across
+    # the run: more shadowed candidates than any fixed batch holds.
+    st.tuples(st.just("delete_run"), key_ids, scan_lengths),
+    # Overwrite a stretch of keys elsewhere: fills the fast tier, so
+    # earlier tombstones are demoted into the capacity tier.
+    st.tuples(st.just("churn"), key_ids, st.integers(300, 900)),
+    st.tuples(st.just("restart"), st.just(0), st.just(0)),
+)
+
+
+@pytest.mark.parametrize("name", STORE_NAMES)
+@given(script=st.lists(steps, min_size=4, max_size=12))
+@example(script=[("delete_run", 5024, 71), ("churn", 4000, 900), ("scan", 4900, 120)])
+# No shrink phase: every example loads a store, and a failing run would
+# spend minutes (and a store per candidate, held by its traceback) on it.
+@settings(
+    max_examples=12, deadline=None, derandomize=True,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+def test_scan_matches_model(name, script):
+    m = ModelledStore.small(name)
+    tag = 0
+    for op, key_id, n in script:
+        tag += 1
+        if op == "scan":
+            m.check_scan(key_id, n)
+        elif op == "put":
+            m.put(key_id, tag)
+        elif op == "delete_run":
+            first = key_id - key_id % 2
+            for i in range(first, first + 6 * n, 2):
+                m.delete(i)
+            m.check_scan(key_id, n)
+            m.check_scan(max(0, key_id - 2 * n), n)
+        elif op == "churn":
+            for i in range(n):
+                m.put((key_id + 2 * MAX_SCAN * 4 + 2 * i) % (2 * LOADED), tag)
+            m.check_scan(key_id, MAX_SCAN)
+        elif name == "hyperdb":  # restart
+            m.store.checkpoint()
+            m.store.recover()
+            m.check_scan(key_id, MAX_SCAN)
+    m.check_scan(0, MAX_SCAN)
+
+
+def test_model_store_exercises_both_tiers():
+    """The sizing claim above: the load demotes and compacts."""
+    m = ModelledStore.small("hyperdb")
+    cap = m.store.capacity_tier
+    assert cap.levels.num_valid_records() > LOADED // 2
+    assert cap.compactor.stats.compactions > 0
+    assert m.store.performance_tier.object_count() > 0
+
+
+# ------------------------------------------------- pinned regressions
+
+
+class TestCapacityScanTruncation:
+    """``CapacityTier.scan`` lists ``count + 16`` candidates per level; it
+    must not walk the union past the last key a truncated level listed."""
+
+    def test_no_holes_past_a_truncated_level(self):
+        m = ModelledStore.dense("hyperdb")
+        db, cap = m.store, m.store.capacity_tier
+        cap.ingest(
+            [Record.tombstone(encode_key(i), db.next_seqno()) for i in range(1000, 1040)]
+            + [Record(encode_key(i), b"fresh", db.next_seqno()) for i in range(1300, 1400)]
+        )
+        live = []
+        for i in range(1000, 1500):
+            rec, _ = cap.get(encode_key(i))
+            if rec is not None and not rec.is_tombstone:
+                live.append(rec.key)
+        got, _ = cap.scan(encode_key(1000), 50)
+        assert [r.key for r in got] == live[:50]
+
+    def test_not_short_after_a_tombstone_run(self):
+        m = ModelledStore.dense("hyperdb", loaded=0)
+        db, cap = m.store, m.store.capacity_tier
+        cap.ingest([Record(encode_key(i), b"v", db.next_seqno()) for i in range(3000)])
+        cap.ingest(
+            [Record.tombstone(encode_key(i), db.next_seqno()) for i in range(1000, 1100)]
+        )
+        want = [encode_key(i) for i in (*range(990, 1000), *range(1100, 1140))]
+        got, _ = cap.scan(encode_key(990), 50)
+        assert [r.key for r in got] == want
+        pairs, _ = db.scan(encode_key(990), 50)
+        assert [k for k, _ in pairs] == want
+
+
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_scan_after_a_long_delete_run(name):
+    """More than ``count`` of the capacity tier's ``2 x count`` batch are
+    shadowed by fast-tier tombstones: the merge must refill, not carry on
+    with fast-tier residents only."""
+    m = ModelledStore.dense(name)
+    for i in range(5000, 5300):
+        m.delete(i)
+    m.check_scan(5000, 50)

@@ -82,8 +82,53 @@ class TestReadBlocksBulk:
         assert fs.device.traffic.read_bytes() == 0
 
 
+def old_scan(tier, start, count, prefetch):
+    """``CapacityTier.scan`` as it was before the owner map: candidates
+    carry a level number and every fetch re-routes through
+    ``table_for_key`` + the bloom-probing ``table.get``.  Kept as the
+    oracle for the device charges of the index-directed version."""
+    device_before = tier.fs.device.busy_seconds()
+    want = count + 16
+    owner = {}
+    for level_no in range(tier.levels.num_levels, 0, -1):
+        tables = sorted(
+            (
+                t
+                for t in tier.levels.tables_overlapping(level_no, start, None)
+                if t.num_valid_records > 0
+            ),
+            key=lambda t: t.declared_range.lo,
+        )
+        got = 0
+        for t in tables:
+            for key in sorted(k for k in t._key_map if k >= start)[: want - got]:
+                owner[key] = level_no
+                got += 1
+            if got >= want:
+                break
+    keys = sorted(owner)
+    if prefetch:
+        by_table = {}
+        for key in keys:
+            table = tier.levels.table_for_key(owner[key], key)
+            block = table._blocks_by_id[table._key_map[key][0]]
+            by_table.setdefault(id(table), (table, {}))[1][block.block_id] = block
+        for table, blocks in by_table.values():
+            table.read_blocks_bulk(list(blocks.values()), TrafficKind.FOREGROUND, tier.cache)
+    out = []
+    for key in keys:
+        table = tier.levels.table_for_key(owner[key], key)
+        rec, _ = table.get(key, TrafficKind.FOREGROUND, tier.cache)
+        if rec is None or rec.is_tombstone:
+            continue
+        out.append(rec)
+        if len(out) >= count:
+            break
+    return out, tier.fs.device.busy_seconds() - device_before
+
+
 class TestScanPrefetch:
-    def make_tier(self):
+    def make_tier(self, cache_bytes=4 * MiB):
         tier = CapacityTier(
             make_fs(),
             SemiLevelConfig(
@@ -93,7 +138,7 @@ class TestScanPrefetch:
                 bottom_segments=16,
                 level1_target_bytes=64 * KiB,
             ),
-            cache=LRUCache(4 * MiB),
+            cache=LRUCache(cache_bytes),
         )
         tier.ingest([Record(encode_key(i), b"v" * 100, i + 1) for i in range(3000)])
         return tier
@@ -111,6 +156,32 @@ class TestScanPrefetch:
         _, s_plain = plain.scan(encode_key(1000), 100)
         _, s_fetched = fetched.scan(encode_key(1000), 100, prefetch=True)
         assert s_fetched < s_plain
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    @pytest.mark.parametrize("start,count", [(0, 1), (100, 50), (1234, 100), (2990, 40)])
+    def test_owner_map_equals_rerouted_lookups(self, start, count, prefetch):
+        """On a tombstone-free tier the owner-map scan is the old scan:
+        same records, same device busy seconds, same cache traffic."""
+        # A cache smaller than one scan's blocks: evictions are compared too.
+        new_tier, old_tier = self.make_tier(32 * KiB), self.make_tier(32 * KiB)
+        for tier in (new_tier, old_tier):
+            # Overwrites leave the newest versions spread over L1..L3.
+            for seq, step in ((10_000, 3), (20_000, 15)):
+                tier.ingest(
+                    [Record(encode_key(i), b"w" * 90, seq + i) for i in range(1, 3000, step)]
+                )
+            assert all(tier.levels.level_valid_bytes(n) > 0 for n in (1, 2, 3))
+        got, service = new_tier.scan(encode_key(start), count, prefetch=prefetch)
+        want, want_service = old_scan(old_tier, encode_key(start), count, prefetch)
+        assert [(r.key, r.value, r.seqno) for r in got] == [
+            (r.key, r.value, r.seqno) for r in want
+        ]
+        assert service == want_service
+        assert (
+            new_tier.fs.device.traffic.snapshot() == old_tier.fs.device.traffic.snapshot()
+        )
+        a, b = new_tier.cache, old_tier.cache
+        assert (a.hits, a.misses, a.evictions) == (b.hits, b.misses, b.evictions)
 
     def test_hyperdb_config_switch(self):
         def build(flag):

@@ -1,6 +1,8 @@
 """Unit tests for the semi-SSTable."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.keys import KeyRange, encode_key
 from repro.common.errors import ReproError
@@ -9,8 +11,7 @@ from repro.lsm.semi import SemiSSTable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
 
 
-@pytest.fixture
-def fs():
+def make_fs():
     profile = DeviceProfile(
         name="t",
         capacity_bytes=16384 * 4096,
@@ -21,6 +22,11 @@ def fs():
         write_bandwidth=5e7,
     )
     return SimFilesystem(SimDevice(profile))
+
+
+@pytest.fixture
+def fs():
+    return make_fs()
 
 
 def full_range():
@@ -174,3 +180,80 @@ class TestDestroy:
         table.destroy()
         assert fs.device.used_bytes == 0
         assert table.num_valid_records == 0
+
+
+# The bodies the index access paths replaced, kept here as oracles.
+
+
+def old_keys_from(table, start, limit):
+    return sorted(k for k in table._key_map if k >= start)[:limit]
+
+
+def old_keys_of_block(table, block):
+    return sorted(k for k, e in table._key_map.items() if e[0] == block.block_id)
+
+
+def old_index_read_size(table):
+    return table._index_size_estimate() + sum(len(k) for k in table._key_map) // 2
+
+
+def check_index_paths(table, probes):
+    assert table.valid_keys() == sorted(table._key_map)
+    for start, limit in probes:
+        assert table.keys_from(encode_key(start), limit) == old_keys_from(
+            table, encode_key(start), limit
+        )
+    for block in table.blocks:
+        assert table.keys_of_block(block) == old_keys_of_block(table, block)
+    assert table.index_read_size() == old_index_read_size(table)
+
+
+ids = st.integers(min_value=0, max_value=300)
+mutations = st.one_of(
+    st.tuples(st.just("merge_append"), st.sets(ids, min_size=1, max_size=40)),
+    st.tuples(st.just("invalidate"), st.sets(ids, max_size=10)),
+    st.tuples(st.just("extract_block"), ids),
+    st.tuples(st.just("kill_block"), ids),
+    st.tuples(st.just("full_compact"), st.none()),
+    st.tuples(st.just("destroy"), st.none()),
+)
+
+
+class TestIndexAccessPaths:
+    """Sorted view, by-block keys and the running key-byte total equal the
+    whole-map walks they replaced, after any mutation sequence — checked
+    after every step, so a view that outlives a mutation is caught."""
+
+    @given(
+        st.lists(mutations, min_size=1, max_size=12),
+        st.lists(st.tuples(ids, st.integers(0, 50)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_the_old_bodies(self, script, probes):
+        table = SemiSSTable(1, make_fs(), full_range(), block_size=256)
+        seqno = 1
+        for op, arg in script:
+            if op == "merge_append":
+                table.merge_append(recs(arg, value=b"v" * 40, seqno_base=seqno))
+                seqno += len(arg)
+            elif op == "invalidate":
+                for i in arg:
+                    table._invalidate(encode_key(i))
+            elif op == "extract_block":
+                table.extract_block_records(encode_key(arg))
+            elif op == "kill_block" and table.blocks:
+                table._kill_block(table.blocks[arg % len(table.blocks)])
+            elif op == "full_compact":
+                table.full_compact()
+            elif op == "destroy":
+                table.destroy()
+                table.file = table.fs.create(table.file.name)  # stay usable
+            check_index_paths(table, probes)
+
+    def test_writes_never_build_the_sorted_view(self, table):
+        table.merge_append(recs(range(100)))
+        table.merge_append(recs(range(50), value=b"x", seqno_base=1000))
+        table.full_compact()
+        assert table._sorted_keys is None
+        assert table.keys_from(encode_key(98), 5) == [encode_key(98), encode_key(99)]
+        assert table._sorted_keys is not None
