@@ -38,6 +38,7 @@ from repro.common.errors import (
     OutOfSpaceError,
     QuorumError,
 )
+from repro.common.records import paired_columns
 from repro.common.stats import StatsRegistry
 from repro.cluster.node import ClusterNode, pack_envelope
 from repro.cluster.ring import HashRing
@@ -211,7 +212,7 @@ class HyperDBCluster:
         :class:`QuorumError` instead of aborting the batch.
         """
         out: list = []
-        for key, value in zip(keys, values):
+        for key, value in zip(*paired_columns(keys, values)):
             try:
                 out.append(self.put(key, value))
             except QuorumError as exc:

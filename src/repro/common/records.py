@@ -67,3 +67,22 @@ class ValuePointer:
     offset: int
     size: int
     promoted: bool = False
+
+
+def paired_columns(keys, values) -> tuple:
+    """The two columns of a ``put_many`` as same-length sequences.
+
+    Every batch write path pairs them with ``zip``, which would silently
+    drop the longer column's tail; a mismatch raises before anything is
+    written instead.
+    """
+    if not isinstance(keys, (list, tuple)):
+        keys = list(keys)
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    if len(keys) != len(values):
+        raise ValueError(
+            f"put_many needs one value per key: got {len(keys)} keys "
+            f"and {len(values)} values"
+        )
+    return keys, values

@@ -20,7 +20,7 @@ import numpy as np
 from repro import obs
 from repro.common.cache import LRUCache
 from repro.common.errors import CorruptionError, DeviceOfflineError, ReproError
-from repro.common.records import Record
+from repro.common.records import Record, paired_columns
 from repro.common.stats import StatsRegistry
 from repro.core.config import HyperDBConfig
 from repro.core.interface import KVStore
@@ -358,8 +358,7 @@ class HyperDB(KVStore):
             or capture_errors
         ):
             return super().put_many(keys, values, busy_out, capture_errors)
-        if not isinstance(keys, (list, tuple)):
-            keys = list(keys)
+        keys, values = paired_columns(keys, values)
         if not keys:
             return []
         nvme_tr = self.nvme_device.traffic
@@ -369,85 +368,22 @@ class HyperDB(KVStore):
         invalidate = self.promotion.invalidate
         migration = self.migration
         busy_append = busy_out.append if busy_out is not None else None
-        nvme_dev = self.nvme_device
         fg = TrafficKind.FOREGROUND
         out = []
         append = out.append
-        # Deferred foreground charge group (columnar device charging): runs
-        # of slot writes — in-place updates and fresh-slot appends, i.e.
-        # nearly every put — splice their pages without charging and
-        # accumulate (npages, out-slot) here, paid with one grouped
-        # write_pages_batch delta.  Exactness contract: the group is
-        # flushed before ANY other charge on either device (resized-slot
-        # rewrites, zone splits, migration), so the ledger advances in
-        # exactly the per-op charge order; services and busy rows are
-        # backfilled from the batch's per-charge values, which come from
-        # the same seeded sequential accumulation a scalar loop performs.
-        pending_pages: list = []
-        pending_slot: list = []
-        pending_row: list = []
-
-        def defer(npages: int) -> None:
-            pending_pages.append(npages)
-            pending_slot.append(len(out) - 1)
-            if busy_append is not None:
-                pending_row.append(len(busy_out))
-
-        def flush() -> None:
-            if not pending_pages:
-                return
-            if busy_append is None:
-                services = nvme_dev.write_pages_batch(
-                    pending_pages, fg, sequential=False
-                ).tolist()
-                for k, slot in enumerate(pending_slot):
-                    out[slot] = services[k]
-            else:
-                busy_vals: list = []
-                services = nvme_dev.write_pages_batch(
-                    pending_pages, fg, sequential=False, busy_out=busy_vals
-                ).tolist()
-                # No SATA charge can have landed since the first deferred
-                # op (it would have flushed this group first), so one
-                # snapshot serves every backfilled row.
-                sb = sata_tr._busy_s
-                nrows = len(busy_out)
-                for k, slot in enumerate(pending_slot):
-                    out[slot] = services[k]
-                    r = pending_row[k]
-                    # The current op's row may not exist yet (flush from
-                    # inside its own iteration); the loop below appends a
-                    # live post-op snapshot for it instead.
-                    if r < nrows:
-                        busy_out[r] = (busy_vals[k], sb)
-            pending_pages.clear()
-            pending_slot.clear()
-            pending_row.clear()
-
         for key, value in zip(keys, values):
             puts.value += 1
             self._seqno += 1
             partition = partition_for_key(key)
             partition._record_access(key)
-            append(None)
-            service = partition._put_locked(
-                Record(key, value, self._seqno), fg, defer, flush
-            )
-            if service is not None:
-                out[-1] = service
+            append(partition._put_locked(Record(key, value, self._seqno), fg))
             invalidate(key)
             if partition.over_high_watermark():
-                flush()
                 migration.run_if_needed()
             if migration.has_catch_up and migration.capacity_online():
-                flush()
                 migration.run_catch_up()
             if busy_append is not None:
-                if out[-1] is None:
-                    busy_append(None)  # backfilled at flush
-                else:
-                    busy_append((nvme_tr._busy_s, sata_tr._busy_s))
-        flush()
+                busy_append((nvme_tr._busy_s, sata_tr._busy_s))
         return out
 
     def get_many(self, keys, busy_out=None, capture_errors=False) -> list:

@@ -11,6 +11,7 @@ import abc
 from typing import Optional
 
 from repro.common.errors import CorruptionError, DeviceOfflineError
+from repro.common.records import paired_columns
 from repro.simssd.device import SimDevice
 
 
@@ -82,7 +83,7 @@ class KVStore(abc.ABC):
         """Batched :meth:`put`.  Returns per-op service seconds (or the
         captured exception in that op's slot)."""
         return self._each(
-            self.put, zip(keys, values), DeviceOfflineError,
+            self.put, zip(*paired_columns(keys, values)), DeviceOfflineError,
             busy_out, capture_errors,
         )
 

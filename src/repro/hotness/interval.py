@@ -28,14 +28,10 @@ def access_intervals(trace: Sequence[Hashable]) -> Dict[Hashable, np.ndarray]:
     if arr.ndim == 1 and arr.dtype.kind in "iu" and len(arr) > 0:
         # Stable argsort groups each key's access positions in trace order.
         order = np.argsort(arr, kind="stable")
-        sorted_keys = arr[order]
-        starts = np.flatnonzero(np.diff(sorted_keys)) + 1
+        starts = np.flatnonzero(np.diff(arr[order])) + 1
         groups = np.split(order, starts)
-        return {
-            int(sorted_keys[g[0]]): np.diff(g)
-            for g in groups
-            if len(g) >= 2
-        }
+        # ``g`` holds trace positions, so its key is ``arr[g[0]]``.
+        return {int(arr[g[0]]): np.diff(g) for g in groups if len(g) >= 2}
     positions: Dict[Hashable, list[int]] = defaultdict(list)
     for pos, key in enumerate(trace):
         positions[key].append(pos)

@@ -23,7 +23,7 @@ from repro import obs
 from repro.common.bloom import hash_many
 from repro.common.cache import LRUCache
 from repro.common.errors import ConfigError, CorruptionError
-from repro.common.records import Record
+from repro.common.records import Record, paired_columns
 from repro.common.stats import StatsRegistry
 from repro.health import admission as admission_mod
 from repro.health.admission import AdmissionConfig, AdmissionController
@@ -383,6 +383,7 @@ class LSMTree:
         and emitted events are exact under admission control or a
         recorder too.
         """
+        keys, values = paired_columns(keys, values)
         admission = self.admission
         wal = self.wal
         puts = None  # fetched where ``_write`` would create it

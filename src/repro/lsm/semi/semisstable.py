@@ -23,8 +23,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-import numpy as np
-
 from repro.common.bloom import BloomFilter
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange, ranges_overlap
@@ -413,40 +411,25 @@ class SemiSSTable:
         return service
 
     def _append_blocks(self, merged: list[Record], kind: TrafficKind) -> float:
-        """Columnar block append: chunk, encode, then pay for the whole
-        batch with one grouped device charge (:meth:`SimFile.append_many`).
-
-        The metadata installs run after the charges; they touch no device
-        state, so the ledger — and the per-block service times summed by
-        sequential accumulation — is bit-identical to appending and
-        installing block by block.
-        """
-        chunks: list[list[Record]] = []
+        """Chunk ``merged`` into blocks of ``block_size`` encoded bytes and
+        append them; each block is indexed as soon as it is on media."""
+        service = 0.0
         chunk: list[Record] = []
         chunk_size = 0
         for rec in merged:
             chunk.append(rec)
             chunk_size += record_encoded_size(rec)
             if chunk_size >= self.block_size:
-                chunks.append(chunk)
+                service += self._append_block(chunk, kind)
                 chunk, chunk_size = [], 0
         if chunk:
-            chunks.append(chunk)
-        if not chunks:
-            return 0.0
-        payloads = [encode_block(c) for c in chunks]
-        offsets, services = self.file.append_many(payloads, kind, sequential=True)
-        for c, payload, offset in zip(chunks, payloads, offsets):
-            self._install_block(c, payload, offset)
-        total = np.empty(len(services) + 1)
-        total[0] = 0.0
-        total[1:] = services
-        np.add.accumulate(total, out=total)
-        return float(total[-1])
+            service += self._append_block(chunk, kind)
+        return service
 
-    def _install_block(
-        self, chunk: list[Record], payload: bytes, offset: int
-    ) -> None:
+    def _append_block(self, chunk: list[Record], kind: TrafficKind) -> float:
+        """Write one block at the file's end and point the index at it."""
+        payload = encode_block(chunk)
+        offset, service = self.file.append(payload, kind, sequential=True)
         block = SemiBlock(
             block_id=self._next_block_id,
             first_key=chunk[0].key,
@@ -471,6 +454,7 @@ class SemiSSTable:
             self._valid_bytes += rec.encoded_size
         keys = self._block_keys[block.block_id] = [rec.key for rec in chunk]
         self._bloom.add_many(keys)
+        return service
 
     def _retire_entry(self, key: bytes, entry: tuple[int, int, int]) -> None:
         old_block = self._blocks_by_id[entry[0]]

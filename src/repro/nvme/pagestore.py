@@ -58,20 +58,6 @@ class PageStore:
             self.cache.invalidate(page_id)
         self.device.trim(1)
 
-    def _slot_page(
-        self, page_id: int, offset: int, length: int, npages: int
-    ) -> bytearray:
-        """Validate a slot write's target; returns the head page's buffer."""
-        page = self._pages.get(page_id)
-        if page is None:
-            raise ReproError(f"write to unallocated page {page_id}")
-        if offset < 0 or offset + length > self.page_size * npages:
-            raise ReproError(
-                f"write [{offset}, {offset + length}) exceeds "
-                f"{npages} page(s)"
-            )
-        return page
-
     @staticmethod
     def _splice(page: bytearray, offset: int, payload: bytes) -> None:
         end = offset + len(payload)
@@ -99,7 +85,14 @@ class PageStore:
         only a prefix, a transient failure beyond retries persists nothing,
         and a successful write may land with one flipped bit.
         """
-        page = self._slot_page(page_id, offset, len(data), npages)
+        page = self._pages.get(page_id)
+        if page is None:
+            raise ReproError(f"write to unallocated page {page_id}")
+        if offset < 0 or offset + len(data) > self.page_size * npages:
+            raise ReproError(
+                f"write [{offset}, {offset + len(data)}) exceeds "
+                f"{npages} page(s)"
+            )
         inj = self.device.injector
         try:
             service = self.device.write_pages(npages, kind, sequential=False)
@@ -113,22 +106,6 @@ class PageStore:
         if cache is not None:
             cache.invalidate(page_id)
         return service
-
-    def write_nocharge(
-        self, page_id: int, offset: int, data: bytes, cache=None, npages: int = 1
-    ) -> None:
-        """:meth:`write` minus the device charge.
-
-        For writers that defer their charges into one grouped
-        :meth:`SimDevice.write_pages_batch` call (``defer`` in
-        :meth:`repro.nvme.zone.Zone.write_record`).  Only legal while the
-        device is on its unguarded fastpath — with no injector a write
-        cannot crash, fail, or corrupt, so splicing before the (deferred)
-        charge is unobservable.
-        """
-        self._splice(self._slot_page(page_id, offset, len(data), npages), offset, data)
-        if cache is not None:
-            cache.invalidate(page_id)
 
     def read(
         self,

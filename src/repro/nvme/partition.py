@@ -13,7 +13,6 @@ import zlib
 from bisect import bisect_right
 from typing import Callable, Iterator, Optional
 
-from repro import obs
 from repro.common.btree import BTreeIndex
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange
@@ -218,28 +217,15 @@ class Partition:
         with self.page_store.device.health_epoch:
             return self._put_locked(rec, kind)
 
-    def _put_locked(
-        self, rec: Record, kind: TrafficKind, defer=None, flush=None
-    ) -> Optional[float]:
-        """The :meth:`put` body, minus tracker touch and health epoch.
-
-        Charging policy is the caller's.  By default every slot write
-        charges the device immediately.  A batch caller on the unguarded
-        fastpath passes ``defer``/``flush`` instead: the common paths
-        (in-place update, fresh slot) splice their pages uncharged and
-        register with the caller's charge group via ``defer(npages)``; the
-        rare paths that charge other I/O directly — the resized-slot
-        tombstone + rewrite, and a zone split's GC — call ``flush()``
-        first, so the device ledger advances in exactly the per-op order.
-        Returns the service charged directly, or ``None`` when the charge
-        was deferred.
-        """
+    def _put_locked(self, rec: Record, kind: TrafficKind) -> float:
+        """The :meth:`put` body, minus tracker touch and health epoch (the
+        fused ``HyperDB.put_many`` loop enters here on unguarded devices)."""
         service = 0.0
         loc: Optional[SlotLocation] = self.index.get(rec.key)
         needed = rec.encoded_size
         if loc is not None and needed <= loc.slot_size:
             zone = self._zone_by_id(loc.zone_id)
-            new_loc, s = zone.update_in_place(loc, rec, kind, self.cache, defer)
+            new_loc, s = zone.update_in_place(loc, rec, kind, self.cache)
             # An updated object diverges from its SATA copy: it can no
             # longer be dropped on eviction, so the promotion label is
             # cleared.
@@ -254,23 +240,18 @@ class Partition:
             return s
         # New object, or resized: new slot, tombstone at the old location.
         if loc is not None:
-            # The tombstone and the rewrite charge immediately, so the
-            # group's earlier charges must land first.
-            if flush is not None:
-                flush()
-            defer = None
             old_zone = self._zone_by_id(loc.zone_id)
             service += old_zone.write_tombstone(loc, kind, self.cache)
             old_zone.remove_object(rec.key, loc)
         zone = self.zone_for_key(rec.key)
         slot_size = self.config.slot_class_for(needed)
-        new_loc, s = zone.write_record(rec, slot_size, kind, self.cache, defer=defer)
+        new_loc, s = zone.write_record(rec, slot_size, kind, self.cache)
         self.index.insert(rec.key, new_loc)
         self._written_bytes += needed
         self._written_objects += 1
         self._maybe_calibrate_tracker()
-        self._maybe_split_zone(zone, pre_charge=flush)
-        return None if s is None else service + s
+        self._maybe_split_zone(zone)
+        return service + s
 
     def delete(self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND) -> float:
         """Remove an object (tombstone the slot, drop the index entry)."""
@@ -577,14 +558,11 @@ class Partition:
 
     # ------------------------------------------------------- zone rebuild
 
-    def _maybe_split_zone(self, zone: Zone, pre_charge=None) -> None:
+    def _maybe_split_zone(self, zone: Zone) -> None:
         """Rebuild an oversized zone into two (§3.2 periodic re-sizing).
 
         Splitting physically resettles the zone's objects so each new zone's
         pages contain only its own range — charged as GC traffic.
-        ``pre_charge`` (when given) is invoked once the split is committed,
-        before its first charge: callers holding a deferred foreground
-        charge group flush it there so ledger order stays per-op exact.
         """
         # Inlined ``zone_target_objects() * zone_split_factor`` (identical
         # math): this check runs on every new-slot put, and the limit is
@@ -605,8 +583,6 @@ class Partition:
         device = self.page_store.device
         if device.free_pages < zone.total_pages() + 2:
             return
-        if pre_charge is not None:
-            pre_charge()
         keys = sorted(zone.keys)
         median = keys[len(keys) // 2]
         if median == zone.key_range.lo:
@@ -616,18 +592,10 @@ class Partition:
         right = self._new_zone(KeyRange(median, zone.key_range.hi))
 
         # Resettle: one bulk read of the old zone, rewrites into the halves.
-        # On the unguarded fastpath the slot writes defer their charges and
-        # pay with one grouped delta — no other charge interleaves with the
-        # loop (frees and cache invalidations never touch the ledger), so
-        # the ledger sequence is identical to per-slot charging.
         # Each zone rebuild is one GC job: place it on the least-busy
         # background queue (no-op on single-queue devices).
         device.begin_background_job(TrafficKind.GC)
         self.page_store.read_many(zone.page_ids(), TrafficKind.GC)
-        pending: list[int] = []
-        defer = (
-            pending.append if device._fastpath and obs.RECORDER is None else None
-        )
         for key in keys:
             loc: SlotLocation = self.index.get(key)
             if loc is None or loc.zone_id != zone.zone_id:
@@ -642,11 +610,9 @@ class Partition:
             zone.remove_object(key, loc)
             new_loc, _ = dest.write_record(
                 rec, loc.slot_size, TrafficKind.GC, self.cache,
-                promoted=loc.promoted, defer=defer,
+                promoted=loc.promoted,
             )
             self.index.insert(key, new_loc)
-        if pending:
-            device.write_pages_batch(pending, TrafficKind.GC, sequential=False)
         self._zones[idx : idx + 1] = [left, right]
         self._zone_bounds[idx : idx + 1] = [left.key_range.lo, median]
         # The split zone is dead: stale locations naming it must fail.

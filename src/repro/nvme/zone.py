@@ -186,24 +186,6 @@ class Zone:
 
     # ---------------------------------------------------------------- I/O
 
-    def _write_slot(self, page_id, offset, payload, npages, kind, cache, defer):
-        """Write one slot's bytes under the caller's charging policy.
-
-        ``defer is None`` charges the device now and returns the service
-        time.  Otherwise the bytes are spliced uncharged, ``defer(npages)``
-        hands the charge to the caller's group — paid later with one
-        :meth:`repro.simssd.device.SimDevice.write_pages_batch` call — and
-        the service is ``None``.  Deferral is fastpath-only (see
-        :meth:`PageStore.write_nocharge`).
-        """
-        if defer is None:
-            return self.page_store.write(
-                page_id, offset, payload, kind, cache, npages=npages
-            )
-        self.page_store.write_nocharge(page_id, offset, payload, cache, npages=npages)
-        defer(npages)
-        return None
-
     def write_record(
         self,
         rec: Record,
@@ -211,10 +193,8 @@ class Zone:
         kind: TrafficKind = TrafficKind.FOREGROUND,
         cache=None,
         promoted: bool = False,
-        defer=None,
-    ) -> tuple[SlotLocation, Optional[float]]:
-        """Place ``rec`` into a fresh ``slot_size`` slot and write the page
-        (``defer``: see :meth:`_write_slot`)."""
+    ) -> tuple[SlotLocation, float]:
+        """Place ``rec`` into a fresh ``slot_size`` slot and write the page."""
         kr = self.key_range  # inlined ``accepts`` (one call per store write)
         if kr is not None and not kr.contains(rec.key):
             raise ReproError(f"key {rec.key!r} outside zone {self.zone_id} range")
@@ -229,8 +209,8 @@ class Zone:
             len(payload), rec.seqno, promoted, crc=zlib.crc32(payload),
         )
         npages = -(-slot_size // self.page_store.page_size)
-        service = self._write_slot(
-            page_id, slot_index * slot_size, payload, npages, kind, cache, defer
+        service = self.page_store.write(
+            page_id, slot_index * slot_size, payload, kind, cache, npages=npages
         )
         self.keys[rec.key] = None
         self.used_bytes += len(payload)
@@ -242,16 +222,15 @@ class Zone:
         rec: Record,
         kind: TrafficKind = TrafficKind.FOREGROUND,
         cache=None,
-        defer=None,
-    ) -> tuple[SlotLocation, Optional[float]]:
+    ) -> tuple[SlotLocation, float]:
         """Overwrite an object inside its existing slot (§3.2: small objects
-        update in place; ``defer``: see :meth:`_write_slot`)."""
+        update in place)."""
         payload = encode_record(rec)
         if len(payload) > loc.slot_size:
             raise ReproError("in-place update does not fit the slot")
         npages = -(-loc.slot_size // self.page_store.page_size)
-        service = self._write_slot(
-            loc.page_id, loc.offset, payload, npages, kind, cache, defer
+        service = self.page_store.write(
+            loc.page_id, loc.offset, payload, kind, cache, npages=npages
         )
         self.used_bytes += len(payload) - loc.record_size
         new_loc = SlotLocation(

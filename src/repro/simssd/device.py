@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro import obs
 from repro.common.errors import (
     DeviceOfflineError,
@@ -40,12 +38,6 @@ from repro.simssd.faults import FaultInjector, RetryPolicy
 from repro.simssd.profiles import DeviceProfile
 from repro.simssd.queues import QueueConfig, default_routing
 from repro.simssd.traffic import TrafficKind, TrafficStats
-
-#: Charge tuple for a non-positive page count: the scalar paths return 0.0
-#: without touching the ledger, so batch paths must contribute exactly
-#: nothing for such entries too (``_charge_for`` would bill one sequential
-#: command's latency for them).
-_ZERO_CHARGE = (0, 0.0, 0.0)
 
 
 class _HealthEpoch:
@@ -395,54 +387,7 @@ class SimDevice:
             lane.read_transfer_s += transfer
             traffic._busy_s += latency + transfer
             return latency + transfer
-        queue = 0
-        if self._multi_queue:
-            queue = self._lane_queue[kind]
-            qmult = self._queue_mults[queue]
-            if qmult != 1.0:
-                latency *= qmult
-                transfer *= qmult
-        if self._health_guarded:
-            mult = self._consult_health("read", kind.value, queue)
-            if mult != 1.0:
-                latency *= mult
-                transfer *= mult
-                self.brownout_ios += ios
-        nbytes = num_pages * self.page_size
-        rec = obs.RECORDER
-        service = 0.0
-        backoff_total = 0.0
-        attempt = 0
-        while True:
-            failed = self.injector.pull_read_fault() if self.injector else False
-            self.traffic.note_read(kind, nbytes, ios, latency, transfer, queue=queue)
-            service += latency + transfer
-            if rec is not None:
-                rec.io(
-                    self.profile.name, kind.value, "read", nbytes, ios,
-                    t=self.traffic.busy_seconds(),
-                )
-            if not failed:
-                return service
-            delay = self.retry_policy.backoff_s(attempt)
-            if delay is None:
-                raise RetryExhaustedError(
-                    f"read of {num_pages} page(s) failed after "
-                    f"{attempt + 1} attempts on {self.profile.name!r} "
-                    f"({backoff_total:.6f}s of backoff charged)",
-                    attempts=attempt + 1,
-                    total_backoff_s=backoff_total,
-                )
-            self.retried_ios += ios
-            if rec is not None:
-                rec.emit(
-                    "retry_backoff", t=self.traffic.busy_seconds(),
-                    device=self.profile.name, rw="read", lane=kind.value,
-                    attempt=attempt, backoff_s=delay,
-                )
-            service += delay
-            backoff_total += delay
-            attempt += 1
+        return self._charge_guarded(False, num_pages, kind, ios, latency, transfer)
 
     def write_pages(
         self, num_pages: int, kind: TrafficKind, sequential: bool = True
@@ -478,6 +423,20 @@ class SimDevice:
             lane.write_transfer_s += transfer
             traffic._busy_s += latency + transfer
             return latency + transfer
+        return self._charge_guarded(True, num_pages, kind, ios, latency, transfer)
+
+    def _charge_guarded(
+        self,
+        write: bool,
+        num_pages: int,
+        kind: TrafficKind,
+        ios: int,
+        latency: float,
+        transfer: float,
+    ) -> float:
+        """One read or write charge off the fast path: queue and health
+        multipliers, then the retry loop of :meth:`read_pages`."""
+        rw = "write" if write else "read"
         queue = 0
         if self._multi_queue:
             queue = self._lane_queue[kind]
@@ -486,23 +445,30 @@ class SimDevice:
                 latency *= qmult
                 transfer *= qmult
         if self._health_guarded:
-            mult = self._consult_health("write", kind.value, queue)
+            mult = self._consult_health(rw, kind.value, queue)
             if mult != 1.0:
                 latency *= mult
                 transfer *= mult
                 self.brownout_ios += ios
         nbytes = num_pages * self.page_size
+        inj = self.injector
+        if write:
+            note = self.traffic.note_write
+            pull_fault = inj.pull_write_fault if inj else None
+        else:
+            note = self.traffic.note_read
+            pull_fault = inj.pull_read_fault if inj else None
         rec = obs.RECORDER
         service = 0.0
         backoff_total = 0.0
         attempt = 0
         while True:
-            failed = self.injector.pull_write_fault() if self.injector else False
-            self.traffic.note_write(kind, nbytes, ios, latency, transfer, queue=queue)
+            failed = pull_fault() if pull_fault else False
+            note(kind, nbytes, ios, latency, transfer, queue=queue)
             service += latency + transfer
             if rec is not None:
                 rec.io(
-                    self.profile.name, kind.value, "write", nbytes, ios,
+                    self.profile.name, kind.value, rw, nbytes, ios,
                     t=self.traffic.busy_seconds(),
                 )
             if not failed:
@@ -510,7 +476,7 @@ class SimDevice:
             delay = self.retry_policy.backoff_s(attempt)
             if delay is None:
                 raise RetryExhaustedError(
-                    f"write of {num_pages} page(s) failed after "
+                    f"{rw} of {num_pages} page(s) failed after "
                     f"{attempt + 1} attempts on {self.profile.name!r} "
                     f"({backoff_total:.6f}s of backoff charged)",
                     attempts=attempt + 1,
@@ -520,7 +486,7 @@ class SimDevice:
             if rec is not None:
                 rec.emit(
                     "retry_backoff", t=self.traffic.busy_seconds(),
-                    device=self.profile.name, rw="write", lane=kind.value,
+                    device=self.profile.name, rw=rw, lane=kind.value,
                     attempt=attempt, backoff_s=delay,
                 )
             service += delay
@@ -574,112 +540,22 @@ class SimDevice:
         return self.read_pages(pages, kind, sequential)
 
     # --------------------------------------------------------- batch I/O
+    #
+    # No caller in ``src/``: every charge is made where its I/O happens,
+    # one at a time (DESIGN.md §11).  The two names stay, as per-charge
+    # loops, because ``perfbench/`` times one and wraps both.
 
     def write_pages_batch(
-        self,
-        page_counts: "list[int]",
-        kind: TrafficKind,
-        sequential: bool = True,
-        busy_out: "Optional[list]" = None,
-    ) -> "np.ndarray":
-        """Charge a batch of writes (``page_counts[i]`` pages each) at once.
-
-        Bit-identical to charging each element through :meth:`write_pages`
-        in order: the per-charge latency/transfer values come from the same
-        memo, lane float fields advance by seeded sequential accumulation
-        (see :meth:`TrafficStats.note_write_batch`), and integer byte/IO
-        fields by exact sums.  Returns the per-charge service times.  When
-        ``busy_out`` is given it receives the device busy-seconds value
-        *after* each charge — what a per-charge caller would read from
-        ``traffic._busy_s`` between writes — so latency attribution can
-        reconstruct per-op rows from one grouped charge.
-
-        Only legal on the unguarded fastpath — with an injector attached
-        (faults, crash points, health windows) each charge can diverge, so
-        the batch degrades to the per-charge loop.  Non-positive page
-        counts charge nothing (service 0.0) on both paths, exactly like
-        :meth:`write_pages`; their ``busy_out`` rows repeat the running
-        busy value so per-op attribution stays aligned.
-        """
-        n = len(page_counts)
-        if n == 0:
-            return np.empty(0)
-        if not (self._fastpath and obs.RECORDER is None):
-            traffic = self.traffic
-            services = []
-            for p in page_counts:
-                services.append(self.write_pages(p, kind, sequential))
-                if busy_out is not None:
-                    busy_out.append(traffic._busy_s)
-            return np.array(services)
-        charge_for = self._charge_for
-        charges = [
-            charge_for(p, sequential, write=True) if p > 0 else _ZERO_CHARGE
-            for p in page_counts
-        ]
-        latency = np.array([c[1] for c in charges])
-        transfer = np.array([c[2] for c in charges])
-        queue = self._lane_queue[kind] if self._multi_queue else 0
-        if self._multi_queue:
-            qmult = self._queue_mults[queue]
-            if qmult != 1.0:
-                latency = latency * qmult
-                transfer = transfer * qmult
-        busy = self.traffic.note_write_batch(
-            kind,
-            sum(p for p in page_counts if p > 0) * self.page_size,
-            sum(c[0] for c in charges),
-            latency,
-            transfer,
-            queue=queue,
-        )
-        if busy_out is not None:
-            busy_out.extend(busy.tolist())
-        return latency + transfer
+        self, page_counts: list[int], kind: TrafficKind, sequential: bool = True
+    ) -> list[float]:
+        """:meth:`write_pages` per element, in order; the service times."""
+        return [self.write_pages(p, kind, sequential) for p in page_counts]
 
     def read_pages_batch(
-        self,
-        page_counts: "list[int]",
-        kind: TrafficKind,
-        sequential: bool = False,
-        busy_out: "Optional[list]" = None,
-    ) -> "np.ndarray":
-        """Read-side twin of :meth:`write_pages_batch`."""
-        n = len(page_counts)
-        if n == 0:
-            return np.empty(0)
-        if not (self._fastpath and obs.RECORDER is None):
-            traffic = self.traffic
-            services = []
-            for p in page_counts:
-                services.append(self.read_pages(p, kind, sequential))
-                if busy_out is not None:
-                    busy_out.append(traffic._busy_s)
-            return np.array(services)
-        charge_for = self._charge_for
-        charges = [
-            charge_for(p, sequential, write=False) if p > 0 else _ZERO_CHARGE
-            for p in page_counts
-        ]
-        latency = np.array([c[1] for c in charges])
-        transfer = np.array([c[2] for c in charges])
-        queue = self._lane_queue[kind] if self._multi_queue else 0
-        if self._multi_queue:
-            qmult = self._queue_mults[queue]
-            if qmult != 1.0:
-                latency = latency * qmult
-                transfer = transfer * qmult
-        busy = self.traffic.note_read_batch(
-            kind,
-            sum(p for p in page_counts if p > 0) * self.page_size,
-            sum(c[0] for c in charges),
-            latency,
-            transfer,
-            queue=queue,
-        )
-        if busy_out is not None:
-            busy_out.extend(busy.tolist())
-        return latency + transfer
+        self, page_counts: list[int], kind: TrafficKind, sequential: bool = False
+    ) -> list[float]:
+        """:meth:`read_pages` per element, in order; the service times."""
+        return [self.read_pages(p, kind, sequential) for p in page_counts]
 
     # ------------------------------------------------------------ metrics
 

@@ -23,10 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
-import numpy as np
-
-from repro import obs
-from repro.common.errors import ClosedError, OutOfSpaceError, PowerLossError, ReproError
+from repro.common.errors import ClosedError, PowerLossError, ReproError
 from repro.simssd.device import SimDevice
 from repro.simssd.faults import FaultInjector, RetryPolicy
 from repro.simssd.traffic import TrafficKind
@@ -92,69 +89,6 @@ class SimFile:
             raise
         self._data.extend(self._persist(data))
         return offset, service
-
-    def append_many(
-        self, payloads: "list[bytes]", kind: TrafficKind, sequential: bool = True
-    ) -> tuple[list[int], "np.ndarray"]:
-        """Append a batch of payloads with one grouped device charge.
-
-        Returns ``(offsets, services)`` — exactly what per-payload
-        :meth:`append` calls in the same order would produce: offsets and
-        page spans are computed against the same running file size, and the
-        grouped charge (:meth:`SimDevice.write_pages_batch`) advances every
-        ledger field to the bit-identical value.  Page *allocation* happens
-        up front for the whole batch; it only moves integer counters, so
-        hoisting it past the charges is invisible to the ledger.
-
-        With a fault injector attached (torn writes, corruption, health
-        windows) each append can diverge individually, so the batch
-        degrades to the per-payload loop.
-        """
-        self._check_open()
-        dev = self.device
-        if not payloads:
-            return [], np.empty(0)
-        if not (dev._fastpath and obs.RECORDER is None):
-            offsets, services = [], []
-            for data in payloads:
-                offset, service = self.append(data, kind, sequential)
-                offsets.append(offset)
-                services.append(service)
-            return offsets, np.array(services)
-        offsets: list[int] = []
-        spans: list[int] = []
-        size = len(self._data)
-        try:
-            for data in payloads:
-                offsets.append(size)
-                if not data:
-                    spans.append(0)
-                    continue
-                self._ensure_pages(size + len(data))
-                spans.append(self._page_span(size, len(data)))
-                size += len(data)
-        except OutOfSpaceError:
-            # Nothing was charged or persisted yet, and partial allocations
-            # replay as no-ops, so the per-payload loop reproduces the
-            # scalar failure state exactly (earlier payloads land, the
-            # failing one raises at the same point).
-            offsets, services = [], []
-            for data in payloads:
-                offset, service = self.append(data, kind, sequential)
-                offsets.append(offset)
-                services.append(service)
-            return offsets, np.array(services)
-        charged = [s for s in spans if s > 0]
-        charged_services = dev.write_pages_batch(charged, kind, sequential)
-        if len(charged) == len(spans):
-            services = charged_services
-        else:
-            services = np.zeros(len(spans))
-            services[np.array(spans) > 0] = charged_services
-        data_buf = self._data
-        for data in payloads:
-            data_buf.extend(data)
-        return offsets, services
 
     def write_at(
         self, offset: int, data: bytes, kind: TrafficKind, sequential: bool = False

@@ -23,23 +23,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional
 
-import numpy as np
-
-
-def _accumulate_seeded(seed: float, deltas: "np.ndarray") -> "np.ndarray":
-    """Sequential running sums of ``seed + deltas[0] + ... + deltas[i]``.
-
-    ``np.add.accumulate`` is strictly left-to-right, so every intermediate
-    value — and in particular the final one — is bit-identical to a scalar
-    ``+=`` loop applying the same deltas in the same order.  (``np.sum``
-    would not be: its pairwise summation associates differently.)
-    """
-    out = np.empty(len(deltas) + 1)
-    out[0] = seed
-    out[1:] = deltas
-    np.add.accumulate(out, out=out)
-    return out[1:]
-
 
 class TrafficKind(Enum):
     """Why an I/O was issued."""
@@ -80,6 +63,22 @@ class _Lane:
     read_transfer_s: float = 0.0
     write_latency_s: float = 0.0
     write_transfer_s: float = 0.0
+
+    def add(self, other: "_Lane") -> None:
+        self.read_bytes += other.read_bytes
+        self.write_bytes += other.write_bytes
+        self.read_ios += other.read_ios
+        self.write_ios += other.write_ios
+        self.read_latency_s += other.read_latency_s
+        self.read_transfer_s += other.read_transfer_s
+        self.write_latency_s += other.write_latency_s
+        self.write_transfer_s += other.write_transfer_s
+
+    def clear(self) -> None:
+        self.read_bytes = self.write_bytes = 0
+        self.read_ios = self.write_ios = 0
+        self.read_latency_s = self.read_transfer_s = 0.0
+        self.write_latency_s = self.write_transfer_s = 0.0
 
 
 @dataclass
@@ -166,87 +165,6 @@ class TrafficStats:
             qlane.write_transfer_s += transfer_s
             self._queue_busy[queue] += latency_s + transfer_s
 
-    def note_read_batch(
-        self,
-        kind: TrafficKind,
-        nbytes: int,
-        ios: int,
-        latency_s: "np.ndarray",
-        transfer_s: "np.ndarray",
-        queue: int = 0,
-    ) -> "np.ndarray":
-        """Apply one delta for a batch of read charges on a single lane.
-
-        Equivalent to calling :meth:`note_read` once per element of
-        ``latency_s``/``transfer_s`` (``nbytes`` and ``ios`` are the *batch
-        totals*, which are exact integer sums) — every float field lands on
-        the bit-identical value thanks to seeded sequential accumulation.
-        Returns the per-charge post-I/O busy-time values, so callers that
-        attribute latency per operation can reconstruct the busy rows the
-        scalar path would have observed.
-        """
-        lane = self.lanes[kind]
-        lane.read_bytes += nbytes
-        lane.read_ios += ios
-        lane.read_latency_s = float(
-            _accumulate_seeded(lane.read_latency_s, latency_s)[-1]
-        )
-        lane.read_transfer_s = float(
-            _accumulate_seeded(lane.read_transfer_s, transfer_s)[-1]
-        )
-        busy = _accumulate_seeded(self._busy_s, latency_s + transfer_s)
-        self._busy_s = float(busy[-1])
-        if self._queue_lanes is not None:
-            qlane = self._queue_lanes[queue][kind]
-            qlane.read_bytes += nbytes
-            qlane.read_ios += ios
-            qlane.read_latency_s = float(
-                _accumulate_seeded(qlane.read_latency_s, latency_s)[-1]
-            )
-            qlane.read_transfer_s = float(
-                _accumulate_seeded(qlane.read_transfer_s, transfer_s)[-1]
-            )
-            self._queue_busy[queue] = float(
-                _accumulate_seeded(self._queue_busy[queue], latency_s + transfer_s)[-1]
-            )
-        return busy
-
-    def note_write_batch(
-        self,
-        kind: TrafficKind,
-        nbytes: int,
-        ios: int,
-        latency_s: "np.ndarray",
-        transfer_s: "np.ndarray",
-        queue: int = 0,
-    ) -> "np.ndarray":
-        """Write-side twin of :meth:`note_read_batch`."""
-        lane = self.lanes[kind]
-        lane.write_bytes += nbytes
-        lane.write_ios += ios
-        lane.write_latency_s = float(
-            _accumulate_seeded(lane.write_latency_s, latency_s)[-1]
-        )
-        lane.write_transfer_s = float(
-            _accumulate_seeded(lane.write_transfer_s, transfer_s)[-1]
-        )
-        busy = _accumulate_seeded(self._busy_s, latency_s + transfer_s)
-        self._busy_s = float(busy[-1])
-        if self._queue_lanes is not None:
-            qlane = self._queue_lanes[queue][kind]
-            qlane.write_bytes += nbytes
-            qlane.write_ios += ios
-            qlane.write_latency_s = float(
-                _accumulate_seeded(qlane.write_latency_s, latency_s)[-1]
-            )
-            qlane.write_transfer_s = float(
-                _accumulate_seeded(qlane.write_transfer_s, transfer_s)[-1]
-            )
-            self._queue_busy[queue] = float(
-                _accumulate_seeded(self._queue_busy[queue], latency_s + transfer_s)[-1]
-            )
-        return busy
-
     def merge(self, other: "TrafficStats") -> None:
         """Fold another ledger into this one, lane-wise.
 
@@ -265,29 +183,13 @@ class TrafficStats:
                 f"({self.queue_count} vs {other.queue_count})"
             )
         for kind, src in other.lanes.items():
-            lane = self.lanes[kind]
-            lane.read_bytes += src.read_bytes
-            lane.write_bytes += src.write_bytes
-            lane.read_ios += src.read_ios
-            lane.write_ios += src.write_ios
-            lane.read_latency_s += src.read_latency_s
-            lane.read_transfer_s += src.read_transfer_s
-            lane.write_latency_s += src.write_latency_s
-            lane.write_transfer_s += src.write_transfer_s
+            self.lanes[kind].add(src)
         self._busy_s += other._busy_s
         if self._queue_lanes is not None:
             for q in range(self.queue_count):
-                mine, theirs = self._queue_lanes[q], other._queue_lanes[q]
-                for kind, src in theirs.items():
-                    lane = mine[kind]
-                    lane.read_bytes += src.read_bytes
-                    lane.write_bytes += src.write_bytes
-                    lane.read_ios += src.read_ios
-                    lane.write_ios += src.write_ios
-                    lane.read_latency_s += src.read_latency_s
-                    lane.read_transfer_s += src.read_transfer_s
-                    lane.write_latency_s += src.write_latency_s
-                    lane.write_transfer_s += src.write_transfer_s
+                mine = self._queue_lanes[q]
+                for kind, src in other._queue_lanes[q].items():
+                    mine[kind].add(src)
                 self._queue_busy[q] += other._queue_busy[q]
 
     # ----------------------------------------------------------- aggregates
@@ -375,15 +277,9 @@ class TrafficStats:
     def reset(self) -> None:
         self._busy_s = 0.0
         for lane in self.lanes.values():
-            lane.read_bytes = lane.write_bytes = 0
-            lane.read_ios = lane.write_ios = 0
-            lane.read_latency_s = lane.read_transfer_s = 0.0
-            lane.write_latency_s = lane.write_transfer_s = 0.0
+            lane.clear()
         if self._queue_lanes is not None:
             for lanes in self._queue_lanes:
                 for lane in lanes.values():
-                    lane.read_bytes = lane.write_bytes = 0
-                    lane.read_ios = lane.write_ios = 0
-                    lane.read_latency_s = lane.read_transfer_s = 0.0
-                    lane.write_latency_s = lane.write_transfer_s = 0.0
+                    lane.clear()
             self._queue_busy = [0.0] * self.queue_count

@@ -12,16 +12,12 @@ pipeline sweep.  Each test fails on the pre-fix code:
    non-tombstone free path (zone demotion, promoted-entry eviction,
    ``drop_resident``, ``reset_state``) leaked dead bytes into the
    byte-budgeted DRAM LRU forever, evicting live entries.
-4. ``write_pages_batch``/``read_pages_batch`` diverged from the
-   per-charge fallback on non-positive page counts: the fastpath ran
-   them through the charge memo (``ios=1`` plus a latency charge) while
+4. ``write_pages_batch``/``read_pages_batch`` charged non-positive page
+   counts through the charge memo (``ios=1`` plus a latency charge) while
    ``write_pages``/``read_pages`` return 0.0 without touching the
-   ledger.  The batch fastpath must charge nothing for empty elements
-   and produce the same ``busy_out`` rows (values *and* types) as the
-   fallback.
+   ledger.  Both names are per-charge loops now; empty elements still
+   charge nothing.
 """
-
-import random
 
 import numpy as np
 
@@ -31,7 +27,6 @@ from repro.common.records import Record
 from repro.common.stats import LatencyHistogram
 from repro.nvme import NVMeConfig, PageStore, PerformanceTier
 from repro.simssd import DeviceProfile, SimDevice, TrafficKind
-from repro.simssd.faults import FaultInjector, FaultPlan
 
 KEYSPACE = 100_000
 
@@ -136,63 +131,9 @@ class TestFreeInvalidatesCache:
 
 
 class TestBatchFastpathFallbackParity:
-    """The batch fastpath must be indistinguishable from the per-charge
-    fallback — same service times, same ledger, same ``busy_out`` rows.
-
-    The fallback is forced with a benign injector (``FaultPlan()``: no
-    fault rates, no windows, so no RNG draws perturb the charges), which
-    clears ``_fastpath`` without changing any float math.
-    """
-
-    def _devices(self):
-        fast = make_device()
-        slow = SimDevice(fast.profile, injector=FaultInjector(FaultPlan()))
-        assert fast._fastpath and not slow._fastpath
-        return fast, slow
-
-    def _check(self, counts, write):
-        fast, slow = self._devices()
-        fast_busy, slow_busy = [], []
-        if write:
-            fsvc = fast.write_pages_batch(
-                counts, TrafficKind.FLUSH, busy_out=fast_busy
-            )
-            ssvc = slow.write_pages_batch(
-                counts, TrafficKind.FLUSH, busy_out=slow_busy
-            )
-        else:
-            fsvc = fast.read_pages_batch(
-                counts, TrafficKind.MIGRATION, busy_out=fast_busy
-            )
-            ssvc = slow.read_pages_batch(
-                counts, TrafficKind.MIGRATION, busy_out=slow_busy
-            )
-        assert fsvc.tolist() == ssvc.tolist(), counts
-        assert fast_busy == slow_busy, counts
-        assert all(type(b) is float for b in fast_busy), counts
-        assert all(type(b) is float for b in slow_busy), counts
-        assert fast.traffic.snapshot() == slow.traffic.snapshot(), counts
-
-    def test_zero_page_elements_charge_nothing_on_both_paths(self):
-        for write in (True, False):
-            self._check([3, 0, 1, 7, 0, 2, 1, 16], write)
-            self._check([0], write)
-            self._check([0, 0, 5], write)
-
-    def test_property_random_batches_agree(self):
-        # Property-style sweep: random batch shapes (including empty
-        # elements and repeats that exercise the charge memo) agree
-        # bit for bit between the two paths.
-        rng = random.Random(0xBA7C4)
-        for _ in range(40):
-            counts = [
-                rng.choice([0, 1, 2, 3, 8, 17, 64]) for _ in range(rng.randrange(1, 12))
-            ]
-            self._check(counts, rng.random() < 0.5)
-
     def test_batch_equals_scalar_charge_sequence(self):
-        # One grouped charge must land the ledger exactly where the same
-        # charges issued one by one through write_pages/read_pages would.
+        # A batch call must land the ledger exactly where the same charges
+        # issued one by one through write_pages/read_pages would.
         counts = [5, 0, 3, 3, 12, 0, 1]
         batch = make_device()
         scalar = make_device()

@@ -1,14 +1,16 @@
 """Tests for previously-uncovered error branches: closed-file operations,
-record-decode truncation offsets, checkpoint structural corruption, and
-device trim bounds."""
+record-decode truncation offsets, checkpoint structural corruption,
+device trim bounds, and ``put_many`` columns of different lengths."""
 
 import struct
 
 import pytest
 import zlib
 
+from repro.bench import BenchScale, STORE_NAMES, build_store
+from repro.cluster.router import ClusterConfig, HyperDBCluster
 from repro.common.errors import ClosedError, CorruptionError, ReproError
-from repro.common.keys import KeyRange, encode_key
+from repro.common.keys import KeyRange, encode_key, encode_keys
 from repro.common.records import Record
 from repro.lsm.blocks import decode_records, encode_record
 from repro.nvme import NVMeConfig
@@ -190,3 +192,21 @@ class TestDeviceTrimBounds:
         dev = device(mib=1)
         with pytest.raises(Exception):
             dev.allocate(dev.profile.num_pages + 1)
+
+
+class TestPutManyColumnMismatch:
+    """``put_many`` pairs keys and values with ``zip``; a longer column's
+    tail used to be dropped silently, on every engine and the cluster."""
+
+    @pytest.mark.parametrize("capture_errors", [False, True])
+    @pytest.mark.parametrize("name", STORE_NAMES + ("cluster",))
+    def test_mismatch_raises_before_any_write(self, name, capture_errors):
+        if name == "cluster":
+            store = HyperDBCluster(ClusterConfig(num_nodes=3, replication_factor=3))
+        else:
+            store = build_store(name, BenchScale(record_count=2000))
+        keys = encode_keys(range(5))
+        for ks, vs in ((keys, [b"v"] * 3), (keys[:3], [b"v"] * 5)):
+            with pytest.raises(ValueError, match=f"{len(ks)} keys.*{len(vs)} values"):
+                store.put_many(ks, vs, capture_errors=capture_errors)
+        assert [store.get(k)[0] for k in keys] == [None] * 5

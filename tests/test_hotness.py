@@ -131,6 +131,17 @@ class TestIntervalAnalysis:
         assert list(iv["b"]) == [4]
         assert "c" not in iv  # single access, no interval
 
+    def test_integer_trace_matches_hashable_fallback(self):
+        # The argsort fast path for integer traces must group exactly like
+        # the per-access loop (it once keyed groups by trace position, so
+        # colliding keys overwrote each other and most objects vanished).
+        trace = np.random.default_rng(7).integers(0, 300, size=5000).tolist()
+        fast = access_intervals(trace)
+        slow = access_intervals([str(k) for k in trace])
+        assert sorted(fast) == sorted(int(k) for k in slow)
+        for key, gaps in fast.items():
+            assert list(gaps) == list(slow[str(key)])
+
     def test_periodic_object_fully_predictable(self):
         trace = ["x", "y", "z"] * 100
         probs = interval_conditional_probabilities(trace, threshold=5, history=1)
