@@ -2,7 +2,7 @@
 
 Used in two places:
 
-* SSTable / semi-SSTable metadata blocks, for fast point-lookup screening.
+* SSTable metadata blocks, for fast point-lookup screening.
 * The cascading discriminator (§3.3), where each sealed filter represents an
   access window and membership means "accessed within that window".
 
@@ -161,22 +161,9 @@ class BloomFilter:
 
     def add_many(self, keys: Sequence[bytes] | Iterable[bytes]) -> None:
         """Insert many keys at once, scattering all probe bits vectorized."""
-        keys = list(keys) if not isinstance(keys, (list, tuple)) else keys
-        if not keys:
-            return
-        hashes = np.array([_base_hashes(k) for k in keys], dtype=np.uint64)
-        i = np.arange(self.num_hashes, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            pos = (hashes[:, 0:1] + i[None, :] * hashes[:, 1:2]) % np.uint64(
-                self.num_bits
-            )
-        byte_idx = (pos >> np.uint64(3)).astype(np.int64).ravel()
-        masks = (
-            np.left_shift(np.uint64(1), pos & np.uint64(7)).astype(np.uint8).ravel()
-        )
-        view = np.frombuffer(self._bits, dtype=np.uint8)
-        np.bitwise_or.at(view, byte_idx, masks)
-        self._count += len(keys)
+        pairs = [_base_hashes(k) for k in keys]
+        self.scatter_hashed(pairs)
+        self._count += len(pairs)
 
     def __contains__(self, key: bytes) -> bool:
         return self.contains_hashed(*_base_hashes(key))

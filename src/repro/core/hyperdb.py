@@ -105,6 +105,7 @@ class HyperDB(KVStore):
             self.performance_tier,
             cache_entries=config.nvme.object_cache_entries,
             on_pressure=self.migration.run_if_needed,
+            stats=self.migration.stats,
         )
         #: Background integrity scrubber — None unless configured, so the
         #: write/read hot paths below never pay for it by default.

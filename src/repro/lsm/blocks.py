@@ -36,22 +36,34 @@ def encode_record(rec: Record) -> bytes:
     )
 
 
+def record_at(data: bytes, offset: int = 0) -> Record:
+    """Decode the one record starting at ``offset`` — what an index that
+    stores record offsets (NVMe slot locations, semi-SSTable index
+    entries) reads through.  Header and body are bounds-checked."""
+    end = len(data)
+    body = offset + _HEADER.size
+    if body > end:
+        raise CorruptionError(f"truncated record header at offset {offset}")
+    seqno, flags, klen, vlen = _HEADER.unpack_from(data, offset)
+    stop = body + klen + vlen
+    if stop > end:
+        raise CorruptionError(f"truncated record body at offset {body}")
+    return Record(
+        data[body : body + klen],
+        data[body + klen : stop],
+        seqno,
+        deleted=bool(flags & _FLAG_TOMBSTONE),
+    )
+
+
 def decode_records(data: bytes) -> Iterator[Record]:
     """Decode back-to-back records from ``data`` (no checksum expected)."""
     pos = 0
     end = len(data)
     while pos < end:
-        if pos + _HEADER.size > end:
-            raise CorruptionError(f"truncated record header at offset {pos}")
-        seqno, flags, klen, vlen = _HEADER.unpack_from(data, pos)
-        pos += _HEADER.size
-        if pos + klen + vlen > end:
-            raise CorruptionError(f"truncated record body at offset {pos}")
-        key = data[pos : pos + klen]
-        pos += klen
-        value = data[pos : pos + vlen]
-        pos += vlen
-        yield Record(key, value, seqno, deleted=bool(flags & _FLAG_TOMBSTONE))
+        rec = record_at(data, pos)
+        pos += rec.encoded_size
+        yield rec
 
 
 # Content-keyed memo for single-record decodes (the NVMe slot read
@@ -63,29 +75,12 @@ _DECODE_ONE_MEMO_MAX = 8192
 
 
 def decode_one(data: bytes, offset: int = 0) -> Record:
-    """Decode the single record starting at ``offset``.
-
-    Equivalent to the first item of :func:`decode_records` but without the
-    generator machinery; the NVMe slot read path decodes exactly one record
-    per object lookup, so this is a hot path.
-    """
+    """:func:`record_at` behind the memo above (hot slots are re-read often)."""
     memo_key = (data, offset)
     rec = _DECODE_ONE_MEMO.get(memo_key)
     if rec is not None:
         return rec
-    end = len(data)
-    if offset + _HEADER.size > end:
-        raise CorruptionError(f"truncated record header at offset {offset}")
-    seqno, flags, klen, vlen = _HEADER.unpack_from(data, offset)
-    body = offset + _HEADER.size
-    if body + klen + vlen > end:
-        raise CorruptionError(f"truncated record body at offset {body}")
-    rec = Record(
-        data[body : body + klen],
-        data[body + klen : body + klen + vlen],
-        seqno,
-        deleted=bool(flags & _FLAG_TOMBSTONE),
-    )
+    rec = record_at(data, offset)
     if len(_DECODE_ONE_MEMO) >= _DECODE_ONE_MEMO_MAX:
         _DECODE_ONE_MEMO.clear()
     _DECODE_ONE_MEMO[memo_key] = rec
@@ -129,6 +124,20 @@ def encode_block(records: Iterable[Record]) -> bytes:
     return payload + struct.pack(">I", zlib.crc32(payload))
 
 
+def verify_block(block: bytes) -> bytes:
+    """Check a data block's CRC32 footer and return the payload without it."""
+    if len(block) < CHECKSUM_SIZE:
+        raise CorruptionError("block shorter than its checksum")
+    payload, footer = block[:-CHECKSUM_SIZE], block[-CHECKSUM_SIZE:]
+    (expected,) = struct.unpack(">I", footer)
+    actual = zlib.crc32(payload)
+    if actual != expected:
+        raise CorruptionError(
+            f"block checksum mismatch: stored={expected:#x} computed={actual:#x}"
+        )
+    return payload
+
+
 # Content-keyed memo of decoded blocks.  Decoding is pure, and the block
 # cache already hands the same record list to every reader, so sharing
 # one list per distinct block payload is safe.  The memo only pays off
@@ -145,15 +154,7 @@ def decode_block(block: bytes) -> list[Record]:
     cached = _DECODE_MEMO.get(block)
     if cached is not None:
         return cached
-    if len(block) < CHECKSUM_SIZE:
-        raise CorruptionError("block shorter than its checksum")
-    payload, footer = block[:-CHECKSUM_SIZE], block[-CHECKSUM_SIZE:]
-    (expected,) = struct.unpack(">I", footer)
-    actual = zlib.crc32(payload)
-    if actual != expected:
-        raise CorruptionError(
-            f"block checksum mismatch: stored={expected:#x} computed={actual:#x}"
-        )
+    payload = verify_block(block)
     # Inline loop rather than list(decode_records(...)): block decodes run
     # on every table read and the generator resumption overhead is
     # measurable there.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.common.errors import ConfigError, ReproError
-from repro.common.keys import KeyRange, decode_key, encode_key
+from repro.common.keys import KeyRange, decode_key, encode_key, ranges_overlap
 from repro.lsm.semi.semisstable import SemiSSTable
 from repro.simssd.fs import SimFilesystem
 
@@ -154,10 +154,12 @@ class SemiLevels:
         self, level_no: int, lo: bytes, hi: Optional[bytes]
     ) -> list[SemiSSTable]:
         """Tables at ``level_no`` whose declared segment intersects [lo, hi)."""
+        if hi is not None and hi <= lo:
+            raise ValueError(f"empty key range: lo={lo!r} hi={hi!r}")
         return [
             t
             for t in self.level(level_no).tables.values()
-            if t.declared_range.overlaps(KeyRange(lo, hi))
+            if ranges_overlap(t.declared_range.lo, t.declared_range.hi, lo, hi)
         ]
 
     def all_tables(self) -> Iterator[SemiSSTable]:

@@ -4,10 +4,12 @@ Layout of one semi-SSTable:
 
 * **data blocks** — records sorted *within* a block; blocks appended over the
   table's lifetime need not be ordered relative to each other;
-* **metadata blocks** — a bloom filter per table for fast negative lookups;
+* **metadata blocks** — a bloom filter per table, modelled by its serialized
+  size only: the in-memory index below answers membership exactly;
 * **index blocks** — per-block key ranges, offsets, and validity, plus the
   set of all *valid* keys in the table (the paper prefix-compresses these;
-  we keep them in an in-memory map and charge their serialized size).
+  we keep them in an in-memory map, each key pointing at its record's
+  block and offset, and charge their serialized size).
 
 Merging new objects (:meth:`SemiSSTable.merge_append`) rewrites only the
 blocks whose keys are touched: their surviving records are merged with the
@@ -23,11 +25,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.common.bloom import BloomFilter
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange, ranges_overlap
 from repro.common.records import Record
-from repro.lsm.blocks import decode_block, encode_block, record_encoded_size
+from repro.lsm.blocks import encode_block, record_at, record_encoded_size, verify_block
 from repro.simssd.fs import SimFile, SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
@@ -88,8 +89,7 @@ class SemiSSTable:
         self.bits_per_key = bits_per_key
         self.file: SimFile = fs.create(f"semi_{table_id:08d}")
         self._reset_index()
-        self._bloom = BloomFilter(4096, bits_per_key)
-        #: Bumped by full_compact so cached block decodes of the previous
+        #: Bumped by full_compact so cached block payloads of the previous
         #: file generation (same name, same offsets) cannot alias.
         self._generation = 0
         #: Engine hook called as ``hook(table, block, superseded)`` when a
@@ -106,8 +106,8 @@ class SemiSSTable:
         self.blocks: list[SemiBlock] = []
         self._blocks_by_id: dict[int, SemiBlock] = {}
         self._next_block_id = 0
-        # key -> (block_id, seqno, record_size); the table's "index block".
-        self._key_map: dict[bytes, tuple[int, int, int]] = {}
+        # key -> (block_id, seqno, record_size, payload_offset): the "index block".
+        self._key_map: dict[bytes, tuple[int, int, int, int]] = {}
         self._valid_bytes = 0
         self._key_bytes = 0  # sum of len(key) over _key_map
         # The index's other two access paths.  By block: the keys each live
@@ -137,10 +137,6 @@ class SemiSSTable:
         return len(self.blocks)
 
     @property
-    def num_dead_blocks(self) -> int:
-        return sum(1 for b in self.blocks if b.is_dead)
-
-    @property
     def dirty_ratio(self) -> float:
         """Fraction of blocks that are dead or dirty (stale data on media)."""
         if not self.blocks:
@@ -156,8 +152,8 @@ class SemiSSTable:
 
     def _index_size_estimate(self) -> int:
         # Serialized metadata: a bloom sized to the live keys (10 bits each)
-        # plus one index entry per block.  The in-memory filter may be
-        # over-provisioned; media pays only for what a real table would store.
+        # plus one index entry per block.  No filter is built on the host
+        # (``_key_map`` is exact); media pays for what a real table would store.
         bloom_bytes = (self.num_valid_records * self.bits_per_key + 7) // 8
         return bloom_bytes + 24 * len(self.blocks)
 
@@ -192,11 +188,6 @@ class SemiSSTable:
         keys = self._block_keys.get(bid, ())
         return [k for k in keys if (e := key_map.get(k)) is not None and e[0] == bid]
 
-    def _valid_records(self, block: SemiBlock, records: list[Record]) -> list[Record]:
-        """The records read from ``block`` that the index still points at."""
-        key_map, bid = self._key_map, block.block_id
-        return [r for r in records if (e := key_map.get(r.key)) is not None and e[0] == bid]
-
     def key_seqno(self, key: bytes) -> Optional[int]:
         """Sequence number of the table's valid copy of ``key``, if any."""
         entry = self._key_map.get(key)
@@ -212,7 +203,7 @@ class SemiSSTable:
         self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND, cache=None
     ) -> tuple[Optional[Record], float]:
         """Point lookup.  Returns ``(record_or_none, service_time)``."""
-        if key not in self._bloom or key not in self._key_map:
+        if key not in self._key_map:
             return None, 0.0
         return self.get_indexed(key, kind, cache)
 
@@ -222,60 +213,78 @@ class SemiSSTable:
 
     def get_indexed(self, key: bytes, kind: TrafficKind, cache=None) -> tuple[Record, float]:
         """:meth:`get` for a key just read out of this table's own index
-        (a scan candidate): no bloom probe, one block read."""
+        (a scan candidate): one block read, one record decoded."""
         block = self._blocks_by_id[self._key_map[key][0]]  # block_of, inlined: hot
-        records, service = self._read_block(block, kind, cache)
-        for rec in records:
-            if rec.key == key:
-                return rec, service
-        raise ReproError(
-            f"index says key {key!r} is in block {block.block_id} but it is not"
-        )
+        payload, service = self._read_block(block, kind, cache)
+        return self._indexed_record(key, payload), service
+
+    def _indexed_record(self, key: bytes, payload: bytes) -> Record:
+        """Decode the record ``key``'s index entry points at in its block's payload."""
+        block_id, _, _, offset = self._key_map[key]
+        rec = record_at(payload, offset)
+        if rec.key != key:
+            raise ReproError(
+                f"index says key {key!r} is in block {block_id} but it is not"
+            )
+        return rec
 
     def _read_block(
         self, block: SemiBlock, kind: TrafficKind, cache=None
-    ) -> tuple[list[Record], float]:
+    ) -> tuple[bytes, float]:
+        """The block's payload (checksum stripped).  The CRC is verified on
+        every media read; a cached payload was verified when it was read."""
         cache_key = ("semiblk", self.file.name, self._generation, block.offset)
         if cache is not None:
             cached = cache.get(cache_key)
             if cached is not None:
                 return cached, 0.0
         raw, service = self.file.read(block.offset, block.length, kind)
-        records = decode_block(raw)
+        payload = verify_block(raw)
         if cache is not None:
-            cache.put(cache_key, records, charge=block.length)
-        return records, service
+            cache.put(cache_key, payload, charge=block.length)
+        return payload, service
+
+    def _read_live_records(
+        self, block: SemiBlock, kind: TrafficKind, superseded, cache=None
+    ) -> tuple[list[Record], float]:
+        """Background read of ``block``: decode, in key order, only the
+        records the index still points at (a dirty block's dead records
+        stay bytes).  A block that fails its check is triaged by
+        :attr:`on_corrupt_block`, then retired, and yields no records."""
+        try:
+            payload, service = self._read_block(block, kind, cache)
+            keys = self.keys_of_block(block)
+            return [self._indexed_record(k, payload) for k in keys], service
+        except CorruptionError:
+            if self.on_corrupt_block is None:
+                raise
+            self.on_corrupt_block(self, block, superseded)
+            self._kill_block(block)
+            return [], 0.0
 
     def read_blocks_bulk(
         self,
         blocks: list[SemiBlock],
         kind: TrafficKind = TrafficKind.FOREGROUND,
         cache=None,
-    ) -> tuple[dict[int, list[Record]], float]:
+    ) -> tuple[dict[int, bytes], float]:
         """Prefetch many blocks at once (the paper's future-work scan
         optimization): blocks are sorted by file offset and contiguous runs
         are fetched as single sequential I/Os, paying one command setup per
-        run instead of one per block."""
-        out: dict[int, list[Record]] = {}
-        pending: list[SemiBlock] = []
+        run instead of one per block.  Returns the verified payloads by
+        block id."""
+        out: dict[int, bytes] = {}
+        runs: list[list[SemiBlock]] = []  # uncached blocks, adjacent ones coalesced
         service = 0.0
         for block in sorted(blocks, key=lambda b: b.offset):
             cache_key = ("semiblk", self.file.name, self._generation, block.offset)
             cached = cache.get(cache_key) if cache is not None else None
             if cached is not None:
                 out[block.block_id] = cached
-                continue
-            pending.append(block)
-        # Coalesce adjacent blocks into sequential runs.
-        run: list[SemiBlock] = []
-        runs: list[list[SemiBlock]] = []
-        for block in pending:
-            if run and block.offset != run[-1].offset + run[-1].length:
-                runs.append(run)
-                run = []
-            run.append(block)
-        if run:
-            runs.append(run)
+            elif runs and block.offset == runs[-1][-1].offset + runs[-1][-1].length:
+                runs[-1].append(block)
+            else:
+                runs.append([block])
         for run in runs:
             start = run[0].offset
             length = run[-1].offset + run[-1].length - start
@@ -283,12 +292,11 @@ class SemiSSTable:
             service += s
             for block in run:
                 chunk = raw[block.offset - start : block.offset - start + block.length]
-                records = decode_block(chunk)
-                out[block.block_id] = records
+                payload = out[block.block_id] = verify_block(chunk)
                 if cache is not None:
                     cache.put(
                         ("semiblk", self.file.name, self._generation, block.offset),
-                        records,
+                        payload,
                         charge=block.length,
                     )
         return out, service
@@ -301,15 +309,7 @@ class SemiSSTable:
         for block in self.blocks:
             if block.is_dead:
                 continue
-            try:
-                records, _ = self._read_block(block, kind, cache)
-            except CorruptionError:
-                if self.on_corrupt_block is None:
-                    raise
-                self.on_corrupt_block(self, block, frozenset())
-                self._kill_block(block)
-                continue
-            out += self._valid_records(block, records)
+            out += self._read_live_records(block, kind, frozenset(), cache)[0]
         out.sort(key=lambda r: r.key)
         return iter(out)
 
@@ -382,21 +382,11 @@ class SemiSSTable:
 
         survivors: list[Record] = []
         for block in touched.values():
-            try:
-                block_records, s = self._read_block(block, kind)
-            except CorruptionError:
-                if self.on_corrupt_block is None:
-                    raise
-                # Keys being overwritten by this merge are superseded either
-                # way; the hook triages the block's *other* survivors.
-                self.on_corrupt_block(self, block, frozenset(incoming))
-                continue
+            # Keys being overwritten by this merge are superseded either
+            # way; a corrupt block's hook triages its *other* survivors.
+            live, s = self._read_live_records(block, kind, incoming.keys())
             service += s
-            survivors += [
-                rec
-                for rec in self._valid_records(block, block_records)
-                if rec.key not in incoming
-            ]
+            survivors += [rec for rec in live if rec.key not in incoming]
 
         merged = sorted(
             list(incoming.values()) + survivors, key=lambda r: r.key
@@ -444,19 +434,21 @@ class SemiSSTable:
         self._blocks_by_id[block.block_id] = block
         self._sorted_keys = None
         key_map = self._key_map
+        pos = 0  # offset of ``rec`` in the block's payload
         for rec in chunk:
             old = key_map.get(rec.key)
             if old is not None:
                 self._retire_entry(rec.key, old)
             else:
                 self._key_bytes += len(rec.key)
-            key_map[rec.key] = (block.block_id, rec.seqno, rec.encoded_size)
-            self._valid_bytes += rec.encoded_size
-        keys = self._block_keys[block.block_id] = [rec.key for rec in chunk]
-        self._bloom.add_many(keys)
+            size = rec.encoded_size
+            key_map[rec.key] = (block.block_id, rec.seqno, size, pos)
+            pos += size
+            self._valid_bytes += size
+        self._block_keys[block.block_id] = [rec.key for rec in chunk]
         return service
 
-    def _retire_entry(self, key: bytes, entry: tuple[int, int, int]) -> None:
+    def _retire_entry(self, key: bytes, entry: tuple[int, int, int, int]) -> None:
         old_block = self._blocks_by_id[entry[0]]
         old_block.valid_count -= 1
         if old_block.valid_count == 0:
@@ -486,19 +478,11 @@ class SemiSSTable:
         if entry is None:
             return [], 0.0
         block = self._blocks_by_id[entry[0]]
-        try:
-            records, service = self._read_block(block, kind)
-        except CorruptionError:
-            if self.on_corrupt_block is None:
-                raise
-            # The triggering key is superseded by the record travelling
-            # down; the hook triages the rest, then the block dies.
-            self.on_corrupt_block(self, block, frozenset((key,)))
-            self._kill_block(block)
-            return [], 0.0
-        survivors = self._valid_records(block, records)
+        # The triggering key is superseded by the record travelling down; a
+        # corrupt block's hook triages the rest.  Either way the block dies.
+        got = self._read_live_records(block, kind, frozenset((key,)))
         self._kill_block(block)
-        return survivors, service
+        return got
 
     def _kill_block(self, block: SemiBlock) -> None:
         """Drop every index entry still pointing at ``block``."""
@@ -536,7 +520,6 @@ class SemiSSTable:
         self.file = self.fs.create(old_name)
         self._generation += 1
         self._reset_index()
-        self._bloom = BloomFilter(max(1024, len(live)), self.bits_per_key)
         if live:
             service += self._append_blocks(live, kind)
         service += self._rewrite_index(kind)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro import obs
 from repro.common.cache import ObjectCache
 from repro.common.records import Record
+from repro.migration.scheduler import MigrationStats
 from repro.nvme.tier import PerformanceTier
 from repro.simssd.traffic import TrafficKind
 
@@ -24,22 +25,32 @@ class PromotionManager:
         performance_tier: PerformanceTier,
         cache_entries: int = 256,
         on_pressure=None,
+        stats: MigrationStats | None = None,
     ) -> None:
         self.performance_tier = performance_tier
+        #: Where promotions are counted — HyperDB passes its migration
+        #: scheduler's stats so both directions share one ledger.
+        self.stats = stats if stats is not None else MigrationStats()
         self.cache = ObjectCache(cache_entries, on_evict=self._flush)
         #: Called when a promotion pushes a partition over its watermark —
         #: HyperDB wires this to the migration scheduler so promoted hot
         #: data displaces cold zones.
         self.on_pressure = on_pressure
-        self.promotions = 0
-        self.promoted_bytes = 0
+
+    @property
+    def promotions(self) -> int:
+        return self.stats.promoted_objects
+
+    @property
+    def promoted_bytes(self) -> int:
+        return self.stats.promoted_bytes
 
     def _flush(self, key: bytes, rec: Record) -> None:
         partition = self.performance_tier.partition_for_key(key)
         service = partition.promote(rec, TrafficKind.MIGRATION)
         if service >= 0:
-            self.promotions += 1
-            self.promoted_bytes += rec.encoded_size
+            self.stats.promoted_objects += 1
+            self.stats.promoted_bytes += rec.encoded_size
             trc = obs.RECORDER
             if trc is not None:
                 trc.emit(

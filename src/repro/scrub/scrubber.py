@@ -47,7 +47,7 @@ from repro import obs
 from repro.common.errors import CorruptionError, DeviceOfflineError
 from repro.common.records import Record
 from repro.health.state import HealthState
-from repro.lsm.blocks import decode_one
+from repro.lsm.blocks import decode_one, decode_records
 from repro.simssd.traffic import TrafficKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -337,17 +337,26 @@ class Scrubber:
                 continue
             self.stats.semi_blocks_scanned += 1
             try:
-                # cache=None: scrub must read the media, not the page cache.
-                table._read_block(block, TrafficKind.SCRUB, cache=None)
+                self._check_semi_block(table, block)
             except CorruptionError:
                 self._repair_semi_block(table, block)
+
+    @staticmethod
+    def _check_semi_block(table: "SemiSSTable", block: "SemiBlock") -> None:
+        """Full media check of one block — the CRC, then every record header
+        (other readers decode only what the index points at; scrub's job is
+        the medium).  Raises :class:`CorruptionError`."""
+        # cache=None: scrub must read the media, not the page cache.
+        payload, _ = table._read_block(block, TrafficKind.SCRUB, cache=None)
+        for _ in decode_records(payload):
+            pass
 
     def _repair_semi_block(self, table: "SemiSSTable", block: "SemiBlock") -> None:
         """Escalation ladder for one corrupt semi-SSTable block."""
         self._detect("semi_block", table=table.table_id, block=block.block_id)
         for _ in range(self.config.reread_attempts):
             try:
-                table._read_block(block, TrafficKind.SCRUB, cache=None)
+                self._check_semi_block(table, block)
                 self._repair("semi_block_reread", table=table.table_id)
                 return
             except CorruptionError:

@@ -308,7 +308,8 @@ class WorkloadRunner:
         insert_code = ops.index(OpType.INSERT)
         n_choices = len(choice_list)
         value_cpu = CPU_PER_OP + CPU_PER_BYTE * self.value_size
-        key_buf = np.empty(0, dtype=np.int64)
+        kid_buf: list[int] = []  # key ids of the current insert-free stretch
+        key_buf: list[bytes] = []  # ... and their encodings, sliced in step
         buf_pos = 0
         row0 = tuple(d.busy_seconds() for d in device_objs)
         rows: list[tuple] = []
@@ -330,21 +331,23 @@ class WorkloadRunner:
             if op is OpType.INSERT:
                 # The only op that changes the generator's item count.
                 kids = [self.record_count + self._insert_count]
+                keys = encode_keys(kids)
                 self._insert_count += 1
                 generator.set_item_count(self.record_count + self._insert_count)
             else:
-                # Request keys are drawn in one vectorized call per
-                # insert-free stretch of the stream, so a slice (which never
-                # spans an insert) finds the buffer either empty or covering it.
-                if buf_pos >= len(key_buf):
+                # Request keys are drawn and encoded once per insert-free
+                # stretch of the stream, so a slice (which never spans an
+                # insert) finds the buffer either empty or covering it.
+                if buf_pos >= len(kid_buf):
                     k = i
                     while k < n_choices and choice_list[k] != insert_code:
                         k += 1
-                    key_buf = generator.next_many(k - i)
+                    drawn = generator.next_many(k - i)
+                    kid_buf, key_buf = drawn.tolist(), encode_keys(drawn)
                     buf_pos = 0
-                kids = key_buf[buf_pos : buf_pos + count].tolist()
+                kids = kid_buf[buf_pos : buf_pos + count]
+                keys = key_buf[buf_pos : buf_pos + count]
                 buf_pos += count
-            keys = encode_keys(kids)
             if op is OpType.READ:
                 services.extend(s for _, s in store.get_many(keys, busy_out=rows))
                 cpus.extend([CPU_PER_OP] * count)

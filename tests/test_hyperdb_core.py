@@ -170,6 +170,11 @@ class TestPromotionFlow:
         assert db.stats.counter("promotions_staged").value > 0
         db.finalize()  # flush staging cache into the hot zone
         assert db.promotion.promotions > 0
+        # One ledger: what ``migration.stats`` reports (and perfbench reads)
+        # is the live count, not a second counter nothing increments.
+        stats = db.migration.stats
+        assert stats.promoted_objects == db.promotion.promotions
+        assert stats.promoted_bytes == db.promotion.promoted_bytes > 0
 
     def test_staged_copy_served(self):
         db = make_db(nvme_mib=2)

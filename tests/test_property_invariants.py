@@ -16,7 +16,7 @@ from repro.common.records import Record
 from repro.lsm.lsmtree import LSMOptions, LSMTree
 from repro.lsm.semi import CapacityTier, SemiLevelConfig, SemiSSTable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem
-from repro.simssd.traffic import TrafficKind
+from tests.test_semi_sstable import check_index_offsets, walk_block
 
 
 def make_fs(mib=64, page=4096):
@@ -153,15 +153,16 @@ def check_semisstable_invariants(table: SemiSSTable) -> None:
     # 3. every valid key is inside the declared range.
     for key in table._key_map:
         assert table.declared_range.contains(key)
-    # 4. records are sorted within each live block.
+    # 4. records are sorted within each live block (whole-payload walk).
     for block in table.blocks:
         if block.is_dead:
             continue
-        records, _ = table._read_block(block, kind=TrafficKind.COMPACTION)
-        keys = [r.key for r in records]
+        keys = [r.key for r in walk_block(table, block)[1]]
         assert keys == sorted(keys)
         assert block.first_key == keys[0]
         assert block.last_key == keys[-1]
+    # 5. every index entry points at its own record inside its block.
+    check_index_offsets(table)
 
 
 class TestDeviceSpaceConservation:

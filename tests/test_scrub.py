@@ -15,6 +15,7 @@ import zlib
 
 import pytest
 
+from repro import obs
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
@@ -301,6 +302,33 @@ class TestSemiBlockLadder:
         assert st.harmless >= 1
         assert st.unrecoverable == 0
         assert db.get(k(300))[0] == b"newer"
+
+    def test_valid_crc_over_a_truncated_record_is_detected(self):
+        """Foreground reads decode one record at its indexed offset, so only
+        scrub's full walk sees a block that is structurally broken *under*
+        a matching checksum (a bug or a torn rewrite, not a bit flip)."""
+        db = make_db(scrub=ScrubConfig())
+        recs = [Record(k(400 + i), b"cap" * 30, db.next_seqno()) for i in range(4)]
+        db.capacity_tier.ingest(recs, TrafficKind.MIGRATION)
+        table = semi_table_for(db, k(400))
+        block = table._blocks_by_id[table._key_map[k(403)][0]]
+        assert table.keys_of_block(block)[-1] == k(403)  # the block's last record
+        data = table.file._data
+        payload = bytearray(data[block.offset : block.offset + block.length - 4])
+        # The last record starts its encoded size before the end: seqno 8B, flags 1B, key_len 2B.
+        vlen_at = len(payload) - table._key_map[k(403)][2] + 11
+        payload[vlen_at : vlen_at + 4] = (len(b"cap" * 30) + 1).to_bytes(4, "big")
+        data[block.offset : block.offset + block.length] = payload + zlib.crc32(
+            payload
+        ).to_bytes(4, "big")
+        assert db.get(k(400))[0] == b"cap" * 30  # the CRC holds: readable
+        with obs.recording() as trace:
+            db.scrub()
+        assert [
+            e.data["surface"] for e in trace.events() if e.type == "scrub_detect"
+        ] == ["semi_block"]
+        assert db.scrubber.stats.detected == 1
+        assert block.is_dead and k(403) in db.suspect_keys
 
 
 # ---------------------------------------------------------------------------

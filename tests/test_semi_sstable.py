@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.common.keys import KeyRange, encode_key
 from repro.common.errors import ReproError
 from repro.common.records import Record
+from repro.lsm.blocks import decode_records, record_at
 from repro.lsm.semi import SemiSSTable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
 
@@ -197,7 +198,27 @@ def old_index_read_size(table):
     return table._index_size_estimate() + sum(len(k) for k in table._key_map) // 2
 
 
+def walk_block(table, block):
+    """``(payload, every record in it)`` by a whole-payload walk — how a
+    block was read before index entries carried offsets."""
+    payload, _ = table._read_block(block, TrafficKind.COMPACTION)
+    return payload, list(decode_records(payload))
+
+
+def check_index_offsets(table):
+    """Every index entry points at its own record: decoding at the indexed
+    offset gives the key, seqno and size the entry states, and the very
+    record the walk finds under that key."""
+    walked = {b.block_id: walk_block(table, b) for b in table.blocks if not b.is_dead}
+    for key, (block_id, seqno, size, offset) in table._key_map.items():
+        payload, records = walked[block_id]
+        rec = record_at(payload, offset)
+        assert (rec.key, rec.seqno, rec.encoded_size) == (key, seqno, size)
+        assert [rec] == [r for r in records if r.key == key]
+
+
 def check_index_paths(table, probes):
+    check_index_offsets(table)
     assert table.valid_keys() == sorted(table._key_map)
     for start, limit in probes:
         assert table.keys_from(encode_key(start), limit) == old_keys_from(
@@ -249,6 +270,15 @@ class TestIndexAccessPaths:
                 table.destroy()
                 table.file = table.fs.create(table.file.name)  # stay usable
             check_index_paths(table, probes)
+
+    def test_entry_pointing_at_a_neighbour_is_an_error_not_a_wrong_answer(self, table):
+        table.merge_append(recs(range(8), value=b"v" * 40))
+        key, neighbour = encode_key(3), encode_key(4)
+        assert table._key_map[key][0] == table._key_map[neighbour][0]  # same block
+        table._key_map[key] = table._key_map[key][:3] + (table._key_map[neighbour][3],)
+        with pytest.raises(ReproError, match="index says key"):
+            table.get(key)
+        assert table.get(neighbour)[0].key == neighbour
 
     def test_writes_never_build_the_sorted_view(self, table):
         table.merge_append(recs(range(100)))
