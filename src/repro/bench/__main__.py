@@ -18,15 +18,14 @@ writes per-cell wall-clock timings as JSON for speedup analysis.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 import time
 
 from repro import obs
+from repro.bench.context import env_scale
 from repro.bench.experiments import ALL_EXPERIMENTS, LAST_JOB_TIMINGS
 from repro.bench.reporting import format_table
-from repro.parallel import host_metadata
+from repro.parallel import add_harness_arguments, finish
 from repro.parallel.pool import timing_records
 
 
@@ -39,32 +38,18 @@ def main(argv: list[str] | None = None) -> int:
         "experiments", nargs="*", metavar="FIG",
         help=f"experiments to run (default: all of {list(ALL_EXPERIMENTS)})",
     )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for cell fan-out (1 = serial in-process, "
-        "0 = one per core; results are identical at any count)",
-    )
-    parser.add_argument(
-        "--digest", action="store_true",
-        help="print 'DIGEST <sha256>' over all rendered tables (timing "
-        "lines excluded), for serial/parallel equivalence checks",
-    )
-    parser.add_argument(
-        "--timing-out", metavar="FILE", default=None,
-        help="write per-cell job timings + host metadata as JSON",
-    )
-    parser.add_argument(
-        "--trace-out", metavar="FILE", default=None,
-        help="record an obs trace of the whole run and export it as JSONL "
-        "(inspect with 'python -m repro.obs summarize FILE'); tracing "
-        "never changes results or digests",
-    )
+    add_harness_arguments(parser, unit="cell")
     args = parser.parse_args(argv)
 
     wanted = args.experiments or list(ALL_EXPERIMENTS)
     unknown = [w for w in wanted if w not in ALL_EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {unknown}; available: {list(ALL_EXPERIMENTS)}")
+        return 2
+    try:
+        env_scale()
+    except ValueError as exc:
+        print(exc)
         return 2
 
     recorder = obs.install() if args.trace_out else None
@@ -82,24 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[{name} took {time.time() - start:.1f}s]\n")
         timings[name] = timing_records(LAST_JOB_TIMINGS.get(name, []))
 
-    if recorder is not None:
-        obs.uninstall()
-        recorder.export_jsonl(args.trace_out)
-        print(
-            f"trace: {recorder.total_events} events "
-            f"({recorder.dropped} dropped) -> {args.trace_out}"
-        )
-    if args.digest:
-        digest = hashlib.sha256("\n\n".join(tables).encode()).hexdigest()
-        print(f"DIGEST {digest}")
-    if args.timing_out:
-        doc = {
-            "host": host_metadata(workers=args.workers),
-            "experiments": timings,
-        }
-        with open(args.timing_out, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
+    finish(args, recorder, "\n\n".join(tables), {"experiments": timings})
     return 0
 
 

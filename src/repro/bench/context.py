@@ -10,6 +10,7 @@ proportionally toward paper scale.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -34,8 +35,15 @@ STORE_NAMES = ("hyperdb", "rocksdb", "rocksdb-sc", "prismdb")
 
 
 def env_scale() -> float:
-    """The ``REPRO_SCALE`` multiplier (default 1)."""
-    return float(os.environ.get("REPRO_SCALE", "1"))
+    """The ``REPRO_SCALE`` multiplier (default 1): a finite number > 0."""
+    text = os.environ.get("REPRO_SCALE", "1")
+    try:
+        mult = float(text)
+    except ValueError:
+        mult = math.nan
+    if not (math.isfinite(mult) and mult > 0):
+        raise ValueError(f"REPRO_SCALE must be a finite number > 0, got {text!r}")
+    return mult
 
 
 @dataclass

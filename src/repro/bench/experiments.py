@@ -26,8 +26,13 @@ import numpy as np
 
 from repro.bench.context import BenchScale, build_store, hyperdb_config
 from repro.bench.reporting import kops, mb
+from repro.chaos.cluster import measure_cluster_throughput
+from repro.chaos.harness import measure_soak_throughput
+from repro.common.keys import encode_key
 from repro.core import HyperDB
+from repro.core.interface import KVStore
 from repro.health.state import HealthState, HealthWindow
+from repro.scrub import ScrubConfig
 from repro.simssd.faults import FaultInjector, FaultPlan
 from repro.hotness.interval import (
     interval_conditional_probabilities,
@@ -38,8 +43,13 @@ from repro.parallel.pool import JobResult, unwrap_all
 from repro.ycsb import WorkloadRunner, WorkloadSpec, YCSB_WORKLOADS
 
 
-def _loaded_runner(store_name: str, scale: BenchScale, **runner_kw) -> WorkloadRunner:
-    store = build_store(store_name, scale)
+def _loaded_runner(
+    store: str | KVStore, scale: BenchScale, **runner_kw
+) -> WorkloadRunner:
+    """A runner over ``store`` — an engine name (built fresh at ``scale``)
+    or an already built store — with the dataset loaded."""
+    if isinstance(store, str):
+        store = build_store(store, scale)
     runner = WorkloadRunner(
         store,
         record_count=scale.record_count,
@@ -127,15 +137,7 @@ def _workload_cell(
 
 def _ablation_cell(overrides: dict, scale: BenchScale) -> dict:
     store = build_store("hyperdb", scale, **overrides)
-    runner = WorkloadRunner(
-        store,
-        record_count=scale.record_count,
-        value_size=scale.value_size,
-        clients=scale.clients,
-        background_threads=scale.background_threads,
-        seed=scale.seed,
-    )
-    runner.load()
+    runner = _loaded_runner(store, scale)
     result = runner.run(YCSB_WORKLOADS["A"], scale.operations)
     return {
         "result": result,
@@ -542,7 +544,17 @@ def fig11_background_traffic(
     }
 
 
-# --------------------------------------------------------------- Queue depth
+# ------------------------------------------------------ Service-model figures
+
+#: The migration-active cell of ``queue_depth`` and of ``degraded_cost``'s
+#: scrub row.  NVMe holds 35% of the dataset and the dataset is sized past
+#: the 512 KiB NVMe capacity floor: smaller datasets leave the fast tier
+#: oversized, migration never runs, and there is no background traffic to
+#: isolate or to scrub behind.  Built without ``BenchScale.default``: the
+#: size is a property of the service model, so ``REPRO_SCALE`` must not
+#: shrink it.
+_SERVICE_CELL = BenchScale(record_count=6_000, operations=6_000, nvme_ratio=0.35)
+
 
 def _queue_cell(
     queue_count: int, queue_depth: int, degraded: bool, scale: BenchScale
@@ -563,15 +575,7 @@ def _queue_cell(
         )
     nvme, sata = cell_scale.devices(injector=injector)
     store = HyperDB(nvme, sata, hyperdb_config(cell_scale))
-    runner = WorkloadRunner(
-        store,
-        record_count=cell_scale.record_count,
-        value_size=cell_scale.value_size,
-        clients=cell_scale.clients,
-        background_threads=cell_scale.background_threads,
-        seed=cell_scale.seed,
-    )
-    runner.load()
+    runner = _loaded_runner(store, cell_scale)
     return runner.run(YCSB_WORKLOADS["A"], cell_scale.operations)
 
 
@@ -586,14 +590,10 @@ def queue_depth_isolation(
     inside an 8x capacity-tier brownout.  Queue counts 1/2/4 at full depth
     show what isolating background traffic from the foreground queue buys
     back under degradation; shallow depths at 4 queues show the per-queue
-    concurrency cap throttling the device.
+    concurrency cap throttling the device.  The default cell is fixed at
+    6,000 records / 6,000 ops whatever ``REPRO_SCALE`` says.
     """
-    # Sized past the 512 KiB NVMe capacity floor: smaller datasets leave
-    # the fast tier oversized, migration never runs, and there is no
-    # background traffic to isolate.
-    scale = scale or BenchScale.default(
-        record_count=6_000, operations=6_000, nvme_ratio=0.35
-    )
+    scale = scale or _SERVICE_CELL
     shapes = [(1, 32), (2, 32), (4, 32), (4, 4), (4, 1)]
     jobs = [
         Job(
@@ -626,6 +626,118 @@ def queue_depth_isolation(
         "headers": ["shape", "healthy kops/s", "degraded kops/s", "ratio"],
         "rows": rows,
         "raw": raw,
+    }
+
+
+def _scrub_cost_cell(scale: BenchScale, interval_ops: int) -> dict:
+    """The same put-then-get stream twice on one cell — scrub disabled,
+    then armed every ``interval_ops`` client ops with every scrub read
+    charged to the SCRUB lane — and the simulated device time of each."""
+    n = scale.record_count
+    value = b"s" * 128
+
+    def drive(scrub: Optional[ScrubConfig]):
+        store = build_store("hyperdb", scale, scrub=scrub)
+        for i in range(n):
+            store.put(encode_key(i), value)
+            if scrub:
+                store.scrubber.maybe_run()
+        for i in range(n):
+            store.get(encode_key(i))
+            if scrub:
+                store.scrubber.maybe_run()
+        return store, sum(d.busy_seconds() for d in store.devices().values())
+
+    _, busy_off = drive(None)
+    store_on, busy_on = drive(ScrubConfig(interval_ops=interval_ops))
+    st = store_on.scrubber.stats
+    return {
+        "sim_busy_s_scrub_off": round(busy_off, 6),
+        "sim_busy_s_scrub_on": round(busy_on, 6),
+        "scrub_overhead": round(busy_on / busy_off, 4),
+        "scrub_passes": st.passes,
+        "zone_slots_scanned": st.zone_slots_scanned,
+        "semi_blocks_scanned": st.semi_blocks_scanned,
+        "detected": st.detected,
+    }
+
+
+def degraded_cost(workers: int = 1):
+    """What degradation costs in simulated device time: the same op stream
+    healthy vs degraded, one row per kind of degradation.
+
+    * background integrity scrub armed every 1,000 ops on the 6,000-record
+      migration-active cell (the cost of periodic full-device
+      verification, in device busy seconds; a fault-free store must scrub
+      clean, ``detected == 0``);
+    * an NVMe outage window over a 900-op single-node soak (failover to
+      the capacity tier, in simulated ops per busy second);
+    * a one-node outage window over a 600-op quorum-write stream on the
+      sharded cluster (replication hides it: as many writes acked).
+
+    Every value is simulated and deterministic; the cell sizes are fixed
+    whatever ``REPRO_SCALE`` says — they are properties of the service
+    model, not of the dataset sweep.
+    """
+    scrub_every = 1_000
+    jobs = [
+        Job(
+            _scrub_cost_cell,
+            args=(_SERVICE_CELL, scrub_every),
+            label="degraded_cost:scrub",
+        ),
+        Job(
+            measure_soak_throughput,
+            kwargs={"num_ops": 900, "seed": 0},
+            label="degraded_cost:nvme-outage",
+        ),
+        Job(
+            measure_cluster_throughput,
+            kwargs={"num_ops": 600, "seed": 0},
+            label="degraded_cost:node-outage",
+        ),
+    ]
+    scrub, outage, cluster = _run_cells("degraded_cost", jobs, workers)
+    # Pre-rendered strings: the table's float format keeps three digits,
+    # and these are the recorded figures.
+    rows = [
+        (
+            f"scrub every {scrub_every} ops",
+            "device busy s",
+            str(scrub["sim_busy_s_scrub_off"]),
+            str(scrub["sim_busy_s_scrub_on"]),
+            str(scrub["scrub_overhead"]),
+            f"{scrub['scrub_passes']} passes, {scrub['zone_slots_scanned']} slots"
+            f" + {scrub['semi_blocks_scanned']} blocks scanned,"
+            f" {scrub['detected']} detected",
+        ),
+        (
+            "nvme outage window",
+            "sim ops/s",
+            str(outage["sim_ops_per_s_healthy"]),
+            str(outage["sim_ops_per_s_degraded"]),
+            str(outage["degraded_over_healthy"]),
+            f"{outage['failover_writes']} failover writes,"
+            f" {outage['failover_reads']} failover reads,"
+            f" {outage['unavailable_ops']} unavailable",
+        ),
+        (
+            "one-node outage (cluster)",
+            "sim ops/s",
+            str(cluster["sim_ops_per_s_healthy"]),
+            str(cluster["sim_ops_per_s_degraded"]),
+            str(cluster["degraded_over_healthy"]),
+            f"{cluster['hints_stored']} hints,"
+            f" {cluster['quorum_writes_acked_healthy']} ="
+            f" {cluster['quorum_writes_acked_degraded']} quorum writes acked",
+        ),
+    ]
+    return {
+        "title": "Degraded cost: simulated device time, same op stream "
+        "healthy vs degraded",
+        "headers": ["degradation", "metric", "healthy", "degraded", "ratio", "proof"],
+        "rows": rows,
+        "raw": {"scrub": scrub, "nvme_outage": outage, "node_outage": cluster},
     }
 
 
@@ -683,5 +795,6 @@ ALL_EXPERIMENTS = {
     "fig10": fig10_latency_breakdown,
     "fig11": fig11_background_traffic,
     "queue_depth": queue_depth_isolation,
+    "degraded_cost": degraded_cost,
     "ablations": ablations,
 }

@@ -27,8 +27,6 @@ Exit status is non-zero when any scenario's integrity oracle fails.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 
 from repro import obs
@@ -44,7 +42,7 @@ from repro.chaos.harness import (
     scrub_scenarios,
     smoke_scenarios,
 )
-from repro.parallel import host_metadata
+from repro.parallel import add_harness_arguments, finish
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,25 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         help="run only the latent-corruption scenarios (background scrub, "
         "repair ladder, cluster anti-entropy) — the scrub CI smoke set",
     )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the scenario fan-out (1 = serial "
-        "in-process, 0 = one per core; reports are identical at any count)",
-    )
-    parser.add_argument(
-        "--digest", action="store_true",
-        help="print 'DIGEST <sha256>' over all scenario summaries, for "
-        "serial/parallel equivalence checks",
-    )
-    parser.add_argument(
-        "--timing-out", metavar="FILE", default=None,
-        help="write per-scenario timings + host metadata as JSON",
-    )
-    parser.add_argument(
-        "--trace-out", metavar="FILE", default=None,
-        help="record an obs trace (health/failover/stall events included) "
-        "and export it as JSONL; tracing never changes the verdicts",
-    )
+    add_harness_arguments(parser, unit="scenario")
     args = parser.parse_args(argv)
 
     if args.cluster:
@@ -120,32 +100,16 @@ def main(argv: list[str] | None = None) -> int:
     summary = report.summary()
     print(summary)
     print(f"scenarios exercised: {len(report.results)}")
-    if recorder is not None:
-        obs.uninstall()
-        recorder.export_jsonl(args.trace_out)
-        print(
-            f"trace: {recorder.total_events} events "
-            f"({recorder.dropped} dropped) -> {args.trace_out}"
-        )
-    if args.digest:
-        digest = hashlib.sha256(summary.encode()).hexdigest()
-        print(f"DIGEST {digest}")
-    if args.timing_out:
-        doc = {
-            "host": host_metadata(workers=args.workers),
-            "scenarios": [
-                {
-                    "name": r.scenario,
-                    "engine": getattr(r, "engine", "cluster"),
-                    "seconds": round(s, 6),
-                    "ok": r.passed,
-                }
-                for r, s in zip(report.results, report.scenario_seconds)
-            ],
+    scenario_timings = [
+        {
+            "name": r.scenario,
+            "engine": getattr(r, "engine", "cluster"),
+            "seconds": round(s, 6),
+            "ok": r.passed,
         }
-        with open(args.timing_out, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
+        for r, s in zip(report.results, report.scenario_seconds)
+    ]
+    finish(args, recorder, summary, {"scenarios": scenario_timings})
     return 0 if report.passed else 1
 
 

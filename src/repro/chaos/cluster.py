@@ -684,7 +684,7 @@ def measure_cluster_throughput(num_ops: int = 400, seed: int = 0) -> dict:
     Drives the same op stream through two identical clusters — one
     fault-free, one with a single-node outage window — and compares
     simulated service throughput.  Deterministic for ``(num_ops, seed)``;
-    the ``repro.perf`` ``cluster_soak`` bench records the ratio.
+    the ``degraded_cost`` experiment of ``repro.bench`` tabulates it.
     """
     base = ClusterScenario(name="cluster-node-outage", num_ops=num_ops)
     ops = _ops_stream(seed * 1_000_003 + sum(base.name.encode()), num_ops)

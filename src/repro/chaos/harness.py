@@ -763,7 +763,8 @@ def _check_scrub_effects(engine, scenario, result):
 
 
 def measure_soak_throughput(num_ops: int = 600, seed: int = 0) -> dict:
-    """Simulated ops/s healthy vs one-tier-degraded (the perf-bench hook).
+    """Simulated ops/s healthy vs one-tier-degraded (the ``degraded_cost``
+    experiment of ``repro.bench`` tabulates it).
 
     Drives the same op stream twice — once fault-free, once with an NVMe
     outage window — and compares simulated service throughput (ops per

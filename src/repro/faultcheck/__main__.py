@@ -21,8 +21,6 @@ Exit status is non-zero when any crash point or absorption check fails.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 
 from repro import obs
@@ -31,7 +29,7 @@ from repro.faultcheck.harness import (
     run_lsm_crash_matrix,
     run_transient_absorption,
 )
-from repro.parallel import host_metadata
+from repro.parallel import add_harness_arguments, finish
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,25 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="run only the crash matrices",
     )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the crash-point fan-out (1 = serial "
-        "in-process, 0 = one per core; reports are identical at any count)",
-    )
-    parser.add_argument(
-        "--digest", action="store_true",
-        help="print 'DIGEST <sha256>' over all report summaries, for "
-        "serial/parallel equivalence checks",
-    )
-    parser.add_argument(
-        "--timing-out", metavar="FILE", default=None,
-        help="write per-crash-point timings + host metadata as JSON",
-    )
-    parser.add_argument(
-        "--trace-out", metavar="FILE", default=None,
-        help="record an obs trace (crash/fault/recovery events included) "
-        "and export it as JSONL; tracing never changes the matrix verdicts",
-    )
+    add_harness_arguments(parser, unit="crash-point")
     args = parser.parse_args(argv)
 
     recorder = obs.install() if args.trace_out else None
@@ -128,37 +108,21 @@ def main(argv: list[str] | None = None) -> int:
 
     total_points = sum(len(r.results) for r in reports)
     print(f"crash points exercised: {total_points}")
-    if recorder is not None:
-        obs.uninstall()
-        recorder.export_jsonl(args.trace_out)
-        print(
-            f"trace: {recorder.total_events} events "
-            f"({recorder.dropped} dropped) -> {args.trace_out}"
-        )
-    if args.digest:
-        digest = hashlib.sha256("\n".join(summaries).encode()).hexdigest()
-        print(f"DIGEST {digest}")
-    if args.timing_out:
-        doc = {
-            "host": host_metadata(workers=args.workers),
-            "matrices": [
+    matrix_timings = [
+        {
+            "engine": r.engine,
+            "points": [
                 {
-                    "engine": r.engine,
-                    "points": [
-                        {
-                            "crash_after_write_io": p.crash_after_write_io,
-                            "seconds": round(s, 6),
-                            "ok": p.ok,
-                        }
-                        for p, s in zip(r.results, r.point_seconds)
-                    ],
+                    "crash_after_write_io": p.crash_after_write_io,
+                    "seconds": round(s, 6),
+                    "ok": p.ok,
                 }
-                for r in reports
+                for p, s in zip(r.results, r.point_seconds)
             ],
         }
-        with open(args.timing_out, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
+        for r in reports
+    ]
+    finish(args, recorder, "\n".join(summaries), {"matrices": matrix_timings})
     return 1 if failed else 0
 
 

@@ -13,14 +13,15 @@ three pieces that make fanning those cells across processes *safe*:
   whole :class:`RunResult` shards), so a sharded run collapses to the
   same aggregates regardless of worker count;
 * :mod:`repro.parallel.hostinfo` — host-shape metadata recorded next to
-  timing numbers so cross-machine comparisons stay interpretable.
+  timing numbers so cross-machine comparisons stay interpretable, and the
+  flags + artifact tail the harness CLIs share.
 
 The invariant every consumer relies on: ``workers=1`` executes the jobs
 in-process, in order, and is byte-identical to the pre-parallel serial
 code path; ``workers=N`` changes wall-clock only, never results.
 """
 
-from repro.parallel.hostinfo import host_metadata, same_host_shape
+from repro.parallel.hostinfo import add_harness_arguments, finish, host_metadata
 from repro.parallel.merge import (
     merge_latency_maps,
     merge_run_results,
@@ -37,5 +38,6 @@ __all__ = [
     "merge_run_results",
     "merge_traffic_deltas",
     "host_metadata",
-    "same_host_shape",
+    "add_harness_arguments",
+    "finish",
 ]

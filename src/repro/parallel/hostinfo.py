@@ -1,16 +1,21 @@
-"""Host-shape metadata for timing records.
+"""What the harness CLIs share: host-shape metadata for timing records,
+the four fan-out / artifact flags, and the tail that writes the artifacts.
 
-Wall-clock numbers only compare meaningfully within one "host shape":
-same core count, same architecture, same worker count.  The perf
-trajectory stamps every run with this metadata and skips speedup
-computation when the baseline's shape differs.
+Wall-clock numbers only compare meaningfully within one "host shape"
+(same core count, same architecture, same worker count), so every timing
+document is stamped with :func:`host_metadata`.
 """
 
 from __future__ import annotations
 
+import argparse
+import hashlib
+import json
 import os
 import platform
 from typing import Optional
+
+from repro import obs
 
 
 def host_metadata(workers: int = 1) -> dict:
@@ -23,13 +28,54 @@ def host_metadata(workers: int = 1) -> dict:
     }
 
 
-def same_host_shape(a: Optional[dict], b: Optional[dict]) -> bool:
-    """Whether two runs' timings are comparable.
+def add_harness_arguments(parser: argparse.ArgumentParser, unit: str) -> None:
+    """``--workers``, ``--digest``, ``--timing-out`` and ``--trace-out`` —
+    the same four on ``repro.bench``, ``repro.chaos`` and
+    ``repro.faultcheck``.  ``unit`` names what one fanned-out job is
+    (cell, scenario, crash point) in the help text."""
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help=f"worker processes for the {unit} fan-out (1 = serial "
+        "in-process, 0 = one per core; results are identical at any count)",
+    )
+    parser.add_argument(
+        "--digest", action="store_true",
+        help="print 'DIGEST <sha256>' over the report text (timing lines "
+        "excluded), for serial/parallel equivalence checks",
+    )
+    parser.add_argument(
+        "--timing-out", metavar="FILE", default=None,
+        help=f"write per-{unit} job timings + host metadata as JSON",
+    )
+    parser.add_argument(
+        "--trace-out", metavar="FILE", default=None,
+        help="record an obs trace of the whole run and export it as JSONL "
+        "(inspect with 'python -m repro.obs summarize FILE'); tracing "
+        "never changes results, verdicts or digests",
+    )
 
-    Entries recorded before host metadata existed (``None``) are treated
-    as same-shape: they came from the single-host serial-only era, and
-    refusing to compare would orphan the whole existing trajectory.
-    """
-    if a is None or b is None:
-        return True
-    return all(a.get(k) == b.get(k) for k in ("cpu_count", "machine", "workers"))
+
+def finish(
+    args: argparse.Namespace,
+    recorder: Optional[obs.TraceRecorder],
+    digest_text: str,
+    timing_doc: dict,
+) -> None:
+    """The tail of a harness run, in the order every CLI printed it:
+    export the trace (``recorder`` is what ``obs.install()`` returned, or
+    None), print the digest of ``digest_text``, write ``timing_doc`` under
+    the host metadata."""
+    if recorder is not None:
+        obs.uninstall()
+        recorder.export_jsonl(args.trace_out)
+        print(
+            f"trace: {recorder.total_events} events "
+            f"({recorder.dropped} dropped) -> {args.trace_out}"
+        )
+    if args.digest:
+        print(f"DIGEST {hashlib.sha256(digest_text.encode()).hexdigest()}")
+    if args.timing_out:
+        doc = {"host": host_metadata(workers=args.workers), **timing_doc}
+        with open(args.timing_out, "w") as f:
+            json.dump(doc, f, indent=2)
+            f.write("\n")

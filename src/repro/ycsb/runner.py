@@ -25,6 +25,7 @@ latency are then derived:
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -115,6 +116,35 @@ class RunResult:
         if kind is not None:
             return lanes.get(kind, {}).get("read_bytes", 0.0)
         return sum(l["read_bytes"] for l in lanes.values())
+
+    def digest(self, load_total: float) -> str:
+        """A canonical sha256 over one load + run's observable results.
+
+        Floats go in as ``float.hex()`` (exact bits, no rounding), dicts in
+        sorted key order, histograms as their raw sample buffers — so two
+        runs digest equal iff their results are bit-identical.  This is the
+        request-path contract's enforcement hook: tier-1 diffs the smoke
+        cell's digest against the pinned ``results/DIGEST_ycsb_e2e_smoke.txt``
+        and the runner against the scalar reference executor with it.
+        """
+        h = hashlib.sha256()
+        h.update(float(load_total).hex().encode())
+        h.update(str(self.operations).encode())
+        h.update(float(self.elapsed_s).hex().encode())
+        h.update(float(self.throughput_ops).hex().encode())
+        for dev in sorted(self.traffic):
+            for lane in sorted(self.traffic[dev]):
+                for name in sorted(self.traffic[dev][lane]):
+                    v = float(self.traffic[dev][lane][name])
+                    h.update(f"{dev}/{lane}/{name}={v.hex()};".encode())
+        for dev in sorted(self.utilization):
+            h.update(f"u:{dev}={float(self.utilization[dev]).hex()};".encode())
+        for dev in sorted(self.space_used):
+            h.update(f"s:{dev}={int(self.space_used[dev])};".encode())
+        for op in sorted(self.latency_by_op):
+            h.update(op.encode())
+            h.update(self.latency_by_op[op].samples().tobytes())
+        return h.hexdigest()
 
 
 class WorkloadRunner:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench import BenchScale, STORE_NAMES, build_store, format_table
+from repro.bench.context import env_scale
 from repro.bench.reporting import kops, mb
 from repro.common.keys import encode_key
 
@@ -31,6 +32,30 @@ class TestBenchScale:
         nvme, sata = BenchScale(record_count=1000).devices()
         assert nvme.profile.name == "nvme" and sata.profile.name == "sata"
         assert nvme is not sata
+
+
+class TestEnvScale:
+    def test_default_and_valid_values(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        assert env_scale() == 1.0
+        monkeypatch.setenv("REPRO_SCALE", "0.08")
+        assert env_scale() == 0.08
+        assert BenchScale.default(record_count=1000).record_count == 80
+
+    @pytest.mark.parametrize("text", ["x", "0", "-1", "nan", "inf"])
+    def test_bad_values_name_the_variable(self, monkeypatch, text):
+        monkeypatch.setenv("REPRO_SCALE", text)
+        with pytest.raises(ValueError, match=f"REPRO_SCALE.*{text!r}"):
+            env_scale()
+        with pytest.raises(ValueError, match="REPRO_SCALE"):
+            BenchScale.default()
+
+    def test_cli_exits_2_with_the_message(self, monkeypatch, capsys):
+        from repro.bench.__main__ import main
+
+        monkeypatch.setenv("REPRO_SCALE", "0")
+        assert main(["fig6a"]) == 2
+        assert "REPRO_SCALE" in capsys.readouterr().out
 
 
 class TestBuildStore:

@@ -13,6 +13,8 @@ must fall back to the scalar paths without skipping any charge).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,6 @@ from repro.common.keys import KeyRange, encode_key, encode_keys
 from repro.core import HyperDB, HyperDBConfig
 from repro.health.state import HealthState, HealthWindow
 from repro.nvme.config import NVMeConfig
-from repro.perf.harness import _run_digest
 from repro.simssd import (
     NVME_PROFILE,
     SATA_PROFILE,
@@ -47,8 +48,8 @@ SCALE_KW = dict(
 )
 
 
-def _digest_for(store_factory, workload: str, runner_cls):
-    scale = BenchScale(**SCALE_KW)
+def _digest_for(store_factory, workload: str, runner_cls, scale=None):
+    scale = scale or BenchScale(**SCALE_KW)
     store = store_factory(scale)
     runner = runner_cls(
         store,
@@ -59,12 +60,12 @@ def _digest_for(store_factory, workload: str, runner_cls):
         seed=scale.seed,
     )
     load_total = runner.load()
-    result = runner.run(YCSB_WORKLOADS[workload], SCALE_KW["operations"])
+    result = runner.run(YCSB_WORKLOADS[workload], scale.operations)
     counters = None
     stats = getattr(store, "stats", None)
     if stats is not None:
         counters = [(name, c.value) for name, c in stats.counters.items()]
-    return _run_digest(load_total, result), counters
+    return result.digest(load_total), counters
 
 
 def _assert_matches_reference(store_factory, workload: str) -> None:
@@ -87,6 +88,20 @@ def test_hyperdb_matches_scalar_reference(workload):
 @pytest.mark.parametrize("workload", sorted(YCSB_WORKLOADS))
 def test_rocksdb_matches_scalar_reference(workload):
     _assert_matches_reference(lambda s: build_store("rocksdb", s), workload)
+
+
+def test_smoke_e2e_digest_matches_committed_pin():
+    # The whole-engine pin: HyperDB at the default bench geometry, 1,200
+    # records loaded, 1,200 ops of YCSB-B.  Any drift in the float math —
+    # a charge, a ledger, the elapsed model, the multi-queue model at
+    # queue_count=1 — changes these bytes; the scalar-reference tests
+    # above would still pass if both executors drifted together.
+    scale = BenchScale(record_count=1_200, operations=1_200)
+    digest, _ = _digest_for(
+        lambda s: build_store("hyperdb", s), "B", WorkloadRunner, scale
+    )
+    pin = Path(__file__).parent.parent / "results" / "DIGEST_ycsb_e2e_smoke.txt"
+    assert digest == pin.read_text().strip()
 
 
 # ------------------------------------------- guarded: injector + windows

@@ -10,7 +10,7 @@ class TestRegistry:
     def test_every_figure_registered(self):
         expected = {
             "fig2", "fig3", "fig6a", "fig8", "fig9a", "fig9b", "fig9c",
-            "fig10", "fig11", "queue_depth", "ablations",
+            "fig10", "fig11", "queue_depth", "degraded_cost", "ablations",
         }
         assert set(ALL_EXPERIMENTS) == expected
 

@@ -13,13 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.context import BenchScale
+from repro.bench.experiments import _workload_cell
 from repro.common.stats import LatencyHistogram
 from repro.parallel import (
+    Job,
     merge_latency_maps,
     merge_run_results,
     merge_traffic_deltas,
+    run_jobs,
 )
+from repro.parallel.pool import unwrap_all
 from repro.simssd.traffic import TrafficKind, TrafficStats
+from repro.ycsb import YCSB_WORKLOADS
 from repro.ycsb.runner import RunResult
 
 # Dyadic rationals: float addition over these is exact, so sharded sums
@@ -279,3 +285,34 @@ class TestOverallLatencyAggregation:
         second = list(r.overall_latency.samples())
         assert first == second == [1.0, 3.0, 2.0]
         assert r.median_latency() == 2.0  # still correct after repeated use
+
+
+class TestPooledRunResultsIdentical:
+    """End to end through a real pool: RunResult-returning figure cells are
+    bit-identical at ``workers=1`` (in-process) and ``workers=2`` (a
+    process pool — two workers over four jobs), and so is their merge."""
+
+    def test_workload_cells_and_their_merge_match_serial(self):
+        jobs = [
+            Job(
+                _workload_cell,
+                args=(
+                    "hyperdb",
+                    BenchScale(record_count=500, operations=500, seed=1009 + i),
+                    YCSB_WORKLOADS["B"],
+                    500,
+                ),
+                label=f"cell{i}",
+            )
+            for i in range(4)
+        ]
+        serial = unwrap_all(run_jobs(jobs, workers=1))
+        pooled = unwrap_all(run_jobs(jobs, workers=2))
+        # load_total is not part of a cell's return value; 0.0 on both sides.
+        digests = [r.digest(0.0) for r in serial]
+        assert digests == [r.digest(0.0) for r in pooled]
+        assert len(set(digests)) == 4  # four seeds, four different runs
+        assert (
+            merge_run_results(serial).digest(0.0)
+            == merge_run_results(pooled).digest(0.0)
+        )

@@ -1,9 +1,14 @@
 """Tests for the deterministic process-pool scheduler (repro.parallel.pool)."""
 
+import argparse
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from repro.parallel import Job, derive_seeds, run_jobs
+from repro import obs
+from repro.parallel import Job, add_harness_arguments, derive_seeds, finish, run_jobs
 from repro.parallel.pool import (
     JobResult,
     default_workers,
@@ -102,3 +107,42 @@ class TestSeedsAndTimings:
             [JobResult(index=0, label="x", seconds=0.5, ok=True, value=1)]
         )
         assert recs == [{"index": 0, "label": "x", "seconds": 0.5, "ok": True}]
+
+
+class TestHarnessTail:
+    """The flags and the artifact tail that repro.bench, repro.chaos and
+    repro.faultcheck share (repro.parallel.hostinfo)."""
+
+    def _parse(self, argv):
+        parser = argparse.ArgumentParser()
+        add_harness_arguments(parser, unit="cell")
+        return parser.parse_args(argv)
+
+    def test_defaults_print_and_write_nothing(self, capsys):
+        args = self._parse([])
+        assert (args.workers, args.digest, args.timing_out, args.trace_out) == (
+            1, False, None, None,
+        )
+        finish(args, None, "report", {"cells": []})
+        assert capsys.readouterr().out == ""
+
+    def test_trace_then_digest_then_timing_document(self, tmp_path, capsys):
+        timing, trace = tmp_path / "t.json", tmp_path / "t.jsonl"
+        args = self._parse([
+            "--workers", "3", "--digest",
+            "--timing-out", str(timing), "--trace-out", str(trace),
+        ])
+        recorder = obs.install()
+        finish(args, recorder, "report", {"cells": [1, 2]})
+        assert obs.RECORDER is None  # uninstalled before the export
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            f"trace: 0 events (0 dropped) -> {trace}",
+            f"DIGEST {hashlib.sha256(b'report').hexdigest()}",
+        ]
+        assert trace.exists()
+        doc = json.loads(timing.read_text())
+        assert list(doc) == ["host", "cells"] and doc["cells"] == [1, 2]
+        host = doc["host"]
+        assert host["workers"] == 3 and host["cpu_count"] >= 1
+        assert host["machine"] and host["python"]
