@@ -64,7 +64,7 @@ def test_degraded_cost(benchmark):
     assert cluster["degraded_over_healthy"] >= 0.95
     assert cluster["hints_stored"] > 0
     assert (
-        cluster["quorum_writes_acked_healthy"]
-        == cluster["quorum_writes_acked_degraded"]
+        cluster["writes_acked_healthy"]
+        == cluster["writes_acked_degraded"]
         > 0
     )

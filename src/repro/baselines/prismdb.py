@@ -235,7 +235,7 @@ class PrismDBStore(KVStore):
         self.paused_demotions = 0
         self.requeued_objects = 0
         self.catch_up_drains = 0
-        self._catch_up_pending = False
+        self.has_catch_up = False
 
     # ------------------------------------------------------------- space
 
@@ -273,8 +273,8 @@ class PrismDBStore(KVStore):
         service = self.slabs.put(rec)
         if self._over_watermark():
             self._demote()
-        if self._catch_up_pending:
-            self._run_catch_up()
+        if self.has_catch_up:
+            self.run_catch_up()
         return service
 
     def _failover_write(self, rec: Record) -> float:
@@ -391,7 +391,7 @@ class PrismDBStore(KVStore):
 
     def _pause_demotion(self) -> None:
         self.paused_demotions += 1
-        self._catch_up_pending = True
+        self.has_catch_up = True
         r = obs.RECORDER
         if r is not None:
             r.emit(
@@ -399,11 +399,11 @@ class PrismDBStore(KVStore):
                 engine=self.name,
             )
 
-    def _run_catch_up(self) -> None:
+    def run_catch_up(self) -> None:
         """Drain the deferred demotion exactly once after SATA recovery."""
         if self.sata_device.health() is HealthState.OFFLINE:
             return
-        self._catch_up_pending = False
+        self.has_catch_up = False
         self.catch_up_drains += 1
         r = obs.RECORDER
         if r is not None:

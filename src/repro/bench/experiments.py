@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.bench.context import BenchScale, build_store, hyperdb_config
 from repro.bench.reporting import kops, mb
-from repro.chaos.cluster import measure_cluster_throughput
-from repro.chaos.harness import measure_soak_throughput
+from repro.chaos.soak import measure_degraded_throughput
+from repro.chaos.suites import scenario as soak_scenario
 from repro.common.keys import encode_key
 from repro.core import HyperDB
 from repro.core.interface import KVStore
@@ -687,13 +687,13 @@ def degraded_cost(workers: int = 1):
             label="degraded_cost:scrub",
         ),
         Job(
-            measure_soak_throughput,
-            kwargs={"num_ops": 900, "seed": 0},
+            measure_degraded_throughput,
+            args=(soak_scenario("tier", "hyperdb-nvme-outage", 900),),
             label="degraded_cost:nvme-outage",
         ),
         Job(
-            measure_cluster_throughput,
-            kwargs={"num_ops": 600, "seed": 0},
+            measure_degraded_throughput,
+            args=(soak_scenario("cluster", "cluster-node-outage", 600),),
             label="degraded_cost:node-outage",
         ),
     ]
@@ -728,8 +728,8 @@ def degraded_cost(workers: int = 1):
             str(cluster["sim_ops_per_s_degraded"]),
             str(cluster["degraded_over_healthy"]),
             f"{cluster['hints_stored']} hints,"
-            f" {cluster['quorum_writes_acked_healthy']} ="
-            f" {cluster['quorum_writes_acked_degraded']} quorum writes acked",
+            f" {cluster['writes_acked_healthy']} ="
+            f" {cluster['writes_acked_degraded']} quorum writes acked",
         ),
     ]
     return {

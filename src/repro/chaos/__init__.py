@@ -1,49 +1,41 @@
-"""Chaos soak harness: degraded-mode operation under scheduled tier faults.
+"""Chaos soak harness: degraded-mode operation under scheduled faults.
 
-Composes :class:`~repro.health.state.HealthWindow` schedules (outages and
-brownouts), admission-control backpressure, and planned restarts over long
-mixed workloads, and checks an integrity oracle: every acknowledged write
-stays readable with its latest value across failover and recovery.
+One driver (:mod:`repro.chaos.soak`) runs a seeded mixed workload against
+a target — a tiered store (:mod:`repro.chaos.tier`) or a sharded cluster
+(:mod:`repro.chaos.cluster`) — under scheduled outages, brownouts,
+restarts, membership changes and latent corruption, and checks one
+acked-write oracle (:mod:`repro.chaos.oracle`): every acknowledged write
+stays readable with its latest value across failover and recovery.  The
+scenarios live in a table (:mod:`repro.chaos.suites`).
 
-Run it with ``python -m repro.chaos`` (see ``--help``).
+Run it with ``python -m repro.chaos <suite>`` (see ``--help``).
 """
 
-from repro.chaos.cluster import (
-    ClusterScenario,
-    ClusterSoakReport,
-    ClusterSoakResult,
-    NodeWindowSpec,
-    default_cluster_scenarios,
-    run_cluster_scenario,
-    run_cluster_soak,
-    smoke_cluster_scenarios,
-)
-from repro.chaos.harness import (
-    ChaosScenario,
+from repro.chaos.cluster import ClusterScenario
+from repro.chaos.oracle import Oracle, Verdict
+from repro.chaos.soak import (
     SoakReport,
     SoakResult,
     WindowSpec,
-    default_scenarios,
+    measure_degraded_throughput,
     run_scenario,
     run_soak,
-    smoke_scenarios,
 )
+from repro.chaos.suites import SUITES, scenario, suite
+from repro.chaos.tier import TierScenario
 
 __all__ = [
-    "ChaosScenario",
     "ClusterScenario",
-    "ClusterSoakReport",
-    "ClusterSoakResult",
-    "NodeWindowSpec",
+    "Oracle",
+    "SUITES",
     "SoakReport",
     "SoakResult",
+    "TierScenario",
+    "Verdict",
     "WindowSpec",
-    "default_cluster_scenarios",
-    "default_scenarios",
-    "run_cluster_scenario",
-    "run_cluster_soak",
+    "measure_degraded_throughput",
     "run_scenario",
     "run_soak",
-    "smoke_cluster_scenarios",
-    "smoke_scenarios",
+    "scenario",
+    "suite",
 ]

@@ -12,8 +12,8 @@ one deterministic cluster simulation:
   ``R + W > RF`` validation, node-granularity health windows, hinted
   handoff, read repair, and join/leave rebalance migration jobs.
 
-The cluster chaos scenarios live in :mod:`repro.chaos.cluster`
-(``python -m repro.chaos --cluster``).
+The cluster soak target lives in :mod:`repro.chaos.cluster`
+(``python -m repro.chaos cluster``).
 """
 
 from repro.cluster.node import ClusterNode, pack_envelope, unpack_envelope

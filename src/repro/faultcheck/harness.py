@@ -26,46 +26,31 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from repro import obs
+from repro.chaos.fixtures import (
+    KiB,
+    MiB,
+    NVME_PROFILE,
+    SATA_PROFILE,
+    Op,
+    ops_stream,
+    small_hyperdb_config,
+)
 from repro.common.errors import PowerLossError, TransientIOError
-from repro.parallel import Job, run_jobs
-from repro.parallel.pool import unwrap_all
-from repro.common.keys import KeyRange, encode_key
-from repro.core.config import HyperDBConfig
+from repro.common.keys import encode_key
 from repro.core.hyperdb import HyperDB
 from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
-from repro.nvme.config import NVMeConfig
+from repro.parallel import Job, run_jobs
+from repro.parallel.pool import unwrap_all
 from repro.simssd.device import SimDevice
 from repro.simssd.faults import FaultInjector, FaultPlan
 from repro.simssd.fs import SimFilesystem
-from repro.simssd.profiles import DeviceProfile
 
-KiB = 1024
-MiB = 1024 * KiB
-
-#: Small devices so a few hundred operations produce flushes, compactions,
-#: and migrations — i.e. crash points inside every background path.
-_NVME_PROFILE = DeviceProfile(
-    name="nvme",
-    capacity_bytes=4 * MiB,
-    page_size=4096,
-    read_latency_s=8e-5,
-    write_latency_s=2e-5,
-    read_bandwidth=6.5e9,
-    write_bandwidth=3.5e9,
-)
-_SATA_PROFILE = DeviceProfile(
-    name="sata",
-    capacity_bytes=64 * MiB,
-    page_size=4096,
-    read_latency_s=2e-4,
-    write_latency_s=6e-5,
-    read_bandwidth=5.6e8,
-    write_bandwidth=5.1e8,
-)
+#: 4 MiB of NVMe, where the soaks make do with one.
+_NVME_PROFILE = replace(NVME_PROFILE, capacity_bytes=4 * MiB)
 
 
 # --------------------------------------------------------------- reporting
@@ -154,6 +139,69 @@ class TransientReport:
         )
 
 
+# ---------------------------------------------------------- matrix scaffold
+
+
+def _crash_matrix(
+    engine: str,
+    span: range,
+    salt: int,
+    num_points: int,
+    seed: int,
+    run_point: Callable[..., CrashPointResult],
+    workload: tuple,
+    workers: int,
+) -> MatrixReport:
+    """Sample ``num_points`` crash ordinals from ``span`` (the probe's
+    write-I/O ordinals a crash may land on) and run one cycle at each.
+
+    Each crash point is fully independent (its own injector seed, its own
+    devices), so ``workers>1`` fans the points across processes via
+    :mod:`repro.parallel`; the report is identical at every worker count.
+    """
+    rng = random.Random(seed ^ salt)
+    points = sorted(rng.sample(span, min(num_points, len(span))))
+    jobs = [
+        Job(
+            run_point,
+            args=(engine, point, seed, *workload),
+            label=f"{engine}:crash@{point}",
+        )
+        for point in points
+    ]
+    outcomes = run_jobs(jobs, workers=workers)
+    return MatrixReport(
+        engine=engine,
+        total_write_ios=span.stop - 1,
+        results=list(unwrap_all(outcomes)),
+        point_seconds=[r.seconds for r in outcomes],
+    )
+
+
+def _crash_injector(seed: int, point: int) -> FaultInjector:
+    return FaultInjector(
+        FaultPlan(seed=seed * 1_000_003 + point, crash_after_write_io=point)
+    )
+
+
+def _apply(store, ops: list[Op]) -> int:
+    """Issue put / delete ``ops`` until the power is lost; returns how many
+    were acknowledged (all of them when no crash point fired)."""
+    for acked, (op, key, val) in enumerate(ops):
+        try:
+            store.put(key, val) if op == "put" else store.delete(key)
+        except PowerLossError:
+            return acked
+    return len(ops)
+
+
+def _recovery_scope(devices: dict, registry=None):
+    """Attribute the recovery's I/O in the trace, when one is recording."""
+    if obs.RECORDER is None:
+        return nullcontext()
+    return obs.MetricScope("recovery", devices, registry=registry)
+
+
 # --------------------------------------------------------- LSM crash matrix
 
 
@@ -172,22 +220,23 @@ def _lsm_options() -> LSMOptions:
     )
 
 
-def _lsm_ops(seed: int, n: int) -> list[tuple[str, bytes, Optional[bytes]]]:
-    """Deterministic put/delete stream over a small key universe.
+def _lsm_key(i: int) -> bytes:
+    return b"key%04d" % i
 
-    Values embed the op index so that distinct prefixes of the stream are
-    byte-distinguishable during verification.
-    """
-    rng = random.Random(seed)
-    ops: list[tuple[str, bytes, Optional[bytes]]] = []
-    for i in range(n):
-        key = b"key%04d" % rng.randrange(48)
-        if rng.random() < 0.12:
-            ops.append(("del", key, None))
-        else:
-            pad = bytes(rng.randrange(256) for _ in range(rng.randrange(8, 40)))
-            ops.append(("put", key, b"v%05d." % i + pad))
-    return ops
+
+def _lsm_ops(seed: int, n: int) -> list[Op]:
+    """Put/delete stream (12 % deletes) over a 48-key universe: every key
+    is overwritten many times, so distinct prefixes of the stream leave
+    distinct states."""
+    return ops_stream(
+        seed,
+        n,
+        universe=48,
+        key=_lsm_key,
+        mix=(("del", 0.12), ("put", 1.0)),
+        pad=(8, 40),
+        tag=b"v%05d.",
+    )
 
 
 def _build_lsm(
@@ -195,7 +244,7 @@ def _build_lsm(
 ) -> LSMTree:
     if two_tier:
         nvme = SimDevice(_NVME_PROFILE, injector=injector)
-        sata = SimDevice(_SATA_PROFILE, injector=injector)
+        sata = SimDevice(SATA_PROFILE, injector=injector)
         paths = [
             DbPath(SimFilesystem(nvme), target_bytes=24 * KiB),
             DbPath(SimFilesystem(sata), target_bytes=1 << 62),
@@ -207,7 +256,7 @@ def _build_lsm(
 
 
 def _state_after(
-    ops: list[tuple[str, bytes, Optional[bytes]]], prefix: int
+    ops: list[Op], prefix: int
 ) -> dict[bytes, Optional[bytes]]:
     state: dict[bytes, Optional[bytes]] = {}
     for op, key, val in ops[:prefix]:
@@ -216,7 +265,7 @@ def _state_after(
 
 
 def _match_prefix(
-    ops: list[tuple[str, bytes, Optional[bytes]]],
+    ops: list[Op],
     recovered: dict[bytes, Optional[bytes]],
     lo: int,
     hi: int,
@@ -235,71 +284,34 @@ def run_lsm_crash_matrix(
     seed: int = 0,
     num_ops: int = 240,
     two_tier: bool = True,
-    on_progress: Optional[Callable[[CrashPointResult], None]] = None,
     workers: int = 1,
 ) -> MatrixReport:
     """Crash the LSM engine at ``num_points`` sampled write-I/O ordinals.
 
     ``two_tier=True`` runs the RocksDB-like baseline configuration (levels
     spanning NVMe + SATA via db_paths, one injector for both devices).
-
-    Each crash point is fully independent (its own injector seed, its own
-    devices), so ``workers>1`` fans the points across processes via
-    :mod:`repro.parallel`; the report is identical at every worker count.
     """
     engine = "rocksdb-like" if two_tier else "lsm"
     ops = _lsm_ops(seed, num_ops)
 
     # Probe run: same workload, no faults, to learn the write-I/O span.
     probe = FaultInjector(FaultPlan(seed=seed))
-    tree = _build_lsm(probe, two_tier)
-    for op, key, val in ops:
-        tree.put(key, val) if op == "put" else tree.delete(key)
-    total = probe.write_ios
-    report = MatrixReport(engine=engine, total_write_ios=total)
-
-    rng = random.Random(seed ^ 0x5AFE)
-    points = sorted(rng.sample(range(1, total + 1), min(num_points, total)))
-    jobs = [
-        Job(
-            _run_lsm_crash_point,
-            args=(ops, point, seed, two_tier, engine),
-            label=f"{engine}:crash@{point}",
-        )
-        for point in points
-    ]
-    outcomes = run_jobs(jobs, workers=workers)
-    report.point_seconds = [r.seconds for r in outcomes]
-    for result in unwrap_all(outcomes):
-        report.results.append(result)
-        if on_progress is not None:
-            on_progress(result)
-    return report
+    _apply(_build_lsm(probe, two_tier), ops)
+    return _crash_matrix(
+        engine, range(1, probe.write_ios + 1), 0x5AFE, num_points, seed,
+        _run_lsm_crash_point, (ops, two_tier), workers,
+    )
 
 
 def _run_lsm_crash_point(
-    ops: list[tuple[str, bytes, Optional[bytes]]],
-    point: int,
-    seed: int,
-    two_tier: bool,
-    engine: str,
+    engine: str, point: int, seed: int, ops: list[Op], two_tier: bool
 ) -> CrashPointResult:
     result = CrashPointResult(engine=engine, crash_after_write_io=point)
-    injector = FaultInjector(
-        FaultPlan(seed=seed * 1_000_003 + point, crash_after_write_io=point)
-    )
+    injector = _crash_injector(seed, point)
     tree = _build_lsm(injector, two_tier)
-    acked = 0
-    crashed = False
-    for op, key, val in ops:
-        try:
-            tree.put(key, val) if op == "put" else tree.delete(key)
-        except PowerLossError:
-            crashed = True
-            break
-        acked += 1
+    acked = _apply(tree, ops)
     result.ops_acked = acked
-    result.ops_issued = acked + (1 if crashed else 0)
+    result.ops_issued = min(acked + 1, len(ops))  # + the op the crash cut
     result.durable_watermark = (
         tree.wal.total_synced_records if tree.wal is not None else acked
     )
@@ -309,15 +321,7 @@ def _run_lsm_crash_point(
         DbPath(p.fs.post_crash_image(), target_bytes=p.target_bytes)
         for p in tree.paths
     ]
-    scope = (
-        obs.MetricScope(
-            "recovery",
-            {p.fs.device.profile.name: p.fs.device for p in images},
-        )
-        if obs.RECORDER is not None
-        else nullcontext()
-    )
-    with scope:
+    with _recovery_scope({p.fs.device.profile.name: p.fs.device for p in images}):
         reopened = LSMTree.reopen(images, _lsm_options())
     assert reopened.recovery_report is not None
     result.wal_truncated = reopened.recovery_report.wal_truncated
@@ -341,30 +345,15 @@ def _run_lsm_crash_point(
 # ----------------------------------------------------- HyperDB crash matrix
 
 
-def _hyperdb_config() -> HyperDBConfig:
-    return HyperDBConfig(
-        key_space=KeyRange(encode_key(0), encode_key(50_000)),
-        nvme=NVMeConfig(
-            num_partitions=2,
-            initial_zones_per_partition=2,
-            migration_batch_bytes=16 * KiB,
-        ),
-        semi_num_levels=3,
-        semi_size_ratio=4,
-        semi_bottom_segments=16,
-        semi_level1_target_bytes=128 * KiB,
-    )
-
-
 def _build_hyperdb(injector: Optional[FaultInjector]) -> HyperDB:
     nvme = SimDevice(_NVME_PROFILE, injector=injector)
-    sata = SimDevice(_SATA_PROFILE, injector=injector)
-    return HyperDB(nvme, sata, _hyperdb_config())
+    sata = SimDevice(SATA_PROFILE, injector=injector)
+    return HyperDB(nvme, sata, small_hyperdb_config())
 
 
 def _hyperdb_workloads(
     seed: int, w1_ops: int, w2_ops: int
-) -> tuple[list[tuple[bytes, bytes]], list[tuple[bytes, bytes]]]:
+) -> tuple[list[Op], list[Op]]:
     """Two put streams over *disjoint* key ranges.
 
     W2 keys are fresh so the post-checkpoint writes never overwrite or
@@ -372,17 +361,17 @@ def _hyperdb_workloads(
     covers exactly the W1 state.
     """
     rng = random.Random(seed)
-    w1 = []
-    for i in range(w1_ops):
-        key = encode_key(rng.randrange(0, 2_000))
-        pad = bytes(rng.randrange(256) for _ in range(rng.randrange(16, 56)))
-        w1.append((key, b"w1-%05d." % i + pad))
-    w2 = []
-    for i in range(w2_ops):
-        key = encode_key(rng.randrange(30_000, 31_000))
-        pad = bytes(rng.randrange(256) for _ in range(rng.randrange(16, 56)))
-        w2.append((key, b"w2-%05d." % i + pad))
-    return w1, w2
+
+    def puts(n: int, keys: range, tag: bytes) -> list[Op]:
+        out: list[Op] = []
+        for i in range(n):
+            key = encode_key(rng.randrange(keys.start, keys.stop))
+            pad = bytes(rng.randrange(256) for _ in range(rng.randrange(16, 56)))
+            out.append(("put", key, tag % i + pad))
+        return out
+
+    w1 = puts(w1_ops, range(0, 2_000), b"w1-%05d.")
+    return w1, puts(w2_ops, range(30_000, 31_000), b"w2-%05d.")
 
 
 def run_hyperdb_crash_matrix(
@@ -390,7 +379,6 @@ def run_hyperdb_crash_matrix(
     seed: int = 0,
     w1_ops: int = 260,
     w2_ops: int = 60,
-    on_progress: Optional[Callable[[CrashPointResult], None]] = None,
     workers: int = 1,
 ) -> MatrixReport:
     """Crash HyperDB at sampled points *after* its index checkpoint.
@@ -406,87 +394,52 @@ def run_hyperdb_crash_matrix(
     # and where the post-checkpoint workload ends.
     probe = FaultInjector(FaultPlan(seed=seed))
     db = _build_hyperdb(probe)
-    for key, val in w1:
-        db.put(key, val)
+    _apply(db, w1)
     db.checkpoint()
     ckpt_io = probe.write_ios
-    for key, val in w2:
-        db.put(key, val)
+    _apply(db, w2)
     total = probe.write_ios
-    report = MatrixReport(engine="hyperdb", total_write_ios=total)
     if total <= ckpt_io:
         raise RuntimeError("post-checkpoint workload produced no write I/O")
-
-    rng = random.Random(seed ^ 0xC4A5)
-    span = range(ckpt_io + 1, total + 1)
-    points = sorted(rng.sample(span, min(num_points, len(span))))
-    jobs = [
-        Job(
-            _run_hyperdb_crash_point,
-            args=(w1, w2, point, seed),
-            label=f"hyperdb:crash@{point}",
-        )
-        for point in points
-    ]
-    outcomes = run_jobs(jobs, workers=workers)
-    report.point_seconds = [r.seconds for r in outcomes]
-    for result in unwrap_all(outcomes):
-        report.results.append(result)
-        if on_progress is not None:
-            on_progress(result)
-    return report
+    return _crash_matrix(
+        "hyperdb", range(ckpt_io + 1, total + 1), 0xC4A5, num_points, seed,
+        _run_hyperdb_crash_point, (w1, w2), workers,
+    )
 
 
 def _run_hyperdb_crash_point(
-    w1: list[tuple[bytes, bytes]],
-    w2: list[tuple[bytes, bytes]],
+    engine: str,
     point: int,
     seed: int,
+    w1: list[Op],
+    w2: list[Op],
 ) -> CrashPointResult:
-    result = CrashPointResult(engine="hyperdb", crash_after_write_io=point)
-    injector = FaultInjector(
-        FaultPlan(seed=seed * 1_000_003 + point, crash_after_write_io=point)
-    )
+    result = CrashPointResult(engine=engine, crash_after_write_io=point)
+    injector = _crash_injector(seed, point)
     db = _build_hyperdb(injector)
-    checkpoint_state: dict[bytes, bytes] = {}
-    for key, val in w1:
-        db.put(key, val)
-        checkpoint_state[key] = val
+    _apply(db, w1)
     db.checkpoint()
     result.durable_watermark = len(w1)
 
-    acked = 0
-    crashed = False
-    for key, val in w2:
-        try:
-            db.put(key, val)
-        except PowerLossError:
-            crashed = True
-            break
-        acked += 1
+    acked = _apply(db, w2)
     result.ops_acked = len(w1) + acked
-    result.ops_issued = result.ops_acked + (1 if crashed else 0)
-    if not crashed:
+    result.ops_issued = len(w1) + min(acked + 1, len(w2))
+    if acked == len(w2):
         result.detail = "crash point never fired during W2"
         return result
 
     # Reboot on the surviving media and recover from the checkpoint.
     injector.reboot()
-    scope = (
-        obs.MetricScope("recovery", db.devices(), registry=db.stats)
-        if obs.RECORDER is not None
-        else nullcontext()
-    )
-    with scope:
+    with _recovery_scope(db.devices(), registry=db.stats):
         db.recover()
 
     bad = 0
-    for key, want in checkpoint_state.items():
+    for key, want in _state_after(w1, len(w1)).items():
         got, _ = db.get(key)
         if got != want:
             bad += 1
     lost = 0
-    for key, _ in w2:
+    for _, key, _ in w2:
         got, _ = db.get(key)
         if got is not None:
             lost += 1  # a post-checkpoint write must read as missing
@@ -516,46 +469,30 @@ def run_transient_absorption(
     report = TransientReport(engine=engine)
 
     def run(injector: Optional[FaultInjector]) -> tuple[int, int, dict]:
+        if engine == "hyperdb":
+            store = _build_hyperdb(injector)
+            ops, _ = _hyperdb_workloads(seed, num_ops, 0)
+            devices = [store.nvme_device, store.sata_device]
+        else:
+            store = _build_lsm(injector, two_tier=(engine == "rocksdb-like"))
+            ops = _lsm_ops(seed, num_ops)
+            devices = [p.fs.device for p in store.paths]
         surfaced = 0
         mismatches = 0
-        if engine == "hyperdb":
-            db = _build_hyperdb(injector)
-            expected: dict[bytes, bytes] = {}
-            w1, _ = _hyperdb_workloads(seed, num_ops, 0)
-            for key, val in w1:
-                try:
-                    db.put(key, val)
-                    expected[key] = val
-                except TransientIOError:
-                    surfaced += 1
-            devices = [db.nvme_device, db.sata_device]
-            for key, want in expected.items():
-                try:
-                    got, _ = db.get(key)
-                except TransientIOError:
-                    surfaced += 1
-                    continue
-                if got != want:
-                    mismatches += 1
-        else:
-            tree = _build_lsm(injector, two_tier=(engine == "rocksdb-like"))
-            ops = _lsm_ops(seed, num_ops)
-            for op, key, val in ops:
-                try:
-                    tree.put(key, val) if op == "put" else tree.delete(key)
-                except TransientIOError:
-                    surfaced += 1
-            devices = [p.fs.device for p in tree.paths]
-            final = _state_after(ops, len(ops))
-            for key, want in final.items():
-                try:
-                    got, _ = tree.get(key)
-                except TransientIOError:
-                    surfaced += 1
-                    continue
-                if got != want:
-                    mismatches += 1
-            expected = final
+        for op, key, val in ops:
+            try:
+                store.put(key, val) if op == "put" else store.delete(key)
+            except TransientIOError:
+                surfaced += 1
+        expected = _state_after(ops, len(ops))
+        for key, want in expected.items():
+            try:
+                got, _ = store.get(key)
+            except TransientIOError:
+                surfaced += 1
+                continue
+            if got != want:
+                mismatches += 1
         stats = {
             "bytes": sum(d.traffic.total_bytes() for d in devices),
             "retried": sum(d.retried_ios for d in devices),

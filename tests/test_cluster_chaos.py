@@ -1,27 +1,27 @@
-"""Tests for the cluster chaos harness (repro.chaos.cluster): the scenario
-matrix, the cluster-wide integrity oracle, serial/parallel report
-equivalence, and the degraded-throughput measurement."""
+"""Tests for the cluster soaks (repro.chaos with the cluster target): the
+scenario table, the oracle verdicts a cluster relies on, serial/parallel
+report equivalence, and the degraded-throughput measurement."""
 
 import pytest
 
-from repro.chaos.cluster import (
+from repro.chaos import (
     ClusterScenario,
-    ClusterSoakResult,
-    NodeWindowSpec,
-    _Oracle,
-    _resolve_node_windows,
-    default_cluster_scenarios,
-    measure_cluster_throughput,
-    run_cluster_scenario,
-    run_cluster_soak,
-    smoke_cluster_scenarios,
+    Oracle,
+    SoakResult,
+    WindowSpec,
+    measure_degraded_throughput,
+    run_scenario,
+    run_soak,
+    scenario,
+    suite,
 )
+from repro.chaos.soak import resolve_windows
 from repro.health.state import HealthState
 
 
 class TestScenarioDefinitions:
     def test_full_matrix_shape(self):
-        names = [s.name for s in default_cluster_scenarios()]
+        names = [s.name for s in suite("cluster")]
         assert names == [
             "cluster-node-outage",
             "cluster-rolling-brownouts",
@@ -31,123 +31,128 @@ class TestScenarioDefinitions:
             "cluster-latent-scrub",
             "cluster-latent-outage",
         ]
+        assert {s.num_ops for s in suite("cluster")} == {400}
 
     def test_smoke_is_a_subset(self):
-        full = {s.name for s in default_cluster_scenarios()}
-        smoke = [s.name for s in smoke_cluster_scenarios()]
+        full = {s.name for s in suite("cluster")}
+        smoke = [s.name for s in suite("cluster-smoke")]
         assert set(smoke) <= full and len(smoke) == 2
 
     def test_every_scenario_config_is_valid(self):
-        for s in default_cluster_scenarios():
-            cfg = s.config()
+        for s in suite("cluster"):
+            cfg = s.config
             assert cfg.read_quorum + cfg.write_quorum > cfg.replication_factor
 
     def test_window_fractions_resolve_to_op_ordinals(self):
         sc = ClusterScenario(
             name="x",
             num_ops=200,
-            windows=(NodeWindowSpec("node-1", HealthState.OFFLINE, 0.25, 0.50),),
+            windows=(WindowSpec("node-1", HealthState.OFFLINE, 0.25, 0.50),),
         )
-        (w,) = _resolve_node_windows(sc)
+        (w,) = resolve_windows(sc.windows, sc.num_ops)
         assert (w.start_io, w.end_io) == (50, 100)
         assert w.device == "node-1"
 
 
 class TestOracle:
+    """The verdicts as a cluster soak meets them; the full verdict table
+    is tests/test_chaos_oracle.py."""
+
     def result(self):
-        return ClusterSoakResult(scenario="t")
+        return SoakResult(scenario="t", engine="cluster")
 
     def test_acked_value_reads_back_ok(self):
-        o, r = _Oracle(), self.result()
+        o, r = Oracle(), self.result()
         o.acked(b"k", b"v1")
-        o.classify(b"k", b"v1", r, final=False)
+        r.score(o.classify(b"k", b"v1"), final=False)
         assert r.reads_ok == 1 and r.lost_writes == 0
 
     def test_missing_acked_write_is_loss(self):
-        o, r = _Oracle(), self.result()
+        o, r = Oracle(), self.result()
         o.acked(b"k", b"v1")
-        o.classify(b"k", None, r, final=True)
+        r.score(o.classify(b"k", None), final=True)
         assert r.lost_writes == 1 and r.keys_verified == 1
 
     def test_older_value_is_stale(self):
-        o, r = _Oracle(), self.result()
+        o, r = Oracle(), self.result()
         o.acked(b"k", b"v1")
         o.acked(b"k", b"v2")
-        o.classify(b"k", b"v1", r, final=True)
+        r.score(o.classify(b"k", b"v1"), final=True)
         assert r.stale_reads == 1
 
     def test_acked_delete_returning_value_is_resurrection(self):
-        o, r = _Oracle(), self.result()
+        o, r = Oracle(), self.result()
         o.acked(b"k", b"v1")
         o.acked(b"k", None)
-        o.classify(b"k", b"v1", r, final=True)
+        r.score(o.classify(b"k", b"v1"), final=True)
         assert r.resurrections == 1
 
     def test_partial_write_surfacing_is_indeterminate_not_loss(self):
         # A sub-quorum write that landed on a minority replica may win
         # newest-seqno resolution; reading it is legal, never loss.
-        o, r = _Oracle(), self.result()
+        o, r = Oracle(), self.result()
         o.acked(b"k", b"v1")
         o.partial(b"k", b"v2")
-        o.classify(b"k", b"v2", r, final=True)
+        r.score(o.classify(b"k", b"v2"), final=True)
         assert r.indeterminate_reads == 1
         assert r.lost_writes == r.stale_reads == r.resurrections == 0
 
     def test_next_ack_clears_maybe_set(self):
-        o, r = _Oracle(), self.result()
+        o, r = Oracle(), self.result()
         o.partial(b"k", b"v-partial")
         o.acked(b"k", b"v-acked")
-        o.classify(b"k", b"v-partial", r, final=True)
+        r.score(o.classify(b"k", b"v-partial"), final=True)
         assert r.stale_reads == 1 and r.indeterminate_reads == 0
 
     def test_partial_tombstone_none_read_is_indeterminate(self):
-        o, r = _Oracle(), self.result()
+        o, r = Oracle(), self.result()
         o.acked(b"k", b"v1")
         o.partial(b"k", None)  # unacked delete landed on one replica
-        o.classify(b"k", None, r, final=True)
+        r.score(o.classify(b"k", None), final=True)
         assert r.indeterminate_reads == 1 and r.lost_writes == 0
 
 
 class TestScenarioRuns:
     def test_node_outage_scenario_passes(self):
-        sc = {s.name: s for s in default_cluster_scenarios(num_ops=160)}
-        r = run_cluster_scenario(sc["cluster-node-outage"], seed=0)
+        r = run_scenario(scenario("cluster", "cluster-node-outage", 160), seed=0)
         assert r.passed, r.summary()
-        assert r.hints_stored > 0 and r.hints_replayed > 0
+        assert r.counters["hints_stored"] > 0
+        assert r.counters["hints_replayed"] > 0
         assert r.keys_verified > 0
 
     def test_outage_during_rebalance_passes(self):
-        sc = {s.name: s for s in default_cluster_scenarios(num_ops=160)}
-        r = run_cluster_scenario(sc["cluster-outage-during-rebalance"], seed=0)
+        sc = scenario("cluster", "cluster-outage-during-rebalance", 160)
+        r = run_scenario(sc, seed=0)
         assert r.passed, r.summary()
-        assert r.rebalance_jobs > 0
+        assert r.counters["rebalance_jobs"] > 0
 
     def test_strict_quorum_counts_unavailability_never_loss(self):
-        sc = {s.name: s for s in default_cluster_scenarios(num_ops=160)}
-        r = run_cluster_scenario(sc["cluster-strict-quorum-outage"], seed=0)
+        sc = scenario("cluster", "cluster-strict-quorum-outage", 160)
+        r = run_scenario(sc, seed=0)
         assert r.passed, r.summary()
         assert r.unavailable_writes > 0
+        assert r.partial_writes > 0
         assert r.lost_writes == 0
 
     def test_scenario_is_deterministic(self):
-        sc = smoke_cluster_scenarios(num_ops=120)[0]
-        a = run_cluster_scenario(sc, seed=3)
-        b = run_cluster_scenario(sc, seed=3)
+        sc = suite("cluster-smoke", 120)[0]
+        a = run_scenario(sc, seed=3)
+        b = run_scenario(sc, seed=3)
         assert a.summary() == b.summary()
 
     def test_seed_changes_the_run(self):
-        sc = smoke_cluster_scenarios(num_ops=120)[0]
-        a = run_cluster_scenario(sc, seed=0)
-        b = run_cluster_scenario(sc, seed=7)
+        sc = suite("cluster-smoke", 120)[0]
+        a = run_scenario(sc, seed=0)
+        b = run_scenario(sc, seed=7)
         assert a.summary() != b.summary()
 
 
 class TestSoakFanOut:
     @pytest.fixture(scope="class")
     def reports(self):
-        scenarios = smoke_cluster_scenarios(num_ops=120)
-        serial = run_cluster_soak(scenarios, seed=0, workers=1)
-        parallel = run_cluster_soak(scenarios, seed=0, workers=2)
+        scenarios = suite("cluster-smoke", 120)
+        serial = run_soak(scenarios, seed=0, workers=1)
+        parallel = run_soak(scenarios, seed=0, workers=2)
         return serial, parallel
 
     def test_soak_passes(self, reports):
@@ -162,10 +167,11 @@ class TestSoakFanOut:
 
 class TestThroughputMeasurement:
     def test_degraded_ratio_and_determinism(self):
-        a = measure_cluster_throughput(num_ops=120, seed=0)
-        b = measure_cluster_throughput(num_ops=120, seed=0)
+        sc = scenario("cluster", "cluster-node-outage", 120)
+        a = measure_degraded_throughput(sc, seed=0)
+        b = measure_degraded_throughput(sc, seed=0)
         assert a == b
         assert a["sim_ops_per_s_healthy"] > 0
         assert 0 < a["degraded_over_healthy"]
         assert a["hints_stored"] > 0
-        assert a["unavailable_ops_degraded"] >= 0
+        assert a["unavailable_ops"] >= 0

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from repro.chaos.harness import _ops_stream
+from repro.chaos.fixtures import ops_stream
 from repro.cluster import (
     ClusterConfig,
     HyperDBCluster,
@@ -114,7 +114,7 @@ class TestDegenerateClusterEqualsSingleNode:
             SimDevice(_NODE_NVME), SimDevice(_NODE_SATA), _node_config(rng_seed)
         )
 
-        ops = _ops_stream(seed=11, n=150)
+        ops = ops_stream(seed=11, n=150)
         touched = sorted({key for _, key, _ in ops})
         for op, key, value in ops:
             if op == "put":

@@ -515,9 +515,9 @@ class TestMigrationPauseResume:
 
 class TestChaosHarness:
     def test_smoke_scenarios_pass_and_are_deterministic(self):
-        from repro.chaos import run_scenario, smoke_scenarios
+        from repro.chaos import run_scenario, suite
 
-        scenarios = smoke_scenarios()
+        scenarios = suite("tier-smoke")
         results = [run_scenario(sc, seed=3) for sc in scenarios]
         for r in results:
             assert r.passed, r.summary()
@@ -525,10 +525,54 @@ class TestChaosHarness:
         assert [r.summary() for r in results] == [r.summary() for r in again]
 
     def test_soak_report_identical_serial_and_parallel(self):
-        from repro.chaos import run_soak, smoke_scenarios
+        from repro.chaos import run_soak, suite
 
-        scenarios = smoke_scenarios()
+        scenarios = suite("tier-smoke")
         serial = run_soak(scenarios, seed=3, workers=1)
         fanned = run_soak(scenarios, seed=3, workers=2)
         assert serial.passed and fanned.passed
         assert serial.summary() == fanned.summary()
+
+    def test_explicit_ops_is_used_as_given(self, capsys):
+        # `--cluster --ops 900` used to run 400 ops (900 doubled as the
+        # "not given" marker) and `--smoke --ops 600` ran min(600, 500).
+        from repro.chaos.__main__ import main
+
+        assert main(["cluster-smoke", "--ops", "900"]) == 0
+        report = capsys.readouterr().out
+        assert report.count(" ok  900 ops ") == 2, report
+        assert main(["tier-smoke", "--ops", "600"]) == 0
+        report = capsys.readouterr().out
+        assert report.count(" hyperdb: 600 ops ") == 2, report
+
+    def test_hot_key_scenario_observes_a_stale_resident_copy(self, monkeypatch):
+        # Without drop_resident, a failover write leaves the older NVMe
+        # copy to shadow it after recovery.  Over 2,000 keys no read ever
+        # sees that; over 64 it is caught at once.
+        from repro.chaos import run_scenario, scenario
+        from repro.nvme.partition import Partition
+
+        hot = scenario("tier", "hyperdb-nvme-outage-hotkeys", 300)
+        assert run_scenario(hot).passed
+        monkeypatch.setattr(Partition, "drop_resident", lambda self, key: False)
+        cold = run_scenario(scenario("tier", "hyperdb-nvme-outage", 300))
+        assert cold.passed and cold.stale_reads == 0
+        broken = run_scenario(hot)
+        assert not broken.passed and broken.stale_reads > 0, broken.summary()
+
+    def test_scan_sweep_catches_an_unordered_scan(self, monkeypatch):
+        from repro.chaos import run_scenario, suite
+        from repro.core.hyperdb import HyperDB
+
+        honest = HyperDB.scan
+
+        def reversed_scan(self, start, count):
+            pairs, service = honest(self, start, count)
+            return pairs[::-1], service
+
+        monkeypatch.setattr(HyperDB, "scan", reversed_scan)
+        result = run_scenario(suite("tier-smoke", 300)[0])
+        assert not result.passed
+        assert any("ordered scan" in v for v in result.violations)
+        # Point reads are untouched: the per-key oracle alone passes.
+        assert result.lost_writes == result.stale_reads == result.resurrections == 0
