@@ -35,15 +35,13 @@ from repro.simssd.traffic import TrafficKind
 class ClockTracker:
     """Two-bit clock over resident objects (PrismDB's hotness mechanism).
 
-    The sweep keeps a persistent hand: each call resumes where the last one
-    stopped, decrementing counters as it passes, so a hot object is aged at
-    most once per full revolution — not once per demotion batch.
+    An access sets a key's counter to ``max_bits``; the store's demotion
+    window ages the counters it passes over.
     """
 
     def __init__(self, max_bits: int = 3) -> None:
         self.max_bits = max_bits
         self._bits: dict[bytes, int] = {}
-        self._hand: bytes | None = None
 
     def access(self, key: bytes) -> None:
         self._bits[key] = self.max_bits
@@ -53,33 +51,6 @@ class ClockTracker:
 
     def forget(self, key: bytes) -> None:
         self._bits.pop(key, None)
-
-    def sweep_cold(self, keys: list[bytes], want: int) -> list[bytes]:
-        """Advance the hand, collecting up to ``want`` zero-bit victims.
-
-        ``keys`` is the sorted resident key list; the hand wraps at most one
-        full revolution per call.
-        """
-        if not keys:
-            return []
-        from bisect import bisect_left
-
-        start = 0
-        if self._hand is not None:
-            start = bisect_left(keys, self._hand) % len(keys)
-        cold: list[bytes] = []
-        n = len(keys)
-        i = 0
-        while i < n and len(cold) < want:
-            key = keys[(start + i) % n]
-            bits = self._bits.get(key, 0)
-            if bits == 0:
-                cold.append(key)
-            else:
-                self._bits[key] = bits - 1
-            i += 1
-        self._hand = keys[(start + i) % n]
-        return cold
 
 
 class _SlabStore:
@@ -330,6 +301,8 @@ class PrismDBStore(KVStore):
         return value, service
 
     def scan(self, start: bytes, count: int):
+        if count <= 0:
+            return [], 0.0
         busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
         from repro.lsm.iterator import batched_stream, merge_records
 

@@ -55,27 +55,6 @@ class RocksDBStore(KVStore):
     def delete(self, key: bytes) -> float:
         return self.tree.delete(key)
 
-    def _busy_hook(self, busy_out):
-        """Per-op busy-row snapshotter handed to the tree's fused loops."""
-        nvme_tr = self.nvme_device.traffic
-        sata_tr = self.sata_device.traffic
-        append = busy_out.append
-        return lambda: append((nvme_tr._busy_s, sata_tr._busy_s))
-
-    def put_many(self, keys, values, busy_out=None, capture_errors=False):
-        if capture_errors:
-            return super().put_many(keys, values, busy_out, capture_errors)
-        if busy_out is None:
-            return self.tree.put_many(keys, values)
-        return self.tree.put_many(keys, values, busy_hook=self._busy_hook(busy_out))
-
-    def get_many(self, keys, busy_out=None, capture_errors=False):
-        if capture_errors:
-            return super().get_many(keys, busy_out, capture_errors)
-        if busy_out is None:
-            return self.tree.get_many(keys)
-        return self.tree.get_many(keys, busy_hook=self._busy_hook(busy_out))
-
     def scan(self, start: bytes, count: int):
         return self.tree.scan(start, count)
 

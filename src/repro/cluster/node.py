@@ -130,16 +130,6 @@ class ClusterNode:
             return None, service
         return unpack_envelope(blob), service
 
-    def keys_with_envelopes(self, keys) -> list[bytes]:
-        """Of ``keys``, the ones this node holds any version of (no charge
-        ordering guarantees beyond input order; used by audits/tests)."""
-        out = []
-        for key in keys:
-            blob, _ = self.db.get(key)
-            if blob is not None:
-                out.append(key)
-        return out
-
     # -------------------------------------------------------------- metrics
 
     def busy_seconds(self) -> float:

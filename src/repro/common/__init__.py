@@ -30,7 +30,6 @@ from repro.common.keys import (
     KeyRange,
 )
 from repro.common.bloom import BloomFilter
-from repro.common.skiplist import SkipList
 from repro.common.btree import BTreeIndex
 from repro.common.cache import LRUCache, ObjectCache
 from repro.common.stats import Counter, LatencyHistogram, StatsRegistry
@@ -58,7 +57,6 @@ __all__ = [
     "ranges_overlap",
     "KeyRange",
     "BloomFilter",
-    "SkipList",
     "BTreeIndex",
     "LRUCache",
     "ObjectCache",

@@ -103,18 +103,6 @@ class BloomFilter:
         """Whether the filter has absorbed its sized-for number of inserts."""
         return self._count >= self.capacity
 
-    def _positions(self, key: bytes) -> list[int]:
-        h1, h2 = _base_hashes(key)
-        m = self.num_bits
-        # Incremental double hashing: x_i = (h1 + i*h2) mod 2^64, computed
-        # by repeated addition (identical positions, no per-probe multiply).
-        out = []
-        x = h1
-        for _ in range(self.num_hashes):
-            out.append(x % m)
-            x = (x + h2) & _MASK64
-        return out
-
     def add(self, key: bytes) -> None:
         self.add_hashed(*_base_hashes(key))
 
@@ -127,6 +115,8 @@ class BloomFilter:
         """
         m = self.num_bits
         bits = self._bits
+        # Incremental double hashing: x_i = (h1 + i*h2) mod 2^64, computed
+        # by repeated addition (identical positions, no per-probe multiply).
         x = h1
         for _ in range(self.num_hashes):
             pos = x % m

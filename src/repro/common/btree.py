@@ -1,9 +1,9 @@
 """An in-memory B-tree index.
 
 HyperDB keeps a per-partition B-tree mapping keys to their NVMe locations
-(§3.6 "Index").  This implementation is a classic B+-tree: values live only
-in leaves, leaves are chained for range scans, and internal nodes hold
-separator keys.
+(§3.6 "Index").  This implementation is a B+-tree over the keys — leaves
+are chained for range scans, internal nodes hold separator keys — with the
+values in a hash mirror beside it.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from typing import Any, Iterator, Optional
 
 
 class _Leaf:
-    __slots__ = ("keys", "values", "next")
+    __slots__ = ("keys", "next")
 
     def __init__(self) -> None:
         self.keys: list[bytes] = []
-        self.values: list[Any] = []
         self.next: Optional["_Leaf"] = None
 
 
@@ -72,9 +71,8 @@ class BTreeIndex:
     def insert(self, key: bytes, value: Any) -> bool:
         """Insert or replace.  Returns True if the key was new.
 
-        Replacements never touch the tree: current values live in the
-        hash mirror (leaf ``values`` slots may go stale and are never
-        read), so only *new* keys pay the structural walk.
+        Replacements never touch the tree: values live in the hash
+        mirror, so only *new* keys pay the structural walk.
         """
         fast = self._fast
         if key in fast:
@@ -90,7 +88,6 @@ class BTreeIndex:
         leaf: _Leaf = node
         idx = bisect_left(leaf.keys, key)
         leaf.keys.insert(idx, key)
-        leaf.values.insert(idx, value)
         self._len += 1
         if len(leaf.keys) >= self._order:
             self._split(leaf, path)
@@ -101,10 +98,8 @@ class BTreeIndex:
             mid = len(node.keys) // 2
             right = _Leaf()
             right.keys = node.keys[mid:]
-            right.values = node.values[mid:]
             right.next = node.next
             node.keys = node.keys[:mid]
-            node.values = node.values[:mid]
             node.next = right
             sep = right.keys[0]
         else:
@@ -141,7 +136,6 @@ class BTreeIndex:
         idx = bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:
             leaf.keys.pop(idx)
-            leaf.values.pop(idx)
             del self._fast[key]
             self._len -= 1
             return True
@@ -167,8 +161,6 @@ class BTreeIndex:
                 key = leaf.keys[idx]
                 if end is not None and key >= end:
                     return
-                # Values are read through the mirror: leaf slots go stale
-                # on replacement (see ``insert``).
                 yield key, fast[key]
                 idx += 1
             leaf = leaf.next

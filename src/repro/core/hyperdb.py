@@ -470,6 +470,8 @@ class HyperDB(KVStore):
         """Range scan, implemented as merged sequential point queries
         (§4.2: HyperDB's scan path; the layout difference between tiers
         precludes RocksDB-style prefetching)."""
+        if count <= 0:
+            return [], 0.0
         self.stats.counter("scans").add()
         busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
 

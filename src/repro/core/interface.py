@@ -47,12 +47,13 @@ class KVStore(abc.ABC):
     # ------------------------------------------------------- batched ops
     #
     # Batched variants carry a whole slice of the workload through the
-    # store in one call.  Engines override ``put_many``/``get_many`` with
-    # fused loops for unguarded devices; these defaults are the guarded
-    # path — one scalar call per op, so health-window boundaries land
-    # between ops — and every engine falls back to them under an injector,
-    # admission control, or ``capture_errors``.  Results are bit-identical
-    # either way (same call order, same float accumulation).
+    # store in one call.  These defaults are the guarded path — one scalar
+    # call per op, so health-window boundaries land between ops — and the
+    # only path of every baseline.  ``HyperDB`` alone overrides
+    # ``put_many``/``get_many`` with fused loops for unguarded devices and
+    # falls back to these under an injector, admission control, or
+    # ``capture_errors``.  Results are bit-identical either way (same call
+    # order, same float accumulation).
     #
     # ``busy_out``, when given, receives one tuple per op of cumulative
     # per-device busy seconds *after* that op, in ``devices()`` order —

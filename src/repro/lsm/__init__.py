@@ -7,7 +7,8 @@ the capacity tier of HyperDB.
 Layout of responsibilities:
 
 * :mod:`repro.lsm.blocks` — on-media record/block encoding with checksums.
-* :mod:`repro.lsm.memtable` — skip-list memtable with size accounting.
+* :mod:`repro.lsm.memtable` — hash-map memtable with a sorted key view and
+  size accounting.
 * :mod:`repro.lsm.wal` — write-ahead log with group commit.
 * :mod:`repro.lsm.sstable` — immutable sorted tables (data blocks, bloom
   metadata, index).

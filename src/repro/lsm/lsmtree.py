@@ -17,13 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-import numpy as np
-
 from repro import obs
-from repro.common.bloom import hash_many
 from repro.common.cache import LRUCache
 from repro.common.errors import ConfigError, CorruptionError
-from repro.common.records import Record, paired_columns
+from repro.common.records import Record
 from repro.common.stats import StatsRegistry
 from repro.health import admission as admission_mod
 from repro.health.admission import AdmissionConfig, AdmissionController
@@ -373,164 +370,6 @@ class LSMTree:
         """Delete via tombstone.  Returns foreground service time."""
         return self._write(Record.tombstone(key, self.next_seqno()))
 
-    def put_many(self, keys, values, busy_hook=None) -> list[float]:
-        """Batched :meth:`put`: one fused loop over the write path.
-
-        ``busy_hook``, when given, is invoked after every op (the store
-        layer snapshots per-device busy seconds into latency rows there).
-        The calls, their order, and the float math match :meth:`put` bit
-        for bit (``_write`` with its lookups hoisted), so stall ordering
-        and emitted events are exact under admission control or a
-        recorder too.
-        """
-        keys, values = paired_columns(keys, values)
-        admission = self.admission
-        wal = self.wal
-        puts = None  # fetched where ``_write`` would create it
-        mem = self._memtable
-        mem_put = mem.put
-        out = []
-        append = out.append
-        for key, value in zip(keys, values):
-            self._seqno += 1
-            rec = Record(key, value, self._seqno)
-            service = self._admission_gate() if admission is not None else 0.0
-            if wal is not None:
-                service += wal.append(rec)
-            mem_put(rec)
-            if puts is None:
-                puts = self.stats.counter("puts")
-            puts.value += 1
-            if mem.is_full:
-                service += self.flush()
-                mem = self._memtable
-                mem_put = mem.put
-            self.last_op_service = service
-            append(service)
-            if busy_hook is not None:
-                busy_hook()
-        return out
-
-    def get_many(self, keys, busy_hook=None) -> list:
-        """Batched :meth:`get` with a columnar resolution pass.
-
-        On the unguarded fast path every pure per-key step is hoisted out
-        of the I/O loop and vectorized: candidate tables for each sorted
-        level come from one ``np.searchsorted`` over the level's cached
-        first keys (:meth:`LevelState.tables_for_keys`), and bloom
-        membership for all keys sharing a candidate table from one
-        :meth:`~repro.common.bloom.BloomFilter.contains_many` probe over
-        the batch's hash array.  The block reads then run per key in op
-        order, so cache population and eviction — and therefore every
-        charge — match the per-op path bit for bit.  Guarded devices
-        (fault injector, health windows) or an active recorder fall back
-        to the scalar loop.
-        """
-        fast = obs.RECORDER is None and all(
-            p.fs.device._fastpath for p in self.paths
-        )
-        if not fast:
-            get = self.get
-            out = []
-            for key in keys:
-                out.append(get(key))
-                if busy_hook is not None:
-                    busy_hook()
-            return out
-        if not isinstance(keys, (list, tuple)):
-            keys = list(keys)
-        n = len(keys)
-        if n == 0:
-            return []
-        self.stats.counter("gets").add(n)
-        # Pure pre-pass: memtable lookups are dict probes (no I/O, no
-        # cache traffic), so resolving every key up front is invisible
-        # to the ledger.  A read batch never mutates the memtables or
-        # the version, so the state probed here is frozen.
-        mem_get = self._memtable.get
-        imms = self._immutables
-        recs: list = []
-        recs_append = recs.append
-        misses: list[bytes] = []
-        miss_pos: list[int] = []
-        for i, key in enumerate(keys):
-            rec = mem_get(key)
-            if rec is None and imms:
-                for imm in reversed(imms):
-                    rec = imm.get(key)
-                    if rec is not None:
-                        break
-            recs_append(rec)
-            if rec is None:
-                miss_pos.append(i)
-                misses.append(key)
-        first = self.options.first_level
-        level_cands: list[tuple[list, list]] = []
-        pos_to_j: dict[int, int] = {}
-        if misses:
-            pos_to_j = {i: j for j, i in enumerate(miss_pos)}
-            hashes = hash_many(misses)
-            for level_no in range(max(first, 1), first + self.options.num_levels):
-                if level_no - first >= self.version.num_levels:
-                    break
-                lvl = self.version.level(level_no)
-                if not lvl.tables:
-                    continue
-                cands = lvl.tables_for_keys(misses)
-                verdicts = [False] * len(misses)
-                groups: dict[int, tuple] = {}
-                for j, t in enumerate(cands):
-                    if t is not None:
-                        groups.setdefault(id(t), (t, []))[1].append(j)
-                for t, js in groups.values():
-                    hit = t.bloom.contains_many(hashes[np.array(js)])
-                    for j, v in zip(js, hit.tolist()):
-                        verdicts[j] = v
-                level_cands.append((cands, verdicts))
-        l0_tables = (
-            list(reversed(self.version.level(0).tables)) if first == 0 else None
-        )
-        cache = self.cache
-        fg = TrafficKind.FOREGROUND
-        out = []
-        append = out.append
-        for i, key in enumerate(keys):
-            rec = recs[i]
-            if rec is not None:
-                self.last_op_service = 0.0
-                append(((None if rec.is_tombstone else rec.value), 0.0))
-                if busy_hook is not None:
-                    busy_hook()
-                continue
-            service = 0.0
-            value = None
-            found = False
-            if l0_tables:
-                for table in l0_tables:
-                    if table.first_key <= key <= table.last_key:
-                        r, s = table.get(key, fg, cache)
-                        service += s
-                        if r is not None:
-                            value = None if r.is_tombstone else r.value
-                            found = True
-                            break
-            if not found:
-                j = pos_to_j[i]
-                for cands, verdicts in level_cands:
-                    t = cands[j]
-                    if t is None or not verdicts[j]:
-                        continue
-                    r, s = t.get_nobloom(key, fg, cache)
-                    service += s
-                    if r is not None:
-                        value = None if r.is_tombstone else r.value
-                        break
-            self.last_op_service = service
-            append((value, service))
-            if busy_hook is not None:
-                busy_hook()
-        return out
-
     def ingest(self, rec: Record) -> float:
         """Write a pre-stamped record (used by cross-tier migration)."""
         if rec.seqno > self._seqno:
@@ -606,9 +445,7 @@ class LSMTree:
             if self.wal is not None:
                 self.wal.sync()
             imm = self._memtable
-            self._memtable = MemTable(
-                self.options.memtable_bytes, seed=self._table_seq + 1
-            )
+            self._memtable = MemTable(self.options.memtable_bytes)
             self._immutables.append(imm)
             service = self._flush_immutables()
             service += self._write_manifest()
@@ -775,6 +612,8 @@ class LSMTree:
 
     def scan(self, start: bytes, count: int) -> tuple[list[tuple[bytes, bytes]], float]:
         """Range scan of up to ``count`` live records from ``start``."""
+        if count <= 0:
+            return [], 0.0
         self.stats.counter("scans").add()
         devices = {id(p.fs.device): p.fs.device for p in self.paths}
         device_busy_before = {k: d.busy_seconds() for k, d in devices.items()}
@@ -818,11 +657,3 @@ class LSMTree:
 
     def size_bytes(self) -> int:
         return self.version.total_size_bytes()
-
-    def num_records_estimate(self) -> int:
-        return len(self._memtable) + sum(
-            lvl.num_records() for lvl in self.version.all_levels()
-        )
-
-    def level_sizes(self) -> dict[int, int]:
-        return {lvl.level: lvl.size_bytes() for lvl in self.version.all_levels()}

@@ -1,36 +1,36 @@
 """The in-memory write buffer.
 
 A :class:`MemTable` pairs a hash map — O(1) point lookups, replacement,
-and size accounting — with a skip list that orders keys only when order
-is observable.  Puts append new keys to a pending backlog; the first
-ordered access (a flush or scan calling :meth:`records`,
-:meth:`first_key`, :meth:`last_key`) merges the backlog into the skip
-list in one sorted sweep.  The paper's description of the MemTable ("a
-skip-list and sorted by keys") holds at every ordered access; the hot
-write path just defers the ordering work until something reads it.
+and size accounting — with a sorted key view that is built only when
+order is observable: the first ordered access (a flush or scan calling
+:meth:`records`, :meth:`first_key`, :meth:`last_key`) after a new key
+arrived sorts the map's keys once.  The paper's description of the
+MemTable ("a skip-list and sorted by keys") holds at every ordered
+access; the hot write path just defers the ordering work until something
+reads it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, Optional
 
 from repro.common.records import Record
-from repro.common.skiplist import SkipList
 
 
 class MemTable:
     """Sorted in-memory buffer of the most recent writes."""
 
-    def __init__(self, capacity_bytes: int, seed: int = 0) -> None:
+    def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self._map: dict[bytes, Record] = {}
-        self._order = SkipList(seed=seed)
-        #: Keys inserted since the last ordered access, not yet in the
-        #: skip list.  Each key appears at most once (replacements only
-        #: touch the map), so one sort merges the whole backlog.
-        self._pending: list[bytes] = []
+        #: The map's keys in order, as of the last ordered access.
+        #: Replacements never reorder and a memtable never removes a key,
+        #: so the view is stale exactly when its length differs from the
+        #: map's.
+        self._sorted_keys: list[bytes] = []
         self._size = 0
 
     def __len__(self) -> int:
@@ -49,8 +49,6 @@ class MemTable:
         old = self._map.get(rec.key)
         if old is not None:
             self._size -= old.encoded_size
-        else:
-            self._pending.append(rec.key)
         self._map[rec.key] = rec
         self._size += rec.encoded_size
 
@@ -61,25 +59,24 @@ class MemTable:
     def __contains__(self, key: bytes) -> bool:
         return key in self._map
 
-    def _seal_pending(self) -> None:
-        pending = self._pending
-        if pending:
-            insert = self._order.insert
-            for key in sorted(pending):
-                insert(key, None)
-            pending.clear()
+    def _ordered_keys(self) -> list[bytes]:
+        view = self._sorted_keys
+        if len(view) != len(self._map):
+            view = self._sorted_keys = sorted(self._map)
+        return view
 
     def records(self, start: Optional[bytes] = None) -> Iterator[Record]:
         """Key-ordered iteration of all live records (tombstones included)."""
-        self._seal_pending()
+        view = self._ordered_keys()
         rec_for = self._map
-        for key, _ in self._order.items(start=start):
-            yield rec_for[key]
+        first = 0 if start is None else bisect_left(view, start)
+        for i in range(first, len(view)):
+            yield rec_for[view[i]]
 
     def first_key(self) -> Optional[bytes]:
-        self._seal_pending()
-        return self._order.first_key()
+        view = self._ordered_keys()
+        return view[0] if view else None
 
     def last_key(self) -> Optional[bytes]:
-        self._seal_pending()
-        return self._order.last_key()
+        view = self._ordered_keys()
+        return view[-1] if view else None

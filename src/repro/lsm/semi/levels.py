@@ -171,9 +171,6 @@ class SemiLevels:
     def level_valid_bytes(self, level_no: int) -> int:
         return self.level(level_no).valid_bytes()
 
-    def level_file_bytes(self, level_no: int) -> int:
-        return self.level(level_no).file_bytes()
-
     def total_valid_bytes(self) -> int:
         return sum(l.valid_bytes() for l in self._levels.values())
 

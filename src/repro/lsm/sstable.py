@@ -153,24 +153,6 @@ class SSTable:
             return records[idx], service
         return None, service
 
-    def get_nobloom(
-        self,
-        key: bytes,
-        kind: TrafficKind = TrafficKind.FOREGROUND,
-        cache: Optional[LRUCache] = None,
-    ) -> tuple[Optional[Record], float]:
-        """:meth:`get` minus the bloom probe — for batch readers that
-        already probed the filter columnar
-        (:meth:`repro.common.bloom.BloomFilter.contains_many`)."""
-        handle = self._find_handle(key)
-        if handle is None:
-            return None, 0.0
-        records, keys, service = self._load_block(handle, kind, cache)
-        idx = bisect_left(keys, key)
-        if idx < len(keys) and keys[idx] == key:
-            return records[idx], service
-        return None, service
-
     def iter_records(
         self,
         kind: TrafficKind = TrafficKind.COMPACTION,
@@ -196,15 +178,6 @@ class SSTable:
             for rec in records:
                 if rec.key >= start:
                     yield rec
-
-    def all_keys(self) -> list[bytes]:
-        """Keys visible from the index alone (block boundary keys)."""
-        out = []
-        for h in self.handles:
-            out.append(h.first_key)
-            if h.last_key != h.first_key:
-                out.append(h.last_key)
-        return out
 
 
 class SSTableBuilder:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterator, List, Optional
 
-import numpy as np
-
 from repro.common.errors import ReproError
 from repro.common.keys import ranges_overlap
 
@@ -26,9 +24,6 @@ class LevelState:
         #: Cached ``[t.first_key for t in tables]``; rebuilt lazily after
         #: add/remove so point lookups bisect instead of scanning.
         self._firsts: Optional[List[bytes]] = None
-        #: The same keys as an object-dtype array for batched
-        #: ``np.searchsorted`` resolution (:meth:`tables_for_keys`).
-        self._firsts_arr: Optional[np.ndarray] = None
 
     @property
     def overlapping_allowed(self) -> bool:
@@ -43,7 +38,6 @@ class LevelState:
         if self.overlapping_allowed:
             self.tables.append(table)
             self._firsts = None
-            self._firsts_arr = None
             return
         # Keep sorted by first key; reject overlap with neighbours.
         firsts = self._first_keys()
@@ -62,7 +56,6 @@ class LevelState:
             )
         self.tables.insert(idx, table)
         self._firsts = None
-        self._firsts_arr = None
 
     def remove(self, table) -> None:
         try:
@@ -72,7 +65,6 @@ class LevelState:
                 f"table {table.table_id} not present at L{self.level}"
             ) from None
         self._firsts = None
-        self._firsts_arr = None
 
     def overlapping(self, lo: bytes, hi: Optional[bytes]) -> list:
         """Tables whose key range intersects ``[lo, hi)``."""
@@ -96,37 +88,6 @@ class LevelState:
             return None
         t = self.tables[idx]
         return t if key <= t.last_key else None
-
-    def tables_for_keys(self, keys) -> list:
-        """Batched :meth:`table_for_key`: one ``np.searchsorted`` over the
-        cached first-key array resolves the whole batch.
-
-        Object dtype keeps Python byte-string comparison semantics exactly
-        (numpy's fixed-width ``S`` dtype strips trailing NULs), so every
-        verdict equals the scalar bisect's.
-        """
-        if self.overlapping_allowed:
-            raise ReproError("tables_for_keys is undefined on overlapping L0")
-        tables = self.tables
-        n = len(keys)
-        if not tables:
-            return [None] * n
-        if self._firsts_arr is None:
-            arr = np.empty(len(tables), dtype=object)
-            arr[:] = self._first_keys()
-            self._firsts_arr = arr
-        karr = np.empty(n, dtype=object)
-        karr[:] = keys
-        idx = np.searchsorted(self._firsts_arr, karr, side="right") - 1
-        out = []
-        append = out.append
-        for i, key in zip(idx.tolist(), keys):
-            if i < 0:
-                append(None)
-                continue
-            t = tables[i]
-            append(t if key <= t.last_key else None)
-        return out
 
     def size_bytes(self) -> int:
         return sum(t.size_bytes for t in self.tables)

@@ -66,11 +66,6 @@ class MigrationScheduler:
         return self.capacity_tier.fs.device.health() is not HealthState.OFFLINE
 
     @property
-    def catch_up_pending(self) -> tuple[int, ...]:
-        """Partition ids queued for a post-recovery demotion pass."""
-        return tuple(self._catch_up)
-
-    @property
     def has_catch_up(self) -> bool:
         return bool(self._catch_up)
 

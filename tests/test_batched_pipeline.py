@@ -15,6 +15,8 @@ import pytest
 
 from repro.bench.context import BenchScale, build_store
 from repro.common.keys import encode_key, encode_keys
+from repro.core.interface import KVStore
+from repro.lsm.lsmtree import LSMTree
 from repro.ycsb.runner import WorkloadRunner
 from repro.ycsb.workload import YCSB_WORKLOADS
 from tests.reference_runner import ReferenceRunner
@@ -118,6 +120,19 @@ def test_store_batch_methods_match_loops(store_name):
     # The batch's per-op busy rows are the same snapshots a per-op
     # caller would take after each call.
     assert busy_rows == exp_rows
+
+
+@pytest.mark.parametrize("store_name", ["rocksdb", "rocksdb-sc", "prismdb"])
+def test_lsm_backed_stores_have_no_batch_body_of_their_own(store_name):
+    """One body per op on the classic LSM: the batch entry points are
+    ``KVStore``'s per-op loop over ``put`` / ``get`` — the only bodies that
+    quarantine a corrupt table.  A fused path on the baseline measured
+    behind (DESIGN.md §11's fork table); a PR that wants one back deletes
+    this test together with its ten pairs."""
+    cls = type(_small_store(store_name))
+    assert cls.put_many is KVStore.put_many
+    assert cls.get_many is KVStore.get_many
+    assert not hasattr(LSMTree, "put_many") and not hasattr(LSMTree, "get_many")
 
 
 def test_encode_keys_matches_scalar_encoding():

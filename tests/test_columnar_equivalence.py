@@ -1,8 +1,8 @@
 """Columnar execution equivalence (the columnar contract).
 
-The run path vectorizes pure work — bloom probes, candidate-table
-resolution, latency attribution, grouped device charging — but every I/O
-still lands in op order.  These tests enforce the contract end to end:
+The run path vectorizes pure work — key encoding, latency attribution,
+the hotness filters' batched probes — but every I/O still lands in op
+order.  These tests enforce the contract end to end:
 the e2e digest (traffic ledgers, utilization, space, raw latency
 samples) of the runner's single path must be byte-identical to the
 scalar reference executor (``tests/reference_runner.py``: public scalar
@@ -20,7 +20,7 @@ import pytest
 
 from repro.bench.context import BenchScale, build_store
 from repro.common.bloom import BloomFilter, hash_many
-from repro.common.keys import KeyRange, encode_key, encode_keys
+from repro.common.keys import KeyRange, encode_key
 from repro.core import HyperDB, HyperDBConfig
 from repro.health.state import HealthState, HealthWindow
 from repro.nvme.config import NVMeConfig
@@ -182,56 +182,10 @@ def test_contains_many_matches_scalar_contains():
         assert v == (key in bf), key
 
 
-def test_tables_for_keys_matches_scalar_bisect():
-    scale = BenchScale(**SCALE_KW)
-    store = build_store("rocksdb", scale)
-    # Enough data to push tables past L0 into the sorted levels.
-    kids = list(range(scale.record_count * 6))
-    store.put_many(encode_keys(kids), [b"v" * 96 for _ in kids])
-    store.finalize()
-    tree = store.tree
-    tree.maybe_compact()
-    probes = encode_keys(
-        [0, 1, 7, 99, 250, 499, 500, 1000, scale.record_count * 2]
-    ) + [b"", b"\xff" * 9]
-    checked_levels = 0
-    for lvl in tree.version.all_levels():
-        if lvl.overlapping_allowed or not lvl.tables:
-            continue
-        batch = lvl.tables_for_keys(probes)
-        for key, got in zip(probes, batch):
-            assert got is lvl.table_for_key(key)
-        checked_levels += 1
-    assert checked_levels > 0, "load produced no sorted level to check"
-
-
-def test_sstable_get_nobloom_matches_get():
-    scale = BenchScale(**SCALE_KW)
-    store = build_store("rocksdb", scale)
-    kids = list(range(300))
-    store.put_many(encode_keys(kids), [b"w" * 96 for _ in kids])
-    store.finalize()
-    tree = store.tree
-    tables = [t for lvl in tree.version.all_levels() for t in lvl.tables]
-    assert tables
-    table = tables[0]
-    probes = [table.first_key, table.last_key, table.first_key + b"\x00", b"zz"]
-    for key in probes:
-        # Bypass the cache so both calls charge identically.
-        expect = table.get(key, TrafficKind.FOREGROUND, None)
-        got = table.get_nobloom(key, TrafficKind.FOREGROUND, None)
-        if key in table.bloom:
-            assert got == expect
-        else:
-            # get() short-circuits on the bloom; nobloom still must agree
-            # on the verdict for keys genuinely absent from the block.
-            assert got[0] == expect[0] is None
-
-
 def test_memtable_deferred_order_is_observably_sorted():
     from repro.lsm.memtable import MemTable
 
-    mt = MemTable(1 << 20, seed=3)
+    mt = MemTable(1 << 20)
     rng = np.random.default_rng(9)
     from repro.common.records import Record
 

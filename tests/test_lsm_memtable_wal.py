@@ -1,12 +1,17 @@
 """Unit tests for the memtable and write-ahead log."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.keys import encode_key
 from repro.common.records import Record
 from repro.lsm.memtable import MemTable
 from repro.lsm.wal import WriteAheadLog
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
+
+#: A small key universe, so scripts replace keys as often as they add them.
+_KEYS = st.lists(st.sampled_from([0, 97, 98]), max_size=2).map(bytes)
 
 
 class TestMemTable:
@@ -56,6 +61,50 @@ class TestMemTable:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             MemTable(0)
+
+    @given(
+        script=st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(["put", "tombstone"]), _KEYS),
+                st.tuples(st.sampled_from(["records", "first", "last"]), _KEYS),
+            ),
+            max_size=60,
+        )
+    )
+    @example(  # an ordered read between two puts of new keys: view refreshes
+        script=[("put", b"b"), ("records", b""), ("put", b"a"), ("records", b""),
+                ("first", b"")]
+    )
+    @example(  # a replacement after an ordered read: no reorder, new value
+        script=[("put", b"a"), ("put", b"b"), ("last", b""), ("tombstone", b"b"),
+                ("records", b"b")]
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ordered_access_matches_sorted_dict(self, script):
+        """Any interleaving of put / replace / tombstone with ordered reads
+        agrees with ``sorted(dict)`` at every ordered access, tombstones
+        included."""
+        mt = MemTable(1 << 20)
+        model: dict[bytes, Record] = {}
+        for seq, (op, key) in enumerate(script, start=1):
+            if op in ("put", "tombstone"):
+                rec = (
+                    Record(key, b"v%d" % seq, seq)
+                    if op == "put"
+                    else Record.tombstone(key, seq)
+                )
+                mt.put(rec)
+                model[key] = rec
+            elif op == "records":
+                want = [model[k] for k in sorted(model) if k >= key]
+                assert list(mt.records(start=key)) == want
+            elif op == "first":
+                assert mt.first_key() == min(model, default=None)
+            else:
+                assert mt.last_key() == max(model, default=None)
+            assert len(mt) == len(model)
+        assert list(mt.records()) == [model[k] for k in sorted(model)]
+        assert mt.size_bytes == sum(r.encoded_size for r in model.values())
 
 
 @pytest.fixture

@@ -169,3 +169,15 @@ def test_scan_after_a_long_delete_run(name):
     for i in range(5000, 5300):
         m.delete(i)
     m.check_scan(5000, 50)
+
+
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_scan_of_no_records_returns_nothing_and_charges_nothing(name):
+    """``count <= 0`` is an empty answer, not a refill of a zero-size batch
+    (HyperDB / PrismDB: IndexError) nor one pair (the LSM's append-then-test)."""
+    m = ModelledStore.small(name)
+    devices = m.store.devices().values()
+    before = [d.traffic.snapshot() for d in devices]
+    for count in (0, -3):
+        assert m.store.scan(encode_key(100), count) == ([], 0.0)
+    assert [d.traffic.snapshot() for d in devices] == before
