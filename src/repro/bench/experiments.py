@@ -354,6 +354,18 @@ def fig9a_skew_sweep(
     }
 
 
+def fig9b_points(base: BenchScale, value_sizes) -> list[BenchScale]:
+    """Fig. 9b's sweep points: ``base`` at each value size, the record
+    count shrunk so the loaded byte volume stays ``base``'s (floor: 2,000
+    records)."""
+    points = []
+    for vs in value_sizes:
+        point = replace(base, value_size=vs)
+        point.record_count = max(2000, base.dataset_bytes // point.record_size)
+        points.append(point)
+    return points
+
+
 def fig9b_value_size_sweep(
     scale: Optional[BenchScale] = None,
     stores=("rocksdb", "prismdb", "hyperdb"),
@@ -366,13 +378,8 @@ def fig9b_value_size_sweep(
     base = scale or BenchScale.default()
     grid = []
     jobs = []
-    for vs in value_sizes:
-        point = BenchScale.default(
-            value_size=vs,
-            record_count=max(2000, base.dataset_bytes // (14 + 8 + vs)),
-            operations=base.operations,
-            nvme_ratio=base.nvme_ratio,
-        )
+    for point in fig9b_points(base, value_sizes):
+        vs = point.value_size
         for store_name in stores:
             grid.append((vs, store_name))
             jobs.append(

@@ -203,49 +203,34 @@ class HyperDBCluster:
     # the equivalent per-op sequence: same clock ticks, same hint
     # replays, same counters.
 
+    def _each(self, op, arg_rows, capture_errors: bool) -> list:
+        """``op(*args)`` per row; with ``capture_errors`` a failed op's
+        slot holds its :class:`QuorumError` instead of aborting the batch."""
+        out: list = []
+        for args in arg_rows:
+            try:
+                out.append(op(*args))
+            except QuorumError as exc:
+                if not capture_errors:
+                    raise
+                out.append(exc)
+        return out
+
     def put_many(
         self, keys, values, capture_errors: bool = False
     ) -> list:
-        """Quorum-write each pair; returns per-op service seconds.
-
-        With ``capture_errors`` a failed op's slot holds the raised
-        :class:`QuorumError` instead of aborting the batch.
-        """
-        out: list = []
-        for key, value in zip(*paired_columns(keys, values)):
-            try:
-                out.append(self.put(key, value))
-            except QuorumError as exc:
-                if not capture_errors:
-                    raise
-                out.append(exc)
-        return out
+        """Quorum-write each pair; returns per-op service seconds."""
+        return self._each(
+            self.put, zip(*paired_columns(keys, values)), capture_errors
+        )
 
     def get_many(self, keys, capture_errors: bool = False) -> list:
-        """Quorum-read each key; returns ``(payload, service)`` tuples
-        (or the :class:`QuorumError` per failed op under
-        ``capture_errors``)."""
-        out: list = []
-        for key in keys:
-            try:
-                out.append(self.get(key))
-            except QuorumError as exc:
-                if not capture_errors:
-                    raise
-                out.append(exc)
-        return out
+        """Quorum-read each key; returns ``(payload, service)`` tuples."""
+        return self._each(self.get, zip(keys), capture_errors)
 
     def delete_many(self, keys, capture_errors: bool = False) -> list:
-        """Quorum-delete each key; same conventions as :meth:`put_many`."""
-        out: list = []
-        for key in keys:
-            try:
-                out.append(self.delete(key))
-            except QuorumError as exc:
-                if not capture_errors:
-                    raise
-                out.append(exc)
-        return out
+        """Quorum-delete each key; returns per-op service seconds."""
+        return self._each(self.delete, zip(keys), capture_errors)
 
     def _quorum_write(self, key: bytes, payload: bytes, tombstone: bool) -> float:
         self.clock += 1

@@ -21,7 +21,7 @@ from repro.common.errors import (
     ClosedError,
     ConfigError,
 )
-from repro.common.records import Record, ValuePointer
+from repro.common.records import Record
 from repro.common.keys import (
     encode_key,
     decode_key,
@@ -33,7 +33,6 @@ from repro.common.bloom import BloomFilter
 from repro.common.btree import BTreeIndex
 from repro.common.cache import LRUCache, ObjectCache
 from repro.common.stats import Counter, LatencyHistogram, StatsRegistry
-from repro.common.rng import make_rng
 
 __all__ = [
     "ReproError",
@@ -50,7 +49,6 @@ __all__ = [
     "ClosedError",
     "ConfigError",
     "Record",
-    "ValuePointer",
     "encode_key",
     "decode_key",
     "key_in_range",
@@ -63,5 +61,4 @@ __all__ = [
     "Counter",
     "LatencyHistogram",
     "StatsRegistry",
-    "make_rng",
 ]

@@ -29,6 +29,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Memo for the (pure) key -> base-hash mapping.  Skewed workloads probe
 # the same hot keys through every filter on every access; caching the
 # blake2b digest is free correctness-wise and saves a hash per repeat.
+# The one host-side memo kept on measurement (DESIGN.md §11 fork table).
 _HASH_MEMO: dict[bytes, tuple[int, int]] = {}
 _HASH_MEMO_MAX = 1 << 16
 

@@ -76,11 +76,6 @@ class KeyRange:
             return False
         return True
 
-    def union(self, other: "KeyRange") -> "KeyRange":
-        lo = min(self.lo, other.lo)
-        hi = None if (self.hi is None or other.hi is None) else max(self.hi, other.hi)
-        return KeyRange(lo, hi)
-
     @staticmethod
     def spanning(keys: list[bytes]) -> "KeyRange":
         """The smallest closed-ish range covering ``keys`` (hi is exclusive,

@@ -51,24 +51,6 @@ class Record:
         return self.key == other.key and self.seqno >= other.seqno
 
 
-@dataclass(frozen=True, slots=True)
-class ValuePointer:
-    """Location of an object inside the NVMe tier.
-
-    ``slot_class`` selects the slot file (size class), ``page_no`` the page
-    within it, and ``offset`` the byte offset within the page.  ``zone_id``
-    back-references the owning zone so demotion can enumerate a zone's pages.
-    """
-
-    partition_id: int
-    zone_id: int
-    slot_class: int
-    page_no: int
-    offset: int
-    size: int
-    promoted: bool = False
-
-
 def paired_columns(keys, values) -> tuple:
     """The two columns of a ``put_many`` as same-length sequences.
 

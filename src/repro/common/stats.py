@@ -54,10 +54,10 @@ class LatencyHistogram:
 
     def record_many(self, latencies: Iterable[float]) -> None:
         if isinstance(latencies, np.ndarray):
-            # Take a private copy: callers (merge, the parallel reducers)
-            # hand in live views of other histograms' buffers, and growing
-            # or writing self._buf must never alias or disturb them — this
-            # also makes h.merge(h) well-defined.
+            # Take a private copy: ``merge`` hands in a live view of
+            # another histogram's buffer, and growing or writing
+            # self._buf must never alias or disturb it — this also makes
+            # h.merge(h) well-defined.
             arr = latencies.astype(np.float64, copy=True).ravel()
         else:
             arr = np.asarray(list(latencies), dtype=np.float64)
@@ -100,12 +100,6 @@ class LatencyHistogram:
     def merge(self, other: "LatencyHistogram") -> None:
         """Append ``other``'s samples; ``other`` is never mutated or aliased."""
         self.record_many(other.samples())
-
-    def copy(self) -> "LatencyHistogram":
-        """An independent histogram holding the same samples."""
-        dup = LatencyHistogram(initial_capacity=max(16, self._n))
-        dup.record_many(self.samples())
-        return dup
 
     def reset(self) -> None:
         self._n = 0

@@ -19,9 +19,10 @@ import zlib
 from typing import Iterable, Iterator
 
 from repro.common.errors import CorruptionError
-from repro.common.records import Record
+from repro.common.records import RECORD_HEADER_SIZE, Record
 
 _HEADER = struct.Struct(">QBHI")
+assert _HEADER.size == RECORD_HEADER_SIZE
 CHECKSUM_SIZE = 4
 _FLAG_TOMBSTONE = 0x01
 
@@ -36,7 +37,7 @@ def encode_record(rec: Record) -> bytes:
     )
 
 
-def record_at(data: bytes, offset: int = 0) -> Record:
+def decode_one(data: bytes, offset: int = 0) -> Record:
     """Decode the one record starting at ``offset`` — what an index that
     stores record offsets (NVMe slot locations, semi-SSTable index
     entries) reads through.  Header and body are bounds-checked."""
@@ -61,30 +62,9 @@ def decode_records(data: bytes) -> Iterator[Record]:
     pos = 0
     end = len(data)
     while pos < end:
-        rec = record_at(data, pos)
+        rec = decode_one(data, pos)
         pos += rec.encoded_size
         yield rec
-
-
-# Content-keyed memo for single-record decodes (the NVMe slot read
-# path).  Records are never mutated after construction anywhere in the
-# tree, so handing repeat readers of the same payload one shared Record
-# is safe; a corrupted payload can't collide with a memoized key.
-_DECODE_ONE_MEMO: dict[tuple[bytes, int], Record] = {}
-_DECODE_ONE_MEMO_MAX = 8192
-
-
-def decode_one(data: bytes, offset: int = 0) -> Record:
-    """:func:`record_at` behind the memo above (hot slots are re-read often)."""
-    memo_key = (data, offset)
-    rec = _DECODE_ONE_MEMO.get(memo_key)
-    if rec is not None:
-        return rec
-    rec = record_at(data, offset)
-    if len(_DECODE_ONE_MEMO) >= _DECODE_ONE_MEMO_MAX:
-        _DECODE_ONE_MEMO.clear()
-    _DECODE_ONE_MEMO[memo_key] = rec
-    return rec
 
 
 def decode_prefix(data: bytes) -> tuple[list[Record], int, bool]:
@@ -138,22 +118,8 @@ def verify_block(block: bytes) -> bytes:
     return payload
 
 
-# Content-keyed memo of decoded blocks.  Decoding is pure, and the block
-# cache already hands the same record list to every reader, so sharing
-# one list per distinct block payload is safe.  The memo only pays off
-# when a block is re-read (and re-decoded) after LRU eviction; a
-# corrupted payload never matches a memoized key, so checksum failures
-# still surface.  Bounded by wholesale clearing -- entries are cheap to
-# rebuild.
-_DECODE_MEMO: dict[bytes, list[Record]] = {}
-_DECODE_MEMO_MAX = 1024
-
-
 def decode_block(block: bytes) -> list[Record]:
     """Decode a checksummed data block, verifying integrity."""
-    cached = _DECODE_MEMO.get(block)
-    if cached is not None:
-        return cached
     payload = verify_block(block)
     # Inline loop rather than list(decode_records(...)): block decodes run
     # on every table read and the generator resumption overhead is
@@ -180,12 +146,4 @@ def decode_block(block: bytes) -> list[Record]:
                 deleted=bool(flags & _FLAG_TOMBSTONE),
             )
         )
-    if len(_DECODE_MEMO) >= _DECODE_MEMO_MAX:
-        _DECODE_MEMO.clear()
-    _DECODE_MEMO[block] = records
     return records
-
-
-def record_encoded_size(rec: Record) -> int:
-    """Size of one encoded record (excludes the per-block checksum)."""
-    return _HEADER.size + len(rec.key) + len(rec.value)

@@ -170,9 +170,6 @@ class LSMTree:
             if opts.wal_enabled
             else None
         )
-        #: Service time charged to foreground ops since construction;
-        #: the workload runner converts this into latency samples.
-        self.last_op_service = 0.0
         #: Populated by :meth:`reopen`.
         self.recovery_report: Optional[RecoveryReport] = None
         if recover_existing:
@@ -386,7 +383,6 @@ class LSMTree:
         self.stats.counter("puts").add()
         if self._memtable.is_full:
             service += self.flush()
-        self.last_op_service = service
         return service
 
     def _admission_gate(self) -> float:
@@ -570,7 +566,6 @@ class LSMTree:
                 if rec is not None:
                     break
         if rec is not None:
-            self.last_op_service = 0.0
             return (None if rec.is_tombstone else rec.value), 0.0
 
         service = 0.0
@@ -588,7 +583,6 @@ class LSMTree:
                         continue
                     service += s
                     if rec is not None:
-                        self.last_op_service = service
                         return (None if rec.is_tombstone else rec.value), service
         for level_no in range(max(first, 1), first + self.options.num_levels):
             if level_no - first >= self.version.num_levels:
@@ -605,9 +599,7 @@ class LSMTree:
                 continue
             service += s
             if rec is not None:
-                self.last_op_service = service
                 return (None if rec.is_tombstone else rec.value), service
-        self.last_op_service = service
         return None, service
 
     def scan(self, start: bytes, count: int) -> tuple[list[tuple[bytes, bytes]], float]:
@@ -650,7 +642,6 @@ class LSMTree:
         service = sum(
             d.busy_seconds() - device_busy_before[k] for k, d in devices.items()
         )
-        self.last_op_service = service
         return out, service
 
     # ------------------------------------------------------------ metrics

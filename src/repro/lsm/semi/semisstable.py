@@ -28,7 +28,7 @@ from typing import Iterator, Optional
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange, ranges_overlap
 from repro.common.records import Record
-from repro.lsm.blocks import encode_block, record_at, record_encoded_size, verify_block
+from repro.lsm.blocks import decode_one, encode_block, verify_block
 from repro.simssd.fs import SimFile, SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
@@ -221,7 +221,7 @@ class SemiSSTable:
     def _indexed_record(self, key: bytes, payload: bytes) -> Record:
         """Decode the record ``key``'s index entry points at in its block's payload."""
         block_id, _, _, offset = self._key_map[key]
-        rec = record_at(payload, offset)
+        rec = decode_one(payload, offset)
         if rec.key != key:
             raise ReproError(
                 f"index says key {key!r} is in block {block_id} but it is not"
@@ -408,7 +408,7 @@ class SemiSSTable:
         chunk_size = 0
         for rec in merged:
             chunk.append(rec)
-            chunk_size += record_encoded_size(rec)
+            chunk_size += rec.encoded_size
             if chunk_size >= self.block_size:
                 service += self._append_block(chunk, kind)
                 chunk, chunk_size = [], 0

@@ -22,7 +22,7 @@ from repro.common.cache import LRUCache
 from repro.common.errors import ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
-from repro.lsm.blocks import decode_block, encode_block, record_encoded_size
+from repro.lsm.blocks import decode_block, encode_block
 from repro.simssd.fs import SimFile, SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
@@ -223,7 +223,7 @@ class SSTableBuilder:
             )
         self._last_key = rec.key
         self._pending.append(rec)
-        self._pending_size += record_encoded_size(rec)
+        self._pending_size += rec.encoded_size
         self._keys.append(rec.key)
         self._num_records += 1
         if self._pending_size >= self._block_size:

@@ -18,7 +18,7 @@ from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
 from repro.hotness.tracker import HotnessTracker
-from repro.lsm.blocks import record_at
+from repro.lsm.blocks import decode_one
 from repro.nvme.config import NVMeConfig
 from repro.nvme.pagestore import PageStore
 from repro.nvme.zone import SlotLocation, Zone
@@ -413,7 +413,7 @@ class Partition:
         pages and then :meth:`~repro.nvme.pagestore.PageStore.peek` each
         slot for free; this helper adds the same integrity gate as
         :meth:`repro.nvme.zone.Zone.read_object`, so a latent bit flip in
-        the value bytes — structurally invisible to ``record_at`` —
+        the value bytes — structurally invisible to ``decode_one`` —
         surfaces as :class:`CorruptionError` instead of being relocated
         verbatim.
         """
@@ -423,7 +423,7 @@ class Partition:
                 f"zone {loc.zone_id} slot checksum mismatch on page "
                 f"{loc.page_id} slot {loc.slot_index}"
             )
-        return record_at(raw)
+        return decode_one(raw)
 
     def _drop_corrupt_slot(self, zone: Zone, key: bytes, loc: SlotLocation) -> None:
         """A maintenance path hit a corrupt slot: drop it, don't crash.

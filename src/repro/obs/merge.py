@@ -8,8 +8,8 @@ job submission order**, which makes the merged trace a pure function of
 the job list — independent of worker count or completion order, exactly
 like the result digests the parallel layer already guarantees.
 
-Mirrors the style of :mod:`repro.parallel.merge`: inputs are never
-mutated, and merging is associative over concatenation of shard lists.
+Inputs are never mutated, and merging is associative over concatenation
+of shard lists.
 """
 
 from __future__ import annotations

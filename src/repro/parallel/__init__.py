@@ -3,15 +3,11 @@
 The evaluation grid — figure cells, sweep points, crash-matrix points —
 is embarrassingly parallel: every cell builds its own stores, seeds its
 own RNG streams, and returns plain data.  This package supplies the
-three pieces that make fanning those cells across processes *safe*:
+two pieces that make fanning those cells across processes *safe*:
 
 * :mod:`repro.parallel.pool` — the :class:`Job` abstraction and
   :func:`run_jobs`, a scheduler that preserves submission order, derives
   per-job seeds, and captures per-job timing and failures;
-* :mod:`repro.parallel.merge` — exact reducers for the result types the
-  harnesses produce (:class:`TrafficStats` lanes, latency histograms,
-  whole :class:`RunResult` shards), so a sharded run collapses to the
-  same aggregates regardless of worker count;
 * :mod:`repro.parallel.hostinfo` — host-shape metadata recorded next to
   timing numbers so cross-machine comparisons stay interpretable, and the
   flags + artifact tail the harness CLIs share.
@@ -22,11 +18,6 @@ code path; ``workers=N`` changes wall-clock only, never results.
 """
 
 from repro.parallel.hostinfo import add_harness_arguments, finish, host_metadata
-from repro.parallel.merge import (
-    merge_latency_maps,
-    merge_run_results,
-    merge_traffic_deltas,
-)
 from repro.parallel.pool import Job, JobResult, derive_seeds, run_jobs
 
 __all__ = [
@@ -34,9 +25,6 @@ __all__ = [
     "JobResult",
     "derive_seeds",
     "run_jobs",
-    "merge_latency_maps",
-    "merge_run_results",
-    "merge_traffic_deltas",
     "host_metadata",
     "add_harness_arguments",
     "finish",

@@ -12,9 +12,9 @@ not die on the first.
 
 Determinism contract:
 
-* the scheduler never reorders results — merging shard K's output always
-  sees shards ``0..K-1`` first, so float reductions associate the same
-  way on every run at every worker count;
+* the scheduler never reorders results — whatever a caller folds over
+  them (a digest, a merged trace) sees job K after jobs ``0..K-1`` on
+  every run at every worker count;
 * a job's randomness must come only from its ``seed`` (or from seeds
   baked into its arguments); :func:`derive_seeds` turns one root seed
   into independent, stable per-job streams via

@@ -157,34 +157,6 @@ class SimDevice:
         #: dev.health_epoch: ...`` — offline rejects atomically at entry.
         self.health_epoch = _HealthEpoch(self)
         self._allocated_pages = 0
-        # Page-charge memo: request shapes repeat millions of times across a
-        # run, so (num_pages, sequential) -> (ios, latency, transfer) is
-        # looked up instead of recomputed per I/O.  Keyed on the packed int
-        # ``num_pages << 1 | sequential`` (ints hash cheaper than tuples).
-        # Bounded: distinct request shapes are few, but a runaway caller
-        # must not leak.
-        self._read_charges: dict[int, tuple[int, float, float]] = {}
-        self._write_charges: dict[int, tuple[int, float, float]] = {}
-
-    _CHARGE_MEMO_MAX = 4096
-
-    def _charge_for(
-        self, num_pages: int, sequential: bool, write: bool
-    ) -> tuple[int, float, float]:
-        memo = self._write_charges if write else self._read_charges
-        entry = memo.get(num_pages << 1 | sequential)
-        if entry is None:
-            ios = 1 if sequential else num_pages
-            if write:
-                latency = ios * self.profile.write_latency_s
-                transfer = num_pages * self.page_size / self.profile.write_bandwidth
-            else:
-                latency = ios * self.profile.read_latency_s
-                transfer = num_pages * self.page_size / self.profile.read_bandwidth
-            entry = (ios, latency, transfer)
-            if len(memo) < self._CHARGE_MEMO_MAX:
-                memo[num_pages << 1 | sequential] = entry
-        return entry
 
     @property
     def powered_off(self) -> bool:
@@ -363,7 +335,9 @@ class SimDevice:
         """
         if num_pages <= 0:
             return 0.0
-        ios, latency, transfer = self._charge_for(num_pages, sequential, write=False)
+        ios = 1 if sequential else num_pages
+        latency = ios * self.profile.read_latency_s
+        transfer = num_pages * self.page_size / self.profile.read_bandwidth
         if self._fastpath and obs.RECORDER is None:
             if self._multi_queue:
                 queue = self._lane_queue[kind]
@@ -401,7 +375,9 @@ class SimDevice:
         """
         if num_pages <= 0:
             return 0.0
-        ios, latency, transfer = self._charge_for(num_pages, sequential, write=True)
+        ios = 1 if sequential else num_pages
+        latency = ios * self.profile.write_latency_s
+        transfer = num_pages * self.page_size / self.profile.write_bandwidth
         if self._fastpath and obs.RECORDER is None:
             if self._multi_queue:
                 queue = self._lane_queue[kind]
@@ -501,12 +477,11 @@ class SimDevice:
         if pages <= 0:
             return 0.0
         if self._fastpath and obs.RECORDER is None and not self._multi_queue:
-            # Fully inlined fastpath (memo probe + ledger note): byte-granular
+            # Fully inlined fastpath (charge + ledger note): byte-granular
             # charges are the WAL/flush hot loop and pay for zero call depth.
-            entry = self._write_charges.get(pages << 1 | sequential)
-            if entry is None:
-                entry = self._charge_for(pages, sequential, write=True)
-            ios, latency, transfer = entry
+            ios = 1 if sequential else pages
+            latency = ios * self.profile.write_latency_s
+            transfer = pages * self.page_size / self.profile.write_bandwidth
             traffic = self.traffic
             lane = traffic.lanes[kind]
             lane.write_bytes += pages * self.page_size
@@ -525,10 +500,9 @@ class SimDevice:
         if pages <= 0:
             return 0.0
         if self._fastpath and obs.RECORDER is None and not self._multi_queue:
-            entry = self._read_charges.get(pages << 1 | sequential)
-            if entry is None:
-                entry = self._charge_for(pages, sequential, write=False)
-            ios, latency, transfer = entry
+            ios = 1 if sequential else pages
+            latency = ios * self.profile.read_latency_s
+            transfer = pages * self.page_size / self.profile.read_bandwidth
             traffic = self.traffic
             lane = traffic.lanes[kind]
             lane.read_bytes += pages * self.page_size

@@ -64,16 +64,6 @@ class _Lane:
     write_latency_s: float = 0.0
     write_transfer_s: float = 0.0
 
-    def add(self, other: "_Lane") -> None:
-        self.read_bytes += other.read_bytes
-        self.write_bytes += other.write_bytes
-        self.read_ios += other.read_ios
-        self.write_ios += other.write_ios
-        self.read_latency_s += other.read_latency_s
-        self.read_transfer_s += other.read_transfer_s
-        self.write_latency_s += other.write_latency_s
-        self.write_transfer_s += other.write_transfer_s
-
     def clear(self) -> None:
         self.read_bytes = self.write_bytes = 0
         self.read_ios = self.write_ios = 0
@@ -164,33 +154,6 @@ class TrafficStats:
             qlane.write_latency_s += latency_s
             qlane.write_transfer_s += transfer_s
             self._queue_busy[queue] += latency_s + transfer_s
-
-    def merge(self, other: "TrafficStats") -> None:
-        """Fold another ledger into this one, lane-wise.
-
-        This is the exact reducer for sharded runs: every field is a plain
-        sum, so merging K shard ledgers (in any grouping — the operation is
-        associative and commutative up to float association, and exact for
-        the integer byte/IO fields) equals the ledger a single unsharded
-        run over the same I/Os would hold.  ``other`` is not modified.
-
-        Queue ledgers merge pairwise under the same contract; merging
-        ledgers with different queue counts is a shape error and raises.
-        """
-        if self.queue_count != other.queue_count:
-            raise ValueError(
-                f"cannot merge ledgers with different queue counts "
-                f"({self.queue_count} vs {other.queue_count})"
-            )
-        for kind, src in other.lanes.items():
-            self.lanes[kind].add(src)
-        self._busy_s += other._busy_s
-        if self._queue_lanes is not None:
-            for q in range(self.queue_count):
-                mine = self._queue_lanes[q]
-                for kind, src in other._queue_lanes[q].items():
-                    mine[kind].add(src)
-                self._queue_busy[q] += other._queue_busy[q]
 
     # ----------------------------------------------------------- aggregates
 

@@ -73,11 +73,10 @@ class RunResult:
         """All ops' samples combined, as a fresh histogram.
 
         The combine path must neither mutate nor alias the per-op
-        histograms: this property doubles as the reducer for sharded
-        runs (``repro.parallel.merge``), where the sources stay live
-        and are merged repeatedly.  ``merge`` copies samples into the
-        new histogram's own buffer, so writes to the returned histogram
-        can never reach ``latency_by_op`` (regression-tested in
+        histograms, which stay live and are combined on every call.
+        ``merge`` copies samples into the new histogram's own buffer,
+        so writes to the returned histogram can never reach
+        ``latency_by_op`` (regression-tested in
         tests/test_parallel_merge.py).
         """
         total = sum(h.count for h in self.latency_by_op.values())

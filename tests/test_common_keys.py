@@ -67,18 +67,6 @@ class TestKeyRange:
         c = KeyRange(encode_key(10))
         assert not a.overlaps(c)
 
-    def test_union(self):
-        a = KeyRange(encode_key(0), encode_key(10))
-        b = KeyRange(encode_key(5), encode_key(15))
-        u = a.union(b)
-        assert u.lo == encode_key(0)
-        assert u.hi == encode_key(15)
-
-    def test_union_unbounded(self):
-        a = KeyRange(encode_key(0), encode_key(10))
-        b = KeyRange(encode_key(5))
-        assert a.union(b).hi is None
-
     def test_spanning(self):
         keys = [encode_key(i) for i in (7, 3, 9)]
         r = KeyRange.spanning(keys)

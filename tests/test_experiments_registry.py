@@ -3,7 +3,12 @@ benchmarks/)."""
 
 import numpy as np
 
-from repro.bench.experiments import ALL_EXPERIMENTS, fig6a_interval_correlation
+from repro.bench.context import BenchScale
+from repro.bench.experiments import (
+    ALL_EXPERIMENTS,
+    fig6a_interval_correlation,
+    fig9b_points,
+)
 
 
 class TestRegistry:
@@ -18,6 +23,19 @@ class TestRegistry:
         for name, fn in ALL_EXPERIMENTS.items():
             assert callable(fn), name
             assert fn.__doc__, f"{name} lacks a docstring"
+
+
+class TestFig9bPoints:
+    def test_every_point_loads_the_base_byte_volume(self):
+        base = BenchScale(record_count=25_000)
+        sizes = (16, 64, 128, 512, 1024, 4096)
+        for vs, point in zip(sizes, fig9b_points(base, sizes)):
+            assert point.value_size == vs
+            assert point.operations == base.operations
+            on_floor = point.record_count == 2000
+            short = base.dataset_bytes - point.dataset_bytes
+            assert on_floor or 0 <= short < point.record_size, vs
+        assert fig9b_points(base, (128,))[0].record_count == base.record_count
 
 
 class TestFig6aUnit:

@@ -6,12 +6,21 @@ from hypothesis import strategies as st
 
 from repro.common.errors import CorruptionError
 from repro.common.records import Record
+from repro.lsm import blocks
 from repro.lsm.blocks import (
     decode_block,
+    decode_one,
     decode_records,
     encode_block,
     encode_record,
-    record_encoded_size,
+)
+
+records = st.builds(
+    Record,
+    key=st.binary(max_size=40),
+    value=st.binary(max_size=300),
+    seqno=st.integers(min_value=0, max_value=2**64 - 1),
+    deleted=st.booleans(),
 )
 
 
@@ -34,7 +43,7 @@ class TestRecordEncoding:
 
     def test_encoded_size_matches(self):
         rec = Record(b"abc", b"x" * 100, 5)
-        assert len(encode_record(rec)) == record_encoded_size(rec)
+        assert len(encode_record(rec)) == rec.encoded_size
 
     def test_truncated_header_rejected(self):
         with pytest.raises(CorruptionError):
@@ -80,3 +89,37 @@ class TestBlockEncoding:
         assert [(r.key, r.value, r.seqno) for r in out] == [
             (r.key, r.value, r.seqno) for r in recs
         ]
+
+
+class TestCodecContract:
+    @given(
+        recs=st.lists(records, min_size=1, max_size=12),
+        pad=st.binary(max_size=32),
+        cut=st.integers(min_value=0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_codec_roundtrip_and_truncation(self, recs, pad, cut):
+        rec = recs[0]
+        blob = encode_record(rec)
+        assert len(blob) == rec.encoded_size
+        assert decode_one(pad + blob, len(pad)) == rec
+        assert decode_block(encode_block(recs)) == recs
+        # Any proper prefix is a truncated header or a truncated body.
+        with pytest.raises(CorruptionError):
+            decode_one(pad + blob[: cut % len(blob)], len(pad))
+
+    def test_decoding_equal_bytes_twice_does_not_alias(self):
+        block = encode_block([Record(b"a", b"1", 1), Record(b"b", b"2", 2)])
+        first = decode_block(block)
+        first.clear()
+        assert [r.key for r in decode_block(bytes(block))] == [b"a", b"b"]
+        blob = encode_record(Record(b"k", b"v", 3))
+        assert decode_one(blob) is not decode_one(bytes(blob))
+
+    def test_codec_module_holds_no_mutable_state(self):
+        held = {
+            name: type(obj).__name__
+            for name, obj in vars(blocks).items()
+            if isinstance(obj, (dict, list, set)) and not name.startswith("__")
+        }
+        assert held == {}

@@ -1,12 +1,11 @@
 """Unit tests for smaller APIs: batch ingest, semi-SSTable extraction helpers,
-rng derivation, and the KVStore interface conveniences."""
+and the KVStore interface conveniences."""
 
 import numpy as np
 import pytest
 
 from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
-from repro.common.rng import derive_rng, make_rng
 from repro.lsm.lsmtree import LSMOptions, LSMTree
 from repro.lsm.semi import SemiSSTable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
@@ -105,20 +104,6 @@ class TestSemiExtraction:
             encode_key(1),
             encode_key(2),
         ]
-
-
-class TestRng:
-    def test_make_rng_deterministic(self):
-        a, b = make_rng(7), make_rng(7)
-        assert a.integers(0, 10**9) == b.integers(0, 10**9)
-
-    def test_derive_rng_independent_streams(self):
-        base = make_rng(7)
-        r1 = derive_rng(base, 1)
-        base2 = make_rng(7)
-        base2.integers(0, 2**63 - 1)  # consume the same draw
-        r2 = derive_rng(make_rng(7), 2)
-        assert r1.integers(0, 10**9) != r2.integers(0, 10**9)
 
 
 class TestKVStoreInterface:

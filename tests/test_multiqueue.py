@@ -116,28 +116,6 @@ class TestQueueLedgers:
         assert t.queue_busy_seconds() == [t.busy_seconds()]
         assert t.queue_snapshot() == [t.snapshot()]
 
-    def test_merge_is_exact_shard_reducer(self):
-        # One ledger taking every charge must equal two shards merged.
-        charges = [
-            (TrafficKind.FOREGROUND, 0, 0.01, 0.001),
-            (TrafficKind.COMPACTION, 1, 0.02, 0.002),
-            (TrafficKind.MIGRATION, 2, 0.04, 0.003),
-            (TrafficKind.FOREGROUND, 0, 0.08, 0.004),
-        ]
-        whole = TrafficStats(queue_count=3)
-        a = TrafficStats(queue_count=3)
-        b = TrafficStats(queue_count=3)
-        for i, (kind, q, lat, xfer) in enumerate(charges):
-            whole.note_write(kind, 4096, 1, lat, xfer, queue=q)
-            (a if i % 2 == 0 else b).note_write(kind, 4096, 1, lat, xfer, queue=q)
-        a.merge(b)
-        assert a.queue_busy_seconds() == pytest.approx(whole.queue_busy_seconds())
-        assert a.queue_snapshot() == whole.queue_snapshot()
-
-    def test_merge_rejects_queue_count_mismatch(self):
-        with pytest.raises(ValueError, match="queue count"):
-            TrafficStats(queue_count=2).merge(TrafficStats(queue_count=3))
-
     def test_reset_clears_queue_ledgers(self):
         t = TrafficStats(queue_count=2)
         t.note_write(TrafficKind.FLUSH, 4096, 1, 0.01, 0.002, queue=1)

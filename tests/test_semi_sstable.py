@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.common.keys import KeyRange, encode_key
 from repro.common.errors import ReproError
 from repro.common.records import Record
-from repro.lsm.blocks import decode_records, record_at
+from repro.lsm.blocks import decode_one, decode_records
 from repro.lsm.semi import SemiSSTable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
 
@@ -212,7 +212,7 @@ def check_index_offsets(table):
     walked = {b.block_id: walk_block(table, b) for b in table.blocks if not b.is_dead}
     for key, (block_id, seqno, size, offset) in table._key_map.items():
         payload, records = walked[block_id]
-        rec = record_at(payload, offset)
+        rec = decode_one(payload, offset)
         assert (rec.key, rec.seqno, rec.encoded_size) == (key, seqno, size)
         assert [rec] == [r for r in records if r.key == key]
 
