@@ -304,7 +304,7 @@ class PrismDBStore(KVStore):
         if count <= 0:
             return [], 0.0
         busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
-        from repro.lsm.iterator import batched_stream, merge_records
+        from repro.lsm.iterator import merge_records
 
         def slab_stream():
             for key, _ in self.slabs.index.items(start=start):
@@ -312,12 +312,8 @@ class PrismDBStore(KVStore):
                 if rec is not None:
                     yield rec
 
-        # Slab-resident tombstones shadow tree records, so one 2 x count
-        # batch can run dry before ``count`` live keys are out: it refills.
-        sata_records = batched_stream(
-            lambda pos: [Record(k, v, 0) for k, v in self.tree.scan(pos, count * 2)[0]],
-            start, count * 2,
-        )
+        # Tree records carry seqno 0, so a slab-resident version wins its key.
+        sata_records = (Record(r.key, r.value, 0) for r in self.tree.iter_from(start))
         out = []
         for rec in merge_records([slab_stream(), sata_records], drop_tombstones=True):
             out.append((rec.key, rec.value))

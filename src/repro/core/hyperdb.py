@@ -27,7 +27,7 @@ from repro.core.interface import KVStore
 from repro.health import admission as admission_mod
 from repro.health.admission import AdmissionController
 from repro.health.state import HealthState
-from repro.lsm.iterator import batched_stream, merge_records
+from repro.lsm.iterator import merge_records
 from repro.lsm.semi.engine import CapacityTier
 from repro.lsm.semi.levels import SemiLevelConfig
 from repro.migration.promotion import PromotionManager
@@ -470,8 +470,10 @@ class HyperDB(KVStore):
         """Range scan, implemented as merged sequential point queries
         (§4.2: HyperDB's scan path; the layout difference between tiers
         precludes RocksDB-style prefetching)."""
-        if count <= 0:
+        space = self.config.key_space
+        if count <= 0 or (space.hi is not None and start >= space.hi):
             return [], 0.0
+        start = max(start, space.lo)
         self.stats.counter("scans").add()
         busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
 
@@ -492,12 +494,9 @@ class HyperDB(KVStore):
                 if pos is None:
                     break
 
-        # NVMe-resident versions shadow capacity-tier ones, so one 2 x count
-        # batch can run dry before ``count`` live keys are out: it refills.
-        prefetch = self.config.enable_scan_prefetch
-        sata_stream = batched_stream(
-            lambda pos: self.capacity_tier.scan(pos, count * 2, prefetch=prefetch)[0],
-            start, count * 2,
+        # Both sides are lazy: a record is read when the merge pulls it.
+        sata_stream = self.capacity_tier.scan(
+            start, count, prefetch=self.config.enable_scan_prefetch
         )
 
         out: list[tuple[bytes, bytes]] = []

@@ -9,7 +9,7 @@ newer source) when seqnos tie.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.common.records import Record
 
@@ -44,25 +44,3 @@ def merge_records(
         if drop_tombstones and rec.is_tombstone:
             continue
         yield rec
-
-
-def batched_stream(
-    fetch: Callable[[bytes], list[Record]], start: bytes, batch: int
-) -> Iterator[Record]:
-    """A batched range read — ``fetch(pos)`` returns up to ``batch`` sorted
-    records >= ``pos`` — as one sorted stream for :func:`merge_records`.
-
-    The first batch is fetched here and now (callers rely on its I/O
-    landing before the merge pulls its other streams); a batch that came
-    back full is refilled from its last key's successor only when the
-    consumer asks past it.
-    """
-
-    def stream(records: list[Record]) -> Iterator[Record]:
-        while True:
-            yield from records
-            if len(records) < batch:
-                return
-            records = fetch(records[-1].key + b"\x00")
-
-    return stream(fetch(start))

@@ -602,13 +602,9 @@ class LSMTree:
                 return (None if rec.is_tombstone else rec.value), service
         return None, service
 
-    def scan(self, start: bytes, count: int) -> tuple[list[tuple[bytes, bytes]], float]:
-        """Range scan of up to ``count`` live records from ``start``."""
-        if count <= 0:
-            return [], 0.0
-        self.stats.counter("scans").add()
-        devices = {id(p.fs.device): p.fs.device for p in self.paths}
-        device_busy_before = {k: d.busy_seconds() for k, d in devices.items()}
+    def iter_from(self, start: bytes) -> Iterator[Record]:
+        """Lazy merged stream of the live records >= ``start``, in key order:
+        a table's block is read when the consumer reaches it."""
         streams: list[Iterator[Record]] = [self._memtable.records(start=start)]
         for imm in reversed(self._immutables):
             streams.append(imm.records(start=start))
@@ -634,8 +630,17 @@ class LSMTree:
                 for t in tables:
                     yield from guarded(lvl, t)
             streams.append(level_stream())
+        return merge_records(streams, drop_tombstones=True)
+
+    def scan(self, start: bytes, count: int) -> tuple[list[tuple[bytes, bytes]], float]:
+        """Range scan of up to ``count`` live records from ``start``."""
+        if count <= 0:
+            return [], 0.0
+        self.stats.counter("scans").add()
+        devices = {id(p.fs.device): p.fs.device for p in self.paths}
+        device_busy_before = {k: d.busy_seconds() for k, d in devices.items()}
         out: list[tuple[bytes, bytes]] = []
-        for rec in merge_records(streams, drop_tombstones=True):
+        for rec in self.iter_from(start):
             out.append((rec.key, rec.value))
             if len(out) >= count:
                 break

@@ -7,7 +7,7 @@ and preemptive block compaction keeps levels within target.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -115,28 +115,28 @@ class CapacityTier:
         count: int,
         kind: TrafficKind = TrafficKind.FOREGROUND,
         prefetch: bool = False,
-    ) -> tuple[list[Record], float]:
-        """Up to ``count`` live records from ``start``, in key order.
+    ) -> Iterator[Record]:
+        """A lazy cursor over the live records >= ``start``, in key order.
 
-        Default mode is index-directed sequential point queries (§4.2): the
-        candidate keys come from the tables' index blocks (kept on NVMe, no
-        data-tier I/O), then each record is fetched with one block read.
-        Blocks being unordered between themselves is why HyperDB gains
-        nothing on YCSB-E relative to a strictly sorted LSM.
+        Index-directed sequential point queries (§4.2): the candidate keys
+        come from the tables' index blocks (kept on NVMe, no data-tier
+        I/O); a record's one block read happens when the consumer asks for
+        that record, so a scan is charged for what it pulls.  Blocks being
+        unordered between themselves is why HyperDB gains nothing on
+        YCSB-E relative to a strictly sorted LSM.
+
+        ``count`` sizes a round: each level lists at most ``count + 16``
+        candidates (slack for tombstones).  A level that hit the limit has
+        unlisted keys past its last candidate, so a round emits nothing
+        beyond the smallest such key (``bound``), and the next round
+        resumes from the bound's successor.
 
         ``prefetch=True`` enables the paper's *future-work* optimization:
-        the blocks a scan will touch are identified up front from the index
-        and fetched per-table as coalesced sequential runs.
-
-        Each level lists at most ``want`` candidates per round.  A level
-        that hit the limit has unlisted keys past its last candidate, so a
-        round emits nothing beyond the smallest such key (``bound``); a
-        scan still short of ``count`` resumes from the bound's successor.
+        each round first bulk-reads the blocks of its first ``count``
+        candidates, per table, as coalesced sequential runs.
         """
-        device_before = self.fs.device.busy_seconds()
-        out: list[Record] = []
+        want = count + 16
         while start is not None:
-            want = count - len(out) + 16  # slack for tombstones
             # key -> the table listing it; shallower levels overwrite.
             owner: dict[bytes, SemiSSTable] = {}
             bound: Optional[bytes] = None
@@ -156,22 +156,18 @@ class CapacityTier:
                         break
             keys = sorted(owner)
             if prefetch:
-                self._prefetch_scan_blocks(keys, owner, kind)
+                # At least ``want`` candidates sit at or below a bound.
+                self._prefetch_scan_blocks(keys[:count], owner, kind)
             start = None if bound is None else bound + b"\x00"
             for key in keys:
                 if bound is not None and key > bound:
                     break
                 rec, _ = owner[key].get_indexed(key, kind, self.cache)
-                if rec.is_tombstone:
-                    continue
-                out.append(rec)
-                if len(out) >= count:
-                    start = None
-                    break
-        return out, self.fs.device.busy_seconds() - device_before
+                if not rec.is_tombstone:
+                    yield rec
 
     def _prefetch_scan_blocks(self, keys, owner, kind) -> None:
-        """Bulk-read every block the scan will touch into the page cache."""
+        """Bulk-read the blocks of ``keys`` into the page cache."""
         if self.cache is None:
             return  # nowhere to stage prefetched blocks
         by_table: dict[SemiSSTable, dict] = {}

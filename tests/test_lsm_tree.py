@@ -1,10 +1,14 @@
 """Integration tests for the leveled LSM engine."""
 
+from itertools import islice
+
 import pytest
 
 from repro.common.cache import LRUCache
 from repro.common.keys import encode_key
+from repro.common.records import Record
 from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
+from repro.lsm.memtable import MemTable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
 
 
@@ -126,6 +130,35 @@ class TestLSMTreeScan:
         tree.put(encode_key(1), b"new")
         out, _ = tree.scan(encode_key(0), 5)
         assert out[0] == (encode_key(1), b"new")
+
+    def test_scan_is_the_bounded_consumer_of_iter_from(self, tree):
+        """Memtable, an immutable, L0 and deeper levels, tombstones in each."""
+        for i in range(3000):
+            tree.put(encode_key(i), b"deep-%d" % i)
+        for i in range(0, 3000, 7):
+            tree.delete(encode_key(i))
+        tree.flush()  # the second L0 table: level0_trigger = 2 empties L0
+        assert len(tree.version.level(0)) == 0
+        for i in range(1, 3000, 50):
+            tree.put(encode_key(i), b"l0")
+        tree.flush()
+        imm = MemTable(tree.options.memtable_bytes)
+        for i in range(2, 3000, 90):
+            imm.put(Record(encode_key(i), b"imm", tree.next_seqno()))
+        imm.put(Record.tombstone(encode_key(3), tree.next_seqno()))
+        tree._immutables.append(imm)
+        tree.put(encode_key(4), b"mem")
+        tree.delete(encode_key(5))
+        assert len(tree.version.level(0)) > 0
+        assert sum(len(tree.version.level(n)) > 0 for n in (1, 2, 3, 4)) >= 2
+        for start, n in ((0, 40), (1, 1), (1500, 200), (2990, 50)):
+            pairs = ((r.key, r.value) for r in tree.iter_from(encode_key(start)))
+            assert tree.scan(encode_key(start), n)[0] == list(islice(pairs, n))
+        head = dict(tree.scan(encode_key(0), 6)[0])
+        assert head == {
+            encode_key(1): b"l0", encode_key(2): b"imm", encode_key(4): b"mem",
+            encode_key(6): b"deep-6", encode_key(8): b"deep-8", encode_key(9): b"deep-9",
+        }
 
 
 class TestLSMTreeLevels:

@@ -6,6 +6,8 @@ compaction state the records sit in.  The stores are sized so that
 demotion and capacity-tier compaction run during the load.
 """
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 from repro.bench import BenchScale, STORE_NAMES, build_store
 from repro.common.keys import encode_key
 from repro.common.records import Record
+from repro.lsm.semi import SemiSSTable
+from repro.simssd import TrafficKind
 
 VALUE_SIZE = 512
 #: Keys loaded before a script runs (even ids; odd ids are the absent
@@ -128,8 +132,9 @@ def test_model_store_exercises_both_tiers():
 
 
 class TestCapacityScanTruncation:
-    """``CapacityTier.scan`` lists ``count + 16`` candidates per level; it
-    must not walk the union past the last key a truncated level listed."""
+    """A round of ``CapacityTier.scan`` lists ``count + 16`` candidates per
+    level; it must not walk the union past the last key a truncated level
+    listed, and the next round must pick up from there."""
 
     def test_no_holes_past_a_truncated_level(self):
         m = ModelledStore.dense("hyperdb")
@@ -143,7 +148,7 @@ class TestCapacityScanTruncation:
             rec, _ = cap.get(encode_key(i))
             if rec is not None and not rec.is_tombstone:
                 live.append(rec.key)
-        got, _ = cap.scan(encode_key(1000), 50)
+        got = islice(cap.scan(encode_key(1000), 50), 50)
         assert [r.key for r in got] == live[:50]
 
     def test_not_short_after_a_tombstone_run(self):
@@ -154,7 +159,7 @@ class TestCapacityScanTruncation:
             [Record.tombstone(encode_key(i), db.next_seqno()) for i in range(1000, 1100)]
         )
         want = [encode_key(i) for i in (*range(990, 1000), *range(1100, 1140))]
-        got, _ = cap.scan(encode_key(990), 50)
+        got = islice(cap.scan(encode_key(990), 50), 50)
         assert [r.key for r in got] == want
         pairs, _ = db.scan(encode_key(990), 50)
         assert [k for k, _ in pairs] == want
@@ -162,13 +167,95 @@ class TestCapacityScanTruncation:
 
 @pytest.mark.parametrize("name", STORE_NAMES)
 def test_scan_after_a_long_delete_run(name):
-    """More than ``count`` of the capacity tier's ``2 x count`` batch are
-    shadowed by fast-tier tombstones: the merge must refill, not carry on
-    with fast-tier residents only."""
+    """Fast-tier tombstones shadow more capacity-tier records than one round
+    of the capacity-tier cursor lists (``count + 16``): the merge must keep
+    pulling rounds, not carry on with fast-tier residents only."""
     m = ModelledStore.dense(name)
     for i in range(5000, 5300):
         m.delete(i)
+    if name == "hyperdb":
+        doomed = [encode_key(i) for i in range(5000, 5300)]
+        tier, cap = m.store.performance_tier, m.store.capacity_tier
+        assert sum(tier.partition_for_key(k).contains(k) for k in doomed) > 50 + 16
+        assert sum(cap.contains_key(k) for k in doomed) > 50 + 16
     m.check_scan(5000, 50)
+
+
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_abandoned_scan_leaves_nothing_behind(name):
+    """A scan stops pulling its cursors at ``count``; the next scan of the
+    range starts from the store, not from what the last one listed."""
+    m = ModelledStore.small(name)
+    m.check_scan(100, 20)
+    m.put(121, 9)  # an absent (odd) id inside the range just scanned
+    m.delete(104)
+    m.check_scan(100, 20)
+
+
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_scan_start_outside_the_key_space(name):
+    """A start below the key space scans from its low end, one at or past
+    its high end finds nothing and charges nothing — on every engine."""
+    scale = BenchScale(record_count=2000, value_size=VALUE_SIZE, nvme_ratio=0.35)
+    m = ModelledStore(name, scale, range(2000))
+    devices = m.store.devices().values()
+    for start, want in (
+        (b"", range(5)),
+        (encode_key(0)[:4], range(5)),
+        (encode_key(5000), ()),
+        (b"\xff" * 8, ()),
+        (encode_key(10**9), ()),
+    ):
+        before = [d.traffic.snapshot() for d in devices]
+        got, service = m.store.scan(start, 5)
+        assert got == [(encode_key(i), m.model[i]) for i in want]
+        if not want:
+            assert service == 0.0
+            assert [d.traffic.snapshot() for d in devices] == before
+
+
+class TestScanReadsWhatItReturns:
+    """§4.2: one data-block lookup per object the scan returns (plus the
+    merge's one record of look-ahead)."""
+
+    N = 50
+
+    def capacity_resident_store(self):
+        m = ModelledStore.dense("hyperdb", loaded=0)
+        db = m.store
+        db.capacity_tier.ingest(
+            [Record(encode_key(i), b"v" * 100, db.next_seqno()) for i in range(3000)]
+        )
+        assert db.performance_tier.object_count() == 0
+        return db
+
+    def test_block_lookups_and_read_commands(self, monkeypatch):
+        db = self.capacity_resident_store()
+        n = self.N
+        lookups = []
+        inner = SemiSSTable.get_indexed
+
+        def counted(table, key, kind, cache=None):
+            lookups.append((table, key))
+            return inner(table, key, kind, cache)
+
+        monkeypatch.setattr(SemiSSTable, "get_indexed", counted)
+        traffic = db.sata_device.traffic
+        reads_before = traffic.read_ios(TrafficKind.FOREGROUND)
+        pairs, _ = db.scan(encode_key(1000), n)
+        assert [k for k, _ in pairs] == [encode_key(i) for i in range(1000, 1000 + n)]
+        assert [k for _, k in lookups] == [encode_key(i) for i in range(1000, 1000 + n + 1)]
+        # Cold cache: every distinct block of those keys is read once, a
+        # non-sequential read being one command per page it spans.
+        pages = {}
+        for table, key in lookups:
+            block = table.block_of(key)
+            pages[table.table_id, block.block_id] = table.file._page_span(
+                block.offset, block.length
+            )
+        assert traffic.read_ios(TrafficKind.FOREGROUND) - reads_before <= sum(
+            pages.values()
+        )
 
 
 @pytest.mark.parametrize("name", STORE_NAMES)

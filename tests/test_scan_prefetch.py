@@ -1,6 +1,7 @@
 """Tests for the scan prefetcher extension (the paper's §4.2 future work)."""
 
-import numpy as np
+from itertools import islice
+
 import pytest
 
 from repro.common.cache import LRUCache
@@ -82,49 +83,12 @@ class TestReadBlocksBulk:
         assert fs.device.traffic.read_bytes() == 0
 
 
-def old_scan(tier, start, count, prefetch):
-    """``CapacityTier.scan`` as it was before the owner map: candidates
-    carry a level number and every fetch re-routes through
-    ``table_for_key`` + the bloom-probing ``table.get``.  Kept as the
-    oracle for the device charges of the index-directed version."""
-    device_before = tier.fs.device.busy_seconds()
-    want = count + 16
-    owner = {}
-    for level_no in range(tier.levels.num_levels, 0, -1):
-        tables = sorted(
-            (
-                t
-                for t in tier.levels.tables_overlapping(level_no, start, None)
-                if t.num_valid_records > 0
-            ),
-            key=lambda t: t.declared_range.lo,
-        )
-        got = 0
-        for t in tables:
-            for key in sorted(k for k in t._key_map if k >= start)[: want - got]:
-                owner[key] = level_no
-                got += 1
-            if got >= want:
-                break
-    keys = sorted(owner)
-    if prefetch:
-        by_table = {}
-        for key in keys:
-            table = tier.levels.table_for_key(owner[key], key)
-            block = table._blocks_by_id[table._key_map[key][0]]
-            by_table.setdefault(id(table), (table, {}))[1][block.block_id] = block
-        for table, blocks in by_table.values():
-            table.read_blocks_bulk(list(blocks.values()), TrafficKind.FOREGROUND, tier.cache)
-    out = []
-    for key in keys:
-        table = tier.levels.table_for_key(owner[key], key)
-        rec, _ = table.get(key, TrafficKind.FOREGROUND, tier.cache)
-        if rec is None or rec.is_tombstone:
-            continue
-        out.append(rec)
-        if len(out) >= count:
-            break
-    return out, tier.fs.device.busy_seconds() - device_before
+def take(tier, start, count, prefetch=False):
+    """The first ``count`` records of the capacity-tier cursor and the
+    device seconds pulling them cost."""
+    before = tier.fs.device.busy_seconds()
+    out = list(islice(tier.scan(encode_key(start), count, prefetch=prefetch), count))
+    return out, tier.fs.device.busy_seconds() - before
 
 
 class TestScanPrefetch:
@@ -146,42 +110,62 @@ class TestScanPrefetch:
     def test_same_results_with_and_without(self):
         plain = self.make_tier()
         fetched = self.make_tier()
-        a, _ = plain.scan(encode_key(100), 50)
-        b, _ = fetched.scan(encode_key(100), 50, prefetch=True)
+        a, _ = take(plain, 100, 50)
+        b, _ = take(fetched, 100, 50, prefetch=True)
+        assert len(a) == 50
         assert [(r.key, r.value) for r in a] == [(r.key, r.value) for r in b]
 
     def test_prefetch_reduces_scan_service(self):
         plain = self.make_tier()
         fetched = self.make_tier()
-        _, s_plain = plain.scan(encode_key(1000), 100)
-        _, s_fetched = fetched.scan(encode_key(1000), 100, prefetch=True)
+        _, s_plain = take(plain, 1000, 100)
+        _, s_fetched = take(fetched, 1000, 100, prefetch=True)
         assert s_fetched < s_plain
+
+    def test_prefetch_stops_at_count_candidates(self, monkeypatch):
+        """A round lists ``count + 16`` candidates per level; prefetch reads
+        the blocks of the first ``count`` of them and no others."""
+        tier = self.make_tier()
+        count = 20
+        bulk_read, fetched = set(), []
+        bulk, indexed = SemiSSTable.read_blocks_bulk, SemiSSTable.get_indexed
+
+        def spy_bulk(table, blocks, kind, cache=None):
+            bulk_read.update((table.table_id, b.block_id) for b in blocks)
+            return bulk(table, blocks, kind, cache)
+
+        def spy_indexed(table, key, kind, cache=None):
+            fetched.append((table.table_id, table.block_of(key).block_id))
+            return indexed(table, key, kind, cache)
+
+        monkeypatch.setattr(SemiSSTable, "read_blocks_bulk", spy_bulk)
+        monkeypatch.setattr(SemiSSTable, "get_indexed", spy_indexed)
+        # Tombstone-free: the first round's candidates, in order.
+        list(islice(tier.scan(encode_key(1000), count, prefetch=True), count + 16))
+        assert bulk_read == set(fetched[:count])
+        assert set(fetched[count:]) - bulk_read
 
     @pytest.mark.parametrize("prefetch", [False, True])
     @pytest.mark.parametrize("start,count", [(0, 1), (100, 50), (1234, 100), (2990, 40)])
     def test_owner_map_equals_rerouted_lookups(self, start, count, prefetch):
-        """On a tombstone-free tier the owner-map scan is the old scan:
-        same records, same device busy seconds, same cache traffic."""
-        # A cache smaller than one scan's blocks: evictions are compared too.
-        new_tier, old_tier = self.make_tier(32 * KiB), self.make_tier(32 * KiB)
-        for tier in (new_tier, old_tier):
-            # Overwrites leave the newest versions spread over L1..L3.
-            for seq, step in ((10_000, 3), (20_000, 15)):
-                tier.ingest(
-                    [Record(encode_key(i), b"w" * 90, seq + i) for i in range(1, 3000, step)]
-                )
-            assert all(tier.levels.level_valid_bytes(n) > 0 for n in (1, 2, 3))
-        got, service = new_tier.scan(encode_key(start), count, prefetch=prefetch)
-        want, want_service = old_scan(old_tier, encode_key(start), count, prefetch)
-        assert [(r.key, r.value, r.seqno) for r in got] == [
-            (r.key, r.value, r.seqno) for r in want
-        ]
-        assert service == want_service
-        assert (
-            new_tier.fs.device.traffic.snapshot() == old_tier.fs.device.traffic.snapshot()
-        )
-        a, b = new_tier.cache, old_tier.cache
-        assert (a.hits, a.misses, a.evictions) == (b.hits, b.misses, b.evictions)
+        """The cursor's owner map returns what a dict of the ingested records
+        holds and what a rerouted point lookup (``tier.get``) finds."""
+        # A cache smaller than one scan's blocks: evictions happen mid-scan.
+        tier = self.make_tier(32 * KiB)
+        model = {encode_key(i): (b"v" * 100, i + 1) for i in range(3000)}
+        # Overwrites leave the newest versions spread over L1..L3.
+        for seq, step in ((10_000, 3), (20_000, 15)):
+            recs = [Record(encode_key(i), b"w" * 90, seq + i) for i in range(1, 3000, step)]
+            tier.ingest(recs)
+            model.update((r.key, (r.value, r.seqno)) for r in recs)
+        assert all(tier.levels.level_valid_bytes(n) > 0 for n in (1, 2, 3))
+        got, _ = take(tier, start, count, prefetch)
+        want = sorted(k for k in model if k >= encode_key(start))[:count]
+        assert [r.key for r in got] == want
+        assert [(r.value, r.seqno) for r in got] == [model[k] for k in want]
+        for rec in got:
+            looked_up, _ = tier.get(rec.key)
+            assert (looked_up.value, looked_up.seqno) == (rec.value, rec.seqno)
 
     def test_hyperdb_config_switch(self):
         def build(flag):
