@@ -12,7 +12,8 @@ Usage::
 processes (``repro.parallel``); tables are digest-identical at every
 worker count, which ``--digest`` makes checkable (CI asserts the
 ``--workers 2`` digest equals the serial one).  ``--timing-out FILE``
-writes per-cell wall-clock timings as JSON for speedup analysis.
+writes per-cell wall-clock timings as JSON for speedup analysis (one
+record per cell, labelled ``<figure>:<cell>``).
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ import time
 
 from repro import obs
 from repro.bench.context import env_scale
-from repro.bench.experiments import ALL_EXPERIMENTS, LAST_JOB_TIMINGS
+from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.bench.reporting import format_table
-from repro.parallel import add_harness_arguments, finish
-from repro.parallel.pool import timing_records
+from repro.parallel import JobResult, add_harness_arguments, finish
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -54,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
 
     recorder = obs.install() if args.trace_out else None
     tables: list[str] = []
-    timings: dict[str, list[dict]] = {}
+    jobs: list[JobResult] = []
     for name in wanted:
         start = time.time()
         result = ALL_EXPERIMENTS[name](workers=args.workers)
@@ -65,9 +65,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         print(tables[-1] if "rows_b" not in result else "\n\n".join(tables[-2:]))
         print(f"[{name} took {time.time() - start:.1f}s]\n")
-        timings[name] = timing_records(LAST_JOB_TIMINGS.get(name, []))
+        jobs += result["jobs"]
 
-    finish(args, recorder, "\n\n".join(tables), {"experiments": timings})
+    finish(args, recorder, "\n\n".join(tables), jobs)
     return 0
 
 

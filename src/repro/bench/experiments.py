@@ -15,6 +15,9 @@ worker processes via :mod:`repro.parallel`: pass ``workers=N`` (or
 nested-loop order the serial code used and collected in submission order,
 so tables and raw series are byte-identical at every worker count —
 ``workers=1`` runs the cells in-process with no pool at all.
+
+A figure is a spec: its docstring, its ``points`` — one ``(key, cell
+args, label)`` per cell — and a row formatter, handed to :func:`_figure`.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from repro.hotness.interval import (
     interval_conditional_probabilities,
     probability_summary,
 )
-from repro.parallel import Job, run_jobs
-from repro.parallel.pool import JobResult, unwrap_all
+from repro.parallel import Job, JobResult, run_jobs
+from repro.parallel.pool import unwrap_all
 from repro.ycsb import WorkloadRunner, WorkloadSpec, YCSB_WORKLOADS
 
 
@@ -65,16 +68,47 @@ def _loaded_runner(
 
 WRITE_ONLY = WorkloadSpec("write-only", update=1.0, distribution="uniform")
 
-#: Per-job timing of the most recent experiment call, keyed by experiment
-#: name — the CLI drains this into the ``--timing-out`` artifact.
-LAST_JOB_TIMINGS: dict[str, list[JobResult]] = {}
+
+def _ycsb_a(theta) -> WorkloadSpec:
+    """YCSB-A at one skew setting: ``"uniform"`` or a zipfian theta."""
+    if theta == "uniform":
+        return YCSB_WORKLOADS["A"].with_distribution("uniform")
+    return YCSB_WORKLOADS["A"].with_distribution("zipfian", theta=theta)
 
 
-def _run_cells(name: str, jobs: list[Job], workers: int) -> list:
-    """Run one figure's cell jobs, remember their timings, return values."""
-    results = run_jobs(jobs, workers=workers)
-    LAST_JOB_TIMINGS[name] = results
-    return unwrap_all(results)
+# ------------------------------------------------------------------ driver
+
+
+def _run_cells(
+    name: str, cell, calls: list[tuple], workers: int
+) -> tuple[list, list[JobResult]]:
+    """Run ``cell(*args)`` once per ``(args, label)`` of ``calls``, as a job
+    labelled ``"<name>:<label>"``.  Returns the cells' values and the
+    :class:`JobResult` list, both in submission order; a failed cell raises
+    with its label in the message."""
+    jobs = [Job(cell, args=args, label=f"{name}:{label}") for args, label in calls]
+    outcomes = run_jobs(jobs, workers=workers)
+    return unwrap_all(outcomes), outcomes
+
+
+def _figure(
+    name: str, title: str, headers: list[str], *, cell, points, row, workers: int
+) -> dict:
+    """One grid, one table.  ``points`` lists ``(key, cell args, label)``;
+    ``rows`` holds ``row(key, value)`` per point and ``raw`` maps each
+    point's key to its cell's value, both in submission order; ``jobs``
+    carries the per-cell timings to the CLI."""
+    keys = [key for key, _, _ in points]
+    values, jobs = _run_cells(
+        name, cell, [(args, label) for _, args, label in points], workers
+    )
+    return {
+        "title": title,
+        "headers": headers,
+        "rows": [row(key, value) for key, value in zip(keys, values)],
+        "raw": dict(zip(keys, values)),
+        "jobs": jobs,
+    }
 
 
 # ------------------------------------------------------------------- cells
@@ -121,9 +155,15 @@ def _fig3_cell(
 
 
 def _fig6a_cell(trace: list, threshold: int, history: int) -> dict:
-    return probability_summary(
+    summary = probability_summary(
         interval_conditional_probabilities(trace, threshold=threshold, history=history)
     )
+    if summary["objects"] == 0:
+        # probability_summary signals emptiness with NaN quantiles; NaN
+        # never compares equal, which would break row/digest equality
+        # checks, so represent empty cells as None here.
+        return {"median": None, "p25": None, "p75": None, "objects": 0}
+    return summary
 
 
 def _workload_cell(
@@ -157,27 +197,23 @@ def fig2_utilization(
     with the caching architecture pinned at its high watermark, where every
     write forces migration."""
     scale = scale or BenchScale.default(nvme_ratio=0.3)
-    grid = [(s, t) for s in ("rocksdb", "prismdb") for t in threads]
-    jobs = [
-        Job(_fig2_cell, args=(s, t, scale), label=f"fig2:{s}:bg{t}")
-        for s, t in grid
-    ]
-    cells = _run_cells("fig2", jobs, workers)
-    rows = []
-    raw = {}
-    for (store_name, t), cell in zip(grid, cells):
-        rows.append(
-            (store_name, t, mb(cell["nvme_read_Bps"]), mb(cell["nvme_write_Bps"]),
-             cell["nvme_capacity_util"] * 100, cell["sata_capacity_util"] * 100)
-        )
-        raw[(store_name, t)] = cell
-    return {
-        "title": "Fig 2: bandwidth (MiB/s) and capacity utilization (%), write-only",
-        "headers": ["store", "bg threads", "nvme rd MiB/s", "nvme wr MiB/s",
-                    "nvme cap %", "sata cap %"],
-        "rows": rows,
-        "raw": raw,
-    }
+    return _figure(
+        "fig2",
+        "Fig 2: bandwidth (MiB/s) and capacity utilization (%), write-only",
+        ["store", "bg threads", "nvme rd MiB/s", "nvme wr MiB/s",
+         "nvme cap %", "sata cap %"],
+        cell=_fig2_cell,
+        points=[
+            ((s, t), (s, t, scale), f"{s}:bg{t}")
+            for s in ("rocksdb", "prismdb")
+            for t in threads
+        ],
+        row=lambda key, cell: (
+            *key, mb(cell["nvme_read_Bps"]), mb(cell["nvme_write_Bps"]),
+            cell["nvme_capacity_util"] * 100, cell["sata_capacity_util"] * 100,
+        ),
+        workers=workers,
+    )
 
 
 # --------------------------------------------------------------------- Fig 3
@@ -190,37 +226,41 @@ def fig3_compaction_overhead(
 
     Constrained NVMe ratio, like Fig. 2 (the same §2.3 motivation setup)."""
     scale = scale or BenchScale.default(nvme_ratio=0.3)
-    grid = [(s, t) for s in ("rocksdb", "prismdb") for t in threads]
-    jobs = [
-        Job(
-            _fig3_cell,
-            args=(s, t, scale, t == threads[-1]),
-            label=f"fig3:{s}:bg{t}",
-        )
-        for s, t in grid
-    ]
-    cells = _run_cells("fig3", jobs, workers)
-    rows_a = []
-    raw = {"bandwidth": {}, "levels": {}}
-    for (store_name, t), cell in zip(grid, cells):
-        rows_a.append((store_name, t, mb(cell["bw"]), cell["frac"] * 100))
-        raw["bandwidth"][(store_name, t)] = cell["bw"]
-        if t == threads[-1] and cell["levels"] is not None:
-            raw["levels"][store_name] = cell["levels"]
+    result = _figure(
+        "fig3",
+        "Fig 3a: compaction bandwidth on the capacity tier",
+        ["store", "bg threads", "compaction MiB/s", "% of device bw"],
+        cell=_fig3_cell,
+        points=[
+            ((s, t), (s, t, scale, t == threads[-1]), f"{s}:bg{t}")
+            for s in ("rocksdb", "prismdb")
+            for t in threads
+        ],
+        row=lambda key, cell: (*key, mb(cell["bw"]), cell["frac"] * 100),
+        workers=workers,
+    )
+    # Table (b) is cut from the cells that carry levels (the last thread
+    # count's), one row per level rather than per cell, and ``raw`` is two
+    # series — neither is a grid, so both are assembled here.
+    cells = result["raw"]
+    levels_by_store = {
+        s: cell["levels"] for (s, _), cell in cells.items() if cell["levels"] is not None
+    }
     rows_b = []
-    for store_name, levels in raw["levels"].items():
+    for store_name, levels in levels_by_store.items():
         total = sum(levels.values()) or 1
         for lvl in sorted(levels):
             rows_b.append((store_name, f"L{lvl}", mb(levels[lvl]), levels[lvl] / total * 100))
-    return {
-        "title": "Fig 3a: compaction bandwidth on the capacity tier",
-        "headers": ["store", "bg threads", "compaction MiB/s", "% of device bw"],
-        "rows": rows_a,
-        "title_b": "Fig 3b: compaction I/O volume by output level",
-        "headers_b": ["store", "level", "I/O MiB", "% of total"],
-        "rows_b": rows_b,
-        "raw": raw,
-    }
+    result.update(
+        title_b="Fig 3b: compaction I/O volume by output level",
+        headers_b=["store", "level", "I/O MiB", "% of total"],
+        rows_b=rows_b,
+        raw={
+            "bandwidth": {key: cell["bw"] for key, cell in cells.items()},
+            "levels": levels_by_store,
+        },
+    )
+    return result
 
 
 # -------------------------------------------------------------------- Fig 6a
@@ -236,35 +276,22 @@ def fig6a_interval_correlation(
     hot_keys = rng.integers(0, hot, size=accesses)
     cold_keys = rng.integers(hot, n_keys, size=accesses)
     trace = np.where(choose_hot, hot_keys, cold_keys).tolist()
-    grid = [(t_frac, s) for t_frac in (0.05, 0.10, 0.20) for s in (1, 3, 5)]
-    jobs = [
-        Job(
-            _fig6a_cell,
-            args=(trace, int(t_frac * accesses), s),
-            label=f"fig6a:t{t_frac:.0%}:s{s}",
-        )
-        for t_frac, s in grid
-    ]
-    cells = _run_cells("fig6a", jobs, workers)
-    rows = []
-    raw = {}
-    for (t_frac, s), summary in zip(grid, cells):
-        if summary["objects"] == 0:
-            # probability_summary signals emptiness with NaN quantiles; NaN
-            # never compares equal, which would break row/digest equality
-            # checks, so represent empty cells as None here.
-            summary = {"median": None, "p25": None, "p75": None, "objects": 0}
-        rows.append(
-            (f"{t_frac:.0%}", s, summary["median"], summary["p25"],
-             summary["p75"], int(summary["objects"]))
-        )
-        raw[(t_frac, s)] = summary
-    return {
-        "title": "Fig 6a: interval conditional probability, 80/20 trace",
-        "headers": ["t (of workload)", "s", "median", "p25", "p75", "objects"],
-        "rows": rows,
-        "raw": raw,
-    }
+    return _figure(
+        "fig6a",
+        "Fig 6a: interval conditional probability, 80/20 trace",
+        ["t (of workload)", "s", "median", "p25", "p75", "objects"],
+        cell=_fig6a_cell,
+        points=[
+            ((t_frac, s), (trace, int(t_frac * accesses), s), f"t{t_frac:.0%}:s{s}")
+            for t_frac in (0.05, 0.10, 0.20)
+            for s in (1, 3, 5)
+        ],
+        row=lambda key, summary: (
+            f"{key[0]:.0%}", key[1], summary["median"], summary["p25"],
+            summary["p75"], int(summary["objects"]),
+        ),
+        workers=workers,
+    )
 
 
 # --------------------------------------------------------------------- Fig 8
@@ -278,40 +305,26 @@ def fig8_ycsb(
     """Fig. 8: YCSB A–F throughput, median latency, and P99 latency for all
     four engines (zipfian 0.99, 8B keys / 128B values)."""
     scale = scale or BenchScale.default()
-    grid = []
-    jobs = []
-    for wl_name in workloads:
+
+    def point(wl_name, store_name):
         spec = YCSB_WORKLOADS[wl_name]
         ops = scale.operations if spec.scan == 0 else max(500, scale.operations // 20)
-        for store_name in stores:
-            grid.append((wl_name, store_name))
-            jobs.append(
-                Job(
-                    _workload_cell,
-                    args=(store_name, scale, spec, ops),
-                    label=f"fig8:{wl_name}:{store_name}",
-                )
-            )
-    cells = _run_cells("fig8", jobs, workers)
-    rows = []
-    raw = {}
-    for (wl_name, store_name), result in zip(grid, cells):
-        rows.append(
-            (
-                wl_name,
-                store_name,
-                kops(result.throughput_ops),
-                result.median_latency() * 1e6,
-                result.p99_latency() * 1e6,
-            )
-        )
-        raw[(wl_name, store_name)] = result
-    return {
-        "title": "Fig 8: YCSB throughput (kops/s), median and P99 latency (us)",
-        "headers": ["workload", "store", "kops/s", "median us", "p99 us"],
-        "rows": rows,
-        "raw": raw,
-    }
+        return (wl_name, store_name), (store_name, scale, spec, ops), f"{wl_name}:{store_name}"
+
+    return _figure(
+        "fig8",
+        "Fig 8: YCSB throughput (kops/s), median and P99 latency (us)",
+        ["workload", "store", "kops/s", "median us", "p99 us"],
+        cell=_workload_cell,
+        points=[point(wl, s) for wl in workloads for s in stores],
+        row=lambda key, result: (
+            *key,
+            kops(result.throughput_ops),
+            result.median_latency() * 1e6,
+            result.p99_latency() * 1e6,
+        ),
+        workers=workers,
+    )
 
 
 # --------------------------------------------------------------------- Fig 9
@@ -324,34 +337,19 @@ def fig9a_skew_sweep(
 ):
     """Fig. 9a: YCSB-A throughput across request-skew settings."""
     scale = scale or BenchScale.default()
-    grid = []
-    jobs = []
-    for theta in thetas:
-        if theta == "uniform":
-            spec = YCSB_WORKLOADS["A"].with_distribution("uniform")
-        else:
-            spec = YCSB_WORKLOADS["A"].with_distribution("zipfian", theta=theta)
-        for store_name in stores:
-            grid.append((theta, store_name))
-            jobs.append(
-                Job(
-                    _workload_cell,
-                    args=(store_name, scale, spec, scale.operations),
-                    label=f"fig9a:{theta}:{store_name}",
-                )
-            )
-    cells = _run_cells("fig9a", jobs, workers)
-    rows = []
-    raw = {}
-    for (theta, store_name), result in zip(grid, cells):
-        rows.append((str(theta), store_name, kops(result.throughput_ops)))
-        raw[(theta, store_name)] = result
-    return {
-        "title": "Fig 9a: YCSB-A throughput (kops/s) vs skew",
-        "headers": ["skew", "store", "kops/s"],
-        "rows": rows,
-        "raw": raw,
-    }
+    return _figure(
+        "fig9a",
+        "Fig 9a: YCSB-A throughput (kops/s) vs skew",
+        ["skew", "store", "kops/s"],
+        cell=_workload_cell,
+        points=[
+            ((theta, s), (s, scale, _ycsb_a(theta), scale.operations), f"{theta}:{s}")
+            for theta in thetas
+            for s in stores
+        ],
+        row=lambda key, result: (str(key[0]), key[1], kops(result.throughput_ops)),
+        workers=workers,
+    )
 
 
 def fig9b_points(base: BenchScale, value_sizes) -> list[BenchScale]:
@@ -376,31 +374,26 @@ def fig9b_value_size_sweep(
     volume is held fixed (the paper holds the loaded volume constant), so
     record counts shrink as values grow."""
     base = scale or BenchScale.default()
-    grid = []
-    jobs = []
-    for point in fig9b_points(base, value_sizes):
-        vs = point.value_size
-        for store_name in stores:
-            grid.append((vs, store_name))
-            jobs.append(
-                Job(
-                    _workload_cell,
-                    args=(store_name, point, YCSB_WORKLOADS["A"], point.operations),
-                    label=f"fig9b:{vs}B:{store_name}",
-                )
-            )
-    cells = _run_cells("fig9b", jobs, workers)
-    rows = []
-    raw = {}
-    for (vs, store_name), result in zip(grid, cells):
-        rows.append((vs, store_name, kops(result.throughput_ops)))
-        raw[(vs, store_name)] = result
-    return {
-        "title": "Fig 9b: YCSB-A throughput (kops/s) vs value size",
-        "headers": ["value B", "store", "kops/s"],
-        "rows": rows,
-        "raw": raw,
-    }
+    return _figure(
+        "fig9b",
+        "Fig 9b: YCSB-A throughput (kops/s) vs value size",
+        ["value B", "store", "kops/s"],
+        cell=_workload_cell,
+        points=[
+            ((p.value_size, s), (s, p, YCSB_WORKLOADS["A"], p.operations),
+             f"{p.value_size}B:{s}")
+            for p in fig9b_points(base, value_sizes)
+            for s in stores
+        ],
+        row=lambda key, result: (*key, kops(result.throughput_ops)),
+        workers=workers,
+    )
+
+
+def fig9c_points(base: BenchScale, ratios) -> list[BenchScale]:
+    """Fig. 9c's sweep points: ``base`` at each NVMe:dataset ratio, every
+    other field — sizes already scaled, seed, clients — as given."""
+    return [replace(base, nvme_ratio=ratio) for ratio in ratios]
 
 
 def fig9c_nvme_ratio_sweep(
@@ -420,36 +413,20 @@ def fig9c_nvme_ratio_sweep(
     # A larger dataset keeps even the smallest ratio above the device's
     # minimum useful size.
     base = scale or BenchScale.default(record_count=80_000)
-    grid = []
-    jobs = []
-    for ratio in ratios:
-        point = BenchScale.default(
-            record_count=base.record_count,
-            operations=base.operations,
-            value_size=base.value_size,
-            nvme_ratio=ratio,
-        )
-        for store_name in stores:
-            grid.append((ratio, store_name))
-            jobs.append(
-                Job(
-                    _workload_cell,
-                    args=(store_name, point, YCSB_WORKLOADS["A"], point.operations),
-                    label=f"fig9c:{ratio:.0%}:{store_name}",
-                )
-            )
-    cells = _run_cells("fig9c", jobs, workers)
-    rows = []
-    raw = {}
-    for (ratio, store_name), result in zip(grid, cells):
-        rows.append((f"{ratio:.0%}", store_name, kops(result.throughput_ops)))
-        raw[(ratio, store_name)] = result
-    return {
-        "title": "Fig 9c: YCSB-A throughput (kops/s) vs NVMe capacity ratio",
-        "headers": ["nvme ratio", "store", "kops/s"],
-        "rows": rows,
-        "raw": raw,
-    }
+    return _figure(
+        "fig9c",
+        "Fig 9c: YCSB-A throughput (kops/s) vs NVMe capacity ratio",
+        ["nvme ratio", "store", "kops/s"],
+        cell=_workload_cell,
+        points=[
+            ((p.nvme_ratio, s), (s, p, YCSB_WORKLOADS["A"], p.operations),
+             f"{p.nvme_ratio:.0%}:{s}")
+            for p in fig9c_points(base, ratios)
+            for s in stores
+        ],
+        row=lambda key, result: (f"{key[0]:.0%}", key[1], kops(result.throughput_ops)),
+        workers=workers,
+    )
 
 
 # -------------------------------------------------------------------- Fig 10
@@ -462,43 +439,26 @@ def fig10_latency_breakdown(
 ):
     """Fig. 10: read/write median and P99 latency across skew settings."""
     scale = scale or BenchScale.default()
-    grid = []
-    jobs = []
-    for theta in thetas:
-        if theta == "uniform":
-            spec = YCSB_WORKLOADS["A"].with_distribution("uniform")
-        else:
-            spec = YCSB_WORKLOADS["A"].with_distribution("zipfian", theta=theta)
-        for store_name in stores:
-            grid.append((theta, store_name))
-            jobs.append(
-                Job(
-                    _workload_cell,
-                    args=(store_name, scale, spec, scale.operations),
-                    label=f"fig10:{theta}:{store_name}",
-                )
-            )
-    cells = _run_cells("fig10", jobs, workers)
-    rows = []
-    raw = {}
-    for (theta, store_name), result in zip(grid, cells):
-        rows.append(
-            (
-                str(theta),
-                store_name,
-                result.median_latency("read") * 1e6,
-                result.p99_latency("read") * 1e6,
-                result.median_latency("update") * 1e6,
-                result.p99_latency("update") * 1e6,
-            )
-        )
-        raw[(theta, store_name)] = result
-    return {
-        "title": "Fig 10: read/write latency (us) vs skew",
-        "headers": ["skew", "store", "rd med", "rd p99", "wr med", "wr p99"],
-        "rows": rows,
-        "raw": raw,
-    }
+    return _figure(
+        "fig10",
+        "Fig 10: read/write latency (us) vs skew",
+        ["skew", "store", "rd med", "rd p99", "wr med", "wr p99"],
+        cell=_workload_cell,
+        points=[
+            ((theta, s), (s, scale, _ycsb_a(theta), scale.operations), f"{theta}:{s}")
+            for theta in thetas
+            for s in stores
+        ],
+        row=lambda key, result: (
+            str(key[0]),
+            key[1],
+            result.median_latency("read") * 1e6,
+            result.p99_latency("read") * 1e6,
+            result.median_latency("update") * 1e6,
+            result.p99_latency("update") * 1e6,
+        ),
+        workers=workers,
+    )
 
 
 # -------------------------------------------------------------------- Fig 11
@@ -517,38 +477,24 @@ def fig11_background_traffic(
     scale = scale or BenchScale.default(
         value_size=1024, record_count=6000, nvme_ratio=0.8
     )
-    spec = YCSB_WORKLOADS["A"].with_distribution("uniform")
-    jobs = [
-        Job(
-            _workload_cell,
-            args=(store_name, scale, spec, scale.operations),
-            label=f"fig11:{store_name}",
-        )
-        for store_name in stores
-    ]
-    cells = _run_cells("fig11", jobs, workers)
-    rows = []
-    raw = {}
-    for store_name, result in zip(stores, cells):
-        nvme_w = result.write_bytes("nvme")
-        sata_w = result.write_bytes("sata")
-        rows.append(
-            (
-                store_name,
-                mb(nvme_w),
-                mb(sata_w),
-                mb(nvme_w + sata_w),
-                mb(result.space_used["nvme"]),
-                mb(result.space_used["sata"]),
-            )
-        )
-        raw[store_name] = result
-    return {
-        "title": "Fig 11: write I/O (MiB) and space usage (MiB), uniform 1KB",
-        "headers": ["store", "nvme wr", "sata wr", "total wr", "nvme space", "sata space"],
-        "rows": rows,
-        "raw": raw,
-    }
+    return _figure(
+        "fig11",
+        "Fig 11: write I/O (MiB) and space usage (MiB), uniform 1KB",
+        ["store", "nvme wr", "sata wr", "total wr", "nvme space", "sata space"],
+        cell=_workload_cell,
+        points=[
+            (s, (s, scale, _ycsb_a("uniform"), scale.operations), s) for s in stores
+        ],
+        row=lambda store_name, result: (
+            store_name,
+            mb(result.write_bytes("nvme")),
+            mb(result.write_bytes("sata")),
+            mb(result.write_bytes("nvme") + result.write_bytes("sata")),
+            mb(result.space_used["nvme"]),
+            mb(result.space_used["sata"]),
+        ),
+        workers=workers,
+    )
 
 
 # ------------------------------------------------------ Service-model figures
@@ -602,22 +548,21 @@ def queue_depth_isolation(
     """
     scale = scale or _SERVICE_CELL
     shapes = [(1, 32), (2, 32), (4, 32), (4, 4), (4, 1)]
-    jobs = [
-        Job(
-            _queue_cell,
-            args=(qc, qd, degraded, scale),
-            label=f"queue_depth:qc{qc}qd{qd}:{mode}",
-        )
-        for qc, qd in shapes
-        for mode, degraded in (("healthy", False), ("degraded", True))
-    ]
-    cells = _run_cells("queue_depth", jobs, workers)
+    cells, jobs = _run_cells(
+        "queue_depth",
+        _queue_cell,
+        [
+            ((qc, qd, degraded, scale), f"qc{qc}qd{qd}:{mode}")
+            for qc, qd in shapes
+            for mode, degraded in (("healthy", False), ("degraded", True))
+        ],
+        workers,
+    )
+    # A row is a *pair* of cells (healthy, degraded), which a row per point
+    # cannot express; rows and raw are assembled here.
     rows = []
     raw = {}
-    it = iter(cells)
-    for qc, qd in shapes:
-        healthy = next(it)
-        degraded = next(it)
+    for (qc, qd), healthy, degraded in zip(shapes, cells[::2], cells[1::2]):
         rows.append(
             (
                 f"qc={qc} qd={qd}",
@@ -633,6 +578,7 @@ def queue_depth_isolation(
         "headers": ["shape", "healthy kops/s", "degraded kops/s", "ratio"],
         "rows": rows,
         "raw": raw,
+        "jobs": jobs,
     }
 
 
@@ -704,7 +650,10 @@ def degraded_cost(workers: int = 1):
             label="degraded_cost:node-outage",
         ),
     ]
-    scrub, outage, cluster = _run_cells("degraded_cost", jobs, workers)
+    # Three unlike cells, one row each with its own proof column: not a
+    # grid, so the jobs are listed rather than generated from points.
+    outcomes = run_jobs(jobs, workers=workers)
+    scrub, outage, cluster = unwrap_all(outcomes)
     # Pre-rendered strings: the table's float format keeps three digits,
     # and these are the recorded figures.
     rows = [
@@ -745,6 +694,7 @@ def degraded_cost(workers: int = 1):
         "headers": ["degradation", "metric", "healthy", "degraded", "ratio", "proof"],
         "rows": rows,
         "raw": {"scrub": scrub, "nvme_outage": outage, "node_outage": cluster},
+        "jobs": outcomes,
     }
 
 
@@ -764,31 +714,24 @@ def ablations(scale: Optional[BenchScale] = None, workers: int = 1):
         "t_clean=0.9": {"t_clean": 0.9},
         "candidate_k=1": {"candidate_k": 1},
     }
-    jobs = [
-        Job(_ablation_cell, args=(overrides, scale), label=f"ablations:{label}")
-        for label, overrides in variants.items()
-    ]
-    cells = _run_cells("ablations", jobs, workers)
-    rows = []
-    raw = {}
-    for label, cell in zip(variants, cells):
-        result = cell["result"]
-        rows.append(
-            (
-                label,
-                kops(result.throughput_ops),
-                result.p99_latency() * 1e6,
-                mb(result.write_bytes("nvme") + result.write_bytes("sata")),
-                cell["space_amp"],
-            )
-        )
-        raw[label] = result
-    return {
-        "title": "Ablations: YCSB-A, zipfian 0.99",
-        "headers": ["variant", "kops/s", "p99 us", "write MiB", "sata space amp"],
-        "rows": rows,
-        "raw": raw,
-    }
+    result = _figure(
+        "ablations",
+        "Ablations: YCSB-A, zipfian 0.99",
+        ["variant", "kops/s", "p99 us", "write MiB", "sata space amp"],
+        cell=_ablation_cell,
+        points=[(label, (overrides, scale), label) for label, overrides in variants.items()],
+        row=lambda label, cell: (
+            label,
+            kops(cell["result"].throughput_ops),
+            cell["result"].p99_latency() * 1e6,
+            mb(cell["result"].write_bytes("nvme") + cell["result"].write_bytes("sata")),
+            cell["space_amp"],
+        ),
+        workers=workers,
+    )
+    # ``raw`` publishes the RunResult alone; the cell's space amp is a column.
+    result["raw"] = {label: cell["result"] for label, cell in result["raw"].items()}
+    return result
 
 
 ALL_EXPERIMENTS = {

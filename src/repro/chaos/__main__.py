@@ -56,16 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     summary = report.summary()
     print(summary)
     print(f"scenarios exercised: {len(report.results)}")
-    scenario_timings = [
-        {
-            "name": r.scenario,
-            "engine": r.engine,
-            "seconds": round(s, 6),
-            "ok": r.passed,
-        }
-        for r, s in zip(report.results, report.scenario_seconds)
-    ]
-    finish(args, recorder, summary, {"scenarios": scenario_timings})
+    finish(args, recorder, summary, report.jobs)
     return 0 if report.passed else 1
 
 

@@ -23,7 +23,7 @@ from repro.chaos.fixtures import Op, ops_stream
 from repro.chaos.oracle import Oracle, Verdict
 from repro.common.keys import encode_key
 from repro.health.state import HealthState, HealthWindow
-from repro.parallel import Job, run_jobs
+from repro.parallel import Job, JobResult, run_jobs
 from repro.parallel.pool import unwrap_all
 
 #: Pump keys (used to age a still-open window past its end) live above
@@ -161,8 +161,9 @@ class SoakReport:
     """All scenarios of one soak."""
 
     results: list[SoakResult] = field(default_factory=list)
-    #: Per-scenario wall-clock seconds, parallel to ``results``.
-    scenario_seconds: list[float] = field(default_factory=list)
+    #: The fan-out's job outcomes (label, wall-clock seconds), parallel to
+    #: ``results`` — what ``--timing-out`` writes.
+    jobs: list[JobResult] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -466,10 +467,7 @@ def run_soak(scenarios, seed: int = 0, workers: int = 1) -> SoakReport:
         for sc in scenarios
     ]
     outcomes = run_jobs(jobs, workers=workers)
-    return SoakReport(
-        results=list(unwrap_all(outcomes)),
-        scenario_seconds=[o.seconds for o in outcomes],
-    )
+    return SoakReport(results=unwrap_all(outcomes), jobs=outcomes)
 
 
 def measure_degraded_throughput(scenario, seed: int = 0) -> dict:

@@ -108,21 +108,8 @@ def main(argv: list[str] | None = None) -> int:
 
     total_points = sum(len(r.results) for r in reports)
     print(f"crash points exercised: {total_points}")
-    matrix_timings = [
-        {
-            "engine": r.engine,
-            "points": [
-                {
-                    "crash_after_write_io": p.crash_after_write_io,
-                    "seconds": round(s, 6),
-                    "ok": p.ok,
-                }
-                for p, s in zip(r.results, r.point_seconds)
-            ],
-        }
-        for r in reports
-    ]
-    finish(args, recorder, "\n".join(summaries), {"matrices": matrix_timings})
+    jobs = [job for r in reports for job in r.jobs]
+    finish(args, recorder, "\n".join(summaries), jobs)
     return 1 if failed else 0
 
 

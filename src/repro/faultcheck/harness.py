@@ -43,7 +43,7 @@ from repro.common.errors import PowerLossError, TransientIOError
 from repro.common.keys import encode_key
 from repro.core.hyperdb import HyperDB
 from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
-from repro.parallel import Job, run_jobs
+from repro.parallel import Job, JobResult, run_jobs
 from repro.parallel.pool import unwrap_all
 from repro.simssd.device import SimDevice
 from repro.simssd.faults import FaultInjector, FaultPlan
@@ -78,9 +78,10 @@ class MatrixReport:
     engine: str
     total_write_ios: int
     results: list[CrashPointResult] = field(default_factory=list)
-    #: Per-point wall-clock seconds, parallel to ``results`` (measured
-    #: inside the worker, so pool queue time is excluded).
-    point_seconds: list[float] = field(default_factory=list)
+    #: The fan-out's job outcomes (label, wall-clock seconds measured
+    #: inside the worker), parallel to ``results`` — what ``--timing-out``
+    #: writes.
+    jobs: list[JobResult] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -173,8 +174,8 @@ def _crash_matrix(
     return MatrixReport(
         engine=engine,
         total_write_ios=span.stop - 1,
-        results=list(unwrap_all(outcomes)),
-        point_seconds=[r.seconds for r in outcomes],
+        results=unwrap_all(outcomes),
+        jobs=outcomes,
     )
 
 

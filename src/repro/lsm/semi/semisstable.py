@@ -313,19 +313,6 @@ class SemiSSTable:
         out.sort(key=lambda r: r.key)
         return iter(out)
 
-    def iter_from(
-        self, start: bytes, kind: TrafficKind = TrafficKind.FOREGROUND, cache=None
-    ) -> Iterator[Record]:
-        """Ordered iteration of valid records with key >= ``start``.
-
-        Because blocks are unordered between themselves, a scan touches every
-        live block overlapping the requested span — this is the scan penalty
-        the paper acknowledges for YCSB-E (§4.2).
-        """
-        for rec in self.iter_valid_records(kind, cache):
-            if rec.key >= start:
-                yield rec
-
     # ------------------------------------------------------------- writes
 
     def merge_append(

@@ -108,9 +108,6 @@ class Zone:
     def object_count(self) -> int:
         return len(self.keys)
 
-    def accepts(self, key: bytes) -> bool:
-        return self.key_range is None or self.key_range.contains(key)
-
     def page_ids(self) -> list[int]:
         return list(self._pages)
 

@@ -6,8 +6,8 @@ own RNG streams, and returns plain data.  This package supplies the
 two pieces that make fanning those cells across processes *safe*:
 
 * :mod:`repro.parallel.pool` — the :class:`Job` abstraction and
-  :func:`run_jobs`, a scheduler that preserves submission order, derives
-  per-job seeds, and captures per-job timing and failures;
+  :func:`run_jobs`, a scheduler that preserves submission order and
+  captures per-job timing and failures;
 * :mod:`repro.parallel.hostinfo` — host-shape metadata recorded next to
   timing numbers so cross-machine comparisons stay interpretable, and the
   flags + artifact tail the harness CLIs share.
@@ -18,12 +18,11 @@ code path; ``workers=N`` changes wall-clock only, never results.
 """
 
 from repro.parallel.hostinfo import add_harness_arguments, finish, host_metadata
-from repro.parallel.pool import Job, JobResult, derive_seeds, run_jobs
+from repro.parallel.pool import Job, JobResult, run_jobs
 
 __all__ = [
     "Job",
     "JobResult",
-    "derive_seeds",
     "run_jobs",
     "host_metadata",
     "add_harness_arguments",

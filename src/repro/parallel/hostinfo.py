@@ -13,9 +13,10 @@ import hashlib
 import json
 import os
 import platform
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro import obs
+from repro.parallel.pool import JobResult, timing_records
 
 
 def host_metadata(workers: int = 1) -> dict:
@@ -59,12 +60,14 @@ def finish(
     args: argparse.Namespace,
     recorder: Optional[obs.TraceRecorder],
     digest_text: str,
-    timing_doc: dict,
+    outcomes: Sequence[JobResult],
 ) -> None:
     """The tail of a harness run, in the order every CLI printed it:
     export the trace (``recorder`` is what ``obs.install()`` returned, or
-    None), print the digest of ``digest_text``, write ``timing_doc`` under
-    the host metadata."""
+    None), print the digest of ``digest_text``, write the timing document
+    — the host metadata and one :func:`timing_records` row per fanned-out
+    job (``outcomes``, in submission order; the job label names the cell,
+    scenario or crash point)."""
     if recorder is not None:
         obs.uninstall()
         recorder.export_jsonl(args.trace_out)
@@ -75,7 +78,10 @@ def finish(
     if args.digest:
         print(f"DIGEST {hashlib.sha256(digest_text.encode()).hexdigest()}")
     if args.timing_out:
-        doc = {"host": host_metadata(workers=args.workers), **timing_doc}
+        doc = {
+            "host": host_metadata(workers=args.workers),
+            "jobs": timing_records(outcomes),
+        }
         with open(args.timing_out, "w") as f:
             json.dump(doc, f, indent=2)
             f.write("\n")

@@ -43,8 +43,11 @@ class TestLSMCrashMatrix:
         serial = run_lsm_crash_matrix(num_points=3, seed=3, num_ops=120, workers=1)
         fanned = run_lsm_crash_matrix(num_points=3, seed=3, num_ops=120, workers=2)
         assert serial.summary() == fanned.summary()
-        assert len(fanned.point_seconds) == len(fanned.results) == 3
-        assert all(s >= 0 for s in fanned.point_seconds)
+        assert len(fanned.jobs) == len(fanned.results) == 3
+        assert [j.label for j in fanned.jobs] == [
+            f"rocksdb-like:crash@{r.crash_after_write_io}" for r in fanned.results
+        ]
+        assert all(j.ok and j.seconds >= 0 for j in fanned.jobs)
 
 
 class TestHyperDBCrashMatrix:

@@ -8,13 +8,8 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.parallel import Job, add_harness_arguments, derive_seeds, finish, run_jobs
-from repro.parallel.pool import (
-    JobResult,
-    default_workers,
-    timing_records,
-    unwrap_all,
-)
+from repro.parallel import Job, add_harness_arguments, finish, run_jobs
+from repro.parallel.pool import JobResult, timing_records, unwrap_all
 
 
 def square(x):
@@ -36,6 +31,8 @@ def slow_then_value(x):
     import time
 
     time.sleep(0.01 * ((7 - x) % 3))
+    if obs.RECORDER is not None:
+        obs.RECORDER.emit("marker", x=x)
     return x
 
 
@@ -48,12 +45,6 @@ class TestSerialExecution:
         assert unwrap_all(results) == [0, 1, 4, 9, 16]
         assert all(r.ok and r.seconds >= 0 for r in results)
 
-    def test_seed_passed_as_keyword(self):
-        jobs = [Job(seeded_draw, args=(4,), seed=s) for s in (1, 2, 1)]
-        a, b, a2 = unwrap_all(run_jobs(jobs, workers=1))
-        assert a == a2
-        assert a != b
-
     def test_failure_captured_not_raised(self):
         results = run_jobs([Job(boom, args=(3,))], workers=1)
         assert not results[0].ok
@@ -63,14 +54,15 @@ class TestSerialExecution:
             results[0].unwrap()
 
     def test_raise_on_error(self):
+        # unwrap_all is the one way a failed job raises; the label is in it.
         jobs = [Job(square, args=(1,)), Job(boom, args=(9,), label="bad")]
         with pytest.raises(RuntimeError, match="bad"):
-            run_jobs(jobs, workers=1, raise_on_error=True)
+            unwrap_all(run_jobs(jobs, workers=1))
 
 
 class TestParallelExecution:
     def test_parallel_equals_serial(self):
-        jobs = [Job(seeded_draw, args=(16,), seed=s, label=f"s{s}") for s in range(6)]
+        jobs = [Job(seeded_draw, args=(16, s), label=f"s{s}") for s in range(6)]
         serial = unwrap_all(run_jobs(jobs, workers=1))
         parallel = unwrap_all(run_jobs(jobs, workers=3))
         assert serial == parallel
@@ -80,6 +72,26 @@ class TestParallelExecution:
         results = run_jobs(jobs, workers=3)
         assert unwrap_all(results) == list(range(6))
 
+    def test_traced_shards_absorbed_in_submission_order(self):
+        # Traced or not, serial or pooled, a job runs through the one worker
+        # function: the parent recorder absorbs the same event stream, in
+        # submission order, at either worker count.
+        docs = []
+        for workers in (1, 2):
+            parent = obs.install()
+            try:
+                results = run_jobs(
+                    [Job(slow_then_value, args=(i,)) for i in range(6)],
+                    workers=workers,
+                )
+            finally:
+                obs.uninstall()
+            assert unwrap_all(results) == list(range(6))
+            docs.append(parent.to_doc())
+        assert docs[0] == docs[1]
+        markers = [e["data"]["x"] for e in docs[0]["events"] if e["type"] == "marker"]
+        assert markers == list(range(6))
+
     def test_parallel_failure_isolated_to_its_job(self):
         jobs = [Job(square, args=(2,)), Job(boom, args=(1,)), Job(square, args=(3,))]
         results = run_jobs(jobs, workers=2)
@@ -88,20 +100,11 @@ class TestParallelExecution:
         assert "boom 1" in results[1].error
 
     def test_workers_zero_means_per_core(self):
-        assert default_workers() >= 1
         results = run_jobs([Job(square, args=(5,))], workers=0)
         assert results[0].value == 25
 
 
 class TestSeedsAndTimings:
-    def test_derive_seeds_deterministic_and_distinct(self):
-        a = derive_seeds(42, 8)
-        b = derive_seeds(42, 8)
-        c = derive_seeds(43, 8)
-        assert a == b
-        assert a != c
-        assert len(set(a)) == 8
-
     def test_timing_records_shape(self):
         recs = timing_records(
             [JobResult(index=0, label="x", seconds=0.5, ok=True, value=1)]
@@ -123,7 +126,7 @@ class TestHarnessTail:
         assert (args.workers, args.digest, args.timing_out, args.trace_out) == (
             1, False, None, None,
         )
-        finish(args, None, "report", {"cells": []})
+        finish(args, None, "report", [])
         assert capsys.readouterr().out == ""
 
     def test_trace_then_digest_then_timing_document(self, tmp_path, capsys):
@@ -132,8 +135,9 @@ class TestHarnessTail:
             "--workers", "3", "--digest",
             "--timing-out", str(timing), "--trace-out", str(trace),
         ])
+        outcomes = run_jobs([Job(square, args=(3,), label="sq:3")])
         recorder = obs.install()
-        finish(args, recorder, "report", {"cells": [1, 2]})
+        finish(args, recorder, "report", outcomes)
         assert obs.RECORDER is None  # uninstalled before the export
         out = capsys.readouterr().out.splitlines()
         assert out == [
@@ -142,7 +146,9 @@ class TestHarnessTail:
         ]
         assert trace.exists()
         doc = json.loads(timing.read_text())
-        assert list(doc) == ["host", "cells"] and doc["cells"] == [1, 2]
+        assert list(doc) == ["host", "jobs"]
+        assert doc["jobs"] == timing_records(outcomes)
+        assert doc["jobs"][0]["label"] == "sq:3" and doc["jobs"][0]["ok"]
         host = doc["host"]
         assert host["workers"] == 3 and host["cpu_count"] >= 1
         assert host["machine"] and host["python"]

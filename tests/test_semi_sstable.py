@@ -85,11 +85,6 @@ class TestSemiSSTableBasics:
         out = list(table.iter_valid_records())
         assert [r.key for r in out] == [encode_key(i) for i in range(100)]
 
-    def test_iter_from(self, table):
-        table.merge_append(recs(range(50)))
-        out = [r.key for r in table.iter_from(encode_key(45))]
-        assert out == [encode_key(i) for i in range(45, 50)]
-
 
 class TestBlockGranularityMerge:
     def test_untouched_blocks_stay_clean(self, table):
