@@ -177,7 +177,7 @@ class ManifestStore:
         old = [name for _, name in self._manifest_names()]
         self._seq += 1
         f = self._fs.create(f"{MANIFEST_PREFIX}{self._seq:08d}")
-        _, service = f.append(payload, kind, sequential=True)
+        _, service = f.append(payload, kind)
         # The new snapshot is durable; retire every older one.
         for name in old:
             self._fs.delete(name)

@@ -379,40 +379,44 @@ class SemiSSTable:
             list(incoming.values()) + survivors, key=lambda r: r.key
         )
 
-        # Retire the touched blocks entirely (their bytes become dead space).
-        for block in touched.values():
-            self._kill_block(block)
-
+        # Every live key of a touched block is in ``merged``, so indexing
+        # the fresh blocks retires the touched ones (their bytes become
+        # dead space) — and a merge whose append fails leaves them live.
         service += self._append_blocks(merged, kind)
         service += self._rewrite_index(kind)
         return service
 
     def _append_blocks(self, merged: list[Record], kind: TrafficKind) -> float:
-        """Chunk ``merged`` into blocks of ``block_size`` encoded bytes and
-        append them; each block is indexed as soon as it is on media."""
-        service = 0.0
+        """Chunk ``merged`` into blocks of ``block_size`` encoded bytes, each
+        with its own checksum, and write them with one append — a table
+        writer buffers, so the page two blocks share is written once.  The
+        index points at the blocks only once they are on media."""
+        chunks: list[list[Record]] = []
         chunk: list[Record] = []
         chunk_size = 0
         for rec in merged:
             chunk.append(rec)
             chunk_size += rec.encoded_size
             if chunk_size >= self.block_size:
-                service += self._append_block(chunk, kind)
+                chunks.append(chunk)
                 chunk, chunk_size = [], 0
         if chunk:
-            service += self._append_block(chunk, kind)
+            chunks.append(chunk)
+        payloads = [encode_block(c) for c in chunks]
+        offset, service = self.file.append(b"".join(payloads), kind)
+        for chunk, payload in zip(chunks, payloads):
+            self._index_block(chunk, offset, len(payload))
+            offset += len(payload)
         return service
 
-    def _append_block(self, chunk: list[Record], kind: TrafficKind) -> float:
-        """Write one block at the file's end and point the index at it."""
-        payload = encode_block(chunk)
-        offset, service = self.file.append(payload, kind, sequential=True)
+    def _index_block(self, chunk: list[Record], offset: int, length: int) -> None:
+        """Point the index at the block of ``chunk`` written at ``offset``."""
         block = SemiBlock(
             block_id=self._next_block_id,
             first_key=chunk[0].key,
             last_key=chunk[-1].key,
             offset=offset,
-            length=len(payload),
+            length=length,
             num_records=len(chunk),
             valid_count=len(chunk),
         )
@@ -433,7 +437,6 @@ class SemiSSTable:
             pos += size
             self._valid_bytes += size
         self._block_keys[block.block_id] = [rec.key for rec in chunk]
-        return service
 
     def _retire_entry(self, key: bytes, entry: tuple[int, int, int, int]) -> None:
         old_block = self._blocks_by_id[entry[0]]

@@ -181,7 +181,8 @@ class SSTable:
 
 
 class SSTableBuilder:
-    """Streams sorted records into a new table file."""
+    """Streams sorted records into a new table file: encoded blocks are
+    buffered, so the page two blocks share is written once, at :meth:`finish`."""
 
     def __init__(
         self,
@@ -199,6 +200,7 @@ class SSTableBuilder:
         self._file = fs.create(f"sst_{table_id:08d}")
         self._pending: list[Record] = []
         self._pending_size = 0
+        self._blocks = bytearray()  # encoded, not yet written
         self._handles: list[BlockHandle] = []
         self._keys: list[bytes] = []
         self._last_key: Optional[bytes] = None
@@ -207,7 +209,7 @@ class SSTableBuilder:
 
     @property
     def estimated_size(self) -> int:
-        return self._file.size + self._pending_size
+        return len(self._blocks) + self._pending_size
 
     @property
     def num_records(self) -> int:
@@ -233,21 +235,22 @@ class SSTableBuilder:
         if not self._pending:
             return
         block = encode_block(self._pending)
-        offset, _ = self._file.append(block, self._write_kind, sequential=True)
         self._handles.append(
             BlockHandle(
                 first_key=self._pending[0].key,
                 last_key=self._pending[-1].key,
-                offset=offset,
+                offset=len(self._blocks),
                 length=len(block),
                 num_records=len(self._pending),
             )
         )
+        self._blocks += block
         self._pending = []
         self._pending_size = 0
 
     def finish(self) -> SSTable:
-        """Flush remaining records, write metadata + index, return the table."""
+        """Write the data blocks, metadata and index in one append; return
+        the table."""
         if self._finished:
             raise ReproError("builder already finished")
         self._flush_block()
@@ -257,7 +260,8 @@ class SSTableBuilder:
         self._finished = True
         bloom = BloomFilter.for_keys(self._keys, self._bits_per_key)
         meta_size = bloom.size_bytes + sum(h.index_entry_size() for h in self._handles)
-        self._file.append(b"\x00" * meta_size, self._write_kind, sequential=True)
+        self._blocks += bytes(meta_size)
+        self._file.append(self._blocks, self._write_kind)
         return SSTable(self._table_id, self._file, self._handles, bloom, self._num_records)
 
     def abandon(self) -> None:

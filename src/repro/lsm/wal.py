@@ -111,9 +111,7 @@ class WriteAheadLog:
         count = len(self._pending)
         # Staged records are cleared only after the append succeeds, so a
         # failed group commit leaves them staged for the next sync attempt.
-        offset, service = self._file.append(
-            payload, TrafficKind.WAL, sequential=True
-        )
+        offset, service = self._file.append(payload, TrafficKind.WAL)
         self._pending.clear()
         self._synced_records += count
         self.total_synced_records += count

@@ -66,12 +66,12 @@ class FaultPlan:
     bitflip_rate:
         Per-write probability that one bit of the persisted payload flips.
     latent_bitflip_rate:
-        Per-write probability of *latent* corruption: the payload lands on
-        media with flipped bit(s) but the write reports success and no
-        reader is warned — only checksums (a tripping reader or a scrub
-        pass) can discover it.  Drawn from an RNG stream independent of
-        the write-time ``bitflip_rate`` stream, so enabling latent faults
-        never perturbs existing fault schedules.
+        Probability of *latent* corruption per page a file append covers
+        (per zone-slot write): it lands with flipped bit(s), the write
+        reports success, no reader is warned — only checksums (a tripping
+        reader or a scrub pass) can find it.  Drawn from an RNG stream
+        independent of the write-time ``bitflip_rate`` stream, so enabling
+        latent faults never perturbs existing fault schedules.
     latent_burst_bits:
         Number of distinct bits flipped per latent corruption event
         (>= 1); models burst/multi-bit media errors.
@@ -279,14 +279,17 @@ class FaultInjector:
 
     # ------------------------------------------------------------ payloads
 
-    def corrupt_payload(self, data: bytes) -> bytes:
+    def corrupt_payload(
+        self, data: bytes, pages: Optional[list[tuple[int, int]]] = None
+    ) -> bytes:
         """Return ``data``, possibly with seeded bit(s) flipped (on media).
 
-        Write-time flips (``bitflip_rate``) draw from the main RNG stream
-        exactly as they always have; latent flips
-        (``latent_bitflip_rate``) draw from the independent latent stream
-        afterwards, so the two fault classes compose without perturbing
-        each other's schedules.
+        Write-time flips (``bitflip_rate``) draw once per call from the
+        main RNG stream; latent flips (``latent_bitflip_rate``) draw from
+        the independent latent stream afterwards, once per ``(start, end)``
+        byte span in ``pages`` (default: the whole payload), flipping bits
+        inside that span — so the two fault classes compose without
+        perturbing each other's schedules.
         """
         if data and self.plan.bitflip_rate > 0.0:
             if self._rng.random() < self.plan.bitflip_rate:
@@ -301,13 +304,15 @@ class FaultInjector:
                 data = bytes(out)
         if data and self._latent_rng is not None:
             lrng = self._latent_rng
-            if lrng.random() < self.plan.latent_bitflip_rate:
+            out = bytearray(data)
+            for lo, hi in pages or [(0, len(data))]:
+                if lrng.random() >= self.plan.latent_bitflip_rate:
+                    continue
                 self.latent_bitflips += 1
-                out = bytearray(data)
                 nbits = self.plan.latent_burst_bits
                 flipped: set[tuple[int, int]] = set()
-                while len(flipped) < min(nbits, len(data) * 8):
-                    pos = lrng.randrange(len(data))
+                while len(flipped) < min(nbits, (hi - lo) * 8):
+                    pos = lrng.randrange(lo, hi)
                     bit = lrng.randrange(8)
                     if (pos, bit) in flipped:
                         continue
@@ -316,9 +321,9 @@ class FaultInjector:
                 rec = obs.RECORDER
                 if rec is not None:
                     rec.emit(
-                        "latent_bitflip", bits=len(flipped), nbytes=len(data)
+                        "latent_bitflip", bits=len(flipped), nbytes=hi - lo
                     )
-                data = bytes(out)
+            data = bytes(out)
         return data
 
     def torn_prefix_len(self, nbytes: int, torn_fraction: float) -> int:

@@ -30,10 +30,11 @@ from repro.simssd.traffic import TrafficKind
 
 
 class SimFile:
-    """An append-mostly byte file with page-accurate I/O accounting.
+    """An append-only byte file with page-accurate I/O accounting.
 
-    Appends extend the file; :meth:`write_at` rewrites bytes inside the
-    existing extent (used for in-place page updates in NVMe zone slots).
+    Every append is one sequential write command charged for each page it
+    spans, so a caller that writes a table block by block pays the page two
+    blocks share twice; table writers buffer and append once.
     """
 
     def __init__(self, name: str, device: SimDevice) -> None:
@@ -65,16 +66,11 @@ class SimFile:
             self.device.allocate(need - self._allocated_pages)
             self._allocated_pages = need
 
-    def _persist(self, data: bytes) -> bytes:
-        inj = self.device.injector
-        return inj.corrupt_payload(data) if inj is not None else data
-
     # --------------------------------------------------------------- I/O
 
-    def append(
-        self, data: bytes, kind: TrafficKind, sequential: bool = True
-    ) -> tuple[int, float]:
-        """Append ``data``; returns ``(offset, service_time)``."""
+    def append(self, data: bytes, kind: TrafficKind) -> tuple[int, float]:
+        """Append ``data`` as one sequential write; returns
+        ``(offset, service_time)``."""
         self._check_open()
         if not data:
             return len(self._data), 0.0
@@ -82,35 +78,19 @@ class SimFile:
         self._ensure_pages(offset + len(data))
         pages = self._page_span(offset, len(data))
         try:
-            service = self.device.write_pages(pages, kind, sequential)
+            service = self.device.write_pages(pages, kind)
         except PowerLossError as e:
             keep = self.device.injector.torn_prefix_len(len(data), e.torn_fraction)
             self._data.extend(data[:keep])
             raise
-        self._data.extend(self._persist(data))
+        inj = self.device.injector
+        if inj is not None:
+            # Latent flips are drawn per page written, however appends batch.
+            ps = self.device.page_size
+            cuts = [0, *range(ps - offset % ps, len(data), ps), len(data)]
+            data = inj.corrupt_payload(data, list(zip(cuts, cuts[1:])))
+        self._data.extend(data)
         return offset, service
-
-    def write_at(
-        self, offset: int, data: bytes, kind: TrafficKind, sequential: bool = False
-    ) -> float:
-        """Overwrite bytes inside the existing extent; returns service time."""
-        self._check_open()
-        if offset < 0 or offset + len(data) > len(self._data):
-            raise ReproError(
-                f"write_at outside extent: [{offset}, {offset + len(data)}) "
-                f"in file of size {len(self._data)}"
-            )
-        if not data:
-            return 0.0
-        pages = self._page_span(offset, len(data))
-        try:
-            service = self.device.write_pages(pages, kind, sequential)
-        except PowerLossError as e:
-            keep = self.device.injector.torn_prefix_len(len(data), e.torn_fraction)
-            self._data[offset : offset + keep] = data[:keep]
-            raise
-        self._data[offset : offset + len(data)] = self._persist(data)
-        return service
 
     def read(
         self, offset: int, length: int, kind: TrafficKind, sequential: bool = False

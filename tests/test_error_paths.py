@@ -56,11 +56,6 @@ class TestSimFileClosed:
         with pytest.raises(ClosedError):
             f.read(0, 1, TrafficKind.FOREGROUND)
 
-    def test_write_at_after_delete(self):
-        f = self._deleted_file()
-        with pytest.raises(ClosedError):
-            f.write_at(0, b"y", TrafficKind.FOREGROUND)
-
     def test_truncate_after_delete(self):
         f = self._deleted_file()
         with pytest.raises(ClosedError):

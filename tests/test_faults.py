@@ -195,6 +195,20 @@ class TestBitflips:
         assert data != b"\x00" * 64
         assert sum(bin(byte).count("1") for byte in data) == dev.injector.bitflips
 
+    def test_latent_flips_are_drawn_per_page_written(self):
+        # Exposure follows the pages written, not how appends are batched:
+        # one append over three pages draws three times, each flip inside
+        # its own page.
+        dev = device(FaultPlan(seed=3, latent_bitflip_rate=0.999))
+        f = SimFilesystem(dev).create("f")
+        f.append(b"\x00" * 100, TrafficKind.FOREGROUND)
+        assert dev.injector.latent_bitflips == 1
+        f.append(b"\x00" * 8192, TrafficKind.FOREGROUND)  # bytes 100..8291
+        assert dev.injector.latent_bitflips == 4
+        data, _ = f.read(0, f.size, TrafficKind.FOREGROUND)
+        ones = [sum(bin(b).count("1") for b in data[p * 4096 : (p + 1) * 4096]) for p in range(3)]
+        assert ones[0] == 2 and ones[1:] == [1, 1]
+
     def test_engine_checksums_catch_bitflips(self):
         # Write under heavy bitflip: reads either succeed with the correct
         # value or the table is quarantined — corrupt bytes never surface.

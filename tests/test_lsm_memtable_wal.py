@@ -131,6 +131,16 @@ class TestWriteAheadLog:
         assert fs.device.traffic.write_ios(TrafficKind.WAL) == 1
         assert wal.synced_records == 4
 
+    def test_group_commits_on_one_page_each_charge_it(self, fs):
+        # Unlike a table build, a synced log cannot buffer: two group
+        # commits that land on one page rewrite that page.
+        wal = WriteAheadLog(fs, group_size=1)
+        wal.append(Record(b"a", b"v", 1))
+        wal.append(Record(b"b", b"v", 2))
+        assert wal.size_bytes < 4096
+        assert fs.device.traffic.write_ios(TrafficKind.WAL) == 2
+        assert fs.device.traffic.write_bytes(TrafficKind.WAL) == 2 * 4096
+
     def test_sync_flushes_partial_group(self, fs):
         wal = WriteAheadLog(fs, group_size=100)
         wal.append(Record(b"k", b"v", 1))

@@ -6,8 +6,16 @@ from repro.common.cache import LRUCache
 from repro.common.errors import ReproError
 from repro.common.keys import encode_key
 from repro.common.records import Record
+from repro.lsm.compaction import LeveledCompactor
 from repro.lsm.sstable import SSTableBuilder, build_sstable
+from repro.lsm.version import Version
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
+
+#: First and last key ids of each output of the compaction in
+#: ``TestCompactionOutputSplit``, as written block by block.
+_OUTPUT_SPLITS = [
+    (0, 69), (70, 134), (135, 199), (200, 264), (265, 329), (330, 394), (395, 399),
+]
 
 
 @pytest.fixture
@@ -64,6 +72,26 @@ class TestSSTableBuilder:
         b.abandon()
         assert fs.device.allocated_pages == 0
 
+    def test_abandon_after_buffering_charges_nothing(self, fs):
+        b = SSTableBuilder(fs, 1, block_size=1024)
+        for r in records(100):
+            b.add(r)
+        assert b.estimated_size > 2 * 4096  # several blocks buffered
+        b.abandon()
+        assert not fs.exists("sst_00000001")
+        assert fs.device.allocated_pages == 0
+        assert fs.device.traffic.write_ios() == 0
+        assert fs.device.traffic.write_bytes() == 0
+
+    def test_table_is_written_once_in_one_command(self, fs):
+        table = build_sstable(fs, 1, records(500), block_size=1024)
+        assert len(table.handles) > 10
+        traffic = fs.device.traffic
+        assert traffic.write_ios(TrafficKind.FLUSH) == 1
+        assert traffic.write_bytes(TrafficKind.FLUSH) == table.file.allocated_pages * 4096
+        got, _ = table.get(encode_key(321))
+        assert got is not None and got.value == records(500)[321].value
+
     def test_double_finish_rejected(self, fs):
         b = SSTableBuilder(fs, 1)
         b.add(Record(b"k", b"v", 1))
@@ -86,6 +114,39 @@ class TestSSTableBuilder:
     def test_metadata_charged_to_file(self, fs):
         table = build_sstable(fs, 1, records(100))
         assert table.size_bytes > table.data_bytes
+
+
+class TestCompactionOutputSplit:
+    def test_outputs_split_on_the_same_keys(self, fs):
+        # Outputs are cut when the builder's estimated size reaches
+        # table_size_bytes; buffering blocks must not move the cuts.
+        version = Version(num_levels=3)
+        for t in range(4):
+            version.add_table(
+                0,
+                build_sstable(
+                    fs,
+                    t,
+                    [
+                        Record(encode_key(i), bytes([t]) * (60 + 7 * t), 1000 * t + i + 1)
+                        for i in range(25 * t, 400, t + 1)
+                    ],
+                    block_size=1024,
+                ),
+            )
+        ids = iter(range(100, 200))
+        compactor = LeveledCompactor(
+            version,
+            lambda _: fs,
+            lambda: next(ids),
+            table_size_bytes=6000,
+            block_size=1024,
+        )
+        outputs = compactor.compact_level(0)
+        assert [(t.first_key, t.last_key) for t in outputs] == [
+            (encode_key(lo), encode_key(hi)) for lo, hi in _OUTPUT_SPLITS
+        ]
+        assert sum(t.num_records for t in outputs) == 400
 
 
 class TestSSTableReads:

@@ -130,6 +130,35 @@ class TestBlockGranularityMerge:
         written = fs.device.traffic.write_bytes(TrafficKind.COMPACTION)
         assert written < table.file_bytes / 4
 
+    def test_merge_writes_each_page_once_in_one_command(self, fs):
+        table = SemiSSTable(1, fs, full_range(), block_size=4096)
+        table.merge_append(recs(range(400), value=b"v" * 100))
+        assert table.num_blocks >= 3
+        # One command for every page of the blocks (a page two blocks share
+        # is written once), one for the rewritten metadata + index.
+        ps = fs.device.page_size
+        index_pages = -(-table._index_size_estimate() // ps)
+        traffic = fs.device.traffic
+        assert traffic.write_ios(TrafficKind.COMPACTION) == 2
+        assert traffic.write_bytes(TrafficKind.COMPACTION) == (
+            -(-table.file_bytes // ps) + index_pages
+        ) * ps
+        assert [table.get(encode_key(i))[0].value for i in (0, 199, 399)] == [b"v" * 100] * 3
+
+    def test_failed_merge_leaves_touched_blocks_live(self, fs, table):
+        table.merge_append(recs(range(40)))
+        before = (table.num_valid_records, table.valid_bytes, table.dead_bytes)
+
+        def offline(*_args, **_kw):
+            raise ReproError("device offline")
+
+        fs.device.write_pages = offline
+        with pytest.raises(ReproError):
+            table.merge_append(recs([5, 25], value=b"new", seqno_base=1000))
+        del fs.device.write_pages
+        assert (table.num_valid_records, table.valid_bytes, table.dead_bytes) == before
+        assert all(table.get(encode_key(i))[0].value == b"v" for i in range(40))
+
     def test_invalidate_only(self, table):
         table.merge_append(recs(range(10)))
         table.merge_append([], invalidate_only={encode_key(3)})

@@ -37,20 +37,25 @@ class TestSimFile:
         f.append(b"x" * 4096, TrafficKind.FLUSH)
         assert f.allocated_pages == 2
 
-    def test_write_at_no_new_allocation(self, fs):
+    def test_append_inside_last_page_no_new_allocation(self, fs):
         f = fs.create("a")
-        f.append(b"\x00" * 4096, TrafficKind.FLUSH)
+        f.append(b"\x00" * 10, TrafficKind.FLUSH)
         before = fs.device.allocated_pages
-        f.write_at(10, b"patch", TrafficKind.FOREGROUND)
+        fs.device.traffic.reset()
+        f.append(b"patch", TrafficKind.FOREGROUND)
         assert fs.device.allocated_pages == before
+        # The tail page is rewritten: an append pays every page it spans.
+        assert fs.device.traffic.write_bytes() == 4096
         data, _ = f.read(10, 5, TrafficKind.FOREGROUND)
         assert data == b"patch"
 
-    def test_write_at_outside_extent_rejected(self, fs):
+    def test_append_is_one_command_over_every_page_it_spans(self, fs):
         f = fs.create("a")
-        f.append(b"abc", TrafficKind.FLUSH)
-        with pytest.raises(ReproError):
-            f.write_at(2, b"xy", TrafficKind.FOREGROUND)
+        f.append(b"x" * 100, TrafficKind.FLUSH)
+        fs.device.traffic.reset()
+        f.append(b"y" * 8192, TrafficKind.FLUSH)  # bytes 100..8291: 3 pages
+        assert fs.device.traffic.write_bytes() == 3 * 4096
+        assert fs.device.traffic.write_ios() == 1
 
     def test_read_outside_extent_rejected(self, fs):
         f = fs.create("a")
