@@ -145,9 +145,6 @@ class _SlabStore:
     def used_pages(self) -> int:
         return sum(s.total_pages() for s in self._slabs.values())
 
-    def object_count(self) -> int:
-        return len(self.index)
-
     def keys(self):
         return (k for k, _ in self.index.items())
 

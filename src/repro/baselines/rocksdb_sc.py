@@ -99,16 +99,6 @@ class SecondaryBlockCache:
         self._entries[key] = (value, charge, pages)
         self._used_pages += pages
 
-    def invalidate(self, key) -> None:
-        self.dram.invalidate(key)
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self._used_pages -= entry[2]
-            self.device.trim(entry[2])
-
-    def __contains__(self, key) -> bool:
-        return key in self.dram or key in self._entries
-
 
 class RocksDBSecondaryCacheStore(KVStore):
     """The secondary-cache baseline."""

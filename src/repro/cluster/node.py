@@ -135,8 +135,5 @@ class ClusterNode:
     def busy_seconds(self) -> float:
         return self.nvme.busy_seconds() + self.sata.busy_seconds()
 
-    def devices(self) -> dict[str, SimDevice]:
-        return {"nvme": self.nvme, "sata": self.sata}
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ClusterNode({self.name!r})"

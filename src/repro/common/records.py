@@ -46,10 +46,6 @@ class Record:
     def tombstone(key: bytes, seqno: int = 0) -> "Record":
         return Record(key, b"", seqno, deleted=True)
 
-    def shadows(self, other: "Record") -> bool:
-        """Whether this record supersedes ``other`` for the same key."""
-        return self.key == other.key and self.seqno >= other.seqno
-
 
 def paired_columns(keys, values) -> tuple:
     """The two columns of a ``put_many`` as same-length sequences.

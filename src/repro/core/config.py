@@ -44,10 +44,6 @@ class HyperDBConfig:
     # Ablation switches (used by the ablation benches).
     enable_hot_zone: bool = True
     enable_preemptive_compaction: bool = True
-    #: The paper's future-work scan optimization (§4.2): prefetch the blocks
-    #: a scan will touch as coalesced sequential reads.  Off by default to
-    #: match the published system.
-    enable_scan_prefetch: bool = False
     #: Admission control (RocksDB-style write stalls keyed on partition
     #: fill).  ``None`` — the default — disables backpressure entirely, so
     #: existing benchmarks and digests are unchanged.

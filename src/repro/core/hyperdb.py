@@ -495,9 +495,7 @@ class HyperDB(KVStore):
                     break
 
         # Both sides are lazy: a record is read when the merge pulls it.
-        sata_stream = self.capacity_tier.scan(
-            start, count, prefetch=self.config.enable_scan_prefetch
-        )
+        sata_stream = self.capacity_tier.scan(start, count)
 
         out: list[tuple[bytes, bytes]] = []
         for rec in merge_records([nvme_stream(), sata_stream], drop_tombstones=True):

@@ -367,12 +367,6 @@ class LSMTree:
         """Delete via tombstone.  Returns foreground service time."""
         return self._write(Record.tombstone(key, self.next_seqno()))
 
-    def ingest(self, rec: Record) -> float:
-        """Write a pre-stamped record (used by cross-tier migration)."""
-        if rec.seqno > self._seqno:
-            self._seqno = rec.seqno
-        return self._write(rec)
-
     def _write(self, rec: Record) -> float:
         service = 0.0
         if self.admission is not None:

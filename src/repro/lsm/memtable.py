@@ -56,9 +56,6 @@ class MemTable:
         """The newest record for ``key``, tombstones included, else None."""
         return self._map.get(key)
 
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._map
-
     def _ordered_keys(self) -> list[bytes]:
         view = self._sorted_keys
         if len(view) != len(self._map):

@@ -114,7 +114,6 @@ class CapacityTier:
         start: bytes,
         count: int,
         kind: TrafficKind = TrafficKind.FOREGROUND,
-        prefetch: bool = False,
     ) -> Iterator[Record]:
         """A lazy cursor over the live records >= ``start``, in key order.
 
@@ -130,10 +129,6 @@ class CapacityTier:
         unlisted keys past its last candidate, so a round emits nothing
         beyond the smallest such key (``bound``), and the next round
         resumes from the bound's successor.
-
-        ``prefetch=True`` enables the paper's *future-work* optimization:
-        each round first bulk-reads the blocks of its first ``count``
-        candidates, per table, as coalesced sequential runs.
         """
         want = count + 16
         while start is not None:
@@ -155,9 +150,6 @@ class CapacityTier:
                             bound = keys[-1]
                         break
             keys = sorted(owner)
-            if prefetch:
-                # At least ``want`` candidates sit at or below a bound.
-                self._prefetch_scan_blocks(keys[:count], owner, kind)
             start = None if bound is None else bound + b"\x00"
             for key in keys:
                 if bound is not None and key > bound:
@@ -166,21 +158,7 @@ class CapacityTier:
                 if not rec.is_tombstone:
                     yield rec
 
-    def _prefetch_scan_blocks(self, keys, owner, kind) -> None:
-        """Bulk-read the blocks of ``keys`` into the page cache."""
-        if self.cache is None:
-            return  # nowhere to stage prefetched blocks
-        by_table: dict[SemiSSTable, dict] = {}
-        for key in keys:
-            block = owner[key].block_of(key)
-            by_table.setdefault(owner[key], {})[block.block_id] = block
-        for table, blocks in by_table.items():
-            table.read_blocks_bulk(list(blocks.values()), kind, self.cache)
-
     # --------------------------------------------------------- accounting
-
-    def used_bytes(self) -> int:
-        return self.levels.total_file_bytes()
 
     def valid_bytes(self) -> int:
         return self.levels.total_valid_bytes()

@@ -188,11 +188,6 @@ class SemiSSTable:
         keys = self._block_keys.get(bid, ())
         return [k for k in keys if (e := key_map.get(k)) is not None and e[0] == bid]
 
-    def key_seqno(self, key: bytes) -> Optional[int]:
-        """Sequence number of the table's valid copy of ``key``, if any."""
-        entry = self._key_map.get(key)
-        return entry[1] if entry else None
-
     def overlapping_blocks(self, lo: bytes, hi: Optional[bytes]) -> list[SemiBlock]:
         """Live blocks whose key range intersects ``[lo, hi)``."""
         return [b for b in self.blocks if not b.is_dead and b.overlaps(lo, hi)]
@@ -261,45 +256,6 @@ class SemiSSTable:
             self.on_corrupt_block(self, block, superseded)
             self._kill_block(block)
             return [], 0.0
-
-    def read_blocks_bulk(
-        self,
-        blocks: list[SemiBlock],
-        kind: TrafficKind = TrafficKind.FOREGROUND,
-        cache=None,
-    ) -> tuple[dict[int, bytes], float]:
-        """Prefetch many blocks at once (the paper's future-work scan
-        optimization): blocks are sorted by file offset and contiguous runs
-        are fetched as single sequential I/Os, paying one command setup per
-        run instead of one per block.  Returns the verified payloads by
-        block id."""
-        out: dict[int, bytes] = {}
-        runs: list[list[SemiBlock]] = []  # uncached blocks, adjacent ones coalesced
-        service = 0.0
-        for block in sorted(blocks, key=lambda b: b.offset):
-            cache_key = ("semiblk", self.file.name, self._generation, block.offset)
-            cached = cache.get(cache_key) if cache is not None else None
-            if cached is not None:
-                out[block.block_id] = cached
-            elif runs and block.offset == runs[-1][-1].offset + runs[-1][-1].length:
-                runs[-1].append(block)
-            else:
-                runs.append([block])
-        for run in runs:
-            start = run[0].offset
-            length = run[-1].offset + run[-1].length - start
-            raw, s = self.file.read(start, length, kind, sequential=True)
-            service += s
-            for block in run:
-                chunk = raw[block.offset - start : block.offset - start + block.length]
-                payload = out[block.block_id] = verify_block(chunk)
-                if cache is not None:
-                    cache.put(
-                        ("semiblk", self.file.name, self._generation, block.offset),
-                        payload,
-                        charge=block.length,
-                    )
-        return out, service
 
     def iter_valid_records(
         self, kind: TrafficKind = TrafficKind.COMPACTION, cache=None

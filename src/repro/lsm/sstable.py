@@ -39,10 +39,6 @@ class BlockHandle:
     length: int
     num_records: int
 
-    @property
-    def key_range(self) -> KeyRange:
-        return KeyRange(self.first_key, self.last_key + b"\x00")
-
     def index_entry_size(self) -> int:
         """Approximate serialized size of this index entry."""
         return len(self.first_key) + len(self.last_key) + 16

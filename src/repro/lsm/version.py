@@ -92,9 +92,6 @@ class LevelState:
     def size_bytes(self) -> int:
         return sum(t.size_bytes for t in self.tables)
 
-    def num_records(self) -> int:
-        return sum(t.num_records for t in self.tables)
-
     def __len__(self) -> int:
         return len(self.tables)
 

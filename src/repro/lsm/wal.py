@@ -13,8 +13,6 @@ raising — a partially-synced log is a recoverable log.
 
 from __future__ import annotations
 
-import zlib
-
 from repro.common.records import Record
 from repro.lsm.blocks import decode_prefix, encode_record
 from repro.simssd.fs import SimFilesystem, SimFile
@@ -69,15 +67,6 @@ class WriteAheadLog:
         #: The crash harness uses this as the durability watermark: the
         #: first ``total_synced_records`` writes are guaranteed recoverable.
         self.total_synced_records = 0
-        #: Sidecar integrity metadata: ``(offset, length, crc32)`` per
-        #: synced group.  The on-media format is unchanged (WAL records
-        #: carry no per-record checksum), but the live process remembers
-        #: what it wrote, so the scrubber (:meth:`verify`) can detect
-        #: latent media corruption that replay's structural checks — which
-        #: only catch torn/implausible records — would miss.  Lost across
-        #: a restart (like any in-memory state); recovery then relies on
-        #: :func:`repro.lsm.blocks.decode_prefix` alone.
-        self._group_sums: list[tuple[int, int, int]] = []
 
     @property
     def size_bytes(self) -> int:
@@ -111,11 +100,10 @@ class WriteAheadLog:
         count = len(self._pending)
         # Staged records are cleared only after the append succeeds, so a
         # failed group commit leaves them staged for the next sync attempt.
-        offset, service = self._file.append(payload, TrafficKind.WAL)
+        _, service = self._file.append(payload, TrafficKind.WAL)
         self._pending.clear()
         self._synced_records += count
         self.total_synced_records += count
-        self._group_sums.append((offset, len(payload), zlib.crc32(payload)))
         return service
 
     def replay(self) -> ReplayResult:
@@ -136,23 +124,6 @@ class WriteAheadLog:
             dropped_bytes=len(data) - consumed,
         )
 
-    def verify(self, kind: TrafficKind = TrafficKind.FOREGROUND) -> tuple[int, int]:
-        """Check every synced group against its sidecar checksum.
-
-        One charged sequential read of the whole log, then pure CRC math.
-        Returns ``(groups_checked, corrupt_groups)``.  Groups synced before
-        a restart have no sidecar entry and are skipped (structural replay
-        checks are the only net under them).
-        """
-        if not self._group_sums:
-            return 0, 0
-        data, _ = self._file.read(0, self._file.size, kind, sequential=True)
-        corrupt = 0
-        for offset, length, crc in self._group_sums:
-            if zlib.crc32(data[offset : offset + length]) != crc:
-                corrupt += 1
-        return len(self._group_sums), corrupt
-
     def note_recovered(self, count: int) -> None:
         """Reset the synced counters after a tolerant replay re-adopted the
         log's clean prefix (``count`` records)."""
@@ -163,9 +134,6 @@ class WriteAheadLog:
         """Cut the log back to its clean prefix after a tolerant replay,
         so post-recovery appends are not shadowed by the old tear."""
         self._file.truncate(valid_bytes)
-        self._group_sums = [
-            g for g in self._group_sums if g[0] + g[1] <= valid_bytes
-        ]
 
     def reset(self) -> None:
         """Truncate the log after a successful memtable flush."""
@@ -173,4 +141,3 @@ class WriteAheadLog:
         self._fs.delete(self._name)
         self._file = self._fs.create(self._name)
         self._synced_records = 0
-        self._group_sums = []

@@ -34,10 +34,6 @@ class PageStore:
         self._pages: dict[int, bytearray] = {}
         self._next_id = 0
 
-    @property
-    def allocated_pages(self) -> int:
-        return len(self._pages)
-
     def allocate(self, count: int = 1) -> list[int]:
         """Reserve ``count`` fresh pages; raises CapacityError when full."""
         self.device.allocate(count)

@@ -253,17 +253,6 @@ class Partition:
         self._maybe_split_zone(zone)
         return service + s
 
-    def delete(self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND) -> float:
-        """Remove an object (tombstone the slot, drop the index entry)."""
-        loc: Optional[SlotLocation] = self.index.get(key)
-        if loc is None:
-            return 0.0
-        zone = self._zone_by_id(loc.zone_id)
-        service = zone.write_tombstone(loc, kind, self.cache)
-        zone.remove_object(key, loc)
-        self.index.delete(key)
-        return service
-
     def _zone_by_id(self, zone_id: int) -> Zone:
         zone = self._zone_map.get(zone_id)
         if zone is None:

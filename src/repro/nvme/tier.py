@@ -75,9 +75,6 @@ class PerformanceTier:
     ) -> tuple[Optional[Record], float]:
         return self.partition_for_key(key).get(key, kind)
 
-    def delete(self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND) -> float:
-        return self.partition_for_key(key).delete(key, kind)
-
     def contains(self, key: bytes) -> bool:
         return self.partition_for_key(key).contains(key)
 
@@ -85,9 +82,6 @@ class PerformanceTier:
 
     def object_count(self) -> int:
         return sum(p.object_count() for p in self.partitions)
-
-    def used_bytes(self) -> int:
-        return sum(p.used_bytes() for p in self.partitions)
 
     def used_pages(self) -> int:
         return sum(p.used_pages for p in self.partitions)

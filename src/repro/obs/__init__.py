@@ -19,8 +19,9 @@ Hard invariants (see DESIGN.md, enforced by tests and CI digests):
 * tracing never consumes RNG streams;
 * tracing never advances simulated time (timestamps are *reads* of
   device busy-time);
-* sharded traces merge deterministically in job submission order
-  (:func:`~repro.obs.merge.merge_traces`), so ``--trace-out`` output is
+* sharded traces fold deterministically in job submission order
+  (:meth:`~repro.obs.events.TraceRecorder.absorb`, called by
+  :func:`repro.parallel.run_jobs`), so ``--trace-out`` output is
   identical at any ``--workers`` count.
 
 Typical harness usage::
@@ -42,7 +43,6 @@ from repro.obs.events import (
     events_of,
     read_trace,
 )
-from repro.obs.merge import merge_traces
 from repro.obs.metrics import MetricScope
 
 __all__ = [
@@ -51,10 +51,8 @@ __all__ = [
     "RECORDER",
     "TraceEvent",
     "TraceRecorder",
-    "active",
     "events_of",
     "install",
-    "merge_traces",
     "read_trace",
     "recording",
     "uninstall",
@@ -81,10 +79,6 @@ def uninstall() -> Optional[TraceRecorder]:
     global RECORDER
     recorder, RECORDER = RECORDER, None
     return recorder
-
-
-def active() -> bool:
-    return RECORDER is not None
 
 
 @contextmanager

@@ -9,8 +9,6 @@ can diff renderings across runs.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs.events import LANE_FIELDS
 
 #: Canonical lane ordering (matches ``TrafficKind`` declaration order);
@@ -213,12 +211,3 @@ def diff(doc_a: dict, doc_b: dict, label_a: str = "A", label_b: str = "B") -> st
         lines.append("  (traces agree on lane totals and event counts)")
     return "\n".join(lines)
 
-
-def render(doc: dict, mode: str = "summarize", buckets: Optional[int] = None) -> str:
-    """Dispatch helper used by the CLI for single-trace views."""
-    if mode == "summarize":
-        return summarize(doc)
-    if mode == "timeline":
-        out = timeline(doc, buckets=buckets or 24)
-        return out + "\n" + cascade(doc)
-    raise ValueError(f"unknown render mode: {mode!r}")

@@ -18,9 +18,9 @@ On detection, a **repair escalation ladder** heals instead of drops:
    has its authoritative twin in the capacity tier (and vice versa: a
    corrupt capacity block whose keys are promoted-resident on NVMe is
    rebuilt from those residents via the normal ``merge_append`` machinery);
-3. *rewrite from live state* — checkpoints, manifests, and WAL content are
-   derived data whose authoritative source (index, version, memtable) is
-   still in memory, so a corrupt backup is simply re-written;
+3. *rewrite from live state* — partition index checkpoints are derived
+   data whose authoritative source (the live index) is still in memory,
+   so a corrupt checkpoint is simply re-written;
 4. *count as unrecoverable* — when no intact copy exists on this node, the
    loss is surfaced (``unrecoverable_keys``) instead of hidden; at cluster
    level an anti-entropy pass re-replicates those keys from healthy
@@ -52,7 +52,6 @@ from repro.simssd.traffic import TrafficKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hyperdb import HyperDB
-    from repro.lsm.lsmtree import LSMTree
     from repro.lsm.semi.semisstable import SemiBlock, SemiSSTable
     from repro.nvme.partition import Partition
     from repro.nvme.zone import SlotLocation, Zone
@@ -71,9 +70,6 @@ class ScrubConfig:
     #: Verify partition index checkpoints (and heal them from the live
     #: in-memory index).
     verify_checkpoints: bool = True
-    #: Verify the WAL's synced groups against their sidecar checksums
-    #: (LSM-tree scrub only; HyperDB's durability story is zone slots).
-    verify_wal: bool = True
 
     def __post_init__(self) -> None:
         if self.interval_ops <= 0:
@@ -93,10 +89,7 @@ class ScrubStats:
     passes: int = 0
     zone_slots_scanned: int = 0
     semi_blocks_scanned: int = 0
-    sst_blocks_scanned: int = 0
-    wal_groups_scanned: int = 0
     checkpoints_scanned: int = 0
-    manifests_scanned: int = 0
     #: Checksum mismatches found (all surfaces).
     detected: int = 0
     #: Objects/structures healed from a redundant copy or live state.
@@ -113,18 +106,9 @@ class ScrubStats:
     paused_passes: int = 0
     #: Catch-up drains executed after health recovered.
     catch_up_drains: int = 0
-    #: SSTables pulled from service by the LSM scrub.
-    quarantined_tables: int = 0
     #: Keys counted unrecoverable, in detection order — the anti-entropy
     #: pass re-replicates exactly these from healthy replicas.
     unrecoverable_keys: list[bytes] = field(default_factory=list)
-
-    def summary(self) -> str:
-        return (
-            f"scrub: passes={self.passes} detected={self.detected} "
-            f"repaired={self.repaired} harmless={self.harmless} "
-            f"unrecoverable={self.unrecoverable} paused={self.paused_passes}"
-        )
 
 
 class Scrubber:
@@ -461,98 +445,3 @@ class Scrubber:
 
 def _printable(v):
     return v.hex() if isinstance(v, (bytes, bytearray)) else v
-
-
-# ---------------------------------------------------------------- LSM trees
-
-
-def scrub_lsm_tree(
-    tree: "LSMTree",
-    config: Optional[ScrubConfig] = None,
-    stats: Optional[ScrubStats] = None,
-) -> ScrubStats:
-    """One scrub pass over a leveled LSM tree (the RocksDB-like baselines).
-
-    Walks every SSTable's data blocks, the WAL's synced groups, and the
-    manifest.  The repair ladder here is shallower than HyperDB's — an LSM
-    tree holds exactly one copy of each record, so a corrupt table is
-    quarantined (existing behavior, now proactive instead of read-triggered)
-    and its records counted ``unrecoverable`` for cluster-level
-    re-replication; WAL and manifest are derived from live state and are
-    rewritten.
-    """
-    cfg = config or ScrubConfig()
-    st = stats or ScrubStats()
-    rec = obs.RECORDER
-    for lvl in tree.version.all_levels():
-        for table in list(lvl):
-            fs = tree.fs_for_level(lvl.level)
-            fs.device.begin_background_job(TrafficKind.SCRUB)
-            corrupt = False
-            for handle in table.handles:
-                st.sst_blocks_scanned += 1
-                try:
-                    table.read_block(handle, TrafficKind.SCRUB, None)
-                except CorruptionError:
-                    corrupt = True
-                    break
-            if not corrupt:
-                continue
-            st.detected += 1
-            if rec is not None:
-                rec.emit(
-                    "scrub_detect", t=fs.device.busy_seconds(),
-                    surface="sst_block", table=table.table_id,
-                )
-            retried = False
-            for _ in range(cfg.reread_attempts):
-                try:
-                    table.read_block(handle, TrafficKind.SCRUB, None)
-                    retried = True
-                    break
-                except CorruptionError:
-                    pass
-            if retried:
-                st.repaired += 1
-                continue
-            tree._quarantine(lvl.level, table)
-            st.quarantined_tables += 1
-            st.unrecoverable += table.num_records
-            tree.stats.counter("unrecoverable_records").add(table.num_records)
-    if cfg.verify_wal and tree.wal is not None:
-        checked, bad = tree.wal.verify(TrafficKind.SCRUB)
-        st.wal_groups_scanned += checked
-        if bad:
-            st.detected += bad
-            if rec is not None:
-                rec.emit(
-                    "scrub_detect",
-                    t=tree.fs_for_level(tree.options.first_level)
-                    .device.busy_seconds(),
-                    surface="wal_group", groups=bad,
-                )
-            # Every synced WAL record is still held by the memtable (the
-            # WAL resets at flush), so flushing retires the corrupt bytes
-            # and persists the records through the checksummed table path.
-            if len(tree._memtable) > 0:
-                tree.flush()
-                st.repaired += bad
-    if tree._manifest is not None:
-        st.manifests_scanned += 1
-        tables, _, notes = tree._manifest.load_latest()
-        if notes or tables is None:
-            bad = max(1, len(notes))
-            st.detected += bad
-            if rec is not None:
-                rec.emit(
-                    "scrub_detect",
-                    t=tree.paths[0].fs.device.busy_seconds(),
-                    surface="manifest", skipped=len(notes),
-                )
-            # The live version is authoritative; resync the rotation seq
-            # past any corrupt file so the rewrite cannot collide.
-            tree._manifest._seq = tree._manifest._highest_existing_seq()
-            tree._write_manifest()
-            st.repaired += bad
-    st.passes += 1
-    return st

@@ -537,28 +537,6 @@ class SimDevice:
         """Total service time this device has performed."""
         return self.traffic.busy_seconds()
 
-    def utilization(self, elapsed_s: float) -> float:
-        """Fraction of the device's service capacity used over ``elapsed_s``.
-
-        A device with ``queue_count`` queues can perform up to
-        ``queue_count`` busy-seconds per wall-second (queues serve
-        concurrently), so aggregate busy time is normalized by
-        ``elapsed_s * queue_count``.  Unclamped: a value above 1.0 means
-        the ledger charged more service time than the interval could
-        physically hold — an accounting bug worth surfacing, not hiding
-        (the historical ``min(1.0, ...)`` clamp swallowed it).  At
-        ``queue_count=1`` this is plain ``busy / elapsed``.
-        """
-        if elapsed_s <= 0:
-            return 0.0
-        return self.busy_seconds() / (elapsed_s * self.queue_count)
-
-    def queue_utilization(self, elapsed_s: float) -> "list[float]":
-        """Per-queue busy fraction of ``elapsed_s`` (unclamped)."""
-        if elapsed_s <= 0:
-            return [0.0] * self.queue_count
-        return [b / elapsed_s for b in self.traffic.queue_busy_seconds()]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SimDevice({self.profile.name}, "

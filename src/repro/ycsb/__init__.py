@@ -15,7 +15,6 @@ from repro.ycsb.distributions import (
 )
 from repro.ycsb.workload import WorkloadSpec, YCSB_WORKLOADS, OpType
 from repro.ycsb.runner import WorkloadRunner, RunResult
-from repro.ycsb.trace import Trace, TraceOp, ReplayResult
 
 __all__ = [
     "UniformGenerator",
@@ -27,7 +26,4 @@ __all__ = [
     "OpType",
     "WorkloadRunner",
     "RunResult",
-    "Trace",
-    "TraceOp",
-    "ReplayResult",
 ]

@@ -64,8 +64,6 @@ class RunResult:
     latency_by_op: Dict[str, LatencyHistogram]
     #: Per-device traffic deltas for the run phase: device -> lane -> bytes.
     traffic: Dict[str, Dict[str, Dict[str, float]]]
-    #: Device utilization over the run phase (busy / elapsed).
-    utilization: Dict[str, float]
     space_used: Dict[str, int]
 
     @property
@@ -136,8 +134,6 @@ class RunResult:
                 for name in sorted(self.traffic[dev][lane]):
                     v = float(self.traffic[dev][lane][name])
                     h.update(f"{dev}/{lane}/{name}={v.hex()};".encode())
-        for dev in sorted(self.utilization):
-            h.update(f"u:{dev}={float(self.utilization[dev]).hex()};".encode())
         for dev in sorted(self.space_used):
             h.update(f"s:{dev}={int(self.space_used[dev])};".encode())
         for op in sorted(self.latency_by_op):
@@ -293,12 +289,6 @@ class WorkloadRunner:
         }
         latency_by_op = self._latencies(ops, columns, device_names, rho_by_device)
 
-        utilization = {}
-        for name, dev in devices.items():
-            busy = _busy_seconds(traffic[name])
-            capacity = elapsed * getattr(dev, "queue_count", 1)
-            utilization[name] = min(1.0, busy / capacity) if elapsed > 0 else 0.0
-
         return RunResult(
             store_name=self.store.name,
             workload_name=spec.name,
@@ -309,7 +299,6 @@ class WorkloadRunner:
             throughput_ops=operations / elapsed if elapsed > 0 else 0.0,
             latency_by_op=latency_by_op,
             traffic=traffic,
-            utilization=utilization,
             space_used={n: d.used_bytes for n, d in devices.items()},
         )
 

@@ -60,7 +60,6 @@ def _assert_identical(store_name: str, workload: str) -> None:
     assert res_b.elapsed_s == res_p.elapsed_s
     assert res_b.throughput_ops == res_p.throughput_ops
     assert res_b.traffic == res_p.traffic
-    assert res_b.utilization == res_p.utilization
     assert res_b.space_used == res_p.space_used
 
     assert set(res_b.latency_by_op) == set(res_p.latency_by_op)

@@ -3,7 +3,7 @@
 The run path vectorizes pure work — key encoding, latency attribution,
 the hotness filters' batched probes — but every I/O still lands in op
 order.  These tests enforce the contract end to end:
-the e2e digest (traffic ledgers, utilization, space, raw latency
+the e2e digest (traffic ledgers, elapsed time, space, raw latency
 samples) of the runner's single path must be byte-identical to the
 scalar reference executor (``tests/reference_runner.py``: public scalar
 API, one op at a time) for both engines, across all YCSB mixes, and with

@@ -293,17 +293,6 @@ class TestQueueHealth:
 
 
 class TestQueueUtilization:
-    def test_multi_queue_utilization_normalizes_by_queue_count(self):
-        dev = _device(4)
-        dev.write_pages(32, TrafficKind.FOREGROUND)
-        dev.begin_background_job(TrafficKind.COMPACTION)
-        dev.write_pages(32, TrafficKind.COMPACTION)
-        busy = dev.busy_seconds()
-        assert dev.utilization(busy) == pytest.approx(1.0 / 4)
-        per_queue = dev.queue_utilization(busy)
-        assert len(per_queue) == 4
-        assert sum(per_queue) == pytest.approx(dev.utilization(busy) * 4)
-
     def test_latency_multiplier_scales_charges(self):
         slow = _device(2, mults=(1.0, 4.0))
         base = _device(2)

@@ -230,14 +230,6 @@ class TestPerformanceTier:
         assert out.value == b"x" * 900
         assert tier.object_count() == 1
 
-    def test_delete(self):
-        tier = self.make_tier()
-        tier.put(rec(1))
-        tier.delete(encode_key(1))
-        out, _ = tier.get(encode_key(1))
-        assert out is None
-        assert tier.object_count() == 0
-
     def test_routing_outside_keyspace_rejected(self):
         tier = self.make_tier()
         with pytest.raises(ReproError):

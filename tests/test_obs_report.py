@@ -1,13 +1,10 @@
 """Tests for the trace report renderers and the ``python -m repro.obs`` CLI."""
 
-import pytest
-
 from repro.obs.events import TraceRecorder
 from repro.obs.report import (
     cascade,
     diff,
     lane_totals_from_events,
-    render,
     summarize,
     timeline,
 )
@@ -80,13 +77,6 @@ class TestRenderers:
         assert "(cand - base)" in out
         assert "+4,096" in out
         assert "io" in out  # event-count delta section
-
-    def test_render_dispatch(self):
-        doc = sample_recorder().to_doc()
-        assert render(doc).startswith("== trace summary ==")
-        assert "== cascade ==" in render(doc, mode="timeline")
-        with pytest.raises(ValueError):
-            render(doc, mode="nope")
 
 
 class TestCli:

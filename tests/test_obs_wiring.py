@@ -96,7 +96,6 @@ class TestTracingIsInert:
         assert traced.elapsed_s == plain.elapsed_s
         assert traced.throughput_ops == plain.throughput_ops
         assert traced.space_used == plain.space_used
-        assert traced.utilization == plain.utilization
         for op, hist in plain.latency_by_op.items():
             assert list(traced.latency_by_op[op].samples()) == list(hist.samples())
         # A traced run is the one run loop with slices of one op: exactly

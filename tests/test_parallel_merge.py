@@ -67,7 +67,6 @@ def make_result(ops, elapsed, lat_by_op, traffic, space, name="hyperdb", wl="B")
         throughput_ops=ops / elapsed,
         latency_by_op=lat_by_op,
         traffic=traffic,
-        utilization={},
         space_used=space,
     )
 

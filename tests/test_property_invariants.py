@@ -132,7 +132,7 @@ class TestCapacityTierInvariants:
                         shallow_t = tier.levels.table_for_key(shallow, key)
                         deep_t = tier.levels.table_for_key(level_no, key)
                         assert (
-                            shallow_t.key_seqno(key) >= deep_t.key_seqno(key)
+                            shallow_t.get(key)[0].seqno >= deep_t.get(key)[0].seqno
                         ), f"newer version below older for {key!r}"
                     else:
                         seen[key] = level_no

@@ -93,10 +93,6 @@ class TestElapsedModel:
         loaded = self.run_store(SyntheticStore(bg_pages=8)).throughput_ops
         assert loaded < clean
 
-    def test_utilization_bounded(self):
-        result = self.run_store(SyntheticStore(bg_pages=2))
-        assert 0 < result.utilization["dev"] <= 1.0
-
 
 class TestLatencyAttribution:
     def make_db(self):

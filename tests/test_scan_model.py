@@ -14,10 +14,11 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench import BenchScale, STORE_NAMES, build_store
-from repro.common.keys import encode_key
+from repro.common.cache import LRUCache
+from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
-from repro.lsm.semi import SemiSSTable
-from repro.simssd import TrafficKind
+from repro.lsm.semi import CapacityTier, SemiLevelConfig, SemiSSTable
+from repro.simssd import SATA_PROFILE, SimDevice, SimFilesystem, TrafficKind
 
 VALUE_SIZE = 512
 #: Keys loaded before a script runs (even ids; odd ids are the absent
@@ -163,6 +164,43 @@ class TestCapacityScanTruncation:
         assert [r.key for r in got] == want
         pairs, _ = db.scan(encode_key(990), 50)
         assert [k for k, _ in pairs] == want
+
+
+class TestCapacityCursor:
+    """``CapacityTier.scan`` alone, on a tier whose newest versions are
+    spread over L1..L3."""
+
+    @pytest.mark.parametrize("start,count", [(0, 1), (100, 50), (1234, 100), (2990, 40)])
+    def test_owner_map_equals_rerouted_lookups(self, start, count):
+        """The cursor's owner map returns what a dict of the ingested records
+        holds and what a rerouted point lookup (``tier.get``) finds."""
+        tier = CapacityTier(
+            SimFilesystem(SimDevice(SATA_PROFILE.with_capacity(64 * 1024 * 1024))),
+            SemiLevelConfig(
+                key_space=KeyRange(encode_key(0), encode_key(10_000)),
+                num_levels=3,
+                size_ratio=4,
+                bottom_segments=16,
+                level1_target_bytes=64 * 1024,
+            ),
+            # A cache smaller than one scan's blocks: evictions happen mid-scan.
+            cache=LRUCache(32 * 1024),
+        )
+        tier.ingest([Record(encode_key(i), b"v" * 100, i + 1) for i in range(3000)])
+        model = {encode_key(i): (b"v" * 100, i + 1) for i in range(3000)}
+        # Overwrites leave the newest versions spread over L1..L3.
+        for seq, step in ((10_000, 3), (20_000, 15)):
+            recs = [Record(encode_key(i), b"w" * 90, seq + i) for i in range(1, 3000, step)]
+            tier.ingest(recs)
+            model.update((r.key, (r.value, r.seqno)) for r in recs)
+        assert all(tier.levels.level_valid_bytes(n) > 0 for n in (1, 2, 3))
+        got = list(islice(tier.scan(encode_key(start), count), count))
+        want = sorted(k for k in model if k >= encode_key(start))[:count]
+        assert [r.key for r in got] == want
+        assert [(r.value, r.seqno) for r in got] == [model[k] for k in want]
+        for rec in got:
+            looked_up, _ = tier.get(rec.key)
+            assert (looked_up.value, looked_up.seqno) == (rec.value, rec.seqno)
 
 
 @pytest.mark.parametrize("name", STORE_NAMES)

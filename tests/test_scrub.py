@@ -2,8 +2,7 @@
 
 Covers the scrubber's repair escalation ladder on every surface it walks
 (zone slots, semi-SSTable blocks, checkpoints), the health pause/catch-up
-discipline, the LSM-tree scrub (WAL sidecar verify, table quarantine),
-cluster corrupt-replica read-repair and anti-entropy, the scrub-disabled
+discipline, cluster corrupt-replica read-repair and anti-entropy, the scrub-disabled
 digest guarantee, and a property sweep asserting the end-to-end corruption
 contract: a single bit-flip in any persisted structure is either healed,
 provably harmless, or surfaced (suspect/CorruptionError) — never silently
@@ -22,10 +21,9 @@ from repro.common.records import Record
 from repro.core import HyperDB, HyperDBConfig
 from repro.cluster import ClusterConfig, HyperDBCluster
 from repro.health.state import HealthState, HealthWindow
-from repro.lsm.lsmtree import LSMOptions, LSMTree
 from repro.nvme.config import NVMeConfig
-from repro.scrub import ScrubConfig, Scrubber, ScrubStats, scrub_lsm_tree
-from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
+from repro.scrub import ScrubConfig, Scrubber, ScrubStats
+from repro.simssd import DeviceProfile, SimDevice, TrafficKind
 from repro.simssd.faults import FaultInjector, FaultPlan
 
 KEYSPACE = 50_000
@@ -413,92 +411,6 @@ class TestScrubHealthDiscipline:
         assert db.scrub() is False
         assert db.scrubber.run_catch_up() is False
         assert db.scrubber.has_catch_up  # still queued, not dropped
-
-
-# ---------------------------------------------------------------------------
-# LSM-tree scrub (baseline engines)
-# ---------------------------------------------------------------------------
-
-
-def lsm_fs(mib=64):
-    return SimFilesystem(
-        SimDevice(
-            DeviceProfile(
-                name="lsm",
-                capacity_bytes=mib * MiB,
-                page_size=4096,
-                read_latency_s=1e-4,
-                write_latency_s=5e-5,
-                read_bandwidth=5e8,
-                write_bandwidth=5e8,
-            )
-        )
-    )
-
-
-def small_tree(**kw):
-    defaults = dict(
-        memtable_bytes=4 << 10,
-        table_size_bytes=8 << 10,
-        block_size=1024,
-        level0_trigger=2,
-        level_base_bytes=16 << 10,
-        level_multiplier=4,
-        num_levels=5,
-        wal_group_size=8,
-    )
-    defaults.update(kw)
-    return LSMTree(lsm_fs(), LSMOptions(**defaults))
-
-
-class TestLSMScrub:
-    def test_clean_tree_scrub_counts(self):
-        tree = small_tree()
-        for i in range(200):
-            tree.put(k(i), b"x" * 64)
-        st = scrub_lsm_tree(tree)
-        assert st.passes == 1
-        assert st.sst_blocks_scanned > 0
-        assert st.wal_groups_scanned >= 0
-        assert st.detected == 0
-        assert st.quarantined_tables == 0
-
-    def test_wal_corruption_detected_and_flushed_away(self):
-        tree = small_tree(memtable_bytes=1 << 20)  # keep records in memtable
-        for i in range(16):
-            tree.put(k(i), b"w" * 32)
-        tree.wal.sync()
-        offset, length, _ = tree.wal._group_sums[0]
-        tree.wal._file._data[offset] ^= 0x01
-        st = scrub_lsm_tree(tree)
-        assert st.detected >= 1
-        assert st.repaired >= 1  # memtable flush retired the corrupt bytes
-        # Flush reset the WAL: the sidecar has nothing left to distrust.
-        assert tree.wal.verify() == (0, 0)
-        for i in range(16):
-            assert tree.get(k(i))[0] == b"w" * 32
-
-    def test_corrupt_table_quarantined_with_record_count(self):
-        tree = small_tree()
-        for i in range(200):
-            tree.put(k(i), b"q" * 64)
-        victim = None
-        for lvl in tree.version.all_levels():
-            for table in lvl:
-                victim = table
-                break
-            if victim is not None:
-                break
-        assert victim is not None
-        victim.file._data[victim.handles[0].offset] ^= 0x01
-        st = scrub_lsm_tree(tree)
-        assert st.detected >= 1
-        assert st.quarantined_tables == 1
-        assert st.unrecoverable == victim.num_records
-        assert (
-            tree.stats.counter("unrecoverable_records").value
-            == victim.num_records
-        )
 
 
 # ---------------------------------------------------------------------------

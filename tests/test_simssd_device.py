@@ -137,17 +137,6 @@ class TestSimDevice:
         t2 = d.write_pages(1, TrafficKind.FLUSH)
         assert d.busy_seconds() == pytest.approx(t1 + t2)
 
-    def test_utilization(self):
-        d = SimDevice(tiny_profile())
-        d.read_pages(10, TrafficKind.FOREGROUND)
-        busy = d.busy_seconds()
-        assert d.utilization(busy * 2) == pytest.approx(0.5)
-        assert d.utilization(0) == 0.0
-        # Unclamped: over-charging an interval is an accounting signal the
-        # old min(1.0, ...) clamp used to hide.
-        assert d.utilization(busy / 10) == pytest.approx(10.0)
-        assert d.queue_utilization(busy) == [pytest.approx(1.0)]
-
     def test_background_busy_excludes_foreground_and_wal(self):
         d = SimDevice(tiny_profile())
         d.read_pages(1, TrafficKind.FOREGROUND)

@@ -263,14 +263,6 @@ class TestWorkloadRunner:
             ).throughput_ops
         assert results[8] > results[1]
 
-    def test_utilization_reported(self):
-        db = make_hyperdb(keyspace=20_000)
-        runner = WorkloadRunner(db, record_count=3000, seed=8)
-        runner.load()
-        result = runner.run(YCSB_WORKLOADS["A"], operations=1000)
-        assert set(result.utilization) == {"nvme", "sata"}
-        assert all(0 <= u <= 1 for u in result.utilization.values())
-
     def test_deterministic_given_seed(self):
         outs = []
         for _ in range(2):
