@@ -96,10 +96,6 @@ class HashRing:
                     break
         return out
 
-    def coordinator_for(self, key: bytes) -> str:
-        """The first node on the key's preference list."""
-        return self.replicas_for(key, 1)[0]
-
     # -------------------------------------------------------------- planning
 
     def diff(

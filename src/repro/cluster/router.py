@@ -42,6 +42,7 @@ from repro.common.records import paired_columns
 from repro.common.stats import StatsRegistry
 from repro.cluster.node import ClusterNode, pack_envelope
 from repro.cluster.ring import HashRing
+from repro.core.interface import each
 from repro.health.state import HealthState, HealthWindow, resolve_health
 
 
@@ -197,40 +198,29 @@ class HyperDBCluster:
     #
     # Batch entry points mirroring the single-node ``KVStore`` batch API.
     # Quorum resolution is inherently per-key (each key has its own
-    # replica set and health outcome), so these are per-op loops — the
-    # win is one Python call per batch at the client boundary, plus
-    # uniform error capture for soak drivers.  Results are identical to
-    # the equivalent per-op sequence: same clock ticks, same hint
-    # replays, same counters.
-
-    def _each(self, op, arg_rows, capture_errors: bool) -> list:
-        """``op(*args)`` per row; with ``capture_errors`` a failed op's
-        slot holds its :class:`QuorumError` instead of aborting the batch."""
-        out: list = []
-        for args in arg_rows:
-            try:
-                out.append(op(*args))
-            except QuorumError as exc:
-                if not capture_errors:
-                    raise
-                out.append(exc)
-        return out
+    # replica set and health outcome), so these are the single-node per-op
+    # loop (:func:`repro.core.interface.each`) — the win is one Python
+    # call per batch at the client boundary, plus uniform error capture
+    # for soak drivers: with ``capture_errors`` a failed op's slot holds
+    # its :class:`QuorumError`.  Results are identical to the equivalent
+    # per-op sequence: same clock ticks, same hint replays, same counters.
 
     def put_many(
         self, keys, values, capture_errors: bool = False
     ) -> list:
         """Quorum-write each pair; returns per-op service seconds."""
-        return self._each(
-            self.put, zip(*paired_columns(keys, values)), capture_errors
+        return each(
+            self.put, zip(*paired_columns(keys, values)), QuorumError,
+            capture_errors,
         )
 
     def get_many(self, keys, capture_errors: bool = False) -> list:
         """Quorum-read each key; returns ``(payload, service)`` tuples."""
-        return self._each(self.get, zip(keys), capture_errors)
+        return each(self.get, zip(keys), QuorumError, capture_errors)
 
     def delete_many(self, keys, capture_errors: bool = False) -> list:
         """Quorum-delete each key; returns per-op service seconds."""
-        return self._each(self.delete, zip(keys), capture_errors)
+        return each(self.delete, zip(keys), QuorumError, capture_errors)
 
     def _quorum_write(self, key: bytes, payload: bytes, tombstone: bool) -> float:
         self.clock += 1

@@ -25,7 +25,6 @@ from repro.common.records import Record
 from repro.common.keys import (
     encode_key,
     decode_key,
-    key_in_range,
     ranges_overlap,
     KeyRange,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "Record",
     "encode_key",
     "decode_key",
-    "key_in_range",
     "ranges_overlap",
     "KeyRange",
     "BloomFilter",

@@ -99,10 +99,6 @@ class LRUCache:
         self._used -= entry[1]
         return True
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._used = 0
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses

@@ -69,28 +69,6 @@ class KeyRange:
     def contains(self, key: bytes) -> bool:
         return key >= self.lo and (self.hi is None or key < self.hi)
 
-    def overlaps(self, other: "KeyRange") -> bool:
-        if self.hi is not None and other.lo >= self.hi:
-            return False
-        if other.hi is not None and self.lo >= other.hi:
-            return False
-        return True
-
-    @staticmethod
-    def spanning(keys: list[bytes]) -> "KeyRange":
-        """The smallest closed-ish range covering ``keys`` (hi is exclusive,
-        so the max key is extended by one byte)."""
-        if not keys:
-            raise ValueError("cannot span an empty key list")
-        lo = min(keys)
-        hi = max(keys) + b"\x00"
-        return KeyRange(lo, hi)
-
-
-def key_in_range(key: bytes, lo: bytes, hi: Optional[bytes]) -> bool:
-    """``lo <= key < hi`` with ``hi=None`` meaning unbounded."""
-    return key >= lo and (hi is None or key < hi)
-
 
 def ranges_overlap(
     lo_a: bytes, hi_a: Optional[bytes], lo_b: bytes, hi_b: Optional[bytes]

@@ -25,9 +25,6 @@ class Counter:
     def add(self, n: int = 1) -> None:
         self.value += n
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({self.name}={self.value})"
 
@@ -101,9 +98,6 @@ class LatencyHistogram:
         """Append ``other``'s samples; ``other`` is never mutated or aliased."""
         self.record_many(other.samples())
 
-    def reset(self) -> None:
-        self._n = 0
-
 
 @dataclass
 class StatsRegistry:
@@ -138,9 +132,3 @@ class StatsRegistry:
                 for name, h in self.histograms.items()
             },
         }
-
-    def reset(self) -> None:
-        for c in self.counters.values():
-            c.reset()
-        for h in self.histograms.values():
-            h.reset()

@@ -13,6 +13,7 @@ zone with a *promotion* label.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -116,38 +117,83 @@ class HyperDB(KVStore):
             self.scrubber = Scrubber(self, config.scrub)
 
     # -------------------------------------------------------------- write
+    #
+    # One body per request (DESIGN.md §11): ``put`` / ``delete`` / ``get``
+    # are batches of one, ``put_many`` / ``delete_many`` share
+    # ``_write_many`` and ``get_many`` is the one read body, faults
+    # included.  ``busy_out`` and ``capture_errors`` are ``KVStore``'s.
 
     def next_seqno(self) -> int:
         self._seqno += 1
         return self._seqno
 
     def put(self, key: bytes, value: bytes) -> float:
-        """Insert or update: write to the NVMe tier, migrate if over watermark."""
-        self.stats.counter("puts").add()
-        return self._write_record(Record(key, value, self.next_seqno()))
+        return self.put_many((key,), (value,))[0]
 
     def delete(self, key: bytes) -> float:
+        return self.delete_many((key,))[0]
+
+    def put_many(self, keys, values, busy_out=None, capture_errors=False) -> list:
+        """Insert or update: write to the NVMe tier, migrate if over watermark."""
+        keys, values = paired_columns(keys, values)
+        return self._write_many("puts", keys, values, False, busy_out, capture_errors)
+
+    def delete_many(self, keys, busy_out=None, capture_errors=False) -> list:
         """Delete by writing a tombstone object into the NVMe tier; it
         shadows any SATA copy and migrates down like a normal object."""
-        self.stats.counter("deletes").add()
-        return self._write_record(Record.tombstone(key, self.next_seqno()))
+        keys = list(keys)
+        return self._write_many(
+            "deletes", keys, repeat(b""), True, busy_out, capture_errors
+        )
 
-    def _write_record(self, rec: Record) -> float:
-        partition = self.performance_tier.partition_for_key(rec.key)
-        if self.nvme_device.health() is HealthState.OFFLINE:
-            return self._failover_write(partition, rec)
-        service = 0.0
-        if self.admission is not None:
-            service += self._admission_gate(partition)
-        service += partition.put(rec)
-        self.promotion.invalidate(rec.key)
-        if partition.over_high_watermark():
-            self.migration.run_if_needed()
-        if self.migration.has_catch_up and self.migration.capacity_online():
-            self.migration.run_catch_up()
-        if self.scrubber is not None and self.scrubber.has_catch_up:
-            self.scrubber.run_catch_up()
-        return service
+    def _write_many(
+        self, counter_name, keys, values, deleted, busy_out, capture_errors
+    ) -> list:
+        """Per op: fail over while the NVMe device is OFFLINE, else the
+        admission gate, the slot write, and migration / scrub catch-up."""
+        if not keys:
+            return []
+        nvme = self.nvme_device
+        # Health is peeked per op only when windows can apply at all.
+        guarded = nvme._health_guarded
+        nvme_tr = nvme.traffic
+        sata_tr = self.sata_device.traffic
+        ops = self.stats.counter(counter_name)
+        partition_for_key = self.performance_tier.partition_for_key
+        invalidate = self.promotion.invalidate
+        migration = self.migration
+        admission = self.admission
+        scrubber = self.scrubber
+        busy_append = busy_out.append if busy_out is not None else None
+        fg = TrafficKind.FOREGROUND
+        out = []
+        append = out.append
+        for key, value in zip(keys, values):
+            ops.value += 1
+            self._seqno += 1
+            rec = Record(key, value, self._seqno, deleted)
+            try:
+                partition = partition_for_key(key)
+                if guarded and nvme.health() is HealthState.OFFLINE:
+                    service = self._failover_write(partition, rec)
+                else:
+                    service = 0.0 if admission is None else self._admission_gate(partition)
+                    service += partition.put(rec, fg)
+                    invalidate(key)
+                    if partition.over_high_watermark():
+                        migration.run_if_needed()
+                    if migration.has_catch_up and migration.capacity_online():
+                        migration.run_catch_up()
+                    if scrubber is not None and scrubber.has_catch_up:
+                        scrubber.run_catch_up()
+                append(service)
+            except DeviceOfflineError as exc:
+                if not capture_errors:
+                    raise
+                append(exc)
+            if busy_append is not None:
+                busy_append((nvme_tr._busy_s, sata_tr._busy_s))
+        return out
 
     def _failover_write(self, partition, rec: Record) -> float:
         """NVMe OFFLINE: route the write to the capacity tier directly.
@@ -199,7 +245,10 @@ class HyperDB(KVStore):
     # --------------------------------------------------------------- read
 
     def get(self, key: bytes) -> tuple[Optional[bytes], float]:
-        """Point lookup: NVMe, then the promotion staging cache, then SATA.
+        return self.get_many((key,))[0]
+
+    def get_many(self, keys, busy_out=None, capture_errors=False) -> list:
+        """Point lookups: NVMe, then the promotion staging cache, then SATA.
 
         While the NVMe device is OFFLINE, reads fall through to the
         capacity tier — *except* for keys whose only copy is a
@@ -208,51 +257,93 @@ class HyperDB(KVStore):
         older SATA version would be a stale read).  Promoted residents are
         authoritative on SATA and fall through safely.
         """
-        self.stats.counter("gets").add()
-        if not self.config.key_space.contains(key):
-            return None, 0.0  # nothing outside the key space was ever stored
-        service = 0.0
-        nvme_offline = self.nvme_device.health() is HealthState.OFFLINE
-        if nvme_offline:
-            partition = self.performance_tier.partition_for_key(key)
-            loc = partition.resident_location(key)
-            if loc is not None and not loc.promoted:
-                self.stats.counter("failover_blocked_reads").add()
-                raise DeviceOfflineError(
-                    f"key resident only on offline device "
-                    f"{self.nvme_device.profile.name!r}"
-                )
-            self.stats.counter("failover_reads").add()
-        else:
+        if not isinstance(keys, (list, tuple)):
+            keys = list(keys)
+        if not keys:
+            return []
+        nvme = self.nvme_device
+        guarded = nvme._health_guarded
+        nvme_tr = nvme.traffic
+        sata_tr = self.sata_device.traffic
+        gets = self.stats.counter("gets")
+        # Hit counters are fetched lazily (get-or-create on first hit) so
+        # the registry's contents and insertion order match a run of
+        # batches of one, then memoized in locals: the registry lookup per
+        # increment is measurable at batch frequency.
+        counter = self.stats.counter
+        nvme_hits = staging_hits = sata_hits = promotions_staged = None
+        contains = self.config.key_space.contains
+        partition_for_key = self.performance_tier.partition_for_key
+        promo_lookup = self.promotion.lookup
+        promo_stage = self.promotion.stage
+        capacity_get = self.capacity_tier.get
+        busy_append = busy_out.append if busy_out is not None else None
+        out = []
+        append = out.append
+        for key in keys:
+            gets.value += 1
             try:
-                rec, service = self.performance_tier.get(key)
-            except CorruptionError:
-                rec, service = None, 0.0
-                self._on_corrupt_resident(key)
-            if rec is not None:
-                self.stats.counter("nvme_hits").add()
-                return (None if rec.is_tombstone else rec.value), service
-
-        staged = self.promotion.lookup(key)
-        if staged is not None:
-            self.stats.counter("staging_hits").add()
-            return (None if staged.is_tombstone else staged.value), service
-
-        rec, s = self.capacity_tier.get(key)
-        service += s
-        if rec is None:
-            return None, service
-        self.stats.counter("sata_hits").add()
-        if rec.is_tombstone:
-            return None, service
-        # Promote if the tracker considers this object hot (§3.5) — but not
-        # while the fast tier is offline (nowhere to stage *to*).
-        if not nvme_offline:
-            partition = self.performance_tier.partition_for_key(key)
-            if partition.tracker.is_hot(key):
-                self.promotion.stage(rec)
-                self.stats.counter("promotions_staged").add()
-        return rec.value, service
+                if not contains(key):
+                    # Nothing outside the key space was ever stored.
+                    result = (None, 0.0)
+                else:
+                    partition = partition_for_key(key)
+                    offline = guarded and nvme.health() is HealthState.OFFLINE
+                    rec, service = None, 0.0
+                    if offline:
+                        loc = partition.resident_location(key)
+                        if loc is not None and not loc.promoted:
+                            counter("failover_blocked_reads").add()
+                            raise DeviceOfflineError(
+                                f"key resident only on offline device "
+                                f"{nvme.profile.name!r}"
+                            )
+                        counter("failover_reads").add()
+                    else:
+                        try:
+                            rec, service = partition.get(key)
+                        except CorruptionError:
+                            self._on_corrupt_resident(key)
+                    staged = None if rec is not None else promo_lookup(key)
+                    if rec is not None:
+                        if nvme_hits is None:
+                            nvme_hits = counter("nvme_hits")
+                        nvme_hits.value += 1
+                        result = (None if rec.is_tombstone else rec.value, service)
+                    elif staged is not None:
+                        if staging_hits is None:
+                            staging_hits = counter("staging_hits")
+                        staging_hits.value += 1
+                        result = (
+                            None if staged.is_tombstone else staged.value, service
+                        )
+                    else:
+                        rec, s = capacity_get(key)
+                        service += s
+                        if rec is not None:
+                            if sata_hits is None:
+                                sata_hits = counter("sata_hits")
+                            sata_hits.value += 1
+                        if rec is None or rec.is_tombstone:
+                            result = (None, service)
+                        else:
+                            # Promote if the tracker considers this object
+                            # hot (§3.5) — but not while the fast tier is
+                            # offline (nowhere to stage *to*).
+                            if not offline and partition.tracker.is_hot(key):
+                                promo_stage(rec)
+                                if promotions_staged is None:
+                                    promotions_staged = counter("promotions_staged")
+                                promotions_staged.value += 1
+                            result = (rec.value, service)
+            except (DeviceOfflineError, CorruptionError) as exc:
+                if not capture_errors:
+                    raise
+                result = exc
+            append(result)
+            if busy_append is not None:
+                busy_append((nvme_tr._busy_s, sata_tr._busy_s))
+        return out
 
     def _on_corrupt_resident(self, key: bytes) -> None:
         """A resident NVMe copy failed its checksum mid-read.
@@ -339,132 +430,6 @@ class HyperDB(KVStore):
                 "maintenance_corruption", t=self.nvme_device.busy_seconds(),
                 tier="nvme", promoted=promoted,
             )
-
-    # ------------------------------------------------------- batched ops
-    #
-    # The fused paths below replicate put/get exactly — same calls in the
-    # same order, same float accumulation — minus per-op dispatch, health
-    # peeks, and epoch entry, all of which are no-ops while the devices
-    # are unguarded (no injector, or no health windows planned).  Guarded
-    # devices, admission control and ``capture_errors`` take the inherited
-    # per-op loops (``KVStore``) so window boundaries still land between
-    # ops; results are bit-identical either way.  ``delete_many`` has no
-    # unguarded caller and is the inherited loop outright.
-
-    def put_many(self, keys, values, busy_out=None, capture_errors=False) -> list:
-        if (
-            self.nvme_device._health_guarded
-            or self.sata_device._health_guarded
-            or self.admission is not None
-            or capture_errors
-        ):
-            return super().put_many(keys, values, busy_out, capture_errors)
-        keys, values = paired_columns(keys, values)
-        if not keys:
-            return []
-        nvme_tr = self.nvme_device.traffic
-        sata_tr = self.sata_device.traffic
-        puts = self.stats.counter("puts")
-        partition_for_key = self.performance_tier.partition_for_key
-        invalidate = self.promotion.invalidate
-        migration = self.migration
-        busy_append = busy_out.append if busy_out is not None else None
-        fg = TrafficKind.FOREGROUND
-        out = []
-        append = out.append
-        for key, value in zip(keys, values):
-            puts.value += 1
-            self._seqno += 1
-            partition = partition_for_key(key)
-            partition._record_access(key)
-            append(partition._put_locked(Record(key, value, self._seqno), fg))
-            invalidate(key)
-            if partition.over_high_watermark():
-                migration.run_if_needed()
-            if migration.has_catch_up and migration.capacity_online():
-                migration.run_catch_up()
-            if busy_append is not None:
-                busy_append((nvme_tr._busy_s, sata_tr._busy_s))
-        return out
-
-    def get_many(self, keys, busy_out=None, capture_errors=False) -> list:
-        if (
-            self.nvme_device._health_guarded
-            or self.sata_device._health_guarded
-            or capture_errors
-        ):
-            return super().get_many(keys, busy_out, capture_errors)
-        if not isinstance(keys, (list, tuple)):
-            keys = list(keys)
-        if not keys:
-            return []
-        nvme_tr = self.nvme_device.traffic
-        sata_tr = self.sata_device.traffic
-        gets = self.stats.counter("gets")
-        # Hit counters are fetched lazily (get-or-create on first hit) so
-        # the registry's contents and insertion order match the per-op
-        # path exactly, then memoized in locals: the registry lookup per
-        # increment is measurable at batch frequency.
-        counter = self.stats.counter
-        nvme_hits = staging_hits = sata_hits = promotions_staged = None
-        contains = self.config.key_space.contains
-        partition_for_key = self.performance_tier.partition_for_key
-        promo_lookup = self.promotion.lookup
-        promo_stage = self.promotion.stage
-        capacity_get = self.capacity_tier.get
-        busy_append = busy_out.append if busy_out is not None else None
-        out = []
-        append = out.append
-        for key in keys:
-            gets.value += 1
-            if not contains(key):
-                append((None, 0.0))
-            else:
-                partition = partition_for_key(key)
-                try:
-                    rec, service = partition.get(key)
-                except CorruptionError:
-                    rec, service = None, 0.0
-                    self._on_corrupt_resident(key)
-                if rec is not None:
-                    if nvme_hits is None:
-                        nvme_hits = counter("nvme_hits")
-                    nvme_hits.value += 1
-                    append((None if rec.is_tombstone else rec.value, service))
-                else:
-                    staged = promo_lookup(key)
-                    if staged is not None:
-                        if staging_hits is None:
-                            staging_hits = counter("staging_hits")
-                        staging_hits.value += 1
-                        append(
-                            (None if staged.is_tombstone else staged.value, service)
-                        )
-                    else:
-                        rec, s = capacity_get(key)
-                        service += s
-                        if rec is None:
-                            append((None, service))
-                        elif rec.is_tombstone:
-                            if sata_hits is None:
-                                sata_hits = counter("sata_hits")
-                            sata_hits.value += 1
-                            append((None, service))
-                        else:
-                            if sata_hits is None:
-                                sata_hits = counter("sata_hits")
-                            sata_hits.value += 1
-                            if partition.tracker.is_hot(key):
-                                promo_stage(rec)
-                                if promotions_staged is None:
-                                    promotions_staged = counter(
-                                        "promotions_staged"
-                                    )
-                                promotions_staged.value += 1
-                            append((rec.value, service))
-            if busy_append is not None:
-                busy_append((nvme_tr._busy_s, sata_tr._busy_s))
-        return out
 
     def scan(self, start: bytes, count: int) -> tuple[list[tuple[bytes, bytes]], float]:
         """Range scan, implemented as merged sequential point queries

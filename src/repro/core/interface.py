@@ -47,13 +47,11 @@ class KVStore(abc.ABC):
     # ------------------------------------------------------- batched ops
     #
     # Batched variants carry a whole slice of the workload through the
-    # store in one call.  These defaults are the guarded path — one scalar
-    # call per op, so health-window boundaries land between ops — and the
-    # only path of every baseline.  ``HyperDB`` alone overrides
-    # ``put_many``/``get_many`` with fused loops for unguarded devices and
-    # falls back to these under an injector, admission control, or
-    # ``capture_errors``.  Results are bit-identical either way (same call
-    # order, same float accumulation).
+    # store in one call.  These defaults run :func:`each` over the scalar
+    # methods, one call per op — the only batch path of the three
+    # LSM-backed baselines.  ``HyperDB`` has no scalar body: its ``put`` /
+    # ``get`` / ``delete`` are batches of one through its own loops, which
+    # keep the same contract (DESIGN.md §11).
     #
     # ``busy_out``, when given, receives one tuple per op of cumulative
     # per-device busy seconds *after* that op, in ``devices()`` order —
@@ -63,42 +61,46 @@ class KVStore(abc.ABC):
     # with no healthy copy left) into that op's result slot instead of
     # aborting the batch.
 
-    def _each(self, op, arg_rows, caught, busy_out, capture_errors) -> list:
-        """The guarded loop: ``op(*args)`` per row, one busy row per op."""
-        devs = list(self.devices().values()) if busy_out is not None else None
-        out = []
-        for args in arg_rows:
-            try:
-                out.append(op(*args))
-            except caught as exc:
-                if not capture_errors:
-                    raise
-                out.append(exc)
-            if devs is not None:
-                busy_out.append(tuple(d.busy_seconds() for d in devs))
-        return out
-
     def put_many(
         self, keys, values, busy_out=None, capture_errors=False
     ) -> list:
         """Batched :meth:`put`.  Returns per-op service seconds (or the
         captured exception in that op's slot)."""
-        return self._each(
+        return each(
             self.put, zip(*paired_columns(keys, values)), DeviceOfflineError,
-            busy_out, capture_errors,
+            capture_errors, busy_out, self.devices().values(),
         )
 
     def get_many(self, keys, busy_out=None, capture_errors=False) -> list:
         """Batched :meth:`get`.  Returns per-op ``(value_or_none,
         service_seconds)`` tuples (or the captured exception)."""
-        return self._each(
+        return each(
             self.get, zip(keys), (DeviceOfflineError, CorruptionError),
-            busy_out, capture_errors,
+            capture_errors, busy_out, self.devices().values(),
         )
 
     def delete_many(self, keys, busy_out=None, capture_errors=False) -> list:
         """Batched :meth:`delete`.  Returns per-op service seconds (or the
         captured exception in that op's slot)."""
-        return self._each(
-            self.delete, zip(keys), DeviceOfflineError, busy_out, capture_errors
+        return each(
+            self.delete, zip(keys), DeviceOfflineError, capture_errors,
+            busy_out, self.devices().values(),
         )
+
+
+def each(op, arg_rows, caught, capture_errors, busy_out=None, devices=()) -> list:
+    """The per-op batch loop: ``op(*args)`` per row.  With
+    ``capture_errors`` an op that raises ``caught`` leaves the exception in
+    its slot instead of aborting the batch; ``busy_out``, when given, gets
+    one row of ``devices``' busy seconds after each op."""
+    out = []
+    for args in arg_rows:
+        try:
+            out.append(op(*args))
+        except caught as exc:
+            if not capture_errors:
+                raise
+            out.append(exc)
+        if busy_out is not None:
+            busy_out.append(tuple(d.busy_seconds() for d in devices))
+    return out

@@ -120,9 +120,3 @@ class CascadingDiscriminator:
     def memory_bytes(self) -> int:
         """Total filter memory — the tracker's footprint budget."""
         return self._open.size_bytes + sum(bf.size_bytes for bf in self._sealed)
-
-    def reset(self) -> None:
-        self._sealed.clear()
-        self._open = BloomFilter(self.window_capacity, self.bits_per_key)
-        self._pending.clear()
-        self.accesses = 0

@@ -209,17 +209,21 @@ class Partition:
     ) -> float:
         """Insert or update an object.  Returns the service time charged.
 
-        Runs inside a device health epoch: the tombstone-then-rewrite path
-        (and any zone split it triggers) must not be torn by a health
-        window opening between its I/Os.
+        On a health-guarded device this runs inside a health epoch: the
+        tombstone-then-rewrite path (and any zone split it triggers) must
+        not be torn by a health window opening between its I/Os.  An
+        unguarded device has no windows, so an epoch would pin nothing.
         """
         self._record_access(rec.key)
-        with self.page_store.device.health_epoch:
+        device = self.page_store.device
+        if not device._health_guarded:
+            return self._put_locked(rec, kind)
+        with device.health_epoch:
             return self._put_locked(rec, kind)
 
     def _put_locked(self, rec: Record, kind: TrafficKind) -> float:
-        """The :meth:`put` body, minus tracker touch and health epoch (the
-        fused ``HyperDB.put_many`` loop enters here on unguarded devices)."""
+        """The :meth:`put` body: the slot write, with the tracker already
+        touched and the health epoch (if any) already entered."""
         service = 0.0
         loc: Optional[SlotLocation] = self.index.get(rec.key)
         needed = rec.encoded_size

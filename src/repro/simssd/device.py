@@ -473,45 +473,13 @@ class SimDevice:
         self, nbytes: int, kind: TrafficKind, sequential: bool = True
     ) -> float:
         """Charge a write of ``nbytes`` rounded up to whole pages."""
-        pages = -(-nbytes // self.page_size)
-        if pages <= 0:
-            return 0.0
-        if self._fastpath and obs.RECORDER is None and not self._multi_queue:
-            # Fully inlined fastpath (charge + ledger note): byte-granular
-            # charges are the WAL/flush hot loop and pay for zero call depth.
-            ios = 1 if sequential else pages
-            latency = ios * self.profile.write_latency_s
-            transfer = pages * self.page_size / self.profile.write_bandwidth
-            traffic = self.traffic
-            lane = traffic.lanes[kind]
-            lane.write_bytes += pages * self.page_size
-            lane.write_ios += ios
-            lane.write_latency_s += latency
-            lane.write_transfer_s += transfer
-            traffic._busy_s += latency + transfer
-            return latency + transfer
-        return self.write_pages(pages, kind, sequential)
+        return self.write_pages(-(-nbytes // self.page_size), kind, sequential)
 
     def read_bytes_io(
         self, nbytes: int, kind: TrafficKind, sequential: bool = False
     ) -> float:
         """Charge a read of ``nbytes`` rounded up to whole pages."""
-        pages = -(-nbytes // self.page_size)
-        if pages <= 0:
-            return 0.0
-        if self._fastpath and obs.RECORDER is None and not self._multi_queue:
-            ios = 1 if sequential else pages
-            latency = ios * self.profile.read_latency_s
-            transfer = pages * self.page_size / self.profile.read_bandwidth
-            traffic = self.traffic
-            lane = traffic.lanes[kind]
-            lane.read_bytes += pages * self.page_size
-            lane.read_ios += ios
-            lane.read_latency_s += latency
-            lane.read_transfer_s += transfer
-            traffic._busy_s += latency + transfer
-            return latency + transfer
-        return self.read_pages(pages, kind, sequential)
+        return self.read_pages(-(-nbytes // self.page_size), kind, sequential)
 
     # --------------------------------------------------------- batch I/O
     #

@@ -58,10 +58,6 @@ class WorkloadSpec:
             theta=self.theta if theta is None else theta,
         )
 
-    @property
-    def is_write_heavy(self) -> bool:
-        return self.update + self.insert + self.rmw >= 0.5
-
 
 #: The standard YCSB core workloads (§4.1: "industry-standard YCSB
 #: benchmarks" with both uniform and skewed distributions).

@@ -13,10 +13,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.context import BenchScale, build_store
+from repro.bench.context import BenchScale, build_store, hyperdb_config
+from repro.common.errors import CorruptionError, DeviceOfflineError
 from repro.common.keys import encode_key, encode_keys
+from repro.core import HyperDB
 from repro.core.interface import KVStore
+from repro.health.state import HealthState, HealthWindow
 from repro.lsm.lsmtree import LSMTree
+from repro.simssd import FaultInjector, FaultPlan
 from repro.ycsb.runner import WorkloadRunner
 from repro.ycsb.workload import YCSB_WORKLOADS
 from tests.reference_runner import ReferenceRunner
@@ -95,30 +99,151 @@ def _small_store(name: str):
     return build_store(name, BenchScale(**SCALE_KW))
 
 
-@pytest.mark.parametrize("store_name", ["hyperdb", "rocksdb"])
+# A HyperDB whose NVMe tier overflows (demotions run) and whose devices
+# share one injector.  No DRAM cache: every read is a device I/O, so the
+# injector's I/O clock keeps moving through an outage and each window
+# closes inside the batch it opened in.
+FAULTED_SCALE = BenchScale(record_count=1000, value_size=300, nvme_ratio=0.25, seed=11)
+# Far past any run: keeps both devices health-guarded in the probe runs.
+_FAR_WINDOW = HealthWindow("nvme", HealthState.OFFLINE, 1 << 40, (1 << 40) + 1)
+_CAUGHT = {"put": DeviceOfflineError, "delete": DeviceOfflineError,
+           "get": (DeviceOfflineError, CorruptionError)}
+
+
+def _faulted_hyperdb(windows=()):
+    inj = FaultInjector(FaultPlan(seed=3, health_windows=(*windows, _FAR_WINDOW)))
+    scale = FAULTED_SCALE
+    return HyperDB(*scale.devices(inj), hyperdb_config(scale, dram_cache_bytes=0)), inj
+
+
+def _batch(store, op, rows, busy_out=None):
+    """One batch call with ``capture_errors``; ``rows`` are per-op args."""
+    return getattr(store, f"{op}_many")(
+        *zip(*rows), busy_out=busy_out, capture_errors=True
+    )
+
+
+def _per_op(store, op, rows, busy_out):
+    """The same ops as scalar calls, each error caught on its own."""
+    devs = list(store.devices().values())
+    out = []
+    for args in rows:
+        try:
+            out.append(getattr(store, op)(*args))
+        except _CAUGHT[op] as exc:
+            out.append(exc)
+        busy_out.append(tuple(d.busy_seconds() for d in devs))
+    return out
+
+
+def _outage_windows(script):
+    """Per batch of ``script``, an NVMe and then a SATA OFFLINE window of
+    40 I/Os, each opening at an op boundary read off a probe run that
+    carries every earlier window.  The SATA window opens on the first op
+    from the batch's middle on that starts a demotion job, when one does,
+    so that job is paused and caught up inside the batch."""
+    windows = []
+    for b, (op, rows) in enumerate(script):
+        for device, frac in (("nvme", 0.2), ("sata", 0.55)):
+            store, inj = _faulted_hyperdb(windows)
+            for earlier in script[:b]:
+                _batch(store, *earlier)
+            starts, demotes = [], []
+            for args in rows:
+                starts.append(inj.total_ios + 1)
+                jobs = store.migration.stats.demotion_jobs
+                _per_op(store, op, [args], [])
+                demotes.append(store.migration.stats.demotion_jobs > jobs)
+            i = int(frac * len(rows))
+            if device == "sata":
+                i = next((j for j in range(i, len(rows)) if demotes[j]), i)
+            windows.append(
+                HealthWindow(device, HealthState.OFFLINE, starts[i], starts[i] + 40)
+            )
+    return windows
+
+
+def _slots(results):
+    """Results with each captured error as its type and message."""
+    return [
+        (type(r), str(r)) if isinstance(r, Exception) else r for r in results
+    ]
+
+
+@pytest.mark.parametrize("store_name", ["hyperdb", "rocksdb", "hyperdb-faulted"])
 def test_store_batch_methods_match_loops(store_name):
-    keys = encode_keys(list(range(64)))
-    values = [b"v%060d" % i for i in range(64)]
+    n = 1000 if store_name == "hyperdb-faulted" else 64
+    keys = encode_keys(list(range(n)))
+    values = [b"v%0299d" % i for i in range(n)]
+    script = [
+        ("put", list(zip(keys, values))),
+        ("get", [(k,) for k in reversed(keys)]),
+        ("delete", [(k,) for k in keys[::3]]),
+    ]
+    if store_name == "hyperdb-faulted":
+        windows = _outage_windows(script)
+        (s1, _), (s2, _) = _faulted_hyperdb(windows), _faulted_hyperdb(windows)
+    else:
+        s1, s2 = _small_store(store_name), _small_store(store_name)
 
-    s1 = _small_store(store_name)
-    busy_rows: list = []
-    put_services = s1.put_many(keys, values, busy_out=busy_rows)
-    get_results = s1.get_many(keys)
+    for op, rows in script:
+        rows_b: list = []
+        rows_p: list = []
+        got = _batch(s1, op, rows, busy_out=rows_b)
+        want = _per_op(s2, op, rows, rows_p)
+        # Service values, and the type, message and position of every
+        # captured error.
+        assert _slots(got) == _slots(want), op
+        # The batch's per-op busy rows are the same snapshots a per-op
+        # caller would take after each call.
+        assert rows_b == rows_p, op
+        if store_name == "hyperdb-faulted":
+            # Both of this batch's windows opened and closed inside it.
+            for dev in s1.devices().values():
+                assert dev.health() is HealthState.HEALTHY, op
+            if op == "get":
+                assert any(isinstance(r, DeviceOfflineError) for r in got)
 
-    s2 = _small_store(store_name)
-    exp_services = []
-    exp_rows = []
-    devs = list(s2.devices().values())
-    for k, v in zip(keys, values):
-        exp_services.append(s2.put(k, v))
-        exp_rows.append(tuple(d.busy_seconds() for d in devs))
-    exp_get = [s2.get(k) for k in keys]
+    for d1, d2 in zip(s1.devices().values(), s2.devices().values()):
+        assert d1.traffic.snapshot() == d2.traffic.snapshot()
+        assert d1.busy_seconds() == d2.busy_seconds()
+    stats1 = getattr(s1, "stats", None)
+    if stats1 is not None:
+        # Values and insertion order.
+        assert [(k, c.value) for k, c in stats1.counters.items()] == [
+            (k, c.value) for k, c in s2.stats.counters.items()
+        ]
+        assert s1.suspect_keys == s2.suspect_keys
+    if store_name == "hyperdb-faulted":
+        counters = stats1.counters
+        for name in ("failover_writes", "failover_reads", "failover_blocked_reads"):
+            assert counters[name].value > 0, name
+        assert s1.migration.stats.paused_jobs > 0
+        assert s1.migration.stats.catch_up_drains > 0
 
-    assert put_services == exp_services
-    assert get_results == exp_get
-    # The batch's per-op busy rows are the same snapshots a per-op
-    # caller would take after each call.
-    assert busy_rows == exp_rows
+
+def test_hyperdb_scalar_ops_are_batches_of_one(monkeypatch):
+    """``put`` / ``get`` / ``delete`` have no body of their own: each is
+    one call of its batch form, with one key."""
+    store = _small_store("hyperdb")
+    calls = []
+    for name in ("put_many", "get_many", "delete_many"):
+        batch = getattr(store, name)
+
+        def spy(*args, _name=name, _batch=batch, **kw):
+            calls.append((_name, [list(a) for a in args]))
+            return _batch(*args, **kw)
+
+        monkeypatch.setattr(store, name, spy)
+    key = encode_key(5)
+    store.put(key, b"v")
+    assert store.get(key)[0] == b"v"
+    store.delete(key)
+    assert calls == [
+        ("put_many", [[key], [b"v"]]),
+        ("get_many", [[key]]),
+        ("delete_many", [[key]]),
+    ]
 
 
 @pytest.mark.parametrize("store_name", ["rocksdb", "rocksdb-sc", "prismdb"])

@@ -62,12 +62,6 @@ class TestLRUCache:
         assert not c.invalidate("a")
         assert c.used_bytes == 0
 
-    def test_clear(self):
-        c = LRUCache(100)
-        c.put("a", 1, charge=7)
-        c.clear()
-        assert len(c) == 0 and c.used_bytes == 0
-
     def test_uncacheable_overwrite_releases_charge(self):
         # Regression: overwriting a cached entry with an uncacheable value
         # used to drop the entry without refunding its charge, leaking

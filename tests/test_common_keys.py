@@ -6,7 +6,6 @@ from repro.common.keys import (
     KeyRange,
     decode_key,
     encode_key,
-    key_in_range,
     ranges_overlap,
 )
 
@@ -52,39 +51,8 @@ class TestKeyRange:
         with pytest.raises(ValueError):
             KeyRange(encode_key(10), encode_key(5))
 
-    def test_overlaps(self):
-        a = KeyRange(encode_key(0), encode_key(10))
-        b = KeyRange(encode_key(5), encode_key(15))
-        c = KeyRange(encode_key(10), encode_key(20))
-        assert a.overlaps(b) and b.overlaps(a)
-        assert not a.overlaps(c)  # half-open: [0,10) and [10,20) don't touch
-        assert b.overlaps(c)
-
-    def test_overlaps_unbounded(self):
-        a = KeyRange(encode_key(0), encode_key(10))
-        b = KeyRange(encode_key(5))
-        assert a.overlaps(b)
-        c = KeyRange(encode_key(10))
-        assert not a.overlaps(c)
-
-    def test_spanning(self):
-        keys = [encode_key(i) for i in (7, 3, 9)]
-        r = KeyRange.spanning(keys)
-        for k in keys:
-            assert r.contains(k)
-        assert not r.contains(encode_key(10))
-
-    def test_spanning_empty_rejected(self):
-        with pytest.raises(ValueError):
-            KeyRange.spanning([])
-
 
 class TestRangeHelpers:
-    def test_key_in_range(self):
-        assert key_in_range(encode_key(5), encode_key(0), encode_key(10))
-        assert not key_in_range(encode_key(10), encode_key(0), encode_key(10))
-        assert key_in_range(encode_key(10**9), encode_key(0), None)
-
     def test_ranges_overlap_matrix(self):
         e = encode_key
         assert ranges_overlap(e(0), e(10), e(9), e(20))

@@ -77,13 +77,6 @@ class TestCascadingDiscriminator:
         # 5 filters (4 sealed + 1 open) * 10000 bits / 8.
         assert d.memory_bytes <= 5 * (1000 * 10 // 8) + 1024
 
-    def test_reset(self):
-        d = CascadingDiscriminator(window_capacity=10)
-        for i in range(100):
-            d.access(encode_key(i))
-        d.reset()
-        assert d.num_sealed == 0 and d.accesses == 0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             CascadingDiscriminator(window_capacity=0)

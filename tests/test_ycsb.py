@@ -149,10 +149,6 @@ class TestWorkloadSpecs:
         assert uni.distribution == "uniform"
         assert uni.read == 0.5
 
-    def test_write_heavy_flag(self):
-        assert YCSB_WORKLOADS["A"].is_write_heavy
-        assert not YCSB_WORKLOADS["B"].is_write_heavy
-
 
 def make_hyperdb(keyspace, nvme_mib=2, sata_mib=64):
     nvme = SimDevice(
