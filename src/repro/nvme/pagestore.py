@@ -54,13 +54,6 @@ class PageStore:
             self.cache.invalidate(page_id)
         self.device.trim(1)
 
-    @staticmethod
-    def _splice(page: bytearray, offset: int, payload: bytes) -> None:
-        end = offset + len(payload)
-        if end > len(page):
-            page.extend(b"\x00" * (end - len(page)))
-        page[offset:end] = payload
-
     def write(
         self,
         page_id: int,
@@ -70,38 +63,71 @@ class PageStore:
         cache: Optional[LRUCache] = None,
         npages: int = 1,
     ) -> float:
-        """Write ``data`` into a slot (an in-place update of ``npages``
-        random pages).  Invalidates any cached copy.
+        """:meth:`write_spans` of the one span ``(offset, data)``."""
+        return self.write_spans(page_id, ((offset, data),), kind, cache, npages)
+
+    def write_spans(
+        self,
+        page_id: int,
+        spans,
+        kind: TrafficKind,
+        cache: Optional[LRUCache] = None,
+        npages: int = 1,
+    ) -> float:
+        """Write ``(offset, payload)`` spans into a slot page with one
+        command (an in-place update of ``npages`` random pages).
+        Invalidates any cached copy.
 
         Oversized slots span continuation pages; their payload is stored in
         the head page's buffer and the I/O is charged for all ``npages``.
 
         Under fault injection the same torn-write / corruption semantics as
-        :class:`repro.simssd.fs.SimFile` apply: a crashing write persists
-        only a prefix, a transient failure beyond retries persists nothing,
-        and a successful write may land with one flipped bit.
+        :class:`repro.simssd.fs.SimFile` apply to the spans' concatenation:
+        a crashing write persists only a prefix of it, a transient failure
+        beyond retries persists nothing, and a successful write draws its
+        flips once, over all of it — per page, however many slots it holds.
         """
         page = self._pages.get(page_id)
         if page is None:
             raise ReproError(f"write to unallocated page {page_id}")
-        if offset < 0 or offset + len(data) > self.page_size * npages:
-            raise ReproError(
-                f"write [{offset}, {offset + len(data)}) exceeds "
-                f"{npages} page(s)"
-            )
+        limit = self.page_size * npages
+        for offset, data in spans:
+            # A slot starts inside its head page, whose buffer holds at
+            # least a page: slice assignment below never leaves a gap.
+            if not 0 <= offset < self.page_size or offset + len(data) > limit:
+                raise ReproError(
+                    f"write [{offset}, {offset + len(data)}) exceeds "
+                    f"{npages} page(s)"
+                )
         inj = self.device.injector
         try:
             service = self.device.write_pages(npages, kind, sequential=False)
         except PowerLossError as e:
-            keep = inj.torn_prefix_len(len(data), e.torn_fraction)
-            self._splice(page, offset, data[:keep])
+            flat = b"".join([data for _, data in spans])
+            flat = flat[: inj.torn_prefix_len(len(flat), e.torn_fraction)]
+            self._land(page, spans, flat)
             if cache is not None:
                 cache.invalidate(page_id)
             raise
-        self._splice(page, offset, data if inj is None else inj.corrupt_payload(data))
+        if inj is None:
+            for offset, data in spans:
+                page[offset : offset + len(data)] = data
+        else:
+            flat = b"".join([data for _, data in spans])
+            self._land(page, spans, inj.corrupt_payload(flat))
         if cache is not None:
             cache.invalidate(page_id)
         return service
+
+    @staticmethod
+    def _land(page: bytearray, spans, flat: bytes) -> None:
+        """Lay ``flat`` (the spans' payloads as they reached the media,
+        concatenated and possibly cut short) over the spans' offsets."""
+        pos = 0
+        for offset, data in spans:
+            piece = flat[pos : pos + len(data)]
+            page[offset : offset + len(piece)] = piece
+            pos += len(data)
 
     def read(
         self,

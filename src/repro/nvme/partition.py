@@ -14,7 +14,7 @@ from bisect import bisect_right
 from typing import Callable, Iterator, Optional
 
 from repro.common.btree import BTreeIndex
-from repro.common.errors import CorruptionError, ReproError
+from repro.common.errors import CorruptionError, OutOfSpaceError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
 from repro.hotness.tracker import HotnessTracker
@@ -327,13 +327,14 @@ class Partition:
             service += self._evict_hot_zone_if_needed(kind)
             return service
 
-    def _hot_zone_page_budget(self) -> int:
+    def _hot_zone_page_budget(self, vacated: int = 0) -> int:
         """The hot zone may grow into whatever the regular zones don't use
         (up to the high watermark), but always keeps its reserved fraction.
         Promotions thus displace cold zones — via demotion — instead of
-        being capped while the fast tier idles (§3.5 read-heavy flow)."""
+        being capped while the fast tier idles (§3.5 read-heavy flow).
+        ``vacated`` regular pages are counted as free already."""
         reserve = max(1, int(self.page_budget * self.config.hot_zone_fraction))
-        regular = self.used_pages - self.hot_zone.total_pages()
+        regular = self.used_pages - vacated - self.hot_zone.total_pages()
         headroom = int(self.page_budget * self.config.high_watermark) - regular
         return max(reserve, headroom)
 
@@ -348,54 +349,76 @@ class Partition:
         whole zone each time.
         """
         service = 0.0
+        hot = self.hot_zone
         budget = self._hot_zone_page_budget()
-        if self.hot_zone.total_pages() <= budget:
+        if hot.total_pages() <= budget:
             return service
         scanned = 0
-        keys = self.hot_zone.keys
-        while keys and scanned < max_scan:
-            if self.hot_zone.total_pages() <= budget:
-                break
-            key = next(iter(keys))
-            scanned += 1
-            loc: SlotLocation = self.index.get(key)
-            if loc is None or loc.zone_id != self.hot_zone.zone_id:
-                keys.pop(key, None)
-                continue
-            if self.tracker.is_hot(key):
-                # Second chance: rotate to the back of the scan order.
-                keys.pop(key, None)
-                keys[key] = None
-                continue
-            if loc.promoted:
-                # SATA still holds the object: drop without relocation.
-                self.hot_zone.remove_object(key, loc)
-                self.index.delete(key)
-            else:
+        keys = hot.keys
+        batch, moves, staged = {}, {}, {}  # staged: {hot-zone page: slots out}
+        try:
+            while keys and scanned < max_scan:
+                if hot.total_pages() - hot.pages_vacated(staged) <= budget:
+                    break
+                key = next(iter(keys))
+                scanned += 1
+                loc: SlotLocation = self.index.get(key)
+                if loc is None or loc.zone_id != hot.zone_id:
+                    keys.pop(key, None)
+                    continue
+                if self.tracker.is_hot(key):
+                    # Second chance: rotate to the back of the scan order.
+                    keys.pop(key, None)
+                    keys[key] = None
+                    continue
+                if loc.promoted:
+                    # SATA still holds the object: drop without relocation.
+                    hot.remove_object(key, loc)
+                    self.index.delete(key)
+                    continue
                 try:
-                    rec, s_read = self.hot_zone.read_object(loc, kind, self.cache)
+                    rec, s_read = hot.read_object(loc, kind, self.cache)
                 except CorruptionError:
-                    self._drop_corrupt_slot(self.hot_zone, key, loc)
+                    self._drop_corrupt_slot(hot, key, loc)
                     continue
                 service += s_read
-                self.hot_zone.remove_object(key, loc)
-                zone = self.zone_for_key(key)
+                del keys[key]  # staged: out of the scan order
+                staged[loc.page_id] = staged.get(loc.page_id, 0) + 1
                 slot_size = self.config.slot_class_for(rec.encoded_size)
-                new_loc, s_write = zone.write_record(rec, slot_size, kind, self.cache)
-                service += s_write
-                self.index.insert(key, new_loc)
+                new_loc = self.zone_for_key(key).stage(rec, slot_size, False, batch)
+                moves[key] = new_loc
+            return service + self._commit(batch, moves, kind)
+        except ReproError:
+            self._unstage(moves)
+            keys.update(dict.fromkeys(moves))
+            raise
+
+    def _commit(self, batch: dict, moves: dict, kind: TrafficKind) -> float:
+        """Write each page staged in ``batch`` once, then point the index of
+        each ``{key: new}`` move at ``new`` (drop the key when ``new`` is
+        None) and free its old slot.  Neither holds a tuple per object: a
+        split keeps them all alive until here, and that many containers
+        would bring on extra full cyclic-GC passes; a page's spans are
+        paired only as it is written.
+        """
+        service = 0.0
+        for pid, (npages, *flat) in batch.items():
+            spans = list(zip(flat[::2], flat[1::2]))
+            service += self.page_store.write_spans(pid, spans, kind, self.cache, npages)
+        for key, new in moves.items():
+            old = self.index.get(key)
+            if new is None:
+                self.index.delete(key)
+            else:
+                self.index.insert(key, new)
+            self._zone_map[old.zone_id].remove_object(key, old)
         return service
 
-    def park_in_hot_zone(self, rec: Record, loc: SlotLocation, kind: TrafficKind) -> float:
-        """Relocate an NVMe-resident hot object into the hot zone (used when
-        its regular zone is being demoted)."""
-        self._zone_by_id(loc.zone_id).remove_object(rec.key, loc)
-        slot_size = self.config.slot_class_for(rec.encoded_size)
-        new_loc, service = self.hot_zone.write_record(
-            rec, slot_size, kind, self.cache, promoted=loc.promoted
-        )
-        self.index.insert(rec.key, new_loc)
-        return service
+    def _unstage(self, moves: dict) -> None:
+        """Undo an uncommitted relocation: free every staged slot."""
+        for key, new in moves.items():
+            if new is not None:
+                self._zone_map[new.zone_id].remove_object(key, new)
 
     # ------------------------------------------------- corruption handling
 
@@ -448,16 +471,17 @@ class Partition:
         """Read a zone's pages and extract its objects for demotion.
 
         Hot objects are parked in the hot zone instead of being returned
-        (§3.2: "HyperDB does not migrate frequently accessed data").
-        The zone's pages are freed and its read counter reset.
-
-        Runs inside a device health epoch so an NVMe health window cannot
-        tear a park (object removed from its zone but not yet rewritten).
+        (§3.2: "HyperDB does not migrate frequently accessed data"): staged,
+        then one write per hot-zone page.  The index and the zone's slots
+        change only after those writes; a failure leaves every object where
+        it was.  The zone's read counter is reset.  Runs inside a device
+        health epoch, so no NVMe health window opens mid-collection.
         """
         with self.page_store.device.health_epoch:
             page_ids = zone.page_ids()
             _, service = self.page_store.read_many(page_ids, kind)
             demoted: list[Record] = []
+            batch, moves, staged = {}, {}, {}  # staged: {zone page: slots out}
             keys = sorted(zone.keys)
             # Columnar hotness verdicts for the whole zone up front: no
             # access is recorded during collection, so the discriminator is
@@ -469,28 +493,38 @@ class Partition:
             tracker = self.tracker
             hot_flags = tracker.discriminator.is_hot_many(keys)
             demoted_append = demoted.append
-            for key, hot in zip(keys, hot_flags):
-                loc: SlotLocation = self.index.get(key)
-                if loc is None or loc.zone_id != zone.zone_id:
-                    continue
-                try:
-                    rec = self._decode_slot(loc)
-                except CorruptionError:
-                    self._drop_corrupt_slot(zone, key, loc)
-                    continue
-                rec = Record(key, rec.value, rec.seqno, rec.deleted)
-                tracker.queries += 1
-                # Hot objects are parked rather than demoted, but only while
-                # the hot zone has budget — otherwise they migrate like
-                # anything else.
-                if hot:
-                    tracker.hot_hits += 1
-                    if self.hot_zone.total_pages() < self._hot_zone_page_budget():
-                        service += self.park_in_hot_zone(rec, loc, kind)
+            try:
+                for key, hot in zip(keys, hot_flags):
+                    loc: SlotLocation = self.index.get(key)
+                    if loc is None or loc.zone_id != zone.zone_id:
                         continue
-                zone.remove_object(key, loc)
-                self.index.delete(key)
-                demoted_append(rec)
+                    try:
+                        rec = self._decode_slot(loc)
+                    except CorruptionError:
+                        self._drop_corrupt_slot(zone, key, loc)
+                        continue
+                    rec = Record(key, rec.value, rec.seqno, rec.deleted)
+                    tracker.queries += 1
+                    # Hot objects are parked rather than demoted, but only
+                    # while the hot zone has budget (counting the zone's
+                    # pages vacated so far as free) — otherwise they migrate.
+                    new_loc = None
+                    if hot:
+                        tracker.hot_hits += 1
+                        budget = self._hot_zone_page_budget(zone.pages_vacated(staged))
+                        if self.hot_zone.total_pages() < budget:
+                            slot_size = self.config.slot_class_for(rec.encoded_size)
+                            new_loc = self.hot_zone.stage(
+                                rec, slot_size, loc.promoted, batch
+                            )
+                    if new_loc is None:
+                        demoted_append(rec)
+                    moves[key] = new_loc
+                    staged[loc.page_id] = staged.get(loc.page_id, 0) + 1
+                service += self._commit(batch, moves, kind)
+            except ReproError:
+                self._unstage(moves)
+                raise
             zone.reset_read_counter()
             return demoted, service
 
@@ -555,7 +589,9 @@ class Partition:
         """Rebuild an oversized zone into two (§3.2 periodic re-sizing).
 
         Splitting physically resettles the zone's objects so each new zone's
-        pages contain only its own range — charged as GC traffic.
+        pages contain only its own range — charged as GC traffic, one write
+        per destination page.  A failed write, or no room for both halves,
+        frees the halves: the old zone and every slot in it stay in use.
         """
         # Inlined ``zone_target_objects() * zone_split_factor`` (identical
         # math): this check runs on every new-slot put, and the limit is
@@ -584,28 +620,34 @@ class Partition:
         left = self._new_zone(KeyRange(zone.key_range.lo, median))
         right = self._new_zone(KeyRange(median, zone.key_range.hi))
 
-        # Resettle: one bulk read of the old zone, rewrites into the halves.
-        # Each zone rebuild is one GC job: place it on the least-busy
-        # background queue (no-op on single-queue devices).
+        # Resettle: one bulk read, each object staged into its half as it is
+        # decoded, then the writes and the commit.  Each zone rebuild is one
+        # GC job: place it on the least-busy background queue (no-op on
+        # single-queue devices).
         device.begin_background_job(TrafficKind.GC)
         self.page_store.read_many(zone.page_ids(), TrafficKind.GC)
-        for key in keys:
-            loc: SlotLocation = self.index.get(key)
-            if loc is None or loc.zone_id != zone.zone_id:
-                continue
-            try:
-                rec = self._decode_slot(loc)
-            except CorruptionError:
-                self._drop_corrupt_slot(zone, key, loc)
-                continue
-            rec = Record(key, rec.value, rec.seqno, rec.deleted)
-            dest = left if key < median else right
-            zone.remove_object(key, loc)
-            new_loc, _ = dest.write_record(
-                rec, loc.slot_size, TrafficKind.GC, self.cache,
-                promoted=loc.promoted,
-            )
-            self.index.insert(key, new_loc)
+        batch, moves = {}, {}
+        try:
+            for key in keys:
+                loc: SlotLocation = self.index.get(key)
+                if loc is None or loc.zone_id != zone.zone_id:
+                    continue
+                try:
+                    rec = self._decode_slot(loc)
+                except CorruptionError:
+                    self._drop_corrupt_slot(zone, key, loc)
+                    continue
+                rec = Record(key, rec.value, rec.seqno, rec.deleted)
+                dest = left if key < median else right
+                new_loc = dest.stage(rec, loc.slot_size, loc.promoted, batch)
+                moves[key] = new_loc
+            self._commit(batch, moves, TrafficKind.GC)
+        except ReproError as e:
+            self._unstage(moves)
+            del self._zone_map[left.zone_id], self._zone_map[right.zone_id]
+            if isinstance(e, OutOfSpaceError):
+                return  # both halves do not fit beside the old zone yet
+            raise
         self._zones[idx : idx + 1] = [left, right]
         self._zone_bounds[idx : idx + 1] = [left.key_range.lo, median]
         # The split zone is dead: stale locations naming it must fail.

@@ -168,6 +168,11 @@ class Zone:
             if zp not in open_pages:
                 open_pages.append(zp)
 
+    def pages_vacated(self, staged: dict[int, int]) -> int:
+        """Pages freed once the ``staged`` ``{page_id: slots}`` are freed."""
+        zps = self._pages
+        return sum(zps[p].total_pages for p, n in staged.items() if zps[p].used == n)
+
     def _release_page(self, zp: _ZonePage) -> None:
         del self._pages[zp.page_id]
         self._total_pages -= zp.total_pages
@@ -192,6 +197,32 @@ class Zone:
         promoted: bool = False,
     ) -> tuple[SlotLocation, float]:
         """Place ``rec`` into a fresh ``slot_size`` slot and write the page."""
+        loc, payload = self._place(rec, slot_size, promoted)
+        npages = -(-slot_size // self.page_store.page_size)
+        service = self.page_store.write(
+            loc.page_id, loc.offset, payload, kind, cache, npages=npages
+        )
+        self.keys[rec.key] = None
+        self.used_bytes += len(payload)
+        return loc, service
+
+    def stage(
+        self, rec: Record, slot_size: int, promoted: bool, batch: dict
+    ) -> SlotLocation:
+        """Place ``rec`` like :meth:`write_record`, but add its offset and
+        payload to ``batch`` (``{page_id: [npages, offset, payload, ...]}``)
+        instead of writing it; the caller writes each page of it once."""
+        loc, payload = self._place(rec, slot_size, promoted)
+        npages = -(-slot_size // self.page_store.page_size)
+        batch.setdefault(loc.page_id, [npages]).extend((loc.offset, payload))
+        self.keys[rec.key] = None
+        self.used_bytes += len(payload)
+        return loc
+
+    def _place(
+        self, rec: Record, slot_size: int, promoted: bool
+    ) -> tuple[SlotLocation, bytes]:
+        """Check, encode and allocate a slot for ``rec``; writes nothing."""
         kr = self.key_range  # inlined ``accepts`` (one call per store write)
         if kr is not None and not kr.contains(rec.key):
             raise ReproError(f"key {rec.key!r} outside zone {self.zone_id} range")
@@ -201,17 +232,10 @@ class Zone:
                 f"record of {len(payload)}B does not fit slot class {slot_size}"
             )
         page_id, slot_index = self.allocate_slot(slot_size)
-        loc = SlotLocation(
+        return SlotLocation(
             self.zone_id, page_id, slot_index, slot_size,
             len(payload), rec.seqno, promoted, crc=zlib.crc32(payload),
-        )
-        npages = -(-slot_size // self.page_store.page_size)
-        service = self.page_store.write(
-            page_id, slot_index * slot_size, payload, kind, cache, npages=npages
-        )
-        self.keys[rec.key] = None
-        self.used_bytes += len(payload)
-        return loc, service
+        ), payload
 
     def update_in_place(
         self,
