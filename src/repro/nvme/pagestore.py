@@ -160,18 +160,13 @@ class PageStore:
             raise ReproError(f"peek of unallocated page {page_id}")
         return bytes(page[offset : offset + length])
 
-    def read_many(
-        self, page_ids: list[int], kind: TrafficKind
-    ) -> tuple[list[bytes], float]:
-        """Bulk read for migration: one I/O per page (zone pages are
-        discontiguous on media), bypassing the cache."""
-        service = 0.0
-        out = []
+    def read_many(self, page_ids: list[int], kind: TrafficKind) -> float:
+        """Charge a bulk read (migration, split, scrub): one I/O per page
+        (zone pages are discontiguous on media), bypassing the cache.
+        Returns the service time; callers :meth:`peek` what they need."""
         for pid in page_ids:
-            page = self._pages.get(pid)
-            if page is None:
+            if pid not in self._pages:
                 raise ReproError(f"read of unallocated page {pid}")
-            out.append(bytes(page))
-        if page_ids:
-            service = self.device.read_pages(len(page_ids), kind, sequential=False)
-        return out, service
+        if not page_ids:
+            return 0.0
+        return self.device.read_pages(len(page_ids), kind, sequential=False)

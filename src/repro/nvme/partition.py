@@ -79,7 +79,6 @@ class Partition:
         # Eq. 1 inputs: running totals of slot-file bytes and object counts.
         self._written_bytes = 0
         self._written_objects = 0
-        self.allocated_pages = 0  # pages owned by this partition's zones
 
         # Index-backup checkpoint state (§3.1); see nvme/checkpoint.py.
         self._checkpoint_pages: list[int] = []
@@ -376,42 +375,53 @@ class Partition:
                     hot.remove_object(key, loc)
                     self.index.delete(key)
                     continue
+                npages = -(-loc.slot_size // self.page_store.page_size)
+                _, s_read = self.page_store.read(loc.page_id, kind, self.cache, npages)
                 try:
-                    rec, s_read = hot.read_object(loc, kind, self.cache)
+                    payload = self._verified_slot(loc)
                 except CorruptionError:
                     self._drop_corrupt_slot(hot, key, loc)
                     continue
                 service += s_read
                 del keys[key]  # staged: out of the scan order
                 staged[loc.page_id] = staged.get(loc.page_id, 0) + 1
-                slot_size = self.config.slot_class_for(rec.encoded_size)
-                new_loc = self.zone_for_key(key).stage(rec, slot_size, False, batch)
-                moves[key] = new_loc
+                slot_size = self.config.slot_class_for(loc.record_size)
+                moves[key] = self.zone_for_key(key).stage(
+                    key, loc, payload, slot_size, False, batch
+                )
             return service + self._commit(batch, moves, kind)
         except ReproError:
             self._unstage(moves)
             keys.update(dict.fromkeys(moves))
             raise
 
-    def _commit(self, batch: dict, moves: dict, kind: TrafficKind) -> float:
+    def _commit(
+        self, batch: dict, moves: dict, kind: TrafficKind, vacated: Optional[Zone] = None
+    ) -> float:
         """Write each page staged in ``batch`` once, then point the index of
         each ``{key: new}`` move at ``new`` (drop the key when ``new`` is
-        None) and free its old slot.  Neither holds a tuple per object: a
-        split keeps them all alive until here, and that many containers
-        would bring on extra full cyclic-GC passes; a page's spans are
-        paired only as it is written.
+        None) and free its old slot, or the whole ``vacated`` zone they all
+        left.  Neither holds a tuple per object: a split keeps them all alive
+        until here, and that many containers would bring on extra full
+        cyclic-GC passes; a page's spans are paired only as it is written.
         """
+        if vacated is not None and len(vacated.keys) != len(moves):
+            raise ReproError(f"zone {vacated.zone_id} would leave keys behind")
         service = 0.0
         for pid, (npages, *flat) in batch.items():
             spans = list(zip(flat[::2], flat[1::2]))
             service += self.page_store.write_spans(pid, spans, kind, self.cache, npages)
+        index = self.index
         for key, new in moves.items():
-            old = self.index.get(key)
+            if vacated is None:
+                old = index.get(key)
+                self._zone_map[old.zone_id].remove_object(key, old)
             if new is None:
-                self.index.delete(key)
+                index.delete(key)
             else:
-                self.index.insert(key, new)
-            self._zone_map[old.zone_id].remove_object(key, old)
+                index.insert(key, new)
+        if vacated is not None:
+            vacated.release_all()
         return service
 
     def _unstage(self, moves: dict) -> None:
@@ -422,24 +432,24 @@ class Partition:
 
     # ------------------------------------------------- corruption handling
 
-    def _decode_slot(self, loc: SlotLocation) -> Record:
-        """Decode a resident slot from already-read pages, checksum first.
+    def _verified_slot(self, loc: SlotLocation) -> bytes:
+        """A resident slot's bytes, peeked after its page read was paid.
 
-        Maintenance paths (demotion collect, zone split) bulk-read a zone's
-        pages and then :meth:`~repro.nvme.pagestore.PageStore.peek` each
-        slot for free; this helper adds the same integrity gate as
-        :meth:`repro.nvme.zone.Zone.read_object`, so a latent bit flip in
-        the value bytes — structurally invisible to ``decode_one`` —
-        surfaces as :class:`CorruptionError` instead of being relocated
-        verbatim.
+        The one integrity gate of the relocations (collect, parks, split,
+        eviction), which move these bytes as they are: the index CRC turns
+        a latent bit flip — structurally invisible to ``decode_one`` — into
+        :class:`CorruptionError` instead of a relocated flip; a slot without
+        a CRC (after checkpoint recovery) gets ``decode_one``'s check.
         """
         raw = self.page_store.peek(loc.page_id, loc.offset, loc.record_size)
-        if loc.crc is not None and zlib.crc32(raw) != loc.crc:
+        if loc.crc is None:
+            decode_one(raw)
+        elif zlib.crc32(raw) != loc.crc:
             raise CorruptionError(
                 f"zone {loc.zone_id} slot checksum mismatch on page "
                 f"{loc.page_id} slot {loc.slot_index}"
             )
-        return decode_one(raw)
+        return raw
 
     def _drop_corrupt_slot(self, zone: Zone, key: bytes, loc: SlotLocation) -> None:
         """A maintenance path hit a corrupt slot: drop it, don't crash.
@@ -471,15 +481,15 @@ class Partition:
         """Read a zone's pages and extract its objects for demotion.
 
         Hot objects are parked in the hot zone instead of being returned
-        (§3.2: "HyperDB does not migrate frequently accessed data"): staged,
-        then one write per hot-zone page.  The index and the zone's slots
-        change only after those writes; a failure leaves every object where
-        it was.  The zone's read counter is reset.  Runs inside a device
-        health epoch, so no NVMe health window opens mid-collection.
+        (§3.2: "HyperDB does not migrate frequently accessed data"): their
+        verified slot bytes are staged, then written once per hot-zone page.
+        Only then does the index change and the emptied zone free its pages
+        in one pass; a failure leaves every object where it was.  The zone's
+        read counter is reset.  Runs inside a device health epoch, so no
+        NVMe health window opens mid-collection.
         """
         with self.page_store.device.health_epoch:
-            page_ids = zone.page_ids()
-            _, service = self.page_store.read_many(page_ids, kind)
+            service = self.page_store.read_many(zone.page_ids(), kind)
             demoted: list[Record] = []
             batch, moves, staged = {}, {}, {}  # staged: {zone page: slots out}
             keys = sorted(zone.keys)
@@ -499,11 +509,10 @@ class Partition:
                     if loc is None or loc.zone_id != zone.zone_id:
                         continue
                     try:
-                        rec = self._decode_slot(loc)
+                        payload = self._verified_slot(loc)
                     except CorruptionError:
                         self._drop_corrupt_slot(zone, key, loc)
                         continue
-                    rec = Record(key, rec.value, rec.seqno, rec.deleted)
                     tracker.queries += 1
                     # Hot objects are parked rather than demoted, but only
                     # while the hot zone has budget (counting the zone's
@@ -513,15 +522,16 @@ class Partition:
                         tracker.hot_hits += 1
                         budget = self._hot_zone_page_budget(zone.pages_vacated(staged))
                         if self.hot_zone.total_pages() < budget:
-                            slot_size = self.config.slot_class_for(rec.encoded_size)
+                            slot_size = self.config.slot_class_for(loc.record_size)
                             new_loc = self.hot_zone.stage(
-                                rec, slot_size, loc.promoted, batch
+                                key, loc, payload, slot_size, loc.promoted, batch
                             )
                     if new_loc is None:
-                        demoted_append(rec)
+                        rec = decode_one(payload)
+                        demoted_append(Record(key, rec.value, rec.seqno, rec.deleted))
                     moves[key] = new_loc
                     staged[loc.page_id] = staged.get(loc.page_id, 0) + 1
-                service += self._commit(batch, moves, kind)
+                service += self._commit(batch, moves, kind, vacated=zone)
             except ReproError:
                 self._unstage(moves)
                 raise
@@ -590,8 +600,9 @@ class Partition:
 
         Splitting physically resettles the zone's objects so each new zone's
         pages contain only its own range — charged as GC traffic, one write
-        per destination page.  A failed write, or no room for both halves,
-        frees the halves: the old zone and every slot in it stay in use.
+        per destination page, each object as its verified slot bytes; the
+        old zone is then freed in one pass.  A failed write, or no room for
+        both halves, frees the halves: the old zone and its slots stay.
         """
         # Inlined ``zone_target_objects() * zone_split_factor`` (identical
         # math): this check runs on every new-slot put, and the limit is
@@ -620,10 +631,10 @@ class Partition:
         left = self._new_zone(KeyRange(zone.key_range.lo, median))
         right = self._new_zone(KeyRange(median, zone.key_range.hi))
 
-        # Resettle: one bulk read, each object staged into its half as it is
-        # decoded, then the writes and the commit.  Each zone rebuild is one
-        # GC job: place it on the least-busy background queue (no-op on
-        # single-queue devices).
+        # Resettle: one bulk read, each object's slot bytes staged into its
+        # half as they are verified, then the writes and the commit.  Each
+        # zone rebuild is one GC job: place it on the least-busy background
+        # queue (no-op on single-queue devices).
         device.begin_background_job(TrafficKind.GC)
         self.page_store.read_many(zone.page_ids(), TrafficKind.GC)
         batch, moves = {}, {}
@@ -633,15 +644,15 @@ class Partition:
                 if loc is None or loc.zone_id != zone.zone_id:
                     continue
                 try:
-                    rec = self._decode_slot(loc)
+                    payload = self._verified_slot(loc)
                 except CorruptionError:
                     self._drop_corrupt_slot(zone, key, loc)
                     continue
-                rec = Record(key, rec.value, rec.seqno, rec.deleted)
                 dest = left if key < median else right
-                new_loc = dest.stage(rec, loc.slot_size, loc.promoted, batch)
-                moves[key] = new_loc
-            self._commit(batch, moves, TrafficKind.GC)
+                moves[key] = dest.stage(
+                    key, loc, payload, loc.slot_size, loc.promoted, batch
+                )
+            self._commit(batch, moves, TrafficKind.GC, vacated=zone)
         except ReproError as e:
             self._unstage(moves)
             del self._zone_map[left.zone_id], self._zone_map[right.zone_id]

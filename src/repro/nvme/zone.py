@@ -186,6 +186,13 @@ class Zone:
         for extra in zp.extra_pages:
             self.page_store.free(extra)
 
+    def release_all(self) -> None:
+        """Free every page in one pass once all objects have left the zone."""
+        for zp in list(self._pages.values()):
+            self._release_page(zp)
+        self.keys.clear()
+        self.used_bytes = 0
+
     # ---------------------------------------------------------------- I/O
 
     def write_record(
@@ -196,33 +203,7 @@ class Zone:
         cache=None,
         promoted: bool = False,
     ) -> tuple[SlotLocation, float]:
-        """Place ``rec`` into a fresh ``slot_size`` slot and write the page."""
-        loc, payload = self._place(rec, slot_size, promoted)
-        npages = -(-slot_size // self.page_store.page_size)
-        service = self.page_store.write(
-            loc.page_id, loc.offset, payload, kind, cache, npages=npages
-        )
-        self.keys[rec.key] = None
-        self.used_bytes += len(payload)
-        return loc, service
-
-    def stage(
-        self, rec: Record, slot_size: int, promoted: bool, batch: dict
-    ) -> SlotLocation:
-        """Place ``rec`` like :meth:`write_record`, but add its offset and
-        payload to ``batch`` (``{page_id: [npages, offset, payload, ...]}``)
-        instead of writing it; the caller writes each page of it once."""
-        loc, payload = self._place(rec, slot_size, promoted)
-        npages = -(-slot_size // self.page_store.page_size)
-        batch.setdefault(loc.page_id, [npages]).extend((loc.offset, payload))
-        self.keys[rec.key] = None
-        self.used_bytes += len(payload)
-        return loc
-
-    def _place(
-        self, rec: Record, slot_size: int, promoted: bool
-    ) -> tuple[SlotLocation, bytes]:
-        """Check, encode and allocate a slot for ``rec``; writes nothing."""
+        """Encode ``rec`` into a fresh ``slot_size`` slot and write the page."""
         kr = self.key_range  # inlined ``accepts`` (one call per store write)
         if kr is not None and not kr.contains(rec.key):
             raise ReproError(f"key {rec.key!r} outside zone {self.zone_id} range")
@@ -232,10 +213,36 @@ class Zone:
                 f"record of {len(payload)}B does not fit slot class {slot_size}"
             )
         page_id, slot_index = self.allocate_slot(slot_size)
-        return SlotLocation(
+        loc = SlotLocation(
             self.zone_id, page_id, slot_index, slot_size,
             len(payload), rec.seqno, promoted, crc=zlib.crc32(payload),
-        ), payload
+        )
+        npages = -(-slot_size // self.page_store.page_size)
+        service = self.page_store.write(
+            page_id, loc.offset, payload, kind, cache, npages=npages
+        )
+        self.keys[rec.key] = None
+        self.used_bytes += len(payload)
+        return loc, service
+
+    def stage(
+        self, key: bytes, src: SlotLocation, payload: bytes, slot_size: int,
+        promoted: bool, batch: dict,
+    ) -> SlotLocation:
+        """Move ``key``'s verified slot bytes ``payload`` from ``src`` into a
+        fresh ``slot_size`` slot of this zone (the caller's pick, which holds
+        ``key``), re-encoding nothing: the location keeps ``src``'s checksum,
+        seqno and record size.  Offset and payload join ``batch`` (``{page_id:
+        [npages, offset, payload, ...]}``); the caller writes each page once."""
+        page_id, slot_index = self.allocate_slot(slot_size)
+        npages = -(-slot_size // self.page_store.page_size)
+        batch.setdefault(page_id, [npages]).extend((slot_index * slot_size, payload))
+        self.keys[key] = None
+        self.used_bytes += src.record_size
+        return SlotLocation(
+            self.zone_id, page_id, slot_index, slot_size,
+            src.record_size, src.seqno, promoted, src.crc,
+        )
 
     def update_in_place(
         self,

@@ -35,6 +35,8 @@ class TrafficKind(Enum):
     GC = "gc"                   # slab / zone garbage collection
     SCRUB = "scrub"             # background integrity verification + repair
 
+    __hash__ = object.__hash__  # singletons; ``Enum.__hash__`` is a frame per charge
+
 
 #: Categories charged to background work in utilization breakdowns.
 BACKGROUND_KINDS = (
