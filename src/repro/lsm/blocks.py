@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterable, Iterator
+from typing import Iterable, Optional
 
 from repro.common.errors import CorruptionError
 from repro.common.records import RECORD_HEADER_SIZE, Record
@@ -57,20 +57,36 @@ def decode_one(data: bytes, offset: int = 0) -> Record:
     )
 
 
-def decode_records(data: bytes) -> Iterator[Record]:
-    """Decode back-to-back records from ``data`` (no checksum expected)."""
+def find_record(payload: bytes, key: bytes) -> tuple[int, Optional[Record]]:
+    """Walk record headers to the first record whose key is >= ``key``.
+
+    Returns that record's offset (``len(payload)`` when every key is
+    smaller) and, when its key is ``key``, the record — the only one
+    decoded.  Every header walked is bounds-checked as in :func:`decode_one`.
+    """
+    unpack_from = _HEADER.unpack_from
+    hsize = _HEADER.size
     pos = 0
-    end = len(data)
+    end = len(payload)
     while pos < end:
-        rec = decode_one(data, pos)
-        pos += rec.encoded_size
-        yield rec
+        body = pos + hsize
+        if body > end:
+            raise CorruptionError(f"truncated record header at offset {pos}")
+        _, _, klen, vlen = unpack_from(payload, pos)
+        stop = body + klen + vlen
+        if stop > end:
+            raise CorruptionError(f"truncated record body at offset {body}")
+        found = payload[body : body + klen]
+        if found >= key:
+            return pos, (decode_one(payload, pos) if found == key else None)
+        pos = stop
+    return pos, None
 
 
 def decode_prefix(data: bytes) -> tuple[list[Record], int, bool]:
     """Decode the longest clean prefix of back-to-back records.
 
-    Unlike :func:`decode_records`, a truncated or structurally implausible
+    Unlike :func:`decode_payload`, a truncated or structurally implausible
     record does not raise: decoding stops at the first bad record and the
     prefix decoded so far is returned.  This is what a torn WAL tail looks
     like after a crash — every record before the tear is intact, the tear
@@ -120,10 +136,12 @@ def verify_block(block: bytes) -> bytes:
 
 def decode_block(block: bytes) -> list[Record]:
     """Decode a checksummed data block, verifying integrity."""
-    payload = verify_block(block)
-    # Inline loop rather than list(decode_records(...)): block decodes run
-    # on every table read and the generator resumption overhead is
-    # measurable there.
+    return decode_payload(verify_block(block))
+
+
+def decode_payload(payload: bytes) -> list[Record]:
+    """Decode every record of a block payload (checksum already stripped);
+    a truncated header or body raises :class:`CorruptionError`."""
     records: list[Record] = []
     append = records.append
     unpack_from = _HEADER.unpack_from

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional
 
 from repro import obs
 from repro.lsm.iterator import merge_records
-from repro.lsm.sstable import SSTable, SSTableBuilder
+from repro.lsm.sstable import SSTable, build_tables
 from repro.lsm.version import Version
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
@@ -201,26 +201,10 @@ class LeveledCompactor:
         bottom = child_no >= self.version.first_level + self.version.num_levels - 1
         merged = merge_records(streams, drop_tombstones=bottom)
 
-        fs = self.fs_for_level(child_no)
-        outputs: list[SSTable] = []
-        builder: Optional[SSTableBuilder] = None
-        for rec in merged:
-            if builder is None:
-                builder = SSTableBuilder(
-                    fs,
-                    self.next_table_id(),
-                    self.block_size,
-                    write_kind=TrafficKind.COMPACTION,
-                )
-            builder.add(rec)
-            if builder.estimated_size >= self.table_size_bytes:
-                outputs.append(builder.finish())
-                builder = None
-        if builder is not None and builder.num_records > 0:
-            outputs.append(builder.finish())
-        elif builder is not None:
-            builder.abandon()
-
+        outputs = build_tables(
+            self.fs_for_level(child_no), merged, self.next_table_id,
+            self.block_size, self.table_size_bytes, TrafficKind.COMPACTION,
+        )
         write_bytes = sum(t.size_bytes for t in outputs)
         self.stats.note(child_no, read_bytes, write_bytes)
 

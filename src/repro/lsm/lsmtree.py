@@ -34,7 +34,7 @@ from repro.lsm.manifest import (
     bloom_from_meta,
 )
 from repro.lsm.memtable import MemTable
-from repro.lsm.sstable import BlockHandle, SSTable, SSTableBuilder
+from repro.lsm.sstable import BlockHandle, SSTable, SSTableBuilder, build_tables
 from repro.lsm.version import Version
 from repro.lsm.wal import WriteAheadLog
 from repro.simssd.fs import SimFilesystem
@@ -484,23 +484,10 @@ class LSMTree:
         overlaps = self.version.overlapping(level_no, lo, hi)
         streams = [iter(records)] + [t.iter_records(kind) for t in overlaps]
         merged = merge_records(streams)
-        fs = self.fs_for_level(level_no)
-        builder: Optional[SSTableBuilder] = None
-        outputs: list[SSTable] = []
-        for rec in merged:
-            if builder is None:
-                builder = SSTableBuilder(
-                    fs,
-                    self._next_table_id(),
-                    self.options.block_size,
-                    write_kind=kind,
-                )
-            builder.add(rec)
-            if builder.estimated_size >= self.options.table_size_bytes:
-                outputs.append(builder.finish())
-                builder = None
-        if builder is not None:
-            outputs.append(builder.finish())
+        outputs = build_tables(
+            self.fs_for_level(level_no), merged, self._next_table_id,
+            self.options.block_size, self.options.table_size_bytes, kind,
+        )
         for t in overlaps:
             self.version.remove_table(level_no, t)
         for t in outputs:

@@ -13,16 +13,22 @@ are appended to the table file so space accounting is honest.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.common.bloom import BloomFilter
 from repro.common.cache import LRUCache
 from repro.common.errors import ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
-from repro.lsm.blocks import decode_block, encode_block
+from repro.lsm.blocks import (
+    decode_one,
+    decode_payload,
+    encode_block,
+    find_record,
+    verify_block,
+)
 from repro.simssd.fs import SimFile, SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
@@ -102,34 +108,19 @@ class SSTable:
         handle: BlockHandle,
         kind: TrafficKind,
         cache: Optional[LRUCache],
-    ) -> tuple[list[Record], list[bytes], float]:
-        """Read and decode one data block plus its sorted key array.
-
-        The key array is cached alongside the records so point lookups can
-        binary-search without touching every record object per get.
-        """
+    ) -> tuple[bytes, float]:
+        """The block's payload (checksum stripped).  The CRC is verified on
+        every media read; a cached payload was verified when it was read."""
         cache_key = ("blk", self.file.name, handle.offset)
         if cache is not None:
             cached = cache.get(cache_key)
             if cached is not None:
-                records, keys = cached
-                return records, keys, 0.0
+                return cached, 0.0
         raw, service = self.file.read(handle.offset, handle.length, kind)
-        records = decode_block(raw)
-        keys = [r.key for r in records]
+        payload = verify_block(raw)
         if cache is not None:
-            cache.put(cache_key, (records, keys), charge=handle.length)
-        return records, keys, service
-
-    def read_block(
-        self,
-        handle: BlockHandle,
-        kind: TrafficKind = TrafficKind.FOREGROUND,
-        cache: Optional[LRUCache] = None,
-    ) -> tuple[list[Record], float]:
-        """Read and decode one data block, optionally through the page cache."""
-        records, _, service = self._load_block(handle, kind, cache)
-        return records, service
+            cache.put(cache_key, payload, charge=handle.length)
+        return payload, service
 
     def get(
         self,
@@ -137,27 +128,23 @@ class SSTable:
         kind: TrafficKind = TrafficKind.FOREGROUND,
         cache: Optional[LRUCache] = None,
     ) -> tuple[Optional[Record], float]:
-        """Point lookup.  Returns ``(record_or_none, service_time)``."""
+        """Point lookup: one block read, at most one record decoded.
+        Returns ``(record_or_none, service_time)``."""
         if key not in self.bloom:
             return None, 0.0
         handle = self._find_handle(key)
         if handle is None:
             return None, 0.0
-        records, keys, service = self._load_block(handle, kind, cache)
-        idx = bisect_left(keys, key)
-        if idx < len(keys) and keys[idx] == key:
-            return records[idx], service
-        return None, service
+        payload, service = self._load_block(handle, kind, cache)
+        return find_record(payload, key)[1], service
 
     def iter_records(
-        self,
-        kind: TrafficKind = TrafficKind.COMPACTION,
-        cache: Optional[LRUCache] = None,
+        self, kind: TrafficKind = TrafficKind.COMPACTION
     ) -> Iterator[Record]:
-        """Sequential scan of every record, charging one pass of read I/O."""
+        """Sequential scan of every record, charging one pass of read I/O
+        (uncached: compaction reads its inputs once)."""
         for handle in self.handles:
-            records, _ = self.read_block(handle, kind, cache)
-            yield from records
+            yield from decode_payload(self._load_block(handle, kind, None)[0])
 
     def iter_from(
         self,
@@ -165,15 +152,20 @@ class SSTable:
         kind: TrafficKind = TrafficKind.FOREGROUND,
         cache: Optional[LRUCache] = None,
     ) -> Iterator[Record]:
-        """Ordered iteration beginning at the first key >= ``start``."""
+        """Ordered iteration beginning at the first key >= ``start``: a block
+        is read when the consumer reaches it, and a record is decoded when
+        the consumer pulls it."""
         idx = max(0, bisect_right(self._firsts, start) - 1)
         for handle in self.handles[idx:]:
             if handle.last_key < start:
                 continue
-            records, _ = self.read_block(handle, kind, cache)
-            for rec in records:
-                if rec.key >= start:
-                    yield rec
+            payload, _ = self._load_block(handle, kind, cache)
+            pos, _ = find_record(payload, start)
+            end = len(payload)
+            while pos < end:
+                rec = decode_one(payload, pos)
+                pos += rec.encoded_size
+                yield rec
 
 
 class SSTableBuilder:
@@ -206,10 +198,6 @@ class SSTableBuilder:
     @property
     def estimated_size(self) -> int:
         return len(self._blocks) + self._pending_size
-
-    @property
-    def num_records(self) -> int:
-        return self._num_records
 
     def add(self, rec: Record) -> None:
         """Append a record; keys must arrive in strictly increasing order."""
@@ -279,3 +267,28 @@ def build_sstable(
     for rec in records:
         builder.add(rec)
     return builder.finish()
+
+
+def build_tables(
+    fs: SimFilesystem,
+    records: Iterable[Record],
+    next_table_id: Callable[[], int],
+    block_size: int,
+    table_size_bytes: int,
+    write_kind: TrafficKind,
+) -> list[SSTable]:
+    """Roll a sorted record stream into tables of about ``table_size_bytes``
+    (a merge's outputs).  A table id is drawn when a table's first record
+    arrives, so an empty stream draws none and builds nothing."""
+    outputs: list[SSTable] = []
+    builder: Optional[SSTableBuilder] = None
+    for rec in records:
+        if builder is None:
+            builder = SSTableBuilder(fs, next_table_id(), block_size, write_kind)
+        builder.add(rec)
+        if builder.estimated_size >= table_size_bytes:
+            outputs.append(builder.finish())
+            builder = None
+    if builder is not None:
+        outputs.append(builder.finish())
+    return outputs

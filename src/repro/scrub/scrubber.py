@@ -47,7 +47,7 @@ from repro import obs
 from repro.common.errors import CorruptionError, DeviceOfflineError
 from repro.common.records import Record
 from repro.health.state import HealthState
-from repro.lsm.blocks import decode_one, decode_records
+from repro.lsm.blocks import decode_one, decode_payload
 from repro.simssd.traffic import TrafficKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -332,8 +332,7 @@ class Scrubber:
         the medium).  Raises :class:`CorruptionError`."""
         # cache=None: scrub must read the media, not the page cache.
         payload, _ = table._read_block(block, TrafficKind.SCRUB, cache=None)
-        for _ in decode_records(payload):
-            pass
+        decode_payload(payload)
 
     def _repair_semi_block(self, table: "SemiSSTable", block: "SemiBlock") -> None:
         """Escalation ladder for one corrupt semi-SSTable block."""

@@ -12,7 +12,7 @@ from repro.cluster.router import ClusterConfig, HyperDBCluster
 from repro.common.errors import ClosedError, CorruptionError, ReproError
 from repro.common.keys import KeyRange, encode_key, encode_keys
 from repro.common.records import Record
-from repro.lsm.blocks import decode_records, encode_record
+from repro.lsm.blocks import decode_payload, encode_record
 from repro.nvme import NVMeConfig
 from repro.nvme.checkpoint import _CRC, _HEADER, _MAGIC, _ZONE_REC
 from repro.nvme.pagestore import PageStore
@@ -80,7 +80,7 @@ class TestDecodeRecordsTruncation:
     def test_truncated_header_offset_reported(self):
         data = encode_record(Record(b"key", b"value", 1)) + b"\x01\x02"
         with pytest.raises(CorruptionError) as exc:
-            list(decode_records(data))
+            list(decode_payload(data))
         assert "header" in str(exc.value)
         assert str(len(data) - 2) in str(exc.value)
 
@@ -88,17 +88,17 @@ class TestDecodeRecordsTruncation:
         full = encode_record(Record(b"key", b"value", 1))
         data = full[:-2]  # header intact, value cut short
         with pytest.raises(CorruptionError) as exc:
-            list(decode_records(data))
+            list(decode_payload(data))
         assert "body" in str(exc.value)
 
     def test_empty_input_yields_nothing(self):
-        assert list(decode_records(b"")) == []
+        assert list(decode_payload(b"")) == []
 
     def test_second_record_truncation_offset(self):
         first = encode_record(Record(b"a", b"1", 1))
         data = first + encode_record(Record(b"b", b"2", 2))[:-1]
         with pytest.raises(CorruptionError) as exc:
-            list(decode_records(data))
+            list(decode_payload(data))
         assert str(len(first) + 15) in str(exc.value)  # body starts after header
 
 

@@ -10,7 +10,7 @@ from repro.lsm import blocks
 from repro.lsm.blocks import (
     decode_block,
     decode_one,
-    decode_records,
+    decode_payload,
     encode_block,
     encode_record,
 )
@@ -27,18 +27,18 @@ records = st.builds(
 class TestRecordEncoding:
     def test_roundtrip(self):
         rec = Record(b"key", b"value", 42)
-        out = list(decode_records(encode_record(rec)))
+        out = list(decode_payload(encode_record(rec)))
         assert len(out) == 1
         assert out[0].key == b"key" and out[0].value == b"value" and out[0].seqno == 42
 
     def test_tombstone_roundtrip(self):
         rec = Record.tombstone(b"k", 7)
-        (out,) = decode_records(encode_record(rec))
+        (out,) = decode_payload(encode_record(rec))
         assert out.is_tombstone
 
     def test_empty_value(self):
         rec = Record(b"k", b"", 1)
-        (out,) = decode_records(encode_record(rec))
+        (out,) = decode_payload(encode_record(rec))
         assert out.value == b"" and not out.is_tombstone
 
     def test_encoded_size_matches(self):
@@ -47,12 +47,12 @@ class TestRecordEncoding:
 
     def test_truncated_header_rejected(self):
         with pytest.raises(CorruptionError):
-            list(decode_records(b"\x00" * 5))
+            list(decode_payload(b"\x00" * 5))
 
     def test_truncated_body_rejected(self):
         data = encode_record(Record(b"key", b"value", 1))[:-2]
         with pytest.raises(CorruptionError):
-            list(decode_records(data))
+            list(decode_payload(data))
 
 
 class TestBlockEncoding:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.common.keys import KeyRange, encode_key
 from repro.common.errors import ReproError
 from repro.common.records import Record
-from repro.lsm.blocks import decode_one, decode_records
+from repro.lsm.blocks import decode_one, decode_payload
 from repro.lsm.semi import SemiSSTable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
 
@@ -226,7 +226,7 @@ def walk_block(table, block):
     """``(payload, every record in it)`` by a whole-payload walk — how a
     block was read before index entries carried offsets."""
     payload, _ = table._read_block(block, TrafficKind.COMPACTION)
-    return payload, list(decode_records(payload))
+    return payload, list(decode_payload(payload))
 
 
 def check_index_offsets(table):
