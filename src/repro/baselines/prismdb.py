@@ -24,7 +24,7 @@ from repro.core.interface import KVStore
 from repro.health.state import HealthState
 from repro.lsm.blocks import decode_one
 from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
-from repro.nvme.config import NVMeConfig
+from repro.nvme.config import SLOT_CLASSES, NVMeConfig, slot_class_for
 from repro.nvme.pagestore import PageStore
 from repro.nvme.zone import SlotLocation, Zone
 from repro.simssd.device import SimDevice
@@ -90,7 +90,7 @@ class _SlabStore:
                 slab = self._slabs_by_zone(loc.zone_id)
                 service += slab.write_tombstone(loc, kind, self.cache)
                 slab.remove_object(rec.key, loc)
-            slot_size = self.config.slot_class_for(needed)
+            slot_size = slot_class_for(needed)
             slab = self._slab_for(slot_size)
             new_loc, s = slab.write_record(rec, slot_size, kind, self.cache)
             service += s
@@ -174,7 +174,7 @@ class PrismDBStore(KVStore):
         # are remembered in a bounded recency window instead (a key read
         # twice within the window qualifies for promotion).
         horizon = max(
-            1024, nvme_device.capacity_bytes // max(64, self.config.slot_classes[0])
+            1024, nvme_device.capacity_bytes // SLOT_CLASSES[0]
         )
         self._recent_reads = LRUCache(horizon)
         self.sata_fs = SimFilesystem(sata_device)

@@ -89,7 +89,6 @@ SUITES: dict[str, tuple[tuple, int]] = {
             TierScenario(
                 name="hyperdb-sata-outage",
                 windows=(WindowSpec("sata", OFFLINE, 0.35, 0.50),),
-                admission=True,
             ),
             TierScenario(
                 name="hyperdb-brownout",
@@ -105,7 +104,6 @@ SUITES: dict[str, tuple[tuple, int]] = {
                     WindowSpec("sata", OFFLINE, 0.40, 0.55),
                 ),
                 restart_frac=0.85,
-                admission=True,
             ),
             TierScenario(
                 # A brownout pinned to one *background* queue of a 4-queue

@@ -32,7 +32,6 @@ from repro.chaos.soak import (
 from repro.common.errors import ConfigError, CorruptionError, DeviceOfflineError
 from repro.common.keys import encode_key
 from repro.core.hyperdb import HyperDB
-from repro.health.admission import AdmissionConfig
 from repro.health.state import HealthState
 from repro.nvme.config import NVMeConfig
 from repro.scrub import ScrubConfig
@@ -55,8 +54,6 @@ class TierScenario:
     windows: tuple[WindowSpec, ...] = ()
     #: Op-stream fraction at which to checkpoint + recover.
     restart_frac: Optional[float] = None
-    #: Enable admission-control backpressure for this scenario.
-    admission: bool = False
     #: Submission queues per device (1 = classic single-timeline model).
     queue_count: int = 1
     #: Per-write probability of *latent* media corruption (flips stick on
@@ -87,7 +84,6 @@ def _build_hyperdb(nvme, sata, scenario: TierScenario) -> HyperDB:
         replace(
             base,
             nvme=replace(base.nvme, **_WATERMARKS),
-            admission=AdmissionConfig() if scenario.admission else None,
             scrub=ScrubConfig(interval_ops=interval) if interval else None,
         ),
     )
@@ -133,7 +129,7 @@ class TierTarget(Target):
     unavailable = DeviceOfflineError
     detected = (CorruptionError,)
     counters = (
-        "failover_writes", "failover_reads", "stall_seconds",
+        "failover_writes", "failover_reads",
         "paused_migrations", "requeued_objects", "catch_up_drains", "restarts",
         "scrub_passes", "scrub_paused",
     )
@@ -146,7 +142,7 @@ class TierTarget(Target):
         "stale={stale_reads} resurrected={resurrections})\n"
         "  degraded: failover_writes={failover_writes} "
         "failover_reads={failover_reads} offline_rejections[{reject}] "
-        "brownout_ios[{brown}] stall_s={stall_seconds:.6f}\n"
+        "brownout_ios[{brown}]\n"
         "  recovery: paused={paused_migrations} requeued={requeued_objects} "
         "catchup_drains={catch_up_drains} restarts={restarts} "
         "pump_ops={pump_ops}"
@@ -240,7 +236,6 @@ class TierTarget(Target):
         for name, dev in self.store.devices().items():
             result.offline_rejections[name] = dev.offline_rejections
             result.brownouts[name] = dev.brownout_ios
-            result.counters["stall_seconds"] += dev.stall_seconds
         result.counters.update(self._recovery(self.store)[1])
         result.counters["restarts"] = self.restarts
         result.latent_flips = self.injector.latent_bitflips

@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import ConfigError
 from repro.common.keys import KeyRange
-from repro.health.admission import AdmissionConfig
 from repro.nvme.config import NVMeConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,7 +31,6 @@ class HyperDBConfig:
     semi_num_levels: int = 3
     semi_size_ratio: int = 8
     semi_bottom_segments: int = 64
-    semi_block_size: int = 4 * KiB
     semi_level1_target_bytes: int = 512 * KiB
     # Preemptive block compaction.
     compaction_depth: int = 2
@@ -44,10 +42,6 @@ class HyperDBConfig:
     # Ablation switches (used by the ablation benches).
     enable_hot_zone: bool = True
     enable_preemptive_compaction: bool = True
-    #: Admission control (RocksDB-style write stalls keyed on partition
-    #: fill).  ``None`` — the default — disables backpressure entirely, so
-    #: existing benchmarks and digests are unchanged.
-    admission: Optional[AdmissionConfig] = None
     #: Background integrity scrubbing (:mod:`repro.scrub`).  ``None`` — the
     #: default — builds no scrubber at all, so scrub-disabled digests stay
     #: byte-identical.  Pass a :class:`repro.scrub.ScrubConfig` to enable.

@@ -25,14 +25,13 @@ from repro.common.records import Record, paired_columns
 from repro.common.stats import StatsRegistry
 from repro.core.config import HyperDBConfig
 from repro.core.interface import KVStore
-from repro.health import admission as admission_mod
-from repro.health.admission import AdmissionController
 from repro.health.state import HealthState
 from repro.lsm.iterator import merge_records
 from repro.lsm.semi.engine import CapacityTier
 from repro.lsm.semi.levels import SemiLevelConfig
 from repro.migration.promotion import PromotionManager
 from repro.migration.scheduler import MigrationScheduler
+from repro.nvme.config import OBJECT_CACHE_ENTRIES
 from repro.nvme.tier import PerformanceTier
 from repro.simssd.device import SimDevice
 from repro.simssd.fs import SimFilesystem
@@ -81,7 +80,6 @@ class HyperDB(KVStore):
             num_levels=config.semi_num_levels,
             size_ratio=config.semi_size_ratio,
             bottom_segments=config.semi_bottom_segments,
-            block_size=config.semi_block_size,
             level1_target_bytes=config.semi_level1_target_bytes,
         )
         depth = config.compaction_depth if config.enable_preemptive_compaction else 1
@@ -97,14 +95,9 @@ class HyperDB(KVStore):
         )
         self.capacity_tier.levels.on_corrupt_block = self._on_corrupt_semi_block
         self.migration = MigrationScheduler(self.performance_tier, self.capacity_tier)
-        self.admission = (
-            AdmissionController(config.admission)
-            if config.admission is not None
-            else None
-        )
         self.promotion = PromotionManager(
             self.performance_tier,
-            cache_entries=config.nvme.object_cache_entries,
+            cache_entries=OBJECT_CACHE_ENTRIES,
             on_pressure=self.migration.run_if_needed,
             stats=self.migration.stats,
         )
@@ -150,7 +143,7 @@ class HyperDB(KVStore):
         self, counter_name, keys, values, deleted, busy_out, capture_errors
     ) -> list:
         """Per op: fail over while the NVMe device is OFFLINE, else the
-        admission gate, the slot write, and migration / scrub catch-up."""
+        slot write and migration / scrub catch-up."""
         if not keys:
             return []
         nvme = self.nvme_device
@@ -162,7 +155,6 @@ class HyperDB(KVStore):
         partition_for_key = self.performance_tier.partition_for_key
         invalidate = self.promotion.invalidate
         migration = self.migration
-        admission = self.admission
         scrubber = self.scrubber
         busy_append = busy_out.append if busy_out is not None else None
         fg = TrafficKind.FOREGROUND
@@ -177,8 +169,7 @@ class HyperDB(KVStore):
                 if guarded and nvme.health() is HealthState.OFFLINE:
                     service = self._failover_write(partition, rec)
                 else:
-                    service = 0.0 if admission is None else self._admission_gate(partition)
-                    service += partition.put(rec, fg)
+                    service = partition.put(rec, fg)
                     invalidate(key)
                     if partition.over_high_watermark():
                         migration.run_if_needed()
@@ -214,31 +205,6 @@ class HyperDB(KVStore):
             r.emit(
                 "failover", t=self.sata_device.busy_seconds(),
                 op="write", tier="sata",
-            )
-        return service
-
-    def _admission_gate(self, partition) -> float:
-        """RocksDB-style write backpressure keyed on partition fill.
-
-        SLOWDOWN charges a small deterministic stall; STOP first runs
-        migration inline (the simulated analogue of waiting for background
-        work) and charges the long stall.  Stall time lands on the NVMe
-        ledger via :meth:`SimDevice.charge_stall`, so throughput figures
-        reflect the backpressure.
-        """
-        verdict, trigger = self.admission.assess(fill=partition.fill_fraction)
-        if verdict == admission_mod.OK:
-            return 0.0
-        if verdict == admission_mod.STOP and self.migration.capacity_online():
-            self.migration.run_if_needed()
-        delay = self.admission.stall_s(verdict)
-        service = self.nvme_device.charge_stall(delay)
-        r = obs.RECORDER
-        if r is not None:
-            r.emit(
-                "write_stall", t=self.nvme_device.busy_seconds(),
-                engine=self.name, verdict=verdict, trigger=trigger,
-                delay_s=delay, fill=round(partition.fill_fraction, 6),
             )
         return service
 

@@ -1,27 +1,18 @@
-"""Device health states and admission-control backpressure.
+"""Device health states.
 
-Two small, dependency-free vocabularies shared by the rest of the stack:
-
-* :mod:`repro.health.state` — the :class:`HealthState` machine
-  (``HEALTHY`` / ``BROWNOUT`` / ``OFFLINE``) and :class:`HealthWindow`,
-  the seeded schedule entry that :class:`repro.simssd.faults.FaultPlan`
-  carries and :class:`repro.simssd.device.SimDevice` enforces;
-* :mod:`repro.health.admission` — RocksDB-style write admission control
-  (:class:`AdmissionConfig` / :class:`AdmissionController`): slowdown and
-  stop triggers keyed on memtable count, L0 file count, and partition
-  fill, so foreground writes stall deterministically instead of
-  overrunning :class:`repro.common.errors.OutOfSpaceError`.
+A small, dependency-free vocabulary shared by the rest of the stack:
+:mod:`repro.health.state` holds the :class:`HealthState` machine
+(``HEALTHY`` / ``BROWNOUT`` / ``OFFLINE``) and :class:`HealthWindow`, the
+seeded schedule entry that :class:`repro.simssd.faults.FaultPlan` carries
+and :class:`repro.simssd.device.SimDevice` enforces.
 
 This package deliberately imports nothing from ``repro.simssd`` or the
 engines, so the fault layer can depend on it without cycles.
 """
 
-from repro.health.admission import AdmissionConfig, AdmissionController
 from repro.health.state import HealthState, HealthWindow, resolve_health
 
 __all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
     "HealthState",
     "HealthWindow",
     "resolve_health",

@@ -22,8 +22,6 @@ from repro.common.cache import LRUCache
 from repro.common.errors import ConfigError, CorruptionError
 from repro.common.records import Record
 from repro.common.stats import StatsRegistry
-from repro.health import admission as admission_mod
-from repro.health.admission import AdmissionConfig, AdmissionController
 from repro.lsm.compaction import LeveledCompactor
 from repro.lsm.iterator import merge_records
 from repro.lsm.manifest import (
@@ -59,16 +57,11 @@ class LSMOptions:
     level_multiplier: int = 10
     wal_group_size: int = 32
     wal_enabled: bool = True
-    block_cache_bytes: int = 0  # 0 = no cache; baselines pass the shared LRU
     #: Persist version metadata (a RocksDB-style MANIFEST) after every
     #: flush/compaction so the tree can be reopened from a post-crash image.
     #: Off by default: the paper's benchmark configuration does not model
     #: metadata journaling, and manifest writes are real charged I/O.
     manifest_enabled: bool = False
-    #: RocksDB-style write stalls (slowdown/stop triggers on memtable count
-    #: and L0 file count).  ``None`` — the default — disables backpressure,
-    #: so existing benchmarks and digests are unchanged.
-    admission: Optional[AdmissionConfig] = None
 
     def __post_init__(self) -> None:
         if self.memtable_bytes <= 0 or self.table_size_bytes <= 0:
@@ -152,11 +145,6 @@ class LSMTree:
             on_install=self._write_manifest if opts.manifest_enabled else None,
         )
 
-        self.admission = (
-            AdmissionController(opts.admission)
-            if opts.admission is not None
-            else None
-        )
         self._seqno = 0
         self._memtable = MemTable(opts.memtable_bytes)
         self._immutables: list[MemTable] = []
@@ -369,47 +357,12 @@ class LSMTree:
 
     def _write(self, rec: Record) -> float:
         service = 0.0
-        if self.admission is not None:
-            service += self._admission_gate()
         if self.wal is not None:
             service += self.wal.append(rec)
         self._memtable.put(rec)
         self.stats.counter("puts").add()
         if self._memtable.is_full:
             service += self.flush()
-        return service
-
-    def _admission_gate(self) -> float:
-        """RocksDB-style write backpressure on memtable and L0 pressure.
-
-        SLOWDOWN charges a short deterministic stall; STOP first runs
-        compaction (the simulated analogue of waiting for background work
-        to drain) and charges the long stall.  Stall time lands on the
-        first level's device ledger via :meth:`SimDevice.charge_stall`.
-        """
-        memtables = 1 + len(self._immutables)
-        l0_files = (
-            len(self.version.level(0).tables)
-            if self.options.first_level == 0
-            else 0
-        )
-        verdict, trigger = self.admission.assess(
-            memtables=memtables, l0_files=l0_files
-        )
-        if verdict == admission_mod.OK:
-            return 0.0
-        if verdict == admission_mod.STOP:
-            self.maybe_compact()
-        delay = self.admission.stall_s(verdict)
-        dev = self.fs_for_level(self.options.first_level).device
-        service = dev.charge_stall(delay)
-        rec = obs.RECORDER
-        if rec is not None:
-            rec.emit(
-                "write_stall", t=dev.busy_seconds(),
-                engine="lsm", verdict=verdict, trigger=trigger,
-                delay_s=delay, memtables=memtables, l0_files=l0_files,
-            )
         return service
 
     def flush(self) -> float:

@@ -19,7 +19,14 @@ from repro.common.keys import KeyRange
 from repro.common.records import Record
 from repro.hotness.tracker import HotnessTracker
 from repro.lsm.blocks import decode_one
-from repro.nvme.config import NVMeConfig
+from repro.nvme.config import (
+    SLOT_CLASSES,
+    TRACKER_HOT_THRESHOLD,
+    TRACKER_MAX_FILTERS,
+    ZONE_SPLIT_FACTOR,
+    NVMeConfig,
+    slot_class_for,
+)
 from repro.nvme.pagestore import PageStore
 from repro.nvme.zone import SlotLocation, Zone
 from repro.simssd.traffic import TrafficKind
@@ -52,7 +59,7 @@ class Partition:
         # partition can hold.  Starts from the smallest slot class and is
         # re-derived from the measured average object size (Eq. 1) once
         # enough writes have been observed.
-        self.tracker = self._make_tracker(max(64, config.slot_classes[0]))
+        self.tracker = self._make_tracker(SLOT_CLASSES[0])
         self._tracker_calibrated = False
         #: Bound fast path to the discriminator's access recorder — touched
         #: once per client op, where the two delegation frames
@@ -100,12 +107,11 @@ class Partition:
         # The chain of filters jointly spans the interval threshold (§3.3:
         # "the number of objects that NVMe storage can store"), so each
         # window covers 1/max_filters of it.
-        window = max(1, capacity_objects // self.config.tracker_max_filters)
+        window = max(1, capacity_objects // TRACKER_MAX_FILTERS)
         return HotnessTracker(
             window,
-            max_filters=self.config.tracker_max_filters,
-            hot_threshold=self.config.tracker_hot_threshold,
-            bits_per_key=self.config.tracker_bits_per_key,
+            max_filters=TRACKER_MAX_FILTERS,
+            hot_threshold=TRACKER_HOT_THRESHOLD,
         )
 
     def _maybe_calibrate_tracker(self) -> None:
@@ -166,7 +172,7 @@ class Partition:
     def average_object_size(self) -> float:
         """Eq. 1: mean on-media object size over all slot files."""
         if self._written_objects == 0:
-            return float(self.config.slot_classes[0])
+            return float(SLOT_CLASSES[0])
         return self._written_bytes / self._written_objects
 
     def zone_target_objects(self) -> int:
@@ -247,7 +253,7 @@ class Partition:
             service += old_zone.write_tombstone(loc, kind, self.cache)
             old_zone.remove_object(rec.key, loc)
         zone = self.zone_for_key(rec.key)
-        slot_size = self.config.slot_class_for(needed)
+        slot_size = slot_class_for(needed)
         new_loc, s = zone.write_record(rec, slot_size, kind, self.cache)
         self.index.insert(rec.key, new_loc)
         self._written_bytes += needed
@@ -316,7 +322,7 @@ class Partition:
         if existing is not None:
             return 0.0  # already resident
         with self.page_store.device.health_epoch:
-            slot_size = self.config.slot_class_for(rec.encoded_size)
+            slot_size = slot_class_for(rec.encoded_size)
             loc, service = self.hot_zone.write_record(
                 rec, slot_size, kind, self.cache, promoted=True
             )
@@ -385,7 +391,7 @@ class Partition:
                 service += s_read
                 del keys[key]  # staged: out of the scan order
                 staged[loc.page_id] = staged.get(loc.page_id, 0) + 1
-                slot_size = self.config.slot_class_for(loc.record_size)
+                slot_size = slot_class_for(loc.record_size)
                 moves[key] = self.zone_for_key(key).stage(
                     key, loc, payload, slot_size, False, batch
                 )
@@ -522,7 +528,7 @@ class Partition:
                         tracker.hot_hits += 1
                         budget = self._hot_zone_page_budget(zone.pages_vacated(staged))
                         if self.hot_zone.total_pages() < budget:
-                            slot_size = self.config.slot_class_for(loc.record_size)
+                            slot_size = slot_class_for(loc.record_size)
                             new_loc = self.hot_zone.stage(
                                 key, loc, payload, slot_size, loc.promoted, batch
                             )
@@ -589,7 +595,7 @@ class Partition:
         self.hot_zone = self._new_zone(None)
         self._written_bytes = 0
         self._written_objects = 0
-        self.tracker = self._make_tracker(max(64, self.config.slot_classes[0]))
+        self.tracker = self._make_tracker(SLOT_CLASSES[0])
         self._record_access = self.tracker.discriminator.access
         self._tracker_calibrated = False
 
@@ -604,7 +610,7 @@ class Partition:
         old zone is then freed in one pass.  A failed write, or no room for
         both halves, frees the halves: the old zone and its slots stay.
         """
-        # Inlined ``zone_target_objects() * zone_split_factor`` (identical
+        # Inlined ``zone_target_objects() * ZONE_SPLIT_FACTOR`` (identical
         # math): this check runs on every new-slot put, and the limit is
         # never needed for zones at or below the unconditional floor of 8.
         # ``is_hot_zone`` / ``object_count`` are inlined too (attribute
@@ -614,8 +620,8 @@ class Partition:
             return
         wo = self._written_objects
         cfg = self.config
-        avg = self._written_bytes / wo if wo else float(cfg.slot_classes[0])
-        limit = int(max(1, int(cfg.migration_batch_bytes / avg)) * cfg.zone_split_factor)
+        avg = self._written_bytes / wo if wo else float(SLOT_CLASSES[0])
+        limit = int(max(1, int(cfg.migration_batch_bytes / avg)) * ZONE_SPLIT_FACTOR)
         if count <= max(limit, 8):
             return
         # Resettling transiently needs fresh pages while the old zone still

@@ -64,21 +64,11 @@ class ScrubConfig:
     #: Cadence hint for drivers: trigger a pass every this many client ops
     #: (:meth:`Scrubber.maybe_run`).  The scrubber itself never self-fires.
     interval_ops: int = 500
-    #: Ladder step 1: charged re-reads before escalating a corrupt
-    #: block/slot to rebuild-from-redundancy.
-    reread_attempts: int = 1
-    #: Verify partition index checkpoints (and heal them from the live
-    #: in-memory index).
-    verify_checkpoints: bool = True
 
     def __post_init__(self) -> None:
         if self.interval_ops <= 0:
             raise ValueError(
                 f"interval_ops must be positive, got {self.interval_ops}"
-            )
-        if self.reread_attempts < 0:
-            raise ValueError(
-                f"reread_attempts must be >= 0, got {self.reread_attempts}"
             )
 
 
@@ -195,9 +185,8 @@ class Scrubber:
             for partition in db.performance_tier.partitions:
                 self._scrub_partition(partition)
             self._scrub_capacity()
-            if self.config.verify_checkpoints:
-                for partition in db.performance_tier.partitions:
-                    self._scrub_checkpoint(partition)
+            for partition in db.performance_tier.partitions:
+                self._scrub_checkpoint(partition)
         except DeviceOfflineError:
             # A health window opened mid-pass: abort and queue a catch-up,
             # exactly like a migration job interrupted by an outage.
@@ -270,13 +259,13 @@ class Scrubber:
     ) -> None:
         """Escalation ladder for one corrupt zone slot."""
         self._detect("zone_slot", key=key)
-        store = partition.page_store
-        for _ in range(self.config.reread_attempts):
-            data, _ = store.read(loc.page_id, TrafficKind.SCRUB)
-            raw = data[loc.offset : loc.offset + loc.record_size]
-            if loc.crc is not None and zlib.crc32(raw) == loc.crc:
-                self._repair("zone_slot_reread", key=key)
-                return
+        # Ladder step 1: one charged re-read before rebuilding from
+        # redundancy.
+        data, _ = partition.page_store.read(loc.page_id, TrafficKind.SCRUB)
+        raw = data[loc.offset : loc.offset + loc.record_size]
+        if loc.crc is not None and zlib.crc32(raw) == loc.crc:
+            self._repair("zone_slot_reread", key=key)
+            return
         if loc.promoted:
             # The authoritative copy lives in the capacity tier: drop the
             # corrupt resident and re-promote the intact twin.
@@ -337,13 +326,12 @@ class Scrubber:
     def _repair_semi_block(self, table: "SemiSSTable", block: "SemiBlock") -> None:
         """Escalation ladder for one corrupt semi-SSTable block."""
         self._detect("semi_block", table=table.table_id, block=block.block_id)
-        for _ in range(self.config.reread_attempts):
-            try:
-                self._check_semi_block(table, block)
-                self._repair("semi_block_reread", table=table.table_id)
-                return
-            except CorruptionError:
-                pass
+        try:
+            self._check_semi_block(table, block)
+            self._repair("semi_block_reread", table=table.table_id)
+            return
+        except CorruptionError:
+            pass
         # Per-key triage of the block's valid records against the NVMe tier.
         lost = table.keys_of_block(block)
         tier = self.db.performance_tier

@@ -119,9 +119,6 @@ class SimDevice:
         #: queue (mutated by :meth:`begin_background_job`).
         self._lane_routes = default_routing(self.queue_count)
         self._lane_queue = {k: routes[0] for k, routes in self._lane_routes.items()}
-        self._queue_mults = tuple(
-            self.queues.multiplier(q) for q in range(self.queue_count)
-        )
         self.injector = injector
         #: True when the plan schedules *queue-targeted* health windows —
         #: those are resolved per-I/O on top of device-wide health.
@@ -135,9 +132,6 @@ class SimDevice:
         self.offline_rejections = 0
         #: I/Os served (and surcharged) inside BROWNOUT windows.
         self.brownout_ios = 0
-        #: Simulated seconds of admission-control stall charged to this
-        #: device's ledger via :meth:`charge_stall`.
-        self.stall_seconds = 0.0
         self._last_health = HealthState.HEALTHY
         #: True when health windows can apply to this device at all —
         #: precomputed so the hot I/O paths pay one attribute test when the
@@ -260,23 +254,6 @@ class SimDevice:
             )
         return state, mult
 
-    def charge_stall(
-        self, seconds: float, kind: TrafficKind = TrafficKind.FOREGROUND
-    ) -> float:
-        """Charge admission-control stall time to the ledger (no bytes move).
-
-        The delay lands in the lane's write-latency bucket so
-        ``busy_seconds`` — and therefore throughput figures — reflect the
-        backpressure, exactly like retry backoff reflects transient faults.
-        Returns ``seconds`` for convenient service-time accumulation.
-        """
-        if seconds <= 0:
-            return 0.0
-        queue = self._lane_queue[kind] if self._multi_queue else 0
-        self.traffic.note_write(kind, 0, 0, seconds, 0.0, queue=queue)
-        self.stall_seconds += seconds
-        return seconds
-
     # -------------------------------------------------------------- space
 
     @property
@@ -341,10 +318,6 @@ class SimDevice:
         if self._fastpath and obs.RECORDER is None:
             if self._multi_queue:
                 queue = self._lane_queue[kind]
-                qmult = self._queue_mults[queue]
-                if qmult != 1.0:
-                    latency *= qmult
-                    transfer *= qmult
                 self.traffic.note_read(
                     kind, num_pages * self.page_size, ios, latency, transfer,
                     queue=queue,
@@ -381,10 +354,6 @@ class SimDevice:
         if self._fastpath and obs.RECORDER is None:
             if self._multi_queue:
                 queue = self._lane_queue[kind]
-                qmult = self._queue_mults[queue]
-                if qmult != 1.0:
-                    latency *= qmult
-                    transfer *= qmult
                 self.traffic.note_write(
                     kind, num_pages * self.page_size, ios, latency, transfer,
                     queue=queue,
@@ -410,16 +379,10 @@ class SimDevice:
         latency: float,
         transfer: float,
     ) -> float:
-        """One read or write charge off the fast path: queue and health
-        multipliers, then the retry loop of :meth:`read_pages`."""
+        """One read or write charge off the fast path: the health
+        multiplier, then the retry loop of :meth:`read_pages`."""
         rw = "write" if write else "read"
-        queue = 0
-        if self._multi_queue:
-            queue = self._lane_queue[kind]
-            qmult = self._queue_mults[queue]
-            if qmult != 1.0:
-                latency *= qmult
-                transfer *= qmult
+        queue = self._lane_queue[kind] if self._multi_queue else 0
         if self._health_guarded:
             mult = self._consult_health(rw, kind.value, queue)
             if mult != 1.0:

@@ -44,7 +44,7 @@ FOREGROUND_QUEUE_KINDS = (TrafficKind.FOREGROUND, TrafficKind.WAL)
 
 @dataclass(frozen=True)
 class QueueConfig:
-    """Queue geometry and per-queue latency curves for one device.
+    """Queue geometry for one device.
 
     Parameters
     ----------
@@ -56,42 +56,20 @@ class QueueConfig:
         concurrency a queue contributes to the run-time model: a queue
         never hides more latency than ``min(threads, queue_depth)``
         overlapping commands can.
-    latency_multipliers:
-        Optional per-queue service-time scale factors (one per queue,
-        each > 0) modelling asymmetric queue latency curves — e.g. a
-        device whose high-index queues are served by slower firmware
-        arbitration slots.  Empty (default) means every queue runs the
-        profile's base curve (multiplier exactly 1.0, charges
-        bit-identical to the unscaled model).
+
+    Every queue runs the profile's latency curve; a queue-targeted health
+    window (:class:`repro.health.HealthWindow` with ``queue`` set) is the
+    one way to slow a single queue.
     """
 
     queue_count: int = 1
     queue_depth: int = 32
-    latency_multipliers: Tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.queue_count < 1:
             raise ValueError(f"queue_count must be >= 1, got {self.queue_count}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if not isinstance(self.latency_multipliers, tuple):
-            object.__setattr__(
-                self, "latency_multipliers", tuple(self.latency_multipliers)
-            )
-        if self.latency_multipliers and len(self.latency_multipliers) != self.queue_count:
-            raise ValueError(
-                f"need one latency multiplier per queue ({self.queue_count}), "
-                f"got {len(self.latency_multipliers)}"
-            )
-        for m in self.latency_multipliers:
-            if m <= 0.0:
-                raise ValueError(f"latency multipliers must be > 0, got {m}")
-
-    def multiplier(self, queue: int) -> float:
-        """Service-time scale factor for ``queue`` (1.0 when unset)."""
-        if not self.latency_multipliers:
-            return 1.0
-        return self.latency_multipliers[queue]
 
 
 def default_routing(queue_count: int) -> Dict[TrafficKind, Tuple[int, ...]]:

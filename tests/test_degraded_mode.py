@@ -1,8 +1,7 @@
-"""Degraded-mode operation: health windows, admission control, failover.
+"""Degraded-mode operation: health windows and failover.
 
 Covers the device health-state machine (outage rejection, brownout
-surcharges, epoch pinning), RocksDB-style write backpressure, engine
-failover across tier outages, and the migration pause/catch-up edges —
+surcharges, epoch pinning), engine failover across tier outages, and the migration pause/catch-up edges —
 including the satellite guarantees: a demotion interrupted mid-zone leaves
 the zone fully migrated or fully resident, and the catch-up queue drains
 exactly once on recovery.
@@ -16,10 +15,7 @@ from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
 from repro.core import HyperDB, HyperDBConfig
 from repro.baselines.prismdb import PrismDBStore
-from repro.health import admission as admission_mod
-from repro.health.admission import AdmissionConfig, AdmissionController
 from repro.health.state import HealthState, HealthWindow, resolve_health
-from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
 from repro.lsm.semi import CapacityTier, SemiLevelConfig
 from repro.migration import MigrationScheduler
 from repro.nvme import NVMeConfig, PerformanceTier
@@ -151,15 +147,6 @@ class TestHealthWindows:
         assert health[0].data["device"] == "nvme"
         assert health[0].data["prev"] == "healthy"
 
-    def test_charge_stall_adds_time_without_ios(self):
-        dev, _, _ = paired_devices()
-        charged = dev.charge_stall(0.25)
-        assert charged == 0.25
-        assert dev.stall_seconds == 0.25
-        assert dev.traffic.busy_seconds() == pytest.approx(0.25)
-        assert dev.traffic.write_ios() == 0
-        assert dev.traffic.write_bytes() == 0
-
     def test_unguarded_device_pays_nothing(self):
         dev = SimDevice(nvme_profile())
         assert dev.health() is HealthState.HEALTHY
@@ -206,73 +193,7 @@ class TestHealthEpoch:
         assert s1 == pytest.approx(5.0 * f)
 
 
-class TestAdmissionControl:
-    def test_assess_verdicts_and_triggers(self):
-        ctl = AdmissionController(AdmissionConfig())
-        assert ctl.assess() == (admission_mod.OK, None)
-        assert ctl.assess(memtables=3) == (admission_mod.SLOWDOWN, "memtables")
-        assert ctl.assess(memtables=5) == (admission_mod.STOP, "memtables")
-        assert ctl.assess(l0_files=8) == (admission_mod.SLOWDOWN, "l0_files")
-        assert ctl.assess(fill=0.98) == (admission_mod.STOP, "fill")
-        # The most severe trigger wins.
-        assert ctl.assess(memtables=3, l0_files=12) == (
-            admission_mod.STOP,
-            "l0_files",
-        )
-
-    def test_stall_accounting(self):
-        ctl = AdmissionController(AdmissionConfig())
-        assert ctl.stall_s(admission_mod.OK) == 0.0
-        d1 = ctl.stall_s(admission_mod.SLOWDOWN)
-        d2 = ctl.stall_s(admission_mod.STOP)
-        assert 0 < d1 < d2
-        assert ctl.stats.slowdowns == 1
-        assert ctl.stats.stops == 1
-        assert ctl.stats.stall_seconds == pytest.approx(d1 + d2)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdmissionConfig(slowdown_memtables=5, stop_memtables=3)
-        with pytest.raises(ValueError):
-            AdmissionConfig(slowdown_delay_s=-1.0)
-
-    def test_lsm_write_stall_charged_deterministically(self):
-        opts = LSMOptions(
-            admission=AdmissionConfig(
-                slowdown_memtables=1,
-                stop_memtables=None,
-                slowdown_l0_files=None,
-                stop_l0_files=None,
-                slowdown_fill=None,
-                stop_fill=None,
-            )
-        )
-        dev = SimDevice(nvme_profile(8))
-        tree = LSMTree([DbPath(SimFilesystem(dev), target_bytes=1 << 62)], opts)
-        recdr = obs.install()
-        try:
-            tree.put(b"k", b"v")
-        finally:
-            obs.uninstall()
-        stalls = [e for e in recdr.events() if e.type == "write_stall"]
-        assert len(stalls) == 1
-        assert stalls[0].data["verdict"] == "slowdown"
-        assert stalls[0].data["trigger"] == "memtables"
-        assert dev.stall_seconds > 0
-        assert tree.admission.stats.slowdowns == 1
-
-    def test_lsm_without_admission_never_stalls(self):
-        dev = SimDevice(nvme_profile(8))
-        tree = LSMTree(
-            [DbPath(SimFilesystem(dev), target_bytes=1 << 62)], LSMOptions()
-        )
-        for i in range(50):
-            tree.put(b"k%03d" % i, b"v")
-        assert tree.admission is None
-        assert dev.stall_seconds == 0.0
-
-
-def make_hyperdb(windows=(), admission=None, seed=0):
+def make_hyperdb(windows=(), seed=0):
     inj = FaultInjector(FaultPlan(seed=seed, health_windows=tuple(windows)))
     nvme = SimDevice(nvme_profile(), injector=inj)
     sata = SimDevice(sata_profile(), injector=inj)
@@ -290,7 +211,6 @@ def make_hyperdb(windows=(), admission=None, seed=0):
             semi_size_ratio=4,
             semi_bottom_segments=16,
             semi_level1_target_bytes=128 * KiB,
-            admission=admission,
         ),
     )
     return db, inj
@@ -344,37 +264,6 @@ class TestHyperDBFailover:
             db.put(encode_key(600), b"pump")
         got, _ = db.get(encode_key(3))
         assert got == b"new-version"
-
-    def test_admission_slowdown_fires_on_fill(self):
-        db, _ = make_hyperdb(
-            admission=AdmissionConfig(
-                slowdown_memtables=None,
-                stop_memtables=None,
-                slowdown_l0_files=None,
-                stop_l0_files=None,
-                slowdown_fill=0.0,
-                stop_fill=None,
-            )
-        )
-        db.put(encode_key(1), b"v")
-        assert db.admission.stats.slowdowns == 1
-        assert db.nvme_device.stall_seconds > 0
-
-    def test_admission_stop_runs_migration_inline(self):
-        db, _ = make_hyperdb(
-            admission=AdmissionConfig(
-                slowdown_memtables=None,
-                stop_memtables=None,
-                slowdown_l0_files=None,
-                stop_l0_files=None,
-                slowdown_fill=0.0,
-                stop_fill=0.0,
-            )
-        )
-        db.put(encode_key(1), b"v")
-        assert db.admission.stats.stops == 1
-        assert db.nvme_device.stall_seconds >= db.config.admission.stop_delay_s
-
 
 class TestPrismDBFailover:
     def _loaded_outage_store(self, n_load=40):

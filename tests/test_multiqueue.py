@@ -47,13 +47,9 @@ BACKGROUND_KINDS = tuple(
 )
 
 
-def _device(queue_count=4, injector=None, mults=()):
+def _device(queue_count=4, injector=None):
     return SimDevice(
-        _PROFILE,
-        injector=injector,
-        queues=QueueConfig(
-            queue_count=queue_count, latency_multipliers=mults
-        ),
+        _PROFILE, injector=injector, queues=QueueConfig(queue_count=queue_count)
     )
 
 
@@ -63,16 +59,6 @@ class TestQueueConfig:
             QueueConfig(queue_count=0)
         with pytest.raises(ValueError):
             QueueConfig(queue_depth=0)
-        with pytest.raises(ValueError):
-            QueueConfig(queue_count=2, latency_multipliers=(1.0,))
-        with pytest.raises(ValueError):
-            QueueConfig(queue_count=2, latency_multipliers=(1.0, 0.0))
-
-    def test_multiplier_defaults_to_one(self):
-        cfg = QueueConfig(queue_count=3)
-        assert [cfg.multiplier(q) for q in range(3)] == [1.0, 1.0, 1.0]
-        cfg = QueueConfig(queue_count=2, latency_multipliers=(1.0, 2.5))
-        assert cfg.multiplier(1) == 2.5
 
     def test_default_routing_partitions_lanes(self):
         single = default_routing(1)
@@ -185,7 +171,7 @@ class TestSingleQueueIdentity:
 
     def test_multi_queue_conserves_totals(self):
         # Routing splits charges across queues but never changes the
-        # device-level ledger (all queue multipliers are 1.0 by default).
+        # device-level ledger.
         classic = self._drive(SimDevice(_PROFILE))
         multi = self._drive(_device(4))
         assert multi.snapshot() == classic.snapshot()
@@ -289,23 +275,6 @@ class TestQueueHealth:
             dev.write_pages(8, TrafficKind.GC)
         assert both.traffic.busy_seconds() == pytest.approx(
             plain.traffic.busy_seconds() * 6.0
-        )
-
-
-class TestQueueUtilization:
-    def test_latency_multiplier_scales_charges(self):
-        slow = _device(2, mults=(1.0, 4.0))
-        base = _device(2)
-        for dev in (slow, base):
-            dev.begin_background_job(TrafficKind.FLUSH)
-            dev.write_pages(16, TrafficKind.FLUSH)
-        assert slow.busy_seconds() == pytest.approx(base.busy_seconds() * 4.0)
-        # Queue 0 (multiplier 1.0) is bit-identical to the base curve.
-        slow.write_pages(16, TrafficKind.FOREGROUND)
-        base.write_pages(16, TrafficKind.FOREGROUND)
-        assert (
-            slow.traffic.queue_busy_seconds()[0]
-            == base.traffic.queue_busy_seconds()[0]
         )
 
 

@@ -7,6 +7,7 @@ from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
 from repro.common.cache import LRUCache
 from repro.nvme import NVMeConfig, PageStore, PerformanceTier, Zone
+from repro.nvme.config import slot_class_for
 from repro.simssd import DeviceProfile, SimDevice, TrafficKind
 
 KEYSPACE = 100_000
@@ -35,22 +36,17 @@ def rec(i, value=b"v" * 100, seqno=None):
 
 class TestNVMeConfig:
     def test_slot_class_for(self):
-        c = NVMeConfig()
-        assert c.slot_class_for(60) == 64
-        assert c.slot_class_for(64) == 64
-        assert c.slot_class_for(65) == 96
-        assert c.slot_class_for(1046) == 1536
-        assert c.slot_class_for(5000) == 5000  # oversized: dedicated slot
+        assert slot_class_for(60) == 64
+        assert slot_class_for(64) == 64
+        assert slot_class_for(65) == 96
+        assert slot_class_for(1046) == 1536
+        assert slot_class_for(5000) == 5000  # oversized: dedicated slot
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             NVMeConfig(num_partitions=0)
         with pytest.raises(ConfigError):
             NVMeConfig(high_watermark=0.5, low_watermark=0.6)
-        with pytest.raises(ConfigError):
-            NVMeConfig(slot_classes=(128, 64))
-        with pytest.raises(ConfigError):
-            NVMeConfig(zone_split_factor=1.0)
 
 
 class TestPageStore:

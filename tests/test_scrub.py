@@ -144,10 +144,6 @@ class TestScrubConfig:
         with pytest.raises(ValueError):
             ScrubConfig(interval_ops=0)
 
-    def test_reread_attempts_nonnegative(self):
-        with pytest.raises(ValueError):
-            ScrubConfig(reread_attempts=-1)
-
     def test_db_without_scrubber(self):
         db = make_db()
         assert db.scrubber is None
