@@ -63,11 +63,11 @@ class BenchScale:
     clients: int = 8
     background_threads: int = 8
     seed: int = 7
-    #: Submission queues per device (1 = the classic single-timeline
-    #: model, byte-identical digests; >1 isolates foreground from
+    #: Submission queues per device (>1 isolates foreground from
     #: background traffic on dedicated queues).
     queue_count: int = 1
-    #: Per-queue depth; only meaningful with ``queue_count > 1``.
+    #: Commands one queue keeps in flight: caps how much latency the
+    #: clients (or background threads) hide on that queue.
     queue_depth: int = 32
 
     @classmethod
@@ -108,11 +108,7 @@ class BenchScale:
     def devices(
         self, injector: "FaultInjector | None" = None
     ) -> tuple[SimDevice, SimDevice]:
-        queues = (
-            QueueConfig(queue_count=self.queue_count, queue_depth=self.queue_depth)
-            if self.queue_count > 1
-            else None
-        )
+        queues = QueueConfig(self.queue_count, self.queue_depth)
         nvme = SimDevice(
             NVME_PROFILE.with_capacity(self.nvme_bytes),
             injector=injector, queues=queues,

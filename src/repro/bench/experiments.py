@@ -706,10 +706,14 @@ def ablations(scale: Optional[BenchScale] = None, workers: int = 1):
     a constrained NVMe tier (the knobs only engage under migration and
     compaction pressure)."""
     scale = scale or BenchScale.default(nvme_ratio=0.4)
+    # ``no-hot-zone`` shrinks the hot zone's reserve to (effectively)
+    # nothing; ``no-preemptive`` compacts one level deep.
     variants = {
         "hyperdb": {},
-        "no-hot-zone": {"enable_hot_zone": False},
-        "no-preemptive": {"enable_preemptive_compaction": False},
+        "no-hot-zone": {
+            "nvme": replace(hyperdb_config(scale).nvme, hot_zone_fraction=1e-9)
+        },
+        "no-preemptive": {"compaction_depth": 1},
         "t_clean=0.2": {"t_clean": 0.2},
         "t_clean=0.9": {"t_clean": 0.9},
         "candidate_k=1": {"candidate_k": 1},

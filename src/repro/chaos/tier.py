@@ -54,7 +54,7 @@ class TierScenario:
     windows: tuple[WindowSpec, ...] = ()
     #: Op-stream fraction at which to checkpoint + recover.
     restart_frac: Optional[float] = None
-    #: Submission queues per device (1 = classic single-timeline model).
+    #: Submission queues per device.
     queue_count: int = 1
     #: Per-write probability of *latent* media corruption (flips stick on
     #: the medium and surface at read time as checksum failures).
@@ -158,11 +158,7 @@ class TierTarget(Target):
         build, self._recovery = _ENGINES[scenario.engine]
 
         def store(injector: FaultInjector):
-            queues = (
-                QueueConfig(queue_count=scenario.queue_count)
-                if scenario.queue_count > 1
-                else None
-            )
+            queues = QueueConfig(queue_count=scenario.queue_count)
             nvme = SimDevice(NVME_PROFILE, injector=injector, queues=queues)
             sata = SimDevice(SATA_PROFILE, injector=injector, queues=queues)
             return build(nvme, sata, scenario)

@@ -39,9 +39,6 @@ class HyperDBConfig:
     candidate_k: int = 8
     # Shared DRAM page cache.
     dram_cache_bytes: int = 64 * KiB
-    # Ablation switches (used by the ablation benches).
-    enable_hot_zone: bool = True
-    enable_preemptive_compaction: bool = True
     #: Background integrity scrubbing (:mod:`repro.scrub`).  ``None`` — the
     #: default — builds no scrubber at all, so scrub-disabled digests stay
     #: byte-identical.  Pass a :class:`repro.scrub.ScrubConfig` to enable.

@@ -56,14 +56,8 @@ class HyperDB(KVStore):
         self.stats = StatsRegistry()
         self._seqno = 0
 
-        nvme_cfg = config.nvme
-        if not config.enable_hot_zone:
-            # Ablation: shrink the hot zone to (effectively) nothing.
-            from dataclasses import replace
-
-            nvme_cfg = replace(nvme_cfg, hot_zone_fraction=1e-9)
         self.performance_tier = PerformanceTier(
-            nvme_device, config.key_space, nvme_cfg, cache=self.cache
+            nvme_device, config.key_space, config.nvme, cache=self.cache
         )
         #: Keys whose *newest* copy may have been lost to media corruption
         #: (a non-promoted resident dropped with no authoritative
@@ -82,11 +76,10 @@ class HyperDB(KVStore):
             bottom_segments=config.semi_bottom_segments,
             level1_target_bytes=config.semi_level1_target_bytes,
         )
-        depth = config.compaction_depth if config.enable_preemptive_compaction else 1
         self.capacity_tier = CapacityTier(
             sata_fs,
             semi_cfg,
-            depth=depth,
+            depth=config.compaction_depth,
             t_clean=config.t_clean,
             space_amp_limit=config.space_amp_limit,
             candidate_k=config.candidate_k,

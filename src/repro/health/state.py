@@ -90,38 +90,20 @@ class HealthWindow:
 
 
 def resolve_health(
-    windows: Iterable[HealthWindow], device: str, io_ordinal: int
+    windows: Iterable[HealthWindow],
+    device: str,
+    io_ordinal: int,
+    queue: Optional[int] = None,
 ) -> Tuple[HealthState, float]:
     """Effective ``(state, latency_multiplier)`` for one device at one ordinal.
 
     ``OFFLINE`` dominates overlapping ``BROWNOUT`` windows; overlapping
     brownouts compound (their multipliers multiply), matching how stacked
-    service degradations behave on real hardware.  Only *device-wide*
-    windows (``queue is None``) participate: queue-targeted windows apply
-    to individual submission queues and are resolved separately by
-    :func:`resolve_queue_health`.
-    """
-    state = HealthState.HEALTHY
-    multiplier = 1.0
-    for w in windows:
-        if w.device != device or w.queue is not None or not w.covers(io_ordinal):
-            continue
-        if w.state is HealthState.OFFLINE:
-            return HealthState.OFFLINE, 1.0
-        state = HealthState.BROWNOUT
-        multiplier *= w.latency_multiplier
-    return state, multiplier
-
-
-def resolve_queue_health(
-    windows: Iterable[HealthWindow], device: str, queue: int, io_ordinal: int
-) -> Tuple[HealthState, float]:
-    """Effective ``(state, latency_multiplier)`` for one submission queue.
-
-    Considers only windows targeted at ``queue`` of ``device``; device-wide
-    degradation composes on top of this at the charge site (a device
-    brownout multiplies into every queue's charges).  Same combination
-    rules as :func:`resolve_health`: OFFLINE dominates, brownouts compound.
+    service degradations behave on real hardware.  Only windows whose
+    ``queue`` equals ``queue`` participate: the default ``None`` resolves
+    the *device-wide* windows, a queue index the windows targeted at that
+    submission queue.  The charge site composes the two (a device
+    brownout multiplies into every queue's charges).
     """
     state = HealthState.HEALTHY
     multiplier = 1.0

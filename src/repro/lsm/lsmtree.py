@@ -2,8 +2,8 @@
 
 This is a complete single-node LSM key-value store over simulated devices:
 WAL → memtable → L0 flush → leveled compaction.  It powers the RocksDB-like
-baselines directly and (with ``first_level=1`` and semi-SSTables) underlies
-HyperDB's capacity tier.
+baselines directly and (with ``first_level=1``) PrismDB's SATA tree.
+HyperDB's capacity tier is :class:`repro.lsm.semi.SemiLevels`, not this.
 
 Tier placement follows RocksDB's ``db_paths``: each path is a filesystem plus
 a byte budget, and levels are assigned greedily to the first path whose

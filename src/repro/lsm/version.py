@@ -105,7 +105,7 @@ class Version:
     def __init__(self, num_levels: int = 7, first_level: int = 0) -> None:
         """Create levels ``first_level .. first_level + num_levels - 1``.
 
-        HyperDB's capacity tier uses ``first_level=1`` (the NVMe tier is
+        PrismDB's SATA tree uses ``first_level=1`` (its NVMe tier is
         conceptually L0), so every on-tree level is non-overlapping; only a
         literal level 0 allows overlapping tables.
         """

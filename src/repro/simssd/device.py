@@ -89,9 +89,9 @@ class SimDevice:
         Backoff policy for injected transient errors (defaults to a small
         exponential policy; irrelevant when no injector is attached).
     queues:
-        Optional :class:`repro.simssd.queues.QueueConfig`.  The default
-        single-queue config reproduces the historical one-timeline model
-        bit for bit; ``queue_count > 1`` tracks per-queue ledgers, routes
+        Optional :class:`repro.simssd.queues.QueueConfig` (default: one
+        queue of depth 32).  Every lane of a one-queue device charges
+        queue 0; ``queue_count > 1`` tracks per-queue ledgers, routes
         foreground and background lanes onto disjoint queues, and lets
         :meth:`begin_background_job` spread background jobs across the
         least-busy eligible queues.
@@ -112,9 +112,6 @@ class SimDevice:
         self.queue_count = self.queues.queue_count
         self.queue_depth = self.queues.queue_depth
         self.traffic = TrafficStats(queue_count=self.queue_count)
-        #: True when this device tracks more than one submission queue —
-        #: the hot charge paths pay one attribute test for the feature.
-        self._multi_queue = self.queue_count > 1
         #: Static eligible-queue sets per lane and the per-lane *current*
         #: queue (mutated by :meth:`begin_background_job`).
         self._lane_routes = default_routing(self.queue_count)
@@ -139,11 +136,11 @@ class SimDevice:
         self._health_guarded = (
             injector is not None and bool(injector.plan.health_windows)
         )
-        #: With no injector there are no faults, retries, crashes, or health
-        #: windows: a charge is exactly one ledger note plus one addition.
-        #: The I/O paths collapse to that (identical float math) when this
-        #: is set and no obs recorder wants per-I/O events.
-        self._fastpath = injector is None
+        #: With no injector (no faults, retries, crashes or health windows)
+        #: and one queue (one ledger), a charge is exactly one lane update
+        #: plus one addition.  The I/O paths collapse to that (identical
+        #: float math) when this is set and no obs recorder wants events.
+        self._fastpath = injector is None and self.queue_count == 1
         #: ``(state, multiplier)`` pinned by an open health epoch, else None.
         self._pinned_health: Optional[tuple[HealthState, float]] = None
         self._epoch_depth = 0
@@ -186,7 +183,7 @@ class SimDevice:
         else:
             mult = self._observe_health(rw, lane)[1]
         if self._queue_guarded:
-            qstate, qmult = self.injector.queue_health_of(self.profile.name, queue)
+            qstate, qmult = self.injector.health_of(self.profile.name, queue)
             if qstate is HealthState.OFFLINE:
                 self.offline_rejections += 1
                 raise DeviceOfflineError(
@@ -316,13 +313,6 @@ class SimDevice:
         latency = ios * self.profile.read_latency_s
         transfer = num_pages * self.page_size / self.profile.read_bandwidth
         if self._fastpath and obs.RECORDER is None:
-            if self._multi_queue:
-                queue = self._lane_queue[kind]
-                self.traffic.note_read(
-                    kind, num_pages * self.page_size, ios, latency, transfer,
-                    queue=queue,
-                )
-                return latency + transfer
             # Inlined ``traffic.note_read`` (identical field updates in the
             # same order): this is the single hottest call site in the
             # simulator, and the method dispatch is measurable.
@@ -352,13 +342,6 @@ class SimDevice:
         latency = ios * self.profile.write_latency_s
         transfer = num_pages * self.page_size / self.profile.write_bandwidth
         if self._fastpath and obs.RECORDER is None:
-            if self._multi_queue:
-                queue = self._lane_queue[kind]
-                self.traffic.note_write(
-                    kind, num_pages * self.page_size, ios, latency, transfer,
-                    queue=queue,
-                )
-                return latency + transfer
             # Inlined ``traffic.note_write``; see read_pages.
             traffic = self.traffic
             lane = traffic.lanes[kind]
@@ -379,10 +362,12 @@ class SimDevice:
         latency: float,
         transfer: float,
     ) -> float:
-        """One read or write charge off the fast path: the health
-        multiplier, then the retry loop of :meth:`read_pages`."""
+        """One read or write charge off the fast path (an injector, a
+        recorder or more than one queue): the health multiplier, then the
+        retry loop of :meth:`read_pages`, noting every attempt on the
+        lane's current queue."""
         rw = "write" if write else "read"
-        queue = self._lane_queue[kind] if self._multi_queue else 0
+        queue = self._lane_queue[kind]
         if self._health_guarded:
             mult = self._consult_health(rw, kind.value, queue)
             if mult != 1.0:

@@ -15,9 +15,10 @@ Fault classes
   a :class:`RetryPolicy`, charging every failed attempt (plus backoff time)
   to the traffic ledger; only when retries are exhausted does
   :class:`repro.common.errors.TransientIOError` reach the engine.
-* **Bit-flip corruption** — a write persists with one flipped bit.  The
-  corruption is *on media*: reads return the corrupt bytes and the engines'
-  checksums are what must catch it.
+* **Latent bit-flip corruption** — a page lands on media with flipped
+  bit(s) while the write reports success, and no reader is warned: reads
+  return the corrupt bytes and the engines' checksums (a tripping reader or
+  a scrub pass) are what must catch it.
 * **Crash points / torn writes** — power is lost after the Nth write I/O.
   The in-flight write persists only a seeded prefix of its bytes (a torn
   page write); all subsequent I/O raises
@@ -39,12 +40,7 @@ from typing import Optional
 
 from repro import obs
 from repro.common.errors import PowerLossError
-from repro.health.state import (
-    HealthState,
-    HealthWindow,
-    resolve_health,
-    resolve_queue_health,
-)
+from repro.health.state import HealthState, HealthWindow, resolve_health
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ class FaultPlan:
     ----------
     seed:
         Seed for every probabilistic decision (error draws, torn fraction,
-        bit positions).
+        latent flips and their bit positions).
     read_error_rate / write_error_rate:
         Per-I/O probability of a transient failure.
     fail_read_ios / fail_write_ios:
@@ -63,14 +59,12 @@ class FaultPlan:
         the rates) — handy for targeting one exact I/O in a test.
     max_transient_faults:
         Optional cap on the total number of injected transient failures.
-    bitflip_rate:
-        Per-write probability that one bit of the persisted payload flips.
     latent_bitflip_rate:
         Probability of *latent* corruption per page a file append covers
         (per zone-slot write): it lands with flipped bit(s), the write
         reports success, no reader is warned — only checksums (a tripping
         reader or a scrub pass) can find it.  Drawn from an RNG stream
-        independent of the write-time ``bitflip_rate`` stream, so enabling
+        independent of the transient-error / torn-write stream, so enabling
         latent faults never perturbs existing fault schedules.
     latent_burst_bits:
         Number of distinct bits flipped per latent corruption event
@@ -96,7 +90,6 @@ class FaultPlan:
     fail_read_ios: frozenset[int] = field(default_factory=frozenset)
     fail_write_ios: frozenset[int] = field(default_factory=frozenset)
     max_transient_faults: Optional[int] = None
-    bitflip_rate: float = 0.0
     latent_bitflip_rate: float = 0.0
     latent_burst_bits: int = 1
     crash_after_write_io: Optional[int] = None
@@ -104,12 +97,7 @@ class FaultPlan:
     health_windows: tuple[HealthWindow, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in (
-            "read_error_rate",
-            "write_error_rate",
-            "bitflip_rate",
-            "latent_bitflip_rate",
-        ):
+        for name in ("read_error_rate", "write_error_rate", "latent_bitflip_rate"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {v}")
@@ -142,8 +130,8 @@ class FaultInjector:
         self._rng = random.Random(self.plan.seed)
         # Latent corruption draws from its own stream so existing plans'
         # fault sequences (and therefore every digest) are unchanged when
-        # latent faults are off — and write-time flips are unchanged when
-        # latent faults are *on*.
+        # latent faults are off — and transient faults and torn writes are
+        # unchanged when latent faults are *on*.
         self._latent_rng = (
             random.Random(self.plan.seed ^ self._LATENT_SEED_SALT)
             if self.plan.latent_bitflip_rate > 0.0
@@ -155,7 +143,6 @@ class FaultInjector:
         #: Faults actually injected.
         self.transient_read_faults = 0
         self.transient_write_faults = 0
-        self.bitflips = 0
         self.latent_bitflips = 0
         #: True once the crash point fired; cleared only by :meth:`reboot`.
         self.crashed = False
@@ -178,33 +165,22 @@ class FaultInjector:
         """
         return self.read_ios + self.write_ios
 
-    def health_of(self, device_name: str) -> tuple[HealthState, float]:
+    def health_of(
+        self, device_name: str, queue: Optional[int] = None
+    ) -> tuple[HealthState, float]:
         """Peek the health the *next* I/O on ``device_name`` would see.
 
         Pure read: consumes no RNG, advances no counter, so engines can
         consult it to decide failover before attempting an I/O.  Returns
-        ``(state, latency_multiplier)``.
+        ``(state, latency_multiplier)``.  ``queue=None`` resolves the
+        device-wide windows; a queue index only the windows targeted at
+        that submission queue, which the charge site composes
+        multiplicatively with the device-wide value.
         """
         if not self.plan.health_windows:
             return HealthState.HEALTHY, 1.0
         return resolve_health(
-            self.plan.health_windows, device_name, self.total_ios + 1
-        )
-
-    def queue_health_of(
-        self, device_name: str, queue: int
-    ) -> tuple[HealthState, float]:
-        """Peek the health of one submission queue of ``device_name``.
-
-        Pure read, like :meth:`health_of`.  Only queue-targeted windows
-        (``HealthWindow.queue == queue``) contribute; device-wide windows
-        are the charge site's responsibility and compose multiplicatively
-        with the value returned here.
-        """
-        if not self.plan.health_windows:
-            return HealthState.HEALTHY, 1.0
-        return resolve_queue_health(
-            self.plan.health_windows, device_name, queue, self.total_ios + 1
+            self.plan.health_windows, device_name, self.total_ios + 1, queue
         )
 
     def _budget_left(self) -> bool:
@@ -284,24 +260,11 @@ class FaultInjector:
     ) -> bytes:
         """Return ``data``, possibly with seeded bit(s) flipped (on media).
 
-        Write-time flips (``bitflip_rate``) draw once per call from the
-        main RNG stream; latent flips (``latent_bitflip_rate``) draw from
-        the independent latent stream afterwards, once per ``(start, end)``
-        byte span in ``pages`` (default: the whole payload), flipping bits
-        inside that span — so the two fault classes compose without
-        perturbing each other's schedules.
+        Latent flips (``latent_bitflip_rate``) draw from the latent stream
+        once per ``(start, end)`` byte span in ``pages`` (default: the
+        whole payload), flipping ``latent_burst_bits`` bits inside that
+        span.
         """
-        if data and self.plan.bitflip_rate > 0.0:
-            if self._rng.random() < self.plan.bitflip_rate:
-                self.bitflips += 1
-                pos = self._rng.randrange(len(data))
-                bit = 1 << self._rng.randrange(8)
-                rec = obs.RECORDER
-                if rec is not None:
-                    rec.emit("bitflip", pos=pos, nbytes=len(data))
-                out = bytearray(data)
-                out[pos] ^= bit
-                data = bytes(out)
         if data and self._latent_rng is not None:
             lrng = self._latent_rng
             out = bytearray(data)
@@ -335,7 +298,8 @@ class FaultInjector:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"FaultInjector(reads={self.read_ios}, writes={self.write_ios}, "
-            f"transient={self.transient_faults}, bitflips={self.bitflips}, "
+            f"transient={self.transient_faults}, "
+            f"latent_bitflips={self.latent_bitflips}, "
             f"crashed={self.crashed})"
         )
 

@@ -5,10 +5,10 @@ different queues proceed concurrently (sharing the media's bandwidth),
 which is why placement papers (Multi-Queue SSD I/O Modeling, Keigo — see
 PAPERS.md) argue that *queue concurrency*, not just bandwidth, should
 drive background-job placement.  :class:`QueueConfig` is the knob object:
-it turns a :class:`repro.simssd.device.SimDevice` from the classic single
-service timeline (``queue_count=1``, the default, byte-identical to the
-historical model) into a device with ``queue_count`` independently
-tracked queues of depth ``queue_depth``.
+it gives a :class:`repro.simssd.device.SimDevice` ``queue_count``
+independently tracked queues of depth ``queue_depth``.  The default is one
+queue of depth 32: the classic single service timeline, with the device
+ledger as its one queue.
 
 Lane routing
 ------------
@@ -49,13 +49,12 @@ class QueueConfig:
     Parameters
     ----------
     queue_count:
-        Number of submission queues.  ``1`` (default) reproduces the
-        historical single-timeline model bit for bit.
+        Number of submission queues (default 1).
     queue_depth:
         Commands a single queue can keep in flight.  Caps the effective
-        concurrency a queue contributes to the run-time model: a queue
-        never hides more latency than ``min(threads, queue_depth)``
-        overlapping commands can.
+        concurrency a queue contributes to the run-time model, one queue
+        or many: a queue never hides more latency than
+        ``min(threads, queue_depth)`` overlapping commands can.
 
     Every queue runs the profile's latency curve; a queue-targeted health
     window (:class:`repro.health.HealthWindow` with ``queue`` set) is the

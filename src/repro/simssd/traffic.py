@@ -80,11 +80,11 @@ class TrafficStats:
     With ``queue_count > 1`` the ledger additionally keeps one full lane
     set *per submission queue* plus a per-queue busy total.  The
     device-wide lanes stay authoritative (every aggregate, snapshot, and
-    digest reads them exactly as before); the queue ledgers are a pure
-    refinement — summing a field across queues reproduces the device-wide
-    field.  At the default ``queue_count=1`` no queue structures are
-    allocated and every code path is byte-identical to the historical
-    single-timeline ledger.
+    digest reads them); the queue ledgers are a pure refinement — summing
+    a field across queues reproduces the device-wide field.  At the
+    default ``queue_count=1`` no queue structures are allocated: the
+    device-wide lanes are queue 0, so :meth:`queue_snapshot` and
+    :meth:`queue_busy_seconds` report them as a one-element list.
     """
 
     lanes: Dict[TrafficKind, _Lane] = field(

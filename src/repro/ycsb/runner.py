@@ -8,12 +8,14 @@ latency are then derived:
   data channel does not::
 
       elapsed = max( (cpu + fg_service) / clients,
-                     max over devices of
-                        transfer + fg_latency/clients + bg_latency/bg_threads )
+                     max over devices d, queues q of d of
+                        transfer(d) + fg_latency(q) / min(clients, depth)
+                                    + bg_latency(q) / min(bg_threads, depth) )
 
   Transfer time (bytes/bandwidth) serializes on the device; per-command
-  latency overlaps across concurrent requesters.  More background threads
-  therefore let compaction consume more real bandwidth (paper Fig. 3a).
+  latency overlaps across concurrent requesters, up to the queue's depth.
+  More background threads therefore let compaction consume more real
+  bandwidth (paper Fig. 3a).  A single-queue device is the one-queue case.
 
 * **per-op latency** — the op's service time plus an M/M/1-style queueing
   penalty ``share(d) × ρ(d)/(1−ρ(d)) × Exp(1)`` summed over the devices the
@@ -28,7 +30,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -207,16 +209,8 @@ class WorkloadRunner:
         """Execute ``operations`` requests of the given workload."""
         devices = self.store.devices()
         snap_before = {name: d.traffic.snapshot() for name, d in devices.items()}
-        #: Multi-queue devices get per-queue traffic deltas so the service
-        #: model can overlap queues.  Empty for the classic single-queue
-        #: fleet, in which case every model below follows the exact
-        #: historical code path (digest byte-identity at queue_count=1).
-        mq_devices = {
-            name: d for name, d in devices.items()
-            if getattr(d, "queue_count", 1) > 1
-        }
         qsnap_before = {
-            name: devices[name].traffic.queue_snapshot() for name in mq_devices
+            name: d.traffic.queue_snapshot() for name, d in devices.items()
         }
 
         generator = self._make_generator(spec)
@@ -259,32 +253,23 @@ class WorkloadRunner:
                 {"phase": "run", "workload": spec.name, "traffic": traffic}
             )
 
-        queue_traffic = None
-        if mq_devices:
-            queue_traffic = {}
-            for name in mq_devices:
-                after = devices[name].traffic.queue_snapshot()
-                queue_traffic[name] = [
-                    _diff_snapshots({name: b}, {name: a})[name]
-                    for b, a in zip(qsnap_before[name], after)
-                ]
+        queue_traffic = {
+            name: [
+                _diff_snapshots({name: b}, {name: a})[name]
+                for b, a in zip(qsnap_before[name], d.traffic.queue_snapshot())
+            ]
+            for name, d in devices.items()
+        }
 
+        depths = {name: d.queue_depth for name, d in devices.items()}
         elapsed = self._elapsed(
-            traffic, cpu_total, fg_service_total, queue_traffic, mq_devices
+            traffic, queue_traffic, depths, cpu_total, fg_service_total
         )
-        # Foreground ops on a multi-queue device only contend with their
-        # own queue's traffic — background queues don't inflate the
-        # queueing penalty (that is the isolation the queues buy).
+        # Foreground ops contend only with queue 0's traffic: background
+        # queues don't inflate the queueing penalty (that is the isolation
+        # the queues buy); on a one-queue device queue 0 is the device.
         rho_by_device = {
-            name: min(
-                0.95,
-                _busy_seconds(
-                    queue_traffic[name][0]
-                    if queue_traffic is not None and name in queue_traffic
-                    else traffic[name]
-                )
-                / elapsed,
-            )
+            name: min(0.95, _busy_seconds(queue_traffic[name][0]) / elapsed)
             for name in traffic
         }
         latency_by_op = self._latencies(ops, columns, device_names, rho_by_device)
@@ -474,61 +459,39 @@ class WorkloadRunner:
     def _elapsed(
         self,
         traffic: Dict[str, Dict[str, Dict[str, float]]],
+        queue_traffic: Dict[str, List[Dict[str, Dict[str, float]]]],
+        depths: Dict[str, int],
         cpu_total: float,
         fg_service_total: float,
-        queue_traffic=None,
-        mq_devices=None,
     ) -> float:
         client_bound = (cpu_total + fg_service_total) / self.clients
         device_bound = 0.0
         bg_threads = max(1, self.background_threads)
         for name, lanes in traffic.items():
+            # Queues share the media channel, so transfer serializes
+            # device-wide, but per-command latency only serializes within
+            # a queue: the device bound is its slowest queue, and a queue
+            # hides at most ``queue_depth`` commands' latency.  Each
+            # background lane has its own thread pool (the paper runs one
+            # migration and one compaction thread per partition), so one
+            # lane cannot borrow the other lanes' threads.
             transfer = sum(
                 l["read_transfer_s"] + l["write_transfer_s"] for l in lanes.values()
             )
-            if queue_traffic is not None and name in queue_traffic:
-                # Multi-queue device: queues serve commands concurrently
-                # while sharing the media channel, so transfer time still
-                # serializes but per-command latency only serializes
-                # *within* a queue — the device bound is the slowest
-                # queue, not the sum of all lanes.  A queue hides at most
-                # ``queue_depth`` commands' worth of latency no matter
-                # how many threads submit to it.
-                dev = mq_devices[name]
-                fg_conc = max(1, min(self.clients, dev.queue_depth))
-                bg_conc = max(1, min(bg_threads, dev.queue_depth))
-                slowest_queue = 0.0
-                for qlanes in queue_traffic[name]:
-                    fg_lat = sum(
-                        qlanes[k]["read_latency_s"] + qlanes[k]["write_latency_s"]
-                        for k in ("foreground", "wal")
-                    )
-                    bg_lat = max(
-                        qlanes[k]["read_latency_s"] + qlanes[k]["write_latency_s"]
-                        for k in ("flush", "compaction", "migration", "gc", "scrub")
-                        if k in qlanes
-                    )
-                    slowest_queue = max(
-                        slowest_queue, fg_lat / fg_conc + bg_lat / bg_conc
-                    )
-                bound = transfer + slowest_queue
+            fg_conc = max(1, min(self.clients, depths[name]))
+            bg_conc = max(1, min(bg_threads, depths[name]))
+            for qlanes in queue_traffic[name]:
+                fg_lat = sum(
+                    qlanes[k]["read_latency_s"] + qlanes[k]["write_latency_s"]
+                    for k in ("foreground", "wal")
+                )
+                bg_lat = max(
+                    qlanes[k]["read_latency_s"] + qlanes[k]["write_latency_s"]
+                    for k in ("flush", "compaction", "migration", "gc", "scrub")
+                    if k in qlanes
+                )
+                bound = transfer + fg_lat / fg_conc + bg_lat / bg_conc
                 device_bound = max(device_bound, bound)
-                continue
-            fg_lat = sum(
-                lanes[k]["read_latency_s"] + lanes[k]["write_latency_s"]
-                for k in ("foreground", "wal")
-            )
-            # Each background lane has its own thread pool (the paper runs
-            # one migration thread and one compaction thread per partition),
-            # so per-command latencies overlap within a lane but a single
-            # lane cannot borrow the other lanes' threads.
-            bg_lat = max(
-                lanes[k]["read_latency_s"] + lanes[k]["write_latency_s"]
-                for k in ("flush", "compaction", "migration", "gc", "scrub")
-                if k in lanes
-            )
-            bound = transfer + fg_lat / self.clients + bg_lat / bg_threads
-            device_bound = max(device_bound, bound)
         return max(client_bound, device_bound, 1e-9)
 
 

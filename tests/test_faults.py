@@ -54,7 +54,7 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(read_error_rate=1.0)
         with pytest.raises(ValueError):
-            FaultPlan(bitflip_rate=-0.1)
+            FaultPlan(latent_bitflip_rate=-0.1)
         with pytest.raises(ValueError):
             FaultPlan(crash_after_write_io=0)
 
@@ -185,15 +185,16 @@ class TestCrashAndTornWrites:
 
 class TestBitflips:
     def test_bitflip_lands_on_media(self):
-        plan = FaultPlan(seed=5, bitflip_rate=0.999)
+        plan = FaultPlan(seed=5, latent_bitflip_rate=0.999)
         dev = device(plan)
         fs = SimFilesystem(dev)
         f = fs.create("f")
         f.append(b"\x00" * 64, TrafficKind.FOREGROUND)
-        assert dev.injector.bitflips >= 1
+        assert dev.injector.latent_bitflips >= 1
         data, _ = f.read(0, 64, TrafficKind.FOREGROUND)
         assert data != b"\x00" * 64
-        assert sum(bin(byte).count("1") for byte in data) == dev.injector.bitflips
+        flipped = sum(bin(byte).count("1") for byte in data)
+        assert flipped == dev.injector.latent_bitflips
 
     def test_latent_flips_are_drawn_per_page_written(self):
         # Exposure follows the pages written, not how appends are batched:
@@ -210,9 +211,10 @@ class TestBitflips:
         assert ones[0] == 2 and ones[1:] == [1, 1]
 
     def test_engine_checksums_catch_bitflips(self):
-        # Write under heavy bitflip: reads either succeed with the correct
-        # value or the table is quarantined — corrupt bytes never surface.
-        plan = FaultPlan(seed=11, bitflip_rate=0.4)
+        # Write under near-certain latent flips: reads either succeed with
+        # the correct value or the table is quarantined — corrupt bytes
+        # never surface.
+        plan = FaultPlan(seed=11, latent_bitflip_rate=0.999)
         dev = device(plan)
         tree = LSMTree(
             [DbPath(SimFilesystem(dev), target_bytes=1 << 62)],

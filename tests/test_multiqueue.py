@@ -3,10 +3,11 @@
 Covers the queue-granular half of the simulated-SSD contract:
 
 * :class:`QueueConfig` validation and the static lane routing;
-* per-queue busy ledgers that always decompose the device totals and
-  merge exactly across shards;
+* per-queue busy ledgers that always decompose the device totals;
 * single-queue devices (explicit ``QueueConfig(1)`` or no config at all)
   produce bit-identical ledgers — the digest-compatibility invariant;
+* the run-time model caps a queue's overlap at its depth, one queue or
+  many;
 * queue-targeted health windows surcharge / reject only I/O routed to
   that queue, and never skip a charge;
 * end-to-end queue isolation on both engines: foreground lanes never
@@ -18,7 +19,7 @@ import pytest
 from repro.bench.context import BenchScale, build_store
 from repro.common.errors import DeviceOfflineError
 from repro.common.keys import encode_key
-from repro.health.state import HealthState, HealthWindow, resolve_queue_health
+from repro.health.state import HealthState, HealthWindow, resolve_health
 from repro.simssd.device import SimDevice
 from repro.simssd.faults import FaultInjector, FaultPlan
 from repro.simssd.profiles import DeviceProfile
@@ -28,6 +29,7 @@ from repro.simssd.queues import (
     default_routing,
 )
 from repro.simssd.traffic import TrafficKind, TrafficStats
+from repro.ycsb import YCSB_WORKLOADS, WorkloadRunner
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -180,6 +182,26 @@ class TestSingleQueueIdentity:
         )
 
 
+class TestRunTimeModel:
+    def test_single_queue_depth_caps_overlap(self):
+        # A queue hides at most ``queue_depth`` commands' latency, so eight
+        # clients on one queue of depth 1 run strictly slower than on depth
+        # 32 — the same op stream, the same ledgers, a larger elapsed time.
+        def elapsed(depth):
+            scale = BenchScale(
+                record_count=3_000, operations=3_000, nvme_ratio=0.35,
+                queue_count=1, queue_depth=depth,
+            )
+            runner = WorkloadRunner(
+                build_store("hyperdb", scale), scale.record_count,
+                value_size=scale.value_size, clients=8, seed=scale.seed,
+            )
+            runner.load()
+            return runner.run(YCSB_WORKLOADS["A"], scale.operations).elapsed_s
+
+        assert elapsed(1) > elapsed(32)
+
+
 class TestQueueHealth:
     def _injector(self, *windows):
         return FaultInjector(FaultPlan(health_windows=tuple(windows)))
@@ -189,18 +211,20 @@ class TestQueueHealth:
             device="nvme", state=HealthState.BROWNOUT, start_io=1,
             end_io=100, latency_multiplier=4.0, queue=1,
         )
-        assert resolve_queue_health((w,), "nvme", 1, 10) == (
+        assert resolve_health((w,), "nvme", 10, queue=1) == (
             HealthState.BROWNOUT, 4.0,
         )
-        assert resolve_queue_health((w,), "nvme", 0, 10) == (
+        assert resolve_health((w,), "nvme", 10, queue=0) == (
             HealthState.HEALTHY, 1.0,
         )
-        assert resolve_queue_health((w,), "nvme", 1, 500) == (
+        assert resolve_health((w,), "nvme", 500, queue=1) == (
             HealthState.HEALTHY, 1.0,
         )
-        assert resolve_queue_health((w,), "sata", 1, 10) == (
+        assert resolve_health((w,), "sata", 10, queue=1) == (
             HealthState.HEALTHY, 1.0,
         )
+        # Device-wide resolution ignores queue-targeted windows.
+        assert resolve_health((w,), "nvme", 10) == (HealthState.HEALTHY, 1.0)
 
     def test_queue_brownout_surcharges_only_that_queue(self):
         window = HealthWindow(

@@ -300,7 +300,7 @@ def _store(plan):
 def test_write_spans_draws_flips_once_per_page():
     # Each page's spans see the flips one write of their concatenation
     # would: same draws, same positions, same counts.
-    plan = FaultPlan(seed=5, bitflip_rate=0.5, latent_bitflip_rate=0.5)
+    plan = FaultPlan(seed=5, latent_bitflip_rate=0.5)
     payloads = [bytes([65 + i]) * 100 for i in range(3)]
     spans = [(0, payloads[0]), (200, payloads[1]), (1000, payloads[2])]
     split_dev, split = _store(plan)
@@ -314,7 +314,7 @@ def test_write_spans_draws_flips_once_per_page():
         assert split.peek(a, 0, 100) == landed[:100]
         assert split.peek(a, 200, 100) == landed[100:200]
         assert split.peek(a, 1000, 100) == landed[200:]
-    for attr in ("bitflips", "latent_bitflips", "write_ios"):
+    for attr in ("latent_bitflips", "write_ios"):
         assert getattr(split_dev.injector, attr) == getattr(whole_dev.injector, attr)
     assert split_dev.injector.latent_bitflips > 0
     assert split_dev.injector.write_ios == 8  # one command per page
