@@ -85,7 +85,7 @@ class ClusterTarget(Target):
         *_ROUTER_COUNTERS,
         "rebalance_jobs",
         *_HEAL_COUNTERS,
-        # Rollup: replica heals from every mechanism (local scrub ladder,
+        # Rollup: heals from every mechanism (local checkpoint rewrites,
         # corrupt-replica read repair, anti-entropy), and suspect keys
         # still awaiting a quorum at the end of the run.
         "scrub_healed", "scrub_unhealed",

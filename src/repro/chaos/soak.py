@@ -241,14 +241,12 @@ class Target:
 
 
 def corruption_counters(db) -> int:
-    """A HyperDB's detections by foreground fall-through and by the
-    tolerant maintenance paths — any of these means a flip surfaced as
+    """A HyperDB's corrupt copies dropped by its one triage per tier,
+    whoever found them — any of these means a flip surfaced as
     *detected*, never silent."""
     return sum(
         db.stats.counter(name).value
-        for name in (
-            "nvme_corrupt_reads", "nvme_corrupt_maintenance", "semi_corrupt_blocks"
-        )
+        for name in ("nvme_corrupt_slots", "semi_corrupt_blocks")
     )
 
 

@@ -23,10 +23,11 @@ _NVME_OUTAGE = TierScenario(
     windows=(WindowSpec("nvme", OFFLINE, 0.30, 0.45),),
 )
 
-#: Latent-corruption soaks: bitflips stick on the media and the scrubber +
-#: repair ladder must turn every one into *detected* (and where a
-#: redundant copy exists, *healed*) corruption — the oracle rejects any
-#: silent loss not explained by a flagged suspect key.
+#: Latent-corruption soaks: bitflips stick on the media and the scrubber,
+#: like every reader, must turn each one into *detected* corruption — the
+#: corrupt copy dropped, and its key flagged suspect unless the other tier
+#: holds an intact copy.  The oracle rejects any silent loss not explained
+#: by a flagged suspect key.
 _TIER_SCRUB = (
     TierScenario(
         name="hyperdb-latent-scrub",

@@ -448,11 +448,12 @@ class HyperDBCluster:
     def anti_entropy(self) -> dict[str, int]:
         """One cluster-wide integrity pass: scrub nodes, heal suspect keys.
 
-        Every healthy node with an armed scrubber runs one full scrub pass
-        (its local repair ladder heals what it can from the node's own
-        redundant tier).  Keys a node could *not* heal — scrub
-        unrecoverables plus copies dropped by read paths and maintenance —
-        accumulate in ``db.suspect_keys``; this pass drains them and
+        Every healthy node with an armed scrubber runs one full scrub pass,
+        which drops each corrupt copy it finds through the node's one
+        triage per tier (a copy whose twin on the other tier is intact
+        loses nothing).  Keys whose newest copy a node lost — found by
+        scrub, read paths or maintenance alike — accumulate in
+        ``db.suspect_keys``; this pass drains them and
         converges each one with an audit read (:meth:`read_full`), which
         re-replicates the quorum-newest envelope onto every replica that
         lost or corrupted its copy.  A key is truly lost only when *no*

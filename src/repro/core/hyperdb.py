@@ -20,7 +20,12 @@ import numpy as np
 
 from repro import obs
 from repro.common.cache import LRUCache
-from repro.common.errors import CorruptionError, DeviceOfflineError, ReproError
+from repro.common.errors import (
+    CorruptionError,
+    DeviceOfflineError,
+    RecoveryError,
+    ReproError,
+)
 from repro.common.records import Record, paired_columns
 from repro.common.stats import StatsRegistry
 from repro.core.config import HyperDBConfig
@@ -59,14 +64,15 @@ class HyperDB(KVStore):
         self.performance_tier = PerformanceTier(
             nvme_device, config.key_space, config.nvme, cache=self.cache
         )
-        #: Keys whose *newest* copy may have been lost to media corruption
-        #: (a non-promoted resident dropped with no authoritative
-        #: capacity-tier twin).  The cluster's anti-entropy pass drains
-        #: this to re-replicate from healthy replicas; single-node callers
-        #: can inspect it — the loss is recorded, never hidden.
+        #: Keys whose *newest* copy may have been lost to media corruption:
+        #: a dropped non-promoted slot, or a dropped capacity block's key
+        #: with no NVMe resident (:meth:`_on_corrupt_slot`,
+        #: :meth:`_on_corrupt_semi_block`).  The cluster's anti-entropy pass
+        #: drains this to re-replicate from healthy replicas; single-node
+        #: callers can inspect it — the loss is recorded, never hidden.
         self.suspect_keys: list[bytes] = []
         for p in self.performance_tier.partitions:
-            p.on_corrupt_slot = self._on_corrupt_slot_dropped
+            p.on_corrupt_slot = self._on_corrupt_slot
 
         sata_fs = SimFilesystem(sata_device)
         semi_cfg = SemiLevelConfig(
@@ -262,7 +268,7 @@ class HyperDB(KVStore):
                         try:
                             rec, service = partition.get(key)
                         except CorruptionError:
-                            self._on_corrupt_resident(key)
+                            pass  # the partition dropped the slot: a miss
                     staged = None if rec is not None else promo_lookup(key)
                     if rec is not None:
                         if nvme_hits is None:
@@ -304,36 +310,10 @@ class HyperDB(KVStore):
                 busy_append((nvme_tr._busy_s, sata_tr._busy_s))
         return out
 
-    def _on_corrupt_resident(self, key: bytes) -> None:
-        """A resident NVMe copy failed its checksum mid-read.
-
-        The read falls through to the capacity tier (or, at cluster level,
-        to another replica) instead of propagating the error to the client.
-        The corrupt copy is dropped from the in-memory index so it cannot
-        be served again; healing the object back into the fast tier is the
-        scrubber's / read-repair's job.  When the lost copy was *not*
-        promoted it was the newest version and the SATA copy (if any) is
-        older — that degradation is counted explicitly rather than hidden.
-        """
-        partition = self.performance_tier.partition_for_key(key)
-        loc = partition.resident_location(key)
-        promoted = bool(loc is not None and loc.promoted)
-        partition.drop_resident(key)
-        self.stats.counter("nvme_corrupt_reads").add()
-        if not promoted:
-            self.stats.counter("corrupt_stale_fallbacks").add()
-            self.suspect_keys.append(key)
-        r = obs.RECORDER
-        if r is not None:
-            r.emit(
-                "read_corruption", t=self.nvme_device.busy_seconds(),
-                tier="nvme", promoted=promoted,
-            )
-
-    def _on_corrupt_semi_block(self, table, block, superseded=frozenset()) -> None:
+    def _on_corrupt_semi_block(self, table, block, superseded=frozenset()) -> int:
         """A background capacity-tier read (compaction victim scan, merge
-        survivor read, ride-along extraction) hit a corrupt block — see
-        :attr:`repro.lsm.semi.semisstable.SemiSSTable.on_corrupt_block`.
+        survivor read, ride-along extraction) or a scrub pass hit a corrupt
+        block — see :attr:`repro.lsm.semi.semisstable.SemiSSTable.on_corrupt_block`.
 
         Triage every record the block still holds against the NVMe tier so
         the block can be dropped without *silent* loss:
@@ -346,6 +326,8 @@ class HyperDB(KVStore):
           version; the corrupt copy was superseded and loses nothing;
         * no resident — the newest copy is gone on this node: surfaced via
           ``suspect_keys`` for anti-entropy instead of hidden.
+
+        Returns the number of keys surfaced.
         """
         self.stats.counter("semi_corrupt_blocks").add()
         tier = self.performance_tier
@@ -374,20 +356,25 @@ class HyperDB(KVStore):
                 table=table.table_id, block=block.block_id,
                 rescued=rescued, superseded=harmless, lost=lost,
             )
+        return lost
 
-    def _on_corrupt_slot_dropped(self, key: bytes, promoted: bool) -> None:
-        """A partition maintenance path (demotion collect, zone split,
-        hot-zone compaction) dropped a corrupt slot — see
-        :attr:`repro.nvme.partition.Partition.on_corrupt_slot`."""
-        self.stats.counter("nvme_corrupt_maintenance").add()
+    def _on_corrupt_slot(self, key: bytes, promoted: bool) -> None:
+        """A read, a relocation or the scrubber dropped a corrupt NVMe slot
+        — see :attr:`repro.nvme.partition.Partition.on_corrupt_slot`.
+
+        A promoted copy loses nothing: its authoritative twin is on the
+        capacity tier, which serves the next read (and re-promotes the key
+        once it is hot again, §3.5).  A non-promoted copy was the newest
+        version, so the key is marked suspect.
+        """
+        self.stats.counter("nvme_corrupt_slots").add()
         if not promoted:
-            self.stats.counter("corrupt_stale_fallbacks").add()
             self.suspect_keys.append(key)
         r = obs.RECORDER
         if r is not None:
             r.emit(
-                "maintenance_corruption", t=self.nvme_device.busy_seconds(),
-                tier="nvme", promoted=promoted,
+                "slot_corruption", t=self.nvme_device.busy_seconds(),
+                promoted=promoted,
             )
 
     def scan(self, start: bytes, count: int) -> tuple[list[tuple[bytes, bytes]], float]:
@@ -410,8 +397,7 @@ class HyperDB(KVStore):
                     try:
                         rec, _ = partition.get(key)
                     except CorruptionError:
-                        self._on_corrupt_resident(key)
-                        continue
+                        continue  # the partition dropped the slot
                     if rec is not None:
                         yield rec
                 pos = partition.key_range.hi
@@ -474,8 +460,6 @@ class HyperDB(KVStore):
         the ``degraded_partitions`` stat) so the rest of the store still
         opens.  With ``strict=True`` the failure propagates instead
         (:class:`RecoveryError` / :class:`CorruptionError`)."""
-        from repro.common.errors import CorruptionError, RecoveryError
-
         service = 0.0
         degraded = 0
         for p in self.performance_tier.partitions:

@@ -94,11 +94,12 @@ class SemiSSTable:
         self._generation = 0
         #: Engine hook called as ``hook(table, block, superseded)`` when a
         #: *background* read (compaction victim scan, merge survivor read,
-        #: ride-along extraction) finds a block whose checksum fails.  The
-        #: hook triages the block's records against redundant copies before
-        #: the block is killed; ``superseded`` names keys the caller is
-        #: about to overwrite anyway.  ``None`` (the default) keeps the
-        #: historical behavior: the :class:`CorruptionError` propagates.
+        #: ride-along extraction) or the scrubber finds a block whose check
+        #: fails.  The hook triages the block's records against redundant
+        #: copies before the block is killed, and returns how many keys it
+        #: marked suspect; ``superseded`` names keys the caller is about to
+        #: overwrite anyway.  ``None`` (the default) keeps the historical
+        #: behavior: the :class:`CorruptionError` propagates.
         self.on_corrupt_block = None
 
     def _reset_index(self) -> None:

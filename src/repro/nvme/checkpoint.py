@@ -13,10 +13,12 @@ at shutdown via :meth:`repro.core.hyperdb.HyperDB.finalize`; a production
 system would pair this with the data pages' self-describing headers, which
 the simulation omits).
 
-Integrity: the serialized image ends in a CRC32 trailer.  :meth:`recover`
-verifies it before trusting a single field, so a bit-flipped or torn
-checkpoint surfaces as :class:`CorruptionError` — which the engine turns
-into a degraded (empty) rebuild — instead of a silently wrong index.
+Integrity: the serialized image ends in a CRC32 trailer.
+:meth:`read_image` is its one verifier: :meth:`recover` trusts no field it
+has not passed, so a bit-flipped or torn checkpoint surfaces as
+:class:`CorruptionError` — which the engine turns into a degraded (empty)
+rebuild — instead of a silently wrong index; the scrubber runs the same
+check and rewrites a failed image from the live index.
 Crash safety: :meth:`write` builds the new checkpoint in freshly allocated
 pages and frees the previous one only after the new image is fully
 written, so a crash mid-checkpoint always leaves the old intact image.
@@ -105,13 +107,13 @@ class PartitionCheckpoint:
         return service
 
     @staticmethod
-    def recover(partition: "Partition") -> float:
-        """Rebuild the partition's in-memory state from its checkpoint.
-
-        Reads the checkpoint pages (charged), then reconstructs the B-tree
-        index, the zone table, and every zone's page/slot occupancy.
-        Returns the service time.
-        """
+    def read_image(
+        partition: "Partition", kind: TrafficKind
+    ) -> tuple[bytes, float]:
+        """Read the checkpoint pages (charged as ``kind``) and check the
+        image's length and CRC.  Returns ``(payload, service)``, the payload
+        without its trailer; raises :class:`RecoveryError` when there is no
+        checkpoint and :class:`CorruptionError` when a check fails."""
         if not partition._checkpoint_pages:
             raise RecoveryError(
                 f"partition {partition.partition_id} has no checkpoint"
@@ -120,7 +122,7 @@ class PartitionCheckpoint:
         service = 0.0
         chunks = []
         for pid in partition._checkpoint_pages:
-            data, s = store.read(pid, TrafficKind.FOREGROUND)
+            data, s = store.read(pid, kind)
             service += s
             chunks.append(data)
         image = b"".join(chunks)[: partition._checkpoint_len]
@@ -133,7 +135,20 @@ class PartitionCheckpoint:
             raise CorruptionError(
                 f"checkpoint CRC mismatch: stored={expected:#x} computed={actual:#x}"
             )
+        return payload, service
 
+    @staticmethod
+    def recover(partition: "Partition") -> float:
+        """Rebuild the partition's in-memory state from its checkpoint.
+
+        Reads and verifies the image (:meth:`read_image`, charged), then
+        reconstructs the B-tree index, the zone table, and every zone's
+        page/slot occupancy.  Returns the service time.
+        """
+        payload, service = PartitionCheckpoint.read_image(
+            partition, TrafficKind.FOREGROUND
+        )
+        store = partition.page_store
         magic, zone_count, entry_count, _ = _HEADER.unpack_from(payload, 0)
         if magic != _MAGIC:
             raise CorruptionError("bad checkpoint magic")

@@ -91,12 +91,12 @@ class Partition:
         self._checkpoint_pages: list[int] = []
         self._checkpoint_len = 0
 
-        #: Engine hook fired when a *maintenance* path (demotion collect,
-        #: zone split, hot-zone compaction) finds a slot whose payload no
-        #: longer matches its checksum.  Called as ``hook(key, promoted)``
-        #: after the corrupt resident copy has been dropped; ``promoted``
-        #: tells the engine whether the capacity tier still holds an
-        #: authoritative twin (drop is lossless) or the newest copy is gone.
+        #: Engine hook fired by :meth:`_drop_corrupt_slot` whenever a read,
+        #: a relocation or the scrubber finds a slot whose payload no longer
+        #: matches its checksum.  Called as ``hook(key, promoted)`` after
+        #: the corrupt resident copy has been dropped; ``promoted`` tells the
+        #: engine whether the capacity tier still holds an authoritative
+        #: twin (drop is lossless) or the newest copy is gone.
         self.on_corrupt_slot: Optional[Callable[[bytes, bool], None]] = None
 
     def _make_tracker(self, avg_object_size: float) -> HotnessTracker:
@@ -275,14 +275,19 @@ class Partition:
     def get(
         self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND
     ) -> tuple[Optional[Record], float]:
-        """Point lookup.  Returns ``(record_or_none, service_time)``."""
+        """Point lookup.  Returns ``(record_or_none, service_time)``; a slot
+        that fails its check is dropped (:meth:`_drop_corrupt_slot`), then
+        its :class:`CorruptionError` propagates."""
         self._record_access(key)
         loc: Optional[SlotLocation] = self.index.get(key)
         if loc is None:
             return None, 0.0
         zone = self._zone_by_id(loc.zone_id)
-        rec, service = zone.read_object(loc, kind, self.cache)
-        return rec, service
+        try:
+            return zone.read_object(loc, kind, self.cache)
+        except CorruptionError:
+            self._drop_corrupt_slot(zone, key, loc)
+            raise
 
     def contains(self, key: bytes) -> bool:
         return key in self.index
@@ -458,13 +463,13 @@ class Partition:
         return raw
 
     def _drop_corrupt_slot(self, zone: Zone, key: bytes, loc: SlotLocation) -> None:
-        """A maintenance path hit a corrupt slot: drop it, don't crash.
+        """The one drop path for a corrupt slot, whoever found it.
 
         A promoted slot still has its authoritative twin on the capacity
         tier, so dropping the resident copy loses nothing; a non-promoted
-        slot *was* the newest copy, and the loss is reported through
-        :attr:`on_corrupt_slot` so the engine can count it (and, in a
-        cluster, re-replicate the key from a healthy replica).
+        slot *was* the newest copy.  Either way :attr:`on_corrupt_slot`
+        tells the engine, which counts it and marks a lost newest copy
+        suspect (in a cluster, re-replicated from a healthy replica).
         """
         zone.remove_object(key, loc)
         self.index.delete(key)

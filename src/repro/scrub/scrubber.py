@@ -1,30 +1,34 @@
-"""Background integrity scrub & repair: turn silent corruption into healed
-corruption (DESIGN.md §13).
+"""Background integrity scrub: find corruption before a reader does
+(DESIGN.md §13).
 
 A real tiered KV store runs proactive media scrubbing as *background
 traffic* — exactly the traffic class this paper models.  The
 :class:`Scrubber` walks every persisted structure of a HyperDB instance —
-NVMe zone slots, the partition index checkpoints, and the capacity tier's
-semi-SSTable blocks — verifying checksums, charging its reads on the
+NVMe zone slots, the capacity tier's semi-SSTable blocks, and the partition
+index checkpoints — verifying checksums, charging its reads on the
 dedicated ``TrafficKind.SCRUB`` lane (placed on background queues via
 ``SimDevice.begin_background_job``, like flush/compaction/migration/GC).
 
-On detection, a **repair escalation ladder** heals instead of drops:
+The scrubber finds corruption; it owns no repair policy.  A corrupt copy
+goes to the engine's one triage for its tier — the same one reads, scans
+and maintenance use:
 
-1. *re-read with retry* — a transient read error clears; stuck-on-media
-   corruption (the simulator's latent bit-flips land at write time) does
-   not, and escalates;
-2. *rebuild from the redundant tier copy* — a ``promoted`` NVMe resident
-   has its authoritative twin in the capacity tier (and vice versa: a
-   corrupt capacity block whose keys are promoted-resident on NVMe is
-   rebuilt from those residents via the normal ``merge_append`` machinery);
-3. *rewrite from live state* — partition index checkpoints are derived
-   data whose authoritative source (the live index) is still in memory,
-   so a corrupt checkpoint is simply re-written;
-4. *count as unrecoverable* — when no intact copy exists on this node, the
-   loss is surfaced (``unrecoverable_keys``) instead of hidden; at cluster
-   level an anti-entropy pass re-replicates those keys from healthy
-   replicas (:meth:`repro.cluster.router.HyperDBCluster.anti_entropy`).
+* a corrupt zone slot is dropped through
+  :meth:`repro.nvme.partition.Partition._drop_corrupt_slot`.  A promoted
+  slot loses nothing: its authoritative twin is on the capacity tier, and
+  the next hot read re-promotes it (§3.5).  A non-promoted slot was the
+  newest copy, so its key becomes suspect;
+* a corrupt semi-SSTable block is handed to
+  :attr:`repro.lsm.semi.semisstable.SemiSSTable.on_corrupt_block` and
+  retired, as a background read would.  Slots are scrubbed first, so a
+  promoted resident the engine rescues (by clearing its flag) was just
+  verified;
+* a corrupt checkpoint is the one thing scrub rewrites: it is derived data,
+  and its source — the live index — is in memory.
+
+Suspect keys land in ``HyperDB.suspect_keys``; at cluster level an
+anti-entropy pass re-replicates them from healthy replicas
+(:meth:`repro.cluster.router.HyperDBCluster.anti_entropy`).
 
 Health discipline mirrors :class:`repro.migration.scheduler
 .MigrationScheduler`: a pass does not start (and an in-flight pass aborts)
@@ -40,21 +44,20 @@ byte-identical.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro import obs
 from repro.common.errors import CorruptionError, DeviceOfflineError
-from repro.common.records import Record
 from repro.health.state import HealthState
 from repro.lsm.blocks import decode_one, decode_payload
+from repro.nvme.checkpoint import PartitionCheckpoint
 from repro.simssd.traffic import TrafficKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hyperdb import HyperDB
-    from repro.lsm.semi.semisstable import SemiBlock, SemiSSTable
+    from repro.lsm.semi.semisstable import SemiSSTable
     from repro.nvme.partition import Partition
-    from repro.nvme.zone import SlotLocation, Zone
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class ScrubConfig:
 
 @dataclass
 class ScrubStats:
-    """What scrubbing scanned, found, and healed."""
+    """What scrubbing scanned, found, and rewrote."""
 
     passes: int = 0
     zone_slots_scanned: int = 0
@@ -82,12 +85,10 @@ class ScrubStats:
     checkpoints_scanned: int = 0
     #: Checksum mismatches found (all surfaces).
     detected: int = 0
-    #: Objects/structures healed from a redundant copy or live state.
+    #: Corrupt checkpoints rewritten from the live index.
     repaired: int = 0
-    #: Corrupt copies proven superseded by a newer intact copy (dropping
-    #: them loses nothing).
-    harmless: int = 0
-    #: Objects with no intact copy left on this node.
+    #: Keys whose newest copy this node lost (each one is also appended to
+    #: ``HyperDB.suspect_keys``).
     unrecoverable: int = 0
     #: Slots whose checksum was unknown (post-checkpoint-recovery) and was
     #: re-derived after metadata cross-checks.
@@ -96,9 +97,6 @@ class ScrubStats:
     paused_passes: int = 0
     #: Catch-up drains executed after health recovered.
     catch_up_drains: int = 0
-    #: Keys counted unrecoverable, in detection order — the anti-entropy
-    #: pass re-replicates exactly these from healthy replicas.
-    unrecoverable_keys: list[bytes] = field(default_factory=list)
 
 
 class Scrubber:
@@ -230,15 +228,12 @@ class Scrubber:
                 self.stats.zone_slots_scanned += 1
                 raw = store.peek(loc.page_id, loc.offset, loc.record_size)
                 if loc.crc is not None:
-                    if zlib.crc32(raw) == loc.crc:
-                        continue
-                    self._repair_slot(partition, zone, key, loc)
+                    ok = zlib.crc32(raw) == loc.crc
                 else:
                     # Post-checkpoint-recovery slot: the stored checksum
                     # was not part of the media image.  Cross-check every
                     # field the index does know before re-deriving
                     # protection from the media bytes.
-                    ok = False
                     try:
                         rec = decode_one(raw)
                         ok = rec.key == key and rec.seqno == loc.seqno
@@ -247,45 +242,11 @@ class Scrubber:
                     if ok:
                         loc.crc = zlib.crc32(raw)
                         self.stats.reprotected_slots += 1
-                    else:
-                        self._repair_slot(partition, zone, key, loc)
-
-    def _repair_slot(
-        self,
-        partition: "Partition",
-        zone: "Zone",
-        key: bytes,
-        loc: "SlotLocation",
-    ) -> None:
-        """Escalation ladder for one corrupt zone slot."""
-        self._detect("zone_slot", key=key)
-        # Ladder step 1: one charged re-read before rebuilding from
-        # redundancy.
-        data, _ = partition.page_store.read(loc.page_id, TrafficKind.SCRUB)
-        raw = data[loc.offset : loc.offset + loc.record_size]
-        if loc.crc is not None and zlib.crc32(raw) == loc.crc:
-            self._repair("zone_slot_reread", key=key)
-            return
-        if loc.promoted:
-            # The authoritative copy lives in the capacity tier: drop the
-            # corrupt resident and re-promote the intact twin.
-            partition.drop_resident(key)
-            try:
-                rec, _ = self.db.capacity_tier.get(key, TrafficKind.SCRUB)
-            except CorruptionError:
-                rec = None
-            if rec is not None and not rec.is_tombstone:
-                partition.promote(rec, TrafficKind.SCRUB)
-                self._repair("zone_slot_from_capacity", key=key)
-            else:
-                self._unrecoverable(key)
-        else:
-            # The corrupt slot held the newest version; any capacity copy
-            # is older.  Drop it so readers get the older intact version
-            # (or a replica's copy) instead of a checksum error, and
-            # surface the loss for anti-entropy.
-            partition.drop_resident(key)
-            self._unrecoverable(key)
+                if not ok:
+                    self._detect("zone_slot", key=key)
+                    partition._drop_corrupt_slot(zone, key, loc)
+                    if not loc.promoted:
+                        self.stats.unrecoverable += 1
 
     # ------------------------------------------------- capacity-tier walk
 
@@ -310,63 +271,16 @@ class Scrubber:
                 continue
             self.stats.semi_blocks_scanned += 1
             try:
-                self._check_semi_block(table, block)
+                # Full media check: the CRC, then every record header (other
+                # readers decode only what the index points at; scrub's job
+                # is the medium).  cache=None: read the media, not the cache.
+                payload, _ = table._read_block(block, TrafficKind.SCRUB, cache=None)
+                decode_payload(payload)
             except CorruptionError:
-                self._repair_semi_block(table, block)
-
-    @staticmethod
-    def _check_semi_block(table: "SemiSSTable", block: "SemiBlock") -> None:
-        """Full media check of one block — the CRC, then every record header
-        (other readers decode only what the index points at; scrub's job is
-        the medium).  Raises :class:`CorruptionError`."""
-        # cache=None: scrub must read the media, not the page cache.
-        payload, _ = table._read_block(block, TrafficKind.SCRUB, cache=None)
-        decode_payload(payload)
-
-    def _repair_semi_block(self, table: "SemiSSTable", block: "SemiBlock") -> None:
-        """Escalation ladder for one corrupt semi-SSTable block."""
-        self._detect("semi_block", table=table.table_id, block=block.block_id)
-        try:
-            self._check_semi_block(table, block)
-            self._repair("semi_block_reread", table=table.table_id)
-            return
-        except CorruptionError:
-            pass
-        # Per-key triage of the block's valid records against the NVMe tier.
-        lost = table.keys_of_block(block)
-        tier = self.db.performance_tier
-        healed: list[Record] = []
-        for key in lost:
-            partition = tier.partition_for_key(key)
-            loc = partition.resident_location(key)
-            if loc is None:
-                self._unrecoverable(key)
-                continue
-            if not loc.promoted:
-                # NVMe holds a strictly newer version: the corrupt capacity
-                # copy was already superseded; dropping it loses nothing.
-                self.stats.harmless += 1
-                continue
-            # Promoted resident: NVMe holds the same version — rebuild the
-            # capacity copy from it (index-directed read, no tracker touch).
-            try:
-                rec, _ = partition._zone_by_id(loc.zone_id).read_object(
-                    loc, TrafficKind.SCRUB, None
-                )
-            except CorruptionError:
-                # Both copies rotted: drop the NVMe one too and surface.
-                partition.drop_resident(key)
-                self._unrecoverable(key)
-                continue
-            healed.append(Record(key, rec.value, rec.seqno, rec.deleted))
-        table._kill_block(block)
-        if healed:
-            healed.sort(key=lambda r: r.key)
-            table.merge_append(healed, TrafficKind.SCRUB)
-            self._repair(
-                "semi_block_from_nvme", count=len(healed),
-                table=table.table_id, records=len(healed),
-            )
+                self._detect("semi_block", table=table.table_id, block=block.block_id)
+                lost = table.on_corrupt_block(table, block, frozenset())
+                table._kill_block(block)
+                self.stats.unrecoverable += lost
 
     # --------------------------------------------------------- checkpoints
 
@@ -374,31 +288,20 @@ class Scrubber:
         if not partition._checkpoint_pages:
             return
         self.stats.checkpoints_scanned += 1
-        store = partition.page_store
-        store.device.begin_background_job(TrafficKind.SCRUB)
-        chunks = []
-        for pid in partition._checkpoint_pages:
-            data, _ = store.read(pid, TrafficKind.SCRUB)
-            chunks.append(data)
-        image = b"".join(chunks)[: partition._checkpoint_len]
-        if len(image) >= 8:
-            payload, footer = image[:-4], image[-4:]
-            ok = zlib.crc32(payload) == int.from_bytes(footer, "big")
-        else:
-            ok = False
-        if ok:
-            return
-        self._detect("checkpoint", partition=partition.partition_id)
-        # The live in-memory index is the authoritative source; the
-        # checkpoint is a derived backup — rewrite it.
-        partition.checkpoint(kind=TrafficKind.SCRUB)
-        self._repair("checkpoint_rewrite", partition=partition.partition_id)
+        partition.page_store.device.begin_background_job(TrafficKind.SCRUB)
+        try:
+            PartitionCheckpoint.read_image(partition, TrafficKind.SCRUB)
+        except CorruptionError:
+            self._detect("checkpoint", partition=partition.partition_id)
+            # The live in-memory index is the authoritative source; the
+            # checkpoint is a derived backup — rewrite it.
+            partition.checkpoint(kind=TrafficKind.SCRUB)
+            self._repair("checkpoint_rewrite", partition=partition.partition_id)
 
     # ----------------------------------------------------------- plumbing
 
     def _detect(self, surface: str, **fields) -> None:
         self.stats.detected += 1
-        self.db.stats.counter("scrub_detected").add()
         rec = obs.RECORDER
         if rec is not None:
             rec.emit(
@@ -407,26 +310,13 @@ class Scrubber:
                 **{k: _printable(v) for k, v in fields.items()},
             )
 
-    def _repair(self, how: str, count: int = 1, **fields) -> None:
-        self.stats.repaired += count
-        self.db.stats.counter("scrub_repaired").add(count)
+    def _repair(self, how: str, **fields) -> None:
+        self.stats.repaired += 1
         rec = obs.RECORDER
         if rec is not None:
             rec.emit(
                 "scrub_repair", t=self.db.nvme_device.busy_seconds(),
                 how=how, **{k: _printable(v) for k, v in fields.items()},
-            )
-
-    def _unrecoverable(self, key: bytes) -> None:
-        self.stats.unrecoverable += 1
-        self.stats.unrecoverable_keys.append(key)
-        self.db.suspect_keys.append(key)
-        self.db.stats.counter("scrub_unrecoverable").add()
-        rec = obs.RECORDER
-        if rec is not None:
-            rec.emit(
-                "scrub_unrecoverable", t=self.db.nvme_device.busy_seconds(),
-                key=_printable(key),
             )
 
 

@@ -1,12 +1,14 @@
-"""Tests for the background integrity scrub & repair subsystem (DESIGN.md §13).
+"""Tests for the background integrity scrub (DESIGN.md §13).
 
-Covers the scrubber's repair escalation ladder on every surface it walks
-(zone slots, semi-SSTable blocks, checkpoints), the health pause/catch-up
-discipline, cluster corrupt-replica read-repair and anti-entropy, the scrub-disabled
-digest guarantee, and a property sweep asserting the end-to-end corruption
-contract: a single bit-flip in any persisted structure is either healed,
-provably harmless, or surfaced (suspect/CorruptionError) — never silently
-served as wrong bytes.
+Covers what the scrubber does on every surface it walks (zone slots and
+semi-SSTable blocks go to the engine's one triage per tier, shared with
+reads, scans and maintenance; a corrupt checkpoint is rewritten), the
+health pause/catch-up discipline, cluster corrupt-replica read-repair and
+anti-entropy, the scrub-disabled digest guarantee, and a property sweep
+asserting the end-to-end corruption contract: a single bit-flip in any
+persisted structure is either served around from an intact copy, provably
+harmless, or surfaced (suspect/CorruptionError) — never silently served as
+wrong bytes.
 """
 
 import random
@@ -125,6 +127,19 @@ def corrupt_semi_block(table, key):
     return block
 
 
+def plant_promoted_block(db, base, n=6):
+    """``n`` keys ingested into one capacity table and promoted to NVMe;
+    returns ``(keys, table)``."""
+    keys = [k(base + i) for i in range(n)]
+    recs = [Record(key, b"cap" * 30, db.next_seqno()) for key in keys]
+    db.capacity_tier.ingest(recs, TrafficKind.MIGRATION)
+    for rec in recs:
+        db.performance_tier.partition_for_key(rec.key).promote(
+            rec, TrafficKind.MIGRATION
+        )
+    return keys, semi_table_for(db, keys[0])
+
+
 def fill_past_watermark(db, value_size=512, start=0):
     i = start
     while db.migration.stats.demotion_jobs == 0 and i < KEYSPACE:
@@ -185,25 +200,27 @@ class TestCleanStoreScrub:
 
 
 # ---------------------------------------------------------------------------
-# Zone-slot repair ladder
+# Zone slots: scrub drops through the engine's one rule
 # ---------------------------------------------------------------------------
 
 
 class TestZoneSlotLadder:
-    def test_promoted_slot_rebuilt_from_capacity_twin(self):
+    def test_promoted_slot_dropped_twin_serves(self):
         db = make_db(scrub=ScrubConfig())
         plant_promoted(db, k(1), b"twin" * 40)
         corrupt_slot(db, k(1))
         assert db.scrub() is True
         st = db.scrubber.stats
         assert st.detected == 1
-        assert st.repaired == 1
+        assert st.repaired == 0
         assert st.unrecoverable == 0
-        # The rebuilt resident carries a fresh valid checksum.
-        loc = db.performance_tier.partition_for_key(k(1)).resident_location(k(1))
-        assert loc is not None and loc.promoted
+        # The corrupt copy is dropped, not rebuilt: the capacity twin is
+        # authoritative and serves the read; nothing was lost.
+        partition = db.performance_tier.partition_for_key(k(1))
+        assert partition.resident_location(k(1)) is None
+        assert db.stats.counter("nvme_corrupt_slots").value == 1
+        assert db.suspect_keys == []
         assert db.get(k(1))[0] == b"twin" * 40
-        assert db.stats.counter("scrub_repaired").value == 1
 
     def test_nonpromoted_slot_surfaces_as_unrecoverable(self):
         db = make_db(scrub=ScrubConfig())
@@ -213,8 +230,8 @@ class TestZoneSlotLadder:
         st = db.scrubber.stats
         assert st.detected == 1
         assert st.unrecoverable == 1
-        assert st.unrecoverable_keys == [k(2)]
-        assert k(2) in db.suspect_keys
+        assert db.stats.counter("nvme_corrupt_slots").value == 1
+        assert db.suspect_keys == [k(2)]
         # The corrupt copy is gone: readers see honest absence, not garbage.
         assert db.get(k(2))[0] is None
 
@@ -233,7 +250,7 @@ class TestZoneSlotLadder:
         corrupt_slot(db, k(4))
         value, _ = db.get(k(4))
         assert value == b"safe" * 16  # served from the capacity twin
-        assert db.stats.counter("nvme_corrupt_reads").value == 1
+        assert db.stats.counter("nvme_corrupt_slots").value == 1
         assert k(4) not in db.suspect_keys
 
     def test_foreground_read_nonpromoted_counts_stale_fallback(self):
@@ -242,34 +259,33 @@ class TestZoneSlotLadder:
         corrupt_slot(db, k(5))
         value, _ = db.get(k(5))
         assert value is None
-        assert db.stats.counter("corrupt_stale_fallbacks").value == 1
+        assert db.stats.counter("nvme_corrupt_slots").value == 1
         assert k(5) in db.suspect_keys
 
 
 # ---------------------------------------------------------------------------
-# Semi-SSTable block repair
+# Semi-SSTable blocks: scrub hands a corrupt block to the engine's triage
 # ---------------------------------------------------------------------------
 
 
 class TestSemiBlockLadder:
-    def test_block_rebuilt_from_promoted_residents(self):
+    def test_block_rescued_by_promoted_residents(self):
         db = make_db(scrub=ScrubConfig())
-        keys = [k(100 + i) for i in range(6)]
-        recs = [Record(key, b"cap" * 30, db.next_seqno()) for key in keys]
-        db.capacity_tier.ingest(recs, TrafficKind.MIGRATION)
-        for rec in recs:
-            db.performance_tier.partition_for_key(rec.key).promote(
-                rec, TrafficKind.MIGRATION
-            )
-        table = semi_table_for(db, keys[0])
+        keys, table = plant_promoted_block(db, 100)
         block = corrupt_semi_block(table, keys[0])
-        victims = [key for key, e in table._key_map.items() if e[0] == block.block_id]
+        victims = table.keys_of_block(block)
         db.scrub()
         st = db.scrubber.stats
         assert st.detected >= 1
-        assert st.repaired >= len(victims)  # every victim healed from NVMe
+        assert st.repaired == 0
         assert st.unrecoverable == 0
         assert block.is_dead
+        # Each victim's NVMe copy is the same version: it loses its
+        # promotion label and becomes the one authoritative copy.
+        assert db.stats.counter("semi_corrupt_rescued").value == len(victims)
+        for key in victims:
+            loc = db.performance_tier.partition_for_key(key).resident_location(key)
+            assert loc is not None and not loc.promoted
         for key in keys:
             assert db.get(key)[0] == b"cap" * 30
 
@@ -291,10 +307,12 @@ class TestSemiBlockLadder:
         db.put(k(300), b"newer")  # strictly newer non-promoted NVMe resident
         table = semi_table_for(db, k(300))
         corrupt_semi_block(table, k(300))
-        db.scrub()
-        st = db.scrubber.stats
-        assert st.harmless >= 1
-        assert st.unrecoverable == 0
+        with obs.recording() as trace:
+            db.scrub()
+        (event,) = [e for e in trace.events() if e.type == "semi_block_corruption"]
+        assert event.data["superseded"] >= 1
+        assert db.scrubber.stats.unrecoverable == 0
+        assert db.suspect_keys == []
         assert db.get(k(300))[0] == b"newer"
 
     def test_valid_crc_over_a_truncated_record_is_detected(self):
@@ -326,6 +344,88 @@ class TestSemiBlockLadder:
 
 
 # ---------------------------------------------------------------------------
+# One corruption rule per tier, whoever detects it
+# ---------------------------------------------------------------------------
+
+
+def _collect_zone(db, key):
+    partition = db.performance_tier.partition_for_key(key)
+    partition.collect_zone(partition.zone_for_key(key))
+
+
+DETECTORS = {
+    "get": lambda db, key: db.get(key),
+    "scan": lambda db, key: db.scan(key, 5),
+    "scrub": lambda db, key: db.scrub(),
+    "collect_zone": _collect_zone,
+}
+
+
+class TestOneDropRule:
+    @pytest.mark.parametrize(
+        "detector, promoted",
+        [(d, True) for d in ("get", "scan", "scrub")]
+        # Regular zones hold only non-promoted slots (promotion installs
+        # into the hot zone, and a park keeps the label in the hot zone).
+        + [(d, False) for d in DETECTORS],
+    )
+    def test_every_detector_drops_through_one_rule(self, detector, promoted):
+        db = make_db(scrub=ScrubConfig())
+        key = k(9)
+        if promoted:
+            plant_promoted(db, key, b"twin" * 40)
+        else:
+            db.put(key, b"newest" * 10)
+        partition, _ = corrupt_slot(db, key)
+        DETECTORS[detector](db, key)
+        assert partition.resident_location(key) is None
+        assert db.stats.counter("nvme_corrupt_slots").value == 1
+        if promoted:
+            # The capacity twin is authoritative: nothing lost, it serves.
+            assert db.suspect_keys == []
+            assert db.get(key)[0] == b"twin" * 40
+        else:
+            assert db.suspect_keys == [key]
+
+
+class TestScrubDetectionCostsNoExtraIO:
+    @staticmethod
+    def scrub_pass_traffic(db):
+        """Run one pass; ``[(SCRUB read I/Os, SCRUB write bytes)]`` per device."""
+        db.scrub()
+        return [
+            (dev.traffic.read_ios(TrafficKind.SCRUB),
+             dev.traffic.write_bytes(TrafficKind.SCRUB))
+            for dev in (db.nvme_device, db.sata_device)
+        ]
+
+    def test_corrupt_slot_costs_no_extra_read(self):
+        def build():
+            db = make_db(scrub=ScrubConfig())
+            for i in range(40):
+                db.put(k(i), bytes([i]) * 100)
+            return db
+
+        clean, damaged = build(), build()
+        corrupt_slot(damaged, k(7))
+        assert self.scrub_pass_traffic(damaged) == self.scrub_pass_traffic(clean)
+        assert damaged.scrubber.stats.detected == 1
+
+    def test_corrupt_block_rescued_without_scrub_writes(self):
+        clean, damaged = make_db(scrub=ScrubConfig()), make_db(scrub=ScrubConfig())
+        plant_promoted_block(clean, 100)
+        keys, table = plant_promoted_block(damaged, 100)
+        block = corrupt_semi_block(table, keys[0])
+        victims = table.keys_of_block(block)
+        traffic = self.scrub_pass_traffic(damaged)
+        assert traffic == self.scrub_pass_traffic(clean)
+        assert traffic[1][1] == 0  # no SATA SCRUB write bytes
+        assert damaged.stats.counter("semi_corrupt_rescued").value == len(victims)
+        for key in keys:
+            assert damaged.get(key)[0] == b"cap" * 30
+
+
+# ---------------------------------------------------------------------------
 # Checkpoint scrub + post-recovery reprotection
 # ---------------------------------------------------------------------------
 
@@ -348,6 +448,24 @@ class TestCheckpointScrub:
         detected = st.detected
         db.scrub()
         assert st.detected == detected
+
+    def test_short_image_fails_scrub_and_recovery_alike(self):
+        """An image shorter than header + CRC fails the one verifier, even
+        when its trailer matches: scrub rewrites it, recovery rejects it."""
+        db = make_db(scrub=ScrubConfig())
+        db.put(k(600), b"s" * 64)
+        partition = db.performance_tier.partition_for_key(k(600))
+        partition.checkpoint()
+        payload = b"\x00" * 8
+        page = partition.page_store._pages[partition._checkpoint_pages[0]]
+        page[:12] = payload + zlib.crc32(payload).to_bytes(4, "big")
+        partition._checkpoint_len = 12
+        with pytest.raises(CorruptionError):
+            partition.recover()
+        db.scrub()
+        assert db.scrubber.stats.detected == 1
+        assert db.scrubber.stats.repaired == 1
+        assert partition._checkpoint_len > 12
 
     def test_recovered_slots_are_reprotected(self):
         db = make_db(scrub=ScrubConfig())
@@ -657,11 +775,7 @@ class TestBitflipPropertySweep:
         # remaining flipped slot without inventing data.
         db.scrub()
         st = db.scrubber.stats
-        handled = (
-            st.detected
-            + db.stats.counter("nvme_corrupt_reads").value
-            + db.stats.counter("nvme_corrupt_maintenance").value
-        )
+        handled = st.detected + db.stats.counter("nvme_corrupt_slots").value
         assert handled >= 1
         for key in sorted(expected):
             try:
