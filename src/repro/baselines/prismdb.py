@@ -18,11 +18,11 @@ import numpy as np
 from repro import obs
 from repro.common.btree import BTreeIndex
 from repro.common.cache import LRUCache
-from repro.common.errors import DeviceOfflineError, ReproError
+from repro.common.errors import CorruptionError, DeviceOfflineError, ReproError
 from repro.common.records import Record
 from repro.core.interface import KVStore
 from repro.health.state import HealthState
-from repro.lsm.blocks import decode_one
+from repro.lsm.blocks import Entry, entry_at, entry_of, record_of
 from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
 from repro.nvme.config import SLOT_CLASSES, NVMeConfig, slot_class_for
 from repro.nvme.pagestore import PageStore
@@ -65,6 +65,8 @@ class _SlabStore:
         # One keyless "zone" per slot class acts as that class's slab file.
         self._slabs: dict[int, Zone] = {}
         self._slab_seq = 0
+        #: Slots :meth:`collect` found corrupt and dropped instead of shipping.
+        self.corrupt_slots = 0
 
     def _slab_for(self, slot_size: int) -> Zone:
         slab = self._slabs.get(slot_size)
@@ -119,8 +121,9 @@ class _SlabStore:
         self.index.delete(key)
 
     def collect(self, keys: list[bytes], kind=TrafficKind.MIGRATION):
-        """Read and remove ``keys``; returns records and charges the
-        scattered page reads their slab placement requires."""
+        """Read and remove ``keys``; returns their entries in key order and
+        charges the scattered page reads their slab placement requires.
+        A slot failing :meth:`Zone.verified_slot` is dropped and counted."""
         pages: set[int] = set()
         located: list[tuple[bytes, SlotLocation]] = []
         for key in keys:
@@ -130,15 +133,17 @@ class _SlabStore:
             located.append((key, loc))
             pages.add(loc.page_id)
         service = self.page_store.read_many(sorted(pages), kind)
-        out: list[Record] = []
+        out: list[Entry] = []
         for key, loc in located:
-            raw = self.page_store.peek(loc.page_id, loc.offset, loc.record_size)
-            rec = decode_one(raw)
-            out.append(Record(key, rec.value, rec.seqno, rec.deleted))
             slab = self._slabs_by_zone(loc.zone_id)
+            try:
+                raw = slab.verified_slot(loc)
+                out.append(entry_at(raw))
+            except CorruptionError:
+                self.corrupt_slots += 1
             slab.remove_object(key, loc)
             self.index.delete(key)
-        out.sort(key=lambda r: r.key)
+        out.sort()  # by key: keys are unique
         return out, service, len(pages)
 
     @property
@@ -253,7 +258,7 @@ class PrismDBStore(KVStore):
         are always authoritative in PrismDB (promotion re-stamps seqnos),
         so there is no safe read fallthrough — but writes are absorbed.
         """
-        service = self.tree.ingest_batch([rec], TrafficKind.FOREGROUND)
+        service = self.tree.ingest_batch([entry_of(rec)], TrafficKind.FOREGROUND)
         self.slabs.remove(rec.key)
         self.clock.forget(rec.key)
         self.failover_writes += 1
@@ -301,7 +306,7 @@ class PrismDBStore(KVStore):
         if count <= 0:
             return [], 0.0
         busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
-        from repro.lsm.iterator import merge_records
+        from repro.lsm.iterator import keyed, merge_records
 
         def slab_stream():
             for key, _ in self.slabs.index.items(start=start):
@@ -310,10 +315,10 @@ class PrismDBStore(KVStore):
                     yield rec
 
         # Tree records carry seqno 0, so a slab-resident version wins its key.
-        sata_records = (Record(r.key, r.value, 0) for r in self.tree.iter_from(start))
+        sata_items = ((r.key, 0, 0, r) for r in self.tree.iter_from(start))
         out = []
-        for rec in merge_records([slab_stream(), sata_records], drop_tombstones=True):
-            out.append((rec.key, rec.value))
+        for item in merge_records([keyed(slab_stream()), sata_items], drop_tombstones=True):
+            out.append((item[0], item[3].value))
             if len(out) >= count:
                 break
         service = (
@@ -343,15 +348,15 @@ class PrismDBStore(KVStore):
                     # The window opened between collect and ingest (the
                     # ingest epoch rejects atomically): put the batch back
                     # whole and queue a catch-up pass.
-                    for rec in batch:
-                        self.slabs.put(rec, TrafficKind.MIGRATION)
+                    for entry in batch:
+                        self.slabs.put(record_of(entry), TrafficKind.MIGRATION)
                     self.requeued_objects += len(batch)
                     self._pause_demotion()
                     return
                 self.demoted_objects += len(batch)
                 self.demotion_page_reads += pages
-                for rec in batch:
-                    self.clock.forget(rec.key)
+                for entry in batch:
+                    self.clock.forget(entry[0])
             self.demotion_jobs += 1
             rounds += 1
 

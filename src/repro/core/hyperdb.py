@@ -31,7 +31,8 @@ from repro.common.stats import StatsRegistry
 from repro.core.config import HyperDBConfig
 from repro.core.interface import KVStore
 from repro.health.state import HealthState
-from repro.lsm.iterator import merge_records
+from repro.lsm.blocks import entry_of
+from repro.lsm.iterator import keyed, merge_records
 from repro.lsm.semi.engine import CapacityTier
 from repro.lsm.semi.levels import SemiLevelConfig
 from repro.migration.promotion import PromotionManager
@@ -195,7 +196,7 @@ class HyperDB(KVStore):
         ingest's :class:`DeviceOfflineError` propagates (the op is not
         acked).
         """
-        service = self.capacity_tier.ingest([rec], TrafficKind.FOREGROUND)
+        service = self.capacity_tier.ingest([entry_of(rec)], TrafficKind.FOREGROUND)
         partition.drop_resident(rec.key)
         self.promotion.invalidate(rec.key)
         self.stats.counter("failover_writes").add()
@@ -388,7 +389,7 @@ class HyperDB(KVStore):
         self.stats.counter("scans").add()
         busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
 
-        def nvme_stream() -> Iterator[Record]:
+        def nvme_stream() -> Iterator[tuple]:
             tier = self.performance_tier
             idx = tier.partitions.index(tier.partition_for_key(start))
             pos = start
@@ -399,17 +400,17 @@ class HyperDB(KVStore):
                     except CorruptionError:
                         continue  # the partition dropped the slot
                     if rec is not None:
-                        yield rec
+                        yield rec.key, rec.seqno, rec.deleted, rec
                 pos = partition.key_range.hi
                 if pos is None:
                     break
 
         # Both sides are lazy: a record is read when the merge pulls it.
-        sata_stream = self.capacity_tier.scan(start, count)
+        sata_stream = keyed(self.capacity_tier.scan(start, count))
 
         out: list[tuple[bytes, bytes]] = []
-        for rec in merge_records([nvme_stream(), sata_stream], drop_tombstones=True):
-            out.append((rec.key, rec.value))
+        for item in merge_records([nvme_stream(), sata_stream], drop_tombstones=True):
+            out.append((item[0], item[3].value))
             if len(out) >= count:
                 break
         service = (

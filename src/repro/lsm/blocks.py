@@ -10,21 +10,29 @@ A data block is a concatenation of records in key order followed by a 4-byte
 CRC32 checksum.  Decoding verifies the checksum and raises
 :class:`CorruptionError` on mismatch, which the failure-injection tests rely
 on.
+
+Background work moves an **entry** per record, ``(key, seqno, flags, raw)``
+with ``raw`` its on-media bytes, and builds a block as a join of raws
+(:func:`seal_block`).  A :class:`Record` is built only to return a value.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.common.errors import CorruptionError
 from repro.common.records import RECORD_HEADER_SIZE, Record
 
 _HEADER = struct.Struct(">QBHI")
 assert _HEADER.size == RECORD_HEADER_SIZE
+_CRC = struct.Struct(">I")
 CHECKSUM_SIZE = 4
 _FLAG_TOMBSTONE = 0x01
+
+#: ``(key, seqno, flags, raw)``: one record as background work moves it.
+Entry = tuple[bytes, int, int, bytes]
 
 
 def encode_record(rec: Record) -> bytes:
@@ -37,10 +45,29 @@ def encode_record(rec: Record) -> bytes:
     )
 
 
+def entry_of(rec: Record) -> Entry:
+    """``rec`` encoded once, where a write enters background work."""
+    raw = encode_record(rec)
+    return rec.key, rec.seqno, raw[8], raw
+
+
+def as_entries(items: list) -> list[Entry]:
+    """A batch as entries: a batch of records is encoded once here."""
+    if items and type(items[0]) is not tuple:
+        return [entry_of(rec) for rec in items]
+    return items
+
+
+def record_of(entry: Entry) -> Record:
+    """The :class:`Record` an entry encodes (a requeue puts it back)."""
+    key, seqno, flags, raw = entry
+    return Record(key, raw[RECORD_HEADER_SIZE + len(key) :], seqno, bool(flags & 1))
+
+
 def decode_one(data: bytes, offset: int = 0) -> Record:
-    """Decode the one record starting at ``offset`` — what an index that
-    stores record offsets (NVMe slot locations, semi-SSTable index
-    entries) reads through.  Header and body are bounds-checked."""
+    """Decode the one record starting at ``offset`` — what a read that
+    returns a value goes through (NVMe slot reads, semi-SSTable gets).
+    Header and body are bounds-checked."""
     end = len(data)
     body = offset + _HEADER.size
     if body > end:
@@ -57,13 +84,25 @@ def decode_one(data: bytes, offset: int = 0) -> Record:
     )
 
 
-def find_record(payload: bytes, key: bytes) -> tuple[int, Optional[Record]]:
-    """Walk record headers to the first record whose key is >= ``key``.
+def entry_at(data: bytes, offset: int = 0) -> Entry:
+    """The record at ``offset`` as an entry, sliced, not decoded; bounds
+    checked as in :func:`decode_one`."""
+    end = len(data)
+    body = offset + _HEADER.size
+    if body > end:
+        raise CorruptionError(f"truncated record header at offset {offset}")
+    seqno, flags, klen, vlen = _HEADER.unpack_from(data, offset)
+    stop = body + klen + vlen
+    if stop > end:
+        raise CorruptionError(f"truncated record body at offset {body}")
+    return data[body : body + klen], seqno, flags, data[offset:stop]
 
-    Returns that record's offset (``len(payload)`` when every key is
-    smaller) and, when its key is ``key``, the record — the only one
-    decoded.  Every header walked is bounds-checked as in :func:`decode_one`.
-    """
+
+def find_record(payload: bytes, key: bytes) -> tuple[int, Optional[Record]]:
+    """Walk record headers (each bounds-checked) to the first record whose
+    key is >= ``key``.  Returns its offset (``len(payload)`` when every key
+    is smaller) and, when its key is ``key``, the record — the only one
+    decoded."""
     unpack_from = _HEADER.unpack_from
     hsize = _HEADER.size
     pos = 0
@@ -84,40 +123,27 @@ def find_record(payload: bytes, key: bytes) -> tuple[int, Optional[Record]]:
 
 
 def decode_prefix(data: bytes) -> tuple[list[Record], int, bool]:
-    """Decode the longest clean prefix of back-to-back records.
-
-    Unlike :func:`decode_payload`, a truncated or structurally implausible
-    record does not raise: decoding stops at the first bad record and the
-    prefix decoded so far is returned.  This is what a torn WAL tail looks
-    like after a crash — every record before the tear is intact, the tear
-    itself is garbage.
-
-    Returns ``(records, bytes_consumed, truncated)`` where ``truncated`` is
-    True when trailing bytes past ``bytes_consumed`` were dropped.
-    """
+    """Decode the longest clean prefix of back-to-back records, stopping
+    without raising at the first truncated or implausible one (a torn WAL
+    tail).  Returns ``(records, bytes_consumed, truncated)``, ``truncated``
+    set when bytes past ``bytes_consumed`` were dropped."""
     records: list[Record] = []
     pos = 0
-    end = len(data)
-    while pos < end:
-        if pos + _HEADER.size > end:
+    while pos < len(data):
+        try:
+            entry = entry_at(data, pos)
+        except CorruptionError:
             return records, pos, True
-        seqno, flags, klen, vlen = _HEADER.unpack_from(data, pos)
-        body = pos + _HEADER.size
-        if flags & ~_FLAG_TOMBSTONE or body + klen + vlen > end:
+        if entry[2] & ~_FLAG_TOMBSTONE:
             return records, pos, True
-        key = data[body : body + klen]
-        value = data[body + klen : body + klen + vlen]
-        records.append(
-            Record(key, value, seqno, deleted=bool(flags & _FLAG_TOMBSTONE))
-        )
-        pos = body + klen + vlen
+        records.append(record_of(entry))
+        pos += len(entry[3])
     return records, pos, False
 
 
-def encode_block(records: Iterable[Record]) -> bytes:
-    """Encode records into a checksummed data block."""
-    payload = b"".join(encode_record(r) for r in records)
-    return payload + struct.pack(">I", zlib.crc32(payload))
+def seal_block(payload: bytes) -> bytes:
+    """A data block: ``payload`` (records in key order) + its CRC32 footer."""
+    return payload + _CRC.pack(zlib.crc32(payload))
 
 
 def verify_block(block: bytes) -> bytes:
@@ -125,7 +151,7 @@ def verify_block(block: bytes) -> bytes:
     if len(block) < CHECKSUM_SIZE:
         raise CorruptionError("block shorter than its checksum")
     payload, footer = block[:-CHECKSUM_SIZE], block[-CHECKSUM_SIZE:]
-    (expected,) = struct.unpack(">I", footer)
+    (expected,) = _CRC.unpack(footer)
     actual = zlib.crc32(payload)
     if actual != expected:
         raise CorruptionError(
@@ -134,16 +160,11 @@ def verify_block(block: bytes) -> bytes:
     return payload
 
 
-def decode_block(block: bytes) -> list[Record]:
-    """Decode a checksummed data block, verifying integrity."""
-    return decode_payload(verify_block(block))
-
-
-def decode_payload(payload: bytes) -> list[Record]:
-    """Decode every record of a block payload (checksum already stripped);
-    a truncated header or body raises :class:`CorruptionError`."""
-    records: list[Record] = []
-    append = records.append
+def payload_entries(payload: bytes) -> list[Entry]:
+    """Every record of a block payload as an entry — the one whole-payload
+    walk; a truncated header or body raises before anything is returned."""
+    entries: list[Entry] = []
+    append = entries.append
     unpack_from = _HEADER.unpack_from
     hsize = _HEADER.size
     pos = 0
@@ -153,15 +174,14 @@ def decode_payload(payload: bytes) -> list[Record]:
             raise CorruptionError(f"truncated record header at offset {pos}")
         seqno, flags, klen, vlen = unpack_from(payload, pos)
         body = pos + hsize
-        pos = body + klen + vlen
-        if pos > end:
+        stop = body + klen + vlen
+        if stop > end:
             raise CorruptionError(f"truncated record body at offset {body}")
-        append(
-            Record(
-                payload[body : body + klen],
-                payload[body + klen : pos],
-                seqno,
-                deleted=bool(flags & _FLAG_TOMBSTONE),
-            )
-        )
-    return records
+        append((payload[body : body + klen], seqno, flags, payload[pos:stop]))
+        pos = stop
+    return entries
+
+
+def decode_payload(payload: bytes) -> list[Record]:
+    """Decode every record of a block payload (scrub reads the medium)."""
+    return [record_of(entry) for entry in payload_entries(payload)]

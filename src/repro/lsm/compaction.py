@@ -196,8 +196,8 @@ class LeveledCompactor:
         # Newest first: L0 tables are ordered oldest-first in the version, so
         # reverse them; parent level is newer than child level.
         streams = [
-            t.iter_records(TrafficKind.COMPACTION) for t in reversed(parents)
-        ] + [t.iter_records(TrafficKind.COMPACTION) for t in children]
+            t.iter_entries(TrafficKind.COMPACTION) for t in reversed(parents)
+        ] + [t.iter_entries(TrafficKind.COMPACTION) for t in children]
         bottom = child_no >= self.version.first_level + self.version.num_levels - 1
         merged = merge_records(streams, drop_tombstones=bottom)
 

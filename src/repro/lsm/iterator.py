@@ -1,4 +1,4 @@
-"""K-way merge of sorted record streams.
+"""K-way merge of sorted entry streams.
 
 Used by compaction (merging a victim table with its children) and by range
 scans (merging memtable + every level).  Duplicate keys are resolved by
@@ -15,32 +15,41 @@ from repro.common.records import Record
 
 
 def merge_records(
-    streams: Iterable[Iterator[Record]],
+    streams: Iterable[Iterator[tuple]],
     drop_tombstones: bool = False,
-) -> Iterator[Record]:
-    """Merge sorted record streams into one deduplicated sorted stream.
+) -> Iterator[tuple]:
+    """Merge sorted streams of ``(key, seqno, flags, payload)`` items into
+    one deduplicated sorted stream; only the first three fields are read
+    (compaction's payload is the record's bytes, a scan's its Record).
 
-    ``streams`` must each yield records in strictly increasing key order.
     Earlier streams take precedence on seqno ties (pass newest first).
-    When ``drop_tombstones`` is set, deletion markers are elided — only
-    valid at the bottom of the tree, where nothing older can resurface.
+    ``drop_tombstones`` elides deletion markers (``flags & 1``) — only valid
+    at the bottom of the tree, where nothing older can resurface.
     """
-    heap: list[tuple[bytes, int, int, Record, Iterator[Record]]] = []
+    heap: list = []
     for priority, stream in enumerate(streams):
         it = iter(stream)
         first = next(it, None)
         if first is not None:
-            heapq.heappush(heap, (first.key, -first.seqno, priority, first, it))
+            heapq.heappush(heap, (first[0], -first[1], priority, first, it))
 
     prev_key: bytes | None = None
     while heap:
-        key, _, priority, rec, it = heapq.heappop(heap)
+        key, _, priority, item, it = heap[0]
         nxt = next(it, None)
-        if nxt is not None:
-            heapq.heappush(heap, (nxt.key, -nxt.seqno, priority, nxt, it))
+        if nxt is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (nxt[0], -nxt[1], priority, nxt, it))
         if key == prev_key:
             continue  # an older duplicate; the winner was already emitted
         prev_key = key
-        if drop_tombstones and rec.is_tombstone:
+        if drop_tombstones and item[2] & 1:
             continue
-        yield rec
+        yield item
+
+
+def keyed(records: Iterable[Record]) -> Iterator[tuple]:
+    """A scan's :class:`Record` stream as :func:`merge_records` items."""
+    for rec in records:
+        yield rec.key, rec.seqno, rec.deleted, rec

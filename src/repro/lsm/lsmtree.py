@@ -23,7 +23,8 @@ from repro.common.errors import ConfigError, CorruptionError
 from repro.common.records import Record
 from repro.common.stats import StatsRegistry
 from repro.lsm.compaction import LeveledCompactor
-from repro.lsm.iterator import merge_records
+from repro.lsm.blocks import Entry, entry_of
+from repro.lsm.iterator import keyed, merge_records
 from repro.lsm.manifest import (
     MANIFEST_PREFIX,
     HandleMeta,
@@ -409,33 +410,35 @@ class LSMTree:
             # on multi-queue devices (no-op otherwise).
             fs.device.begin_background_job(TrafficKind.FLUSH)
             device_before = fs.device.busy_seconds()
-            if first == 0:
-                builder = SSTableBuilder(
-                    fs,
-                    self._next_table_id(),
-                    self.options.block_size,
-                    write_kind=TrafficKind.FLUSH,
-                )
-                for rec in imm.records():
-                    builder.add(rec)
-                table = builder.finish()
-                self.version.add_table(0, table)
-            else:
-                # Flushing straight into a sorted level: merge with overlaps.
-                self._merge_into_sorted_level(first, list(imm.records()))
+            self._add_run([entry_of(rec) for rec in imm.records()], TrafficKind.FLUSH)
             service += fs.device.busy_seconds() - device_before
             self.stats.counter("flushes").add()
         return service
 
+    def _add_run(self, entries: list[Entry], kind: TrafficKind) -> None:
+        """Install a sorted run in the first level: a fresh L0 table, or a
+        merge with the overlapping tables of a sorted first level."""
+        first = self.options.first_level
+        if first == 0:
+            builder = SSTableBuilder(
+                self.fs_for_level(0), self._next_table_id(),
+                self.options.block_size, write_kind=kind,
+            )
+            for entry in entries:
+                builder.add(entry)
+            self.version.add_table(0, builder.finish())
+        else:
+            self._merge_into_sorted_level(first, entries, kind)
+
     def _merge_into_sorted_level(
-        self, level_no: int, records: list[Record], kind=TrafficKind.FLUSH
+        self, level_no: int, entries: list[Entry], kind: TrafficKind
     ) -> None:
-        if not records:
+        if not entries:
             return
-        lo = records[0].key
-        hi = records[-1].key + b"\x00"
+        lo = entries[0][0]
+        hi = entries[-1][0] + b"\x00"
         overlaps = self.version.overlapping(level_no, lo, hi)
-        streams = [iter(records)] + [t.iter_records(kind) for t in overlaps]
+        streams = [iter(entries)] + [t.iter_entries(kind) for t in overlaps]
         merged = merge_records(streams)
         outputs = build_tables(
             self.fs_for_level(level_no), merged, self._next_table_id,
@@ -453,13 +456,11 @@ class LSMTree:
             if fs_owner.exists(t.file.name):
                 fs_owner.delete(t.file.name)
 
-    def ingest_batch(self, records: list[Record], kind=TrafficKind.MIGRATION) -> float:
-        """Merge a sorted, durable batch straight into the tree, bypassing
-        WAL and memtable (used for cross-tier demotions à la PrismDB).
-
-        Records must be sorted by key with no duplicates.
-        """
-        if not records:
+    def ingest_batch(self, entries: list[Entry], kind=TrafficKind.MIGRATION) -> float:
+        """Merge a durable batch of entries, sorted by key with no duplicates,
+        straight into the tree, bypassing WAL and memtable (used for
+        cross-tier demotions à la PrismDB)."""
+        if not entries:
             return 0.0
         first = self.options.first_level
         fs = self.fs_for_level(first)
@@ -467,20 +468,10 @@ class LSMTree:
         # seqnos advance or any table mutates, so callers can requeue it.
         with fs.device.health_epoch:
             busy_before = fs.device.busy_seconds()
-            for rec in records:
-                if rec.seqno > self._seqno:
-                    self._seqno = rec.seqno
+            self._seqno = max(self._seqno, max(e[1] for e in entries))
+            self._add_run(entries, kind)
             if first == 0:
-                builder = SSTableBuilder(
-                    fs, self._next_table_id(), self.options.block_size,
-                    write_kind=kind,
-                )
-                for rec in records:
-                    builder.add(rec)
-                self.version.add_table(0, builder.finish())
                 self._write_manifest()
-            else:
-                self._merge_into_sorted_level(first, records, kind)
             service = fs.device.busy_seconds() - busy_before
             self.maybe_compact()
             return service
@@ -539,17 +530,19 @@ class LSMTree:
     def iter_from(self, start: bytes) -> Iterator[Record]:
         """Lazy merged stream of the live records >= ``start``, in key order:
         a table's block is read when the consumer reaches it."""
-        streams: list[Iterator[Record]] = [self._memtable.records(start=start)]
+        streams = [keyed(self._memtable.records(start=start))]
         for imm in reversed(self._immutables):
-            streams.append(imm.records(start=start))
+            streams.append(keyed(imm.records(start=start)))
         first = self.options.first_level
 
-        def guarded(level_no: int, table: SSTable) -> Iterator[Record]:
+        def guarded(level_no: int, table: SSTable) -> Iterator[tuple]:
             # Stop the stream (and quarantine) when a block fails its
             # checksum; the scan degrades to the remaining clean tables
             # instead of surfacing corrupt bytes.
             try:
-                yield from table.iter_from(start, TrafficKind.FOREGROUND, self.cache)
+                yield from keyed(
+                    table.iter_from(start, TrafficKind.FOREGROUND, self.cache)
+                )
             except CorruptionError:
                 self._quarantine(level_no, table)
 
@@ -564,7 +557,7 @@ class LSMTree:
                 for t in tables:
                     yield from guarded(lvl, t)
             streams.append(level_stream())
-        return merge_records(streams, drop_tombstones=True)
+        return (item[3] for item in merge_records(streams, drop_tombstones=True))
 
     def scan(self, start: bytes, count: int) -> tuple[list[tuple[bytes, bytes]], float]:
         """Range scan of up to ``count`` live records from ``start``."""

@@ -21,12 +21,13 @@ Victim selection trades write amplification against space amplification:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro import obs
-from repro.common.records import Record
+from repro.lsm.blocks import Entry
 from repro.lsm.semi.levels import SemiLevels
 from repro.lsm.semi.semisstable import SemiSSTable
 from repro.simssd.traffic import TrafficKind
@@ -180,8 +181,7 @@ class PreemptiveBlockCompactor:
                 level=level_no, victim_records=victim.num_valid_records,
             )
 
-        records = list(victim.iter_valid_records(TrafficKind.COMPACTION))
-        self._route_records(level_no, records)
+        self._route_records(level_no, victim.live_entries(TrafficKind.COMPACTION))
 
         # The victim's whole file is reclaimed.
         lvl = self.levels.level(level_no)
@@ -201,8 +201,8 @@ class PreemptiveBlockCompactor:
             )
         return True
 
-    def _route_records(self, level_no: int, records: list[Record]) -> None:
-        """Send each record to the deepest in-depth level holding its key.
+    def _route_records(self, level_no: int, entries: list[Entry]) -> None:
+        """Send each entry to the deepest in-depth level holding its key.
 
         When a record supersedes a copy on an intermediate level, the
         surviving neighbours of that copy's block ride along to the deeper
@@ -211,25 +211,24 @@ class PreemptiveBlockCompactor:
         """
         bottom = self.levels.num_levels
         max_level = min(level_no + self.depth, bottom)
-        # (dest_level, segment) -> {key: record}; keyed so duplicates from
+        # (dest_level, segment) -> {key: entry}; keyed so duplicates from
         # ride-along extraction resolve by seqno.
-        batches: dict[int, dict[int, dict[bytes, Record]]] = {}
+        batches: dict[int, dict[int, dict[bytes, Entry]]] = {}
         invalidations: dict[int, dict[int, set[bytes]]] = {}
 
-        def stage(dest: int, rec: Record) -> None:
-            seg = self.levels.level(dest).segment_of(rec.key)
-            if dest == bottom and rec.is_tombstone:
+        def stage(dest: int, entry: Entry) -> None:
+            key = entry[0]
+            seg = self.levels.level(dest).segment_of(key)
+            if dest == bottom and entry[2] & 1:
                 # Tombstones reaching the bottom need no physical write.
-                t = self.levels.table_for_key(dest, rec.key)
-                if t is not None and t.contains_key(rec.key):
-                    invalidations.setdefault(dest, {}).setdefault(seg, set()).add(
-                        rec.key
-                    )
+                t = self.levels.table_for_key(dest, key)
+                if t is not None and t.contains_key(key):
+                    invalidations.setdefault(dest, {}).setdefault(seg, set()).add(key)
                 return
             bucket = batches.setdefault(dest, {}).setdefault(seg, {})
-            old = bucket.get(rec.key)
-            if old is None or rec.seqno > old.seqno:
-                bucket[rec.key] = rec
+            old = bucket.get(key)
+            if old is None or entry[1] > old[1]:
+                bucket[key] = entry
 
         def dest_for(key: bytes, floor: int) -> int:
             for candidate in range(max_level, floor, -1):
@@ -239,28 +238,29 @@ class PreemptiveBlockCompactor:
             return floor + 1
 
         staged_keys: set[bytes] = set()
-        for rec in records:
-            dest = dest_for(rec.key, level_no)
+        for entry in entries:
+            key = entry[0]
+            dest = dest_for(key, level_no)
             if dest > level_no + 1:
                 self.stats.preemptive_records += 1
                 # Retire the record's stale intermediate copies; their block
                 # neighbours travel down with it (ride-along).
                 for mid in range(level_no + 1, dest):
-                    mt = self.levels.table_for_key(mid, rec.key)
-                    if mt is None or not mt.contains_key(rec.key):
+                    mt = self.levels.table_for_key(mid, key)
+                    if mt is None or not mt.contains_key(key):
                         continue
                     survivors, _ = mt.extract_block_records(
-                        rec.key, TrafficKind.COMPACTION
+                        key, TrafficKind.COMPACTION
                     )
                     for s in survivors:
-                        if s.key == rec.key or s.key in staged_keys:
+                        if s[0] == key or s[0] in staged_keys:
                             continue
-                        stage(dest_for(s.key, mid), s)
-                        staged_keys.add(s.key)
+                        stage(dest_for(s[0], mid), s)
+                        staged_keys.add(s[0])
             else:
                 self.stats.normal_records += 1
-            stage(dest, rec)
-            staged_keys.add(rec.key)
+            stage(dest, entry)
+            staged_keys.add(key)
 
         for dest, segs in sorted(invalidations.items()):
             for seg, keys in segs.items():
@@ -269,10 +269,10 @@ class PreemptiveBlockCompactor:
                     table.merge_append([], TrafficKind.COMPACTION, invalidate_only=keys)
         for dest, segs in sorted(batches.items()):
             for seg, bucket in segs.items():
-                recs = sorted(bucket.values(), key=lambda r: r.key)
-                table = self.levels.table_for_key(dest, recs[0].key, create=True)
+                batch = sorted(bucket.values(), key=itemgetter(0))
+                table = self.levels.table_for_key(dest, batch[0][0], create=True)
                 inv = invalidations.get(dest, {}).get(seg)
-                table.merge_append(recs, TrafficKind.COMPACTION, invalidate_only=inv)
+                table.merge_append(batch, TrafficKind.COMPACTION, invalidate_only=inv)
                 self._maybe_full_compact(table)
 
     def _maybe_full_compact(self, table: SemiSSTable) -> None:

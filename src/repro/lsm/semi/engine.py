@@ -7,11 +7,13 @@ and preemptive block compaction keeps levels within target.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.common.records import Record
+from repro.lsm.blocks import Entry, as_entries
 from repro.lsm.semi.compaction import PreemptiveBlockCompactor
 from repro.lsm.semi.levels import SemiLevelConfig, SemiLevels
 from repro.lsm.semi.semisstable import SemiSSTable
@@ -48,11 +50,11 @@ class CapacityTier:
     # ------------------------------------------------------------- writes
 
     def ingest(
-        self, records: list[Record], kind: TrafficKind = TrafficKind.MIGRATION
+        self, entries: list[Entry], kind: TrafficKind = TrafficKind.MIGRATION
     ) -> float:
-        """Merge a demotion batch into L1 and rebalance.
-
-        ``records`` need not be sorted; they are grouped by L1 segment.
+        """Merge a demotion batch of entries (or records, encoded once here)
+        into L1 and rebalance.  The batch need not be sorted; it is grouped
+        by L1 segment, and the newest copy of a key wins.
         Returns the service time charged for the L1 merge (compaction time
         is background and accounted on the device).
 
@@ -61,24 +63,21 @@ class CapacityTier:
         (``DeviceOfflineError`` before any table mutates), so callers can
         requeue the batch without worrying about split state.
         """
-        if not records:
+        if not entries:
             return 0.0
+        entries = as_entries(entries)
         with self.fs.device.health_epoch:
-            by_segment: dict[int, list[Record]] = {}
-            lvl1 = self.levels.level(1)
-            for rec in records:
-                by_segment.setdefault(lvl1.segment_of(rec.key), []).append(rec)
+            by_segment: dict[int, dict[bytes, Entry]] = {}
+            segment_of = self.levels.level(1).segment_of
+            for entry in entries:
+                newest = by_segment.setdefault(segment_of(entry[0]), {})
+                held = newest.get(entry[0])
+                if held is None or entry[1] > held[1]:
+                    newest[entry[0]] = entry
             service = 0.0
-            for seg, recs in sorted(by_segment.items()):
-                recs.sort(key=lambda r: r.key)
-                deduped = [recs[0]]
-                for rec in recs[1:]:
-                    if rec.key == deduped[-1].key:
-                        if rec.seqno > deduped[-1].seqno:
-                            deduped[-1] = rec
-                    else:
-                        deduped.append(rec)
-                table = self.levels.table_for_key(1, deduped[0].key, create=True)
+            for seg, newest in sorted(by_segment.items()):
+                deduped = sorted(newest.values(), key=itemgetter(0))
+                table = self.levels.table_for_key(1, deduped[0][0], create=True)
                 service += table.merge_append(deduped, kind)
                 self.compactor._maybe_full_compact(table)
             self.compactor.maybe_compact()

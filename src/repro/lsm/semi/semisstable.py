@@ -12,23 +12,28 @@ Layout of one semi-SSTable:
   block and offset, and charge their serialized size).
 
 Merging new objects (:meth:`SemiSSTable.merge_append`) rewrites only the
-blocks whose keys are touched: their surviving records are merged with the
-incoming ones into fresh blocks appended at the file's end, the old blocks
-are marked dead, and clean blocks are untouched.  Dead blocks make the file
-larger than its live payload — :attr:`SemiSSTable.dirty_ratio` and
-:meth:`SemiSSTable.full_compact` manage that space debt.
+blocks whose keys are touched: their surviving records — entries sliced out
+of the verified payload at their indexed offsets, never decoded — are merged
+with the incoming entries into fresh blocks (joins of their bytes) appended
+at the file's end; the old blocks are marked dead, clean blocks untouched.
+Dead blocks make the file larger than its live payload —
+:attr:`SemiSSTable.dirty_ratio` and :meth:`SemiSSTable.full_compact`, which
+moves entries the same way, manage that space debt.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Optional
 
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange, ranges_overlap
 from repro.common.records import Record
-from repro.lsm.blocks import decode_one, encode_block, verify_block
+from repro.lsm.blocks import (
+    Entry, as_entries, decode_one, entry_at, seal_block, verify_block,
+)
 from repro.simssd.fs import SimFile, SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
@@ -209,20 +214,18 @@ class SemiSSTable:
 
     def get_indexed(self, key: bytes, kind: TrafficKind, cache=None) -> tuple[Record, float]:
         """:meth:`get` for a key just read out of this table's own index
-        (a scan candidate): one block read, one record decoded."""
-        block = self._blocks_by_id[self._key_map[key][0]]  # block_of, inlined: hot
-        payload, service = self._read_block(block, kind, cache)
-        return self._indexed_record(key, payload), service
-
-    def _indexed_record(self, key: bytes, payload: bytes) -> Record:
-        """Decode the record ``key``'s index entry points at in its block's payload."""
+        (a scan candidate): one block read, one record decoded and its key
+        compared with the index's."""
         block_id, _, _, offset = self._key_map[key]
+        payload, service = self._read_block(self._blocks_by_id[block_id], kind, cache)
         rec = decode_one(payload, offset)
         if rec.key != key:
-            raise ReproError(
-                f"index says key {key!r} is in block {block_id} but it is not"
-            )
-        return rec
+            raise self._misindexed(key)
+        return rec, service
+
+    def _misindexed(self, key: bytes) -> ReproError:
+        block_id = self._key_map[key][0]
+        return ReproError(f"index says key {key!r} is in block {block_id} but it is not")
 
     def _read_block(
         self, block: SemiBlock, kind: TrafficKind, cache=None
@@ -240,17 +243,19 @@ class SemiSSTable:
             cache.put(cache_key, payload, charge=block.length)
         return payload, service
 
-    def _read_live_records(
+    def _read_live_entries(
         self, block: SemiBlock, kind: TrafficKind, superseded, cache=None
-    ) -> tuple[list[Record], float]:
-        """Background read of ``block``: decode, in key order, only the
-        records the index still points at (a dirty block's dead records
-        stay bytes).  A block that fails its check is triaged by
-        :attr:`on_corrupt_block`, then retired, and yields no records."""
+    ) -> tuple[list[Entry], float]:
+        """Background read of ``block``: in key order, an entry sliced at each
+        offset the index still points at (key compared).  A block failing a
+        check is triaged by :attr:`on_corrupt_block`, retired, and yields none."""
         try:
             payload, service = self._read_block(block, kind, cache)
-            keys = self.keys_of_block(block)
-            return [self._indexed_record(k, payload) for k in keys], service
+            keys, key_map = self.keys_of_block(block), self._key_map
+            out = [entry_at(payload, key_map[k][3]) for k in keys]
+            if [e[0] for e in out] != keys:
+                raise self._misindexed(next(k for k, e in zip(keys, out) if e[0] != k))
+            return out, service
         except CorruptionError:
             if self.on_corrupt_block is None:
                 raise
@@ -258,30 +263,31 @@ class SemiSSTable:
             self._kill_block(block)
             return [], 0.0
 
-    def iter_valid_records(
+    def live_entries(
         self, kind: TrafficKind = TrafficKind.COMPACTION, cache=None
-    ) -> Iterator[Record]:
-        """All valid records in key order (reads every live block once)."""
-        out: list[Record] = []
+    ) -> list[Entry]:
+        """All valid entries in key order (reads every live block once)."""
+        out: list[Entry] = []
         for block in self.blocks:
             if block.is_dead:
                 continue
-            out += self._read_live_records(block, kind, frozenset(), cache)[0]
-        out.sort(key=lambda r: r.key)
-        return iter(out)
+            out += self._read_live_entries(block, kind, frozenset(), cache)[0]
+        out.sort(key=itemgetter(0))
+        return out
 
     # ------------------------------------------------------------- writes
 
     def merge_append(
         self,
-        records: list[Record],
+        entries: list[Entry],
         kind: TrafficKind = TrafficKind.COMPACTION,
         invalidate_only: Optional[set[bytes]] = None,
     ) -> float:
-        """Merge sorted ``records`` into the table at block granularity.
+        """Merge sorted ``entries`` (or records, encoded once here) into the
+        table at block granularity.
 
         Blocks containing keys being written are read, their surviving
-        records merged with the incoming ones, and the result appended as
+        entries merged with the incoming ones, and the result appended as
         fresh blocks; untouched blocks stay clean (paper Fig. 5).
 
         ``invalidate_only`` keys are removed from the index without writing a
@@ -293,24 +299,25 @@ class SemiSSTable:
         if invalidate_only:
             for key in invalidate_only:
                 self._invalidate(key)
-        if not records:
+        if not entries:
             service += self._rewrite_index(kind)
             return service
-        for a, b in zip(records, records[1:]):
-            if a.key >= b.key:
+        entries = as_entries(entries)
+        for a, b in zip(entries, entries[1:]):
+            if a[0] >= b[0]:
                 raise ReproError("merge_append requires strictly sorted records")
-        for rec in records:
-            if not self.declared_range.contains(rec.key):
+        for key in (entries[0][0], entries[-1][0]):  # sorted: the ends bound all
+            if not self.declared_range.contains(key):
                 raise ReproError(
-                    f"record key {rec.key!r} outside declared range of table "
+                    f"record key {key!r} outside declared range of table "
                     f"{self.table_id}"
                 )
 
-        incoming = {r.key: r for r in records}
+        incoming = {e[0]: e for e in entries}
         # Skip records older than what the table already holds.
         for key in list(incoming):
             entry = self._key_map.get(key)
-            if entry is not None and entry[1] >= incoming[key].seqno:
+            if entry is not None and entry[1] >= incoming[key][1]:
                 del incoming[key]
         if not incoming:
             service += self._rewrite_index(kind)
@@ -324,17 +331,15 @@ class SemiSSTable:
                 block = self._blocks_by_id[entry[0]]
                 touched[block.block_id] = block
 
-        survivors: list[Record] = []
+        survivors: list[Entry] = []
         for block in touched.values():
             # Keys being overwritten by this merge are superseded either
             # way; a corrupt block's hook triages its *other* survivors.
-            live, s = self._read_live_records(block, kind, incoming.keys())
+            live, s = self._read_live_entries(block, kind, incoming.keys())
             service += s
-            survivors += [rec for rec in live if rec.key not in incoming]
+            survivors += [e for e in live if e[0] not in incoming]
 
-        merged = sorted(
-            list(incoming.values()) + survivors, key=lambda r: r.key
-        )
+        merged = sorted(list(incoming.values()) + survivors, key=itemgetter(0))
 
         # Every live key of a touched block is in ``merged``, so indexing
         # the fresh blocks retires the touched ones (their bytes become
@@ -343,35 +348,36 @@ class SemiSSTable:
         service += self._rewrite_index(kind)
         return service
 
-    def _append_blocks(self, merged: list[Record], kind: TrafficKind) -> float:
-        """Chunk ``merged`` into blocks of ``block_size`` encoded bytes, each
-        with its own checksum, and write them with one append — a table
-        writer buffers, so the page two blocks share is written once.  The
-        index points at the blocks only once they are on media."""
-        chunks: list[list[Record]] = []
-        chunk: list[Record] = []
+    def _append_blocks(self, merged: list[Entry], kind: TrafficKind) -> float:
+        """Chunk ``merged`` into blocks of ``block_size`` record bytes, each
+        its entries' bytes joined and sealed with a checksum, and write them
+        with one append — a table writer buffers, so the page two blocks
+        share is written once.  The index points at the blocks only once
+        they are on media."""
+        chunks: list[list[Entry]] = []
+        chunk: list[Entry] = []
         chunk_size = 0
-        for rec in merged:
-            chunk.append(rec)
-            chunk_size += rec.encoded_size
+        for entry in merged:
+            chunk.append(entry)
+            chunk_size += len(entry[3])
             if chunk_size >= self.block_size:
                 chunks.append(chunk)
                 chunk, chunk_size = [], 0
         if chunk:
             chunks.append(chunk)
-        payloads = [encode_block(c) for c in chunks]
-        offset, service = self.file.append(b"".join(payloads), kind)
-        for chunk, payload in zip(chunks, payloads):
-            self._index_block(chunk, offset, len(payload))
-            offset += len(payload)
+        blocks = [seal_block(b"".join([e[3] for e in c])) for c in chunks]
+        offset, service = self.file.append(b"".join(blocks), kind)
+        for chunk, block in zip(chunks, blocks):
+            self._index_block(chunk, offset, len(block))
+            offset += len(block)
         return service
 
-    def _index_block(self, chunk: list[Record], offset: int, length: int) -> None:
+    def _index_block(self, chunk: list[Entry], offset: int, length: int) -> None:
         """Point the index at the block of ``chunk`` written at ``offset``."""
         block = SemiBlock(
             block_id=self._next_block_id,
-            first_key=chunk[0].key,
-            last_key=chunk[-1].key,
+            first_key=chunk[0][0],
+            last_key=chunk[-1][0],
             offset=offset,
             length=length,
             num_records=len(chunk),
@@ -382,18 +388,19 @@ class SemiSSTable:
         self._blocks_by_id[block.block_id] = block
         self._sorted_keys = None
         key_map = self._key_map
-        pos = 0  # offset of ``rec`` in the block's payload
-        for rec in chunk:
-            old = key_map.get(rec.key)
+        bid = block.block_id
+        pos = 0  # offset of ``raw`` in the block's payload
+        for key, seqno, _, raw in chunk:
+            old = key_map.get(key)
             if old is not None:
-                self._retire_entry(rec.key, old)
+                self._retire_entry(key, old)
             else:
-                self._key_bytes += len(rec.key)
-            size = rec.encoded_size
-            key_map[rec.key] = (block.block_id, rec.seqno, size, pos)
+                self._key_bytes += len(key)
+            size = len(raw)
+            key_map[key] = (bid, seqno, size, pos)
             pos += size
             self._valid_bytes += size
-        self._block_keys[block.block_id] = [rec.key for rec in chunk]
+        self._block_keys[bid] = [e[0] for e in chunk]
 
     def _retire_entry(self, key: bytes, entry: tuple[int, int, int, int]) -> None:
         old_block = self._blocks_by_id[entry[0]]
@@ -413,8 +420,9 @@ class SemiSSTable:
 
     def extract_block_records(
         self, key: bytes, kind: TrafficKind = TrafficKind.COMPACTION
-    ) -> tuple[list[Record], float]:
-        """Remove and return all valid records of the block holding ``key``.
+    ) -> tuple[list[Entry], float]:
+        """Remove and return, as entries, all valid records of the block
+        holding ``key``.
 
         Used by preemptive compaction's ride-along (paper Fig. 7): when a
         block's key is superseded by a record going to a deeper level, the
@@ -427,7 +435,7 @@ class SemiSSTable:
         block = self._blocks_by_id[entry[0]]
         # The triggering key is superseded by the record travelling down; a
         # corrupt block's hook triages the rest.  Either way the block dies.
-        got = self._read_live_records(block, kind, frozenset((key,)))
+        got = self._read_live_entries(block, kind, frozenset((key,)))
         self._kill_block(block)
         return got
 
@@ -460,7 +468,7 @@ class SemiSSTable:
         sequential reads (paper: "regular full compaction can enhance the
         organization of data within the table").
         """
-        live = list(self.iter_valid_records(kind))
+        live = self.live_entries(kind)
         service = 0.0
         old_name = self.file.name
         self.fs.delete(old_name)

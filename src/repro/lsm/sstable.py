@@ -23,11 +23,7 @@ from repro.common.errors import ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
 from repro.lsm.blocks import (
-    decode_one,
-    decode_payload,
-    encode_block,
-    find_record,
-    verify_block,
+    Entry, decode_one, find_record, payload_entries, seal_block, verify_block,
 )
 from repro.simssd.fs import SimFile, SimFilesystem
 from repro.simssd.traffic import TrafficKind
@@ -138,13 +134,13 @@ class SSTable:
         payload, service = self._load_block(handle, kind, cache)
         return find_record(payload, key)[1], service
 
-    def iter_records(
+    def iter_entries(
         self, kind: TrafficKind = TrafficKind.COMPACTION
-    ) -> Iterator[Record]:
-        """Sequential scan of every record, charging one pass of read I/O
-        (uncached: compaction reads its inputs once)."""
+    ) -> Iterator[Entry]:
+        """Every record as an entry, one pass of read I/O (uncached:
+        compaction reads its inputs once); blocks are sliced, not decoded."""
         for handle in self.handles:
-            yield from decode_payload(self._load_block(handle, kind, None)[0])
+            yield from payload_entries(self._load_block(handle, kind, None)[0])
 
     def iter_from(
         self,
@@ -169,8 +165,8 @@ class SSTable:
 
 
 class SSTableBuilder:
-    """Streams sorted records into a new table file: encoded blocks are
-    buffered, so the page two blocks share is written once, at :meth:`finish`."""
+    """Streams sorted entries into a new table file: blocks are buffered,
+    so the page two blocks share is written once, at :meth:`finish`."""
 
     def __init__(
         self,
@@ -186,51 +182,47 @@ class SSTableBuilder:
         self._write_kind = write_kind
         self._bits_per_key = bits_per_key
         self._file = fs.create(f"sst_{table_id:08d}")
-        self._pending: list[Record] = []
-        self._pending_size = 0
-        self._blocks = bytearray()  # encoded, not yet written
+        self._pending: list[bytes] = []  # the open block's record bytes
+        self._blocks = bytearray()  # sealed, not yet written
         self._handles: list[BlockHandle] = []
         self._keys: list[bytes] = []
         self._last_key: Optional[bytes] = None
-        self._num_records = 0
         self._finished = False
+        #: Encoded bytes added so far: sealed blocks plus the open one.
+        self.estimated_size = 0
 
-    @property
-    def estimated_size(self) -> int:
-        return len(self._blocks) + self._pending_size
-
-    def add(self, rec: Record) -> None:
-        """Append a record; keys must arrive in strictly increasing order."""
+    def add(self, entry: Entry) -> None:
+        """Append an entry; keys must arrive in strictly increasing order."""
         if self._finished:
             raise ReproError("builder already finished")
-        if self._last_key is not None and rec.key <= self._last_key:
+        key = entry[0]
+        if self._last_key is not None and key <= self._last_key:
             raise ReproError(
-                f"records out of order: {rec.key!r} after {self._last_key!r}"
+                f"records out of order: {key!r} after {self._last_key!r}"
             )
-        self._last_key = rec.key
-        self._pending.append(rec)
-        self._pending_size += rec.encoded_size
-        self._keys.append(rec.key)
-        self._num_records += 1
-        if self._pending_size >= self._block_size:
+        self._last_key = key
+        self._pending.append(entry[3])
+        self.estimated_size += len(entry[3])
+        self._keys.append(key)
+        if self.estimated_size - len(self._blocks) >= self._block_size:
             self._flush_block()
 
     def _flush_block(self) -> None:
         if not self._pending:
             return
-        block = encode_block(self._pending)
+        block = seal_block(b"".join(self._pending))
         self._handles.append(
             BlockHandle(
-                first_key=self._pending[0].key,
-                last_key=self._pending[-1].key,
+                first_key=self._keys[-len(self._pending)],
+                last_key=self._last_key,
                 offset=len(self._blocks),
                 length=len(block),
                 num_records=len(self._pending),
             )
         )
         self._blocks += block
+        self.estimated_size = len(self._blocks)
         self._pending = []
-        self._pending_size = 0
 
     def finish(self) -> SSTable:
         """Write the data blocks, metadata and index in one append; return
@@ -246,7 +238,7 @@ class SSTableBuilder:
         meta_size = bloom.size_bytes + sum(h.index_entry_size() for h in self._handles)
         self._blocks += bytes(meta_size)
         self._file.append(self._blocks, self._write_kind)
-        return SSTable(self._table_id, self._file, self._handles, bloom, self._num_records)
+        return SSTable(self._table_id, self._file, self._handles, bloom, len(self._keys))
 
     def abandon(self) -> None:
         """Discard the partially built table and free its space."""
@@ -255,37 +247,23 @@ class SSTableBuilder:
             self._finished = True
 
 
-def build_sstable(
-    fs: SimFilesystem,
-    table_id: int,
-    records: Iterator[Record] | list[Record],
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    write_kind: TrafficKind = TrafficKind.FLUSH,
-) -> SSTable:
-    """Convenience wrapper: build a table from an already-sorted record stream."""
-    builder = SSTableBuilder(fs, table_id, block_size, write_kind)
-    for rec in records:
-        builder.add(rec)
-    return builder.finish()
-
-
 def build_tables(
     fs: SimFilesystem,
-    records: Iterable[Record],
+    entries: Iterable[Entry],
     next_table_id: Callable[[], int],
     block_size: int,
     table_size_bytes: int,
     write_kind: TrafficKind,
 ) -> list[SSTable]:
-    """Roll a sorted record stream into tables of about ``table_size_bytes``
-    (a merge's outputs).  A table id is drawn when a table's first record
+    """Roll a sorted entry stream into tables of about ``table_size_bytes``
+    (a merge's outputs).  A table id is drawn when a table's first entry
     arrives, so an empty stream draws none and builds nothing."""
     outputs: list[SSTable] = []
     builder: Optional[SSTableBuilder] = None
-    for rec in records:
+    for entry in entries:
         if builder is None:
             builder = SSTableBuilder(fs, next_table_id(), block_size, write_kind)
-        builder.add(rec)
+        builder.add(entry)
         if builder.estimated_size >= table_size_bytes:
             outputs.append(builder.finish())
             builder = None

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from repro import obs
 from repro.common.errors import DeviceOfflineError
 from repro.health.state import HealthState
+from repro.lsm.blocks import record_of
 from repro.lsm.semi.engine import CapacityTier
 from repro.nvme.partition import Partition
 from repro.nvme.tier import PerformanceTier
@@ -155,6 +156,7 @@ class MigrationScheduler:
                 # nothing was mutated (health epochs reject atomically).
                 self._pause(partition)
                 break
+            nbytes = sum(len(e[3]) for e in batch)
             if batch:
                 try:
                     self.capacity_tier.ingest(batch, TrafficKind.MIGRATION)
@@ -163,18 +165,18 @@ class MigrationScheduler:
                     # (ingest rejects atomically at its epoch entry).  Put
                     # the zone's objects back so it stays fully resident,
                     # and queue this partition for post-recovery catch-up.
-                    for r in batch:
-                        partition.put(r, TrafficKind.MIGRATION)
+                    for entry in batch:
+                        partition.put(record_of(entry), TrafficKind.MIGRATION)
                     self.stats.requeued_objects += len(batch)
                     self._pause(partition)
                     break
                 self.stats.demoted_objects += len(batch)
-                self.stats.demoted_bytes += sum(r.encoded_size for r in batch)
+                self.stats.demoted_bytes += nbytes
             if rec is not None:
                 rec.emit(
                     "zone_demotion", t=device.busy_seconds(),
                     objects=len(batch),
-                    bytes=sum(r.encoded_size for r in batch),
+                    bytes=nbytes,
                 )
             zones += 1
             if not batch and zone.object_count == 0 and partition.object_count() == 0:

@@ -9,7 +9,6 @@ to per-partition accounting the harness can parallelize conceptually.
 
 from __future__ import annotations
 
-import zlib
 from bisect import bisect_right
 from typing import Callable, Iterator, Optional
 
@@ -18,7 +17,7 @@ from repro.common.errors import CorruptionError, OutOfSpaceError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
 from repro.hotness.tracker import HotnessTracker
-from repro.lsm.blocks import decode_one
+from repro.lsm.blocks import Entry, entry_at
 from repro.nvme.config import (
     SLOT_CLASSES,
     TRACKER_HOT_THRESHOLD,
@@ -389,7 +388,7 @@ class Partition:
                 npages = -(-loc.slot_size // self.page_store.page_size)
                 _, s_read = self.page_store.read(loc.page_id, kind, self.cache, npages)
                 try:
-                    payload = self._verified_slot(loc)
+                    payload = hot.verified_slot(loc)
                 except CorruptionError:
                     self._drop_corrupt_slot(hot, key, loc)
                     continue
@@ -443,25 +442,6 @@ class Partition:
 
     # ------------------------------------------------- corruption handling
 
-    def _verified_slot(self, loc: SlotLocation) -> bytes:
-        """A resident slot's bytes, peeked after its page read was paid.
-
-        The one integrity gate of the relocations (collect, parks, split,
-        eviction), which move these bytes as they are: the index CRC turns
-        a latent bit flip — structurally invisible to ``decode_one`` — into
-        :class:`CorruptionError` instead of a relocated flip; a slot without
-        a CRC (after checkpoint recovery) gets ``decode_one``'s check.
-        """
-        raw = self.page_store.peek(loc.page_id, loc.offset, loc.record_size)
-        if loc.crc is None:
-            decode_one(raw)
-        elif zlib.crc32(raw) != loc.crc:
-            raise CorruptionError(
-                f"zone {loc.zone_id} slot checksum mismatch on page "
-                f"{loc.page_id} slot {loc.slot_index}"
-            )
-        return raw
-
     def _drop_corrupt_slot(self, zone: Zone, key: bytes, loc: SlotLocation) -> None:
         """The one drop path for a corrupt slot, whoever found it.
 
@@ -488,8 +468,9 @@ class Partition:
 
     def collect_zone(
         self, zone: Zone, kind: TrafficKind = TrafficKind.MIGRATION
-    ) -> tuple[list[Record], float]:
-        """Read a zone's pages and extract its objects for demotion.
+    ) -> tuple[list[Entry], float]:
+        """Read a zone's pages and extract its objects for demotion: in key
+        order, each one's verified slot bytes as an entry, nothing decoded.
 
         Hot objects are parked in the hot zone instead of being returned
         (§3.2: "HyperDB does not migrate frequently accessed data"): their
@@ -501,16 +482,12 @@ class Partition:
         """
         with self.page_store.device.health_epoch:
             service = self.page_store.read_many(zone.page_ids(), kind)
-            demoted: list[Record] = []
+            demoted: list[Entry] = []
             batch, moves, staged = {}, {}, {}  # staged: {zone page: slots out}
             keys = sorted(zone.keys)
-            # Columnar hotness verdicts for the whole zone up front: no
-            # access is recorded during collection, so the discriminator is
-            # frozen and the batched probe returns exactly what per-key
-            # ``is_hot`` calls inside the loop would.  The tracker's
-            # query/hit counters still advance per *consulted* key below
-            # (stale index entries are skipped before consulting, exactly
-            # like the scalar path).
+            # One batched hotness probe: nothing records an access during
+            # collection, so it equals per-key ``is_hot`` calls; the
+            # tracker's counters still advance per consulted key below.
             tracker = self.tracker
             hot_flags = tracker.discriminator.is_hot_many(keys)
             demoted_append = demoted.append
@@ -520,7 +497,7 @@ class Partition:
                     if loc is None or loc.zone_id != zone.zone_id:
                         continue
                     try:
-                        payload = self._verified_slot(loc)
+                        payload = zone.verified_slot(loc)
                     except CorruptionError:
                         self._drop_corrupt_slot(zone, key, loc)
                         continue
@@ -538,8 +515,7 @@ class Partition:
                                 key, loc, payload, slot_size, loc.promoted, batch
                             )
                     if new_loc is None:
-                        rec = decode_one(payload)
-                        demoted_append(Record(key, rec.value, rec.seqno, rec.deleted))
+                        demoted_append(entry_at(payload))
                     moves[key] = new_loc
                     staged[loc.page_id] = staged.get(loc.page_id, 0) + 1
                 service += self._commit(batch, moves, kind, vacated=zone)
@@ -655,7 +631,7 @@ class Partition:
                 if loc is None or loc.zone_id != zone.zone_id:
                     continue
                 try:
-                    payload = self._verified_slot(loc)
+                    payload = zone.verified_slot(loc)
                 except CorruptionError:
                     self._drop_corrupt_slot(zone, key, loc)
                     continue

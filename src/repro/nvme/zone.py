@@ -18,7 +18,7 @@ from typing import Optional
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
-from repro.lsm.blocks import decode_one, encode_record
+from repro.lsm.blocks import decode_one, encode_record, entry_at
 from repro.nvme.pagestore import PageStore
 from repro.simssd.traffic import TrafficKind
 
@@ -273,25 +273,32 @@ class Zone:
         kind: TrafficKind = TrafficKind.FOREGROUND,
         cache=None,
     ) -> tuple[Record, float]:
-        """Read one object's page and decode the record in its slot.
-
-        When the index carries a slot checksum it is verified against the
-        bytes read, so latent media corruption surfaces as
-        :class:`CorruptionError` instead of a silently wrong record.
-        """
+        """Read one object's page and decode the record in its slot, which
+        passes :meth:`verified_slot` first: latent media corruption surfaces
+        as :class:`CorruptionError` instead of a silently wrong record."""
         npages = -(-loc.slot_size // self.page_store.page_size)
         data, service = self.page_store.read(loc.page_id, kind, cache, npages=npages)
-        if loc.crc is not None:
-            actual = zlib.crc32(data[loc.offset : loc.offset + loc.record_size])
-            if actual != loc.crc:
-                raise CorruptionError(
-                    f"zone {self.zone_id} slot checksum mismatch on page "
-                    f"{loc.page_id} slot {loc.slot_index}: "
-                    f"stored={loc.crc:#x} computed={actual:#x}"
-                )
-        rec = decode_one(data, loc.offset)
+        raw = data[loc.offset : loc.offset + loc.record_size]
+        rec = decode_one(self.verified_slot(loc, raw))
         self.read_ios += 1
         return rec, service
+
+    def verified_slot(self, loc: SlotLocation, raw: Optional[bytes] = None) -> bytes:
+        """``loc``'s slot bytes ``raw`` (peeked when a bulk read paid for the
+        page) under the one slot-integrity rule of reads and of every move of
+        slot bytes: the index CRC, or after checkpoint recovery, which loses
+        it, the header's bounds check."""
+        if raw is None:
+            raw = self.page_store.peek(loc.page_id, loc.offset, loc.record_size)
+        if loc.crc is None:
+            entry_at(raw)
+        elif (actual := zlib.crc32(raw)) != loc.crc:
+            raise CorruptionError(
+                f"zone {self.zone_id} slot checksum mismatch on page "
+                f"{loc.page_id} slot {loc.slot_index}: "
+                f"stored={loc.crc:#x} computed={actual:#x}"
+            )
+        return raw
 
     def remove_object(self, key: bytes, loc: SlotLocation) -> None:
         """Drop an object (after migration or relocation)."""

@@ -6,10 +6,12 @@ from repro.common.cache import LRUCache
 from repro.common.errors import ReproError
 from repro.common.keys import encode_key
 from repro.common.records import Record
+from repro.lsm.blocks import entry_of, record_of
 from repro.lsm.compaction import LeveledCompactor
-from repro.lsm.sstable import SSTableBuilder, build_sstable
+from repro.lsm.sstable import SSTableBuilder
 from repro.lsm.version import Version
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
+from tests.reference_codec import build_sstable
 
 #: First and last key ids of each output of the compaction in
 #: ``TestCompactionOutputSplit``, as written block by block.
@@ -52,11 +54,11 @@ class TestSSTableBuilder:
 
     def test_out_of_order_rejected(self, fs):
         b = SSTableBuilder(fs, 1)
-        b.add(Record(encode_key(5), b"v", 1))
+        b.add(entry_of(Record(encode_key(5), b"v", 1)))
         with pytest.raises(ReproError):
-            b.add(Record(encode_key(4), b"v", 2))
+            b.add(entry_of(Record(encode_key(4), b"v", 2)))
         with pytest.raises(ReproError):
-            b.add(Record(encode_key(5), b"v", 3))
+            b.add(entry_of(Record(encode_key(5), b"v", 3)))
         b.abandon()
 
     def test_empty_table_rejected(self, fs):
@@ -68,14 +70,14 @@ class TestSSTableBuilder:
     def test_abandon_frees_space(self, fs):
         b = SSTableBuilder(fs, 1)
         for r in records(100):
-            b.add(r)
+            b.add(entry_of(r))
         b.abandon()
         assert fs.device.allocated_pages == 0
 
     def test_abandon_after_buffering_charges_nothing(self, fs):
         b = SSTableBuilder(fs, 1, block_size=1024)
         for r in records(100):
-            b.add(r)
+            b.add(entry_of(r))
         assert b.estimated_size > 2 * 4096  # several blocks buffered
         b.abandon()
         assert not fs.exists("sst_00000001")
@@ -94,7 +96,7 @@ class TestSSTableBuilder:
 
     def test_double_finish_rejected(self, fs):
         b = SSTableBuilder(fs, 1)
-        b.add(Record(b"k", b"v", 1))
+        b.add(entry_of(Record(b"k", b"v", 1)))
         b.finish()
         with pytest.raises(ReproError):
             b.finish()
@@ -180,8 +182,9 @@ class TestSSTableReads:
     def test_iter_records_sorted_complete(self, fs):
         recs = records(300)
         table = build_sstable(fs, 1, recs)
-        out = list(table.iter_records())
-        assert [r.key for r in out] == [r.key for r in recs]
+        out = list(table.iter_entries())
+        assert [e[0] for e in out] == [r.key for r in recs]
+        assert [record_of(e) for e in out] == recs
 
     def test_iter_from(self, fs):
         table = build_sstable(fs, 1, records(100))
@@ -196,6 +199,6 @@ class TestSSTableReads:
     def test_get_with_compaction_kind_charges_compaction(self, fs):
         table = build_sstable(fs, 1, records(100))
         fs.device.traffic.reset()
-        list(table.iter_records(TrafficKind.COMPACTION))
+        list(table.iter_entries(TrafficKind.COMPACTION))
         assert fs.device.traffic.read_bytes(TrafficKind.COMPACTION) > 0
         assert fs.device.traffic.read_bytes(TrafficKind.FOREGROUND) == 0

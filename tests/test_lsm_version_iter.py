@@ -5,10 +5,10 @@ import pytest
 from repro.common.errors import ReproError
 from repro.common.keys import encode_key
 from repro.common.records import Record
-from repro.lsm.iterator import merge_records
+from repro.lsm.iterator import keyed, merge_records
 from repro.lsm.version import Version
-from repro.lsm.sstable import build_sstable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem
+from tests.reference_codec import build_sstable
 
 
 @pytest.fixture
@@ -31,39 +31,45 @@ def mktable(fs, tid, lo, hi):
     )
 
 
+def merged(streams, drop_tombstones=False):
+    """``merge_records`` over record streams, as a scan runs it."""
+    items = merge_records([keyed(s) for s in streams], drop_tombstones)
+    return [item[3] for item in items]
+
+
 class TestMergeRecords:
     def test_merges_sorted(self):
         a = [Record(encode_key(i), b"a", 1) for i in (1, 3, 5)]
         b = [Record(encode_key(i), b"b", 2) for i in (2, 4, 6)]
-        out = list(merge_records([iter(a), iter(b)]))
+        out = merged([iter(a), iter(b)])
         assert [r.key for r in out] == [encode_key(i) for i in range(1, 7)]
 
     def test_newest_seqno_wins(self):
         old = [Record(encode_key(1), b"old", 1)]
         new = [Record(encode_key(1), b"new", 9)]
-        out = list(merge_records([iter(old), iter(new)]))
+        out = merged([iter(old), iter(new)])
         assert len(out) == 1 and out[0].value == b"new"
 
     def test_stream_priority_breaks_seqno_ties(self):
         a = [Record(encode_key(1), b"first", 5)]
         b = [Record(encode_key(1), b"second", 5)]
-        out = list(merge_records([iter(a), iter(b)]))
+        out = merged([iter(a), iter(b)])
         assert out[0].value == b"first"
 
     def test_drop_tombstones(self):
         recs = [Record.tombstone(encode_key(1), 2), Record(encode_key(2), b"v", 1)]
-        out = list(merge_records([iter(recs)], drop_tombstones=True))
+        out = merged([iter(recs)], drop_tombstones=True)
         assert [r.key for r in out] == [encode_key(2)]
 
     def test_tombstone_shadows_older_value(self):
         values = [Record(encode_key(1), b"v", 1)]
         tomb = [Record.tombstone(encode_key(1), 2)]
-        out = list(merge_records([iter(tomb), iter(values)], drop_tombstones=True))
+        out = merged([iter(tomb), iter(values)], drop_tombstones=True)
         assert out == []
 
     def test_empty_streams(self):
-        assert list(merge_records([iter([]), iter([])])) == []
-        assert list(merge_records([])) == []
+        assert merged([iter([]), iter([])]) == []
+        assert merged([]) == []
 
 
 class TestVersion:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
+from repro.lsm.blocks import entry_of
 from repro.lsm.lsmtree import LSMOptions, LSMTree
 from repro.lsm.semi import SemiSSTable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
@@ -39,13 +40,13 @@ class TestIngestBatch:
     def test_ingest_into_l0(self):
         tree = LSMTree(make_fs(), self.options())
         recs = [Record(encode_key(i), b"v", i + 1) for i in range(100)]
-        tree.ingest_batch(recs)
+        tree.ingest_batch([entry_of(r) for r in recs])
         assert tree.get(encode_key(50))[0] == b"v"
 
     def test_ingest_into_sorted_first_level(self):
         tree = LSMTree(make_fs(), self.options(first_level=1))
         recs = [Record(encode_key(i), b"v", i + 1) for i in range(100)]
-        tree.ingest_batch(recs)
+        tree.ingest_batch([entry_of(r) for r in recs])
         assert tree.get(encode_key(99))[0] == b"v"
         # Level 1 is sorted: tables disjoint.
         tables = list(tree.version.level(1))
@@ -54,7 +55,7 @@ class TestIngestBatch:
 
     def test_ingest_seqnos_respected(self):
         tree = LSMTree(make_fs(), self.options())
-        tree.ingest_batch([Record(b"k", b"old", 5)])
+        tree.ingest_batch([entry_of(Record(b"k", b"old", 5))])
         tree.put(b"k", b"new")  # engine seqno continues past the batch
         assert tree.get(b"k")[0] == b"new"
 
@@ -66,7 +67,7 @@ class TestIngestBatch:
         fs = make_fs()
         tree = LSMTree(fs, self.options())
         recs = [Record(encode_key(i), b"v" * 100, i + 1) for i in range(200)]
-        tree.ingest_batch(recs, TrafficKind.MIGRATION)
+        tree.ingest_batch([entry_of(r) for r in recs], TrafficKind.MIGRATION)
         assert fs.device.traffic.write_bytes(TrafficKind.MIGRATION) > 0
 
 
@@ -86,7 +87,7 @@ class TestSemiExtraction:
         before = t.num_valid_records
         survivors, service = t.extract_block_records(encode_key(3))
         assert survivors, "block had records"
-        assert all(t.contains_key(r.key) is False for r in survivors)
+        assert all(t.contains_key(e[0]) is False for e in survivors)
         assert t.num_valid_records == before - len(survivors)
         assert service > 0
 

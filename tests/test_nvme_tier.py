@@ -312,7 +312,7 @@ class TestDemotionCollect:
         pages_before = tier.used_pages()
         batch, _ = part.collect_zone(zone)
         assert batch, "demotion batch should not be empty"
-        keys = [r.key for r in batch]
+        keys = [e[0] for e in batch]
         assert keys == sorted(keys)
         assert part.object_count() == count_before - len(batch)
         assert tier.used_pages() < pages_before
@@ -346,7 +346,7 @@ class TestDemotionCollect:
         assert part.tracker.is_hot(hot)
         zone = part.zone_for_key(hot)
         batch, _ = part.collect_zone(zone)
-        assert hot not in [r.key for r in batch]
+        assert hot not in [e[0] for e in batch]
         assert hot in part.hot_zone.keys
         out, _ = tier.get(hot)
         assert out is not None

@@ -5,10 +5,9 @@ import pytest
 from repro.common.errors import CapacityError, CorruptionError
 from repro.common.keys import encode_key
 from repro.common.records import Record
-from repro.lsm.blocks import decode_block, encode_block
 from repro.lsm.lsmtree import LSMOptions, LSMTree
-from repro.lsm.sstable import build_sstable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
+from tests.reference_codec import build_sstable, decode_block, encode_block
 
 
 def make_fs(mib=32):

@@ -82,8 +82,8 @@ class TestSemiSSTableBasics:
     def test_iter_valid_records_sorted(self, table):
         table.merge_append(recs(range(0, 100, 2)))
         table.merge_append(recs(range(1, 100, 2), seqno_base=1000))
-        out = list(table.iter_valid_records())
-        assert [r.key for r in out] == [encode_key(i) for i in range(100)]
+        out = table.live_entries()
+        assert [e[0] for e in out] == [encode_key(i) for i in range(100)]
 
 
 class TestBlockGranularityMerge:

@@ -14,7 +14,6 @@ from collections import Counter
 
 import pytest
 
-import repro.nvme.partition as partition_mod
 import repro.nvme.zone as zone_mod
 from repro.common.cache import LRUCache
 from repro.common.errors import ReproError
@@ -56,9 +55,7 @@ def count_codec_calls(monkeypatch):
 
     monkeypatch.setattr(zone_mod, "encode_record", counting("encode", zone_mod.encode_record))
     monkeypatch.setattr(zone_mod, "decode_one", counting("decode", zone_mod.decode_one))
-    monkeypatch.setattr(
-        partition_mod, "decode_one", counting("decode", partition_mod.decode_one)
-    )
+    monkeypatch.setattr(zone_mod, "entry_at", counting("decode", zone_mod.entry_at))
     monkeypatch.setattr(zlib, "crc32", counting("crc", zlib.crc32))
     return calls
 
@@ -150,7 +147,7 @@ def test_park_drops_a_slot_whose_crc_mismatches(monkeypatch):
     dropped = record_drops(part)
     demoted, _ = part.collect_zone(zone, MIGRATION)
     assert dropped == [(victim, False)]
-    assert victim not in {r.key for r in demoted}
+    assert victim not in {e[0] for e in demoted}
     assert_gone(part, victim)
     assert part.hot_zone.object_count == len(hot) - 1
 

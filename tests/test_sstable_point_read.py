@@ -20,10 +20,10 @@ from repro.common.errors import CorruptionError
 from repro.common.keys import encode_key
 from repro.common.records import Record
 from repro.lsm import blocks, sstable
-from repro.lsm.blocks import CHECKSUM_SIZE, decode_block, encode_record
+from repro.lsm.blocks import CHECKSUM_SIZE, encode_record
 from repro.lsm.lsmtree import LSMOptions, LSMTree
-from repro.lsm.sstable import build_sstable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
+from tests.reference_codec import build_sstable, decode_block
 
 #: ``get_sequence``'s LRU hits, misses, evictions and device read commands
 #: and bytes, as the whole-block reader left them.
@@ -131,7 +131,8 @@ def test_get_decodes_at_most_one_record(monkeypatch):
         raise AssertionError("a point get decoded a whole payload")
 
     monkeypatch.setattr(blocks, "decode_payload", whole_payload)
-    monkeypatch.setattr(sstable, "decode_payload", whole_payload)
+    monkeypatch.setattr(blocks, "payload_entries", whole_payload)
+    monkeypatch.setattr(sstable, "payload_entries", whole_payload)
     monkeypatch.setattr(blocks, "Record", CountingRecord)
     table = build_sstable(make_fs(), 1, striped_records(0), block_size=2048)
     table.bloom = Everything()

@@ -198,7 +198,7 @@ def test_parks_write_each_hot_zone_page_once(monkeypatch):
     device, part, zone, hot = _collect_setup(monkeypatch)
     writes = device.traffic.write_ios(MIGRATION)
     batch, _ = part.collect_zone(zone, MIGRATION)
-    assert {r.key for r in batch}.isdisjoint(hot)
+    assert {e[0] for e in batch}.isdisjoint(hot)
     pages = {part.index.get(key).page_id for key in hot}
     assert all(part.index.get(key).zone_id == part.hot_zone.zone_id for key in hot)
     assert len(hot) > len(pages)  # several parked objects share a page
