@@ -31,20 +31,22 @@ from repro.simssd.device import SimDevice
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
+#: The counter value an access sets.
+CLOCK_MAX_BITS = 3
+
 
 class ClockTracker:
     """Two-bit clock over resident objects (PrismDB's hotness mechanism).
 
-    An access sets a key's counter to ``max_bits``; the store's demotion
-    window ages the counters it passes over.
+    An access sets a key's counter to :data:`CLOCK_MAX_BITS`; the store's
+    demotion window ages the counters it passes over.
     """
 
-    def __init__(self, max_bits: int = 3) -> None:
-        self.max_bits = max_bits
+    def __init__(self) -> None:
         self._bits: dict[bytes, int] = {}
 
     def access(self, key: bytes) -> None:
-        self._bits[key] = self.max_bits
+        self._bits[key] = CLOCK_MAX_BITS
 
     def bits(self, key: bytes) -> int:
         return self._bits.get(key, 0)
@@ -166,7 +168,6 @@ class PrismDBStore(KVStore):
         nvme_config: Optional[NVMeConfig] = None,
         lsm_options: Optional[LSMOptions] = None,
         dram_cache_bytes: int = 64 * 1024,
-        promote_min_bits: int = 2,
     ) -> None:
         self.nvme_device = nvme_device
         self.sata_device = sata_device
@@ -174,7 +175,6 @@ class PrismDBStore(KVStore):
         self.cache = LRUCache(dram_cache_bytes)
         self.slabs = _SlabStore(nvme_device, self.config, cache=self.cache)
         self.clock = ClockTracker()
-        self.promote_min_bits = promote_min_bits
         # Clock bits exist per resident object; reads of capacity-tier keys
         # are remembered in a bounded recency window instead (a key read
         # twice within the window qualifies for promotion).

@@ -17,6 +17,9 @@ from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
 from repro.simssd.device import SimDevice
 from repro.simssd.fs import SimFilesystem
 
+#: Share of the NVMe device the tree's NVMe levels may fill.
+NVME_BUDGET_FRACTION = 0.9
+
 
 class RocksDBStore(KVStore):
     """The embedding-architecture baseline."""
@@ -29,14 +32,13 @@ class RocksDBStore(KVStore):
         sata_device: SimDevice,
         options: Optional[LSMOptions] = None,
         dram_cache_bytes: int = 64 * 1024,
-        nvme_budget_fraction: float = 0.9,
     ) -> None:
         self.nvme_device = nvme_device
         self.sata_device = sata_device
         self.nvme_fs = SimFilesystem(nvme_device)
         self.sata_fs = SimFilesystem(sata_device)
         self.cache = LRUCache(dram_cache_bytes)
-        nvme_budget = int(nvme_device.capacity_bytes * nvme_budget_fraction)
+        nvme_budget = int(nvme_device.capacity_bytes * NVME_BUDGET_FRACTION)
         self.tree = LSMTree(
             [
                 DbPath(self.nvme_fs, target_bytes=nvme_budget),

@@ -20,6 +20,9 @@ from repro.simssd.device import SimDevice
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
+#: Share of the NVMe device the secondary block cache may fill.
+ADMIT_FRACTION = 0.95
+
 
 class SecondaryBlockCache:
     """DRAM LRU in front of an NVMe-backed block cache.
@@ -33,14 +36,10 @@ class SecondaryBlockCache:
         self,
         device: SimDevice,
         dram_bytes: int,
-        nvme_bytes: Optional[int] = None,
-        admit_fraction: float = 0.95,
     ) -> None:
         self.device = device
         self.dram = LRUCache(dram_bytes)
-        budget = nvme_bytes if nvme_bytes is not None else int(
-            device.capacity_bytes * admit_fraction
-        )
+        budget = int(device.capacity_bytes * ADMIT_FRACTION)
         self.nvme_budget = budget
         self._budget_pages = max(1, budget // device.page_size)
         self._entries: OrderedDict = OrderedDict()  # key -> (value, charge, pages)

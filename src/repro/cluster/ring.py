@@ -1,6 +1,6 @@
 """The consistent-hash ring that places keys on cluster nodes.
 
-Every node owns ``vnodes`` points on a 64-bit ring; a key hashes to a ring
+Every node owns :data:`VNODES` points on a 64-bit ring; a key hashes to a ring
 position and its replica *preference list* is the next ``rf`` distinct
 nodes clockwise.  Hashing is SHA-256 (never Python's salted ``hash()``),
 so placement is a pure function of the node names and the key bytes —
@@ -19,6 +19,9 @@ import bisect
 import hashlib
 from typing import Iterable, Sequence
 
+#: Ring points per node.
+VNODES = 8
+
 
 def _position(token: bytes) -> int:
     """64-bit ring position of an arbitrary byte token."""
@@ -28,10 +31,7 @@ def _position(token: bytes) -> int:
 class HashRing:
     """Consistent hashing with virtual nodes over a 64-bit key space."""
 
-    def __init__(self, nodes: Iterable[str], vnodes: int = 8) -> None:
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self, nodes: Iterable[str]) -> None:
         self._nodes: list[str] = []
         self._points: list[int] = []  # sorted vnode positions
         self._owners: list[str] = []  # owner of each position, parallel
@@ -57,7 +57,7 @@ class HashRing:
         if name in self._nodes:
             raise ValueError(f"node {name!r} already on the ring")
         self._nodes.append(name)
-        for v in range(self.vnodes):
+        for v in range(VNODES):
             pos = _position(f"{name}#{v}".encode())
             idx = bisect.bisect_left(self._points, pos)
             self._points.insert(idx, pos)

@@ -60,7 +60,6 @@ class ClusterConfig:
     replication_factor: int = 3
     read_quorum: int = 2
     write_quorum: int = 2
-    vnodes: int = 8
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -121,7 +120,7 @@ class HyperDBCluster:
             raise ConfigError(
                 f"{len(names)} node names for num_nodes={config.num_nodes}"
             )
-        self.ring = HashRing(names, vnodes=config.vnodes)
+        self.ring = HashRing(names)
         self.nodes: dict[str, ClusterNode] = {
             name: ClusterNode(
                 name,
@@ -547,7 +546,7 @@ class HyperDBCluster:
         return jobs
 
     def _ring_copy(self) -> HashRing:
-        return HashRing(self.ring.nodes, vnodes=self.config.vnodes)
+        return HashRing(self.ring.nodes)
 
     def _rebalance(self, old_ring: HashRing) -> list[_RebalanceJob]:
         """Copy every key that gained a replica onto its new home.

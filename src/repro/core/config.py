@@ -35,7 +35,6 @@ class HyperDBConfig:
     # Preemptive block compaction.
     compaction_depth: int = 2
     t_clean: float = 0.5
-    space_amp_limit: float = 1.5
     candidate_k: int = 8
     # Shared DRAM page cache.
     dram_cache_bytes: int = 64 * KiB

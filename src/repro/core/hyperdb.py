@@ -88,7 +88,6 @@ class HyperDB(KVStore):
             semi_cfg,
             depth=config.compaction_depth,
             t_clean=config.t_clean,
-            space_amp_limit=config.space_amp_limit,
             candidate_k=config.candidate_k,
             rng=np.random.default_rng(config.rng_seed),
             cache=self.cache,

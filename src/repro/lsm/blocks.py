@@ -9,7 +9,9 @@ Flags bit 0 marks a tombstone (deletions are out-of-band of the value).
 A data block is a concatenation of records in key order followed by a 4-byte
 CRC32 checksum.  Decoding verifies the checksum and raises
 :class:`CorruptionError` on mismatch, which the failure-injection tests rely
-on.
+on.  The same seal — ``payload + >I crc32`` — closes the other sealed images
+on media, NVMe index checkpoints and LSM MANIFEST snapshots:
+:func:`seal_block` writes it and :func:`verify_block` is its one verifier.
 
 Background work moves an **entry** per record, ``(key, seqno, flags, raw)``
 with ``raw`` its on-media bytes, and builds a block as a join of raws
@@ -142,20 +144,22 @@ def decode_prefix(data: bytes) -> tuple[list[Record], int, bool]:
 
 
 def seal_block(payload: bytes) -> bytes:
-    """A data block: ``payload`` (records in key order) + its CRC32 footer."""
+    """A sealed image (data block, checkpoint, manifest): ``payload`` + its
+    CRC32 footer."""
     return payload + _CRC.pack(zlib.crc32(payload))
 
 
-def verify_block(block: bytes) -> bytes:
-    """Check a data block's CRC32 footer and return the payload without it."""
+def verify_block(block: bytes, what: str = "block") -> bytes:
+    """Check a sealed image's CRC32 footer and return the payload without
+    it; ``what`` names the image in the :class:`CorruptionError`."""
     if len(block) < CHECKSUM_SIZE:
-        raise CorruptionError("block shorter than its checksum")
+        raise CorruptionError(f"{what} shorter than its checksum")
     payload, footer = block[:-CHECKSUM_SIZE], block[-CHECKSUM_SIZE:]
     (expected,) = _CRC.unpack(footer)
     actual = zlib.crc32(payload)
     if actual != expected:
         raise CorruptionError(
-            f"block checksum mismatch: stored={expected:#x} computed={actual:#x}"
+            f"{what} checksum mismatch: stored={expected:#x} computed={actual:#x}"
         )
     return payload
 
@@ -181,7 +185,3 @@ def payload_entries(payload: bytes) -> list[Entry]:
         pos = stop
     return entries
 
-
-def decode_payload(payload: bytes) -> list[Record]:
-    """Decode every record of a block payload (scrub reads the medium)."""
-    return [record_of(entry) for entry in payload_entries(payload)]

@@ -6,8 +6,10 @@ a crash the SSTable *bytes* survive on media but nothing says how to read
 them.  RocksDB solves this with a MANIFEST journal; this module is the
 reproduction's equivalent, scaled to the simulation.
 
-A manifest is a full snapshot of the version, CRC32-protected, written as a
-rotated file ``manifest.<seq>``:
+A manifest is a full snapshot of the version, sealed like a data block
+(:func:`repro.lsm.blocks.seal_block`, a CRC32 trailer, checked by
+:func:`repro.lsm.blocks.verify_block`), written as a rotated file
+``manifest.<seq>``:
 
 1. the new snapshot is appended under the *next* sequence number;
 2. only then is the previous manifest deleted.
@@ -26,11 +28,11 @@ harness and recovery tests enable them.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass, field
 
 from repro.common.bloom import BloomFilter
 from repro.common.errors import CorruptionError
+from repro.lsm.blocks import seal_block, verify_block
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
@@ -41,7 +43,6 @@ _FORMAT_VERSION = 1
 _HEADER = struct.Struct(">IHIQ")      # magic, format, table_count, table_seq
 _TABLE = struct.Struct(">iQQHII")     # level, id, nrecs, name_len, bloom_len, handle_count
 _HANDLE = struct.Struct(">QIIHH")     # offset, length, num_records, fklen, lklen
-_CRC = struct.Struct(">I")
 
 
 @dataclass
@@ -68,7 +69,7 @@ class TableMeta:
 
 
 def encode_manifest(tables: list[TableMeta], table_seq: int) -> bytes:
-    """Serialize a version snapshot with a CRC32 trailer."""
+    """Serialize a version snapshot, sealed (:func:`seal_block`)."""
     out = [_HEADER.pack(_MAGIC, _FORMAT_VERSION, len(tables), table_seq)]
     for t in tables:
         name = t.file_name.encode("utf-8")
@@ -89,8 +90,7 @@ def encode_manifest(tables: list[TableMeta], table_seq: int) -> bytes:
             )
             out.append(h.first_key)
             out.append(h.last_key)
-    payload = b"".join(out)
-    return payload + _CRC.pack(zlib.crc32(payload))
+    return seal_block(b"".join(out))
 
 
 def decode_manifest(data: bytes) -> tuple[list[TableMeta], int]:
@@ -99,15 +99,9 @@ def decode_manifest(data: bytes) -> tuple[list[TableMeta], int]:
     Raises :class:`CorruptionError` on a bad magic, CRC mismatch, or any
     structural truncation — the caller falls back to an older manifest.
     """
-    if len(data) < _HEADER.size + _CRC.size:
-        raise CorruptionError("manifest shorter than header + CRC")
-    payload, footer = data[: -_CRC.size], data[-_CRC.size :]
-    (expected,) = _CRC.unpack(footer)
-    actual = zlib.crc32(payload)
-    if actual != expected:
-        raise CorruptionError(
-            f"manifest CRC mismatch: stored={expected:#x} computed={actual:#x}"
-        )
+    payload = verify_block(data, "manifest")
+    if len(payload) < _HEADER.size:
+        raise CorruptionError("manifest shorter than its header")
     magic, fmt, table_count, table_seq = _HEADER.unpack_from(payload, 0)
     if magic != _MAGIC:
         raise CorruptionError(f"bad manifest magic {magic:#x}")

@@ -10,7 +10,7 @@ invalidated through the index without any data-block write.
 
 Victim selection trades write amplification against space amplification:
 
-* space overhead above ``space_amp_limit`` → pick the table with the most
+* space overhead above :data:`SPACE_AMP_LIMIT` → pick the table with the most
   dead bytes (a full push frees its whole file);
 * otherwise → pick the table with the highest *overlap score*
   (Algorithm 1): the count of blocks transitively overlapped across the
@@ -31,6 +31,9 @@ from repro.lsm.blocks import Entry
 from repro.lsm.semi.levels import SemiLevels
 from repro.lsm.semi.semisstable import SemiSSTable
 from repro.simssd.traffic import TrafficKind
+
+#: Space amplification above which victim selection turns to dead bytes.
+SPACE_AMP_LIMIT = 1.5
 
 
 @dataclass
@@ -67,7 +70,6 @@ class PreemptiveBlockCompactor:
         levels: SemiLevels,
         depth: int = 2,
         t_clean: float = 0.5,
-        space_amp_limit: float = 1.5,
         candidate_k: int = 8,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
@@ -78,7 +80,6 @@ class PreemptiveBlockCompactor:
         self.levels = levels
         self.depth = depth
         self.t_clean = t_clean
-        self.space_amp_limit = space_amp_limit
         self.candidate_k = candidate_k
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.stats = SemiCompactionStats()
@@ -153,7 +154,7 @@ class PreemptiveBlockCompactor:
         tables = self.levels.level(level_no).live_tables()
         if not tables:
             return None
-        if self.levels.space_amplification() > self.space_amp_limit:
+        if self.levels.space_amplification() > SPACE_AMP_LIMIT:
             return max(tables, key=lambda t: t.dead_bytes)
         k = min(self.candidate_k, len(tables))
         idx = self.rng.choice(len(tables), size=k, replace=False)

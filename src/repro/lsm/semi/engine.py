@@ -30,7 +30,6 @@ class CapacityTier:
         config: SemiLevelConfig,
         depth: int = 2,
         t_clean: float = 0.5,
-        space_amp_limit: float = 1.5,
         candidate_k: int = 8,
         rng: Optional[np.random.Generator] = None,
         cache=None,
@@ -41,7 +40,6 @@ class CapacityTier:
             self.levels,
             depth=depth,
             t_clean=t_clean,
-            space_amp_limit=space_amp_limit,
             candidate_k=candidate_k,
             rng=rng,
         )

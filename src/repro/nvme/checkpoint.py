@@ -3,9 +3,12 @@
 The partition's B-tree index is an in-memory structure; the paper keeps "a
 backup of the index and metadata" on NVMe so a restart doesn't need to scan
 the data pages.  A checkpoint serializes every index entry — key, slot
-location, sizes, seqno, promotion flag — plus the zone table into dedicated
-NVMe pages (charged like any other write).  Recovery reads those pages back
-and reconstructs the index, the zones, and their slot-occupancy maps.
+location, sizes, seqno, promotion flag and the slot's CRC32 — plus the zone
+table into dedicated NVMe pages (charged like any other write).  Recovery
+reads those pages back and reconstructs the index, the zones, and their
+slot-occupancy maps.  The CRC is the slot's only protection (zone slots
+carry no checksum on media), so a recovered slot is verified exactly like
+one written since the restart.
 
 Durability semantics: a checkpoint captures the partition at one instant;
 writes after the last checkpoint are not recovered (the engine checkpoints
@@ -13,9 +16,11 @@ at shutdown via :meth:`repro.core.hyperdb.HyperDB.finalize`; a production
 system would pair this with the data pages' self-describing headers, which
 the simulation omits).
 
-Integrity: the serialized image ends in a CRC32 trailer.
-:meth:`read_image` is its one verifier: :meth:`recover` trusts no field it
-has not passed, so a bit-flipped or torn checkpoint surfaces as
+Integrity: the serialized image is sealed like a data block
+(:func:`repro.lsm.blocks.seal_block`, a CRC32 trailer).  :meth:`read_image`
+checks it with :func:`repro.lsm.blocks.verify_block` and the header's
+length: :meth:`recover` trusts no field it has not passed, so a
+bit-flipped or torn checkpoint surfaces as
 :class:`CorruptionError` — which the engine turns into a degraded (empty)
 rebuild — instead of a silently wrong index; the scrubber runs the same
 check and rewrites a failed image from the live index.
@@ -27,11 +32,11 @@ written, so a crash mid-checkpoint always leaves the old intact image.
 from __future__ import annotations
 
 import struct
-import zlib
 from typing import TYPE_CHECKING
 
 from repro.common.errors import CorruptionError, RecoveryError
 from repro.common.keys import KeyRange
+from repro.lsm.blocks import seal_block, verify_block
 from repro.nvme.zone import SlotLocation, Zone, _ZonePage
 from repro.simssd.traffic import TrafficKind
 
@@ -41,8 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
 _MAGIC = 0xC4EC
 _HEADER = struct.Struct(">HHII")          # magic, zone_count, entry_count, reserved
 _ZONE_REC = struct.Struct(">QB")          # zone_id, has_range flag (+ lo/hi keys)
-_ENTRY = struct.Struct(">HQQIIIQB")       # klen, zone_id, page_id, slot, slot_sz, rec_sz, seqno, flags
-_CRC = struct.Struct(">I")                # crc32 trailer over everything above
+_ENTRY = struct.Struct(">HQQIIIQBI")      # klen, zone_id, page_id, slot, slot_sz, rec_sz, seqno, flags, crc
 
 
 def _encode_key_field(key: bytes) -> bytes:
@@ -74,11 +78,11 @@ class PartitionCheckpoint:
                     loc.record_size,
                     loc.seqno,
                     1 if loc.promoted else 0,
+                    loc.crc,
                 )
             )
             out.append(key)
-        payload = b"".join(out)
-        return payload + _CRC.pack(zlib.crc32(payload))
+        return seal_block(b"".join(out))
 
     @staticmethod
     def write(
@@ -111,7 +115,7 @@ class PartitionCheckpoint:
         partition: "Partition", kind: TrafficKind
     ) -> tuple[bytes, float]:
         """Read the checkpoint pages (charged as ``kind``) and check the
-        image's length and CRC.  Returns ``(payload, service)``, the payload
+        image's seal and length.  Returns ``(payload, service)``, the payload
         without its trailer; raises :class:`RecoveryError` when there is no
         checkpoint and :class:`CorruptionError` when a check fails."""
         if not partition._checkpoint_pages:
@@ -126,15 +130,9 @@ class PartitionCheckpoint:
             service += s
             chunks.append(data)
         image = b"".join(chunks)[: partition._checkpoint_len]
-        if len(image) < _HEADER.size + _CRC.size:
-            raise CorruptionError("checkpoint shorter than header + CRC")
-        payload, footer = image[: -_CRC.size], image[-_CRC.size :]
-        (expected,) = _CRC.unpack(footer)
-        actual = zlib.crc32(payload)
-        if actual != expected:
-            raise CorruptionError(
-                f"checkpoint CRC mismatch: stored={expected:#x} computed={actual:#x}"
-            )
+        payload = verify_block(image, "checkpoint")
+        if len(payload) < _HEADER.size:
+            raise CorruptionError("checkpoint shorter than its header")
         return payload, service
 
     @staticmethod
@@ -185,7 +183,7 @@ class PartitionCheckpoint:
         partition.index = type(partition.index)(order=64)
         pages_seen: dict[tuple[int, int], _ZonePage] = {}
         for _ in range(entry_count):
-            klen, zone_id, page_id, slot, slot_sz, rec_sz, seqno, flags = (
+            klen, zone_id, page_id, slot, slot_sz, rec_sz, seqno, flags, crc = (
                 _ENTRY.unpack_from(payload, pos)
             )
             pos += _ENTRY.size
@@ -201,6 +199,7 @@ class PartitionCheckpoint:
                 slot_size=slot_sz,
                 record_size=rec_sz,
                 seqno=seqno,
+                crc=crc,
                 promoted=bool(flags & 1),
             )
             partition.index.insert(key, loc)

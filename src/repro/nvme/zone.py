@@ -18,7 +18,7 @@ from typing import Optional
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
-from repro.lsm.blocks import decode_one, encode_record, entry_at
+from repro.lsm.blocks import decode_one, encode_record
 from repro.nvme.pagestore import PageStore
 from repro.simssd.traffic import TrafficKind
 
@@ -28,11 +28,10 @@ class SlotLocation:
     """Where one object lives: a slot of a page owned by a zone.
 
     ``crc`` is the CRC32 of the slot's encoded record, kept in the
-    in-memory index (the paper's index blocks) — zone slots have no
-    per-record checksum on media, so this is what lets readers and the
-    scrubber detect latent corruption in slot payloads.  ``None`` means
-    unknown (e.g. right after checkpoint recovery, until a scrub pass
-    re-derives it); verification is skipped then.
+    in-memory index (the paper's index blocks) and in every checkpoint
+    entry — zone slots have no per-record checksum on media, so this is
+    what lets readers, relocations and the scrubber detect latent
+    corruption in slot payloads.  Every location has one.
     """
 
     zone_id: int
@@ -41,8 +40,8 @@ class SlotLocation:
     slot_size: int
     record_size: int
     seqno: int
+    crc: int
     promoted: bool = False
-    crc: Optional[int] = None
 
     @property
     def offset(self) -> int:
@@ -215,7 +214,7 @@ class Zone:
         page_id, slot_index = self.allocate_slot(slot_size)
         loc = SlotLocation(
             self.zone_id, page_id, slot_index, slot_size,
-            len(payload), rec.seqno, promoted, crc=zlib.crc32(payload),
+            len(payload), rec.seqno, zlib.crc32(payload), promoted,
         )
         npages = -(-slot_size // self.page_store.page_size)
         service = self.page_store.write(
@@ -241,7 +240,7 @@ class Zone:
         self.used_bytes += src.record_size
         return SlotLocation(
             self.zone_id, page_id, slot_index, slot_size,
-            src.record_size, src.seqno, promoted, src.crc,
+            src.record_size, src.seqno, src.crc, promoted,
         )
 
     def update_in_place(
@@ -263,7 +262,7 @@ class Zone:
         self.used_bytes += len(payload) - loc.record_size
         new_loc = SlotLocation(
             loc.zone_id, loc.page_id, loc.slot_index, loc.slot_size,
-            len(payload), rec.seqno, loc.promoted, crc=zlib.crc32(payload),
+            len(payload), rec.seqno, zlib.crc32(payload), loc.promoted,
         )
         return new_loc, service
 
@@ -285,14 +284,11 @@ class Zone:
 
     def verified_slot(self, loc: SlotLocation, raw: Optional[bytes] = None) -> bytes:
         """``loc``'s slot bytes ``raw`` (peeked when a bulk read paid for the
-        page) under the one slot-integrity rule of reads and of every move of
-        slot bytes: the index CRC, or after checkpoint recovery, which loses
-        it, the header's bounds check."""
+        page) under the one slot-integrity rule of reads, of every move of
+        slot bytes and of scrub: they must match the index CRC."""
         if raw is None:
             raw = self.page_store.peek(loc.page_id, loc.offset, loc.record_size)
-        if loc.crc is None:
-            entry_at(raw)
-        elif (actual := zlib.crc32(raw)) != loc.crc:
+        if (actual := zlib.crc32(raw)) != loc.crc:
             raise CorruptionError(
                 f"zone {self.zone_id} slot checksum mismatch on page "
                 f"{loc.page_id} slot {loc.slot_index}: "

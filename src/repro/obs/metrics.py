@@ -63,17 +63,12 @@ class MetricScope:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        traffic = {}
-        for name, dev in self.devices.items():
-            after = dev.traffic.snapshot()
-            before = self._traffic_before[name]
-            traffic[name] = {
-                lane: {
-                    fld: after[lane][fld] - before.get(lane, {}).get(fld, 0)
-                    for fld in fields
-                }
-                for lane, fields in after.items()
-            }
+        traffic = {
+            name: dev.traffic.diff(
+                self._traffic_before[name], dev.traffic.snapshot()
+            )
+            for name, dev in self.devices.items()
+        }
         report = {"phase": self.name, "traffic": traffic}
         if self.registry is not None:
             report["counters"] = {

@@ -43,14 +43,13 @@ byte-identical.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro import obs
 from repro.common.errors import CorruptionError, DeviceOfflineError
 from repro.health.state import HealthState
-from repro.lsm.blocks import decode_one, decode_payload
+from repro.lsm.blocks import payload_entries
 from repro.nvme.checkpoint import PartitionCheckpoint
 from repro.simssd.traffic import TrafficKind
 
@@ -90,9 +89,6 @@ class ScrubStats:
     #: Keys whose newest copy this node lost (each one is also appended to
     #: ``HyperDB.suspect_keys``).
     unrecoverable: int = 0
-    #: Slots whose checksum was unknown (post-checkpoint-recovery) and was
-    #: re-derived after metadata cross-checks.
-    reprotected_slots: int = 0
     #: Passes skipped because a device was in a health window.
     paused_passes: int = 0
     #: Catch-up drains executed after health recovered.
@@ -211,7 +207,8 @@ class Scrubber:
 
         One background job per partition: the zone image is read as bulk
         SCRUB traffic (one I/O per page, like migration's collect), then
-        each slot is checked against its index-held CRC.
+        each slot passes :meth:`repro.nvme.zone.Zone.verified_slot`, the
+        rule reads and relocations use.
         """
         device = partition.page_store.device
         device.begin_background_job(TrafficKind.SCRUB)
@@ -226,23 +223,9 @@ class Scrubber:
                 if loc is None or loc.zone_id != zone.zone_id:
                     continue
                 self.stats.zone_slots_scanned += 1
-                raw = store.peek(loc.page_id, loc.offset, loc.record_size)
-                if loc.crc is not None:
-                    ok = zlib.crc32(raw) == loc.crc
-                else:
-                    # Post-checkpoint-recovery slot: the stored checksum
-                    # was not part of the media image.  Cross-check every
-                    # field the index does know before re-deriving
-                    # protection from the media bytes.
-                    try:
-                        rec = decode_one(raw)
-                        ok = rec.key == key and rec.seqno == loc.seqno
-                    except CorruptionError:
-                        ok = False
-                    if ok:
-                        loc.crc = zlib.crc32(raw)
-                        self.stats.reprotected_slots += 1
-                if not ok:
+                try:
+                    zone.verified_slot(loc)
+                except CorruptionError:
                     self._detect("zone_slot", key=key)
                     partition._drop_corrupt_slot(zone, key, loc)
                     if not loc.promoted:
@@ -275,7 +258,7 @@ class Scrubber:
                 # readers decode only what the index points at; scrub's job
                 # is the medium).  cache=None: read the media, not the cache.
                 payload, _ = table._read_block(block, TrafficKind.SCRUB, cache=None)
-                decode_payload(payload)
+                payload_entries(payload)
             except CorruptionError:
                 self._detect("semi_block", table=table.table_id, block=block.block_id)
                 lost = table.on_corrupt_block(table, block, frozenset())

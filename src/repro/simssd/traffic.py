@@ -239,6 +239,19 @@ class TrafficStats:
             return [self.snapshot()]
         return [self._lane_dict(lanes) for lanes in self._queue_lanes]
 
+    @staticmethod
+    def diff(
+        before: Dict[str, Dict[str, float]], after: Dict[str, Dict[str, float]]
+    ) -> Dict[str, Dict[str, float]]:
+        """``after - before`` per lane and field of two :meth:`snapshot`
+        dicts.  A lane absent from ``before`` (an idle-omitted lane that woke
+        up in between) counts from zero."""
+        out = {}
+        for lane, fields in after.items():
+            base = before.get(lane, {})
+            out[lane] = {fld: v - base.get(fld, 0) for fld, v in fields.items()}
+        return out
+
     def reset(self) -> None:
         self._busy_s = 0.0
         for lane in self.lanes.values():

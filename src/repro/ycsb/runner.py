@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -244,8 +244,10 @@ class WorkloadRunner:
         )
 
         self.store.finalize()
-        snap_after = {name: d.traffic.snapshot() for name, d in devices.items()}
-        traffic = _diff_snapshots(snap_before, snap_after)
+        traffic = {
+            name: d.traffic.diff(snap_before[name], d.traffic.snapshot())
+            for name, d in devices.items()
+        }
         if trace is not None:
             # The run phase's traffic delta is already computed above, so
             # publish it directly instead of re-snapshotting via MetricScope.
@@ -255,7 +257,7 @@ class WorkloadRunner:
 
         queue_traffic = {
             name: [
-                _diff_snapshots({name: b}, {name: a})[name]
+                d.traffic.diff(b, a)
                 for b, a in zip(qsnap_before[name], d.traffic.queue_snapshot())
             ]
             for name, d in devices.items()
@@ -503,18 +505,3 @@ def _busy_seconds(lanes: Dict[str, Dict[str, float]]) -> float:
         + l["write_transfer_s"]
         for l in lanes.values()
     )
-
-
-def _diff_snapshots(before, after):
-    out = {}
-    for device, lanes in after.items():
-        out[device] = {}
-        for lane, fields in lanes.items():
-            # Idle-omitted lanes (scrub) may appear mid-run; an absent
-            # "before" lane is all zeros, so the delta is the raw value.
-            base = before.get(device, {}).get(lane)
-            if base is None:
-                out[device][lane] = dict(fields)
-            else:
-                out[device][lane] = {k: v - base[k] for k, v in fields.items()}
-    return out

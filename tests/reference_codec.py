@@ -12,7 +12,9 @@ import struct
 import zlib
 
 from repro.common.records import Record
-from repro.lsm.blocks import decode_payload, encode_record, entry_of, verify_block
+from repro.lsm.blocks import (
+    encode_record, entry_of, payload_entries, record_of, verify_block,
+)
 from repro.lsm.sstable import DEFAULT_BLOCK_SIZE, SSTable, SSTableBuilder
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
@@ -22,6 +24,11 @@ def encode_block(records) -> bytes:
     """Encode each record, join them and add the CRC32 footer."""
     payload = b"".join(encode_record(r) for r in records)
     return payload + struct.pack(">I", zlib.crc32(payload))
+
+
+def decode_payload(payload: bytes) -> list[Record]:
+    """Decode every record of a block payload."""
+    return [record_of(entry) for entry in payload_entries(payload)]
 
 
 def decode_block(block: bytes) -> list[Record]:

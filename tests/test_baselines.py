@@ -17,7 +17,7 @@ def nvme(mib=8):
     return SimDevice(
         DeviceProfile(
             name="nvme",
-            capacity_bytes=mib * MiB,
+            capacity_bytes=int(mib * MiB),
             page_size=4096,
             read_latency_s=8e-5,
             write_latency_s=2e-5,
@@ -90,18 +90,14 @@ class TestRocksDBStore:
         check_store_contract(store)
 
     def test_levels_span_devices(self):
-        store = RocksDBStore(
-            nvme(1), sata(), small_lsm_options(), nvme_budget_fraction=0.1
-        )
+        store = RocksDBStore(nvme(1 / 8), sata(), small_lsm_options())
         for i in range(4000):
             store.put(k(i), b"x" * 100)
         assert store.nvme_device.used_bytes > 0
         assert store.sata_device.used_bytes > 0
 
     def test_compaction_hits_sata(self):
-        store = RocksDBStore(
-            nvme(1), sata(), small_lsm_options(), nvme_budget_fraction=0.1
-        )
+        store = RocksDBStore(nvme(1 / 8), sata(), small_lsm_options())
         for i in range(4000):
             store.put(k(i), b"x" * 100)
         assert store.sata_device.traffic.write_bytes(TrafficKind.COMPACTION) > 0

@@ -124,6 +124,17 @@ class TestPartitionCheckpoint:
         assert loc is not None and loc.promoted
         assert loc.zone_id == part.hot_zone.zone_id
 
+    def test_recovered_locations_keep_their_crc(self):
+        part = make_partition()
+        for i in range(300):
+            part.put(Record(encode_key(i), b"value-%03d" % i, i + 1))
+        part.promote(Record(encode_key(7), b"hot", 400))
+        before = {key: loc.crc for key, loc in part.index.items()}
+        part.checkpoint()
+        crash(part)
+        part.recover()
+        assert {key: loc.crc for key, loc in part.index.items()} == before
+
     def test_space_accounting_restored(self):
         part = make_partition()
         for i in range(300):

@@ -178,7 +178,7 @@ def test_semi_tables_hold_the_bytes_records_would(batches, block_size):
 def count_codec(monkeypatch) -> Counter:
     """Count every call of the record codec from any ``repro`` module."""
     calls = Counter()
-    for name in ("encode_record", "decode_one", "decode_payload"):
+    for name in ("encode_record", "decode_one", "record_of"):
         original = getattr(blocks, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):

@@ -5,16 +5,15 @@ device trim bounds, and ``put_many`` columns of different lengths."""
 import struct
 
 import pytest
-import zlib
 
 from repro.bench import BenchScale, STORE_NAMES, build_store
 from repro.cluster.router import ClusterConfig, HyperDBCluster
 from repro.common.errors import ClosedError, CorruptionError, ReproError
 from repro.common.keys import KeyRange, encode_key, encode_keys
 from repro.common.records import Record
-from repro.lsm.blocks import decode_payload, encode_record
+from repro.lsm.blocks import encode_record, payload_entries, seal_block
 from repro.nvme import NVMeConfig
-from repro.nvme.checkpoint import _CRC, _HEADER, _MAGIC, _ZONE_REC
+from repro.nvme.checkpoint import _ENTRY, _HEADER, _MAGIC, _ZONE_REC
 from repro.nvme.pagestore import PageStore
 from repro.nvme.partition import Partition
 from repro.simssd import DeviceProfile, SimDevice, TrafficKind
@@ -80,7 +79,7 @@ class TestDecodeRecordsTruncation:
     def test_truncated_header_offset_reported(self):
         data = encode_record(Record(b"key", b"value", 1)) + b"\x01\x02"
         with pytest.raises(CorruptionError) as exc:
-            list(decode_payload(data))
+            list(payload_entries(data))
         assert "header" in str(exc.value)
         assert str(len(data) - 2) in str(exc.value)
 
@@ -88,17 +87,17 @@ class TestDecodeRecordsTruncation:
         full = encode_record(Record(b"key", b"value", 1))
         data = full[:-2]  # header intact, value cut short
         with pytest.raises(CorruptionError) as exc:
-            list(decode_payload(data))
+            list(payload_entries(data))
         assert "body" in str(exc.value)
 
     def test_empty_input_yields_nothing(self):
-        assert list(decode_payload(b"")) == []
+        assert list(payload_entries(b"")) == []
 
     def test_second_record_truncation_offset(self):
         first = encode_record(Record(b"a", b"1", 1))
         data = first + encode_record(Record(b"b", b"2", 2))[:-1]
         with pytest.raises(CorruptionError) as exc:
-            list(decode_payload(data))
+            list(payload_entries(data))
         assert str(len(first) + 15) in str(exc.value)  # body starts after header
 
 
@@ -117,7 +116,7 @@ class TestCheckpointStructuralErrors:
 
     def _install_image(self, part, store, payload):
         """Write a hand-crafted checkpoint image (valid CRC) into pages."""
-        image = payload + _CRC.pack(zlib.crc32(payload))
+        image = seal_block(payload)
         npages = max(1, -(-len(image) // store.page_size))
         pages = store.allocate(npages)
         for i, pid in enumerate(pages):
@@ -132,7 +131,7 @@ class TestCheckpointStructuralErrors:
         part, store = self._partition()
         # One hot zone, one entry pointing at a zone id that was never
         # serialized.
-        entry = struct.pack(">HQQIIIQB", 1, 424242, 0, 0, 64, 10, 1, 0) + b"k"
+        entry = _ENTRY.pack(1, 424242, 0, 0, 64, 10, 1, 0, 0) + b"k"
         payload = (
             _HEADER.pack(_MAGIC, 1, 1, 0)
             + _ZONE_REC.pack(part.hot_zone.zone_id, 0)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from repro.common.errors import CorruptionError
 from repro.common.records import Record
 from repro.lsm import blocks
-from repro.lsm.blocks import decode_one, decode_payload, encode_record
-from tests.reference_codec import decode_block, encode_block
+from repro.lsm.blocks import decode_one, encode_record
+from tests.reference_codec import decode_block, decode_payload, encode_block
 
 records = st.builds(
     Record,

@@ -19,7 +19,7 @@ import pytest
 from repro import obs
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange, encode_key
-from repro.common.records import Record
+from repro.common.records import RECORD_HEADER_SIZE, Record
 from repro.core import HyperDB, HyperDBConfig
 from repro.cluster import ClusterConfig, HyperDBCluster
 from repro.health.state import HealthState, HealthWindow
@@ -426,7 +426,7 @@ class TestScrubDetectionCostsNoExtraIO:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint scrub + post-recovery reprotection
+# Checkpoint scrub + recovered slots keep their checksum
 # ---------------------------------------------------------------------------
 
 
@@ -467,25 +467,39 @@ class TestCheckpointScrub:
         assert db.scrubber.stats.repaired == 1
         assert partition._checkpoint_len > 12
 
-    def test_recovered_slots_are_reprotected(self):
+    @pytest.mark.parametrize("cache_bytes", [64 * KiB, 0], ids=["cache", "no-cache"])
+    def test_flip_after_recovery_reads_as_a_miss(self, cache_bytes):
+        """Recovered slots keep the CRC written before the checkpoint, so a
+        flipped value byte goes to the one triage, never to the reader."""
+        db = make_db(dram_cache_bytes=cache_bytes)
+        for i in range(20):
+            db.put(k(500 + i), b"value-%03d" % i)
+        db.checkpoint()
+        db.recover()
+        victim = k(505)
+        corrupt_slot(db, victim, bit=8 * (RECORD_HEADER_SIZE + len(victim)))
+        assert db.get(victim)[0] is None
+        assert db.stats.counter("nvme_corrupt_slots").value == 1
+        assert db.suspect_keys == [victim]
+        assert db.get(k(506))[0] == b"value-006"
+
+    def test_scrub_after_recovery_detects_a_flipped_slot(self):
         db = make_db(scrub=ScrubConfig())
         for i in range(20):
             db.put(k(500 + i), b"r" * 64)
-        partition = db.performance_tier.partition_for_key(k(500))
-        partition.checkpoint()
-        partition.recover()
-        recovered = [
-            key
-            for key, loc in partition.index.items()
-            if loc.crc is None
-        ]
-        assert recovered, "recovery should leave slots without checksums"
+        partitions = db.performance_tier.partitions
+        crcs = {key: loc.crc for p in partitions for key, loc in p.index.items()}
+        db.checkpoint()
+        db.recover()
+        victim = k(505)
+        corrupt_slot(db, victim, bit=8 * (RECORD_HEADER_SIZE + len(victim)))
         db.scrub()
-        assert db.scrubber.stats.reprotected_slots >= len(recovered)
-        assert db.scrubber.stats.detected == 0
-        for key in recovered:
-            loc = partition.resident_location(key)
-            assert loc is not None and loc.crc is not None
+        st = db.scrubber.stats
+        assert st.detected == 1 and st.unrecoverable == 1
+        assert db.suspect_keys == [victim]
+        # No checksum is re-derived: every survivor keeps its written CRC.
+        del crcs[victim]
+        assert {key: loc.crc for p in partitions for key, loc in p.index.items()} == crcs
 
 
 # ---------------------------------------------------------------------------

