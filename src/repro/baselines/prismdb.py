@@ -22,7 +22,7 @@ from repro.common.errors import CorruptionError, DeviceOfflineError, ReproError
 from repro.common.records import Record
 from repro.core.interface import KVStore
 from repro.health.state import HealthState
-from repro.lsm.blocks import Entry, entry_at, entry_of, record_of
+from repro.lsm.blocks import Entry, entry_at, entry_of
 from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
 from repro.nvme.config import SLOT_CLASSES, NVMeConfig, slot_class_for
 from repro.nvme.pagestore import PageStore
@@ -122,30 +122,34 @@ class _SlabStore:
         slab.remove_object(key, loc)
         self.index.delete(key)
 
-    def collect(self, keys: list[bytes], kind=TrafficKind.MIGRATION):
-        """Read and remove ``keys``; returns their entries in key order and
-        charges the scattered page reads their slab placement requires.
-        A slot failing :meth:`Zone.verified_slot` is dropped and counted."""
+    def collect(self, keys: list[bytes], ingest, kind=TrafficKind.MIGRATION):
+        """Demote ``keys``: read and verify their slots, ship the entries in
+        key order through ``ingest(entries, kind)``, and only then remove
+        them, so a rejected ingest leaves every one resident.  Charges the
+        scattered page reads their slab placement requires.  A slot failing
+        :meth:`Zone.verified_slot` is not shipped; it is removed with the
+        rest and counted."""
         pages: set[int] = set()
-        located: list[tuple[bytes, SlotLocation]] = []
+        located: list[tuple[bytes, SlotLocation, Zone]] = []
         for key in keys:
             loc = self.index.get(key)
             if loc is None:
                 continue
-            located.append((key, loc))
+            located.append((key, loc, self._slabs_by_zone(loc.zone_id)))
             pages.add(loc.page_id)
         service = self.page_store.read_many(sorted(pages), kind)
         out: list[Entry] = []
-        for key, loc in located:
-            slab = self._slabs_by_zone(loc.zone_id)
+        for key, loc, slab in located:
             try:
-                raw = slab.verified_slot(loc)
-                out.append(entry_at(raw))
+                out.append(entry_at(slab.verified_slot(loc)))
             except CorruptionError:
-                self.corrupt_slots += 1
+                pass
+        out.sort()  # by key: keys are unique
+        ingest(out, kind)
+        self.corrupt_slots += len(located) - len(out)
+        for key, loc, slab in located:
             slab.remove_object(key, loc)
             self.index.delete(key)
-        out.sort()  # by key: keys are unique
         return out, service, len(pages)
 
     @property
@@ -206,9 +210,10 @@ class PrismDBStore(KVStore):
         self.failover_writes = 0
         self.failover_blocked_reads = 0
         self.paused_demotions = 0
-        self.requeued_objects = 0
         self.catch_up_drains = 0
         self.has_catch_up = False
+        #: The last key of the previous demotion window.
+        self._demote_hand: Optional[bytes] = None
 
     # ------------------------------------------------------------- space
 
@@ -340,19 +345,16 @@ class PrismDBStore(KVStore):
             victims = self._select_demotion_window()
             if not victims:
                 break
-            batch, _, pages = self.slabs.collect(victims, TrafficKind.MIGRATION)
+            try:
+                batch, _, pages = self.slabs.collect(
+                    victims, self.tree.ingest_batch, TrafficKind.MIGRATION
+                )
+            except DeviceOfflineError:
+                # The window opened before ingest, whose epoch rejects
+                # atomically: the victims are still in the slabs.
+                self._pause_demotion()
+                return
             if batch:
-                try:
-                    self.tree.ingest_batch(batch, TrafficKind.MIGRATION)
-                except DeviceOfflineError:
-                    # The window opened between collect and ingest (the
-                    # ingest epoch rejects atomically): put the batch back
-                    # whole and queue a catch-up pass.
-                    for entry in batch:
-                        self.slabs.put(record_of(entry), TrafficKind.MIGRATION)
-                    self.requeued_objects += len(batch)
-                    self._pause_demotion()
-                    return
                 self.demoted_objects += len(batch)
                 self.demotion_page_reads += pages
                 for entry in batch:
@@ -407,7 +409,7 @@ class PrismDBStore(KVStore):
         from bisect import bisect_left
 
         start = 0
-        if getattr(self, "_demote_hand", None) is not None:
+        if self._demote_hand is not None:
             start = bisect_left(residents, self._demote_hand) % len(residents)
         bits = np.array([self.clock.bits(k) for k in residents])
         coldness = (bits == 0).astype(np.int32)

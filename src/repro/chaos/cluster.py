@@ -58,8 +58,11 @@ class ClusterScenario:
     #: Client ops between cluster anti-entropy passes (0 = disabled).
     anti_entropy_every: int = 0
     #: Constants, not fields — one value in use: bits flipped per latent
-    #: corruption event, and the op stream's key universe (a hot-key
-    #: cluster soak proves nothing — see ROADMAP item 4).
+    #: corruption event, and the op stream's key universe.  A hot-key
+    #: cluster soak would prove nothing more: a replica that missed a
+    #: key's only write already differs from its peers, and the read
+    #: and the audit compare every replica of every acked key, so no
+    #: overwrite is needed to expose it.
     latent_burst = 2
     key_universe = 2_000
 

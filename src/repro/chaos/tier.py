@@ -99,7 +99,6 @@ def _hyperdb_recovery(db: HyperDB):
         "failover_writes": db.stats.counter("failover_writes").value,
         "failover_reads": db.stats.counter("failover_reads").value,
         "paused_migrations": ms.paused_jobs,
-        "requeued_objects": ms.requeued_objects,
         "catch_up_drains": ms.catch_up_drains,
     }
 
@@ -108,7 +107,6 @@ def _prismdb_recovery(db: PrismDBStore):
     return db, {
         "failover_writes": db.failover_writes,
         "paused_migrations": db.paused_demotions,
-        "requeued_objects": db.requeued_objects,
         "catch_up_drains": db.catch_up_drains,
     }
 
@@ -130,7 +128,7 @@ class TierTarget(Target):
     detected = (CorruptionError,)
     counters = (
         "failover_writes", "failover_reads",
-        "paused_migrations", "requeued_objects", "catch_up_drains", "restarts",
+        "paused_migrations", "catch_up_drains", "restarts",
         "scrub_passes", "scrub_paused",
     )
     absorbers = ("failover_writes", "failover_reads", "paused_migrations")
@@ -143,7 +141,7 @@ class TierTarget(Target):
         "  degraded: failover_writes={failover_writes} "
         "failover_reads={failover_reads} offline_rejections[{reject}] "
         "brownout_ios[{brown}]\n"
-        "  recovery: paused={paused_migrations} requeued={requeued_objects} "
+        "  recovery: paused={paused_migrations} "
         "catchup_drains={catch_up_drains} restarts={restarts} "
         "pump_ops={pump_ops}"
     )

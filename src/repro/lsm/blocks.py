@@ -61,34 +61,21 @@ def as_entries(items: list) -> list[Entry]:
 
 
 def record_of(entry: Entry) -> Record:
-    """The :class:`Record` an entry encodes (a requeue puts it back)."""
+    """The :class:`Record` an entry encodes: what a read returns and WAL
+    replay re-applies."""
     key, seqno, flags, raw = entry
     return Record(key, raw[RECORD_HEADER_SIZE + len(key) :], seqno, bool(flags & 1))
 
 
 def decode_one(data: bytes, offset: int = 0) -> Record:
     """Decode the one record starting at ``offset`` — what a read that
-    returns a value goes through (NVMe slot reads, semi-SSTable gets).
-    Header and body are bounds-checked."""
-    end = len(data)
-    body = offset + _HEADER.size
-    if body > end:
-        raise CorruptionError(f"truncated record header at offset {offset}")
-    seqno, flags, klen, vlen = _HEADER.unpack_from(data, offset)
-    stop = body + klen + vlen
-    if stop > end:
-        raise CorruptionError(f"truncated record body at offset {body}")
-    return Record(
-        data[body : body + klen],
-        data[body + klen : stop],
-        seqno,
-        deleted=bool(flags & _FLAG_TOMBSTONE),
-    )
+    returns a value goes through (NVMe slot reads, semi-SSTable gets)."""
+    return record_of(entry_at(data, offset))
 
 
 def entry_at(data: bytes, offset: int = 0) -> Entry:
-    """The record at ``offset`` as an entry, sliced, not decoded; bounds
-    checked as in :func:`decode_one`."""
+    """The record at ``offset`` as an entry, sliced, not decoded: the one
+    single-record parser, header and body bounds-checked."""
     end = len(data)
     body = offset + _HEADER.size
     if body > end:

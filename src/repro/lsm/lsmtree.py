@@ -465,7 +465,7 @@ class LSMTree:
         first = self.options.first_level
         fs = self.fs_for_level(first)
         # Atomic under OFFLINE: the epoch rejects the batch at entry, before
-        # seqnos advance or any table mutates, so callers can requeue it.
+        # seqnos advance or any table mutates; the caller still holds it.
         with fs.device.health_epoch:
             busy_before = fs.device.busy_seconds()
             self._seqno = max(self._seqno, max(e[1] for e in entries))

@@ -58,8 +58,8 @@ class CapacityTier:
 
         The whole merge-and-rebalance runs inside one device health epoch:
         an OFFLINE capacity device rejects the batch atomically at entry
-        (``DeviceOfflineError`` before any table mutates), so callers can
-        requeue the batch without worrying about split state.
+        (``DeviceOfflineError`` before any table mutates), so a demotion
+        that frees its zone only after ingest returns loses nothing.
         """
         if not entries:
             return 0.0

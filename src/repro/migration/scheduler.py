@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from repro import obs
 from repro.common.errors import DeviceOfflineError
 from repro.health.state import HealthState
-from repro.lsm.blocks import record_of
 from repro.lsm.semi.engine import CapacityTier
 from repro.nvme.partition import Partition
 from repro.nvme.tier import PerformanceTier
@@ -26,9 +25,6 @@ class MigrationStats:
     #: Demotion jobs skipped or aborted because the capacity tier was
     #: OFFLINE; the partition was queued for catch-up instead.
     paused_jobs: int = 0
-    #: Objects re-inserted into their partition after a collected zone's
-    #: batch was rejected by an offline capacity tier.
-    requeued_objects: int = 0
     #: Catch-up drains executed after the capacity tier recovered.
     catch_up_drains: int = 0
 
@@ -43,8 +39,10 @@ class MigrationScheduler:
     Degraded mode: while the capacity device is in an OFFLINE health window
     no demotion runs — partitions above their watermark are queued, and the
     queue drains exactly once after recovery (:meth:`run_catch_up`).  A zone
-    collected just before the window opened is put back whole, so demotion
-    is always zone-atomic: fully migrated or fully resident.
+    is freed only once the capacity tier holds its batch
+    (:meth:`Partition.collect_zone`), so a window opening just before ingest
+    leaves it fully resident: demotion is zone-atomic, fully migrated or
+    fully resident.
     """
 
     def __init__(
@@ -150,28 +148,20 @@ class MigrationScheduler:
             if zone is None:
                 break  # nothing left to demote (e.g. all data in the hot zone)
             try:
-                batch, _ = partition.collect_zone(zone, TrafficKind.MIGRATION)
+                # ``ingest`` is looked up per call: a wrapper installed on the
+                # capacity tier after construction must see every batch.
+                batch, _ = partition.collect_zone(
+                    zone, self.capacity_tier.ingest, TrafficKind.MIGRATION
+                )
             except DeviceOfflineError:
-                # The NVMe tier itself went offline at collection entry:
-                # nothing was mutated (health epochs reject atomically).
+                # The NVMe tier was offline at collection entry, or the
+                # capacity tier at ingest: either rejects atomically, and
+                # the zone stays fully resident.  Catch up after recovery.
                 self._pause(partition)
                 break
             nbytes = sum(len(e[3]) for e in batch)
-            if batch:
-                try:
-                    self.capacity_tier.ingest(batch, TrafficKind.MIGRATION)
-                except DeviceOfflineError:
-                    # Capacity went offline between collection and ingest
-                    # (ingest rejects atomically at its epoch entry).  Put
-                    # the zone's objects back so it stays fully resident,
-                    # and queue this partition for post-recovery catch-up.
-                    for entry in batch:
-                        partition.put(record_of(entry), TrafficKind.MIGRATION)
-                    self.stats.requeued_objects += len(batch)
-                    self._pause(partition)
-                    break
-                self.stats.demoted_objects += len(batch)
-                self.stats.demoted_bytes += nbytes
+            self.stats.demoted_objects += len(batch)
+            self.stats.demoted_bytes += nbytes
             if rec is not None:
                 rec.emit(
                     "zone_demotion", t=device.busy_seconds(),

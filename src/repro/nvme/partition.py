@@ -467,18 +467,26 @@ class Partition:
         return max(candidates, key=lambda z: z.demotion_score())
 
     def collect_zone(
-        self, zone: Zone, kind: TrafficKind = TrafficKind.MIGRATION
+        self,
+        zone: Zone,
+        ingest: Callable[[list[Entry], TrafficKind], float],
+        kind: TrafficKind = TrafficKind.MIGRATION,
     ) -> tuple[list[Entry], float]:
-        """Read a zone's pages and extract its objects for demotion: in key
-        order, each one's verified slot bytes as an entry, nothing decoded.
+        """Demote a zone: copy its cold objects to the capacity tier through
+        ``ingest``, then free it.  Returns the demoted entries — in key
+        order, each one's verified slot bytes, nothing decoded — and the
+        NVMe service time.
 
-        Hot objects are parked in the hot zone instead of being returned
+        Hot objects are parked in the hot zone instead of being demoted
         (§3.2: "HyperDB does not migrate frequently accessed data"): their
-        verified slot bytes are staged, then written once per hot-zone page.
-        Only then does the index change and the emptied zone free its pages
-        in one pass; a failure leaves every object where it was.  The zone's
-        read counter is reset.  Runs inside a device health epoch, so no
-        NVMe health window opens mid-collection.
+        verified slot bytes are staged for the hot zone's pages.  Only after
+        ``ingest(demoted, kind)`` returns are the staged pages written, the
+        index changed and the emptied zone freed, in one pass.  A failure
+        before then, a rejected ingest included, unstages and re-raises: the
+        zone is fully resident, nothing having been freed.  A failure after
+        ingest leaves each demoted object in both tiers under one seqno, and
+        reads prefer NVMe.  The zone's read counter is reset.  Runs inside a
+        device health epoch, so no NVMe health window opens mid-collection.
         """
         with self.page_store.device.health_epoch:
             service = self.page_store.read_many(zone.page_ids(), kind)
@@ -518,6 +526,7 @@ class Partition:
                         demoted_append(entry_at(payload))
                     moves[key] = new_loc
                     staged[loc.page_id] = staged.get(loc.page_id, 0) + 1
+                ingest(demoted, kind)
                 service += self._commit(batch, moves, kind, vacated=zone)
             except ReproError:
                 self._unstage(moves)

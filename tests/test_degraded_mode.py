@@ -307,6 +307,62 @@ class TestPrismDBFailover:
         assert got == b"new-version"
 
 
+class TestPrismDBDemotionPause:
+    @staticmethod
+    def _store(windows=()):
+        inj = FaultInjector(FaultPlan(seed=0, health_windows=tuple(windows)))
+        store = PrismDBStore(
+            SimDevice(nvme_profile(), injector=inj),
+            SimDevice(sata_profile(), injector=inj),
+        )
+        return store, inj
+
+    @staticmethod
+    def _fill_until_collect(store, inj):
+        """Put keys until the first demotion collects; returns the keys put
+        and ``inj.total_ios`` at that collection's entry."""
+        at_collect = []
+        collect = store.slabs.collect
+
+        def spy(*args, **kwargs):
+            at_collect.append(inj.total_ios)
+            return collect(*args, **kwargs)
+
+        store.slabs.collect = spy
+        keys = []
+        while not at_collect:
+            keys.append(encode_key(len(keys)))
+            store.put(keys[-1], b"v%05d" % len(keys) * 40)
+        del store.slabs.collect
+        return keys, at_collect[0]
+
+    def test_outage_between_collect_and_ingest_frees_nothing(self):
+        store, inj = self._store()
+        _, start = self._fill_until_collect(store, inj)
+        # Replay the identical fill; SATA goes offline right after the
+        # collection's first slab read, before the tree ingests the batch.
+        start += 2
+        store, inj = self._store([offline("sata", start, start + 400)])
+        windows = []
+        select = store._select_demotion_window
+        store._select_demotion_window = lambda: windows.append(select()) or windows[-1]
+        keys, _ = self._fill_until_collect(store, inj)
+        (victims,) = windows
+        assert victims and store.paused_demotions == 1 and store.has_catch_up
+        assert store.demoted_objects == 0
+        assert store.nvme_device.traffic.write_bytes(TrafficKind.MIGRATION) == 0
+        for key in victims:
+            assert store.slabs.index.get(key) is not None, key
+        # Age the outage out with NVMe writes; the first put after it drains
+        # the catch-up.
+        while store.catch_up_drains == 0:
+            store.put(encode_key(KEYSPACE - 1), b"pump")
+        assert not store.has_catch_up
+        assert store.demoted_objects >= len(victims)
+        for n, key in enumerate(keys, start=1):
+            assert store.get(key)[0] == b"v%05d" % n * 40, key
+
+
 def make_faulty_tiers(windows=(), seed=0):
     inj = FaultInjector(FaultPlan(seed=seed, health_windows=tuple(windows)))
     nvme = SimDevice(nvme_profile(), injector=inj)
@@ -365,14 +421,52 @@ class TestMigrationPauseResume:
 
     def test_mid_zone_interruption_leaves_zone_fully_resident(self):
         perf, cap, sched, keys = self._interrupted_mid_zone()
+        before = {k: perf.partition_for_key(k).index.get(k) for k in keys}
+        assert None not in before.values()
+        nvme_written = perf.device.traffic.write_bytes(TrafficKind.MIGRATION)
         assert sched.run_if_needed() == 0
         # The collected batch was rejected at the capacity tier's epoch
-        # entry and re-inserted whole: fully resident, nothing migrated.
-        assert sched.stats.requeued_objects > 0
+        # entry before the zone was freed: fully resident, nothing
+        # migrated, and nothing written back to NVMe.
         assert sched.stats.paused_jobs >= 1
         assert cap.valid_bytes() == 0
+        assert perf.device.traffic.write_bytes(TrafficKind.MIGRATION) == nvme_written
         for key in keys:
-            assert perf.contains(key), key
+            assert perf.partition_for_key(key).index.get(key) == before[key], key
+
+    def test_commit_failure_after_ingest_keeps_both_copies(self, monkeypatch):
+        # A zone with a hot object to park: the park's NVMe write is the
+        # commit, and it fails after the capacity tier took the batch.
+        perf, cap, _ = make_faulty_tiers()
+        sched = MigrationScheduler(perf, cap)
+        keys = fill_over_watermark(perf)
+        part = perf.partitions_over_watermark()[0]
+        zone = part.select_demotion_zone()
+        hot = sorted(zone.keys)[3]
+        for _ in range(part.tracker.discriminator.window_capacity * 4):
+            part.tracker.record_access(hot)
+        assert part.tracker.is_hot(hot)
+        before = {k: perf.partition_for_key(k).index.get(k) for k in keys}
+        assert None not in before.values()
+        zone_keys = sorted(zone.keys)
+
+        def offline_write(*args, **kwargs):
+            raise DeviceOfflineError("nvme offline at commit")
+
+        monkeypatch.setattr(part.page_store, "write_spans", offline_write)
+        assert sched.run_if_needed() == 0
+        assert sched.stats.paused_jobs == 1 and sched.has_catch_up
+        for key in keys:
+            assert perf.partition_for_key(key).index.get(key) == before[key], key
+        assert cap.get(hot)[0] is None
+        for key in zone_keys:
+            if key == hot:
+                continue
+            resident, _ = perf.get(key)
+            demoted, _ = cap.get(key)
+            assert demoted is not None, key
+            assert (demoted.seqno, demoted.value) == (resident.seqno, resident.value)
+            assert resident.seqno == before[key].seqno
 
     def test_catch_up_drains_exactly_once_on_recovery(self):
         perf, cap, sched, keys = self._interrupted_mid_zone()
@@ -395,7 +489,7 @@ class TestMigrationPauseResume:
         # A second drain is a no-op until another outage queues work.
         assert sched.run_catch_up() == 0
         assert sched.stats.catch_up_drains == 1
-        # Nothing was lost across pause, requeue, and catch-up.
+        # Nothing was lost across pause and catch-up.
         for key in keys:
             on_nvme = perf.contains(key)
             got, _ = cap.get(key)

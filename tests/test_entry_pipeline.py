@@ -205,8 +205,7 @@ def test_hyperdb_demotion_moves_slot_bytes(monkeypatch):
     part = db.performance_tier.partition_for_key(k(0))
     zone = part.zone_for_key(k(0))
     calls = count_codec(monkeypatch)
-    batch, _ = part.collect_zone(zone)
-    db.capacity_tier.ingest(batch)
+    batch, _ = part.collect_zone(zone, db.capacity_tier.ingest)
     assert batch and calls == Counter()
     monkeypatch.undo()
     assert db.get(k(0))[0] == b"x" * 512

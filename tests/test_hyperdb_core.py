@@ -153,8 +153,7 @@ class TestPromotionFlow:
         """Force-demote the zone holding ``key`` (deterministic test setup)."""
         part = db.performance_tier.partition_for_key(key)
         zone = part.zone_for_key(key)
-        batch, _ = part.collect_zone(zone)
-        db.capacity_tier.ingest(batch)
+        part.collect_zone(zone, db.capacity_tier.ingest)
         assert not db.performance_tier.contains(key)
 
     def test_hot_sata_object_promoted(self):

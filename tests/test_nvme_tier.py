@@ -9,6 +9,7 @@ from repro.common.cache import LRUCache
 from repro.nvme import NVMeConfig, PageStore, PerformanceTier, Zone
 from repro.nvme.config import slot_class_for
 from repro.simssd import DeviceProfile, SimDevice, TrafficKind
+from tests.test_zone_relocation import RecordingIngest
 
 KEYSPACE = 100_000
 
@@ -310,8 +311,10 @@ class TestDemotionCollect:
         assert zone is not None
         count_before = part.object_count()
         pages_before = tier.used_pages()
-        batch, _ = part.collect_zone(zone)
+        ingest = RecordingIngest()
+        batch, _ = part.collect_zone(zone, ingest)
         assert batch, "demotion batch should not be empty"
+        assert ingest == [(batch, TrafficKind.MIGRATION)]
         keys = [e[0] for e in batch]
         assert keys == sorted(keys)
         assert part.object_count() == count_before - len(batch)
@@ -326,7 +329,7 @@ class TestDemotionCollect:
             tier.put(rec(i))
         zone = part.select_demotion_zone()
         device.traffic.reset()
-        part.collect_zone(zone)
+        part.collect_zone(zone, RecordingIngest())
         assert device.traffic.read_bytes(TrafficKind.MIGRATION) > 0
 
     def test_hot_objects_parked_not_demoted(self):
@@ -345,7 +348,7 @@ class TestDemotionCollect:
             part.tracker.record_access(hot)
         assert part.tracker.is_hot(hot)
         zone = part.zone_for_key(hot)
-        batch, _ = part.collect_zone(zone)
+        batch, _ = part.collect_zone(zone, RecordingIngest())
         assert hot not in [e[0] for e in batch]
         assert hot in part.hot_zone.keys
         out, _ = tier.get(hot)

@@ -350,7 +350,7 @@ class TestSemiBlockLadder:
 
 def _collect_zone(db, key):
     partition = db.performance_tier.partition_for_key(key)
-    partition.collect_zone(partition.zone_for_key(key))
+    partition.collect_zone(partition.zone_for_key(key), db.capacity_tier.ingest)
 
 
 DETECTORS = {

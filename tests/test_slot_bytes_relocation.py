@@ -24,6 +24,7 @@ from repro.nvme.partition import Partition
 from tests.test_zone_relocation import (
     KEYSPACE,
     MIGRATION,
+    RecordingIngest,
     _collect_setup,
     _hot_zone_of_unpromoted,
     _loaded_without_split,
@@ -102,7 +103,7 @@ def test_split_relocates_slot_bytes_without_the_codec(monkeypatch):
 def test_parks_and_eviction_relocate_slot_bytes(monkeypatch):
     device, part, zone, hot = _collect_setup(monkeypatch)
     before = slot_state(part, hot)
-    part.collect_zone(zone, MIGRATION)
+    part.collect_zone(zone, RecordingIngest(), MIGRATION)
     after = slot_state(part, hot)
     for key in hot:
         assert after[key][0].zone_id == part.hot_zone.zone_id
@@ -144,7 +145,7 @@ def test_park_drops_a_slot_whose_crc_mismatches(monkeypatch):
     victim = sorted(hot)[3]
     part.index.get(victim).crc ^= 1
     dropped = record_drops(part)
-    demoted, _ = part.collect_zone(zone, MIGRATION)
+    demoted, _ = part.collect_zone(zone, RecordingIngest(), MIGRATION)
     assert dropped == [(victim, False)]
     assert victim not in {e[0] for e in demoted}
     assert_gone(part, victim)
@@ -240,7 +241,7 @@ def collect_scenario(monkeypatch):
     for key in list(zone.keys)[::3]:
         part.get(key)
     hot_keys(monkeypatch, part, {encode_key(i * 10) for i in range(0, 200, 5)})
-    part.collect_zone(zone, MIGRATION)
+    part.collect_zone(zone, RecordingIngest(), MIGRATION)
     assert zone.object_count == 0 and part.hot_zone.object_count == 40
     return state(device, part, cache, zone)
 
@@ -287,6 +288,6 @@ def test_a_key_left_behind_fails_the_release(monkeypatch):
     zone.keys[stray] = None
     allocated = device.allocated_pages
     with pytest.raises(ReproError, match="behind"):
-        part.collect_zone(zone, MIGRATION)
+        part.collect_zone(zone, RecordingIngest(), MIGRATION)
     assert part.hot_zone.object_count == 0
     assert device.allocated_pages == allocated

@@ -60,6 +60,14 @@ def rec(i, seqno=None):
     return Record(encode_key(i), value(i), i + 1 if seqno is None else seqno)
 
 
+class RecordingIngest(list):
+    """Stands in for ``CapacityTier.ingest``: accepts and keeps each batch."""
+
+    def __call__(self, batch, kind):
+        self.append((list(batch), kind))
+        return 0.0
+
+
 def fail_page_write(device, k):
     """From now on, the ``k``-th write command (1-based) fails on every
     attempt the retry policy allows."""
@@ -197,7 +205,7 @@ def _collect_setup(monkeypatch, n=200, nhot=40):
 def test_parks_write_each_hot_zone_page_once(monkeypatch):
     device, part, zone, hot = _collect_setup(monkeypatch)
     writes = device.traffic.write_ios(MIGRATION)
-    batch, _ = part.collect_zone(zone, MIGRATION)
+    batch, _ = part.collect_zone(zone, RecordingIngest(), MIGRATION)
     assert {e[0] for e in batch}.isdisjoint(hot)
     pages = {part.index.get(key).page_id for key in hot}
     assert all(part.index.get(key).zone_id == part.hot_zone.zone_id for key in hot)
@@ -213,7 +221,7 @@ def test_park_write_failure_rolls_back(monkeypatch, k):
     allocated = device.allocated_pages
     fail_page_write(device, k)
     with pytest.raises(TransientIOError):
-        part.collect_zone(zone, MIGRATION)
+        part.collect_zone(zone, RecordingIngest(), MIGRATION)
     assert zone in part.zones()
     assert zone.object_count == len(keys)
     assert part.hot_zone.object_count == 0
@@ -234,7 +242,7 @@ def test_park_budget_counts_pages_the_collection_vacated(monkeypatch):
         return budget(vacated)
 
     monkeypatch.setattr(part, "_hot_zone_page_budget", spy)
-    part.collect_zone(zone, MIGRATION)
+    part.collect_zone(zone, RecordingIngest(), MIGRATION)
     assert seen == sorted(seen) and seen[-1] > 0
 
 
