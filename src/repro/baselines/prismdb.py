@@ -24,9 +24,9 @@ from repro.core.interface import KVStore
 from repro.health.state import HealthState
 from repro.lsm.blocks import Entry, entry_at, entry_of
 from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
-from repro.nvme.config import SLOT_CLASSES, NVMeConfig, slot_class_for
+from repro.nvme.config import SLOT_CLASSES, NVMeConfig
 from repro.nvme.pagestore import PageStore
-from repro.nvme.zone import SlotLocation, Zone
+from repro.nvme.zone import SlotLocation, Zone, write_slot
 from repro.simssd.device import SimDevice
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
@@ -56,7 +56,8 @@ class ClockTracker:
 
 
 class _SlabStore:
-    """Size-class slabs over the NVMe device (insertion-order packing)."""
+    """Size-class slabs over the NVMe device (insertion-order packing); a
+    slab is a keyless zone, written by the partition's put body."""
 
     def __init__(self, device: SimDevice, config: NVMeConfig, cache=None) -> None:
         self.device = device
@@ -70,7 +71,8 @@ class _SlabStore:
         #: Slots :meth:`collect` found corrupt and dropped instead of shipping.
         self.corrupt_slots = 0
 
-    def _slab_for(self, slot_size: int) -> Zone:
+    def _slab_for(self, key: bytes, slot_size: int) -> Zone:
+        """:func:`write_slot`'s zone for a fresh slot: its class's slab."""
         slab = self._slabs.get(slot_size)
         if slab is None:
             self._slab_seq += 1
@@ -79,27 +81,13 @@ class _SlabStore:
         return slab
 
     def put(self, rec: Record, kind=TrafficKind.FOREGROUND) -> float:
-        # Epoch: the tombstone-then-rewrite path must not be torn by a
+        # Epoch: a resize's tombstone and rewrite must not be torn by a
         # health window opening between its I/Os.
         with self.device.health_epoch:
-            service = 0.0
-            loc: Optional[SlotLocation] = self.index.get(rec.key)
-            needed = rec.encoded_size
-            if loc is not None and needed <= loc.slot_size:
-                slab = self._slabs_by_zone(loc.zone_id)
-                new_loc, s = slab.update_in_place(loc, rec, kind, self.cache)
-                self.index.insert(rec.key, new_loc)
-                return s
-            if loc is not None:
-                slab = self._slabs_by_zone(loc.zone_id)
-                service += slab.write_tombstone(loc, kind, self.cache)
-                slab.remove_object(rec.key, loc)
-            slot_size = slot_class_for(needed)
-            slab = self._slab_for(slot_size)
-            new_loc, s = slab.write_record(rec, slot_size, kind, self.cache)
-            service += s
-            self.index.insert(rec.key, new_loc)
-            return service
+            return write_slot(
+                rec, False, self.index, self._slabs_by_zone, self._slab_for,
+                kind, self.cache,
+            )[0]
 
     def _slabs_by_zone(self, zone_id: int) -> Zone:
         for slab in self._slabs.values():
@@ -239,12 +227,12 @@ class PrismDBStore(KVStore):
         return self._seqno
 
     def put(self, key: bytes, value: bytes) -> float:
-        return self._write_record(Record(key, value, self.next_seqno()))
+        return self._write(Record(key, value, self.next_seqno()))
 
     def delete(self, key: bytes) -> float:
-        return self._write_record(Record.tombstone(key, self.next_seqno()))
+        return self._write(Record.tombstone(key, self.next_seqno()))
 
-    def _write_record(self, rec: Record) -> float:
+    def _write(self, rec: Record) -> float:
         if self.nvme_device.health() is HealthState.OFFLINE:
             return self._failover_write(rec)
         self.clock.access(rec.key)

@@ -99,10 +99,9 @@ class PartitionCheckpoint:
         store = partition.page_store
         npages = max(1, -(-len(payload) // store.page_size))
         pages = store.allocate(npages)
-        service = 0.0
-        for i, pid in enumerate(pages):
-            chunk = payload[i * store.page_size : (i + 1) * store.page_size]
-            service += store.write(pid, 0, chunk, kind)
+        size = store.page_size
+        chunks = {pid: [1, 0, payload[i * size : (i + 1) * size]] for i, pid in enumerate(pages)}
+        service = store.write_spans(chunks, kind)
         # The new image is durable; retire the old one and switch over.
         for pid in partition._checkpoint_pages:
             store.free(pid)

@@ -3,7 +3,9 @@
 Zone slot files address pages directly (KVell-style in-place updates don't
 fit an append-only file abstraction), so the performance tier uses this thin
 page allocator instead of :class:`repro.simssd.fs.SimFilesystem`.  Page
-payloads are real bytes; reads and writes charge the device per page.
+payloads are real bytes; reads and writes charge the device per page, and
+every page write — a slot's, a tombstone's, a checkpoint's — is one command
+of :meth:`PageStore.write_spans` over a staged batch.
 """
 
 from __future__ import annotations
@@ -54,80 +56,58 @@ class PageStore:
             self.cache.invalidate(page_id)
         self.device.trim(1)
 
-    def write(
-        self,
-        page_id: int,
-        offset: int,
-        data: bytes,
-        kind: TrafficKind,
-        cache: Optional[LRUCache] = None,
-        npages: int = 1,
-    ) -> float:
-        """:meth:`write_spans` of the one span ``(offset, data)``."""
-        return self.write_spans(page_id, ((offset, data),), kind, cache, npages)
-
     def write_spans(
-        self,
-        page_id: int,
-        spans,
-        kind: TrafficKind,
-        cache: Optional[LRUCache] = None,
-        npages: int = 1,
+        self, batch: dict, kind: TrafficKind, cache: Optional[LRUCache] = None
     ) -> float:
-        """Write ``(offset, payload)`` spans into a slot page with one
-        command (an in-place update of ``npages`` random pages).
-        Invalidates any cached copy.
-
-        Oversized slots span continuation pages; their payload is stored in
-        the head page's buffer and the I/O is charged for all ``npages``.
-
-        Under fault injection the same torn-write / corruption semantics as
-        :class:`repro.simssd.fs.SimFile` apply to the spans' concatenation:
-        a crashing write persists only a prefix of it, a transient failure
-        beyond retries persists nothing, and a successful write draws its
-        flips once, over all of it — per page, however many slots it holds.
+        """Write a staged ``{page_id: [npages, offset, payload, ...]}`` batch
+        (:meth:`repro.nvme.zone.Zone.stage`): each page with one command, in
+        staging order, an in-place update of its ``npages`` random pages (an
+        oversized slot's payload sits in its head page's buffer).  Each
+        page's spans, concatenated, follow :class:`repro.simssd.fs.SimFile`'s
+        fault semantics: a crash persists a prefix of them (earlier pages
+        stay written), a transient failure beyond retries nothing, and a
+        successful write draws its flips once over all of them.
         """
-        page = self._pages.get(page_id)
-        if page is None:
-            raise ReproError(f"write to unallocated page {page_id}")
-        limit = self.page_size * npages
-        for offset, data in spans:
-            # A slot starts inside its head page, whose buffer holds at
-            # least a page: slice assignment below never leaves a gap.
-            if not 0 <= offset < self.page_size or offset + len(data) > limit:
-                raise ReproError(
-                    f"write [{offset}, {offset + len(data)}) exceeds "
-                    f"{npages} page(s)"
-                )
-        inj = self.device.injector
-        try:
-            service = self.device.write_pages(npages, kind, sequential=False)
-        except PowerLossError as e:
-            flat = b"".join([data for _, data in spans])
-            flat = flat[: inj.torn_prefix_len(len(flat), e.torn_fraction)]
-            self._land(page, spans, flat)
+        pages, size, inj = self._pages, self.page_size, self.device.injector
+        service = 0.0
+        for page_id, spans in batch.items():
+            page = pages.get(page_id)
+            if page is None:
+                raise ReproError(f"write to unallocated page {page_id}")
+            npages, n = spans[0], len(spans)
+            limit = size * npages
+            for i in range(1, n, 2):
+                # A slot starts inside its head page, whose buffer holds at
+                # least a page: slice assignment below never leaves a gap.
+                offset, end = spans[i], spans[i] + len(spans[i + 1])
+                if not 0 <= offset < size or end > limit:
+                    raise ReproError(f"write [{offset}, {end}) exceeds {npages} page(s)")
+            flat = spans[2] if n == 3 else b"".join(spans[2::2])
+            try:
+                service += self.device.write_pages(npages, kind, sequential=False)
+            except PowerLossError as e:
+                self._land(page, spans, flat[: inj.torn_prefix_len(len(flat), e.torn_fraction)])
+                if cache is not None:
+                    cache.invalidate(page_id)
+                raise
+            if inj is None and n == 3:  # one span: the check above set ``end``
+                page[spans[1] : end] = flat
+            else:
+                self._land(page, spans, flat if inj is None else inj.corrupt_payload(flat))
             if cache is not None:
                 cache.invalidate(page_id)
-            raise
-        if inj is None:
-            for offset, data in spans:
-                page[offset : offset + len(data)] = data
-        else:
-            flat = b"".join([data for _, data in spans])
-            self._land(page, spans, inj.corrupt_payload(flat))
-        if cache is not None:
-            cache.invalidate(page_id)
         return service
 
     @staticmethod
-    def _land(page: bytearray, spans, flat: bytes) -> None:
-        """Lay ``flat`` (the spans' payloads as they reached the media,
-        concatenated and possibly cut short) over the spans' offsets."""
+    def _land(page: bytearray, spans: list, flat: bytes) -> None:
+        """Lay ``flat`` (a page's payloads as they reached the media,
+        concatenated, possibly cut short) over their offsets."""
         pos = 0
-        for offset, data in spans:
-            piece = flat[pos : pos + len(data)]
+        for i in range(1, len(spans), 2):
+            offset, n = spans[i], len(spans[i + 1])
+            piece = flat[pos : pos + n]
             page[offset : offset + len(piece)] = piece
-            pos += len(data)
+            pos += n
 
     def read(
         self,

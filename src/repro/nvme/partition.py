@@ -27,7 +27,7 @@ from repro.nvme.config import (
     slot_class_for,
 )
 from repro.nvme.pagestore import PageStore
-from repro.nvme.zone import SlotLocation, Zone
+from repro.nvme.zone import SlotLocation, Zone, write_slot
 from repro.simssd.traffic import TrafficKind
 
 
@@ -226,40 +226,26 @@ class Partition:
             return self._put_locked(rec, kind)
 
     def _put_locked(self, rec: Record, kind: TrafficKind) -> float:
-        """The :meth:`put` body: the slot write, with the tracker already
-        touched and the health epoch (if any) already entered."""
-        service = 0.0
-        loc: Optional[SlotLocation] = self.index.get(rec.key)
-        needed = rec.encoded_size
-        if loc is not None and needed <= loc.slot_size:
-            zone = self._zone_by_id(loc.zone_id)
-            new_loc, s = zone.update_in_place(loc, rec, kind, self.cache)
-            # An updated object diverges from its SATA copy: it can no
-            # longer be dropped on eviction, so the promotion label is
-            # cleared.
-            new_loc.promoted = False
-            self.index.insert(rec.key, new_loc)
-            self._written_bytes += needed
-            self._written_objects += 1
-            # In-place updates count toward Eq. 1 too: without this,
-            # update-heavy workloads never reach the calibration point
-            # and the tracker window stays at its construction guess.
-            self._maybe_calibrate_tracker()
-            return s
-        # New object, or resized: new slot, tombstone at the old location.
-        if loc is not None:
-            old_zone = self._zone_by_id(loc.zone_id)
-            service += old_zone.write_tombstone(loc, kind, self.cache)
-            old_zone.remove_object(rec.key, loc)
-        zone = self.zone_for_key(rec.key)
-        slot_size = slot_class_for(needed)
-        new_loc, s = zone.write_record(rec, slot_size, kind, self.cache)
-        self.index.insert(rec.key, new_loc)
-        self._written_bytes += needed
+        """The :meth:`put` body: the slot write (:func:`write_slot`), with
+        the tracker already touched and the health epoch (if any) already
+        entered.  An update clears the promotion label: the object diverges
+        from its SATA copy, so eviction can no longer drop it."""
+        service, zone = write_slot(
+            rec, False, self.index, self._zone_by_id, self._pick_zone, kind, self.cache
+        )
+        # In-place updates count toward Eq. 1 too: without them,
+        # update-heavy workloads never reach the calibration point and the
+        # tracker window stays at its construction guess.
+        self._written_bytes += rec.encoded_size
         self._written_objects += 1
         self._maybe_calibrate_tracker()
-        self._maybe_split_zone(zone)
-        return service + s
+        if zone is not None:
+            self._maybe_split_zone(zone)
+        return service
+
+    def _pick_zone(self, key: bytes, slot_size: int) -> Zone:
+        # zone_for_key for write_slot, less the range check the stager makes
+        return self._zones[bisect_right(self._zone_bounds, key) - 1]
 
     def _zone_by_id(self, zone_id: int) -> Zone:
         zone = self._zone_map.get(zone_id)
@@ -326,11 +312,11 @@ class Partition:
         if existing is not None:
             return 0.0  # already resident
         with self.page_store.device.health_epoch:
-            slot_size = slot_class_for(rec.encoded_size)
-            loc, service = self.hot_zone.write_record(
-                rec, slot_size, kind, self.cache, promoted=True
+            hot = self.hot_zone
+            service, _ = write_slot(
+                rec, True, self.index, self._zone_by_id, lambda key, size: hot,
+                kind, self.cache,
             )
-            self.index.insert(rec.key, loc)
             self._written_bytes += rec.encoded_size
             self._written_objects += 1
             service += self._evict_hot_zone_if_needed(kind)
@@ -397,7 +383,7 @@ class Partition:
                 staged[loc.page_id] = staged.get(loc.page_id, 0) + 1
                 slot_size = slot_class_for(loc.record_size)
                 moves[key] = self.zone_for_key(key).stage(
-                    key, loc, payload, slot_size, False, batch
+                    batch, key, payload, loc.seqno, loc.crc, False, slot_size
                 )
             return service + self._commit(batch, moves, kind)
         except ReproError:
@@ -408,37 +394,37 @@ class Partition:
     def _commit(
         self, batch: dict, moves: dict, kind: TrafficKind, vacated: Optional[Zone] = None
     ) -> float:
-        """Write each page staged in ``batch`` once, then point the index of
-        each ``{key: new}`` move at ``new`` (drop the key when ``new`` is
-        None) and free its old slot, or the whole ``vacated`` zone they all
-        left.  Neither holds a tuple per object: a split keeps them all alive
+        """Write each page staged in ``batch`` once, then free each ``{key:
+        new}`` move's old slot, or the whole ``vacated`` zone they all left,
+        and point the index at ``new`` (drop the key when ``new`` is None).
+        ``moves`` holds no tuple per object: a split keeps them all alive
         until here, and that many containers would bring on extra full
-        cyclic-GC passes; a page's spans are paired only as it is written.
+        cyclic-GC passes.
         """
         if vacated is not None and len(vacated.keys) != len(moves):
             raise ReproError(f"zone {vacated.zone_id} would leave keys behind")
-        service = 0.0
-        for pid, (npages, *flat) in batch.items():
-            spans = list(zip(flat[::2], flat[1::2]))
-            service += self.page_store.write_spans(pid, spans, kind, self.cache, npages)
-        index = self.index
+        service = self.page_store.write_spans(batch, kind, self.cache)
+        index, zones = self.index, self._zone_map
         for key, new in moves.items():
             if vacated is None:
                 old = index.get(key)
-                self._zone_map[old.zone_id].remove_object(key, old)
+                zones[old.zone_id].remove_object(key, old)
             if new is None:
                 index.delete(key)
             else:
+                zone = zones[new.zone_id]
+                zone.keys[key] = None
+                zone.used_bytes += new.record_size
                 index.insert(key, new)
         if vacated is not None:
             vacated.release_all()
         return service
 
     def _unstage(self, moves: dict) -> None:
-        """Undo an uncommitted relocation: free every staged slot."""
-        for key, new in moves.items():
+        """Undo an unwritten relocation: free every staged slot."""
+        for new in moves.values():
             if new is not None:
-                self._zone_map[new.zone_id].remove_object(key, new)
+                self._zone_map[new.zone_id].free_slot(new)
 
     # ------------------------------------------------- corruption handling
 
@@ -520,7 +506,8 @@ class Partition:
                         if self.hot_zone.total_pages() < budget:
                             slot_size = slot_class_for(loc.record_size)
                             new_loc = self.hot_zone.stage(
-                                key, loc, payload, slot_size, loc.promoted, batch
+                                batch, key, payload, loc.seqno, loc.crc,
+                                loc.promoted, slot_size,
                             )
                     if new_loc is None:
                         demoted_append(entry_at(payload))
@@ -646,7 +633,8 @@ class Partition:
                     continue
                 dest = left if key < median else right
                 moves[key] = dest.stage(
-                    key, loc, payload, loc.slot_size, loc.promoted, batch
+                    batch, key, payload, loc.seqno, loc.crc, loc.promoted,
+                    loc.slot_size,
                 )
             self._commit(batch, moves, TrafficKind.GC, vacated=zone)
         except ReproError as e:

@@ -7,18 +7,25 @@ batch with a tight key range for the capacity tier's L1 merge.
 
 The hot zone is a zone with ``key_range=None`` — no range restriction —
 holding objects the tracker currently classifies as hot.
+
+Every slot write — a put, an in-place update, a resize's tombstone, a
+promotion, a relocation — is one sequence: :meth:`Zone.stage` places the
+slot bytes into a batch, :meth:`PageStore.write_spans` writes each staged
+page with one command, and only then is the old slot freed and the index
+switched.  :func:`write_slot` is that sequence for one put.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
 from repro.lsm.blocks import decode_one, encode_record
+from repro.nvme.config import slot_class_for
 from repro.nvme.pagestore import PageStore
 from repro.simssd.traffic import TrafficKind
 
@@ -194,77 +201,36 @@ class Zone:
 
     # ---------------------------------------------------------------- I/O
 
-    def write_record(
-        self,
-        rec: Record,
-        slot_size: int,
-        kind: TrafficKind = TrafficKind.FOREGROUND,
-        cache=None,
-        promoted: bool = False,
-    ) -> tuple[SlotLocation, float]:
-        """Encode ``rec`` into a fresh ``slot_size`` slot and write the page."""
-        kr = self.key_range  # inlined ``accepts`` (one call per store write)
-        if kr is not None and not kr.contains(rec.key):
-            raise ReproError(f"key {rec.key!r} outside zone {self.zone_id} range")
-        payload = encode_record(rec)
-        if len(payload) > slot_size:
-            raise ReproError(
-                f"record of {len(payload)}B does not fit slot class {slot_size}"
-            )
-        page_id, slot_index = self.allocate_slot(slot_size)
-        loc = SlotLocation(
-            self.zone_id, page_id, slot_index, slot_size,
-            len(payload), rec.seqno, zlib.crc32(payload), promoted,
-        )
-        npages = -(-slot_size // self.page_store.page_size)
-        service = self.page_store.write(
-            page_id, loc.offset, payload, kind, cache, npages=npages
-        )
-        self.keys[rec.key] = None
-        self.used_bytes += len(payload)
-        return loc, service
-
     def stage(
-        self, key: bytes, src: SlotLocation, payload: bytes, slot_size: int,
-        promoted: bool, batch: dict,
+        self, batch: dict, key: bytes, payload: bytes, seqno: int, crc: int,
+        promoted: bool, slot_size: int = 0, at: Optional[SlotLocation] = None,
     ) -> SlotLocation:
-        """Move ``key``'s verified slot bytes ``payload`` from ``src`` into a
-        fresh ``slot_size`` slot of this zone (the caller's pick, which holds
-        ``key``), re-encoding nothing: the location keeps ``src``'s checksum,
-        seqno and record size.  Offset and payload join ``batch`` (``{page_id:
-        [npages, offset, payload, ...]}``); the caller writes each page once."""
-        page_id, slot_index = self.allocate_slot(slot_size)
-        npages = -(-slot_size // self.page_store.page_size)
-        batch.setdefault(page_id, [npages]).extend((slot_index * slot_size, payload))
-        self.keys[key] = None
-        self.used_bytes += src.record_size
+        """Stage ``key``'s slot bytes ``payload``, with their ``seqno``,
+        ``crc`` and ``promoted`` label, into slot ``at`` of this zone (in
+        place) or, without one, into a fresh ``slot_size`` slot, which must
+        lie in the zone's key range.  The offset and bytes join ``batch``
+        (``{page_id: [npages, offset, payload, ...]}``) for
+        :meth:`PageStore.write_spans`.  Once the pages are written the caller
+        frees the old slot and counts the new one in :attr:`keys` and
+        :attr:`used_bytes`; if they are not, :meth:`free_slot` gives a fresh
+        slot back."""
+        n = len(payload)
+        if at is not None:
+            slot_size, page_id, slot_index = at.slot_size, at.page_id, at.slot_index
+        elif (kr := self.key_range) is not None and not kr.contains(key):
+            raise ReproError(f"key {key!r} outside zone {self.zone_id} range")
+        if n > slot_size:
+            raise ReproError(f"record of {n}B does not fit slot class {slot_size}")
+        if at is None:
+            page_id, slot_index = self.allocate_slot(slot_size)
+        offset = slot_index * slot_size
+        if (spans := batch.get(page_id)) is None:
+            batch[page_id] = [-(-slot_size // self.page_store.page_size), offset, payload]
+        else:
+            spans += (offset, payload)
         return SlotLocation(
-            self.zone_id, page_id, slot_index, slot_size,
-            src.record_size, src.seqno, src.crc, promoted,
+            self.zone_id, page_id, slot_index, slot_size, n, seqno, crc, promoted
         )
-
-    def update_in_place(
-        self,
-        loc: SlotLocation,
-        rec: Record,
-        kind: TrafficKind = TrafficKind.FOREGROUND,
-        cache=None,
-    ) -> tuple[SlotLocation, float]:
-        """Overwrite an object inside its existing slot (§3.2: small objects
-        update in place)."""
-        payload = encode_record(rec)
-        if len(payload) > loc.slot_size:
-            raise ReproError("in-place update does not fit the slot")
-        npages = -(-loc.slot_size // self.page_store.page_size)
-        service = self.page_store.write(
-            loc.page_id, loc.offset, payload, kind, cache, npages=npages
-        )
-        self.used_bytes += len(payload) - loc.record_size
-        new_loc = SlotLocation(
-            loc.zone_id, loc.page_id, loc.slot_index, loc.slot_size,
-            len(payload), rec.seqno, zlib.crc32(payload), loc.promoted,
-        )
-        return new_loc, service
 
     def read_object(
         self,
@@ -302,13 +268,6 @@ class Zone:
         self.used_bytes -= loc.record_size
         self.free_slot(loc)
 
-    def write_tombstone(
-        self, loc: SlotLocation, kind: TrafficKind = TrafficKind.FOREGROUND, cache=None
-    ) -> float:
-        """Mark the original slot of a relocated/resized object (§3.2)."""
-        marker = encode_record(Record.tombstone(b"", loc.seqno))[: loc.slot_size]
-        return self.page_store.write(loc.page_id, loc.offset, marker, kind, cache)
-
     # ------------------------------------------------------------ metrics
 
     def demotion_score(self) -> float:
@@ -325,3 +284,47 @@ class Zone:
 
     def reset_read_counter(self) -> None:
         self.read_ios = 0
+
+
+def write_slot(
+    rec: Record, promoted: bool, index, zone_of: Callable[[int], Zone],
+    pick: Callable[[bytes, int], Zone], kind: TrafficKind, cache=None,
+) -> tuple[float, Optional[Zone]]:
+    """The one put body of a partition and of PrismDB's slabs: returns the
+    service time and the zone given a fresh slot (None when in place).
+
+    §3.2: an object that fits its slot is updated in place; otherwise it
+    takes a fresh slot in ``pick(key, slot_size)``, and a resized object's
+    tombstone marker, staged first, is written first into its old slot.
+    The old slot is freed and the index switched only after the writes, so
+    a failure before then (no room, a failed page write) frees the staged
+    slot and leaves the old location indexed and allocated."""
+    key, seqno = rec.key, rec.seqno
+    payload = encode_record(rec)
+    crc = zlib.crc32(payload)
+    old = index.get(key)
+    batch: dict = {}
+    if old is not None and len(payload) <= old.slot_size:
+        zone = zone_of(old.zone_id)
+        new = zone.stage(batch, key, payload, seqno, crc, promoted, 0, old)
+        service = zone.page_store.write_spans(batch, kind, cache)
+        zone.used_bytes += new.record_size - old.record_size
+        index.insert(key, new)
+        return service, None
+    if old is not None:
+        marker = encode_record(Record.tombstone(b"", old.seqno))
+        batch[old.page_id] = [1, old.offset, marker[: old.slot_size]]
+    slot_size = slot_class_for(len(payload))
+    zone = pick(key, slot_size)
+    new = zone.stage(batch, key, payload, seqno, crc, promoted, slot_size)
+    try:
+        service = zone.page_store.write_spans(batch, kind, cache)
+    except ReproError:
+        zone.free_slot(new)
+        raise
+    if old is not None:  # first, so a same-zone resize's key goes to the back
+        zone_of(old.zone_id).remove_object(key, old)
+    zone.keys[key] = None
+    zone.used_bytes += new.record_size
+    index.insert(key, new)
+    return service, zone

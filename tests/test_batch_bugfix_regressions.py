@@ -103,7 +103,7 @@ class TestFreeInvalidatesCache:
         cache = LRUCache(1 << 20)
         ps = PageStore(make_device(1), cache=cache)
         (pid,) = ps.allocate()
-        ps.write(pid, 0, b"payload", TrafficKind.FOREGROUND, cache)
+        ps.write_spans({pid: [1, 0, b"payload"]}, TrafficKind.FOREGROUND, cache)
         ps.read(pid, TrafficKind.FOREGROUND, cache)
         assert pid in cache
         ps.free(pid)

@@ -119,11 +119,11 @@ class TestCheckpointStructuralErrors:
         image = seal_block(payload)
         npages = max(1, -(-len(image) // store.page_size))
         pages = store.allocate(npages)
-        for i, pid in enumerate(pages):
-            store.write(
-                pid, 0, image[i * store.page_size : (i + 1) * store.page_size],
-                TrafficKind.GC,
-            )
+        size = store.page_size
+        store.write_spans(
+            {pid: [1, 0, image[i * size : (i + 1) * size]] for i, pid in enumerate(pages)},
+            TrafficKind.GC,
+        )
         part._checkpoint_pages = pages
         part._checkpoint_len = len(image)
 

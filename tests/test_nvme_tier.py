@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.common.btree import BTreeIndex
 from repro.common.errors import CapacityError, ConfigError, ReproError
 from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
 from repro.common.cache import LRUCache
 from repro.nvme import NVMeConfig, PageStore, PerformanceTier, Zone
+from repro.lsm.blocks import encode_record
 from repro.nvme.config import slot_class_for
+from repro.nvme.zone import write_slot
 from repro.simssd import DeviceProfile, SimDevice, TrafficKind
 from tests.test_zone_relocation import RecordingIngest
 
@@ -54,7 +57,7 @@ class TestPageStore:
     def test_allocate_write_read(self):
         ps = PageStore(make_device(1))
         (pid,) = ps.allocate()
-        ps.write(pid, 10, b"hello", TrafficKind.FOREGROUND)
+        ps.write_spans({pid: [1, 10, b"hello"]}, TrafficKind.FOREGROUND)
         data, _ = ps.read(pid, TrafficKind.FOREGROUND)
         assert data[10:15] == b"hello"
 
@@ -79,9 +82,9 @@ class TestPageStore:
         ps = PageStore(make_device(1))
         cache = LRUCache(1 << 20)
         (pid,) = ps.allocate()
-        ps.write(pid, 0, b"v1", TrafficKind.FOREGROUND)
+        ps.write_spans({pid: [1, 0, b"v1"]}, TrafficKind.FOREGROUND)
         ps.read(pid, TrafficKind.FOREGROUND, cache)
-        ps.write(pid, 0, b"v2", TrafficKind.FOREGROUND, cache)
+        ps.write_spans({pid: [1, 0, b"v2"]}, TrafficKind.FOREGROUND, cache)
         data, _ = ps.read(pid, TrafficKind.FOREGROUND, cache)
         assert data[:2] == b"v2"
 
@@ -90,60 +93,77 @@ class TestPageStore:
         ps = PageStore(dev)
         pids = ps.allocate(2)
         dev.traffic.reset()
-        ps.write(pids[0], 0, b"x" * 5000, TrafficKind.FOREGROUND, npages=2)
+        ps.write_spans({pids[0]: [2, 0, b"x" * 5000]}, TrafficKind.FOREGROUND)
         assert dev.traffic.write_bytes() == 2 * 4096
 
     def test_out_of_bounds_write_rejected(self):
         ps = PageStore(make_device(1))
         (pid,) = ps.allocate()
         with pytest.raises(ReproError):
-            ps.write(pid, 4090, b"x" * 10, TrafficKind.FOREGROUND)
+            ps.write_spans({pid: [1, 4090, b"x" * 10]}, TrafficKind.FOREGROUND)
+
+
+def slot_put(zone, index, r):
+    """Put ``r`` into ``zone`` through the one slot-write body; returns its
+    location."""
+    write_slot(
+        r, False, index, {zone.zone_id: zone}.__getitem__, lambda key, size: zone,
+        TrafficKind.FOREGROUND,
+    )
+    return index.get(r.key)
 
 
 class TestZone:
     def test_write_read_roundtrip(self):
         ps = PageStore(make_device(4))
         z = Zone(1, KeyRange(encode_key(0), encode_key(1000)), ps)
-        loc, _ = z.write_record(rec(5), slot_size=128)
+        loc = slot_put(z, BTreeIndex(), rec(5))
+        assert loc.slot_size == 128
         out, _ = z.read_object(loc)
         assert out.key == encode_key(5) and out.value == b"v" * 100
 
     def test_slot_packing(self):
         ps = PageStore(make_device(4))
         z = Zone(1, KeyRange(encode_key(0), encode_key(1000)), ps)
+        index = BTreeIndex()
         # 32 slots of 128B per 4K page.
         for i in range(32):
-            z.write_record(rec(i), slot_size=128)
+            slot_put(z, index, rec(i))
         assert z.num_pages == 1
-        z.write_record(rec(32), slot_size=128)
+        slot_put(z, index, rec(32))
         assert z.num_pages == 2
 
     def test_key_range_enforced(self):
-        ps = PageStore(make_device(4))
-        z = Zone(1, KeyRange(encode_key(0), encode_key(10)), ps)
+        dev = make_device(4)
+        z = Zone(1, KeyRange(encode_key(0), encode_key(10)), PageStore(dev))
+        index = BTreeIndex()
         with pytest.raises(ReproError):
-            z.write_record(rec(50), slot_size=128)
+            slot_put(z, index, rec(50))
+        assert len(index) == 0 and not z.keys and dev.allocated_pages == 0
 
     def test_hot_zone_accepts_everything(self):
         ps = PageStore(make_device(4))
         z = Zone(1, None, ps)
-        z.write_record(rec(10**4), slot_size=128)
+        slot_put(z, BTreeIndex(), rec(10**4))
         assert z.is_hot_zone
 
     def test_slot_reuse_after_free(self):
         ps = PageStore(make_device(4))
         z = Zone(1, None, ps)
-        keeper, _ = z.write_record(rec(0), slot_size=128)  # keeps the page alive
-        loc, _ = z.write_record(rec(1), slot_size=128)
+        index = BTreeIndex()
+        slot_put(z, index, rec(0))  # keeps the page alive
+        loc = slot_put(z, index, rec(1))
         z.remove_object(encode_key(1), loc)
-        loc2, _ = z.write_record(rec(2), slot_size=128)
+        loc2 = slot_put(z, index, rec(2))
         assert (loc2.page_id, loc2.slot_index) == (loc.page_id, loc.slot_index)
 
     def test_empty_page_released(self):
         dev = make_device(4)
         ps = PageStore(dev)
         z = Zone(1, None, ps)
-        locs = [z.write_record(rec(i), slot_size=2048)[0] for i in range(2)]
+        index = BTreeIndex()
+        # Two 1536 B slots per page.
+        locs = [slot_put(z, index, rec(i, b"v" * 1500)) for i in range(2)]
         assert dev.allocated_pages == 1
         for i, loc in enumerate(locs):
             z.remove_object(encode_key(i), loc)
@@ -152,8 +172,10 @@ class TestZone:
     def test_in_place_update(self):
         ps = PageStore(make_device(4))
         z = Zone(1, None, ps)
-        loc, _ = z.write_record(rec(1, b"old-value"), slot_size=128)
-        loc2, _ = z.update_in_place(loc, rec(1, b"new-value", seqno=99))
+        index = BTreeIndex()
+        loc = slot_put(z, index, rec(1, b"old-value"))
+        loc2 = slot_put(z, index, rec(1, b"new-value", seqno=99))
+        assert (loc2.page_id, loc2.slot_index) == (loc.page_id, loc.slot_index)
         out, _ = z.read_object(loc2)
         assert out.value == b"new-value"
         assert z.num_pages == 1
@@ -161,16 +183,20 @@ class TestZone:
     def test_in_place_update_too_big_rejected(self):
         ps = PageStore(make_device(4))
         z = Zone(1, None, ps)
-        loc, _ = z.write_record(rec(1, b"small"), slot_size=64)
+        loc = slot_put(z, BTreeIndex(), rec(1, b"small"))
+        payload = encode_record(rec(1, b"x" * 200))
+        batch = {}
         with pytest.raises(ReproError):
-            z.update_in_place(loc, rec(1, b"x" * 200))
+            z.stage(batch, encode_key(1), payload, 99, 0, False, at=loc)
+        assert batch == {}
 
     def test_oversized_object_spans_pages(self):
         dev = make_device(4)
         ps = PageStore(dev)
         z = Zone(1, None, ps)
         big = rec(1, b"x" * 5000)
-        loc, _ = z.write_record(big, slot_size=big.encoded_size)
+        loc = slot_put(z, BTreeIndex(), big)
+        assert loc.slot_size == big.encoded_size
         assert z.total_pages() == 2
         out, _ = z.read_object(loc)
         assert out.value == b"x" * 5000
@@ -181,7 +207,7 @@ class TestZone:
         ps = PageStore(make_device(4))
         z = Zone(1, None, ps)
         assert z.demotion_score() == 0.0
-        loc, _ = z.write_record(rec(1), slot_size=128)
+        loc = slot_put(z, BTreeIndex(), rec(1))
         score_cold = z.demotion_score()
         z.read_object(loc)
         z.read_object(loc)
@@ -226,6 +252,21 @@ class TestPerformanceTier:
         out, _ = tier.get(encode_key(1))
         assert out.value == b"x" * 900
         assert tier.object_count() == 1
+
+        # A same-zone resize leaves its zone as a fresh build would: the key
+        # at the back of zone.keys, the new slot's bytes and pages only.
+        def build(*recs):
+            t = self.make_tier()
+            for r in recs:
+                t.put(r)
+            part = t.partition_for_key(encode_key(1))
+            zone = part.zone_for_key(encode_key(1))
+            return list(zone.keys), zone.used_bytes, part.used_pages
+
+        big = rec(1, b"x" * 900, seqno=50)
+        resized = build(rec(1, b"small"), rec(2), rec(3), big)
+        assert resized == build(rec(2), rec(3), big)
+        assert resized[0] == [encode_key(i) for i in (2, 3, 1)]
 
     def test_routing_outside_keyspace_rejected(self):
         tier = self.make_tier()

@@ -310,14 +310,14 @@ def test_write_spans_draws_flips_once_per_page():
     # would: same draws, same positions, same counts.
     plan = FaultPlan(seed=5, latent_bitflip_rate=0.5)
     payloads = [bytes([65 + i]) * 100 for i in range(3)]
-    spans = [(0, payloads[0]), (200, payloads[1]), (1000, payloads[2])]
+    spans = [0, payloads[0], 200, payloads[1], 1000, payloads[2]]
     split_dev, split = _store(plan)
     whole_dev, whole = _store(plan)
     for _ in range(8):
         (a,) = split.allocate()
         (b,) = whole.allocate()
-        split.write_spans(a, spans, GC)
-        whole.write(b, 0, b"".join(payloads), GC)
+        split.write_spans({a: [1, *spans]}, GC)
+        whole.write_spans({b: [1, 0, b"".join(payloads)]}, GC)
         landed = whole.peek(b, 0, 300)
         assert split.peek(a, 0, 100) == landed[:100]
         assert split.peek(a, 200, 100) == landed[100:200]
@@ -333,7 +333,7 @@ def test_write_spans_torn_prefix_spans_two_slots():
     (pid,) = store.allocate()
     first, second = b"A" * 100, b"B" * 100
     with pytest.raises(PowerLossError) as err:
-        store.write_spans(pid, [(0, first), (128, second)], GC)
+        store.write_spans({pid: [1, 0, first, 128, second]}, GC)
     keep = int(200 * err.value.torn_fraction)
     assert 100 < keep < 200  # the prefix ends inside the second slot
     assert store.peek(pid, 0, 100) == first
