@@ -7,64 +7,90 @@ Used in two places:
   access window and membership means "accessed within that window".
 
 Hash positions are derived with double hashing (Kirsch–Mitzenmacher), which
-gives ``k`` independent-enough probes from two base hashes of the key.  The
-combined hash wraps at 64 bits (as a C implementation would) so the scalar
-and vectorized paths place bits identically.
+gives ``k`` independent-enough probes from two base hashes of the key: the
+two little-endian halves of its 16-byte blake2b digest.  The combined hash
+wraps at 64 bits (as a C implementation would) so the scalar probes and the
+vectorized placement agree bit for bit.
+
+Each key is hashed once per engine: the engine owns a :class:`KeyHashes`
+memo and hands it to every filter it builds or probes.  Without one, a
+filter hashes the keys it is given.  The module keeps no state of its own,
+so two engines built in one process hash exactly the same number of times.
 
 The bit array is a ``bytearray``: scalar probes index it with plain-int
 arithmetic (much cheaper than numpy scalar indexing on this path), while
-bulk inserts view it as a numpy array and scatter whole position matrices.
+every insert goes through :meth:`BloomFilter.add_pairs`, which places a
+whole batch's bits as one packed vector.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable, Sequence
+import struct
+from typing import Optional, Sequence
 
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Memo for the (pure) key -> base-hash mapping.  Skewed workloads probe
-# the same hot keys through every filter on every access; caching the
-# blake2b digest is free correctness-wise and saves a hash per repeat.
-# The one host-side memo kept on measurement (DESIGN.md §11 fork table).
-_HASH_MEMO: dict[bytes, tuple[int, int]] = {}
-_HASH_MEMO_MAX = 1 << 16
+_PAIR = struct.Struct("<QQ")
+#: A digest's base hashes ``(h1, h2)``: its two little-endian 64-bit halves.
+hash_pair = _PAIR.unpack
 
 
-def _base_hashes(key: bytes) -> tuple[int, int]:
-    h = _HASH_MEMO.get(key)
-    if h is None:
-        digest = hashlib.blake2b(key, digest_size=16).digest()
-        h = (
-            int.from_bytes(digest[:8], "little"),
-            int.from_bytes(digest[8:], "little"),
-        )
-        if len(_HASH_MEMO) >= _HASH_MEMO_MAX:
-            _HASH_MEMO.clear()
-        _HASH_MEMO[key] = h
-    return h
-
-#: Public alias: callers holding one key that probes several filters can
-#: hash once and use :meth:`BloomFilter.add_hashed` /
-#: :meth:`BloomFilter.contains_hashed`.
-base_hashes = _base_hashes
+def key_digest(key: bytes) -> bytes:
+    """The 16-byte digest whose halves are ``key``'s base hashes."""
+    return hashlib.blake2b(key, digest_size=16).digest()
 
 
-def hash_many(keys: Sequence[bytes]) -> np.ndarray:
+class KeyHashes(dict):
+    """An engine's memo of key digests: ``memo[key]`` is the key's row in
+    :attr:`digests`, hashed on the key's first lookup only.
+
+    Uncapped: it holds one row per distinct key the engine has filtered or
+    tracked, and lives exactly as long as the engine that owns it.  Rows
+    rather than one ``bytes`` object per digest keep it at about 100 bytes
+    a key: a row number and 16 bytes of one shared column.
+    """
+
+    __slots__ = ("digests",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: Row ``r`` is bytes ``16r .. 16r + 16``: the digest of the key
+        #: whose value is ``r``.
+        self.digests = bytearray()
+
+    def __missing__(self, key: bytes) -> int:
+        row = self[key] = len(self)
+        self.digests += key_digest(key)
+        return row
+
+    def pair(self, key: bytes) -> tuple[int, int]:
+        """``key``'s base hashes."""
+        return _PAIR.unpack_from(self.digests, self[key] << 4)
+
+    def pairs(self, rows) -> np.ndarray:
+        """The base hashes of ``rows`` as an ``(n, 2)`` uint64 array."""
+        return np.frombuffer(self.digests, "<u8").reshape(-1, 2)[rows]
+
+
+def hash_many(
+    keys: Sequence[bytes], key_hashes: Optional[KeyHashes] = None
+) -> np.ndarray:
     """Base-hash pairs for a batch of keys as an ``(n, 2)`` uint64 array.
 
     Hash once, probe any number of filters via
-    :meth:`BloomFilter.contains_many` — the columnar analogue of
-    :func:`base_hashes`.  blake2b itself stays scalar (it is not
-    vectorizable), but the memo makes repeats cheap and downstream probes
-    operate on the whole array.
+    :meth:`BloomFilter.contains_many`, or insert them all with
+    :meth:`BloomFilter.add_pairs`.  blake2b itself stays scalar (it is not
+    vectorizable); through the engine's memo a key already seen costs one
+    dict lookup, and the pairs are gathered from its digest column in one
+    step.  Without a memo every key is hashed.
     """
-    return np.array(
-        [_base_hashes(k) for k in keys], dtype=np.uint64
-    ).reshape(len(keys), 2)
+    memo = KeyHashes() if key_hashes is None else key_hashes
+    rows = np.fromiter(map(memo.__getitem__, keys), np.intp, len(keys))
+    return memo.pairs(rows)
 
 
 class BloomFilter:
@@ -105,15 +131,11 @@ class BloomFilter:
         return self._count >= self.capacity
 
     def add(self, key: bytes) -> None:
-        self.add_hashed(*_base_hashes(key))
+        self.add_hashed(*hash_pair(key_digest(key)))
 
     def add_hashed(self, h1: int, h2: int) -> None:
-        """Insert by precomputed base hashes (see :func:`base_hashes`).
-
-        Lets callers that feed the same key to several filters — the
-        cascading discriminator probes its whole chain per access — hash
-        once instead of once per filter.
-        """
+        """Insert by base hashes, one probe at a time: the scalar reference
+        :meth:`add_pairs` places identical bits to."""
         m = self.num_bits
         bits = self._bits
         # Incremental double hashing: x_i = (h1 + i*h2) mod 2^64, computed
@@ -125,42 +147,36 @@ class BloomFilter:
             x = (x + h2) & _MASK64
         self._count += 1
 
-    def scatter_hashed(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Set probe bits for precomputed base-hash pairs WITHOUT touching
-        the insert count.
+    def add_pairs(self, hashes: np.ndarray) -> None:
+        """Insert a batch of keys by their base hashes (:func:`hash_many`)
+        in one placement.
 
-        For callers that defer bit placement (the cascading discriminator
-        counts inserts per access but only needs the bits once the window
-        seals).  Bit placement is identical to per-pair
-        :meth:`add_hashed` — the vectorized ``(h1 + i*h2) mod 2^64`` math
-        wraps exactly like the incremental scalar loop.
+        Every probe position of the batch is marked in one boolean vector,
+        packed little-endian into bytes and OR'd into the bit array, so
+        duplicates and bits already set need no special case.
         """
-        if not pairs:
-            return
-        hashes = np.asarray(pairs, dtype=np.uint64)
+        if len(hashes):
+            hit = np.zeros(len(self._bits) * 8, dtype=bool)
+            hit[self._positions(hashes)] = True
+            view = np.frombuffer(self._bits, dtype=np.uint8)
+            view |= np.packbits(hit, bitorder="little")
+        self._count += len(hashes)
+
+    def _positions(self, hashes: np.ndarray) -> np.ndarray:
+        """The ``(n, k)`` probe positions ``(h1 + i*h2) mod 2^64 mod m``:
+        the same sequence the scalar loops walk."""
         i = np.arange(self.num_hashes, dtype=np.uint64)
         with np.errstate(over="ignore"):
-            pos = (hashes[:, 0:1] + i[None, :] * hashes[:, 1:2]) % np.uint64(
+            return (hashes[:, 0:1] + i[None, :] * hashes[:, 1:2]) % np.uint64(
                 self.num_bits
             )
-        byte_idx = (pos >> np.uint64(3)).astype(np.int64).ravel()
-        masks = (
-            np.left_shift(np.uint64(1), pos & np.uint64(7)).astype(np.uint8).ravel()
-        )
-        view = np.frombuffer(self._bits, dtype=np.uint8)
-        np.bitwise_or.at(view, byte_idx, masks)
-
-    def add_many(self, keys: Sequence[bytes] | Iterable[bytes]) -> None:
-        """Insert many keys at once, scattering all probe bits vectorized."""
-        pairs = [_base_hashes(k) for k in keys]
-        self.scatter_hashed(pairs)
-        self._count += len(pairs)
 
     def __contains__(self, key: bytes) -> bool:
-        return self.contains_hashed(*_base_hashes(key))
+        return self.contains_hashed(*hash_pair(key_digest(key)))
 
     def contains_hashed(self, h1: int, h2: int) -> bool:
-        """Membership probe by precomputed base hashes."""
+        """Membership probe by base hashes (:data:`hash_pair`,
+        :meth:`KeyHashes.pair`)."""
         m = self.num_bits
         bits = self._bits
         x = h1
@@ -180,14 +196,9 @@ class BloomFilter:
         path short-circuits on the first clear bit, which only skips work,
         never changes the verdict).
         """
-        n = len(hashes)
-        if n == 0:
+        if len(hashes) == 0:
             return np.zeros(0, dtype=bool)
-        i = np.arange(self.num_hashes, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            pos = (hashes[:, 0:1] + i[None, :] * hashes[:, 1:2]) % np.uint64(
-                self.num_bits
-            )
+        pos = self._positions(hashes)
         view = np.frombuffer(self._bits, dtype=np.uint8)
         byte_idx = (pos >> np.uint64(3)).astype(np.int64)
         probed = (view[byte_idx] >> (pos & np.uint64(7)).astype(np.uint8)) & 1
@@ -203,18 +214,21 @@ class BloomFilter:
         return len(self._bits)
 
     @staticmethod
-    def for_keys(keys: list[bytes], bits_per_key: int = 10) -> "BloomFilter":
-        """Build a filter sized for and populated with ``keys``."""
+    def for_keys(
+        keys: list[bytes],
+        bits_per_key: int = 10,
+        key_hashes: Optional[KeyHashes] = None,
+    ) -> "BloomFilter":
+        """Build a filter sized for and populated with ``keys``, hashing
+        through ``key_hashes`` when the caller has one."""
         bf = BloomFilter(max(1, len(keys)), bits_per_key)
-        bf.add_many(keys)
+        bf.add_pairs(hash_many(keys, key_hashes))
         return bf
 
     # ------------------------------------------------------- serialization
 
     def to_bytes(self) -> bytes:
         """Serialize the filter (parameters + bit array) for a manifest."""
-        import struct
-
         return (
             struct.pack(">QQI", self.capacity, self._count, self.bits_per_key)
             + bytes(self._bits)
@@ -223,8 +237,6 @@ class BloomFilter:
     @staticmethod
     def from_bytes(data: bytes) -> "BloomFilter":
         """Rebuild a filter serialized by :meth:`to_bytes`."""
-        import struct
-
         capacity, count, bits_per_key = struct.unpack_from(">QQI", data, 0)
         bf = BloomFilter(capacity, bits_per_key)
         bits = bytearray(data[20:])

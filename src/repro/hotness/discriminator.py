@@ -12,15 +12,21 @@ A chain of standard bloom filters:
 
 The paper's configuration: 10 bits per object (<1% false positives), up to
 four sealed filters, hot when present in at least three.
+
+Keys are hashed through the owning engine's :class:`KeyHashes` memo
+(HyperDB hands one to every partition's tracker; a discriminator built
+without one keeps its own), so a key costs one blake2b per engine however
+many windows, trackers and tracker rebuilds see it.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Optional
 
 import numpy as np
 
-from repro.common.bloom import BloomFilter, base_hashes, hash_many
+from repro.common.bloom import BloomFilter, KeyHashes, hash_many
 
 
 class CascadingDiscriminator:
@@ -32,6 +38,7 @@ class CascadingDiscriminator:
         max_filters: int = 4,
         hot_threshold: int = 3,
         bits_per_key: int = 10,
+        key_hashes: Optional[KeyHashes] = None,
     ) -> None:
         if window_capacity <= 0:
             raise ValueError(f"window capacity must be positive, got {window_capacity}")
@@ -44,29 +51,27 @@ class CascadingDiscriminator:
         self.max_filters = max_filters
         self.hot_threshold = hot_threshold
         self.bits_per_key = bits_per_key
+        self._key_hashes = KeyHashes() if key_hashes is None else key_hashes
         self._open = BloomFilter(window_capacity, bits_per_key)
         self._sealed: deque[BloomFilter] = deque()  # newest at the right
-        #: Base hashes of accesses not yet scattered into the open
-        #: filter's bits.  The open window is never probed (``is_hot``
-        #: scans sealed filters only), so bit placement can be deferred
-        #: and vectorized at seal time; counts stay exact per access.
-        self._pending: list[tuple[int, int]] = []
+        #: Memo rows of the open window's accesses, one per access.  The
+        #: open window is never probed (``is_hot`` scans sealed filters
+        #: only), so its bits are placed in one batch when it seals.
+        self._pending: list[int] = []
         self.accesses = 0
         self.windows_sealed = 0
 
     def access(self, key: bytes) -> None:
         """Record one read or update of ``key``."""
-        o = self._open
-        self._pending.append(base_hashes(key))
-        o._count += 1
+        pending = self._pending
+        pending.append(self._key_hashes[key])
         self.accesses += 1
-        # Inlined ``is_full`` (this runs once per store operation).
-        if o._count >= o.capacity:
+        if len(pending) >= self.window_capacity:
             self._seal()
 
     def _seal(self) -> None:
-        self._open.scatter_hashed(self._pending)
-        self._pending.clear()
+        self._open.add_pairs(self._key_hashes.pairs(self._pending))
+        self._pending = []
         self._sealed.append(self._open)
         self.windows_sealed += 1
         if len(self._sealed) > self.max_filters:
@@ -78,7 +83,7 @@ class CascadingDiscriminator:
         sealed windows (newest backwards)."""
         if len(self._sealed) < self.hot_threshold:
             return False
-        h1, h2 = base_hashes(key)  # hash once, probe the whole chain
+        h1, h2 = self._key_hashes.pair(key)  # hash once, probe the whole chain
         run = 0
         best = 0
         for bf in reversed(self._sealed):
@@ -92,9 +97,10 @@ class CascadingDiscriminator:
     def is_hot_many(self, keys: "list[bytes]") -> "np.ndarray":
         """Vectorized :meth:`is_hot` over a key batch.
 
-        Hashes the batch once (:func:`hash_many`), probes every sealed
-        filter with :meth:`BloomFilter.contains_many`, and computes the
-        longest consecutive-membership run newest-backwards columnar-wise.
+        Hashes the batch once (:func:`hash_many`, through the memo), probes
+        every sealed filter with :meth:`BloomFilter.contains_many`, and
+        computes the longest consecutive-membership run newest-backwards
+        columnar-wise.
         ``out[i] == is_hot(keys[i])`` exactly — only legal while no
         ``access`` lands between the probe and the verdicts' use (the
         migration collector holds that invariant: demotion never records
@@ -103,7 +109,7 @@ class CascadingDiscriminator:
         n = len(keys)
         if n == 0 or len(self._sealed) < self.hot_threshold:
             return np.zeros(n, dtype=bool)
-        hashes = hash_many(keys)
+        hashes = hash_many(keys, self._key_hashes)
         run = np.zeros(n, dtype=np.int64)
         best = np.zeros(n, dtype=np.int64)
         for bf in reversed(self._sealed):

@@ -6,11 +6,16 @@ deciding whether to demote an object or park it in the hot zone.
 
 The window capacity is sized from the number of objects the partition's
 NVMe share can hold (§3.3: "we set the threshold as the number of objects
-that NVMe storage can store").
+that NVMe storage can store").  ``key_hashes`` is the owning engine's
+digest memo; it outlives the tracker, which the partition rebuilds when it
+re-sizes the window.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
+from repro.common.bloom import KeyHashes
 from repro.hotness.discriminator import CascadingDiscriminator
 
 
@@ -23,12 +28,14 @@ class HotnessTracker:
         max_filters: int = 4,
         hot_threshold: int = 3,
         bits_per_key: int = 10,
+        key_hashes: Optional[KeyHashes] = None,
     ) -> None:
         self.discriminator = CascadingDiscriminator(
             window_capacity=max(1, partition_capacity_objects),
             max_filters=max_filters,
             hot_threshold=hot_threshold,
             bits_per_key=bits_per_key,
+            key_hashes=key_hashes,
         )
         self.hot_hits = 0
         self.queries = 0

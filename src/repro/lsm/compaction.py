@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro import obs
+from repro.common.bloom import KeyHashes
 from repro.lsm.iterator import merge_records
 from repro.lsm.sstable import SSTable, build_tables
 from repro.lsm.version import Version
@@ -69,6 +70,9 @@ class LeveledCompactor:
         applied but *before* the input files are deleted — the tree uses it
         to make the new version durable (manifest) first, so a crash in
         between leaks files instead of losing referenced ones.
+    key_hashes:
+        The tree's key-digest memo, which output tables build their blooms
+        through.
     """
 
     def __init__(
@@ -82,6 +86,7 @@ class LeveledCompactor:
         level_base_bytes: int = 1 << 20,
         level_multiplier: int = 10,
         on_install: Optional[Callable[[], float]] = None,
+        key_hashes: Optional[KeyHashes] = None,
     ) -> None:
         self.version = version
         self.fs_for_level = fs_for_level
@@ -92,6 +97,7 @@ class LeveledCompactor:
         self.level_base_bytes = level_base_bytes
         self.level_multiplier = level_multiplier
         self.on_install = on_install
+        self.key_hashes = key_hashes
         self.stats = CompactionStats()
         self._cursors: Dict[int, bytes] = {}  # round-robin victim cursor per level
 
@@ -204,6 +210,7 @@ class LeveledCompactor:
         outputs = build_tables(
             self.fs_for_level(child_no), merged, self.next_table_id,
             self.block_size, self.table_size_bytes, TrafficKind.COMPACTION,
+            self.key_hashes,
         )
         write_bytes = sum(t.size_bytes for t in outputs)
         self.stats.note(child_no, read_bytes, write_bytes)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro import obs
+from repro.common.bloom import KeyHashes
 from repro.common.cache import LRUCache
 from repro.common.errors import ConfigError, CorruptionError
 from repro.common.records import Record
@@ -134,6 +135,10 @@ class LSMTree:
         #: Tables pulled from service after a block failed its checksum.
         #: Their files are kept on media for forensics but never read again.
         self.quarantined: list[SSTable] = []
+        #: Every key is hashed once for the tree's lifetime: flushes and
+        #: compactions build blooms through the memo, and a get probes its
+        #: candidate tables with one hash pair.
+        self.key_hashes = KeyHashes()
         self.compactor = LeveledCompactor(
             self.version,
             self.fs_for_level,
@@ -144,6 +149,7 @@ class LSMTree:
             level_base_bytes=opts.level_base_bytes,
             level_multiplier=opts.level_multiplier,
             on_install=self._write_manifest if opts.manifest_enabled else None,
+            key_hashes=self.key_hashes,
         )
 
         self._seqno = 0
@@ -423,6 +429,7 @@ class LSMTree:
             builder = SSTableBuilder(
                 self.fs_for_level(0), self._next_table_id(),
                 self.options.block_size, write_kind=kind,
+                key_hashes=self.key_hashes,
             )
             for entry in entries:
                 builder.add(entry)
@@ -443,6 +450,7 @@ class LSMTree:
         outputs = build_tables(
             self.fs_for_level(level_no), merged, self._next_table_id,
             self.options.block_size, self.options.table_size_bytes, kind,
+            self.key_hashes,
         )
         for t in overlaps:
             self.version.remove_table(level_no, t)
@@ -494,13 +502,16 @@ class LSMTree:
             return (None if rec.is_tombstone else rec.value), 0.0
 
         service = 0.0
+        hashes = self.key_hashes.pair(key)
         first = self.options.first_level
         if first == 0:
             # Copy: quarantine may remove a table mid-iteration.
             for table in reversed(list(self.version.level(0).tables)):
                 if table.first_key <= key <= table.last_key:
                     try:
-                        rec, s = table.get(key, TrafficKind.FOREGROUND, self.cache)
+                        rec, s = table.get(
+                            key, TrafficKind.FOREGROUND, self.cache, hashes
+                        )
                     except CorruptionError:
                         # Checksums caught bad media: take the table out of
                         # service rather than surface garbage or crash.
@@ -518,7 +529,9 @@ class LSMTree:
             if candidate is None:
                 continue
             try:
-                rec, s = candidate.get(key, TrafficKind.FOREGROUND, self.cache)
+                rec, s = candidate.get(
+                    key, TrafficKind.FOREGROUND, self.cache, hashes
+                )
             except CorruptionError:
                 self._quarantine(level_no, candidate)
                 continue

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from repro.common.bloom import BloomFilter
+from repro.common.bloom import BloomFilter, KeyHashes
 from repro.common.cache import LRUCache
 from repro.common.errors import ReproError
 from repro.common.keys import KeyRange
@@ -123,10 +123,13 @@ class SSTable:
         key: bytes,
         kind: TrafficKind = TrafficKind.FOREGROUND,
         cache: Optional[LRUCache] = None,
+        hashes: Optional[tuple[int, int]] = None,
     ) -> tuple[Optional[Record], float]:
         """Point lookup: one block read, at most one record decoded.
-        Returns ``(record_or_none, service_time)``."""
-        if key not in self.bloom:
+        Returns ``(record_or_none, service_time)``.  ``hashes`` are the
+        key's base hashes when the caller probes several tables for it."""
+        bloom = self.bloom
+        if not (key in bloom if hashes is None else bloom.contains_hashed(*hashes)):
             return None, 0.0
         handle = self._find_handle(key)
         if handle is None:
@@ -175,12 +178,14 @@ class SSTableBuilder:
         block_size: int = DEFAULT_BLOCK_SIZE,
         write_kind: TrafficKind = TrafficKind.FLUSH,
         bits_per_key: int = 10,
+        key_hashes: Optional[KeyHashes] = None,
     ) -> None:
         self._fs = fs
         self._table_id = table_id
         self._block_size = block_size
         self._write_kind = write_kind
         self._bits_per_key = bits_per_key
+        self._key_hashes = key_hashes
         self._file = fs.create(f"sst_{table_id:08d}")
         self._pending: list[bytes] = []  # the open block's record bytes
         self._blocks = bytearray()  # sealed, not yet written
@@ -234,7 +239,9 @@ class SSTableBuilder:
             self._fs.delete(self._file.name)
             raise ReproError("cannot finish an empty SSTable")
         self._finished = True
-        bloom = BloomFilter.for_keys(self._keys, self._bits_per_key)
+        bloom = BloomFilter.for_keys(
+            self._keys, self._bits_per_key, self._key_hashes
+        )
         meta_size = bloom.size_bytes + sum(h.index_entry_size() for h in self._handles)
         self._blocks += bytes(meta_size)
         self._file.append(self._blocks, self._write_kind)
@@ -254,6 +261,7 @@ def build_tables(
     block_size: int,
     table_size_bytes: int,
     write_kind: TrafficKind,
+    key_hashes: Optional[KeyHashes] = None,
 ) -> list[SSTable]:
     """Roll a sorted entry stream into tables of about ``table_size_bytes``
     (a merge's outputs).  A table id is drawn when a table's first entry
@@ -262,7 +270,9 @@ def build_tables(
     builder: Optional[SSTableBuilder] = None
     for entry in entries:
         if builder is None:
-            builder = SSTableBuilder(fs, next_table_id(), block_size, write_kind)
+            builder = SSTableBuilder(
+                fs, next_table_id(), block_size, write_kind, key_hashes=key_hashes
+            )
         builder.add(entry)
         if builder.estimated_size >= table_size_bytes:
             outputs.append(builder.finish())

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Iterator, Optional
 
+from repro.common.bloom import KeyHashes
 from repro.common.btree import BTreeIndex
 from repro.common.errors import CorruptionError, OutOfSpaceError, ReproError
 from repro.common.keys import KeyRange
@@ -42,6 +43,7 @@ class Partition:
         config: NVMeConfig,
         page_budget: int,
         cache=None,
+        key_hashes: Optional[KeyHashes] = None,
     ) -> None:
         if key_range.hi is None:
             raise ReproError("partition ranges must be bounded")
@@ -51,6 +53,9 @@ class Partition:
         self.config = config
         self.page_budget = page_budget
         self.cache = cache
+        #: The engine's key-digest memo, handed to every tracker this
+        #: partition builds (calibration and reset replace the tracker).
+        self.key_hashes = key_hashes
         self.index = BTreeIndex(order=64)
         self._zone_seq = 0
 
@@ -111,6 +116,7 @@ class Partition:
             window,
             max_filters=TRACKER_MAX_FILTERS,
             hot_threshold=TRACKER_HOT_THRESHOLD,
+            key_hashes=self.key_hashes,
         )
 
     def _maybe_calibrate_tracker(self) -> None:

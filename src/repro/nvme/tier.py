@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Optional
 
+from repro.common.bloom import KeyHashes
 from repro.common.errors import ConfigError, ReproError
 from repro.common.keys import KeyRange, decode_key, encode_key
 from repro.common.records import Record
@@ -32,6 +33,9 @@ class PerformanceTier:
         self.config = config or NVMeConfig()
         self.cache = cache
         self.page_store = PageStore(device, cache=cache)
+        #: Every key is hashed once for the engine's lifetime: one memo
+        #: feeds every partition's hotness discriminator.
+        self.key_hashes = KeyHashes()
 
         n = self.config.num_partitions
         # A small device-level reserve absorbs transient allocations
@@ -52,6 +56,7 @@ class PerformanceTier:
                 config=self.config,
                 page_budget=budget,
                 cache=cache,
+                key_hashes=self.key_hashes,
             )
             self.partitions.append(part)
             self._bounds.append(plo)
