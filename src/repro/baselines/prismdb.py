@@ -2,6 +2,9 @@
 
 NVMe holds a slab-layout object store (objects packed into size-class slabs
 in insertion order — no key locality), with a clock-based hotness tracker.
+The slab store is a :class:`repro.nvme.zone.SlotTable`, as a HyperDB
+partition is: the same index, slot writes and drops, over one keyless zone
+per slot class.
 When the NVMe tier fills past its watermark, the coldest objects are
 gathered — scattered across slab pages, which is exactly the
 read-amplification the paper measures in Fig. 2a — and merged into a
@@ -16,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
-from repro.common.btree import BTreeIndex
 from repro.common.cache import LRUCache
 from repro.common.errors import CorruptionError, DeviceOfflineError, ReproError
 from repro.common.records import Record
@@ -26,7 +28,7 @@ from repro.lsm.blocks import Entry, entry_at, entry_of
 from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
 from repro.nvme.config import SLOT_CLASSES, NVMeConfig
 from repro.nvme.pagestore import PageStore
-from repro.nvme.zone import SlotLocation, Zone, write_slot
+from repro.nvme.zone import SlotLocation, SlotTable, Zone
 from repro.simssd.device import SimDevice
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
@@ -55,60 +57,44 @@ class ClockTracker:
         self._bits.pop(key, None)
 
 
-class _SlabStore:
+class _SlabStore(SlotTable):
     """Size-class slabs over the NVMe device (insertion-order packing); a
-    slab is a keyless zone, written by the partition's put body."""
+    slab is a keyless zone of the slot table."""
 
     def __init__(self, device: SimDevice, config: NVMeConfig, cache=None) -> None:
+        super().__init__(PageStore(device, cache=cache), cache)
         self.device = device
         self.config = config
-        self.cache = cache
-        self.page_store = PageStore(device, cache=cache)
-        self.index = BTreeIndex(order=64)
-        # One keyless "zone" per slot class acts as that class's slab file.
+        #: One keyless zone per slot class acts as that class's slab file.
         self._slabs: dict[int, Zone] = {}
-        self._slab_seq = 0
         #: Slots :meth:`collect` found corrupt and dropped instead of shipping.
         self.corrupt_slots = 0
 
-    def _slab_for(self, key: bytes, slot_size: int) -> Zone:
-        """:func:`write_slot`'s zone for a fresh slot: its class's slab."""
+    def _fresh_zone(self, key: bytes, slot_size: int, promoted: bool) -> Zone:
         slab = self._slabs.get(slot_size)
         if slab is None:
-            self._slab_seq += 1
-            slab = Zone(self._slab_seq, None, self.page_store)
-            self._slabs[slot_size] = slab
+            slab = self._slabs[slot_size] = self.add_zone(len(self._slabs) + 1, None)
         return slab
 
     def put(self, rec: Record, kind=TrafficKind.FOREGROUND) -> float:
         # Epoch: a resize's tombstone and rewrite must not be torn by a
         # health window opening between its I/Os.
         with self.device.health_epoch:
-            return write_slot(
-                rec, False, self.index, self._slabs_by_zone, self._slab_for,
-                kind, self.cache,
-            )[0]
-
-    def _slabs_by_zone(self, zone_id: int) -> Zone:
-        for slab in self._slabs.values():
-            if slab.zone_id == zone_id:
-                return slab
-        raise ReproError(f"no slab with zone id {zone_id}")
+            return self.write(rec, False, kind)[0]
 
     def get(self, key: bytes, kind=TrafficKind.FOREGROUND):
+        """A corrupt slot raises :class:`CorruptionError` and stays: it is
+        the only newest copy, and dropping it would surface a stale SATA
+        version."""
         loc: Optional[SlotLocation] = self.index.get(key)
         if loc is None:
             return None, 0.0
-        slab = self._slabs_by_zone(loc.zone_id)
-        return slab.read_object(loc, kind, self.cache)
+        return self.zone_of(loc.zone_id).read_object(loc, kind, self.cache)
 
     def remove(self, key: bytes) -> None:
         loc: Optional[SlotLocation] = self.index.get(key)
-        if loc is None:
-            return
-        slab = self._slabs_by_zone(loc.zone_id)
-        slab.remove_object(key, loc)
-        self.index.delete(key)
+        if loc is not None:
+            self.drop(self.zone_of(loc.zone_id), key, loc)
 
     def collect(self, keys: list[bytes], ingest, kind=TrafficKind.MIGRATION):
         """Demote ``keys``: read and verify their slots, ship the entries in
@@ -123,7 +109,7 @@ class _SlabStore:
             loc = self.index.get(key)
             if loc is None:
                 continue
-            located.append((key, loc, self._slabs_by_zone(loc.zone_id)))
+            located.append((key, loc, self.zone_of(loc.zone_id)))
             pages.add(loc.page_id)
         service = self.page_store.read_many(sorted(pages), kind)
         out: list[Entry] = []
@@ -136,13 +122,8 @@ class _SlabStore:
         ingest(out, kind)
         self.corrupt_slots += len(located) - len(out)
         for key, loc, slab in located:
-            slab.remove_object(key, loc)
-            self.index.delete(key)
+            self.drop(slab, key, loc)
         return out, service, len(pages)
-
-    @property
-    def used_pages(self) -> int:
-        return sum(s.total_pages() for s in self._slabs.values())
 
     def keys(self):
         return (k for k, _ in self.index.items())

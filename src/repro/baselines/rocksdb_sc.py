@@ -27,9 +27,10 @@ ADMIT_FRACTION = 0.95
 class SecondaryBlockCache:
     """DRAM LRU in front of an NVMe-backed block cache.
 
-    Implements the same duck-typed interface the SSTable read path uses
-    (``get`` / ``put`` / ``invalidate``).  The NVMe layer charges device
-    I/O: reads on hit, writes on admission, and occupies device capacity.
+    Implements the two calls the SSTable read path makes of its cache
+    (``get`` / ``put``); SSTable blocks are immutable, so nothing
+    invalidates.  The NVMe layer charges device I/O: reads on hit, writes
+    on admission, and occupies device capacity.
     """
 
     def __init__(

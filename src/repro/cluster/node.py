@@ -110,10 +110,6 @@ class ClusterNode:
         self.nvme = SimDevice(_NODE_NVME, injector=injector)
         self.sata = SimDevice(_NODE_SATA, injector=injector)
         self.db = HyperDB(self.nvme, self.sata, _node_config(rng_seed, scrub))
-        #: Replica operations rejected because this node was OFFLINE.
-        self.offline_rejections = 0
-        #: Replica operations served (surcharged) while in BROWNOUT.
-        self.brownout_ops = 0
 
     # ----------------------------------------------------------- replica ops
 

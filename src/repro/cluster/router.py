@@ -144,7 +144,7 @@ class HyperDBCluster:
         #: planner's key universe; sorted iteration keeps plans stable).
         self.keys_seen: set[bytes] = set()
         self.stats = StatsRegistry()
-        #: Per-node replica rejections attributed via ``node_id``.
+        #: Per-node replica ops rejected OFFLINE / surcharged in BROWNOUT.
         self.offline_rejections: dict[str, int] = {n: 0 for n in names}
         self.brownout_ops: dict[str, int] = {n: 0 for n in names}
         self.rebalance_jobs: list[_RebalanceJob] = []
@@ -165,16 +165,14 @@ class HyperDBCluster:
     def _replica_guard(self, name: str) -> float:
         """Pre-flight one replica op: raise if the node is down.
 
-        Returns the brownout latency multiplier (1.0 when healthy).  The
-        raised :class:`DeviceOfflineError` carries ``node_id`` so the
-        quorum loop can attribute the rejection per node.
+        Returns the brownout latency multiplier (1.0 when healthy); an
+        OFFLINE node raises :class:`DeviceOfflineError`, counted against it.
         """
         state, mult = resolve_health(self.windows, name, self.clock)
         if state is HealthState.OFFLINE:
             self.offline_rejections[name] += 1
             raise DeviceOfflineError(
-                f"node {name!r} offline at cluster tick {self.clock}",
-                node_id=name,
+                f"node {name!r} offline at cluster tick {self.clock}"
             )
         if state is HealthState.BROWNOUT:
             self.brownout_ops[name] += 1
@@ -233,13 +231,13 @@ class HyperDBCluster:
         for name in replicas:
             try:
                 mult = self._replica_guard(name)
-            except DeviceOfflineError as exc:
-                failures[exc.node_id or name] = "offline"
+            except DeviceOfflineError:
+                failures[name] = "offline"
                 continue
             try:
                 service += self.nodes[name].put_envelope(key, envelope) * mult
-            except OutOfSpaceError as exc:
-                failures[exc.node_id or name] = "out_of_space"
+            except OutOfSpaceError:
+                failures[name] = "out_of_space"
                 continue
             acked.append(name)
         self._service_total += service
@@ -327,8 +325,8 @@ class HyperDBCluster:
                 break
             try:
                 mult = self._replica_guard(name)
-            except DeviceOfflineError as exc:
-                failures[exc.node_id or name] = "offline"
+            except DeviceOfflineError:
+                failures[name] = "offline"
                 continue
             try:
                 env, s = self.nodes[name].get_envelope(key)

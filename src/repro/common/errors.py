@@ -22,15 +22,7 @@ class OutOfSpaceError(CapacityError):
     pages still free, so the failing allocation is diagnosable from the
     error alone.  Subclasses :class:`CapacityError` so existing callers
     that degrade on capacity pressure keep working.
-
-    ``node_id`` names the cluster node the rejecting device belongs to
-    (``None`` on a single-node store), so cluster failover paths can
-    attribute the rejection in their ledgers.
     """
-
-    def __init__(self, message: str, node_id: Optional[str] = None) -> None:
-        super().__init__(message)
-        self.node_id = node_id
 
 
 class DeviceOfflineError(ReproError):
@@ -40,15 +32,7 @@ class DeviceOfflineError(ReproError):
     no fault-injector counter advanced.  Engines with a failover policy
     catch this and serve from the surviving tier; callers without one see
     honest unavailability instead of silently stale data.
-
-    ``node_id`` names the cluster node that rejected the operation
-    (``None`` on a single-node store), so a cluster coordinator can charge
-    the rejection to the right replica in its ledger.
     """
-
-    def __init__(self, message: str = "", node_id: Optional[str] = None) -> None:
-        super().__init__(message)
-        self.node_id = node_id
 
 
 class CorruptionError(ReproError):

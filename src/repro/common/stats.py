@@ -101,10 +101,9 @@ class LatencyHistogram:
 
 @dataclass
 class StatsRegistry:
-    """A flat namespace of counters and histograms owned by one engine run."""
+    """A flat namespace of counters owned by one engine run."""
 
     counters: Dict[str, Counter] = field(default_factory=dict)
-    histograms: Dict[str, LatencyHistogram] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
         c = self.counters.get(name)
@@ -112,23 +111,6 @@ class StatsRegistry:
             c = self.counters[name] = Counter(name)
         return c
 
-    def histogram(self, name: str) -> LatencyHistogram:
-        h = self.histograms.get(name)
-        if h is None:
-            h = self.histograms[name] = LatencyHistogram()
-        return h
-
     def snapshot(self) -> Dict[str, Dict]:
-        """A plain-dict view of *all* metrics, counters and histograms.
-
-        Histograms are summarized as ``{count, median, p99}`` rather than
-        dropped, so phase reports built on snapshots keep engine-level
-        latency distributions.
-        """
-        return {
-            "counters": {name: c.value for name, c in self.counters.items()},
-            "histograms": {
-                name: {"count": h.count, "median": h.median, "p99": h.p99}
-                for name, h in self.histograms.items()
-            },
-        }
+        """A plain-dict view of every counter."""
+        return {"counters": {name: c.value for name, c in self.counters.items()}}

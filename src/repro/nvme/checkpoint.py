@@ -5,10 +5,12 @@ backup of the index and metadata" on NVMe so a restart doesn't need to scan
 the data pages.  A checkpoint serializes every index entry — key, slot
 location, sizes, seqno, promotion flag and the slot's CRC32 — plus the zone
 table into dedicated NVMe pages (charged like any other write).  Recovery
-reads those pages back and reconstructs the index, the zones, and their
-slot-occupancy maps.  The CRC is the slot's only protection (zone slots
-carry no checksum on media), so a recovered slot is verified exactly like
-one written since the restart.
+reads those pages back, checks and parses them, and hands each zone with
+its entries to the partition's slot table
+(:meth:`repro.nvme.zone.SlotTable.reseat`), which rebuilds the index, the
+zones and their slot-occupancy maps.  The CRC is the slot's only
+protection (zone slots carry no checksum on media), so a recovered slot is
+verified exactly like one written since the restart.
 
 Durability semantics: a checkpoint captures the partition at one instant;
 writes after the last checkpoint are not recovered (the engine checkpoints
@@ -25,8 +27,9 @@ bit-flipped or torn checkpoint surfaces as
 rebuild — instead of a silently wrong index; the scrubber runs the same
 check and rewrites a failed image from the live index.
 Crash safety: :meth:`write` builds the new checkpoint in freshly allocated
-pages and frees the previous one only after the new image is fully
-written, so a crash mid-checkpoint always leaves the old intact image.
+pages, and :meth:`repro.nvme.partition.Partition.checkpoint` frees the
+previous one only after the new image is fully written, so a crash
+mid-checkpoint always leaves the old intact image.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import TYPE_CHECKING
 from repro.common.errors import CorruptionError, RecoveryError
 from repro.common.keys import KeyRange
 from repro.lsm.blocks import seal_block, verify_block
-from repro.nvme.zone import SlotLocation, Zone, _ZonePage
+from repro.nvme.zone import SlotLocation
 from repro.simssd.traffic import TrafficKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,27 +90,18 @@ class PartitionCheckpoint:
     @staticmethod
     def write(
         partition: "Partition", kind: TrafficKind = TrafficKind.GC
-    ) -> float:
-        """Persist a checkpoint into NVMe pages; returns the service time.
-
-        Crash-safe ordering: the new image is written into *fresh* pages
-        first; only once it is complete are the previous checkpoint's pages
-        released and the new ones registered.  A power loss mid-write thus
-        leaves the old checkpoint intact and recoverable.
-        """
+    ) -> tuple[list[int], int, float]:
+        """Write a checkpoint into *fresh* NVMe pages; returns the pages,
+        the image's length and the service time.  The previous checkpoint's
+        pages are untouched, so a power loss mid-write leaves it intact and
+        recoverable."""
         payload = PartitionCheckpoint.serialize(partition)
         store = partition.page_store
         npages = max(1, -(-len(payload) // store.page_size))
         pages = store.allocate(npages)
         size = store.page_size
         chunks = {pid: [1, 0, payload[i * size : (i + 1) * size]] for i, pid in enumerate(pages)}
-        service = store.write_spans(chunks, kind)
-        # The new image is durable; retire the old one and switch over.
-        for pid in partition._checkpoint_pages:
-            store.free(pid)
-        partition._checkpoint_pages = pages
-        partition._checkpoint_len = len(payload)
-        return service
+        return pages, len(payload), store.write_spans(chunks, kind)
 
     @staticmethod
     def read_image(
@@ -138,23 +132,21 @@ class PartitionCheckpoint:
     def recover(partition: "Partition") -> float:
         """Rebuild the partition's in-memory state from its checkpoint.
 
-        Reads and verifies the image (:meth:`read_image`, charged), then
-        reconstructs the B-tree index, the zone table, and every zone's
-        page/slot occupancy.  Returns the service time.
+        Reads and verifies the image (:meth:`read_image`, charged), parses
+        the zone table and the index entries, and only then clears the
+        partition's slots and re-seats each zone with its entries, in the
+        zone table's order.  Returns the service time.
         """
         payload, service = PartitionCheckpoint.read_image(
             partition, TrafficKind.FOREGROUND
         )
-        store = partition.page_store
         magic, zone_count, entry_count, _ = _HEADER.unpack_from(payload, 0)
         if magic != _MAGIC:
             raise CorruptionError("bad checkpoint magic")
         pos = _HEADER.size
 
         # --- zone table -------------------------------------------------
-        zones: dict[int, Zone] = {}
-        ordered_regular: list[Zone] = []
-        hot_zone: Zone | None = None
+        zones: dict[int, tuple[KeyRange | None, list]] = {}
         for _ in range(zone_count):
             zone_id, has_range = _ZONE_REC.unpack_from(payload, pos)
             pos += _ZONE_REC.size
@@ -169,18 +161,11 @@ class PartitionCheckpoint:
                 hi = payload[pos : pos + klen] or None
                 pos += klen
                 key_range = KeyRange(lo, hi)
-            zone = Zone(zone_id, key_range, store)
-            zones[zone_id] = zone
-            if key_range is None:
-                hot_zone = zone
-            else:
-                ordered_regular.append(zone)
-        if hot_zone is None:
+            zones[zone_id] = (key_range, [])
+        if all(key_range is not None for key_range, _ in zones.values()):
             raise CorruptionError("checkpoint lacks a hot zone")
 
         # --- index entries ------------------------------------------------
-        partition.index = type(partition.index)(order=64)
-        pages_seen: dict[tuple[int, int], _ZonePage] = {}
         for _ in range(entry_count):
             klen, zone_id, page_id, slot, slot_sz, rec_sz, seqno, flags, crc = (
                 _ENTRY.unpack_from(payload, pos)
@@ -188,55 +173,14 @@ class PartitionCheckpoint:
             pos += _ENTRY.size
             key = payload[pos : pos + klen]
             pos += klen
-            zone = zones.get(zone_id)
-            if zone is None:
+            if zone_id not in zones:
                 raise CorruptionError(f"entry references unknown zone {zone_id}")
             loc = SlotLocation(
-                zone_id=zone_id,
-                page_id=page_id,
-                slot_index=slot,
-                slot_size=slot_sz,
-                record_size=rec_sz,
-                seqno=seqno,
-                crc=crc,
-                promoted=bool(flags & 1),
+                zone_id, page_id, slot, slot_sz, rec_sz, seqno, crc, bool(flags & 1)
             )
-            partition.index.insert(key, loc)
-            zone.keys[key] = None
-            zone.used_bytes += rec_sz
-            zp = pages_seen.get((zone_id, page_id))
-            if zp is None:
-                nslots = max(1, store.page_size // slot_sz)
-                zp = _ZonePage(
-                    page_id=page_id,
-                    slot_size=slot_sz,
-                    num_slots=nslots,
-                    free_slots=list(range(nslots)),
-                )
-                pages_seen[(zone_id, page_id)] = zp
-                zone._pages[page_id] = zp
-                zone._total_pages += zp.total_pages
-            if slot in zp.free_slots:
-                zp.free_slots.remove(slot)
-            zp.used += 1
+            zones[zone_id][1].append((key, loc))
 
-        # Re-open pages with spare slots for future allocation.
-        for (zone_id, _pid), zp in pages_seen.items():
-            if zp.free_slots:
-                zones[zone_id]._open.setdefault(zp.slot_size, []).append(zp)
-
-        ordered_regular.sort(key=lambda z: z.key_range.lo)
-        partition._zones = ordered_regular
-        partition._zone_bounds = [z.key_range.lo for z in ordered_regular]
-        partition.hot_zone = hot_zone
-        partition._zone_map = dict(zones)
-        # The zones above were rebuilt behind the partition's incremental
-        # page counter (direct Zone construction + _total_pages surgery),
-        # so re-attach it and re-sync from the rebuilt totals.
-        box = partition._used_pages_box
-        for zone in zones.values():
-            zone.page_counter = box
-        box[0] = hot_zone.total_pages() + sum(
-            z.total_pages() for z in ordered_regular
-        )
+        partition.clear_slots()
+        for zone_id, (key_range, entries) in zones.items():
+            partition.reseat(zone_id, key_range, entries)
         return service

@@ -1,10 +1,13 @@
 """A shared-nothing partition of the NVMe tier (paper §3.1, §3.6).
 
-Each partition owns a contiguous slice of the key space, its own B-tree
-index, its own zones (plus one hot zone), its own hotness tracker, and a
-page budget (its share of the device).  Partitions never touch each other's
-state, so the design scales without lock contention — here that translates
-to per-partition accounting the harness can parallelize conceptually.
+Each partition owns a contiguous slice of the key space, its own slot table
+(:class:`repro.nvme.zone.SlotTable`: the B-tree index over its zones, plus
+one hot zone), its own hotness tracker, and a page budget (its share of
+the device).  Partitions never touch each other's state, so the design
+scales without lock contention — here that translates to per-partition
+accounting the harness can parallelize conceptually.  The partition adds
+the policy: which zone takes a fresh slot, when a zone splits, what the hot
+zone evicts and what a demotion collects.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from bisect import bisect_right
 from typing import Callable, Iterator, Optional
 
 from repro.common.bloom import KeyHashes
-from repro.common.btree import BTreeIndex
 from repro.common.errors import CorruptionError, OutOfSpaceError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
@@ -28,11 +30,11 @@ from repro.nvme.config import (
     slot_class_for,
 )
 from repro.nvme.pagestore import PageStore
-from repro.nvme.zone import SlotLocation, Zone, write_slot
+from repro.nvme.zone import SlotLocation, SlotTable, Zone
 from repro.simssd.traffic import TrafficKind
 
 
-class Partition:
+class Partition(SlotTable):
     """One independent slice of the performance tier."""
 
     def __init__(
@@ -49,16 +51,33 @@ class Partition:
             raise ReproError("partition ranges must be bounded")
         self.partition_id = partition_id
         self.key_range = key_range
-        self.page_store = page_store
         self.config = config
         self.page_budget = page_budget
-        self.cache = cache
         #: The engine's key-digest memo, handed to every tracker this
         #: partition builds (calibration and reset replace the tracker).
         self.key_hashes = key_hashes
-        self.index = BTreeIndex(order=64)
+        super().__init__(page_store, cache)
         self._zone_seq = 0
+        #: Engine hook fired by :meth:`drop_corrupt_slot` whenever a read,
+        #: a relocation or the scrubber finds a slot whose payload no longer
+        #: matches its checksum.  Called as ``hook(key, promoted)`` after
+        #: the corrupt resident copy has been dropped; ``promoted`` tells the
+        #: engine whether the capacity tier still holds an authoritative
+        #: twin (drop is lossless) or the newest copy is gone.
+        self.on_corrupt_slot: Optional[Callable[[bytes, bool], None]] = None
+        self._init_state()
 
+    def _init_state(self) -> None:
+        """The empty partition: :meth:`__init__` builds it, and
+        :meth:`reset_state` rebuilds it after :meth:`clear_slots`."""
+        self._init_zones()
+        self.hot_zone = self._new_zone(None)
+        # Eq. 1 inputs: running totals of slot-file bytes and object counts.
+        self._written_bytes = 0
+        self._written_objects = 0
+        # Index-backup checkpoint state (§3.1); see nvme/checkpoint.py.
+        self._checkpoint_pages: list[int] = []
+        self._checkpoint_len = 0
         # Capacity-derived tracker window (§3.3): the number of objects this
         # partition can hold.  Starts from the smallest slot class and is
         # re-derived from the measured average object size (Eq. 1) once
@@ -71,37 +90,12 @@ class Partition:
         #: measurable.  Refreshed everywhere ``self.tracker`` is replaced.
         self._record_access = self.tracker.discriminator.access
 
-        #: Running page total over all zones (hot zone included), shared
-        #: with every zone via ``Zone.page_counter``.  Keeps ``used_pages``
-        #: — consulted by the watermark check on every put — O(1) instead
-        #: of O(zones).
-        self._used_pages_box: list[int] = [0]
-
+    def clear_slots(self) -> None:
+        super().clear_slots()
         #: Ordered regular zones: ``_zone_bounds[i]`` is the lower bound of
         #: ``_zones[i]``; ranges tile the partition's key range.
         self._zones: list[Zone] = []
         self._zone_bounds: list[bytes] = []
-        #: Every live zone (hot zone included) by id — ``_zone_by_id`` runs
-        #: on each read and in-place update, so it must not scan the list.
-        self._zone_map: dict[int, Zone] = {}
-        self._init_zones()
-        self.hot_zone = self._new_zone(None)
-
-        # Eq. 1 inputs: running totals of slot-file bytes and object counts.
-        self._written_bytes = 0
-        self._written_objects = 0
-
-        # Index-backup checkpoint state (§3.1); see nvme/checkpoint.py.
-        self._checkpoint_pages: list[int] = []
-        self._checkpoint_len = 0
-
-        #: Engine hook fired by :meth:`_drop_corrupt_slot` whenever a read,
-        #: a relocation or the scrubber finds a slot whose payload no longer
-        #: matches its checksum.  Called as ``hook(key, promoted)`` after
-        #: the corrupt resident copy has been dropped; ``promoted`` tells the
-        #: engine whether the capacity tier still holds an authoritative
-        #: twin (drop is lossless) or the newest copy is gone.
-        self.on_corrupt_slot: Optional[Callable[[bytes, bool], None]] = None
 
     def _make_tracker(self, avg_object_size: float) -> HotnessTracker:
         capacity_objects = max(
@@ -154,10 +148,21 @@ class Partition:
 
     def _new_zone(self, key_range: Optional[KeyRange]) -> Zone:
         self._zone_seq += 1
-        zone_id = self.partition_id * 1_000_000 + self._zone_seq
-        zone = Zone(zone_id, key_range, self.page_store)
-        zone.page_counter = self._used_pages_box
-        self._zone_map[zone_id] = zone
+        return self.add_zone(self.partition_id * 1_000_000 + self._zone_seq, key_range)
+
+    def reseat(
+        self, zone_id: int, key_range: Optional[KeyRange],
+        entries: list[tuple[bytes, SlotLocation]],
+    ) -> Zone:
+        """:meth:`SlotTable.reseat`, then install the zone as the hot zone
+        or in key order among the regular ones."""
+        zone = super().reseat(zone_id, key_range, entries)
+        if key_range is None:
+            self.hot_zone = zone
+        else:
+            i = bisect_right(self._zone_bounds, key_range.lo)
+            self._zones.insert(i, zone)
+            self._zone_bounds.insert(i, key_range.lo)
         return zone
 
     def zone_for_key(self, key: bytes) -> Zone:
@@ -185,12 +190,6 @@ class Partition:
         return max(1, int(self.config.migration_batch_bytes / self.average_object_size()))
 
     # -------------------------------------------------------------- space
-
-    @property
-    def used_pages(self) -> int:
-        # Maintained incrementally by the zones (see ``_used_pages_box``);
-        # equal to hot_zone.total_pages() + sum over regular zones.
-        return self._used_pages_box[0]
 
     @property
     def fill_fraction(self) -> float:
@@ -232,13 +231,11 @@ class Partition:
             return self._put_locked(rec, kind)
 
     def _put_locked(self, rec: Record, kind: TrafficKind) -> float:
-        """The :meth:`put` body: the slot write (:func:`write_slot`), with
-        the tracker already touched and the health epoch (if any) already
-        entered.  An update clears the promotion label: the object diverges
-        from its SATA copy, so eviction can no longer drop it."""
-        service, zone = write_slot(
-            rec, False, self.index, self._zone_by_id, self._pick_zone, kind, self.cache
-        )
+        """The :meth:`put` body: the slot write (:meth:`SlotTable.write`),
+        with the tracker already touched and the health epoch (if any)
+        already entered.  An update clears the promotion label: the object
+        diverges from its SATA copy, so eviction can no longer drop it."""
+        service, zone = self.write(rec, False, kind)
         # In-place updates count toward Eq. 1 too: without them,
         # update-heavy workloads never reach the calibration point and the
         # tracker window stays at its construction guess.
@@ -249,17 +246,12 @@ class Partition:
             self._maybe_split_zone(zone)
         return service
 
-    def _pick_zone(self, key: bytes, slot_size: int) -> Zone:
-        # zone_for_key for write_slot, less the range check the stager makes
+    def _fresh_zone(self, key: bytes, slot_size: int, promoted: bool) -> Zone:
+        # A promotion goes to the hot zone; a put to zone_for_key's zone,
+        # less the range check the stager makes.
+        if promoted:
+            return self.hot_zone
         return self._zones[bisect_right(self._zone_bounds, key) - 1]
-
-    def _zone_by_id(self, zone_id: int) -> Zone:
-        zone = self._zone_map.get(zone_id)
-        if zone is None:
-            raise ReproError(
-                f"zone {zone_id} not found in partition {self.partition_id}"
-            )
-        return zone
 
     # --------------------------------------------------------------- reads
 
@@ -267,17 +259,17 @@ class Partition:
         self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND
     ) -> tuple[Optional[Record], float]:
         """Point lookup.  Returns ``(record_or_none, service_time)``; a slot
-        that fails its check is dropped (:meth:`_drop_corrupt_slot`), then
+        that fails its check is dropped (:meth:`drop_corrupt_slot`), then
         its :class:`CorruptionError` propagates."""
         self._record_access(key)
         loc: Optional[SlotLocation] = self.index.get(key)
         if loc is None:
             return None, 0.0
-        zone = self._zone_by_id(loc.zone_id)
+        zone = self.zone_of(loc.zone_id)
         try:
             return zone.read_object(loc, kind, self.cache)
         except CorruptionError:
-            self._drop_corrupt_slot(zone, key, loc)
+            self.drop_corrupt_slot(zone, key, loc)
             raise
 
     def contains(self, key: bytes) -> bool:
@@ -298,8 +290,7 @@ class Partition:
         loc: Optional[SlotLocation] = self.index.get(key)
         if loc is None:
             return False
-        self._zone_by_id(loc.zone_id).remove_object(key, loc)
-        self.index.delete(key)
+        self.drop(self.zone_of(loc.zone_id), key, loc)
         return True
 
     def keys_in_range(self, start: bytes, end: Optional[bytes]) -> Iterator[bytes]:
@@ -318,11 +309,7 @@ class Partition:
         if existing is not None:
             return 0.0  # already resident
         with self.page_store.device.health_epoch:
-            hot = self.hot_zone
-            service, _ = write_slot(
-                rec, True, self.index, self._zone_by_id, lambda key, size: hot,
-                kind, self.cache,
-            )
+            service, _ = self.write(rec, True, kind)
             self._written_bytes += rec.encoded_size
             self._written_objects += 1
             service += self._evict_hot_zone_if_needed(kind)
@@ -374,15 +361,14 @@ class Partition:
                     continue
                 if loc.promoted:
                     # SATA still holds the object: drop without relocation.
-                    hot.remove_object(key, loc)
-                    self.index.delete(key)
+                    self.drop(hot, key, loc)
                     continue
                 npages = -(-loc.slot_size // self.page_store.page_size)
                 _, s_read = self.page_store.read(loc.page_id, kind, self.cache, npages)
                 try:
                     payload = hot.verified_slot(loc)
                 except CorruptionError:
-                    self._drop_corrupt_slot(hot, key, loc)
+                    self.drop_corrupt_slot(hot, key, loc)
                     continue
                 service += s_read
                 del keys[key]  # staged: out of the scan order
@@ -391,50 +377,15 @@ class Partition:
                 moves[key] = self.zone_for_key(key).stage(
                     batch, key, payload, loc.seqno, loc.crc, False, slot_size
                 )
-            return service + self._commit(batch, moves, kind)
+            return service + self.commit(batch, moves, kind)
         except ReproError:
-            self._unstage(moves)
+            self.unstage(moves)
             keys.update(dict.fromkeys(moves))
             raise
 
-    def _commit(
-        self, batch: dict, moves: dict, kind: TrafficKind, vacated: Optional[Zone] = None
-    ) -> float:
-        """Write each page staged in ``batch`` once, then free each ``{key:
-        new}`` move's old slot, or the whole ``vacated`` zone they all left,
-        and point the index at ``new`` (drop the key when ``new`` is None).
-        ``moves`` holds no tuple per object: a split keeps them all alive
-        until here, and that many containers would bring on extra full
-        cyclic-GC passes.
-        """
-        if vacated is not None and len(vacated.keys) != len(moves):
-            raise ReproError(f"zone {vacated.zone_id} would leave keys behind")
-        service = self.page_store.write_spans(batch, kind, self.cache)
-        index, zones = self.index, self._zone_map
-        for key, new in moves.items():
-            if vacated is None:
-                old = index.get(key)
-                zones[old.zone_id].remove_object(key, old)
-            if new is None:
-                index.delete(key)
-            else:
-                zone = zones[new.zone_id]
-                zone.keys[key] = None
-                zone.used_bytes += new.record_size
-                index.insert(key, new)
-        if vacated is not None:
-            vacated.release_all()
-        return service
-
-    def _unstage(self, moves: dict) -> None:
-        """Undo an unwritten relocation: free every staged slot."""
-        for new in moves.values():
-            if new is not None:
-                self._zone_map[new.zone_id].free_slot(new)
-
     # ------------------------------------------------- corruption handling
 
-    def _drop_corrupt_slot(self, zone: Zone, key: bytes, loc: SlotLocation) -> None:
+    def drop_corrupt_slot(self, zone: Zone, key: bytes, loc: SlotLocation) -> None:
         """The one drop path for a corrupt slot, whoever found it.
 
         A promoted slot still has its authoritative twin on the capacity
@@ -443,8 +394,7 @@ class Partition:
         tells the engine, which counts it and marks a lost newest copy
         suspect (in a cluster, re-replicated from a healthy replica).
         """
-        zone.remove_object(key, loc)
-        self.index.delete(key)
+        self.drop(zone, key, loc)
         hook = self.on_corrupt_slot
         if hook is not None:
             hook(key, loc.promoted)
@@ -499,7 +449,7 @@ class Partition:
                     try:
                         payload = zone.verified_slot(loc)
                     except CorruptionError:
-                        self._drop_corrupt_slot(zone, key, loc)
+                        self.drop_corrupt_slot(zone, key, loc)
                         continue
                     tracker.queries += 1
                     # Hot objects are parked rather than demoted, but only
@@ -520,9 +470,9 @@ class Partition:
                     moves[key] = new_loc
                     staged[loc.page_id] = staged.get(loc.page_id, 0) + 1
                 ingest(demoted, kind)
-                service += self._commit(batch, moves, kind, vacated=zone)
+                service += self.commit(batch, moves, kind, vacated=zone)
             except ReproError:
-                self._unstage(moves)
+                self.unstage(moves)
                 raise
             zone.reset_read_counter()
             return demoted, service
@@ -534,10 +484,16 @@ class Partition:
         from repro.nvme.checkpoint import PartitionCheckpoint
 
         with self.page_store.device.health_epoch:
-            return PartitionCheckpoint.write(self, kind)
+            pages, nbytes, service = PartitionCheckpoint.write(self, kind)
+            # The new image is durable; retire the old one and switch over.
+            for pid in self._checkpoint_pages:
+                self.page_store.free(pid)
+            self._checkpoint_pages, self._checkpoint_len = pages, nbytes
+            return service
 
     def recover(self) -> float:
-        """Rebuild in-memory index/zones from the last checkpoint.
+        """Rebuild in-memory index/zones from the last checkpoint: its
+        zones and entries are re-seated (:meth:`reseat`) into cleared slots.
 
         Raises :class:`repro.common.errors.RecoveryError` when no checkpoint
         exists and :class:`CorruptionError` when the stored image fails its
@@ -565,22 +521,8 @@ class Partition:
                 self.page_store.free(pid)
         for pid in self._checkpoint_pages:
             self.page_store.free(pid)
-        self._checkpoint_pages = []
-        self._checkpoint_len = 0
-        self.index = BTreeIndex(order=64)
-        self._zones = []
-        self._zone_bounds = []
-        self._zone_map.clear()
-        # Pages above were freed behind the zones' backs, so re-zero the
-        # shared counter before fresh zones start mirroring into it.
-        self._used_pages_box[0] = 0
-        self._init_zones()
-        self.hot_zone = self._new_zone(None)
-        self._written_bytes = 0
-        self._written_objects = 0
-        self.tracker = self._make_tracker(SLOT_CLASSES[0])
-        self._record_access = self.tracker.discriminator.access
-        self._tracker_calibrated = False
+        self.clear_slots()
+        self._init_state()
 
     # ------------------------------------------------------- zone rebuild
 
@@ -635,21 +577,21 @@ class Partition:
                 try:
                     payload = zone.verified_slot(loc)
                 except CorruptionError:
-                    self._drop_corrupt_slot(zone, key, loc)
+                    self.drop_corrupt_slot(zone, key, loc)
                     continue
                 dest = left if key < median else right
                 moves[key] = dest.stage(
                     batch, key, payload, loc.seqno, loc.crc, loc.promoted,
                     loc.slot_size,
                 )
-            self._commit(batch, moves, TrafficKind.GC, vacated=zone)
+            self.commit(batch, moves, TrafficKind.GC, vacated=zone)
         except ReproError as e:
-            self._unstage(moves)
-            del self._zone_map[left.zone_id], self._zone_map[right.zone_id]
+            self.unstage(moves)
+            self.retire_zone(left)
+            self.retire_zone(right)
             if isinstance(e, OutOfSpaceError):
                 return  # both halves do not fit beside the old zone yet
             raise
         self._zones[idx : idx + 1] = [left, right]
         self._zone_bounds[idx : idx + 1] = [left.key_range.lo, median]
-        # The split zone is dead: stale locations naming it must fail.
-        del self._zone_map[zone.zone_id]
+        self.retire_zone(zone)

@@ -1,4 +1,4 @@
-"""Zones: contiguous-key-range object containers on NVMe (paper §3.2).
+"""Zones and the slot table over them (paper §3.1–3.2).
 
 A zone stores objects whose keys fall inside its range, packed into
 size-class slots within pages.  Zones are the unit of migration: demoting a
@@ -6,21 +6,27 @@ zone reads its pages (few, thanks to the size-class packing) and yields a
 batch with a tight key range for the capacity tier's L1 merge.
 
 The hot zone is a zone with ``key_range=None`` — no range restriction —
-holding objects the tracker currently classifies as hot.
+holding objects the tracker currently classifies as hot.  PrismDB's slabs
+are keyless zones too, one per slot class.
 
-Every slot write — a put, an in-place update, a resize's tombstone, a
-promotion, a relocation — is one sequence: :meth:`Zone.stage` places the
-slot bytes into a batch, :meth:`PageStore.write_spans` writes each staged
-page with one command, and only then is the old slot freed and the index
-switched.  :func:`write_slot` is that sequence for one put.
+A :class:`SlotTable` is an index of :class:`SlotLocation` s over zones: a
+HyperDB partition is one, and so is PrismDB's slab store.  It owns every
+change to a slot, its zone's key set and byte count, and its index entry
+together.  Every slot write — a put, an in-place update, a resize's
+tombstone, a promotion, a relocation — is one sequence: :meth:`Zone.stage`
+places the slot bytes into a batch, :meth:`PageStore.write_spans` writes
+each staged page with one command, and only then is the old slot freed and
+the index switched: :meth:`SlotTable.write` for one put,
+:meth:`SlotTable.commit` for a relocation.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
+from repro.common.btree import BTreeIndex
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
@@ -152,14 +158,17 @@ class Zone:
             extra_pages=extra,
         )
         zp.used = 1
-        self._pages[pid] = zp
+        self._add_page(zp)
+        if zp.free_slots:
+            open_pages.append(zp)
+        return pid, 0
+
+    def _add_page(self, zp: _ZonePage) -> None:
+        self._pages[zp.page_id] = zp
         self._total_pages += zp.total_pages
         c = self.page_counter
         if c is not None:
             c[0] += zp.total_pages
-        if zp.free_slots:
-            self._open.setdefault(slot_size, []).append(zp)
-        return pid, 0
 
     def free_slot(self, loc: SlotLocation) -> None:
         zp = self._pages.get(loc.page_id)
@@ -191,6 +200,30 @@ class Zone:
         self.page_store.free(zp.page_id)
         for extra in zp.extra_pages:
             self.page_store.free(extra)
+
+    def reseat(self, entries: list[tuple[bytes, SlotLocation]]) -> None:
+        """Claim the slots of a recovered zone's ``(key, loc)`` entries, in
+        order: the keys join :attr:`keys` in that order, and a page is
+        seated when its first entry is.  A page's free slots are
+        ``range(num_slots)`` less the claimed ones, so allocation pops the
+        highest first, and every page with one joins its class's open list
+        in seating order.  Continuation pages of an oversized slot are not
+        re-tracked."""
+        pages, keys, size = self._pages, self.keys, self.page_store.page_size
+        for key, loc in entries:
+            keys[key] = None
+            self.used_bytes += loc.record_size
+            zp = pages.get(loc.page_id)
+            if zp is None:
+                nslots = max(1, size // loc.slot_size)
+                zp = _ZonePage(loc.page_id, loc.slot_size, nslots, list(range(nslots)))
+                self._add_page(zp)
+            if loc.slot_index in zp.free_slots:
+                zp.free_slots.remove(loc.slot_index)
+            zp.used += 1
+        for zp in pages.values():
+            if zp.free_slots:
+                self._open.setdefault(zp.slot_size, []).append(zp)
 
     def release_all(self) -> None:
         """Free every page in one pass once all objects have left the zone."""
@@ -286,45 +319,148 @@ class Zone:
         self.read_ios = 0
 
 
-def write_slot(
-    rec: Record, promoted: bool, index, zone_of: Callable[[int], Zone],
-    pick: Callable[[bytes, int], Zone], kind: TrafficKind, cache=None,
-) -> tuple[float, Optional[Zone]]:
-    """The one put body of a partition and of PrismDB's slabs: returns the
-    service time and the zone given a fresh slot (None when in place).
 
-    §3.2: an object that fits its slot is updated in place; otherwise it
-    takes a fresh slot in ``pick(key, slot_size)``, and a resized object's
-    tombstone marker, staged first, is written first into its old slot.
-    The old slot is freed and the index switched only after the writes, so
-    a failure before then (no room, a failed page write) frees the staged
-    slot and leaves the old location indexed and allocated."""
-    key, seqno = rec.key, rec.seqno
-    payload = encode_record(rec)
-    crc = zlib.crc32(payload)
-    old = index.get(key)
-    batch: dict = {}
-    if old is not None and len(payload) <= old.slot_size:
-        zone = zone_of(old.zone_id)
-        new = zone.stage(batch, key, payload, seqno, crc, promoted, 0, old)
-        service = zone.page_store.write_spans(batch, kind, cache)
-        zone.used_bytes += new.record_size - old.record_size
+
+class SlotTable:
+    """An index of :class:`SlotLocation` s over zones of slotted pages: a
+    HyperDB partition, or PrismDB's slab store.
+
+    It owns the B-tree index, every live zone by id, the page store, the
+    DRAM cache and the page counter each zone mirrors its pages into, and
+    every change to them: a put (:meth:`write`), a relocation's
+    :meth:`commit` or :meth:`unstage`, a :meth:`drop` and a recovered
+    zone's :meth:`reseat`.  A subclass places fresh slots: its
+    ``_fresh_zone(key, slot_size, promoted)`` names the zone that takes
+    ``key``'s fresh ``slot_size`` slot.
+    """
+
+    def __init__(self, page_store: PageStore, cache=None) -> None:
+        self.page_store = page_store
+        self.cache = cache
+        self.clear_slots()
+
+    def clear_slots(self) -> None:
+        """Forget every zone and index entry; their pages are not freed."""
+        self.index = BTreeIndex(order=64)
+        #: Every live zone by id: :meth:`zone_of` runs on each read and
+        #: in-place update, so it must not scan.
+        self._zone_map: dict[int, Zone] = {}
+        #: Running page total over all zones, shared with each zone as its
+        #: ``page_counter``: the watermark check on every put reads it.
+        self._used_pages_box: list[int] = [0]
+
+    @property
+    def used_pages(self) -> int:
+        return self._used_pages_box[0]
+
+    def add_zone(self, zone_id: int, key_range: Optional[KeyRange]) -> Zone:
+        zone = Zone(zone_id, key_range, self.page_store)
+        zone.page_counter = self._used_pages_box
+        self._zone_map[zone_id] = zone
+        return zone
+
+    def retire_zone(self, zone: Zone) -> None:
+        """Unregister a dead zone: a stale location naming it must fail."""
+        del self._zone_map[zone.zone_id]
+
+    def zone_of(self, zone_id: int) -> Zone:
+        zone = self._zone_map.get(zone_id)
+        if zone is None:
+            raise ReproError(f"zone {zone_id} not found")
+        return zone
+
+    def write(
+        self, rec: Record, promoted: bool, kind: TrafficKind
+    ) -> tuple[float, Optional[Zone]]:
+        """The one put body: returns the service time and the zone given a
+        fresh slot (None when in place).
+
+        §3.2: an object that fits its slot is updated in place; otherwise it
+        takes a fresh slot (``_fresh_zone``), and a resized object's
+        tombstone marker, staged first, is written first into its old slot.
+        The old slot is freed and the index switched only after the writes,
+        so a failure before then (no room, a failed page write) frees the
+        staged slot and leaves the old location indexed and allocated."""
+        key, seqno = rec.key, rec.seqno
+        payload = encode_record(rec)
+        crc = zlib.crc32(payload)
+        index = self.index
+        old = index.get(key)
+        batch: dict = {}
+        if old is not None and len(payload) <= old.slot_size:
+            zone = self.zone_of(old.zone_id)
+            new = zone.stage(batch, key, payload, seqno, crc, promoted, 0, old)
+            service = self.page_store.write_spans(batch, kind, self.cache)
+            zone.used_bytes += new.record_size - old.record_size
+            index.insert(key, new)
+            return service, None
+        if old is not None:
+            marker = encode_record(Record.tombstone(b"", old.seqno))
+            batch[old.page_id] = [1, old.offset, marker[: old.slot_size]]
+        slot_size = slot_class_for(len(payload))
+        zone = self._fresh_zone(key, slot_size, promoted)
+        new = zone.stage(batch, key, payload, seqno, crc, promoted, slot_size)
+        try:
+            service = self.page_store.write_spans(batch, kind, self.cache)
+        except ReproError:
+            zone.free_slot(new)
+            raise
+        if old is not None:  # first, so a same-zone resize's key goes to the back
+            self.zone_of(old.zone_id).remove_object(key, old)
+        zone.keys[key] = None
+        zone.used_bytes += new.record_size
         index.insert(key, new)
-        return service, None
-    if old is not None:
-        marker = encode_record(Record.tombstone(b"", old.seqno))
-        batch[old.page_id] = [1, old.offset, marker[: old.slot_size]]
-    slot_size = slot_class_for(len(payload))
-    zone = pick(key, slot_size)
-    new = zone.stage(batch, key, payload, seqno, crc, promoted, slot_size)
-    try:
-        service = zone.page_store.write_spans(batch, kind, cache)
-    except ReproError:
-        zone.free_slot(new)
-        raise
-    if old is not None:  # first, so a same-zone resize's key goes to the back
-        zone_of(old.zone_id).remove_object(key, old)
-    zone.keys[key] = None
-    zone.used_bytes += new.record_size
-    index.insert(key, new)
-    return service, zone
+        return service, zone
+
+    def commit(
+        self, batch: dict, moves: dict, kind: TrafficKind, vacated: Optional[Zone] = None
+    ) -> float:
+        """Write each page staged in ``batch`` once, then free each ``{key:
+        new}`` move's old slot, or the whole ``vacated`` zone they all left,
+        and point the index at ``new`` (drop the key when ``new`` is None).
+        ``moves`` holds no tuple per object: a split keeps them all alive
+        until here, and that many containers would bring on extra full
+        cyclic-GC passes.
+        """
+        if vacated is not None and len(vacated.keys) != len(moves):
+            raise ReproError(f"zone {vacated.zone_id} would leave keys behind")
+        service = self.page_store.write_spans(batch, kind, self.cache)
+        index, zones = self.index, self._zone_map
+        for key, new in moves.items():
+            if vacated is None:
+                old = index.get(key)
+                zones[old.zone_id].remove_object(key, old)
+            if new is None:
+                index.delete(key)
+            else:
+                zone = zones[new.zone_id]
+                zone.keys[key] = None
+                zone.used_bytes += new.record_size
+                index.insert(key, new)
+        if vacated is not None:
+            vacated.release_all()
+        return service
+
+    def unstage(self, moves: dict) -> None:
+        """Undo an unwritten relocation: free every staged slot."""
+        for new in moves.values():
+            if new is not None:
+                self._zone_map[new.zone_id].free_slot(new)
+
+    def drop(self, zone: Zone, key: bytes, loc: SlotLocation) -> None:
+        """Forget ``key``'s slot ``loc`` in ``zone``; no device I/O."""
+        zone.remove_object(key, loc)
+        self.index.delete(key)
+
+    def reseat(
+        self, zone_id: int, key_range: Optional[KeyRange],
+        entries: list[tuple[bytes, SlotLocation]],
+    ) -> Zone:
+        """Install a zone recovered from a checkpoint with its ``(key,
+        loc)`` entries (:meth:`Zone.reseat`), and index them."""
+        zone = self.add_zone(zone_id, key_range)
+        zone.reseat(entries)
+        index = self.index
+        for key, loc in entries:
+            index.insert(key, loc)
+        return zone

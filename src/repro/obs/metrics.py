@@ -28,8 +28,8 @@ class MetricScope:
         Mapping of device name to an object with a ``.traffic``
         :class:`~repro.simssd.traffic.TrafficStats` (a ``SimDevice``).
     registry:
-        Optional :class:`~repro.common.stats.StatsRegistry`; counter deltas
-        and end-of-phase histogram stats are included in the report.
+        Optional :class:`~repro.common.stats.StatsRegistry`; its counter
+        deltas are included in the report.
     recorder:
         Explicit :class:`~repro.obs.events.TraceRecorder` to publish into;
         defaults to the ambient ``repro.obs.RECORDER`` at exit time.
@@ -74,16 +74,6 @@ class MetricScope:
             report["counters"] = {
                 name: c.value - self._counters_before.get(name, 0)
                 for name, c in self.registry.counters.items()
-            }
-            # Histogram percentiles don't diff meaningfully, so report the
-            # end-of-phase view: sample-count delta plus current quantiles.
-            report["histograms"] = {
-                name: {
-                    "count": h.count,
-                    "median": h.median,
-                    "p99": h.p99,
-                }
-                for name, h in self.registry.histograms.items()
             }
         self.report = report
         rec = self.recorder

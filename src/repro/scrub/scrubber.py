@@ -14,7 +14,7 @@ goes to the engine's one triage for its tier — the same one reads, scans
 and maintenance use:
 
 * a corrupt zone slot is dropped through
-  :meth:`repro.nvme.partition.Partition._drop_corrupt_slot`.  A promoted
+  :meth:`repro.nvme.partition.Partition.drop_corrupt_slot`.  A promoted
   slot loses nothing: its authoritative twin is on the capacity tier, and
   the next hot read re-promotes it (§3.5).  A non-promoted slot was the
   newest copy, so its key becomes suspect;
@@ -227,7 +227,7 @@ class Scrubber:
                     zone.verified_slot(loc)
                 except CorruptionError:
                     self._detect("zone_slot", key=key)
-                    partition._drop_corrupt_slot(zone, key, loc)
+                    partition.drop_corrupt_slot(zone, key, loc)
                     if not loc.promoted:
                         self.stats.unrecoverable += 1
 

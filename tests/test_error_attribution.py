@@ -1,5 +1,5 @@
 """Tests for typed error attribution: retry-exhaustion metadata and the
-``node_id`` field on replica rejections.
+cluster's per-node rejection ledger.
 
 The retry test is the regression for the silent-exhaustion bug: the device
 used to surface a bare ``TransientIOError`` that said nothing about how
@@ -11,7 +11,6 @@ import pytest
 
 from repro.common.errors import (
     DeviceOfflineError,
-    OutOfSpaceError,
     QuorumError,
     RetryExhaustedError,
     TransientIOError,
@@ -88,25 +87,6 @@ class TestRetryExhaustion:
 
 
 class TestNodeIdAttribution:
-    def test_single_node_errors_have_no_node_id(self):
-        assert OutOfSpaceError("full").node_id is None
-        assert DeviceOfflineError("down").node_id is None
-
-    def test_single_node_device_raises_without_node_id(self):
-        window = HealthWindow(
-            device="nvme", state=HealthState.OFFLINE, start_io=1, end_io=100
-        )
-        dev = device(FaultPlan(health_windows=(window,)))
-        with pytest.raises(DeviceOfflineError) as ei:
-            dev.write_pages(1, TrafficKind.FOREGROUND)
-        assert ei.value.node_id is None
-
-    def test_out_of_space_from_device_has_no_node_id(self):
-        dev = device(mib=8)
-        with pytest.raises(OutOfSpaceError) as ei:
-            dev.allocate(dev.profile.num_pages + 1)
-        assert ei.value.node_id is None
-
     def test_cluster_rejection_names_the_node(self):
         from repro.cluster import ClusterConfig, HyperDBCluster
 
@@ -117,7 +97,8 @@ class TestNodeIdAttribution:
         c.clock = 1  # the guard resolves health at the current op tick
         with pytest.raises(DeviceOfflineError) as ei:
             c._replica_guard("node-0")
-        assert ei.value.node_id == "node-0"
+        assert "'node-0'" in str(ei.value)
+        assert c.offline_rejections["node-0"] == 1
 
 
 class TestQuorumErrorShape:

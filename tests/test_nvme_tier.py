@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.common.btree import BTreeIndex
 from repro.common.errors import CapacityError, ConfigError, ReproError
 from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
 from repro.common.cache import LRUCache
-from repro.nvme import NVMeConfig, PageStore, PerformanceTier, Zone
+from repro.nvme import NVMeConfig, PageStore, PerformanceTier
 from repro.lsm.blocks import encode_record
 from repro.nvme.config import slot_class_for
-from repro.nvme.zone import write_slot
+from repro.nvme.zone import SlotTable
 from repro.simssd import DeviceProfile, SimDevice, TrafficKind
 from tests.test_zone_relocation import RecordingIngest
 
@@ -103,67 +102,77 @@ class TestPageStore:
             ps.write_spans({pid: [1, 4090, b"x" * 10]}, TrafficKind.FOREGROUND)
 
 
-def slot_put(zone, index, r):
-    """Put ``r`` into ``zone`` through the one slot-write body; returns its
+class OneZone(SlotTable):
+    """A slot table whose fresh slots all go to its one zone."""
+
+    def __init__(self, page_store, key_range):
+        super().__init__(page_store)
+        self.zone = self.add_zone(1, key_range)
+
+    def _fresh_zone(self, key, slot_size, promoted):
+        return self.zone
+
+
+def slot_put(table, r):
+    """Put ``r`` through the slot table's one put body; returns its
     location."""
-    write_slot(
-        r, False, index, {zone.zone_id: zone}.__getitem__, lambda key, size: zone,
-        TrafficKind.FOREGROUND,
-    )
-    return index.get(r.key)
+    table.write(r, False, TrafficKind.FOREGROUND)
+    return table.index.get(r.key)
 
 
 class TestZone:
     def test_write_read_roundtrip(self):
         ps = PageStore(make_device(4))
-        z = Zone(1, KeyRange(encode_key(0), encode_key(1000)), ps)
-        loc = slot_put(z, BTreeIndex(), rec(5))
+        t = OneZone(ps, KeyRange(encode_key(0), encode_key(1000)))
+        z = t.zone
+        loc = slot_put(t, rec(5))
         assert loc.slot_size == 128
         out, _ = z.read_object(loc)
         assert out.key == encode_key(5) and out.value == b"v" * 100
 
     def test_slot_packing(self):
         ps = PageStore(make_device(4))
-        z = Zone(1, KeyRange(encode_key(0), encode_key(1000)), ps)
-        index = BTreeIndex()
+        t = OneZone(ps, KeyRange(encode_key(0), encode_key(1000)))
+        z = t.zone
         # 32 slots of 128B per 4K page.
         for i in range(32):
-            slot_put(z, index, rec(i))
+            slot_put(t, rec(i))
         assert z.num_pages == 1
-        slot_put(z, index, rec(32))
+        slot_put(t, rec(32))
         assert z.num_pages == 2
 
     def test_key_range_enforced(self):
         dev = make_device(4)
-        z = Zone(1, KeyRange(encode_key(0), encode_key(10)), PageStore(dev))
-        index = BTreeIndex()
+        t = OneZone(PageStore(dev), KeyRange(encode_key(0), encode_key(10)))
+        z = t.zone
         with pytest.raises(ReproError):
-            slot_put(z, index, rec(50))
-        assert len(index) == 0 and not z.keys and dev.allocated_pages == 0
+            slot_put(t, rec(50))
+        assert len(t.index) == 0 and not z.keys and dev.allocated_pages == 0
 
     def test_hot_zone_accepts_everything(self):
         ps = PageStore(make_device(4))
-        z = Zone(1, None, ps)
-        slot_put(z, BTreeIndex(), rec(10**4))
+        t = OneZone(ps, None)
+        z = t.zone
+        slot_put(t, rec(10**4))
         assert z.is_hot_zone
 
     def test_slot_reuse_after_free(self):
         ps = PageStore(make_device(4))
-        z = Zone(1, None, ps)
-        index = BTreeIndex()
-        slot_put(z, index, rec(0))  # keeps the page alive
-        loc = slot_put(z, index, rec(1))
+        t = OneZone(ps, None)
+        z = t.zone
+        slot_put(t, rec(0))  # keeps the page alive
+        loc = slot_put(t, rec(1))
         z.remove_object(encode_key(1), loc)
-        loc2 = slot_put(z, index, rec(2))
+        loc2 = slot_put(t, rec(2))
         assert (loc2.page_id, loc2.slot_index) == (loc.page_id, loc.slot_index)
 
     def test_empty_page_released(self):
         dev = make_device(4)
         ps = PageStore(dev)
-        z = Zone(1, None, ps)
-        index = BTreeIndex()
+        t = OneZone(ps, None)
+        z = t.zone
         # Two 1536 B slots per page.
-        locs = [slot_put(z, index, rec(i, b"v" * 1500)) for i in range(2)]
+        locs = [slot_put(t, rec(i, b"v" * 1500)) for i in range(2)]
         assert dev.allocated_pages == 1
         for i, loc in enumerate(locs):
             z.remove_object(encode_key(i), loc)
@@ -171,10 +180,10 @@ class TestZone:
 
     def test_in_place_update(self):
         ps = PageStore(make_device(4))
-        z = Zone(1, None, ps)
-        index = BTreeIndex()
-        loc = slot_put(z, index, rec(1, b"old-value"))
-        loc2 = slot_put(z, index, rec(1, b"new-value", seqno=99))
+        t = OneZone(ps, None)
+        z = t.zone
+        loc = slot_put(t, rec(1, b"old-value"))
+        loc2 = slot_put(t, rec(1, b"new-value", seqno=99))
         assert (loc2.page_id, loc2.slot_index) == (loc.page_id, loc.slot_index)
         out, _ = z.read_object(loc2)
         assert out.value == b"new-value"
@@ -182,8 +191,9 @@ class TestZone:
 
     def test_in_place_update_too_big_rejected(self):
         ps = PageStore(make_device(4))
-        z = Zone(1, None, ps)
-        loc = slot_put(z, BTreeIndex(), rec(1, b"small"))
+        t = OneZone(ps, None)
+        z = t.zone
+        loc = slot_put(t, rec(1, b"small"))
         payload = encode_record(rec(1, b"x" * 200))
         batch = {}
         with pytest.raises(ReproError):
@@ -193,9 +203,10 @@ class TestZone:
     def test_oversized_object_spans_pages(self):
         dev = make_device(4)
         ps = PageStore(dev)
-        z = Zone(1, None, ps)
+        t = OneZone(ps, None)
+        z = t.zone
         big = rec(1, b"x" * 5000)
-        loc = slot_put(z, BTreeIndex(), big)
+        loc = slot_put(t, big)
         assert loc.slot_size == big.encoded_size
         assert z.total_pages() == 2
         out, _ = z.read_object(loc)
@@ -205,9 +216,10 @@ class TestZone:
 
     def test_demotion_score(self):
         ps = PageStore(make_device(4))
-        z = Zone(1, None, ps)
+        t = OneZone(ps, None)
+        z = t.zone
         assert z.demotion_score() == 0.0
-        loc = slot_put(z, BTreeIndex(), rec(1))
+        loc = slot_put(t, rec(1))
         score_cold = z.demotion_score()
         z.read_object(loc)
         z.read_object(loc)

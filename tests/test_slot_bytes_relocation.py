@@ -248,10 +248,10 @@ def collect_scenario(monkeypatch):
 
 def per_object_frees(monkeypatch):
     """Make every commit free its moved slots one by one."""
-    commit = Partition._commit
+    commit = Partition.commit
     monkeypatch.setattr(
         Partition,
-        "_commit",
+        "commit",
         lambda self, batch, moves, kind, vacated=None: commit(self, batch, moves, kind),
     )
 

@@ -1,16 +1,17 @@
 """Every NVMe slot write is one sequence: stage, write each page once, account.
 
 A put, an in-place update, a resize (its tombstone included) and a
-promotion all go through :func:`repro.nvme.zone.write_slot`, on a
-partition and on PrismDB's slabs alike.  These tests pin what each kind of
-slot write charges and where its bytes land, and that a write which fails
--- for want of room or in its page write -- frees what it staged and leaves
-the old location indexed and allocated.
+promotion all go through :meth:`repro.nvme.zone.SlotTable.write`, on a
+partition and on PrismDB's slabs alike, and on the whole PrismDB-like store
+(whose put reaches its slabs).  These tests pin what each kind of slot write
+charges and where its bytes land, and that a write which fails -- for want
+of room or in its page write -- frees what it staged and leaves the old
+location indexed and allocated.
 """
 
 import pytest
 
-from repro.baselines.prismdb import _SlabStore
+from repro.baselines.prismdb import PrismDBStore, _SlabStore
 from repro.common.errors import OutOfSpaceError, TransientIOError
 from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
@@ -27,7 +28,7 @@ from tests.test_zone_relocation import fail_page_write
 
 FG = TrafficKind.FOREGROUND
 MIGRATION = TrafficKind.MIGRATION
-ENGINES = ("partition", "prismdb")
+ENGINES = ("partition", "prismdb", "prismdb_store")
 K, N, M, O = (encode_key(i) for i in (10, 11, 12, 13))
 
 
@@ -45,10 +46,12 @@ def make_device(pages):
 
 
 class Engine:
-    """A partition or PrismDB's slab store, behind the calls these tests make."""
+    """A partition, PrismDB's slab store or the whole PrismDB-like store,
+    behind the calls these tests make; ``store`` is the slot table."""
 
     def __init__(self, name, pages=64):
         self.device = make_device(pages)
+        self.db = None
         if name == "partition":
             tier = PerformanceTier(
                 self.device,
@@ -56,12 +59,18 @@ class Engine:
                 NVMeConfig(num_partitions=1, initial_zones_per_partition=1),
             )
             self.store = tier.partitions[0]
-        else:
+        elif name == "prismdb":
             self.store = _SlabStore(self.device, NVMeConfig())
+        else:
+            self.db = PrismDBStore(self.device, make_device(1024))
+            self.store = self.db.slabs
         self.name = name
 
     def put(self, key, value, seqno):
-        self.store.put(Record(key, value, seqno))
+        if self.db is None:
+            self.store.put(Record(key, value, seqno))
+        else:  # the store numbers its own writes, as the byte checks do
+            self.db.put(key, value)
 
     def promote(self, key, value, seqno):
         rec = Record(key, value, seqno)
