@@ -24,7 +24,8 @@ from repro.common.errors import CorruptionError, DeviceOfflineError, ReproError
 from repro.common.records import Record
 from repro.core.interface import KVStore
 from repro.health.state import HealthState
-from repro.lsm.blocks import Entry, entry_at, entry_of
+from repro.lsm.blocks import Entry, entry_at, entry_of, record_of
+from repro.lsm.iterator import keyed, merge_records
 from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
 from repro.nvme.config import SLOT_CLASSES, NVMeConfig
 from repro.nvme.pagestore import PageStore
@@ -89,7 +90,8 @@ class _SlabStore(SlotTable):
         loc: Optional[SlotLocation] = self.index.get(key)
         if loc is None:
             return None, 0.0
-        return self.zone_of(loc.zone_id).read_object(loc, kind, self.cache)
+        entry, service = self.zone_of(loc.zone_id).read_object(loc, kind, self.cache)
+        return record_of(entry), service
 
     def remove(self, key: bytes) -> None:
         loc: Optional[SlotLocation] = self.index.get(key)
@@ -280,7 +282,6 @@ class PrismDBStore(KVStore):
         if count <= 0:
             return [], 0.0
         busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
-        from repro.lsm.iterator import keyed, merge_records
 
         def slab_stream():
             for key, _ in self.slabs.index.items(start=start):

@@ -31,8 +31,8 @@ from repro.common.stats import StatsRegistry
 from repro.core.config import HyperDBConfig
 from repro.core.interface import KVStore
 from repro.health.state import HealthState
-from repro.lsm.blocks import entry_of
-from repro.lsm.iterator import keyed, merge_records
+from repro.lsm.blocks import Entry, entry_of, value_of
+from repro.lsm.iterator import merge_records
 from repro.lsm.semi.engine import CapacityTier
 from repro.lsm.semi.levels import SemiLevelConfig
 from repro.migration.promotion import PromotionManager
@@ -254,7 +254,7 @@ class HyperDB(KVStore):
                 else:
                     partition = partition_for_key(key)
                     offline = guarded and nvme.health() is HealthState.OFFLINE
-                    rec, service = None, 0.0
+                    entry, service = None, 0.0
                     if offline:
                         loc = partition.resident_location(key)
                         if loc is not None and not loc.promoted:
@@ -266,15 +266,15 @@ class HyperDB(KVStore):
                         counter("failover_reads").add()
                     else:
                         try:
-                            rec, service = partition.get(key)
+                            entry, service = partition.get_entry(key)
                         except CorruptionError:
                             pass  # the partition dropped the slot: a miss
-                    staged = None if rec is not None else promo_lookup(key)
-                    if rec is not None:
+                    staged = None if entry is not None else promo_lookup(key)
+                    if entry is not None:
                         if nvme_hits is None:
                             nvme_hits = counter("nvme_hits")
                         nvme_hits.value += 1
-                        result = (None if rec.is_tombstone else rec.value, service)
+                        result = (None if entry[2] & 1 else value_of(entry), service)
                     elif staged is not None:
                         if staging_hits is None:
                             staging_hits = counter("staging_hits")
@@ -388,28 +388,29 @@ class HyperDB(KVStore):
         self.stats.counter("scans").add()
         busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
 
-        def nvme_stream() -> Iterator[tuple]:
+        def nvme_stream() -> Iterator[Entry]:
             tier = self.performance_tier
             idx = tier.partitions.index(tier.partition_for_key(start))
             pos = start
             for partition in tier.partitions[idx:]:
                 for key in partition.keys_in_range(pos, None):
                     try:
-                        rec, _ = partition.get(key)
+                        entry, _ = partition.get_entry(key)
                     except CorruptionError:
                         continue  # the partition dropped the slot
-                    if rec is not None:
-                        yield rec.key, rec.seqno, rec.deleted, rec
+                    if entry is not None:
+                        yield entry
                 pos = partition.key_range.hi
                 if pos is None:
                     break
 
-        # Both sides are lazy: a record is read when the merge pulls it.
-        sata_stream = keyed(self.capacity_tier.scan(start, count))
+        # Both sides are lazy entry streams: a record is read when the merge
+        # pulls it, and a value is sliced only for a row the scan returns.
+        sata_stream = self.capacity_tier.scan(start, count)
 
         out: list[tuple[bytes, bytes]] = []
-        for item in merge_records([nvme_stream(), sata_stream], drop_tombstones=True):
-            out.append((item[0], item[3].value))
+        for entry in merge_records([nvme_stream(), sata_stream], drop_tombstones=True):
+            out.append((entry[0], value_of(entry)))
             if len(out) >= count:
                 break
         service = (

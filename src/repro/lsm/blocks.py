@@ -13,9 +13,12 @@ on.  The same seal — ``payload + >I crc32`` — closes the other sealed images
 on media, NVMe index checkpoints and LSM MANIFEST snapshots:
 :func:`seal_block` writes it and :func:`verify_block` is its one verifier.
 
-Background work moves an **entry** per record, ``(key, seqno, flags, raw)``
-with ``raw`` its on-media bytes, and builds a block as a join of raws
-(:func:`seal_block`).  A :class:`Record` is built only to return a value.
+Every reader and all background work move an **entry** per record,
+``(key, seqno, flags, raw)`` with ``raw`` its on-media bytes
+(:func:`entry_at`), and a block is built as a join of raws
+(:func:`seal_block`).  A value is sliced out of an entry (:func:`value_of`)
+only where one is handed out: a scan's returned rows, a point read's hit.
+A :class:`Record` (:func:`record_of`) is built only where an API returns one.
 """
 
 from __future__ import annotations
@@ -60,16 +63,20 @@ def as_entries(items: list) -> list[Entry]:
     return items
 
 
+def value_of(entry: Entry) -> bytes:
+    """The value an entry encodes, sliced out of its raw bytes."""
+    return entry[3][RECORD_HEADER_SIZE + len(entry[0]) :]
+
+
 def record_of(entry: Entry) -> Record:
-    """The :class:`Record` an entry encodes: what a read returns and WAL
-    replay re-applies."""
-    key, seqno, flags, raw = entry
-    return Record(key, raw[RECORD_HEADER_SIZE + len(key) :], seqno, bool(flags & 1))
+    """The :class:`Record` an entry encodes: what a point read's ``get``
+    returns and WAL replay re-applies."""
+    return Record(entry[0], value_of(entry), entry[1], bool(entry[2] & 1))
 
 
 def decode_one(data: bytes, offset: int = 0) -> Record:
-    """Decode the one record starting at ``offset`` — what a read that
-    returns a value goes through (NVMe slot reads, semi-SSTable gets)."""
+    """Decode the one record starting at ``offset``: a classic SSTable's
+    point-read hit (:func:`find_record`) and range cursor."""
     return record_of(entry_at(data, offset))
 
 

@@ -20,7 +20,8 @@ def merge_records(
 ) -> Iterator[tuple]:
     """Merge sorted streams of ``(key, seqno, flags, payload)`` items into
     one deduplicated sorted stream; only the first three fields are read
-    (compaction's payload is the record's bytes, a scan's its Record).
+    (the payload is the record's bytes in compaction and HyperDB's scan,
+    and a :class:`Record` in the LSM's and PrismDB's scans, :func:`keyed`).
 
     Earlier streams take precedence on seqno ties (pass newest first).
     ``drop_tombstones`` elides deletion markers (``flags & 1``) — only valid

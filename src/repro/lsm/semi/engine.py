@@ -7,6 +7,8 @@ and preemptive block compaction keeps levels within target.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -111,15 +113,16 @@ class CapacityTier:
         start: bytes,
         count: int,
         kind: TrafficKind = TrafficKind.FOREGROUND,
-    ) -> Iterator[Record]:
-        """A lazy cursor over the live records >= ``start``, in key order.
+    ) -> Iterator[Entry]:
+        """A lazy cursor over the live entries >= ``start``, in key order.
 
         Index-directed sequential point queries (§4.2): the candidate keys
         come from the tables' index blocks (kept on NVMe, no data-tier
-        I/O); a record's one block read happens when the consumer asks for
-        that record, so a scan is charged for what it pulls.  Blocks being
-        unordered between themselves is why HyperDB gains nothing on
-        YCSB-E relative to a strictly sorted LSM.
+        I/O) and go in runs to their tables' readers
+        (:meth:`SemiSSTable.entries`); a record's one block lookup happens
+        when the consumer asks for that record, so a scan is charged for
+        what it pulls.  Blocks being unordered between themselves is why
+        HyperDB gains nothing on YCSB-E relative to a strictly sorted LSM.
 
         ``count`` sizes a round: each level lists at most ``count + 16``
         candidates (slack for tombstones).  A level that hit the limit has
@@ -147,13 +150,13 @@ class CapacityTier:
                             bound = keys[-1]
                         break
             keys = sorted(owner)
+            if bound is not None:
+                del keys[bisect_right(keys, bound) :]
             start = None if bound is None else bound + b"\x00"
-            for key in keys:
-                if bound is not None and key > bound:
-                    break
-                rec, _ = owner[key].get_indexed(key, kind, self.cache)
-                if not rec.is_tombstone:
-                    yield rec
+            for table, run in groupby(keys, owner.__getitem__):
+                for entry in table.entries(run, kind, self.cache):
+                    if not entry[2] & 1:
+                        yield entry
 
     # --------------------------------------------------------- accounting
 

@@ -26,13 +26,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange, ranges_overlap
 from repro.common.records import Record
 from repro.lsm.blocks import (
-    Entry, as_entries, decode_one, entry_at, seal_block, verify_block,
+    Entry, as_entries, entry_at, record_of, seal_block, verify_block,
 )
 from repro.simssd.fs import SimFile, SimFilesystem
 from repro.simssd.traffic import TrafficKind
@@ -203,25 +203,49 @@ class SemiSSTable:
     def get(
         self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND, cache=None
     ) -> tuple[Optional[Record], float]:
-        """Point lookup.  Returns ``(record_or_none, service_time)``."""
+        """Point lookup: :meth:`entries` of one key.  Returns
+        ``(record_or_none, service_time)``."""
         if key not in self._key_map:
             return None, 0.0
-        return self.get_indexed(key, kind, cache)
+        spent: list[float] = []
+        entry = next(self.entries((key,), kind, cache, spent))
+        return record_of(entry), sum(spent, 0.0)
 
     def block_of(self, key: bytes) -> SemiBlock:
         """The block holding the valid copy of a key the index lists."""
         return self._blocks_by_id[self._key_map[key][0]]
 
-    def get_indexed(self, key: bytes, kind: TrafficKind, cache=None) -> tuple[Record, float]:
-        """:meth:`get` for a key just read out of this table's own index
-        (a scan candidate): one block read, one record decoded and its key
-        compared with the index's."""
-        block_id, _, _, offset = self._key_map[key]
-        payload, service = self._read_block(self._blocks_by_id[block_id], kind, cache)
-        rec = decode_one(payload, offset)
-        if rec.key != key:
-            raise self._misindexed(key)
-        return rec, service
+    def entries(
+        self,
+        keys: Iterable[bytes],
+        kind: TrafficKind,
+        cache=None,
+        spent: Optional[list[float]] = None,
+    ) -> Iterator[Entry]:
+        """The entry of each of ``keys`` (keys this table's index lists),
+        lazily: the table's one record reader.  A key pulled costs one block
+        lookup (a ``cache.get``; a miss reads and verifies the block, its
+        service time appended to ``spent``), then the entry is sliced at the
+        indexed offset and its key compared with the index's."""
+        key_map, blocks_by_id = self._key_map, self._blocks_by_id
+        name, generation = self.file.name, self._generation
+        block_id = block = cache_key = None
+        for key in keys:
+            bid, _, _, offset = key_map[key]
+            if bid != block_id:
+                block_id, block = bid, blocks_by_id[bid]
+                # The key :meth:`_read_block` caches the block under, built
+                # once per run of keys in one block.
+                cache_key = ("semiblk", name, generation, block.offset)
+            payload = None if cache is None else cache.get(cache_key)
+            if payload is None:
+                payload, service = self._load_block(block, kind, cache, cache_key)
+                if spent is not None:
+                    spent.append(service)
+            entry = entry_at(payload, offset)
+            if entry[0] != key:
+                raise self._misindexed(key)
+            yield entry
 
     def _misindexed(self, key: bytes) -> ReproError:
         block_id = self._key_map[key][0]
@@ -230,13 +254,21 @@ class SemiSSTable:
     def _read_block(
         self, block: SemiBlock, kind: TrafficKind, cache=None
     ) -> tuple[bytes, float]:
-        """The block's payload (checksum stripped).  The CRC is verified on
-        every media read; a cached payload was verified when it was read."""
-        cache_key = ("semiblk", self.file.name, self._generation, block.offset)
+        """The block's payload (checksum stripped): a cache lookup, then on
+        a miss :meth:`_load_block`."""
+        cache_key = None
         if cache is not None:
+            cache_key = ("semiblk", self.file.name, self._generation, block.offset)
             cached = cache.get(cache_key)
             if cached is not None:
                 return cached, 0.0
+        return self._load_block(block, kind, cache, cache_key)
+
+    def _load_block(
+        self, block: SemiBlock, kind: TrafficKind, cache, cache_key
+    ) -> tuple[bytes, float]:
+        """Read the block from media and verify its CRC (a cached payload was
+        verified when it was read), then cache it under ``cache_key``."""
         raw, service = self.file.read(block.offset, block.length, kind)
         payload = verify_block(raw)
         if cache is not None:

@@ -20,7 +20,7 @@ from repro.common.errors import CorruptionError, OutOfSpaceError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
 from repro.hotness.tracker import HotnessTracker
-from repro.lsm.blocks import Entry, entry_at
+from repro.lsm.blocks import Entry, entry_at, record_of
 from repro.nvme.config import (
     SLOT_CLASSES,
     TRACKER_HOT_THRESHOLD,
@@ -255,12 +255,13 @@ class Partition(SlotTable):
 
     # --------------------------------------------------------------- reads
 
-    def get(
+    def get_entry(
         self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND
-    ) -> tuple[Optional[Record], float]:
-        """Point lookup.  Returns ``(record_or_none, service_time)``; a slot
-        that fails its check is dropped (:meth:`drop_corrupt_slot`), then
-        its :class:`CorruptionError` propagates."""
+    ) -> tuple[Optional[Entry], float]:
+        """Point lookup, the partition's one read: ``(entry_or_none,
+        service_time)``.  A slot that fails its check is dropped
+        (:meth:`drop_corrupt_slot`), then its :class:`CorruptionError`
+        propagates."""
         self._record_access(key)
         loc: Optional[SlotLocation] = self.index.get(key)
         if loc is None:
@@ -271,6 +272,13 @@ class Partition(SlotTable):
         except CorruptionError:
             self.drop_corrupt_slot(zone, key, loc)
             raise
+
+    def get(
+        self, key: bytes, kind: TrafficKind = TrafficKind.FOREGROUND
+    ) -> tuple[Optional[Record], float]:
+        """:meth:`get_entry` as ``(record_or_none, service_time)``."""
+        entry, service = self.get_entry(key, kind)
+        return (None if entry is None else record_of(entry)), service
 
     def contains(self, key: bytes) -> bool:
         return key in self.index

@@ -30,7 +30,7 @@ from repro.common.btree import BTreeIndex
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
-from repro.lsm.blocks import decode_one, encode_record
+from repro.lsm.blocks import Entry, encode_record, entry_at
 from repro.nvme.config import slot_class_for
 from repro.nvme.pagestore import PageStore
 from repro.simssd.traffic import TrafficKind
@@ -270,16 +270,16 @@ class Zone:
         loc: SlotLocation,
         kind: TrafficKind = TrafficKind.FOREGROUND,
         cache=None,
-    ) -> tuple[Record, float]:
-        """Read one object's page and decode the record in its slot, which
+    ) -> tuple[Entry, float]:
+        """Read one object's page and return the entry in its slot, which
         passes :meth:`verified_slot` first: latent media corruption surfaces
         as :class:`CorruptionError` instead of a silently wrong record."""
         npages = -(-loc.slot_size // self.page_store.page_size)
         data, service = self.page_store.read(loc.page_id, kind, cache, npages=npages)
         raw = data[loc.offset : loc.offset + loc.record_size]
-        rec = decode_one(self.verified_slot(loc, raw))
+        entry = entry_at(self.verified_slot(loc, raw))
         self.read_ios += 1
-        return rec, service
+        return entry, service
 
     def verified_slot(self, loc: SlotLocation, raw: Optional[bytes] = None) -> bytes:
         """``loc``'s slot bytes ``raw`` (peeked when a bulk read paid for the

@@ -175,10 +175,14 @@ def test_semi_tables_hold_the_bytes_records_would(batches, block_size):
 # ------------------------------------------------- no codec in the chain
 
 
-def count_codec(monkeypatch) -> Counter:
-    """Count every call of the record codec from any ``repro`` module."""
+CODEC = ("encode_record", "decode_one", "record_of")
+
+
+def count_codec(monkeypatch, names=CODEC) -> Counter:
+    """Count every call of the record codec (the :mod:`repro.lsm.blocks`
+    functions ``names``) from any ``repro`` module."""
     calls = Counter()
-    for name in ("encode_record", "decode_one", "record_of"):
+    for name in names:
         original = getattr(blocks, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):

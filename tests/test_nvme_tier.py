@@ -7,7 +7,7 @@ from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
 from repro.common.cache import LRUCache
 from repro.nvme import NVMeConfig, PageStore, PerformanceTier
-from repro.lsm.blocks import encode_record
+from repro.lsm.blocks import encode_record, value_of
 from repro.nvme.config import slot_class_for
 from repro.nvme.zone import SlotTable
 from repro.simssd import DeviceProfile, SimDevice, TrafficKind
@@ -128,7 +128,7 @@ class TestZone:
         loc = slot_put(t, rec(5))
         assert loc.slot_size == 128
         out, _ = z.read_object(loc)
-        assert out.key == encode_key(5) and out.value == b"v" * 100
+        assert out[0] == encode_key(5) and value_of(out) == b"v" * 100
 
     def test_slot_packing(self):
         ps = PageStore(make_device(4))
@@ -186,7 +186,7 @@ class TestZone:
         loc2 = slot_put(t, rec(1, b"new-value", seqno=99))
         assert (loc2.page_id, loc2.slot_index) == (loc.page_id, loc.slot_index)
         out, _ = z.read_object(loc2)
-        assert out.value == b"new-value"
+        assert value_of(out) == b"new-value" and out[1] == 99
         assert z.num_pages == 1
 
     def test_in_place_update_too_big_rejected(self):
@@ -210,7 +210,7 @@ class TestZone:
         assert loc.slot_size == big.encoded_size
         assert z.total_pages() == 2
         out, _ = z.read_object(loc)
-        assert out.value == b"x" * 5000
+        assert value_of(out) == b"x" * 5000
         z.remove_object(encode_key(1), loc)
         assert dev.allocated_pages == 0
 

@@ -17,6 +17,7 @@ from repro.bench import BenchScale, STORE_NAMES, build_store
 from repro.common.cache import LRUCache
 from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
+from repro.lsm.blocks import value_of
 from repro.lsm.semi import CapacityTier, SemiLevelConfig, SemiSSTable
 from repro.simssd import SATA_PROFILE, SimDevice, SimFilesystem, TrafficKind
 
@@ -150,7 +151,7 @@ class TestCapacityScanTruncation:
             if rec is not None and not rec.is_tombstone:
                 live.append(rec.key)
         got = islice(cap.scan(encode_key(1000), 50), 50)
-        assert [r.key for r in got] == live[:50]
+        assert [e[0] for e in got] == live[:50]
 
     def test_not_short_after_a_tombstone_run(self):
         m = ModelledStore.dense("hyperdb", loaded=0)
@@ -161,7 +162,7 @@ class TestCapacityScanTruncation:
         )
         want = [encode_key(i) for i in (*range(990, 1000), *range(1100, 1140))]
         got = islice(cap.scan(encode_key(990), 50), 50)
-        assert [r.key for r in got] == want
+        assert [e[0] for e in got] == want
         pairs, _ = db.scan(encode_key(990), 50)
         assert [k for k, _ in pairs] == want
 
@@ -196,11 +197,11 @@ class TestCapacityCursor:
         assert all(tier.levels.level_valid_bytes(n) > 0 for n in (1, 2, 3))
         got = list(islice(tier.scan(encode_key(start), count), count))
         want = sorted(k for k in model if k >= encode_key(start))[:count]
-        assert [r.key for r in got] == want
-        assert [(r.value, r.seqno) for r in got] == [model[k] for k in want]
-        for rec in got:
-            looked_up, _ = tier.get(rec.key)
-            assert (looked_up.value, looked_up.seqno) == (rec.value, rec.seqno)
+        assert [e[0] for e in got] == want
+        assert [(value_of(e), e[1]) for e in got] == [model[k] for k in want]
+        for e in got:
+            looked_up, _ = tier.get(e[0])
+            assert (looked_up.value, looked_up.seqno) == (value_of(e), e[1])
 
 
 @pytest.mark.parametrize("name", STORE_NAMES)
@@ -271,18 +272,27 @@ class TestScanReadsWhatItReturns:
         db = self.capacity_resident_store()
         n = self.N
         lookups = []
-        inner = SemiSSTable.get_indexed
+        inner = SemiSSTable.entries
 
-        def counted(table, key, kind, cache=None):
-            lookups.append((table, key))
-            return inner(table, key, kind, cache)
+        def counted(table, keys, kind, cache=None, spent=None):
+            # The reader pulls a key just before that key's block lookup.
+            def pulled():
+                for key in keys:
+                    lookups.append((table, key))
+                    yield key
 
-        monkeypatch.setattr(SemiSSTable, "get_indexed", counted)
+            return inner(table, pulled(), kind, cache, spent)
+
+        monkeypatch.setattr(SemiSSTable, "entries", counted)
+        cache = db.capacity_tier.cache
+        cache_gets = cache.hits + cache.misses
         traffic = db.sata_device.traffic
         reads_before = traffic.read_ios(TrafficKind.FOREGROUND)
         pairs, _ = db.scan(encode_key(1000), n)
         assert [k for k, _ in pairs] == [encode_key(i) for i in range(1000, 1000 + n)]
         assert [k for _, k in lookups] == [encode_key(i) for i in range(1000, 1000 + n + 1)]
+        # One block lookup per key pulled, and only those.
+        assert cache.hits + cache.misses - cache_gets == n + 1
         # Cold cache: every distinct block of those keys is read once, a
         # non-sequential read being one command per page it spans.
         pages = {}

@@ -187,7 +187,7 @@ class TestCapacityTier:
         tier.ingest(recs(range(200)))
         tier.ingest([Record.tombstone(encode_key(50), 10**6)])
         out = list(islice(tier.scan(encode_key(40), 20), 20))
-        keys = [r.key for r in out]
+        keys = [e[0] for e in out]
         assert keys == sorted(keys)
         assert encode_key(50) not in keys
         assert len(out) == 20

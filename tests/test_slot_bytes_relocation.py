@@ -14,13 +14,13 @@ from collections import Counter
 
 import pytest
 
-import repro.nvme.zone as zone_mod
 from repro.common.cache import LRUCache
 from repro.common.errors import ReproError
 from repro.common.keys import KeyRange, decode_key, encode_key
 from repro.common.records import Record
 from repro.nvme import NVMeConfig, PerformanceTier
 from repro.nvme.partition import Partition
+from tests.test_entry_pipeline import CODEC, count_codec
 from tests.test_zone_relocation import (
     KEYSPACE,
     MIGRATION,
@@ -45,18 +45,15 @@ def slot_state(part, keys):
 
 
 def count_codec_calls(monkeypatch):
-    calls = Counter()
+    """Count the record codec, the entry parser and every CRC32."""
+    calls = count_codec(monkeypatch, CODEC + ("entry_at",))
+    crc32 = zlib.crc32
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted_crc(*args, **kwargs):
+        calls["crc"] += 1
+        return crc32(*args, **kwargs)
 
-        return wrapped
-
-    monkeypatch.setattr(zone_mod, "encode_record", counting("encode", zone_mod.encode_record))
-    monkeypatch.setattr(zone_mod, "decode_one", counting("decode", zone_mod.decode_one))
-    monkeypatch.setattr(zlib, "crc32", counting("crc", zlib.crc32))
+    monkeypatch.setattr(zlib, "crc32", counted_crc)
     return calls
 
 
@@ -103,7 +100,10 @@ def test_split_relocates_slot_bytes_without_the_codec(monkeypatch):
 def test_parks_and_eviction_relocate_slot_bytes(monkeypatch):
     device, part, zone, hot = _collect_setup(monkeypatch)
     before = slot_state(part, hot)
-    part.collect_zone(zone, RecordingIngest(), MIGRATION)
+    calls = count_codec_calls(monkeypatch)
+    demoted, _ = part.collect_zone(zone, RecordingIngest(), MIGRATION)
+    # One check per object; only the demoted ones are sliced into entries.
+    assert calls == Counter(crc=len(demoted) + len(hot), entry_at=len(demoted))
     after = slot_state(part, hot)
     for key in hot:
         assert after[key][0].zone_id == part.hot_zone.zone_id
