@@ -128,7 +128,7 @@ class _SlabStore(SlotTable):
         return out, service, len(pages)
 
     def keys(self):
-        return (k for k, _ in self.index.items())
+        return self.index.keys()
 
 
 class PrismDBStore(KVStore):
@@ -284,7 +284,7 @@ class PrismDBStore(KVStore):
         busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
 
         def slab_stream():
-            for key, _ in self.slabs.index.items(start=start):
+            for key in self.slabs.index.keys(start):
                 rec, _s = self.slabs.get(key)
                 if rec is not None:
                     yield rec

@@ -1,6 +1,6 @@
 """Index checkpointing for the NVMe tier (paper §3.1).
 
-The partition's B-tree index is an in-memory structure; the paper keeps "a
+The partition's index is an in-memory structure; the paper keeps "a
 backup of the index and metadata" on NVMe so a restart doesn't need to scan
 the data pages.  A checkpoint serializes every index entry — key, slot
 location, sizes, seqno, promotion flag and the slot's CRC32 — plus the zone

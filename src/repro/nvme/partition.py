@@ -1,7 +1,7 @@
 """A shared-nothing partition of the NVMe tier (paper §3.1, §3.6).
 
 Each partition owns a contiguous slice of the key space, its own slot table
-(:class:`repro.nvme.zone.SlotTable`: the B-tree index over its zones, plus
+(:class:`repro.nvme.zone.SlotTable`: the key index over its zones, plus
 one hot zone), its own hotness tracker, and a page budget (its share of
 the device).  Partitions never touch each other's state, so the design
 scales without lock contention — here that translates to per-partition

@@ -325,11 +325,13 @@ class SlotTable:
     """An index of :class:`SlotLocation` s over zones of slotted pages: a
     HyperDB partition, or PrismDB's slab store.
 
-    It owns the B-tree index, every live zone by id, the page store, the
-    DRAM cache and the page counter each zone mirrors its pages into, and
-    every change to them: a put (:meth:`write`), a relocation's
-    :meth:`commit` or :meth:`unstage`, a :meth:`drop` and a recovered
-    zone's :meth:`reseat`.  A subclass places fresh slots: its
+    It owns the index (:class:`BTreeIndex`), every live zone by id, the
+    page store, the DRAM cache and the page counter each zone mirrors its
+    pages into, and every change to them: a put (:meth:`write`), a
+    relocation's :meth:`commit` or :meth:`unstage`, a :meth:`drop` and a
+    recovered zone's :meth:`reseat`.  Only a fresh key goes through
+    ``index.insert`` and only a dropped one through ``index.delete``;
+    every other change replaces a present key's location.  A subclass places fresh slots: its
     ``_fresh_zone(key, slot_size, promoted)`` names the zone that takes
     ``key``'s fresh ``slot_size`` slot.
     """
@@ -392,7 +394,7 @@ class SlotTable:
             new = zone.stage(batch, key, payload, seqno, crc, promoted, 0, old)
             service = self.page_store.write_spans(batch, kind, self.cache)
             zone.used_bytes += new.record_size - old.record_size
-            index.insert(key, new)
+            index[key] = new
             return service, None
         if old is not None:
             marker = encode_record(Record.tombstone(b"", old.seqno))
@@ -409,7 +411,10 @@ class SlotTable:
             self.zone_of(old.zone_id).remove_object(key, old)
         zone.keys[key] = None
         zone.used_bytes += new.record_size
-        index.insert(key, new)
+        if old is None:
+            index.insert(key, new)
+        else:
+            index[key] = new
         return service, zone
 
     def commit(
@@ -436,7 +441,7 @@ class SlotTable:
                 zone = zones[new.zone_id]
                 zone.keys[key] = None
                 zone.used_bytes += new.record_size
-                index.insert(key, new)
+                index[key] = new  # a relocation: the key is indexed
         if vacated is not None:
             vacated.release_all()
         return service

@@ -1,5 +1,7 @@
 """Unit and property tests for the B-tree index."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,10 +69,10 @@ class TestBTreeBasics:
 
     def test_first_key(self):
         bt = BTreeIndex()
-        assert bt.first_key() is None
+        assert next(bt.keys(), None) is None
         bt.insert(encode_key(9), 9)
         bt.insert(encode_key(3), 3)
-        assert bt.first_key() == encode_key(3)
+        assert next(bt.keys(), None) == encode_key(3)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -163,3 +165,92 @@ class TestKeyCursor:
         # of the cursor is still seen when the walk gets there.
         bt.insert(encode_key(5000), 5000)
         assert list(cursor)[-1] == encode_key(5000)
+
+
+def take(cursor, want):
+    """At most one more item than ``want`` holds: a cursor that never ends
+    fails the comparison instead of hanging it."""
+    return list(islice(cursor, len(want) + 1))
+
+
+OPS = st.sampled_from(["insert", "assign", "delete", "keys", "items", "walk"])
+
+
+class TestAgainstDictModel:
+    """The index against a plain ``dict``: writes interleaved with ordered
+    reads, the ordered view first built at a random step."""
+
+    @given(
+        st.lists(st.tuples(OPS, st.integers(0, 100), st.integers(0, 100)), min_size=40, max_size=200),
+        st.integers(0, 100),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_model(self, ops, build_at):
+        bt, model = BTreeIndex(order=4), {}
+        for step, (op, a, b) in enumerate(ops):
+            if step == build_at:
+                assert take(bt.keys(), model) == sorted(model)
+            key = encode_key(a)
+            if op == "insert":
+                assert bt.insert(key, step) == (key not in model)
+                model[key] = step
+            elif op == "assign" and key in model:
+                bt[key] = model[key] = step
+            elif op == "delete":
+                assert bt.delete(key) == (key in model)
+                model.pop(key, None)
+            elif op in ("keys", "items") and step >= build_at:
+                lo, hi = encode_key(min(a, b)), encode_key(max(a, b))
+                want = sorted(k for k in model if lo <= k < hi)
+                if op == "keys":
+                    assert take(bt.keys(lo, hi), want) == want
+                else:
+                    assert take(bt.items(lo, hi), want) == [(k, model[k]) for k in want]
+            elif op == "walk" and step >= build_at:
+                # Each walk's far key is past every key before it.
+                self._walk(bt, model, key, encode_key(1000 + step), step)
+            assert len(bt) == len(model) and bt.get(key) == model.get(key)
+        assert take(bt.items(), model) == sorted(model.items())
+        assert dict(bt) == model
+
+    @staticmethod
+    def _walk(bt, model, start, far, step):
+        """A cursor that deletes every other key it yields and, after its
+        first, inserts ``far`` ahead of every other key."""
+        want = sorted(k for k in model if k >= start)
+        if want:
+            want = sorted(set(want) | {far})
+        got = []
+        for n, key in enumerate(islice(bt.keys(start), len(want) + 1)):
+            got.append(key)
+            if n == 0:
+                bt.insert(far, step)
+                model[far] = step
+            if n % 2 == 0:
+                bt.delete(key)
+                del model[key]
+        assert got == want
+
+    def test_leaf_emptied_by_deletes(self):
+        bt = BTreeIndex(order=4)
+        for kid in range(40):
+            bt.insert(encode_key(kid), kid)
+        assert len(list(bt.keys())) == 40  # the view is built
+        for kid in range(8, 24):
+            assert bt.delete(encode_key(kid))
+        expect = [encode_key(k) for k in (*range(8), *range(24, 40))]
+        assert list(bt.keys()) == expect
+        assert list(bt.keys(encode_key(10), encode_key(30))) == expect[8:14]
+        bt.insert(encode_key(15), 15)
+        assert list(bt.keys(encode_key(9))) == [encode_key(15)] + expect[8:]
+
+    def test_insert_below_the_first_key(self):
+        bt = BTreeIndex(order=4)
+        for kid in range(100, 140):
+            bt.insert(encode_key(kid), kid)
+        assert next(bt.keys()) == encode_key(100)
+        for kid in (50, 3, 7, 1, 60):
+            bt.insert(encode_key(kid), kid)
+        assert list(bt.keys(end=encode_key(100))) == [encode_key(k) for k in (1, 3, 7, 50, 60)]
+        assert next(bt.keys(encode_key(2))) == encode_key(3)
+        assert [k for k, _ in bt.items()] == sorted(bt)

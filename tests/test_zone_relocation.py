@@ -246,6 +246,34 @@ def test_park_budget_counts_pages_the_collection_vacated(monkeypatch):
     assert seen == sorted(seen) and seen[-1] > 0
 
 
+def test_only_ordered_reads_sort_the_index(monkeypatch):
+    # The index builds its ordered view on the first scan: a load with
+    # zone splits and a demotion never sorts it, and once built the view
+    # takes an insert without sorting again.
+    from repro.common import btree
+
+    calls = []
+
+    def counting_sorted(keys):
+        calls.append(len(keys))
+        return sorted(keys)
+
+    monkeypatch.setattr(btree, "sorted", counting_sorted, raising=False)
+    device = make_device()
+    part = make_partition(device, migration_batch_bytes=8 << 10)
+    for i in range(0, KEYSPACE, 97):
+        part.put(rec(i))
+    assert len(part.zones()) > 2
+    batch, _ = part.collect_zone(part.zones()[0], RecordingIngest(), MIGRATION)
+    assert batch and calls == []
+    lo = encode_key(KEYSPACE // 2)
+    scanned = list(part.keys_in_range(lo, None))
+    assert calls == [part.object_count()]
+    part.put(rec(KEYSPACE // 2 + 1))
+    assert list(part.keys_in_range(lo, None)) == sorted(scanned + [encode_key(KEYSPACE // 2 + 1)])
+    assert len(calls) == 1
+
+
 # -------------------------------------------------------- hot-zone eviction
 
 
