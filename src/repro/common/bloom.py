@@ -16,6 +16,10 @@ Each key is hashed once per engine: the engine owns a :class:`KeyHashes`
 memo and hands it to every filter it builds or probes.  Without one, a
 filter hashes the keys it is given.  The module keeps no state of its own,
 so two engines built in one process hash exactly the same number of times.
+A key is looked up in the memo only where no row is at hand: a classic
+SSTable keeps its keys' rows, and a compaction places its outputs' blooms
+from its inputs' rows (:meth:`KeyHashes.pairs`) instead of looking each
+surviving key up again.
 
 The bit array is a ``bytearray``: scalar probes index it with plain-int
 arithmetic (much cheaper than numpy scalar indexing on this path), while
@@ -51,7 +55,9 @@ class KeyHashes(dict):
     Uncapped: it holds one row per distinct key the engine has filtered or
     tracked, and lives exactly as long as the engine that owns it.  Rows
     rather than one ``bytes`` object per digest keep it at about 100 bytes
-    a key: a row number and 16 bytes of one shared column.
+    a key: a row number and 16 bytes of one shared column.  A row stays
+    valid for the memo's lifetime, so a holder of rows (an SSTable, for
+    its keys) reads its pairs through :meth:`pairs` with no lookup.
     """
 
     __slots__ = ("digests",)

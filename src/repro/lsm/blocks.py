@@ -158,15 +158,18 @@ def verify_block(block: bytes, what: str = "block") -> bytes:
     return payload
 
 
-def payload_entries(payload: bytes) -> list[Entry]:
+def payload_entries(payload: bytes, rows: Optional[list[int]] = None) -> list[tuple]:
     """Every record of a block payload as an entry — the one whole-payload
-    walk; a truncated header or body raises before anything is returned."""
-    entries: list[Entry] = []
+    walk; a truncated header or body raises before anything is returned.
+    With ``rows``, one per record, each entry carries its row as a fifth
+    field (a classic SSTable's digest rows)."""
+    entries: list[tuple] = []
     append = entries.append
     unpack_from = _HEADER.unpack_from
     hsize = _HEADER.size
     pos = 0
     end = len(payload)
+    i = 0
     while pos < end:
         if pos + hsize > end:
             raise CorruptionError(f"truncated record header at offset {pos}")
@@ -175,7 +178,13 @@ def payload_entries(payload: bytes) -> list[Entry]:
         stop = body + klen + vlen
         if stop > end:
             raise CorruptionError(f"truncated record body at offset {body}")
-        append((payload[body : body + klen], seqno, flags, payload[pos:stop]))
+        key = payload[body : body + klen]
+        raw = payload[pos:stop]
+        append(
+            (key, seqno, flags, raw) if rows is None
+            else (key, seqno, flags, raw, rows[i])
+        )
+        i += 1
         pos = stop
     return entries
 

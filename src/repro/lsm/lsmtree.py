@@ -431,8 +431,7 @@ class LSMTree:
                 self.options.block_size, write_kind=kind,
                 key_hashes=self.key_hashes,
             )
-            for entry in entries:
-                builder.add(entry)
+            builder.extend(entries)
             self.version.add_table(0, builder.finish())
         else:
             self._merge_into_sorted_level(first, entries, kind)

@@ -9,17 +9,23 @@ An :class:`SSTable` is an immutable, fully sorted run of records:
 The index and bloom are kept in memory (the paper stores a backup of them on
 NVMe; either way lookups don't pay data-tier I/O for them) but their bytes
 are appended to the table file so space accounting is honest.
+
+A table also keeps its keys' rows in the tree's digest memo (host-side
+only), which a compaction hands on to its outputs' blooms.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional
+
+import numpy as np
 
 from repro.common.bloom import BloomFilter, KeyHashes
 from repro.common.cache import LRUCache
-from repro.common.errors import ReproError
+from repro.common.errors import PowerLossError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
 from repro.lsm.blocks import (
@@ -56,6 +62,7 @@ class SSTable:
         handles: list[BlockHandle],
         bloom: BloomFilter,
         num_records: int,
+        rows: Optional[np.ndarray] = None,
     ) -> None:
         if not handles:
             raise ReproError("an SSTable must contain at least one block")
@@ -64,6 +71,10 @@ class SSTable:
         self.handles = handles
         self.bloom = bloom
         self.num_records = num_records
+        #: Each key's row in the memo the table was built through, in key
+        #: order; ``None`` for a table built without one or rebuilt from a
+        #: manifest.
+        self.rows = rows
         # Tables are immutable: the per-block first keys are cached once so
         # point lookups don't rebuild the list on every get.
         self._firsts = [h.first_key for h in handles]
@@ -139,11 +150,20 @@ class SSTable:
 
     def iter_entries(
         self, kind: TrafficKind = TrafficKind.COMPACTION
-    ) -> Iterator[Entry]:
+    ) -> Iterator[tuple]:
         """Every record as an entry, one pass of read I/O (uncached:
-        compaction reads its inputs once); blocks are sliced, not decoded."""
+        compaction reads its inputs once); blocks are sliced, not decoded.
+        A table with :attr:`rows` hands each entry its row as a fifth
+        field, which a merge passes through to the table writer."""
+        rows = None if self.rows is None else self.rows.tolist()
+        start = 0
         for handle in self.handles:
-            yield from payload_entries(self._load_block(handle, kind, None)[0])
+            stop = start + handle.num_records
+            yield from payload_entries(
+                self._load_block(handle, kind, None)[0],
+                None if rows is None else rows[start:stop],
+            )
+            start = stop
 
     def iter_from(
         self,
@@ -169,7 +189,13 @@ class SSTable:
 
 class SSTableBuilder:
     """Streams sorted entries into a new table file: blocks are buffered,
-    so the page two blocks share is written once, at :meth:`finish`."""
+    so the page two blocks share is written once, at :meth:`finish`.
+
+    Each key's memo row comes with its entry when the entry has one (a
+    fifth field, :meth:`SSTable.iter_entries`) and is looked up otherwise.
+    Without ``key_hashes`` the builder hashes through a memo of its own,
+    takes no row from an entry, and the table keeps none.
+    """
 
     def __init__(
         self,
@@ -185,49 +211,70 @@ class SSTableBuilder:
         self._block_size = block_size
         self._write_kind = write_kind
         self._bits_per_key = bits_per_key
-        self._key_hashes = key_hashes
+        self._key_hashes = KeyHashes() if key_hashes is None else key_hashes
+        self._keep_rows = key_hashes is not None
         self._file = fs.create(f"sst_{table_id:08d}")
         self._pending: list[bytes] = []  # the open block's record bytes
         self._blocks = bytearray()  # sealed, not yet written
         self._handles: list[BlockHandle] = []
         self._keys: list[bytes] = []
+        self._rows: list[int] = []  # each key's memo row
         self._last_key: Optional[bytes] = None
         self._finished = False
         #: Encoded bytes added so far: sealed blocks plus the open one.
         self.estimated_size = 0
 
-    def add(self, entry: Entry) -> None:
-        """Append an entry; keys must arrive in strictly increasing order."""
+    def extend(self, entries: Iterable[tuple], limit: Optional[int] = None) -> None:
+        """Append entries, keys strictly increasing.  With ``limit``, stop
+        after the entry that brings :attr:`estimated_size` to ``limit``,
+        leaving the rest of ``entries`` unread."""
         if self._finished:
             raise ReproError("builder already finished")
-        key = entry[0]
-        if self._last_key is not None and key <= self._last_key:
-            raise ReproError(
-                f"records out of order: {key!r} after {self._last_key!r}"
-            )
-        self._last_key = key
-        self._pending.append(entry[3])
-        self.estimated_size += len(entry[3])
-        self._keys.append(key)
-        if self.estimated_size - len(self._blocks) >= self._block_size:
-            self._flush_block()
+        keys, rows, pending = self._keys, self._rows, self._pending
+        memo = self._key_hashes
+        keep_rows = self._keep_rows
+        block_size = self._block_size
+        last = self._last_key
+        size = self.estimated_size
+        sealed = len(self._blocks)
+        try:
+            for entry in entries:
+                key = entry[0]
+                if last is not None and key <= last:
+                    raise ReproError(f"records out of order: {key!r} after {last!r}")
+                last = key
+                keys.append(key)
+                rows.append(entry[4] if keep_rows and len(entry) > 4 else memo[key])
+                raw = entry[3]
+                pending.append(raw)
+                size += len(raw)
+                if size - sealed >= block_size:
+                    self._last_key = last
+                    self._flush_block()
+                    size = sealed = len(self._blocks)
+                if limit is not None and size >= limit:
+                    break
+        finally:
+            self._last_key = last
+            self.estimated_size = size
 
     def _flush_block(self) -> None:
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return
-        block = seal_block(b"".join(self._pending))
+        block = seal_block(b"".join(pending))
         self._handles.append(
             BlockHandle(
-                first_key=self._keys[-len(self._pending)],
+                first_key=self._keys[-len(pending)],
                 last_key=self._last_key,
                 offset=len(self._blocks),
                 length=len(block),
-                num_records=len(self._pending),
+                num_records=len(pending),
             )
         )
         self._blocks += block
         self.estimated_size = len(self._blocks)
-        self._pending = []
+        pending.clear()
 
     def finish(self) -> SSTable:
         """Write the data blocks, metadata and index in one append; return
@@ -236,19 +283,24 @@ class SSTableBuilder:
             raise ReproError("builder already finished")
         self._flush_block()
         if not self._handles:
+            self._finished = True
             self._fs.delete(self._file.name)
             raise ReproError("cannot finish an empty SSTable")
-        self._finished = True
-        bloom = BloomFilter.for_keys(
-            self._keys, self._bits_per_key, self._key_hashes
-        )
+        rows = np.array(self._rows, np.intp)
+        bloom = BloomFilter(len(rows), self._bits_per_key)
+        bloom.add_pairs(self._key_hashes.pairs(rows))
         meta_size = bloom.size_bytes + sum(h.index_entry_size() for h in self._handles)
         self._blocks += bytes(meta_size)
         self._file.append(self._blocks, self._write_kind)
-        return SSTable(self._table_id, self._file, self._handles, bloom, len(self._keys))
+        self._finished = True
+        return SSTable(
+            self._table_id, self._file, self._handles, bloom, len(self._keys),
+            rows if self._keep_rows else None,
+        )
 
     def abandon(self) -> None:
-        """Discard the partially built table and free its space."""
+        """Discard the partially built table, or one whose :meth:`finish`
+        failed, and free its space."""
         if not self._finished:
             self._fs.delete(self._file.name)
             self._finished = True
@@ -265,18 +317,29 @@ def build_tables(
 ) -> list[SSTable]:
     """Roll a sorted entry stream into tables of about ``table_size_bytes``
     (a merge's outputs).  A table id is drawn when a table's first entry
-    arrives, so an empty stream draws none and builds nothing."""
+    arrives, so an empty stream draws none and builds nothing.
+
+    When the stream or a write fails (an input block fails its CRC, say),
+    the open table is abandoned and the finished ones deleted before the
+    error propagates: the caller installs none of them.  A power loss
+    runs no clean-up; reopening the tree collects what it left."""
     outputs: list[SSTable] = []
     builder: Optional[SSTableBuilder] = None
-    for entry in entries:
-        if builder is None:
+    entries = iter(entries)
+    try:
+        for first in entries:
             builder = SSTableBuilder(
                 fs, next_table_id(), block_size, write_kind, key_hashes=key_hashes
             )
-        builder.add(entry)
-        if builder.estimated_size >= table_size_bytes:
+            builder.extend(chain((first,), entries), table_size_bytes)
             outputs.append(builder.finish())
             builder = None
-    if builder is not None:
-        outputs.append(builder.finish())
+    except PowerLossError:
+        raise
+    except Exception:
+        if builder is not None:
+            builder.abandon()
+        for table in outputs:
+            fs.delete(table.file.name)
+        raise
     return outputs

@@ -45,6 +45,5 @@ def build_sstable(
 ) -> SSTable:
     """Build one table from an already-sorted record list."""
     builder = SSTableBuilder(fs, table_id, block_size, write_kind)
-    for rec in records:
-        builder.add(entry_of(rec))
+    builder.extend(entry_of(rec) for rec in records)
     return builder.finish()

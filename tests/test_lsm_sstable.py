@@ -54,11 +54,11 @@ class TestSSTableBuilder:
 
     def test_out_of_order_rejected(self, fs):
         b = SSTableBuilder(fs, 1)
-        b.add(entry_of(Record(encode_key(5), b"v", 1)))
+        b.extend([entry_of(Record(encode_key(5), b"v", 1))])
         with pytest.raises(ReproError):
-            b.add(entry_of(Record(encode_key(4), b"v", 2)))
+            b.extend([entry_of(Record(encode_key(4), b"v", 2))])
         with pytest.raises(ReproError):
-            b.add(entry_of(Record(encode_key(5), b"v", 3)))
+            b.extend([entry_of(Record(encode_key(5), b"v", 3))])
         b.abandon()
 
     def test_empty_table_rejected(self, fs):
@@ -69,15 +69,13 @@ class TestSSTableBuilder:
 
     def test_abandon_frees_space(self, fs):
         b = SSTableBuilder(fs, 1)
-        for r in records(100):
-            b.add(entry_of(r))
+        b.extend(entry_of(r) for r in records(100))
         b.abandon()
         assert fs.device.allocated_pages == 0
 
     def test_abandon_after_buffering_charges_nothing(self, fs):
         b = SSTableBuilder(fs, 1, block_size=1024)
-        for r in records(100):
-            b.add(entry_of(r))
+        b.extend(entry_of(r) for r in records(100))
         assert b.estimated_size > 2 * 4096  # several blocks buffered
         b.abandon()
         assert not fs.exists("sst_00000001")
@@ -96,7 +94,7 @@ class TestSSTableBuilder:
 
     def test_double_finish_rejected(self, fs):
         b = SSTableBuilder(fs, 1)
-        b.add(entry_of(Record(b"k", b"v", 1)))
+        b.extend([entry_of(Record(b"k", b"v", 1))])
         b.finish()
         with pytest.raises(ReproError):
             b.finish()
