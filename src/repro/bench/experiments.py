@@ -624,9 +624,7 @@ def degraded_cost(workers: int = 1):
       verification, in device busy seconds; a fault-free store must scrub
       clean, ``detected == 0``);
     * an NVMe outage window over a 900-op single-node soak (failover to
-      the capacity tier, in simulated ops per busy second);
-    * a one-node outage window over a 600-op quorum-write stream on the
-      sharded cluster (replication hides it: as many writes acked).
+      the capacity tier, in simulated ops per busy second).
 
     Every value is simulated and deterministic; the cell sizes are fixed
     whatever ``REPRO_SCALE`` says — they are properties of the service
@@ -644,16 +642,11 @@ def degraded_cost(workers: int = 1):
             args=(soak_scenario("tier", "hyperdb-nvme-outage", 900),),
             label="degraded_cost:nvme-outage",
         ),
-        Job(
-            measure_degraded_throughput,
-            args=(soak_scenario("cluster", "cluster-node-outage", 600),),
-            label="degraded_cost:node-outage",
-        ),
     ]
-    # Three unlike cells, one row each with its own proof column: not a
+    # Two unlike cells, one row each with its own proof column: not a
     # grid, so the jobs are listed rather than generated from points.
     outcomes = run_jobs(jobs, workers=workers)
-    scrub, outage, cluster = unwrap_all(outcomes)
+    scrub, outage = unwrap_all(outcomes)
     # Pre-rendered strings: the table's float format keeps three digits,
     # and these are the recorded figures.
     rows = [
@@ -677,23 +670,13 @@ def degraded_cost(workers: int = 1):
             f" {outage['failover_reads']} failover reads,"
             f" {outage['unavailable_ops']} unavailable",
         ),
-        (
-            "one-node outage (cluster)",
-            "sim ops/s",
-            str(cluster["sim_ops_per_s_healthy"]),
-            str(cluster["sim_ops_per_s_degraded"]),
-            str(cluster["degraded_over_healthy"]),
-            f"{cluster['hints_stored']} hints,"
-            f" {cluster['writes_acked_healthy']} ="
-            f" {cluster['writes_acked_degraded']} quorum writes acked",
-        ),
     ]
     return {
         "title": "Degraded cost: simulated device time, same op stream "
         "healthy vs degraded",
         "headers": ["degradation", "metric", "healthy", "degraded", "ratio", "proof"],
         "rows": rows,
-        "raw": {"scrub": scrub, "nvme_outage": outage, "node_outage": cluster},
+        "raw": {"scrub": scrub, "nvme_outage": outage},
         "jobs": outcomes,
     }
 

@@ -7,10 +7,10 @@ latent corruption, the PrismDB-like baseline)::
 
     PYTHONPATH=src python -m repro.chaos
 
-Any other suite by name — ``tier-smoke``, ``tier-scrub``, ``cluster``,
-``cluster-smoke``, ``cluster-scrub`` (see :mod:`repro.chaos.suites`)::
+Any other suite by name — ``tier-smoke`` or ``tier-scrub`` (see
+:mod:`repro.chaos.suites`)::
 
-    PYTHONPATH=src python -m repro.chaos cluster
+    PYTHONPATH=src python -m repro.chaos tier-scrub
 
 Fan scenarios across worker processes (reports are identical at every
 worker count — CI diffs both digests against ``results/DIGEST_soaks.txt``)::

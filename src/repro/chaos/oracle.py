@@ -16,10 +16,6 @@ from typing import Optional
 class Verdict(enum.Enum):
     #: The read returned the latest acked value.
     OK = "ok"
-    #: It returned a value from the key's *maybe* set — a write that failed
-    #: its quorum but landed on some replica after the last ack, which
-    #: newest-wins resolution may legally surface (leaderless semantics).
-    INDETERMINATE = "indeterminate"
     #: A mismatch on a key the store itself flagged as a corruption
     #: casualty: *detected* loss, not silent.
     EXCUSED = "excused"
@@ -33,20 +29,14 @@ class Verdict(enum.Enum):
 
 
 class Oracle:
-    """Owed state per key: last acked value + unacked *maybe* values."""
+    """Owed state per key: the last acked value."""
 
     def __init__(self) -> None:
         #: Latest acked payload per key (``None`` for an acked delete).
         self.expected: dict[bytes, Optional[bytes]] = {}
-        self.maybe: dict[bytes, set] = {}
 
     def acked(self, key: bytes, value: Optional[bytes]) -> None:
         self.expected[key] = value
-        self.maybe.pop(key, None)
-
-    def partial(self, key: bytes, value: Optional[bytes]) -> None:
-        """A sub-quorum write landed somewhere; the next ack supersedes it."""
-        self.maybe.setdefault(key, set()).add(value)
 
     def classify(
         self, key: bytes, got: Optional[bytes], suspect: bool = False
@@ -56,8 +46,6 @@ class Oracle:
         want = self.expected.get(key)
         if got == want:
             return Verdict.OK
-        if got in self.maybe.get(key, ()):
-            return Verdict.INDETERMINATE
         if suspect:
             return Verdict.EXCUSED
         if want is None:

@@ -1,14 +1,14 @@
-"""The soak driver: one seeded op stream, one oracle, any target.
+"""The soak driver: one seeded op stream, one oracle, one tiered store.
 
 A scenario drives a deterministic mixed put/get/delete stream against a
-*target* — one tiered store (:mod:`repro.chaos.tier`) or a sharded
-cluster (:mod:`repro.chaos.cluster`) — whose health windows (OFFLINE /
-BROWNOUT) are scheduled at fractions of the run, pumps writes until
-everything is healthy again, drains the target's recovery machinery, and
-then verifies every key through the acked-write :class:`Oracle`: no lost
-writes, no stale reads, no resurrections.  An op the target rejects as
-*unavailable* is never loss — it was not acked and must not have mutated
-anything, which the oracle checks by not moving the owed state.
+:class:`~repro.chaos.tier.TierTarget` — one two-device store whose health
+windows (OFFLINE / BROWNOUT) are scheduled at fractions of the run —
+pumps writes until everything is healthy again, drains the store's
+recovery machinery, and then verifies every key through the acked-write
+:class:`Oracle`: no lost writes, no stale reads, no resurrections.  An op
+the store rejects as *unavailable* is never loss — it was not acked and
+must not have mutated anything, which the oracle checks by not moving the
+owed state.
 
 Everything is seeded; scenarios are independent, so fanning them across
 worker processes via :mod:`repro.parallel` yields byte-identical reports.
@@ -17,12 +17,13 @@ worker processes via :mod:`repro.parallel` yields byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Sequence
 
 from repro.chaos.fixtures import Op, ops_stream
 from repro.chaos.oracle import Oracle, Verdict
+from repro.chaos.tier import TierScenario, TierTarget, batches, send
+from repro.common.errors import CorruptionError, DeviceOfflineError
 from repro.common.keys import encode_key
-from repro.health.state import HealthState, HealthWindow
+from repro.health.state import HealthState
 from repro.parallel import Job, JobResult, run_jobs
 from repro.parallel.pool import unwrap_all
 
@@ -31,43 +32,6 @@ from repro.parallel.pool import unwrap_all
 PUMP_KEY_BASE = 40_000
 PUMP_KEYS = 500
 PUMP_BUDGET = 4_000
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """A health window positioned at fractions of the run's span (the
-    probe's I/O count for a tier target, the op count for a cluster)."""
-
-    #: Device name (``"nvme"`` / ``"sata"``) or cluster node name.
-    device: str
-    state: HealthState
-    start_frac: float
-    end_frac: float
-    latency_multiplier: float = 1.0
-    #: Target a single submission queue instead of the whole device
-    #: (requires the scenario to run with ``queue_count > 1``).
-    queue: Optional[int] = None
-
-
-def resolve_windows(
-    specs: Sequence[WindowSpec], span: int
-) -> tuple[HealthWindow, ...]:
-    """Window fractions → 1-based ordinals on a clock of ``span`` ticks."""
-    windows = []
-    for spec in specs:
-        start = max(1, int(span * spec.start_frac))
-        end = max(start + 1, int(span * spec.end_frac))
-        windows.append(
-            HealthWindow(
-                device=spec.device,
-                state=spec.state,
-                start_io=start,
-                end_io=end,
-                latency_multiplier=spec.latency_multiplier,
-                queue=spec.queue,
-            )
-        )
-    return tuple(windows)
 
 
 # ---------------------------------------------------------------- reporting
@@ -85,17 +49,14 @@ class SoakResult:
     counters: dict = field(default_factory=dict)
     ops_issued: int = 0
     writes_acked: int = 0
-    partial_writes: int = 0
     unavailable_reads: int = 0
     unavailable_writes: int = 0
     pump_ops: int = 0
     reads_ok: int = 0
-    indeterminate_reads: int = 0
     excused_losses: int = 0
     lost_writes: int = 0
     stale_reads: int = 0
     resurrections: int = 0
-    divergent_replicas: int = 0
     keys_verified: int = 0
     offline_rejections: dict[str, int] = field(default_factory=dict)
     brownouts: dict[str, int] = field(default_factory=dict)
@@ -115,9 +76,7 @@ class SoakResult:
             self.keys_verified += 1
         elif verdict is Verdict.OK:
             self.reads_ok += 1
-        if verdict is Verdict.INDETERMINATE:
-            self.indeterminate_reads += 1
-        elif verdict is Verdict.EXCUSED:
+        if verdict is Verdict.EXCUSED:
             self.excused_losses += 1
         elif verdict is Verdict.LOST:
             self.lost_writes += 1
@@ -133,7 +92,6 @@ class SoakResult:
             and self.lost_writes == 0
             and self.stale_reads == 0
             and self.resurrections == 0
-            and self.divergent_replicas == 0
             and self.keys_verified > 0
         )
 
@@ -173,111 +131,10 @@ class SoakReport:
         return "\n".join(r.summary() for r in self.results)
 
 
-# ------------------------------------------------------------------- target
-
-
-class Target:
-    """A store under soak: the class attributes and overrides say what it
-    does differently.  ``store`` must offer the ``KVStore`` batch calls
-    (``put_many`` / ``get_many`` / ``delete_many`` with ``capture_errors``)
-    and ``put``.  Besides the defaults below a subclass defines
-    ``healthy()``, ``drain(result)`` (run the post-recovery catch-up to
-    completion), ``collect(result)`` (fill the degradation and scrub
-    counts), ``hyperdbs()`` (the HyperDB instances under soak, whose
-    corruption counters count as detections) and ``busy_seconds()``."""
-
-    #: Engine label of the result (``"hyperdb"``, ``"prismdb"``, ``"cluster"``).
-    engine: str
-    #: What the store raises for an op it rejects without mutating anything.
-    unavailable: type[Exception]
-    #: What it raises for a read whose checksum failed — *detected*, never
-    #: silent, corruption.  Empty: the store must heal or hide it itself.
-    detected: tuple[type[Exception], ...] = ()
-    #: Names of the target's own counters (keys of ``SoakResult.counters``),
-    #: which of them show the store visibly routing around an outage, and
-    #: which count corruption it detected.
-    counters: tuple[str, ...]
-    absorbers: tuple[str, ...]
-    detectors: tuple[str, ...] = ()
-    #: ``str.format`` template of the report lines; ``collect`` appends
-    #: ``scrub_report`` to the result's copy when scrubbing was in play.
-    report: str
-    scrub_report: str
-
-    def __init__(self, scenario, store) -> None:
-        self.scenario = scenario
-        self.store = store
-
-    def events(self) -> dict[int, list[Callable[[], None]]]:
-        """Scheduled mid-stream events: op ordinal → calls to make before
-        that op is issued (a batch never spans an event)."""
-        return {}
-
-    def partially_landed(self, exc: Exception) -> bool:
-        """Did a rejected write still reach some replica?"""
-        return False
-
-    def suspect(self, key: bytes) -> bool:
-        """Has the store flagged ``key`` as a corruption casualty?"""
-        return False
-
-    def after_batch(self, count: int) -> None:
-        """``count`` client ops were just issued in one batch."""
-
-    def read_final(self, key: bytes) -> tuple[Optional[bytes], float]:
-        """The verification read of one key."""
-        return self.store.get(key)
-
-    def audit(self, oracle: Oracle, result: SoakResult) -> None:
-        """Checks beyond per-key read-back, after the final verify."""
-
-    def scan(self, count: int) -> Optional[list[tuple[bytes, bytes]]]:
-        """Up to ``count`` pairs of an ordered scan of the whole key
-        space, or ``None`` if the store has no range read."""
-        return None
-
-    def check_effects(self, result: SoakResult) -> None:
-        """Target-specific "did the schedule actually bite" checks."""
-
-
-def corruption_counters(db) -> int:
-    """A HyperDB's corrupt copies dropped by its one triage per tier,
-    whoever found them — any of these means a flip surfaced as
-    *detected*, never silent."""
-    return sum(
-        db.stats.counter(name).value
-        for name in ("nvme_corrupt_slots", "semi_corrupt_blocks")
-    )
-
-
 # ------------------------------------------------------------------- driver
 
 
-def batches(ops: Sequence[Op], cuts=()) -> Iterator[tuple[int, Sequence[Op]]]:
-    """``(start ordinal, ops)`` runs of consecutive same-type ops, ending
-    early at every ordinal in ``cuts``."""
-    i, n = 0, len(ops)
-    while i < n:
-        j = i + 1
-        while j < n and ops[j][0] == ops[i][0] and j not in cuts:
-            j += 1
-        yield i, ops[i:j]
-        i = j
-
-
-def send(store, batch: Sequence[Op]) -> list:
-    """One same-type batch through the store's batch API; per-op
-    rejections come back as result slots, in op order."""
-    op = batch[0][0]
-    keys = [k for _, k, _ in batch]
-    if op == "put":
-        return store.put_many(keys, [v for _, _, v in batch], capture_errors=True)
-    if op == "del":
-        return store.delete_many(keys, capture_errors=True)
-    return store.get_many(keys, capture_errors=True)
-
-
-def scenario_ops(scenario, seed: int) -> list[Op]:
+def scenario_ops(scenario: TierScenario, seed: int) -> list[Op]:
     # hash() is salted per-process; derive the stream seed arithmetically so
     # serial and multi-worker runs see the same ops.
     return ops_stream(
@@ -287,14 +144,13 @@ def scenario_ops(scenario, seed: int) -> list[Op]:
     )
 
 
-def run_scenario(scenario, seed: int = 0) -> SoakResult:
+def run_scenario(scenario: TierScenario, seed: int = 0) -> SoakResult:
     """Build the target, soak it, verify every acked write."""
     ops = scenario_ops(scenario, seed)
     target, result, oracle = _drive(scenario, seed, ops)
     _pump_until_healthy(target, result, oracle)
     target.drain(result)
     _verify(target, oracle, result)
-    target.audit(oracle, result)
     target.collect(result)
     _check_effects(target, result)
     if scenario.latent_rate == 0.0:
@@ -302,9 +158,9 @@ def run_scenario(scenario, seed: int = 0) -> SoakResult:
     return result
 
 
-def _drive(scenario, seed: int, ops: list[Op]):
+def _drive(scenario: TierScenario, seed: int, ops: list[Op]):
     """Run the op stream through a fresh target and oracle."""
-    target = scenario.target(seed, ops)
+    target = TierTarget(scenario, seed, ops)
     result = SoakResult(
         scenario=scenario.name,
         engine=target.engine,
@@ -318,10 +174,10 @@ def _drive(scenario, seed: int, ops: list[Op]):
             fire()
         for (op, key, val), slot in zip(batch, send(target.store, batch)):
             if op != "get":
-                _record_write(target, result, oracle, key, val, slot)
-            elif isinstance(slot, target.unavailable):
+                _record_write(result, oracle, key, val, slot)
+            elif isinstance(slot, DeviceOfflineError):
                 result.unavailable_reads += 1
-            elif isinstance(slot, target.detected):
+            elif isinstance(slot, CorruptionError):
                 result.corrupt_detected += 1
             else:
                 verdict = oracle.classify(key, slot[0], target.suspect(key))
@@ -331,18 +187,14 @@ def _drive(scenario, seed: int, ops: list[Op]):
     return target, result, oracle
 
 
-def _record_write(target, result, oracle, key, value, outcome) -> None:
+def _record_write(result, oracle, key, value, outcome) -> None:
     """Score one put (``value``) or delete (``None``) by what the store
     returned for it."""
-    if isinstance(outcome, target.unavailable):
+    if isinstance(outcome, DeviceOfflineError):
         # Unavailability, not loss: the op was rejected and is not acked,
-        # so the owed state does not change — but a copy that landed on
-        # some replica may still surface.
+        # so the owed state does not change.
         result.unavailable_writes += 1
-        if target.partially_landed(outcome):
-            result.partial_writes += 1
-            oracle.partial(key, value)
-    elif isinstance(outcome, target.detected):
+    elif isinstance(outcome, CorruptionError):
         result.corrupt_detected += 1
     else:
         # The write returned: it is acked and must survive.
@@ -365,9 +217,9 @@ def _pump_until_healthy(target, result, oracle) -> None:
         value = b"pump%06d" % i
         try:
             outcome = target.store.put(key, value)
-        except target.unavailable as exc:
+        except DeviceOfflineError as exc:
             outcome = exc
-        _record_write(target, result, oracle, key, value, outcome)
+        _record_write(result, oracle, key, value, outcome)
         result.pump_ops += 1
     if not target.healthy():
         result.violations.append(
@@ -379,12 +231,12 @@ def _verify(target, oracle, result) -> None:
     """Every key the oracle knows must read back with what it is owed."""
     for key in sorted(oracle.expected):
         try:
-            got, _ = target.read_final(key)
-        except target.unavailable:
+            got, _ = target.store.get(key)
+        except DeviceOfflineError:
             result.violations.append(
                 f"read rejected after recovery for key {key!r}"
             )
-        except target.detected:
+        except CorruptionError:
             if target.scenario.latent_rate > 0.0:
                 result.keys_verified += 1
                 result.corrupt_detected += 1
@@ -428,8 +280,7 @@ def _check_effects(target, result) -> None:
             result.scrub_detected
             + result.corrupt_detected
             + result.excused_losses
-            + sum(result.counters[name] for name in target.detectors)
-            + sum(corruption_counters(db) for db in target.hyperdbs())
+            + target.corrupt_dropped()
         )
         if handled == 0:
             result.violations.append(
@@ -445,10 +296,10 @@ def _check_scan(target, oracle, result) -> None:
     live = oracle.live()
     try:
         got = target.scan(len(live) + 10)
-    except target.unavailable:
+    except DeviceOfflineError:
         result.violations.append("ordered scan rejected after recovery")
         return
-    if got is not None and got != live:
+    if got != live:
         result.violations.append(
             f"ordered scan returned {len(got)} pairs that differ from the "
             f"{len(live)} live acked keys"
@@ -458,7 +309,9 @@ def _check_scan(target, oracle, result) -> None:
 # ------------------------------------------------------------------ fan-out
 
 
-def run_soak(scenarios, seed: int = 0, workers: int = 1) -> SoakReport:
+def run_soak(
+    scenarios: list[TierScenario], seed: int = 0, workers: int = 1
+) -> SoakReport:
     """Run every scenario; identical report at any worker count."""
     jobs = [
         Job(run_scenario, args=(sc, seed), label=f"soak:{sc.name}")
@@ -468,7 +321,7 @@ def run_soak(scenarios, seed: int = 0, workers: int = 1) -> SoakReport:
     return SoakReport(results=unwrap_all(outcomes), jobs=outcomes)
 
 
-def measure_degraded_throughput(scenario, seed: int = 0) -> dict:
+def measure_degraded_throughput(scenario: TierScenario, seed: int = 0) -> dict:
     """Simulated ops/s of one scenario's op stream, healthy vs degraded
     (the ``degraded_cost`` experiment of ``repro.bench`` tabulates it).
 
@@ -478,7 +331,7 @@ def measure_degraded_throughput(scenario, seed: int = 0) -> dict:
     degraded run's target counters ride along as proof the windows bit.
     """
     ops = scenario_ops(scenario, seed)
-    healthy, h_result, _ = _drive(replace(scenario, windows=()), seed, ops)
+    healthy, _, _ = _drive(replace(scenario, windows=()), seed, ops)
     degraded, d_result, _ = _drive(scenario, seed, ops)
     degraded.collect(d_result)
     h_rate = len(ops) / healthy.busy_seconds()
@@ -489,7 +342,5 @@ def measure_degraded_throughput(scenario, seed: int = 0) -> dict:
         "sim_ops_per_s_healthy": round(h_rate, 3),
         "sim_ops_per_s_degraded": round(d_rate, 3),
         "degraded_over_healthy": round(d_rate / h_rate, 3),
-        "writes_acked_healthy": h_result.writes_acked,
-        "writes_acked_degraded": d_result.writes_acked,
         "unavailable_ops": d_result.unavailable_reads + d_result.unavailable_writes,
     }

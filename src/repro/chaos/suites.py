@@ -10,10 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.chaos.cluster import ClusterScenario
-from repro.chaos.soak import WindowSpec
-from repro.chaos.tier import TierScenario
-from repro.cluster import ClusterConfig
+from repro.chaos.tier import TierScenario, WindowSpec
 from repro.health.state import HealthState
 
 OFFLINE, BROWNOUT = HealthState.OFFLINE, HealthState.BROWNOUT
@@ -46,41 +43,7 @@ _TIER_SCRUB = (
     ),
 )
 
-_NODE_OUTAGE = ClusterScenario(
-    name="cluster-node-outage",
-    windows=(WindowSpec("node-1", OFFLINE, 0.30, 0.55),),
-)
-_OUTAGE_DURING_REBALANCE = ClusterScenario(
-    name="cluster-outage-during-rebalance",
-    membership=((0.40, "join", "node-3"),),
-    windows=(WindowSpec("node-1", OFFLINE, 0.45, 0.70),),
-)
-
-#: Latent-corruption cluster soaks: with RF >= 2 and the scrub +
-#: anti-entropy loop running, every quorum-acked write must survive
-#: *exactly* — corrupt replicas are re-replicated from healthy ones, so
-#: the oracle tolerates no loss at all, silent or detected.
-_CLUSTER_SCRUB = (
-    ClusterScenario(
-        name="cluster-latent-scrub",
-        config=ClusterConfig(replication_factor=2, read_quorum=1, write_quorum=2),
-        latent_rate=0.008,
-        scrub_interval=120,
-        anti_entropy_every=100,
-    ),
-    ClusterScenario(
-        # Latent flips composed with a node outage: the offline node skips
-        # its scrub passes and is repaired late, after healthy replicas
-        # carried the keys through the window.
-        name="cluster-latent-outage",
-        windows=(WindowSpec("node-1", OFFLINE, 0.30, 0.55),),
-        latent_rate=0.015,
-        scrub_interval=120,
-        anti_entropy_every=120,
-    ),
-)
-
-SUITES: dict[str, tuple[tuple, int]] = {
+SUITES: dict[str, tuple[tuple[TierScenario, ...], int]] = {
     # The single-store matrix: outages, brownouts, a composed restart, a
     # one-queue brownout, latent corruption, the PrismDB-like baseline, and
     # an outage over a hot key set.
@@ -145,44 +108,10 @@ SUITES: dict[str, tuple[tuple, int]] = {
         500,
     ),
     "tier-scrub": (_TIER_SCRUB, 900),
-    # The cluster matrix: outage, rolling brownouts, outage-in-rebalance,
-    # a graceful drain, strict quorums, latent corruption.  Cluster ops
-    # fan out to RF replicas each, hence fewer of them.
-    "cluster": (
-        (
-            _NODE_OUTAGE,
-            ClusterScenario(
-                name="cluster-rolling-brownouts",
-                windows=(
-                    WindowSpec("node-0", BROWNOUT, 0.10, 0.35, 4.0),
-                    WindowSpec("node-1", BROWNOUT, 0.30, 0.55, 6.0),
-                    WindowSpec("node-2", BROWNOUT, 0.50, 0.75, 4.0),
-                ),
-            ),
-            _OUTAGE_DURING_REBALANCE,
-            ClusterScenario(
-                name="cluster-node-drain",
-                config=ClusterConfig(num_nodes=4),
-                membership=((0.50, "leave", "node-3"),),
-            ),
-            # W=RF: any node outage makes writes sub-quorum — the path
-            # where rejections must surface as unavailability (and
-            # partially landed values as indeterminate reads), never loss.
-            ClusterScenario(
-                name="cluster-strict-quorum-outage",
-                config=ClusterConfig(read_quorum=1, write_quorum=3),
-                windows=(WindowSpec("node-2", OFFLINE, 0.35, 0.60),),
-            ),
-            *_CLUSTER_SCRUB,
-        ),
-        400,
-    ),
-    "cluster-smoke": ((_NODE_OUTAGE, _OUTAGE_DURING_REBALANCE), 300),
-    "cluster-scrub": (_CLUSTER_SCRUB, 400),
 }
 
 
-def suite(name: str, num_ops: Optional[int] = None) -> list:
+def suite(name: str, num_ops: Optional[int] = None) -> list[TierScenario]:
     """The scenarios of one suite, at ``num_ops`` each (default: the
     suite's own)."""
     scenarios, default_ops = SUITES[name]
@@ -190,7 +119,9 @@ def suite(name: str, num_ops: Optional[int] = None) -> list:
     return [replace(sc, num_ops=ops) for sc in scenarios]
 
 
-def scenario(suite_name: str, name: str, num_ops: Optional[int] = None):
+def scenario(
+    suite_name: str, name: str, num_ops: Optional[int] = None
+) -> TierScenario:
     """One scenario of a suite, by name."""
     (found,) = [sc for sc in suite(suite_name, num_ops) if sc.name == name]
     return found

@@ -1,4 +1,5 @@
-"""Tier target: one two-device store under device outages and brownouts.
+"""The soak target: one two-device store under device outages and
+brownouts.
 
 The store's NVMe and SATA devices share one :class:`FaultInjector`, and
 its health windows are keyed on the injector's global I/O clock — so they
@@ -12,7 +13,7 @@ at the end the engine's migration catch-up must drain.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.baselines.prismdb import PrismDBStore
 from repro.chaos.fixtures import (
@@ -21,18 +22,10 @@ from repro.chaos.fixtures import (
     Op,
     small_hyperdb_config,
 )
-from repro.chaos.soak import (
-    SoakResult,
-    Target,
-    WindowSpec,
-    batches,
-    resolve_windows,
-    send,
-)
-from repro.common.errors import ConfigError, CorruptionError, DeviceOfflineError
+from repro.common.errors import ConfigError, DeviceOfflineError
 from repro.common.keys import encode_key
 from repro.core.hyperdb import HyperDB
-from repro.health.state import HealthState
+from repro.health.state import HealthState, HealthWindow
 from repro.nvme.config import NVMeConfig
 from repro.scrub import ScrubConfig
 from repro.simssd.device import SimDevice
@@ -42,6 +35,67 @@ from repro.simssd.queues import QueueConfig
 #: Low watermarks keep migration running throughout the soak, so the
 #: capacity tier carries real traffic for the windows to bite on.
 _WATERMARKS = {"high_watermark": 0.22, "low_watermark": 0.12}
+
+
+@dataclass(frozen=True)
+class WindowSpec:
+    """A health window positioned at fractions of the run's span: the
+    probe run's I/O count."""
+
+    #: Device name: ``"nvme"`` or ``"sata"``.
+    device: str
+    state: HealthState
+    start_frac: float
+    end_frac: float
+    latency_multiplier: float = 1.0
+    #: Target a single submission queue instead of the whole device
+    #: (requires the scenario to run with ``queue_count > 1``).
+    queue: Optional[int] = None
+
+
+def resolve_windows(
+    specs: Sequence[WindowSpec], span: int
+) -> tuple[HealthWindow, ...]:
+    """Window fractions → 1-based ordinals on a clock of ``span`` ticks."""
+    windows = []
+    for spec in specs:
+        start = max(1, int(span * spec.start_frac))
+        end = max(start + 1, int(span * spec.end_frac))
+        windows.append(
+            HealthWindow(
+                device=spec.device,
+                state=spec.state,
+                start_io=start,
+                end_io=end,
+                latency_multiplier=spec.latency_multiplier,
+                queue=spec.queue,
+            )
+        )
+    return tuple(windows)
+
+
+def batches(ops: Sequence[Op], cuts=()) -> Iterator[tuple[int, Sequence[Op]]]:
+    """``(start ordinal, ops)`` runs of consecutive same-type ops, ending
+    early at every ordinal in ``cuts``."""
+    i, n = 0, len(ops)
+    while i < n:
+        j = i + 1
+        while j < n and ops[j][0] == ops[i][0] and j not in cuts:
+            j += 1
+        yield i, ops[i:j]
+        i = j
+
+
+def send(store, batch: Sequence[Op]) -> list:
+    """One same-type batch through the store's batch API; per-op
+    rejections come back as result slots, in op order."""
+    op = batch[0][0]
+    keys = [k for _, k, _ in batch]
+    if op == "put":
+        return store.put_many(keys, [v for _, _, v in batch], capture_errors=True)
+    if op == "del":
+        return store.delete_many(keys, capture_errors=True)
+    return store.get_many(keys, capture_errors=True)
 
 
 @dataclass(frozen=True)
@@ -67,9 +121,6 @@ class TierScenario:
     #: over 2,000 keys almost never overwrites; a small universe is what
     #: makes a stale copy observable.
     key_universe: int = 2_000
-
-    def target(self, seed: int, ops: list[Op]) -> "TierTarget":
-        return TierTarget(self, seed, ops)
 
 
 # ------------------------------------------------------------------ engines
@@ -123,15 +174,24 @@ _ENGINES = {
 # ------------------------------------------------------------------- target
 
 
-class TierTarget(Target):
-    unavailable = DeviceOfflineError
-    detected = (CorruptionError,)
+class TierTarget:
+    """A store under soak, built from one :class:`TierScenario`: the
+    ``KVStore`` batch calls and ``put`` on ``store``, and what the driver
+    asks of it besides.  The store raises :class:`DeviceOfflineError` for
+    an op it rejects without mutating anything, and
+    :class:`CorruptionError` for a read whose checksum failed — detected,
+    never silent, corruption."""
+
+    #: Names of the target's own counters (keys of ``SoakResult.counters``),
+    #: and which of them show the store visibly routing around an outage.
     counters = (
         "failover_writes", "failover_reads",
         "paused_migrations", "catch_up_drains", "restarts",
         "scrub_passes", "scrub_paused",
     )
     absorbers = ("failover_writes", "failover_reads", "paused_migrations")
+    #: ``str.format`` template of the report lines; ``collect`` appends
+    #: ``scrub_report`` to the result's copy when scrubbing was in play.
     report = (
         "[{scenario}] {status} {engine}: {ops_issued} ops "
         "({writes_acked} writes acked, {reads_ok} reads ok, "
@@ -176,12 +236,15 @@ class TierTarget(Target):
                 latent_burst_bits=scenario.latent_burst,
             )
         )
-        super().__init__(scenario, store(self.injector))
+        self.scenario = scenario
+        self.store = store(self.injector)
         self.engine = scenario.engine
         self.scrubber = getattr(self.store, "scrubber", None)
         self.restarts = 0
 
-    def events(self):
+    def events(self) -> dict[int, list[Callable[[], None]]]:
+        """Scheduled mid-stream events: op ordinal → calls to make before
+        that op is issued (a batch never spans an event)."""
         frac = self.scenario.restart_frac
         if frac is None:
             return {}
@@ -198,15 +261,16 @@ class TierTarget(Target):
             pass
 
     def suspect(self, key: bytes) -> bool:
+        """Has the store flagged ``key`` as a corruption casualty?"""
         # Only consulted under latent injection: a mismatch on a key the
-        # single-node store flagged is *detected* loss (it has no healthy
-        # copy left, and says so — anti-entropy would heal it from a
-        # replica); on any other key it is silent corruption and fails.
+        # store flagged is *detected* loss (it has no healthy copy left,
+        # and says so); on any other key it is silent corruption and fails.
         return self.scenario.latent_rate > 0.0 and key in getattr(
             self.store, "suspect_keys", ()
         )
 
     def after_batch(self, count: int) -> None:
+        """``count`` client ops were just issued in one batch."""
         if self.scrubber is not None:
             self.scrubber.maybe_run(count)
 
@@ -216,17 +280,20 @@ class TierTarget(Target):
             for d in self.store.devices().values()
         )
 
-    def drain(self, result: SoakResult) -> None:
+    def drain(self, result) -> None:
+        """Run the post-recovery migration catch-up to completion."""
         owner, _ = self._recovery(self.store)
         if owner.has_catch_up:
             owner.run_catch_up()
         if owner.has_catch_up:
             result.violations.append("catch-up queue not empty after recovery")
 
-    def scan(self, count: int):
+    def scan(self, count: int) -> list[tuple[bytes, bytes]]:
+        """Up to ``count`` pairs of an ordered scan of the whole key space."""
         return self.store.scan(encode_key(0), count)[0]
 
-    def collect(self, result: SoakResult) -> None:
+    def collect(self, result) -> None:
+        """Fill the result's degradation and scrub counts."""
         for name, dev in self.store.devices().items():
             result.offline_rejections[name] = dev.offline_rejections
             result.brownouts[name] = dev.brownout_ios
@@ -242,10 +309,19 @@ class TierTarget(Target):
             result.counters["scrub_passes"] = st.passes
             result.counters["scrub_paused"] = st.paused_passes
 
-    def hyperdbs(self) -> list[HyperDB]:
-        return [self.store] if isinstance(self.store, HyperDB) else []
+    def corrupt_dropped(self) -> int:
+        """Corrupt copies the store's one triage per tier dropped, whoever
+        found them — any of these means a flip surfaced as *detected*,
+        never silent.  Only HyperDB counts them."""
+        if not isinstance(self.store, HyperDB):
+            return 0
+        return sum(
+            self.store.stats.counter(name).value
+            for name in ("nvme_corrupt_slots", "semi_corrupt_blocks")
+        )
 
-    def check_effects(self, result: SoakResult) -> None:
+    def check_effects(self, result) -> None:
+        """Target-specific "did the schedule actually bite" checks."""
         scenario = self.scenario
         # An NVMe outage must have been served from the capacity tier.
         nvme_offline = any(

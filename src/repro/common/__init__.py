@@ -15,7 +15,6 @@ from repro.common.errors import (
     CorruptionError,
     TransientIOError,
     RetryExhaustedError,
-    QuorumError,
     PowerLossError,
     RecoveryError,
     ClosedError,
@@ -42,7 +41,6 @@ __all__ = [
     "CorruptionError",
     "TransientIOError",
     "RetryExhaustedError",
-    "QuorumError",
     "PowerLossError",
     "RecoveryError",
     "ClosedError",

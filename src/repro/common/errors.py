@@ -1,7 +1,5 @@
 """Exception hierarchy for the repro package."""
 
-from typing import Optional
-
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -74,38 +72,6 @@ class RetryExhaustedError(TransientIOError):
         super().__init__(message)
         self.attempts = attempts
         self.total_backoff_s = total_backoff_s
-
-
-class QuorumError(ReproError):
-    """A cluster operation could not reach its read/write quorum.
-
-    This is *unavailability, never loss*: the coordinator acked nothing,
-    so the client must not assume the write took effect (though surviving
-    replicas that did accept it may later surface the value — standard
-    leaderless semantics).  ``kind`` is ``"read"`` or ``"write"``;
-    ``acks`` is how many replicas succeeded out of ``required`` needed
-    (with ``rf`` total); ``failures`` maps node id to the reason that
-    replica could not serve.
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        acks: int,
-        required: int,
-        rf: int,
-        failures: Optional[dict] = None,
-    ) -> None:
-        self.kind = kind
-        self.acks = acks
-        self.required = required
-        self.rf = rf
-        self.failures = dict(failures or {})
-        why = ", ".join(f"{n}: {r}" for n, r in sorted(self.failures.items()))
-        super().__init__(
-            f"{kind} quorum not met: {acks}/{required} acks (rf={rf})"
-            + (f" [{why}]" if why else "")
-        )
 
 
 class PowerLossError(ReproError):

@@ -68,9 +68,8 @@ class HyperDB(KVStore):
         #: Keys whose *newest* copy may have been lost to media corruption:
         #: a dropped non-promoted slot, or a dropped capacity block's key
         #: with no NVMe resident (:meth:`_on_corrupt_slot`,
-        #: :meth:`_on_corrupt_semi_block`).  The cluster's anti-entropy pass
-        #: drains this to re-replicate from healthy replicas; single-node
-        #: callers can inspect it — the loss is recorded, never hidden.
+        #: :meth:`_on_corrupt_semi_block`).  Callers (the chaos soak's
+        #: oracle, tests) inspect it: the loss is recorded, never hidden.
         self.suspect_keys: list[bytes] = []
         for p in self.performance_tier.partitions:
             p.on_corrupt_slot = self._on_corrupt_slot
@@ -324,8 +323,8 @@ class HyperDB(KVStore):
           deferred I/O);
         * non-promoted resident — NVMe already holds a strictly newer
           version; the corrupt copy was superseded and loses nothing;
-        * no resident — the newest copy is gone on this node: surfaced via
-          ``suspect_keys`` for anti-entropy instead of hidden.
+        * no resident — the newest copy is gone: surfaced via
+          ``suspect_keys`` instead of hidden.
 
         Returns the number of keys surfaced.
         """

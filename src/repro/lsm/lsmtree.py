@@ -261,18 +261,20 @@ class LSMTree:
                         ],
                     )
                 )
-        return self._manifest.write(tables, self._table_seq)
+        return self._manifest.write(tables, self._table_seq, self._seqno)
 
     def _recover_state(self) -> RecoveryReport:
         """Rebuild version + memtable from on-media state (post-crash)."""
         report = RecoveryReport()
         referenced: set[str] = set()
         if self._manifest is not None:
-            metas, table_seq, notes = self._manifest.load_latest()
+            metas, table_seq, seqno, notes = self._manifest.load_latest()
             report.notes.extend(notes)
             if metas is not None:
                 report.manifest_found = True
                 self._table_seq = max(self._table_seq, table_seq)
+                # The WAL replay below raises it past any unflushed write.
+                self._seqno = max(self._seqno, seqno)
                 for meta in metas:
                     fs = self._find_fs_with(meta.file_name)
                     if fs is None:

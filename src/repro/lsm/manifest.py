@@ -39,8 +39,8 @@ from repro.simssd.traffic import TrafficKind
 MANIFEST_PREFIX = "manifest."
 
 _MAGIC = 0x4D414E49  # "MANI"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct(">IHIQ")      # magic, format, table_count, table_seq
+_FORMAT_VERSION = 2
+_HEADER = struct.Struct(">IHIQQ")     # magic, format, table_count, table_seq, seqno
 _TABLE = struct.Struct(">iQQHII")     # level, id, nrecs, name_len, bloom_len, handle_count
 _HANDLE = struct.Struct(">QIIHH")     # offset, length, num_records, fklen, lklen
 
@@ -68,9 +68,13 @@ class TableMeta:
     handles: list[HandleMeta] = field(default_factory=list)
 
 
-def encode_manifest(tables: list[TableMeta], table_seq: int) -> bytes:
-    """Serialize a version snapshot, sealed (:func:`seal_block`)."""
-    out = [_HEADER.pack(_MAGIC, _FORMAT_VERSION, len(tables), table_seq)]
+def encode_manifest(tables: list[TableMeta], table_seq: int, seqno: int) -> bytes:
+    """Serialize a version snapshot, sealed (:func:`seal_block`).
+
+    ``seqno`` is the tree's seqno high-water mark: after a flush the WAL
+    holds nothing to replay, so recovery resumes numbering from here.
+    """
+    out = [_HEADER.pack(_MAGIC, _FORMAT_VERSION, len(tables), table_seq, seqno)]
     for t in tables:
         name = t.file_name.encode("utf-8")
         out.append(
@@ -93,8 +97,8 @@ def encode_manifest(tables: list[TableMeta], table_seq: int) -> bytes:
     return seal_block(b"".join(out))
 
 
-def decode_manifest(data: bytes) -> tuple[list[TableMeta], int]:
-    """Parse and verify a manifest; returns ``(tables, table_seq)``.
+def decode_manifest(data: bytes) -> tuple[list[TableMeta], int, int]:
+    """Parse and verify a manifest; returns ``(tables, table_seq, seqno)``.
 
     Raises :class:`CorruptionError` on a bad magic, CRC mismatch, or any
     structural truncation — the caller falls back to an older manifest.
@@ -102,7 +106,7 @@ def decode_manifest(data: bytes) -> tuple[list[TableMeta], int]:
     payload = verify_block(data, "manifest")
     if len(payload) < _HEADER.size:
         raise CorruptionError("manifest shorter than its header")
-    magic, fmt, table_count, table_seq = _HEADER.unpack_from(payload, 0)
+    magic, fmt, table_count, table_seq, seqno = _HEADER.unpack_from(payload, 0)
     if magic != _MAGIC:
         raise CorruptionError(f"bad manifest magic {magic:#x}")
     if fmt != _FORMAT_VERSION:
@@ -133,7 +137,7 @@ def decode_manifest(data: bytes) -> tuple[list[TableMeta], int]:
             tables.append(TableMeta(level, tid, nrecs, name, bytes(bloom), handles))
     except struct.error as e:
         raise CorruptionError(f"truncated manifest: {e}") from e
-    return tables, table_seq
+    return tables, table_seq, seqno
 
 
 class ManifestStore:
@@ -164,10 +168,11 @@ class ManifestStore:
         self,
         tables: list[TableMeta],
         table_seq: int,
+        seqno: int,
         kind: TrafficKind = TrafficKind.FLUSH,
     ) -> float:
         """Persist a snapshot (rotate-then-delete).  Returns service time."""
-        payload = encode_manifest(tables, table_seq)
+        payload = encode_manifest(tables, table_seq, seqno)
         old = [name for _, name in self._manifest_names()]
         self._seq += 1
         f = self._fs.create(f"{MANIFEST_PREFIX}{self._seq:08d}")
@@ -179,10 +184,12 @@ class ManifestStore:
 
     # --------------------------------------------------------------- load
 
-    def load_latest(self) -> tuple[list[TableMeta] | None, int, list[str]]:
+    def load_latest(
+        self,
+    ) -> tuple[list[TableMeta] | None, int, int, list[str]]:
         """Load the newest intact manifest.
 
-        Returns ``(tables, table_seq, notes)`` where ``tables`` is None when
+        Returns ``(tables, table_seq, seqno, notes)`` where ``tables`` is None when
         no manifest exists at all.  Torn/corrupt newer manifests are skipped
         (and noted) in favor of older intact ones.
         """
@@ -191,13 +198,13 @@ class ManifestStore:
             f = self._fs.open(name)
             data, _ = f.read(0, f.size, TrafficKind.FOREGROUND, sequential=True)
             try:
-                tables, table_seq = decode_manifest(data)
+                tables, table_seq, seqno = decode_manifest(data)
             except CorruptionError as e:
                 notes.append(f"skipped corrupt manifest {name!r}: {e}")
                 continue
             self._seq = seq
-            return tables, table_seq, notes
-        return None, 0, notes
+            return tables, table_seq, seqno, notes
+        return None, 0, 0, notes
 
 
 def bloom_from_meta(meta: TableMeta) -> BloomFilter:

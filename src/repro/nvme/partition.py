@@ -400,7 +400,7 @@ class Partition(SlotTable):
         tier, so dropping the resident copy loses nothing; a non-promoted
         slot *was* the newest copy.  Either way :attr:`on_corrupt_slot`
         tells the engine, which counts it and marks a lost newest copy
-        suspect (in a cluster, re-replicated from a healthy replica).
+        suspect.
         """
         self.drop(zone, key, loc)
         hook = self.on_corrupt_slot

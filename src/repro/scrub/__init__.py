@@ -1,4 +1,4 @@
-"""Background integrity scrub & replica repair for HyperDB (DESIGN.md §13)."""
+"""Background integrity scrub for HyperDB (DESIGN.md §13)."""
 
 from repro.scrub.scrubber import ScrubConfig, ScrubStats, Scrubber
 

@@ -26,9 +26,8 @@ and maintenance use:
 * a corrupt checkpoint is the one thing scrub rewrites: it is derived data,
   and its source — the live index — is in memory.
 
-Suspect keys land in ``HyperDB.suspect_keys``; at cluster level an
-anti-entropy pass re-replicates them from healthy replicas
-(:meth:`repro.cluster.router.HyperDBCluster.anti_entropy`).
+Suspect keys land in ``HyperDB.suspect_keys``, where the loss stays
+visible to the caller.
 
 Health discipline mirrors :class:`repro.migration.scheduler
 .MigrationScheduler`: a pass does not start (and an in-flight pass aborts)

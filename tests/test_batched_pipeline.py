@@ -1,7 +1,7 @@
 """Batched request pipeline equivalence (the batching contract).
 
 The batch entry points (``put_many``/``get_many``/``delete_many``, the
-runner's sliced dispatch, the cluster router batches) are control-flow
+runner's sliced dispatch) are control-flow
 fusion only: every test here asserts *bit-identical* results against the
 per-op path (for whole runs: the scalar reference executor in
 ``tests/reference_runner.py``) — service floats, traffic ledgers,
@@ -282,57 +282,3 @@ def test_used_pages_counter_matches_recomputed():
         )
         assert partition.used_pages == recomputed
 
-
-# ------------------------------------------------------- cluster batches
-
-
-def _cluster(windows=()):
-    from repro.cluster.router import ClusterConfig, HyperDBCluster
-
-    return HyperDBCluster(
-        ClusterConfig(num_nodes=3, replication_factor=3), windows=windows, seed=3
-    )
-
-
-def test_cluster_batches_match_per_op():
-    keys = encode_keys(list(range(40)))
-    values = [b"cv%038d" % i for i in range(40)]
-
-    c1 = _cluster()
-    put_b = c1.put_many(keys, values)
-    get_b = c1.get_many(keys)
-    del_b = c1.delete_many(keys[:10])
-
-    c2 = _cluster()
-    put_p = [c2.put(k, v) for k, v in zip(keys, values)]
-    get_p = [c2.get(k) for k in keys]
-    del_p = [c2.delete(k) for k in keys[:10]]
-
-    assert put_b == put_p
-    assert get_b == get_p
-    assert del_b == del_p
-    assert c1.counters() == c2.counters()
-
-
-def test_cluster_batch_capture_errors():
-    from repro.common.errors import QuorumError
-    from repro.health.state import HealthState, HealthWindow
-
-    keys = encode_keys(list(range(30)))
-    values = [b"w" * 40 for _ in keys]
-    # All three nodes offline for a stretch of ticks: quorum writes in
-    # that range must surface as captured QuorumError slots.
-    windows = tuple(
-        HealthWindow(f"node-{i}", HealthState.OFFLINE, 5, 20) for i in range(3)
-    )
-    cluster = _cluster(windows=windows)
-    slots = cluster.put_many(keys, values, capture_errors=True)
-    assert len(slots) == len(keys)
-    errs = [s for s in slots if isinstance(s, QuorumError)]
-    oks = [s for s in slots if isinstance(s, float)]
-    assert errs, "expected quorum failures inside the outage window"
-    assert oks, "expected acked writes outside the outage window"
-    # Without capture_errors the same stream raises.
-    cluster2 = _cluster(windows=windows)
-    with pytest.raises(QuorumError):
-        cluster2.put_many(keys, values)

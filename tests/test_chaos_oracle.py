@@ -7,29 +7,23 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chaos import Oracle, SoakResult, Verdict
 
-#: (acked / partial history, observed read, store-flagged?, verdict)
+#: (acked values in order, observed read, store-flagged?, verdict)
 CASES = [
-    ([("acked", b"v1")], b"v1", False, Verdict.OK),
+    ([b"v1"], b"v1", False, Verdict.OK),
     ([], None, False, Verdict.OK),  # never written, reads missing
-    ([("acked", b"v1"), ("acked", None)], None, False, Verdict.OK),
-    ([("acked", b"v1"), ("partial", b"v2")], b"v2", False, Verdict.INDETERMINATE),
-    ([("acked", b"v1"), ("partial", None)], None, False, Verdict.INDETERMINATE),
-    ([("acked", b"v1"), ("partial", b"v2")], b"v1", False, Verdict.OK),
-    # The next ack supersedes whatever landed sub-quorum before it.
-    ([("partial", b"v0"), ("acked", b"v1")], b"v0", False, Verdict.STALE),
-    ([("acked", b"v1")], None, True, Verdict.EXCUSED),
-    ([("acked", b"v1"), ("acked", b"v2")], b"v1", True, Verdict.EXCUSED),
+    ([b"v1", None], None, False, Verdict.OK),
+    ([b"v1"], None, True, Verdict.EXCUSED),
+    ([b"v1", b"v2"], b"v1", True, Verdict.EXCUSED),
     # A flag excuses a mismatch only; a correct read is just correct.
-    ([("acked", b"v1")], b"v1", True, Verdict.OK),
-    ([("acked", b"v1")], None, False, Verdict.LOST),
-    ([("acked", b"v1"), ("acked", b"v2")], b"v1", False, Verdict.STALE),
-    ([("acked", b"v1"), ("acked", None)], b"v1", False, Verdict.RESURRECTED),
+    ([b"v1"], b"v1", True, Verdict.OK),
+    ([b"v1"], None, False, Verdict.LOST),
+    ([b"v1", b"v2"], b"v1", False, Verdict.STALE),
+    ([b"v1", None], b"v1", False, Verdict.RESURRECTED),
     ([], b"ghost", False, Verdict.RESURRECTED),
 ]
 
 #: The one result field each non-OK verdict bumps.
 FIELD = {
-    Verdict.INDETERMINATE: "indeterminate_reads",
     Verdict.EXCUSED: "excused_losses",
     Verdict.LOST: "lost_writes",
     Verdict.STALE: "stale_reads",
@@ -40,8 +34,8 @@ FIELD = {
 @pytest.mark.parametrize("history, got, suspect, verdict", CASES)
 def test_verdict_table(history, got, suspect, verdict):
     oracle = Oracle()
-    for kind, value in history:
-        getattr(oracle, kind)(b"k", value)
+    for value in history:
+        oracle.acked(b"k", value)
     assert oracle.classify(b"k", got, suspect=suspect) is verdict
 
 
@@ -66,7 +60,6 @@ def test_live_is_the_sorted_non_deleted_acked_state():
     oracle.acked(b"a", b"1")
     oracle.acked(b"c", b"3")
     oracle.acked(b"c", None)
-    oracle.partial(b"d", b"4")  # never acked: not owed
     assert oracle.live() == [(b"a", b"1"), (b"b", b"2")]
 
 

@@ -4,14 +4,13 @@ Every field of the engine and device config dataclasses is a knob a caller
 can turn.  This test lists them literally, so adding, removing or renaming
 one shows up as a reviewed diff here rather than as a silent new option.
 Values that no caller varies belong in module constants, not in these
-classes.  The surface below is 43 fields.
+classes.  The surface below is 39 fields.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.cluster import ClusterConfig
 from repro.core.config import HyperDBConfig
 from repro.lsm.lsmtree import LSMOptions
 from repro.lsm.semi.levels import SemiLevelConfig
@@ -65,12 +64,6 @@ SURFACE = {
         "block_size",
         "level1_target_bytes",
         "bits_per_key",
-    ),
-    ClusterConfig: (
-        "num_nodes",
-        "replication_factor",
-        "read_quorum",
-        "write_quorum",
     ),
 }
 

@@ -517,13 +517,14 @@ class TestChaosHarness:
         assert serial.summary() == fanned.summary()
 
     def test_explicit_ops_is_used_as_given(self, capsys):
-        # `--cluster --ops 900` used to run 400 ops (900 doubled as the
+        # `--ops 900` used to run the suite's default (900 doubled as the
         # "not given" marker) and `--smoke --ops 600` ran min(600, 500).
+        # tier-smoke's default is 500, so either bug changes the count.
         from repro.chaos.__main__ import main
 
-        assert main(["cluster-smoke", "--ops", "900"]) == 0
+        assert main(["tier-smoke", "--ops", "900"]) == 0
         report = capsys.readouterr().out
-        assert report.count(" ok  900 ops ") == 2, report
+        assert report.count(" hyperdb: 900 ops ") == 2, report
         assert main(["tier-smoke", "--ops", "600"]) == 0
         report = capsys.readouterr().out
         assert report.count(" hyperdb: 600 ops ") == 2, report
@@ -559,3 +560,25 @@ class TestChaosHarness:
         assert any("ordered scan" in v for v in result.violations)
         # Point reads are untouched: the per-key oracle alone passes.
         assert result.lost_writes == result.stale_reads == result.resurrections == 0
+
+    def test_window_fractions_resolve_to_io_ordinals(self):
+        from repro.chaos import WindowSpec
+        from repro.chaos.tier import resolve_windows
+
+        spec = WindowSpec("nvme", HealthState.OFFLINE, 0.25, 0.50)
+        (w,) = resolve_windows((spec,), 200)
+        assert (w.device, w.start_io, w.end_io) == ("nvme", 50, 100)
+
+    def test_seed_changes_the_run(self):
+        from repro.chaos import run_scenario, suite
+
+        sc = suite("tier-smoke", 120)[0]
+        assert run_scenario(sc, seed=0).summary() != run_scenario(sc, seed=7).summary()
+
+    def test_degraded_throughput_is_deterministic(self):
+        from repro.chaos import measure_degraded_throughput, scenario
+
+        sc = scenario("tier", "hyperdb-nvme-outage", 120)
+        a = measure_degraded_throughput(sc, seed=0)
+        assert a == measure_degraded_throughput(sc, seed=0)
+        assert a["sim_ops_per_s_healthy"] > 0 and a["degraded_over_healthy"] > 0

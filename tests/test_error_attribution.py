@@ -1,5 +1,4 @@
-"""Tests for typed error attribution: retry-exhaustion metadata and the
-cluster's per-node rejection ledger.
+"""Tests for typed error attribution: retry-exhaustion metadata.
 
 The retry test is the regression for the silent-exhaustion bug: the device
 used to surface a bare ``TransientIOError`` that said nothing about how
@@ -9,13 +8,7 @@ from "failed after the full backoff schedule was charged".
 
 import pytest
 
-from repro.common.errors import (
-    DeviceOfflineError,
-    QuorumError,
-    RetryExhaustedError,
-    TransientIOError,
-)
-from repro.health.state import HealthState, HealthWindow
+from repro.common.errors import RetryExhaustedError, TransientIOError
 from repro.simssd import (
     DeviceProfile,
     FaultInjector,
@@ -85,29 +78,3 @@ class TestRetryExhaustion:
         with pytest.raises(TransientIOError):
             dev.write_pages(1, TrafficKind.FOREGROUND)
 
-
-class TestNodeIdAttribution:
-    def test_cluster_rejection_names_the_node(self):
-        from repro.cluster import ClusterConfig, HyperDBCluster
-
-        window = HealthWindow(
-            device="node-0", state=HealthState.OFFLINE, start_io=1, end_io=100
-        )
-        c = HyperDBCluster(ClusterConfig(), windows=(window,))
-        c.clock = 1  # the guard resolves health at the current op tick
-        with pytest.raises(DeviceOfflineError) as ei:
-            c._replica_guard("node-0")
-        assert "'node-0'" in str(ei.value)
-        assert c.offline_rejections["node-0"] == 1
-
-
-class TestQuorumErrorShape:
-    def test_message_carries_counts_and_failures(self):
-        err = QuorumError(
-            "write", acks=1, required=2, rf=3,
-            failures={"node-1": "offline", "node-2": "out_of_space"},
-        )
-        msg = str(err)
-        assert "1/2" in msg and "rf=3" in msg
-        assert err.failures["node-1"] == "offline"
-        assert err.kind == "write"

@@ -7,7 +7,6 @@ import struct
 import pytest
 
 from repro.bench import BenchScale, STORE_NAMES, build_store
-from repro.cluster.router import ClusterConfig, HyperDBCluster
 from repro.common.errors import ClosedError, CorruptionError, ReproError
 from repro.common.keys import KeyRange, encode_key, encode_keys
 from repro.common.records import Record
@@ -190,15 +189,12 @@ class TestDeviceTrimBounds:
 
 class TestPutManyColumnMismatch:
     """``put_many`` pairs keys and values with ``zip``; a longer column's
-    tail used to be dropped silently, on every engine and the cluster."""
+    tail used to be dropped silently, on every engine."""
 
     @pytest.mark.parametrize("capture_errors", [False, True])
-    @pytest.mark.parametrize("name", STORE_NAMES + ("cluster",))
+    @pytest.mark.parametrize("name", STORE_NAMES)
     def test_mismatch_raises_before_any_write(self, name, capture_errors):
-        if name == "cluster":
-            store = HyperDBCluster(ClusterConfig(num_nodes=3, replication_factor=3))
-        else:
-            store = build_store(name, BenchScale(record_count=2000))
+        store = build_store(name, BenchScale(record_count=2000))
         keys = encode_keys(range(5))
         for ks, vs in ((keys, [b"v"] * 3), (keys[:3], [b"v"] * 5)):
             with pytest.raises(ValueError, match=f"{len(ks)} keys.*{len(vs)} values"):

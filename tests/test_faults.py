@@ -304,13 +304,14 @@ class TestManifestAndReopen:
             level=1, table_id=7, num_records=3, file_name="sst_7",
             bloom=b"\x01\x02", handles=[],
         )
-        data = encode_manifest([meta], table_seq=9)
-        tables, seq = decode_manifest(data)
+        data = encode_manifest([meta], table_seq=9, seqno=41)
+        tables, seq, seqno = decode_manifest(data)
         assert seq == 9
+        assert seqno == 41
         assert tables[0].file_name == "sst_7"
 
     def test_manifest_corruption_detected(self):
-        data = bytearray(encode_manifest([], table_seq=1))
+        data = bytearray(encode_manifest([], table_seq=1, seqno=0))
         data[3] ^= 0x10
         with pytest.raises(CorruptionError):
             decode_manifest(bytes(data))

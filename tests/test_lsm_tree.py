@@ -260,3 +260,19 @@ class TestLSMTreeAccounting:
                 tree.put(encode_key(i), b"x" * 64)
         live = 200 * (8 + 64)
         assert tree.size_bytes() < live * 30
+
+
+class TestLSMTreeReopen:
+    def test_reopen_resumes_seqnos_above_flushed_tables(self):
+        # After a flush the WAL holds nothing to replay, so the seqnos must
+        # resume from the manifest's mark; restarted at 0, the next write
+        # loses the compaction merge to the older copy in a table.
+        fs = make_fs()
+        tree = LSMTree(fs, small_options(manifest_enabled=True))
+        for i in range(100):
+            tree.put(encode_key(1), b"old%d" % i)
+        tree.flush()
+        tree = LSMTree.reopen(fs, tree.options)
+        tree.put(encode_key(1), b"new")
+        tree.flush()
+        assert tree.get(encode_key(1))[0] == b"new"

@@ -3,8 +3,8 @@
 Covers what the scrubber does on every surface it walks (zone slots and
 semi-SSTable blocks go to the engine's one triage per tier, shared with
 reads, scans and maintenance; a corrupt checkpoint is rewritten), the
-health pause/catch-up discipline, cluster corrupt-replica read-repair and
-anti-entropy, the scrub-disabled digest guarantee, and a property sweep
+health pause/catch-up discipline, the scrub-disabled digest guarantee,
+and a property sweep
 asserting the end-to-end corruption contract: a single bit-flip in any
 persisted structure is either served around from an intact copy, provably
 harmless, or surfaced (suspect/CorruptionError) — never silently served as
@@ -21,7 +21,6 @@ from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange, encode_key
 from repro.common.records import RECORD_HEADER_SIZE, Record
 from repro.core import HyperDB, HyperDBConfig
-from repro.cluster import ClusterConfig, HyperDBCluster
 from repro.health.state import HealthState, HealthWindow
 from repro.nvme.config import NVMeConfig
 from repro.scrub import ScrubConfig, Scrubber, ScrubStats
@@ -539,176 +538,6 @@ class TestScrubHealthDiscipline:
         assert db.scrub() is False
         assert db.scrubber.run_catch_up() is False
         assert db.scrubber.has_catch_up  # still queued, not dropped
-
-
-# ---------------------------------------------------------------------------
-# Cluster: corrupt-replica read-repair + anti-entropy
-# ---------------------------------------------------------------------------
-
-
-def cluster(num_nodes=3, rf=3, r=2, w=2, scrub=None, seed=0):
-    cfg = ClusterConfig(
-        num_nodes=num_nodes,
-        replication_factor=rf,
-        read_quorum=r,
-        write_quorum=w,
-    )
-    return HyperDBCluster(cfg, seed=seed, scrub=scrub)
-
-
-class TestClusterCorruptReplica:
-    def test_corrupt_replica_excluded_from_quorum_and_repaired(self):
-        c = cluster()
-        key = k(7)
-        c.put(key, b"payload")
-        victim = c.ring.replicas_for(key, 3)[0]
-        node = c.nodes[victim]
-        original = node.get_envelope
-        fired = []
-
-        def corrupt_once(key_):
-            if not fired:
-                fired.append(key_)
-                raise CorruptionError("injected checksum mismatch")
-            return original(key_)
-
-        node.get_envelope = corrupt_once
-        value, _ = c.get(key)
-        node.get_envelope = original
-        # The corrupt copy was no response: quorum met from the healthy
-        # replicas and the winning envelope was rewritten onto the victim.
-        assert value == b"payload"
-        assert c.stats.counter("corrupt_replica_reads").value == 1
-        assert c.stats.counter("corrupt_replica_repairs").value == 1
-        env, _ = node.get_envelope(key)
-        assert env is not None and env[2] == b"payload"
-
-    def test_corrupt_capacity_copy_end_to_end(self):
-        """A replica whose only copy is a corrupt capacity-tier block
-        raises a real CorruptionError through the quorum read path."""
-        c = cluster()
-        key = k(11)
-        c.put(key, b"deep")
-        victim = c.ring.replicas_for(key, 3)[0]
-        db = c.nodes[victim].db
-        env, _ = c.nodes[victim].get_envelope(key)
-        assert env is not None
-        partition = db.performance_tier.partition_for_key(key)
-        loc = partition.resident_location(key)
-        blob = partition.page_store.peek(loc.page_id, loc.offset, loc.record_size)
-        from repro.lsm.blocks import decode_one
-
-        rec = decode_one(blob)
-        db.capacity_tier.ingest([rec], TrafficKind.MIGRATION)
-        partition.drop_resident(key)
-        table = semi_table_for(db, key)
-        corrupt_semi_block(table, key)
-        value, _ = c.read_full(key)
-        assert value == b"deep"
-        assert c.stats.counter("corrupt_replica_reads").value == 1
-        assert c.stats.counter("corrupt_replica_repairs").value == 1
-        env, _ = c.nodes[victim].get_envelope(key)
-        assert env is not None and env[2] == b"deep"
-
-    def test_corrupt_replicas_count_toward_quorum_liveness(self):
-        """R intact responses may be unreachable when copies are corrupt:
-        a corrupt ack contributes liveness (the node accepts the repair)
-        but no data, so one intact copy still resolves the read."""
-        c = cluster()
-        key = k(13)
-        c.put(key, b"live")
-        replicas = c.ring.replicas_for(key, 3)
-        originals = {}
-        for name in replicas[:2]:
-            node = c.nodes[name]
-            originals[name] = node.get_envelope
-            node.get_envelope = lambda key_: (_ for _ in ()).throw(
-                CorruptionError("injected")
-            )
-        value, _ = c.get(key)  # R=2: both preferred replicas corrupt
-        for name, orig in originals.items():
-            c.nodes[name].get_envelope = orig
-        assert value == b"live"
-        assert c.stats.counter("corrupt_replica_repairs").value == 2
-        for name in replicas[:2]:
-            env, _ = c.nodes[name].get_envelope(key)
-            assert env is not None and env[2] == b"live"
-
-    def test_all_replicas_corrupt_is_a_quorum_failure(self):
-        from repro.common.errors import QuorumError
-
-        c = cluster()
-        key = k(17)
-        c.put(key, b"doomed")
-        for name in c.ring.replicas_for(key, 3):
-            c.nodes[name].get_envelope = lambda key_: (_ for _ in ()).throw(
-                CorruptionError("injected")
-            )
-        with pytest.raises(QuorumError):
-            c.get(key)
-
-    def test_anti_entropy_drains_suspects_and_heals(self):
-        c = cluster(scrub=ScrubConfig())
-        keys = [k(20 + i) for i in range(8)]
-        for key in keys:
-            c.put(key, b"ae" * 16)
-        victim_key = keys[0]
-        victim = c.ring.replicas_for(victim_key, 3)[0]
-        corrupt_slot(c.nodes[victim].db, victim_key)
-        report = c.anti_entropy()
-        assert report["scrubbed"] == 3  # every node has an armed scrubber
-        assert report["suspects"] == 1
-        assert report["repairs"] >= 1
-        assert report["unreadable"] == 0
-        assert c.stats.counter("anti_entropy_passes").value == 1
-        assert c.stats.counter("anti_entropy_suspects").value == 1
-        # The victim holds an intact copy again; all suspects were drained.
-        env, _ = c.nodes[victim].get_envelope(victim_key)
-        assert env is not None and env[2] == b"ae" * 16
-        assert c.nodes[victim].db.suspect_keys == []
-        for key in keys:
-            assert c.get(key)[0] == b"ae" * 16
-
-    def test_unreadable_suspect_requeued_for_next_pass(self):
-        """A suspect whose audit read cannot reach quorum (replica down)
-        is deferred — not dropped — and heals on the next pass."""
-        c = cluster()
-        key = k(50)
-        c.put(key, b"defer" * 8)
-        clock = c.clock
-        window = HealthWindow(
-            device="node-1",
-            state=HealthState.OFFLINE,
-            start_io=clock + 1,
-            end_io=clock + 8,
-        )
-        c.windows = (window,)
-        victim = next(
-            n for n in c.ring.replicas_for(key, 3) if n != "node-1"
-        )
-        corrupt_slot(c.nodes[victim].db, key)
-        c.nodes[victim].db.suspect_keys.append(key)
-        report = c.anti_entropy()  # node-1 down: audit read fails quorum
-        assert report["unreadable"] == 1
-        assert c.unhealed_suspects == [key]
-        while c.clock < clock + 8:  # advance the op clock past the window
-            c.drain_hints()
-        report = c.anti_entropy()
-        assert report["unreadable"] == 0
-        assert report["repairs"] >= 1
-        assert c.unhealed_suspects == []
-        env, _ = c.nodes[victim].get_envelope(key)
-        assert env is not None and env[2] == b"defer" * 8
-
-    def test_anti_entropy_without_scrubbers_still_audits_suspects(self):
-        c = cluster()  # no scrub config: nodes have no scrubber
-        key = k(40)
-        c.put(key, b"x" * 16)
-        victim = c.ring.replicas_for(key, 3)[0]
-        c.nodes[victim].db.suspect_keys.append(key)
-        report = c.anti_entropy()
-        assert report["scrubbed"] == 0
-        assert report["suspects"] == 1
 
 
 # ---------------------------------------------------------------------------

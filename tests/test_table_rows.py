@@ -73,16 +73,16 @@ steps_st = st.lists(
 )
 
 
-def apply_steps(tree: LSMTree, steps, model: dict[bytes, bytes], odd: int = 0) -> None:
-    """Apply ``steps`` to key ids ``2 * id + odd``."""
+def apply_steps(tree: LSMTree, steps, model: dict[bytes, bytes]) -> None:
+    """Apply ``steps`` to key ids ``2 * id``."""
     for step in steps:
         if step[0] == "put":
-            key = encode_key(2 * step[1] + odd)
+            key = encode_key(2 * step[1])
             value = bytes([step[1] % 251]) * step[2]
             tree.put(key, value)
             model[key] = value
         elif step[0] == "del":
-            key = encode_key(2 * step[1] + odd)
+            key = encode_key(2 * step[1])
             tree.delete(key)
             model.pop(key, None)
         else:
@@ -114,12 +114,11 @@ def test_blooms_and_rows_equal_the_hashed_build(steps, first_level):
     assert_reads(tree, model)
 
     # Reopened from the manifest, the tables carry no rows; the next
-    # compactions mix row-less inputs with fresh outputs.  The new writes
-    # go to keys between the old ones: a reopened tree restarts its seqnos
-    # below the ones its tables hold.
+    # compactions mix row-less inputs with fresh outputs, and the new
+    # writes overwrite the keys those tables hold.
     tree = LSMTree.reopen(fs, opts)
     assert all(t.rows is None for t in tables(tree))
-    apply_steps(tree, steps[::-1], model, odd=1)
+    apply_steps(tree, steps[::-1], model)
     tree.flush()
     assert_tables_match_memo(tree, expect_rows=False)
     assert_reads(tree, model)

@@ -6,7 +6,7 @@
 # The gated set is what CI and the benchmark run: the figure-shape tests,
 # all twelve bench tables, the service figures, the scan figure, traced
 # bench and faultcheck runs and the obs CLI over their traces, the
-# faultcheck matrix, the seven soak suites, perfbench's traced pass on its
+# faultcheck matrix, the four tier soak pins, perfbench's traced pass on its
 # four workloads, and the five examples.  Everything runs with --workers 1:
 # forked pool workers never reach atexit, so their calls would be lost.
 set -euo pipefail
@@ -27,7 +27,7 @@ run gated python -m repro.faultcheck --lsm-points 4 --hyperdb-points 4 --skip-tr
 run gated python -m repro.obs summarize "$out/bench_trace.jsonl"
 run gated python -m repro.obs timeline "$out/bench_trace.jsonl" --buckets 32
 run gated python -m repro.obs diff "$out/bench_trace.jsonl" "$out/fc_trace.jsonl"
-for pin in tier-smoke tier-scrub@600 cluster-smoke cluster-scrub tier tier@600 cluster; do
+for pin in tier-smoke tier-scrub@600 tier tier@600; do
   suite=${pin%@*}; ops=(); [[ $pin == *@* ]] && ops=(--ops "${pin#*@}")
   run gated python -m repro.chaos "$suite" "${ops[@]}" --workers 1 --digest \
     --trace-out "$out/soak_trace.jsonl"
