@@ -35,18 +35,20 @@ class RocksDBStore(KVStore):
     ) -> None:
         self.nvme_device = nvme_device
         self.sata_device = sata_device
-        self.nvme_fs = SimFilesystem(nvme_device)
-        self.sata_fs = SimFilesystem(sata_device)
-        self.cache = LRUCache(dram_cache_bytes)
-        nvme_budget = int(nvme_device.capacity_bytes * NVME_BUDGET_FRACTION)
+        self.cache = self._block_cache(dram_cache_bytes)
         self.tree = LSMTree(
-            [
-                DbPath(self.nvme_fs, target_bytes=nvme_budget),
-                DbPath(self.sata_fs, target_bytes=1 << 62),
-            ],
-            options or LSMOptions(),
-            cache=self.cache,
+            self._db_paths(), options or LSMOptions(), cache=self.cache
         )
+
+    def _block_cache(self, dram_cache_bytes: int) -> LRUCache:
+        return LRUCache(dram_cache_bytes)
+
+    def _db_paths(self) -> list[DbPath]:
+        nvme_budget = int(self.nvme_device.capacity_bytes * NVME_BUDGET_FRACTION)
+        return [
+            DbPath(SimFilesystem(self.nvme_device), target_bytes=nvme_budget),
+            DbPath(SimFilesystem(self.sata_device), target_bytes=1 << 62),
+        ]
 
     def put(self, key: bytes, value: bytes) -> float:
         return self.tree.put(key, value)

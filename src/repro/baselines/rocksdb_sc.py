@@ -11,11 +11,10 @@ benefit — everything else pays the admission-write overhead.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
 
+from repro.baselines.rocksdb import RocksDBStore
 from repro.common.cache import LRUCache
-from repro.core.interface import KVStore
-from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
+from repro.lsm.lsmtree import DbPath
 from repro.simssd.device import SimDevice
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
@@ -100,44 +99,19 @@ class SecondaryBlockCache:
         self._used_pages += pages
 
 
-class RocksDBSecondaryCacheStore(KVStore):
-    """The secondary-cache baseline."""
+class RocksDBSecondaryCacheStore(RocksDBStore):
+    """The secondary-cache baseline: the whole tree on SATA, NVMe behind
+    the DRAM block cache."""
 
     name = "rocksdb-sc"
 
-    def __init__(
-        self,
-        nvme_device: SimDevice,
-        sata_device: SimDevice,
-        options: Optional[LSMOptions] = None,
-        dram_cache_bytes: int = 64 * 1024,
-    ) -> None:
-        self.nvme_device = nvme_device
-        self.sata_device = sata_device
-        self.sata_fs = SimFilesystem(sata_device)
-        self.cache = SecondaryBlockCache(nvme_device, dram_cache_bytes)
-        self.tree = LSMTree(
-            [DbPath(self.sata_fs, target_bytes=1 << 62)],
-            options or LSMOptions(),
-            cache=self.cache,
-        )
+    def _block_cache(self, dram_cache_bytes: int) -> SecondaryBlockCache:
+        return SecondaryBlockCache(self.nvme_device, dram_cache_bytes)
 
-    def put(self, key: bytes, value: bytes) -> float:
-        return self.tree.put(key, value)
+    def _db_paths(self) -> list[DbPath]:
+        return [DbPath(SimFilesystem(self.sata_device), target_bytes=1 << 62)]
 
     def get(self, key: bytes):
         self.cache.take_service()
         value, service = self.tree.get(key)
         return value, service + self.cache.take_service()
-
-    def delete(self, key: bytes) -> float:
-        return self.tree.delete(key)
-
-    def scan(self, start: bytes, count: int):
-        return self.tree.scan(start, count)
-
-    def devices(self) -> dict[str, SimDevice]:
-        return {"nvme": self.nvme_device, "sata": self.sata_device}
-
-    def finalize(self) -> None:
-        self.tree.flush()

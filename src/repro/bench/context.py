@@ -183,7 +183,6 @@ def build_store(name: str, scale: BenchScale, **kw) -> KVStore:
             nvme,
             sata,
             nvme_config=NVMeConfig(
-                num_partitions=4,
                 # Larger demotion batches amortize the SSTable merges each
                 # batch overlaps.
                 migration_batch_bytes=max(64 * KiB, scale.dataset_bytes // 32),

@@ -38,6 +38,10 @@ import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+#: Bits per key of every table's bloom, classic SSTable and semi-SSTable
+#: alike: the paper's 10 bits/key, a <1 % false-positive rate.
+TABLE_BITS_PER_KEY = 10
+
 _PAIR = struct.Struct("<QQ")
 #: A digest's base hashes ``(h1, h2)``: its two little-endian 64-bit halves.
 hash_pair = _PAIR.unpack

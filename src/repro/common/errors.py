@@ -43,6 +43,10 @@ class CorruptionError(ReproError):
     re-reading corrupt media returns the same corrupt bytes.
     """
 
+    #: The table whose block failed, when its reader names it (an LSM
+    #: merge quarantines that input and merges again without it).
+    source = None
+
 
 class TransientIOError(ReproError):
     """A device I/O failed transiently (injected or modeled media hiccup).

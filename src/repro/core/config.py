@@ -42,7 +42,6 @@ class HyperDBConfig:
     #: default — builds no scrubber at all, so scrub-disabled digests stay
     #: byte-identical.  Pass a :class:`repro.scrub.ScrubConfig` to enable.
     scrub: Optional["ScrubConfig"] = None
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.key_space.hi is None:

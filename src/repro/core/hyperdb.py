@@ -43,6 +43,9 @@ from repro.simssd.device import SimDevice
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
+#: Seed of the capacity tier's compaction-victim sampling.
+RNG_SEED = 0
+
 
 class HyperDB(KVStore):
     """The paper's hybrid key-value store over two simulated devices."""
@@ -88,7 +91,7 @@ class HyperDB(KVStore):
             depth=config.compaction_depth,
             t_clean=config.t_clean,
             candidate_k=config.candidate_k,
-            rng=np.random.default_rng(config.rng_seed),
+            rng=np.random.default_rng(RNG_SEED),
             cache=self.cache,
         )
         self.capacity_tier.levels.on_corrupt_block = self._on_corrupt_semi_block

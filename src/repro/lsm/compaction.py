@@ -6,6 +6,11 @@ whose size most exceeds its target, choose a victim table (round-robin by
 key), merge it with every overlapping table in the child level, and rewrite
 the result as fresh child-level tables.
 
+Every sorted run the tree installs goes through one step,
+:meth:`LeveledCompactor.install`: a compaction, and a flush or ingested
+batch landing in the first level.  It quarantines a corrupt input table
+as reads do and merges again without it.
+
 Per-output-level I/O counters feed the paper's Fig. 3b breakdown.
 """
 
@@ -16,6 +21,8 @@ from typing import Callable, Dict, Optional
 
 from repro import obs
 from repro.common.bloom import KeyHashes
+from repro.common.errors import CorruptionError
+from repro.lsm.blocks import Entry
 from repro.lsm.iterator import merge_records
 from repro.lsm.sstable import SSTable, build_tables
 from repro.lsm.version import Version
@@ -66,10 +73,12 @@ class LeveledCompactor:
     level_base_bytes / level_multiplier:
         Target size of the first sorted level and the growth ratio.
     on_install:
-        Optional callback invoked after a compaction's version change is
-        applied but *before* the input files are deleted — the tree uses it
-        to make the new version durable (manifest) first, so a crash in
-        between leaks files instead of losing referenced ones.
+        Called once per :meth:`install`, after its version change is applied
+        and before its input files are deleted: the tree writes its
+        manifest.
+    quarantine:
+        Called as ``quarantine(level, table)`` for a merge input whose block
+        failed its checksum; it must take the table out of the version.
     key_hashes:
         The tree's key-digest memo, which output tables build their blooms
         through.
@@ -85,7 +94,8 @@ class LeveledCompactor:
         level0_trigger: int = 4,
         level_base_bytes: int = 1 << 20,
         level_multiplier: int = 10,
-        on_install: Optional[Callable[[], float]] = None,
+        on_install: Optional[Callable[[], object]] = None,
+        quarantine: Optional[Callable[[int, SSTable], None]] = None,
         key_hashes: Optional[KeyHashes] = None,
     ) -> None:
         self.version = version
@@ -96,7 +106,8 @@ class LeveledCompactor:
         self.level0_trigger = level0_trigger
         self.level_base_bytes = level_base_bytes
         self.level_multiplier = level_multiplier
-        self.on_install = on_install
+        self.on_install = on_install or (lambda: None)
+        self.quarantine = quarantine or version.remove_table
         self.key_hashes = key_hashes
         self.stats = CompactionStats()
         self._cursors: Dict[int, bytes] = {}  # round-robin victim cursor per level
@@ -167,80 +178,90 @@ class LeveledCompactor:
         if child_dev is not parent_dev:
             child_dev.begin_background_job(TrafficKind.COMPACTION)
         if level_no == 0:
-            inputs_parent = list(self.version.level(0))
+            parents = list(self.version.level(0))
         else:
             victim = self.pick_victim(level_no)
             if victim is None:
                 return []
-            inputs_parent = [victim]
+            parents = [victim]
             self._cursors[level_no] = victim.last_key
-        if not inputs_parent:
+        if not parents:
             return []
 
-        lo = min(t.first_key for t in inputs_parent)
-        hi = max(t.last_key for t in inputs_parent) + b"\x00"
-        inputs_child = self.version.overlapping(child_no, lo, hi)
-        return self._merge(level_no, inputs_parent, child_no, inputs_child)
-
-    def _merge(
-        self,
-        parent_no: int,
-        parents: list[SSTable],
-        child_no: int,
-        children: list[SSTable],
-    ) -> list[SSTable]:
+        lo = min(t.first_key for t in parents)
+        hi = max(t.last_key for t in parents) + b"\x00"
+        children = self.version.overlapping(child_no, lo, hi)
         read_bytes = sum(t.size_bytes for t in parents + children)
         trc = obs.RECORDER
         if trc is not None:
             trc.begin(
                 "compaction",
-                t=self.fs_for_level(child_no).device.busy_seconds(),
-                parent_level=parent_no, child_level=child_no,
+                t=child_dev.busy_seconds(),
+                parent_level=level_no, child_level=child_no,
                 input_tables=len(parents) + len(children),
                 read_bytes=read_bytes,
             )
         # Newest first: L0 tables are ordered oldest-first in the version, so
-        # reverse them; parent level is newer than child level.
-        streams = [
-            t.iter_entries(TrafficKind.COMPACTION) for t in reversed(parents)
-        ] + [t.iter_entries(TrafficKind.COMPACTION) for t in children]
-        bottom = child_no >= self.version.first_level + self.version.num_levels - 1
-        merged = merge_records(streams, drop_tombstones=bottom)
-
-        outputs = build_tables(
-            self.fs_for_level(child_no), merged, self.next_table_id,
-            self.block_size, self.table_size_bytes, TrafficKind.COMPACTION,
-            self.key_hashes,
-        )
+        # reverse them; the parent level is newer than the child level.
+        inputs = [(level_no, t) for t in reversed(parents)]
+        inputs += [(child_no, t) for t in children]
+        outputs = self.install(None, inputs, child_no, TrafficKind.COMPACTION)
         write_bytes = sum(t.size_bytes for t in outputs)
         self.stats.note(child_no, read_bytes, write_bytes)
-
-        # Install outputs, retire inputs; the version change is made durable
-        # (on_install → manifest) before any input file is destroyed.
-        for t in parents:
-            self.version.remove_table(parent_no, t)
-        for t in children:
-            self.version.remove_table(child_no, t)
-        for t in outputs:
-            self.version.add_table(child_no, t)
-        if self.on_install is not None:
-            self.on_install()
-        for t in parents:
-            self._delete_table_file(parent_no, t)
-        for t in children:
-            self._delete_table_file(child_no, t)
         if trc is not None:
             trc.end(
                 "compaction",
-                t=self.fs_for_level(child_no).device.busy_seconds(),
+                t=child_dev.busy_seconds(),
                 child_level=child_no, output_tables=len(outputs),
                 write_bytes=write_bytes,
             )
         return outputs
 
-    def _delete_table_file(self, level_no: int, table: SSTable) -> None:
-        fs = self.fs_for_level(level_no)
-        if fs.exists(table.file.name):
-            fs.delete(table.file.name)
-        else:  # table was written before a path re-assignment; search all
-            table.file.delete()
+    def install(
+        self,
+        run: Optional[list[Entry]],
+        inputs: list[tuple[int, SSTable]],
+        out_level: int,
+        kind: TrafficKind,
+    ) -> list[SSTable]:
+        """Merge newest-first inputs (an in-memory sorted ``run``, then
+        ``(level, table)`` pairs) into ``out_level``: build the output
+        tables, swap them for the inputs in the version, make the version
+        durable (:attr:`on_install`) and only then delete the inputs' files,
+        so a crash in between leaks files instead of losing referenced ones.
+
+        An input table whose block fails its checksum is quarantined, as a
+        read would, and the merge re-run without it: none of its bytes
+        reach an output.  Level 0 holds overlapping tables, so a run lands
+        there as one table.
+        """
+        fs = self.fs_for_level(out_level)
+        table_bytes = None if out_level == 0 else self.table_size_bytes
+        bottom = out_level == self.version.first_level + self.version.num_levels - 1
+        while True:
+            streams = [iter(run)] if run else []
+            streams += [t.iter_entries(kind) for _, t in inputs]
+            merged = (
+                streams[0] if len(streams) == 1 and not bottom
+                else merge_records(streams, drop_tombstones=bottom)
+            )
+            try:
+                outputs = build_tables(
+                    fs, merged, self.next_table_id, self.block_size,
+                    table_bytes, kind, self.key_hashes,
+                )
+                break
+            except CorruptionError as exc:
+                bad = next((p for p in inputs if p[1] is exc.source), None)
+                if bad is None:
+                    raise
+                inputs = [p for p in inputs if p is not bad]
+                self.quarantine(*bad)
+        for level_no, t in inputs:
+            self.version.remove_table(level_no, t)
+        for t in outputs:
+            self.version.add_table(out_level, t)
+        self.on_install()
+        for level_no, t in inputs:
+            self.fs_for_level(level_no).delete(t.file.name)
+        return outputs

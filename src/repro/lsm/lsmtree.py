@@ -5,6 +5,11 @@ WAL → memtable → L0 flush → leveled compaction.  It powers the RocksDB-lik
 baselines directly and (with ``first_level=1``) PrismDB's SATA tree.
 HyperDB's capacity tier is :class:`repro.lsm.semi.SemiLevels`, not this.
 
+A flush, an ingested batch and a compaction install their sorted run
+through one step (:meth:`LeveledCompactor.install`), and every reader of
+a table — a get, a scan, a merge — quarantines it when a block fails its
+checksum.
+
 Tier placement follows RocksDB's ``db_paths``: each path is a filesystem plus
 a byte budget, and levels are assigned greedily to the first path whose
 remaining budget covers the level's target size — reproducing the paper's
@@ -20,7 +25,7 @@ from typing import Iterator, Optional
 from repro import obs
 from repro.common.bloom import KeyHashes
 from repro.common.cache import LRUCache
-from repro.common.errors import ConfigError, CorruptionError
+from repro.common.errors import ConfigError, CorruptionError, ReproError
 from repro.common.records import Record
 from repro.common.stats import StatsRegistry
 from repro.lsm.compaction import LeveledCompactor
@@ -34,7 +39,7 @@ from repro.lsm.manifest import (
     bloom_from_meta,
 )
 from repro.lsm.memtable import MemTable
-from repro.lsm.sstable import BlockHandle, SSTable, SSTableBuilder, build_tables
+from repro.lsm.sstable import BlockHandle, SSTable
 from repro.lsm.version import Version
 from repro.lsm.wal import WriteAheadLog
 from repro.simssd.fs import SimFilesystem
@@ -148,7 +153,8 @@ class LSMTree:
             level0_trigger=opts.level0_trigger,
             level_base_bytes=opts.level_base_bytes,
             level_multiplier=opts.level_multiplier,
-            on_install=self._write_manifest if opts.manifest_enabled else None,
+            on_install=self._write_manifest,
+            quarantine=self._quarantine,
             key_hashes=self.key_hashes,
         )
 
@@ -340,8 +346,8 @@ class LSMTree:
         """
         try:
             self.version.remove_table(level_no, table)
-        except Exception:
-            pass  # already removed by a concurrent quarantine
+        except ReproError:
+            return  # a lazy scan met a table already out of service
         self.quarantined.append(table)
         self.stats.counter("quarantined_tables").add()
         rec = obs.RECORDER
@@ -382,7 +388,7 @@ class LSMTree:
         manifest *and* the un-reset WAL, so replay recovers everything; a
         crash after leaves the new manifest referencing the new table.
         """
-        if len(self._memtable) == 0:
+        if not (len(self._memtable) or self._immutables):
             return 0.0
         rec = obs.RECORDER
         flush_dev = self.fs_for_level(self.options.first_level).device
@@ -396,11 +402,10 @@ class LSMTree:
         with flush_dev.health_epoch:
             if self.wal is not None:
                 self.wal.sync()
-            imm = self._memtable
-            self._memtable = MemTable(self.options.memtable_bytes)
-            self._immutables.append(imm)
+            if len(self._memtable):
+                self._immutables.append(self._memtable)
+                self._memtable = MemTable(self.options.memtable_bytes)
             service = self._flush_immutables()
-            service += self._write_manifest()
             if self.wal is not None:
                 self.wal.reset()
             self.maybe_compact()
@@ -409,16 +414,19 @@ class LSMTree:
         return service
 
     def _flush_immutables(self) -> float:
-        first = self.options.first_level
+        """Install the immutables oldest first.  Each stays readable until
+        its run is installed, so a flush that fails loses no acked write and
+        the next one retries it."""
+        fs = self.fs_for_level(self.options.first_level)
         service = 0.0
         while self._immutables:
-            imm = self._immutables.pop(0)
-            fs = self.fs_for_level(first)
             # One flush job per immutable: spread across background queues
             # on multi-queue devices (no-op otherwise).
             fs.device.begin_background_job(TrafficKind.FLUSH)
             device_before = fs.device.busy_seconds()
+            imm = self._immutables[0]
             self._add_run([entry_of(rec) for rec in imm.records()], TrafficKind.FLUSH)
+            self._immutables.pop(0)
             service += fs.device.busy_seconds() - device_before
             self.stats.counter("flushes").add()
         return service
@@ -427,43 +435,11 @@ class LSMTree:
         """Install a sorted run in the first level: a fresh L0 table, or a
         merge with the overlapping tables of a sorted first level."""
         first = self.options.first_level
-        if first == 0:
-            builder = SSTableBuilder(
-                self.fs_for_level(0), self._next_table_id(),
-                self.options.block_size, write_kind=kind,
-                key_hashes=self.key_hashes,
-            )
-            builder.extend(entries)
-            self.version.add_table(0, builder.finish())
-        else:
-            self._merge_into_sorted_level(first, entries, kind)
-
-    def _merge_into_sorted_level(
-        self, level_no: int, entries: list[Entry], kind: TrafficKind
-    ) -> None:
-        if not entries:
-            return
-        lo = entries[0][0]
-        hi = entries[-1][0] + b"\x00"
-        overlaps = self.version.overlapping(level_no, lo, hi)
-        streams = [iter(entries)] + [t.iter_entries(kind) for t in overlaps]
-        merged = merge_records(streams)
-        outputs = build_tables(
-            self.fs_for_level(level_no), merged, self._next_table_id,
-            self.options.block_size, self.options.table_size_bytes, kind,
-            self.key_hashes,
-        )
-        for t in overlaps:
-            self.version.remove_table(level_no, t)
-        for t in outputs:
-            self.version.add_table(level_no, t)
-        # Make the new version durable before destroying its inputs, so a
-        # crash in between leaks files instead of losing referenced ones.
-        self._write_manifest()
-        for t in overlaps:
-            fs_owner = self.fs_for_level(level_no)
-            if fs_owner.exists(t.file.name):
-                fs_owner.delete(t.file.name)
+        inputs = []
+        if first:
+            lo, hi = entries[0][0], entries[-1][0] + b"\x00"
+            inputs = [(first, t) for t in self.version.overlapping(first, lo, hi)]
+        self.compactor.install(entries, inputs, first, kind)
 
     def ingest_batch(self, entries: list[Entry], kind=TrafficKind.MIGRATION) -> float:
         """Merge a durable batch of entries, sorted by key with no duplicates,
@@ -471,16 +447,13 @@ class LSMTree:
         cross-tier demotions à la PrismDB)."""
         if not entries:
             return 0.0
-        first = self.options.first_level
-        fs = self.fs_for_level(first)
+        fs = self.fs_for_level(self.options.first_level)
         # Atomic under OFFLINE: the epoch rejects the batch at entry, before
         # seqnos advance or any table mutates; the caller still holds it.
         with fs.device.health_epoch:
             busy_before = fs.device.busy_seconds()
             self._seqno = max(self._seqno, max(e[1] for e in entries))
             self._add_run(entries, kind)
-            if first == 0:
-                self._write_manifest()
             service = fs.device.busy_seconds() - busy_before
             self.maybe_compact()
             return service
@@ -504,42 +477,34 @@ class LSMTree:
 
         service = 0.0
         hashes = self.key_hashes.pair(key)
-        first = self.options.first_level
-        if first == 0:
-            # Copy: quarantine may remove a table mid-iteration.
-            for table in reversed(list(self.version.level(0).tables)):
-                if table.first_key <= key <= table.last_key:
-                    try:
-                        rec, s = table.get(
-                            key, TrafficKind.FOREGROUND, self.cache, hashes
-                        )
-                    except CorruptionError:
-                        # Checksums caught bad media: take the table out of
-                        # service rather than surface garbage or crash.
-                        self._quarantine(0, table)
-                        continue
-                    service += s
-                    if rec is not None:
-                        return (None if rec.is_tombstone else rec.value), service
-        for level_no in range(max(first, 1), first + self.options.num_levels):
-            if level_no - first >= self.version.num_levels:
-                break
-            # Sorted levels are disjoint: bisect straight to the one
-            # candidate table instead of range-testing the whole level.
-            candidate = self.version.level(level_no).table_for_key(key)
-            if candidate is None:
-                continue
+        for level_no, table in self._candidates(key):
             try:
-                rec, s = candidate.get(
-                    key, TrafficKind.FOREGROUND, self.cache, hashes
-                )
+                rec, s = table.get(key, TrafficKind.FOREGROUND, self.cache, hashes)
             except CorruptionError:
-                self._quarantine(level_no, candidate)
+                # Checksums caught bad media: take the table out of service
+                # rather than surface garbage or crash.
+                self._quarantine(level_no, table)
                 continue
             service += s
             if rec is not None:
                 return (None if rec.is_tombstone else rec.value), service
         return None, service
+
+    def _candidates(self, key: bytes) -> Iterator[tuple[int, SSTable]]:
+        """``(level, table)`` for every table that may hold ``key``, newest
+        first: each L0 table whose range covers it, then the one table of
+        each sorted level, found by bisection (sorted levels are disjoint)."""
+        levels = self.version.levels
+        if levels[0].level == 0:
+            # Copy: quarantine may remove a table mid-walk.
+            for table in reversed(list(levels[0].tables)):
+                if table.first_key <= key <= table.last_key:
+                    yield 0, table
+            levels = levels[1:]
+        for lvl in levels:
+            table = lvl.table_for_key(key)
+            if table is not None:
+                yield lvl.level, table
 
     def iter_from(self, start: bytes) -> Iterator[Record]:
         """Lazy merged stream of the live records >= ``start``, in key order:
@@ -547,7 +512,6 @@ class LSMTree:
         streams = [keyed(self._memtable.records(start=start))]
         for imm in reversed(self._immutables):
             streams.append(keyed(imm.records(start=start)))
-        first = self.options.first_level
 
         def guarded(level_no: int, table: SSTable) -> Iterator[tuple]:
             # Stop the stream (and quarantine) when a block fails its
@@ -560,14 +524,13 @@ class LSMTree:
             except CorruptionError:
                 self._quarantine(level_no, table)
 
-        if first == 0:
-            for table in reversed(list(self.version.level(0))):
+        levels = self.version.levels
+        if levels[0].level == 0:
+            for table in reversed(list(levels[0])):
                 streams.append(guarded(0, table))
-        for level_no in range(max(first, 1), first + self.options.num_levels):
-            if level_no - first >= self.version.num_levels:
-                break
-            lvl_tables = self.version.level(level_no).overlapping(start, None)
-            def level_stream(tables=lvl_tables, lvl=level_no):
+            levels = levels[1:]
+        for level in levels:
+            def level_stream(tables=level.overlapping(start, None), lvl=level.level):
                 for t in tables:
                     yield from guarded(lvl, t)
             streams.append(level_stream())

@@ -20,14 +20,15 @@ Victim selection trades write amplification against space amplification:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro import obs
 from repro.lsm.blocks import Entry
+from repro.lsm.compaction import CompactionStats
 from repro.lsm.semi.levels import SemiLevels
 from repro.lsm.semi.semisstable import SemiSSTable
 from repro.simssd.traffic import TrafficKind
@@ -37,29 +38,12 @@ SPACE_AMP_LIMIT = 1.5
 
 
 @dataclass
-class SemiCompactionStats:
+class SemiCompactionStats(CompactionStats):
     """Volume and composition of preemptive block compactions."""
 
-    read_bytes_by_level: Dict[int, int] = field(default_factory=dict)
-    write_bytes_by_level: Dict[int, int] = field(default_factory=dict)
-    compactions: int = 0
     full_compactions: int = 0
     preemptive_records: int = 0   # records routed deeper than the child level
     normal_records: int = 0
-
-    def note_io(self, output_level: int, read_bytes: int, write_bytes: int) -> None:
-        self.read_bytes_by_level[output_level] = (
-            self.read_bytes_by_level.get(output_level, 0) + read_bytes
-        )
-        self.write_bytes_by_level[output_level] = (
-            self.write_bytes_by_level.get(output_level, 0) + write_bytes
-        )
-
-    def total_write_bytes(self) -> int:
-        return sum(self.write_bytes_by_level.values())
-
-    def total_read_bytes(self) -> int:
-        return sum(self.read_bytes_by_level.values())
 
 
 class PreemptiveBlockCompactor:
@@ -191,10 +175,9 @@ class PreemptiveBlockCompactor:
                 del lvl.tables[segment]
         victim.destroy()
 
-        self.stats.compactions += 1
         read_delta = traffic.read_bytes(TrafficKind.COMPACTION) - read_before
         write_delta = traffic.write_bytes(TrafficKind.COMPACTION) - write_before
-        self.stats.note_io(level_no + 1, read_delta, write_delta)
+        self.stats.note(level_no + 1, read_delta, write_delta)
         if rec is not None:
             rec.end(
                 "semi_compaction", t=traffic.busy_seconds(),

@@ -33,7 +33,6 @@ class SemiLevelConfig:
     bottom_segments: int = 64    # segments at the deepest level
     block_size: int = 4096
     level1_target_bytes: int = 256 << 10
-    bits_per_key: int = 10
 
     def __post_init__(self) -> None:
         if self.num_levels < 2:
@@ -144,7 +143,6 @@ class SemiLevels:
                 fs=self.fs,
                 declared_range=self.segment_range(level_no, segment),
                 block_size=self.config.block_size,
-                bits_per_key=self.config.bits_per_key,
             )
             table.on_corrupt_block = self.on_corrupt_block
             lvl.tables[segment] = table

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
+from repro.common.bloom import TABLE_BITS_PER_KEY
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.keys import KeyRange, ranges_overlap
 from repro.common.records import Record
@@ -85,13 +86,11 @@ class SemiSSTable:
         fs: SimFilesystem,
         declared_range: KeyRange,
         block_size: int = 4096,
-        bits_per_key: int = 10,
     ) -> None:
         self.table_id = table_id
         self.fs = fs
         self.declared_range = declared_range
         self.block_size = block_size
-        self.bits_per_key = bits_per_key
         self.file: SimFile = fs.create(f"semi_{table_id:08d}")
         self._reset_index()
         #: Bumped by full_compact so cached block payloads of the previous
@@ -160,7 +159,7 @@ class SemiSSTable:
         # Serialized metadata: a bloom sized to the live keys (10 bits each)
         # plus one index entry per block.  No filter is built on the host
         # (``_key_map`` is exact); media pays for what a real table would store.
-        bloom_bytes = (self.num_valid_records * self.bits_per_key + 7) // 8
+        bloom_bytes = (self.num_valid_records * TABLE_BITS_PER_KEY + 7) // 8
         return bloom_bytes + 24 * len(self.blocks)
 
     def index_read_size(self) -> int:

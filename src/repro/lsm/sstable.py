@@ -23,9 +23,9 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.common.bloom import BloomFilter, KeyHashes
+from repro.common.bloom import TABLE_BITS_PER_KEY, BloomFilter, KeyHashes
 from repro.common.cache import LRUCache
-from repro.common.errors import PowerLossError, ReproError
+from repro.common.errors import CorruptionError, PowerLossError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
 from repro.lsm.blocks import (
@@ -124,7 +124,11 @@ class SSTable:
             if cached is not None:
                 return cached, 0.0
         raw, service = self.file.read(handle.offset, handle.length, kind)
-        payload = verify_block(raw)
+        try:
+            payload = verify_block(raw)
+        except CorruptionError as exc:
+            exc.source = self
+            raise
         if cache is not None:
             cache.put(cache_key, payload, charge=handle.length)
         return payload, service
@@ -203,14 +207,12 @@ class SSTableBuilder:
         table_id: int,
         block_size: int = DEFAULT_BLOCK_SIZE,
         write_kind: TrafficKind = TrafficKind.FLUSH,
-        bits_per_key: int = 10,
         key_hashes: Optional[KeyHashes] = None,
     ) -> None:
         self._fs = fs
         self._table_id = table_id
         self._block_size = block_size
         self._write_kind = write_kind
-        self._bits_per_key = bits_per_key
         self._key_hashes = KeyHashes() if key_hashes is None else key_hashes
         self._keep_rows = key_hashes is not None
         self._file = fs.create(f"sst_{table_id:08d}")
@@ -287,7 +289,7 @@ class SSTableBuilder:
             self._fs.delete(self._file.name)
             raise ReproError("cannot finish an empty SSTable")
         rows = np.array(self._rows, np.intp)
-        bloom = BloomFilter(len(rows), self._bits_per_key)
+        bloom = BloomFilter(len(rows), TABLE_BITS_PER_KEY)
         bloom.add_pairs(self._key_hashes.pairs(rows))
         meta_size = bloom.size_bytes + sum(h.index_entry_size() for h in self._handles)
         self._blocks += bytes(meta_size)
@@ -311,12 +313,12 @@ def build_tables(
     entries: Iterable[Entry],
     next_table_id: Callable[[], int],
     block_size: int,
-    table_size_bytes: int,
+    table_size_bytes: Optional[int],
     write_kind: TrafficKind,
     key_hashes: Optional[KeyHashes] = None,
 ) -> list[SSTable]:
     """Roll a sorted entry stream into tables of about ``table_size_bytes``
-    (a merge's outputs).  A table id is drawn when a table's first entry
+    (a merge's outputs; ``None`` builds one table).  A table id is drawn when a table's first entry
     arrives, so an empty stream draws none and builds nothing.
 
     When the stream or a write fails (an input block fails its CRC, say),

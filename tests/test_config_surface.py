@@ -4,7 +4,7 @@ Every field of the engine and device config dataclasses is a knob a caller
 can turn.  This test lists them literally, so adding, removing or renaming
 one shows up as a reviewed diff here rather than as a silent new option.
 Values that no caller varies belong in module constants, not in these
-classes.  The surface below is 39 fields.
+classes.  The surface below is 37 fields.
 """
 
 import dataclasses
@@ -31,7 +31,6 @@ SURFACE = {
         "candidate_k",
         "dram_cache_bytes",
         "scrub",
-        "rng_seed",
     ),
     NVMeConfig: (
         "num_partitions",
@@ -63,7 +62,6 @@ SURFACE = {
         "bottom_segments",
         "block_size",
         "level1_target_bytes",
-        "bits_per_key",
     ),
 }
 

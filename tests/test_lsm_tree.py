@@ -1,15 +1,18 @@
 """Integration tests for the leveled LSM engine."""
 
+import random
 from itertools import islice
 
 import pytest
 
 from repro.common.cache import LRUCache
+from repro.common.errors import RetryExhaustedError
 from repro.common.keys import encode_key
 from repro.common.records import Record
 from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
 from repro.lsm.memtable import MemTable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
+from repro.simssd.faults import FaultInjector, FaultPlan, RetryPolicy
 
 
 def make_fs(mib=64, name="dev"):
@@ -210,6 +213,26 @@ class TestLSMTreeLevels:
             for a, b in zip(tables, tables[1:]):
                 assert a.last_key < b.first_key
 
+    def test_one_manifest_per_install(self):
+        # A flush merging into L1 writes the manifest once, as a compaction
+        # does.
+        opts = small_options(first_level=1, manifest_enabled=True)
+        tree = LSMTree(make_fs(), opts)
+        manifest_writes = []
+        write = tree._manifest.write
+
+        def counted_write(*args, **kw):
+            manifest_writes.append(args)
+            return write(*args, **kw)
+
+        tree._manifest.write = counted_write
+        for i in random.Random(3).sample(range(3000), 3000):
+            tree.put(encode_key(i), b"v" * 60)
+        flushes = tree.stats.counter("flushes").value
+        compactions = tree.compactor.stats.compactions
+        assert flushes > 10 and compactions > 10
+        assert len(manifest_writes) == flushes + compactions
+
 
 class TestLSMTreeAccounting:
     def test_wal_traffic_recorded(self, tree):
@@ -276,3 +299,70 @@ class TestLSMTreeReopen:
         tree.put(encode_key(1), b"new")
         tree.flush()
         assert tree.get(encode_key(1))[0] == b"new"
+
+
+class TestFailedFlush:
+    """A flush that fails keeps its memtable readable, and the next flush
+    installs it before the newer one."""
+
+    @staticmethod
+    def load(first_level, fail_io=None):
+        """Put shuffled keys into a WAL-less tree whose device fails its
+        ``fail_io`` read (``first_level`` 1: the flush's merge into L1) or
+        write (``first_level`` 0: the L0 table) with no retry.  Returns the
+        tree, the keys acked, the keys written since the last flush, and
+        each put's ordinal of that I/O kind before it ran."""
+        kind = "fail_read_ios" if first_level else "fail_write_ios"
+        plan = FaultPlan() if fail_io is None else FaultPlan(**{kind: frozenset({fail_io})})
+        injector = FaultInjector(plan)
+        device = SimDevice(
+            make_fs().device.profile, injector=injector,
+            retry_policy=RetryPolicy(max_retries=0),
+        )
+        opts = small_options(first_level=first_level, wal_enabled=False)
+        tree = LSMTree(SimFilesystem(device), opts)
+        keys = [encode_key(i) for i in random.Random(5).sample(range(4000), 1500)]
+        acked, pending, ordinals = [], [], []
+        flushes = tree.stats.counter("flushes")
+        for key in keys:
+            ordinals.append(injector.read_ios if first_level else injector.write_ios)
+            before = flushes.value
+            pending.append(key)
+            try:
+                tree.put(key, key * 4)
+            except RetryExhaustedError:
+                return tree, acked, pending, ordinals
+            acked.append(key)
+            if flushes.value != before:
+                pending = []
+        return tree, acked, pending, ordinals
+
+    @pytest.mark.parametrize("first_level", [0, 1])
+    def test_acked_puts_survive_a_failed_flush(self, first_level):
+        _, _, _, ordinals = self.load(first_level)
+        # The first I/O of the first put past the 800th that does one: the
+        # put whose flush merges into L1 or writes an L0 table.
+        target = next(
+            i for i in range(800, len(ordinals)) if ordinals[i + 1] != ordinals[i]
+        )
+        tree, acked, pending, _ = self.load(first_level, ordinals[target] + 1)
+        assert len(acked) == target and len(pending) > 10
+        for key in acked:
+            assert tree.get(key)[0] == key * 4
+
+        runs = []
+        install = tree.compactor.install
+
+        def recorded_install(run, *args):
+            runs.append(run)
+            return install(run, *args)
+
+        tree.compactor.install = recorded_install
+        later = [encode_key(i) for i in range(4000, 4400)]
+        for key in pending + later:
+            tree.put(key, key * 5)
+        assert [e[0] for e in runs[0]] == sorted(pending)
+        for key in acked:
+            assert tree.get(key)[0] == key * (5 if key in pending else 4)
+        for key in later:
+            assert tree.get(key)[0] == key * 5

@@ -13,7 +13,8 @@ that:
   one the lookup-per-key build made;
 * a compaction whose inputs carry rows makes no memo lookup, and a load
   hashes each distinct key once;
-* a merge that fails partway leaves no table file behind.
+* a merge that meets a corrupt input quarantines it and installs the rest,
+  leaving no unheld table file behind.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.bloom import BloomFilter, KeyHashes
-from repro.common.errors import CorruptionError
 from repro.common.keys import encode_key
 from repro.common.records import Record
 from repro.lsm import lsmtree
@@ -37,6 +37,9 @@ from tests.test_lsm_tree import make_fs, small_options
 #: sha256 of :func:`charge_sequence`'s ordered charges, as the build that
 #: looked every output key up in the memo made them.
 CHARGE_SEQUENCE_DIGEST = "f148bb2b18010079a7944db75c90e262f5b5c833a135d670e0aca22a3e764051"
+#: The same for a ``first_level=1`` tree with PrismDB's options (no WAL, no
+#: manifest), as a flush merging straight into L1 made them.
+FIRST_LEVEL_ONE_DIGEST = "4c34ba738e2dd239844b6b16349df4f94b4c97c3014f2f9b4ea6e81bbd0321dd"
 
 
 def tables(tree: LSMTree):
@@ -169,15 +172,16 @@ def record_charges(fs, charges: list[tuple]) -> None:
     dev.read_pages, dev.write_pages = read_pages, write_pages
 
 
-def charge_sequence() -> str:
+def charge_sequence(**options) -> str:
     """sha256 of every device charge of a fixed load, in order: a shuffled
     load with updates and deletes over a fast and a slow device, flushing
-    and compacting into four levels, then gets and a scan."""
+    and compacting into four levels, then gets and a scan.  ``options``
+    override :func:`small_options`."""
     fast, slow = make_fs(mib=4, name="fast"), make_fs(name="slow")
     charges: list[tuple] = []
     record_charges(fast, charges)
     record_charges(slow, charges)
-    opts = small_options(manifest_enabled=True)
+    opts = small_options(**options)
     tree = LSMTree([DbPath(fast, 96 << 10), DbPath(slow, 1 << 40)], opts)
     rng = random.Random(43)
     ids = list(range(3000))
@@ -198,7 +202,14 @@ def charge_sequence() -> str:
 
 
 def test_charge_sequence_pinned():
-    assert charge_sequence() == CHARGE_SEQUENCE_DIGEST
+    assert charge_sequence(manifest_enabled=True) == CHARGE_SEQUENCE_DIGEST
+
+
+def test_first_level_one_charge_sequence_pinned():
+    assert (
+        charge_sequence(first_level=1, wal_enabled=False)
+        == FIRST_LEVEL_ONE_DIGEST
+    )
 
 
 class CountingHashes(KeyHashes):
@@ -232,15 +243,15 @@ def test_compactions_look_no_key_up(monkeypatch, first_level):
     tree = LSMTree(make_fs(), small_options(first_level=first_level))
     memo = tree.key_hashes
     merge_lookups: list[int] = []
-    merge = tree.compactor._merge
+    compact_level = tree.compactor.compact_level
 
-    def counted_merge(*args):
+    def counted_compaction(*args):
         before = memo.lookups
-        outputs = merge(*args)
+        outputs = compact_level(*args)
         merge_lookups.append(memo.lookups - before)
         return outputs
 
-    tree.compactor._merge = counted_merge
+    tree.compactor.compact_level = counted_compaction
     keys = shuffled_keys(4000, 1)
     for key in keys:
         tree.put(key, b"v" * 100)
@@ -259,7 +270,8 @@ def sst_files(fs) -> set[str]:
 @pytest.mark.parametrize("first_level", [0, 1])
 def test_failed_merge_leaves_no_table_behind(seed, first_level):
     # first_level 0: a leveled compaction into the deepest level reads the
-    # corrupt block; first_level 1: a flush merging into L1 does.
+    # corrupt block; first_level 1: a flush merging into L1 does.  Either
+    # merge quarantines the table, as a read would, and merges the rest.
     fs = make_fs()
     tree = LSMTree(fs, small_options(first_level=first_level))
     keys = shuffled_keys(4000, seed)
@@ -268,10 +280,11 @@ def test_failed_merge_leaves_no_table_behind(seed, first_level):
     levels = [lvl for lvl in tree.version.all_levels() if len(lvl)]
     victim = list(levels[-1] if first_level == 0 else levels[0])[-1]
     victim.file._data[victim.handles[-1].offset] ^= 0xFF
-    with pytest.raises(CorruptionError):
-        for key in keys[2500:]:
-            tree.put(key, b"v" * 100)
-    # The version still holds the merge's inputs, the corrupt table among
-    # them, and every table file on media is one the version holds.
-    assert victim in list(tables(tree))
-    assert sst_files(fs) == {t.file.name for t in tables(tree)}
+    for key in keys[2500:]:
+        tree.put(key, b"v" * 100)
+    assert tree.quarantined == [victim]
+    assert victim not in list(tables(tree))
+    assert all(tree.get(key)[0] == b"v" * 100 for key in keys[2500:])
+    # Every table file on media is held by the version or quarantined.
+    held = {t.file.name for t in tables(tree)}
+    assert sst_files(fs) == held | {victim.file.name}
