@@ -4,7 +4,9 @@ Paper shapes asserted:
 * HyperDB's read latency (median and P99) is clearly below RocksDB's at
   every skew (up to 54.8% median / 83.4% P99 reduction);
 * write latency shows no such advantage — RocksDB's group commit keeps
-  its write path competitive (the paper's stated limitation).
+  its write path competitive (the paper's stated limitation); HyperDB's
+  NVMe slot writes commit in windows of 32 puts too, so its median update
+  pays no page write.
 """
 
 from repro.bench.experiments import fig10_latency_breakdown
@@ -30,8 +32,12 @@ def test_fig10_latency_breakdown(benchmark, bench_scale):
         < raw[("uniform", "rocksdb")].median_latency("read")
     )
 
-    # Write latency: RocksDB's group commit is hard to beat; HyperDB pays a
-    # real page write per update.  No order-of-magnitude regression though.
+    # Write latency: RocksDB's group commit is hard to beat.  No
+    # order-of-magnitude regression though.
     hyper = raw[(0.99, "hyperdb")]
     rocks = raw[(0.99, "rocksdb")]
     assert hyper.median_latency("update") < rocks.median_latency("update") * 200
+    # HyperDB's median update read 308 us at both skews while each put paid
+    # its own page write; the window's commit lands on one put in 32.
+    for theta in ("uniform", 0.99):
+        assert raw[(theta, "hyperdb")].median_latency("update") < 300e-6, theta

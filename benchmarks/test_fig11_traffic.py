@@ -26,7 +26,10 @@ def test_fig11_background_traffic(benchmark):
     # HyperDB's write volume is well below RocksDB's on both tiers.
     assert raw["hyperdb"].write_bytes("nvme") < raw["rocksdb"].write_bytes("nvme")
     assert raw["hyperdb"].write_bytes("sata") < raw["rocksdb"].write_bytes("sata")
-    assert total_writes("hyperdb") < 0.85 * total_writes("rocksdb")
+    # Total reduction measured here: 33.3 % (HyperDB / RocksDB = 0.667)
+    # since NVMe slot writes commit in windows of 32 puts (24.3 % before);
+    # asserted with a 5-point margin.
+    assert total_writes("hyperdb") < 0.72 * total_writes("rocksdb")
 
     # The secondary cache pays admission writes on top of the full LSM.
     assert total_writes("rocksdb-sc") > total_writes("rocksdb")

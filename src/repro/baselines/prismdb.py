@@ -411,4 +411,6 @@ class PrismDBStore(KVStore):
         return {"nvme": self.nvme_device, "sata": self.sata_device}
 
     def finalize(self) -> None:
+        """Commit the slabs' write window, then let the tree compact."""
+        self.slabs.page_store.commit()
         self.tree.maybe_compact()

@@ -436,14 +436,20 @@ class HyperDB(KVStore):
         return self.scrubber.run_pass()
 
     def finalize(self) -> None:
+        """Drain the promotion staging cache, then commit the NVMe write
+        window, so every acked put is on media."""
         self.promotion.drain()
+        self.performance_tier.page_store.commit()
 
     def checkpoint(self) -> float:
         """Back up every partition's index to NVMe (§3.1); returns the
         service time.  Call before a planned shutdown; :meth:`recover`
-        rebuilds the in-memory indexes from the backups."""
-        self.finalize()
-        service = sum(p.checkpoint() for p in self.performance_tier.partitions)
+        rebuilds the in-memory indexes from the backups.  The NVMe write
+        window commits first, and its service is the checkpoint's."""
+        self.promotion.drain()
+        tier = self.performance_tier
+        service = tier.page_store.commit()
+        service += sum(p.checkpoint() for p in tier.partitions)
         rec = obs.RECORDER
         if rec is not None:
             rec.emit(
@@ -462,7 +468,9 @@ class HyperDB(KVStore):
         rebuilt; by default it degrades to an empty partition (counted in
         the ``degraded_partitions`` stat) so the rest of the store still
         opens.  With ``strict=True`` the failure propagates instead
-        (:class:`RecoveryError` / :class:`CorruptionError`)."""
+        (:class:`RecoveryError` / :class:`CorruptionError`).  The NVMe
+        write window is forgotten unwritten: it lived in the lost DRAM."""
+        self.performance_tier.page_store.discard()
         service = 0.0
         degraded = 0
         for p in self.performance_tier.partitions:

@@ -379,7 +379,7 @@ def run_hyperdb_crash_matrix(
     num_points: int = 10,
     seed: int = 0,
     w1_ops: int = 260,
-    w2_ops: int = 60,
+    w2_ops: int = 400,
     workers: int = 1,
 ) -> MatrixReport:
     """Crash HyperDB at sampled points *after* its index checkpoint.
@@ -387,7 +387,11 @@ def run_hyperdb_crash_matrix(
     Contract (§3.1): recovery rebuilds the performance tier from the last
     checkpoint, so every checkpointed object must read back with its
     checkpoint-time value; post-checkpoint writes are lost and must read as
-    missing — never as garbage.
+    missing — never as garbage.  The checkpoint commits the NVMe write
+    window; W2's puts write their pages one command each per window of
+    :data:`repro.lsm.wal.GROUP` puts, so a crash point lands on one of
+    W2's write commands with the puts acked since the last commit still
+    in DRAM.
     """
     w1, w2 = _hyperdb_workloads(seed, w1_ops, w2_ops)
 
@@ -472,7 +476,10 @@ def run_transient_absorption(
     def run(injector: Optional[FaultInjector]) -> tuple[int, int, dict]:
         if engine == "hyperdb":
             store = _build_hyperdb(injector)
-            ops, _ = _hyperdb_workloads(seed, num_ops, 0)
+            # NVMe writes one command per page per window of 32 puts: four
+            # times the puts issue about the write commands that ``num_ops``
+            # puts did at one command each, so faults are still drawn.
+            ops, _ = _hyperdb_workloads(seed, num_ops * 4, 0)
             devices = [store.nvme_device, store.sata_device]
         else:
             store = _build_lsm(injector, two_tier=(engine == "rocksdb-like"))

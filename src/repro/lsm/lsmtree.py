@@ -41,7 +41,7 @@ from repro.lsm.manifest import (
 from repro.lsm.memtable import MemTable
 from repro.lsm.sstable import BlockHandle, SSTable
 from repro.lsm.version import Version
-from repro.lsm.wal import WriteAheadLog
+from repro.lsm.wal import GROUP, WriteAheadLog
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
@@ -62,7 +62,7 @@ class LSMOptions:
     level0_trigger: int = 4
     level_base_bytes: int = 256 * KiB
     level_multiplier: int = 10
-    wal_group_size: int = 32
+    wal_group_size: int = GROUP
     wal_enabled: bool = True
     #: Persist version metadata (a RocksDB-style MANIFEST) after every
     #: flush/compaction so the tree can be reopened from a post-crash image.

@@ -18,6 +18,10 @@ from repro.lsm.blocks import decode_prefix, encode_record
 from repro.simssd.fs import SimFilesystem, SimFile
 from repro.simssd.traffic import TrafficKind
 
+#: Writes per group commit: the WAL's records per append, and the NVMe page
+#: store's foreground writes per window (:mod:`repro.nvme.pagestore`).
+GROUP = 32
+
 
 class ReplayResult(list):
     """The records recovered by :meth:`WriteAheadLog.replay`.
@@ -49,7 +53,7 @@ class WriteAheadLog:
         self,
         fs: SimFilesystem,
         name: str = "wal",
-        group_size: int = 32,
+        group_size: int = GROUP,
         reuse_existing: bool = False,
     ) -> None:
         if group_size <= 0:

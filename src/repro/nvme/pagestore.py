@@ -1,11 +1,28 @@
-"""Raw page allocation on the NVMe device.
+"""Raw page allocation on the NVMe device, and its foreground write window.
 
 Zone slot files address pages directly (KVell-style in-place updates don't
 fit an append-only file abstraction), so the performance tier uses this thin
 page allocator instead of :class:`repro.simssd.fs.SimFilesystem`.  Page
-payloads are real bytes; reads and writes charge the device per page, and
-every page write — a slot's, a tombstone's, a checkpoint's — is one command
-of :meth:`PageStore.write_spans` over a staged batch.
+payloads are real bytes, and reads charge the device per page.  Every page
+write — a slot's, a tombstone's, a checkpoint's — goes through
+:meth:`PageStore.write_spans` as a staged batch:
+
+* a FOREGROUND batch joins the store's one write window: it lands nothing
+  and charges nothing.  Every :data:`GROUP` foreground batches the window
+  commits (:meth:`PageStore.commit`): each page it holds is written once,
+  with one command, in the order the window first took it, and the call
+  that closed the window returns that service, as a WAL group commit does
+  (KVell batches its page writes the same way);
+* any other batch (a relocation, a park, an eviction, a promotion, a
+  checkpoint) commits the window first, then writes each of its pages with
+  one command.
+
+A page the window holds is never reached behind its back: a read, a peek or
+a bulk read of it commits the window first, and freeing it drops its
+pending bytes with it (a freed page is never read again).  The DRAM cache
+is invalidated when a page is staged, so it sees the sequence a write
+through would.  A failed commit keeps every page it did not write, and the
+next commit writes them; a restart forgets the window (:meth:`discard`).
 """
 
 from __future__ import annotations
@@ -14,8 +31,11 @@ from typing import Optional
 
 from repro.common.cache import LRUCache
 from repro.common.errors import PowerLossError, ReproError
+from repro.lsm.wal import GROUP
 from repro.simssd.device import SimDevice
 from repro.simssd.traffic import TrafficKind
+
+FOREGROUND = TrafficKind.FOREGROUND
 
 
 class PageStore:
@@ -35,6 +55,11 @@ class PageStore:
         self.page_size = device.page_size
         self._pages: dict[int, bytearray] = {}
         self._next_id = 0
+        #: The foreground write window: ``{page_id: [npages, offset,
+        #: payload, ...]}`` in the order pages joined it, and the
+        #: foreground batches staged since it last committed.
+        self._window: dict[int, list] = {}
+        self._staged = 0
 
     def allocate(self, count: int = 1) -> list[int]:
         """Reserve ``count`` fresh pages; raises CapacityError when full."""
@@ -52,6 +77,7 @@ class PageStore:
         if page_id not in self._pages:
             raise ReproError(f"double free or unknown page {page_id}")
         del self._pages[page_id]
+        self._window.pop(page_id, None)
         if self.cache is not None:
             self.cache.invalidate(page_id)
         self.device.trim(1)
@@ -60,42 +86,87 @@ class PageStore:
         self, batch: dict, kind: TrafficKind, cache: Optional[LRUCache] = None
     ) -> float:
         """Write a staged ``{page_id: [npages, offset, payload, ...]}`` batch
-        (:meth:`repro.nvme.zone.Zone.stage`): each page with one command, in
-        staging order, an in-place update of its ``npages`` random pages (an
-        oversized slot's payload sits in its head page's buffer).  Each
-        page's spans, concatenated, follow :class:`repro.simssd.fs.SimFile`'s
-        fault semantics: a crash persists a prefix of them (earlier pages
-        stay written), a transient failure beyond retries nothing, and a
-        successful write draws its flips once over all of them.
+        (:meth:`repro.nvme.zone.Zone.stage`), each page an in-place update of
+        its ``npages`` random pages (an oversized slot's payload sits in its
+        head page's buffer), dropping each page from ``cache`` first.
+
+        A FOREGROUND batch joins the window and returns 0.0, or the
+        :meth:`commit` service when it is the window's :data:`GROUP` th; a
+        page the window already holds takes the batch's spans after its
+        own.  Any other batch commits the window, then writes each of its
+        pages with one command, in order.  Either way the batch belongs to
+        the store from here on.
         """
-        pages, size, inj = self._pages, self.page_size, self.device.injector
-        service = 0.0
+        pages, size = self._pages, self.page_size
         for page_id, spans in batch.items():
-            page = pages.get(page_id)
-            if page is None:
+            if page_id not in pages:
                 raise ReproError(f"write to unallocated page {page_id}")
-            npages, n = spans[0], len(spans)
-            limit = size * npages
-            for i in range(1, n, 2):
+            limit = size * spans[0]
+            for i in range(1, len(spans), 2):
                 # A slot starts inside its head page, whose buffer holds at
-                # least a page: slice assignment below never leaves a gap.
+                # least a page: slice assignment never leaves a gap.
                 offset, end = spans[i], spans[i] + len(spans[i + 1])
                 if not 0 <= offset < size or end > limit:
-                    raise ReproError(f"write [{offset}, {end}) exceeds {npages} page(s)")
-            flat = spans[2] if n == 3 else b"".join(spans[2::2])
-            try:
-                service += self.device.write_pages(npages, kind, sequential=False)
-            except PowerLossError as e:
-                self._land(page, spans, flat[: inj.torn_prefix_len(len(flat), e.torn_fraction)])
-                if cache is not None:
-                    cache.invalidate(page_id)
-                raise
-            if inj is None and n == 3:  # one span: the check above set ``end``
-                page[spans[1] : end] = flat
-            else:
-                self._land(page, spans, flat if inj is None else inj.corrupt_payload(flat))
+                    raise ReproError(f"write [{offset}, {end}) exceeds {spans[0]} page(s)")
             if cache is not None:
                 cache.invalidate(page_id)
+        if kind is not FOREGROUND:
+            return self.commit() + self._write(batch, kind)
+        window = self._window
+        for page_id, spans in batch.items():
+            held = window.get(page_id)
+            if held is None:
+                window[page_id] = spans
+            else:
+                held += spans[1:]
+        self._staged += 1
+        return self.commit() if self._staged >= GROUP else 0.0
+
+    def commit(self) -> float:
+        """Write every page the window holds, each with one FOREGROUND
+        command, in the order the window took them; returns the service.
+        Inside one health epoch, so an outage rejects the whole commit
+        before any page is written.  A failure keeps every page not yet
+        written in the window."""
+        service = 0.0
+        if self._window:
+            with self.device.health_epoch:
+                service = self._write(self._window, FOREGROUND)
+        self._staged = 0
+        return service
+
+    def discard(self) -> None:
+        """Forget the window unwritten: a restart loses the DRAM it lived
+        in, and recovery reads only what reached the media."""
+        self._window.clear()
+        self._staged = 0
+
+    def _write(self, batch: dict, kind: TrafficKind) -> float:
+        """Land each page of a checked ``batch`` with one command, removing
+        it from ``batch`` once written.  Each page's spans, concatenated,
+        follow :class:`repro.simssd.fs.SimFile`'s fault semantics: a crash
+        persists a prefix of them (earlier pages stay written), a transient
+        failure beyond retries nothing, and a successful write draws its
+        flips once over all of them."""
+        pages, inj = self._pages, self.device.injector
+        write_pages = self.device.write_pages
+        service = 0.0
+        for page_id, spans in list(batch.items()):
+            page = pages[page_id]
+            if inj is None:  # nothing can fail or flip: each span lands as is
+                service += write_pages(spans[0], kind, sequential=False)
+                for i in range(1, len(spans), 2):
+                    offset, data = spans[i], spans[i + 1]
+                    page[offset : offset + len(data)] = data
+            else:
+                flat = b"".join(spans[2::2])
+                try:
+                    service += write_pages(spans[0], kind, sequential=False)
+                except PowerLossError as e:
+                    self._land(page, spans, flat[: inj.torn_prefix_len(len(flat), e.torn_fraction)])
+                    raise
+                self._land(page, spans, inj.corrupt_payload(flat))
+            del batch[page_id]
         return service
 
     @staticmethod
@@ -116,17 +187,21 @@ class PageStore:
         cache: Optional[LRUCache] = None,
         npages: int = 1,
     ) -> tuple[bytes, float]:
-        """Read a slot's page(s), optionally through the DRAM page cache."""
+        """Read a slot's page(s), optionally through the DRAM page cache;
+        a page the window holds commits it first, and the service includes
+        the commit's."""
         page = self._pages.get(page_id)
         if page is None:
             raise ReproError(f"read of unallocated page {page_id}")
+        # Staging dropped a held page from the cache: only a miss commits.
+        service = self.commit() if page_id in self._window else 0.0
         # Page ids key the shared cache directly: every other tenant of the
         # shared LRU uses tuple keys, so bare ints cannot collide with them.
         if cache is not None:
             cached = cache.get(page_id)
             if cached is not None:
-                return cached, 0.0
-        service = self.device.read_pages(npages, kind, sequential=False)
+                return cached, service
+        service += self.device.read_pages(npages, kind, sequential=False)
         data = bytes(page)
         if cache is not None:
             cache.put(page_id, data, charge=npages * self.page_size)
@@ -134,19 +209,25 @@ class PageStore:
 
     def peek(self, page_id: int, offset: int, length: int) -> bytes:
         """Zero-cost access to page contents whose I/O was already paid
-        (e.g. after a bulk migration read)."""
+        (e.g. after a bulk migration read); a page the window holds commits
+        it first."""
         page = self._pages.get(page_id)
         if page is None:
             raise ReproError(f"peek of unallocated page {page_id}")
+        if page_id in self._window:
+            self.commit()
         return bytes(page[offset : offset + length])
 
     def read_many(self, page_ids: list[int], kind: TrafficKind) -> float:
         """Charge a bulk read (migration, split, scrub): one I/O per page
         (zone pages are discontiguous on media), bypassing the cache.
-        Returns the service time; callers :meth:`peek` what they need."""
+        Returns the service time, a commit of the window included when it
+        holds one of the pages; callers :meth:`peek` what they need."""
         for pid in page_ids:
             if pid not in self._pages:
                 raise ReproError(f"read of unallocated page {pid}")
         if not page_ids:
             return 0.0
-        return self.device.read_pages(len(page_ids), kind, sequential=False)
+        window = self._window
+        service = 0.0 if window.keys().isdisjoint(page_ids) else self.commit()
+        return service + self.device.read_pages(len(page_ids), kind, sequential=False)

@@ -373,12 +373,12 @@ class Partition(SlotTable):
                     continue
                 npages = -(-loc.slot_size // self.page_store.page_size)
                 _, s_read = self.page_store.read(loc.page_id, kind, self.cache, npages)
+                service += s_read  # charged whether or not the slot verifies
                 try:
                     payload = hot.verified_slot(loc)
                 except CorruptionError:
                     self.drop_corrupt_slot(hot, key, loc)
                     continue
-                service += s_read
                 del keys[key]  # staged: out of the scan order
                 staged[loc.page_id] = staged.get(loc.page_id, 0) + 1
                 slot_size = slot_class_for(loc.record_size)

@@ -14,9 +14,11 @@ HyperDB partition is one, and so is PrismDB's slab store.  It owns every
 change to a slot, its zone's key set and byte count, and its index entry
 together.  Every slot write — a put, an in-place update, a resize's
 tombstone, a promotion, a relocation — is one sequence: :meth:`Zone.stage`
-places the slot bytes into a batch, :meth:`PageStore.write_spans` writes
-each staged page with one command, and only then is the old slot freed and
-the index switched: :meth:`SlotTable.write` for one put,
+places the slot bytes into a batch, :meth:`PageStore.write_spans` takes it
+(a foreground put's into the page store's write window, which writes each
+page it holds with one command every :data:`repro.lsm.wal.GROUP` puts; any
+other batch written through, a page a command), and only then is the old
+slot freed and the index switched: :meth:`SlotTable.write` for one put,
 :meth:`SlotTable.commit` for a relocation.
 """
 
@@ -243,10 +245,10 @@ class Zone:
         place) or, without one, into a fresh ``slot_size`` slot, which must
         lie in the zone's key range.  The offset and bytes join ``batch``
         (``{page_id: [npages, offset, payload, ...]}``) for
-        :meth:`PageStore.write_spans`.  Once the pages are written the caller
-        frees the old slot and counts the new one in :attr:`keys` and
-        :attr:`used_bytes`; if they are not, :meth:`free_slot` gives a fresh
-        slot back."""
+        :meth:`PageStore.write_spans`.  Once the page store has them the
+        caller frees the old slot and counts the new one in :attr:`keys` and
+        :attr:`used_bytes`; if it refused them, :meth:`free_slot` gives a
+        fresh slot back."""
         n = len(payload)
         if at is not None:
             slot_size, page_id, slot_index = at.slot_size, at.page_id, at.slot_index
@@ -380,9 +382,13 @@ class SlotTable:
         §3.2: an object that fits its slot is updated in place; otherwise it
         takes a fresh slot (``_fresh_zone``), and a resized object's
         tombstone marker, staged first, is written first into its old slot.
-        The old slot is freed and the index switched only after the writes,
-        so a failure before then (no room, a failed page write) frees the
-        staged slot and leaves the old location indexed and allocated."""
+        Once the page store has the batch (:meth:`PageStore.write_spans`)
+        the old slot is freed and the index switched.  A foreground batch
+        joins the write window, which keeps it even when the commit it
+        closes fails: the switch still happens, and then the error
+        propagates.  Any other batch is written through, so its failure (no
+        room, a failed page write) frees the staged slot and leaves the old
+        location indexed and allocated."""
         key, seqno = rec.key, rec.seqno
         payload = encode_record(rec)
         crc = zlib.crc32(payload)
@@ -390,32 +396,39 @@ class SlotTable:
         old = index.get(key)
         batch: dict = {}
         if old is not None and len(payload) <= old.slot_size:
-            zone = self.zone_of(old.zone_id)
+            zone, fresh = self.zone_of(old.zone_id), None
             new = zone.stage(batch, key, payload, seqno, crc, promoted, 0, old)
-            service = self.page_store.write_spans(batch, kind, self.cache)
-            zone.used_bytes += new.record_size - old.record_size
-            index[key] = new
-            return service, None
-        if old is not None:
-            marker = encode_record(Record.tombstone(b"", old.seqno))
-            batch[old.page_id] = [1, old.offset, marker[: old.slot_size]]
-        slot_size = slot_class_for(len(payload))
-        zone = self._fresh_zone(key, slot_size, promoted)
-        new = zone.stage(batch, key, payload, seqno, crc, promoted, slot_size)
+        else:
+            if old is not None:
+                marker = encode_record(Record.tombstone(b"", old.seqno))
+                batch[old.page_id] = [1, old.offset, marker[: old.slot_size]]
+            slot_size = slot_class_for(len(payload))
+            zone = fresh = self._fresh_zone(key, slot_size, promoted)
+            new = zone.stage(batch, key, payload, seqno, crc, promoted, slot_size)
+        failure = None
         try:
             service = self.page_store.write_spans(batch, kind, self.cache)
-        except ReproError:
-            zone.free_slot(new)
-            raise
-        if old is not None:  # first, so a same-zone resize's key goes to the back
-            self.zone_of(old.zone_id).remove_object(key, old)
-        zone.keys[key] = None
-        zone.used_bytes += new.record_size
-        if old is None:
-            index.insert(key, new)
-        else:
+        except ReproError as e:
+            if kind is not TrafficKind.FOREGROUND:
+                if fresh is not None:
+                    fresh.free_slot(new)
+                raise
+            failure = e  # the window holds this write: switch, then raise
+        if fresh is None:
+            zone.used_bytes += new.record_size - old.record_size
             index[key] = new
-        return service, zone
+        else:
+            if old is not None:  # first, so a same-zone resize's key goes to the back
+                self.zone_of(old.zone_id).remove_object(key, old)
+            fresh.keys[key] = None
+            fresh.used_bytes += new.record_size
+            if old is None:
+                index.insert(key, new)
+            else:
+                index[key] = new
+        if failure is not None:
+            raise failure
+        return service, fresh
 
     def commit(
         self, batch: dict, moves: dict, kind: TrafficKind, vacated: Optional[Zone] = None

@@ -241,6 +241,7 @@ class TestPrismDBStore:
         keys = [k(i) for i in range(20)]
         values = [b"v%03d" % i * 20 for i in range(20)]
         store.put_many(keys, values)
+        store.finalize()  # the slots reach media before one is flipped
         loc = store.slabs.index.get(keys[7])
         page = store.slabs.page_store._pages[loc.page_id]
         page[loc.offset + loc.record_size - 1] ^= 0x01

@@ -138,7 +138,7 @@ def _per_op(store, op, rows, busy_out):
 
 def _outage_windows(script):
     """Per batch of ``script``, an NVMe and then a SATA OFFLINE window of
-    40 I/Os, each opening at an op boundary read off a probe run that
+    20 I/Os, each opening at an op boundary read off a probe run that
     carries every earlier window.  The SATA window opens on the first op
     from the batch's middle on that starts a demotion job, when one does,
     so that job is paused and caught up inside the batch."""
@@ -158,7 +158,7 @@ def _outage_windows(script):
             if device == "sata":
                 i = next((j for j in range(i, len(rows)) if demotes[j]), i)
             windows.append(
-                HealthWindow(device, HealthState.OFFLINE, starts[i], starts[i] + 40)
+                HealthWindow(device, HealthState.OFFLINE, starts[i], starts[i] + 20)
             )
     return windows
 

@@ -223,10 +223,12 @@ class TestHyperDBFailover:
         db, inj = make_hyperdb()
         for i in range(n_load):
             db.put(encode_key(i), b"base-%04d" % i)
+        db.finalize()  # the load's write window is on media
         start = inj.total_ios + 1
         db, inj = make_hyperdb([offline("nvme", start, start + 60)])
         for i in range(n_load):
             db.put(encode_key(i), b"base-%04d" % i)
+        db.finalize()
         assert db.nvme_device.health() is HealthState.OFFLINE
         return db
 
@@ -243,6 +245,32 @@ class TestHyperDBFailover:
         got, _ = db.get(encode_key(500))
         assert got == b"degraded-write"
         assert db.stats.counter("failover_reads").value >= 1
+
+    def test_window_open_at_nvme_outage_loses_no_acked_write(self):
+        # The outage opens one (SATA) I/O after a 40-put load, whose last
+        # 8 puts the NVMe write window still holds: failover writes during
+        # it issue no NVMe I/O, and after it every acked put reads back.
+        db, inj = make_hyperdb()
+        for i in range(40):
+            db.put(encode_key(i), b"base-%04d" % i)
+        start = inj.total_ios + 2
+        db, inj = make_hyperdb([offline("nvme", start, start + 30)])
+        for i in range(40):
+            db.put(encode_key(i), b"base-%04d" % i)
+        assert db.performance_tier.page_store._window
+        db.sata_device.read_pages(1, TrafficKind.FOREGROUND)
+        assert db.nvme_device.health() is HealthState.OFFLINE
+        nvme_ios = db.nvme_device.traffic.write_ios() + db.nvme_device.traffic.read_ios()
+        db.put(encode_key(39), b"failover")  # a key the window holds
+        i = 600
+        while db.nvme_device.health() is not HealthState.HEALTHY:
+            traffic = db.nvme_device.traffic
+            assert traffic.write_ios() + traffic.read_ios() == nvme_ios
+            db.put(encode_key(i), b"pump")
+            i += 1
+        for i in range(39):
+            assert db.get(encode_key(i))[0] == b"base-%04d" % i
+        assert db.get(encode_key(39))[0] == b"failover"
 
     def test_nvme_outage_blocks_stale_resident_reads(self):
         db = self._loaded_outage_db()
@@ -274,6 +302,7 @@ class TestPrismDBFailover:
         )
         for i in range(n_load):
             store.put(encode_key(i), b"base-%04d" % i)
+        store.finalize()  # the load's write window is on media
         start = inj.total_ios + 1
         inj = FaultInjector(
             FaultPlan(seed=0, health_windows=(offline("nvme", start, start + 60),))
@@ -284,6 +313,7 @@ class TestPrismDBFailover:
         )
         for i in range(n_load):
             store.put(encode_key(i), b"base-%04d" % i)
+        store.finalize()
         assert store.nvme_device.health() is HealthState.OFFLINE
         return store
 

@@ -310,6 +310,7 @@ def test_prismdb_demotion_moves_slot_bytes(monkeypatch):
 def test_prismdb_demotion_drops_a_flipped_slot():
     store = prism_store()
     store.put(k(0), b"value-xxx")
+    store.finalize()  # the slot reaches media before it is flipped
     loc = store.slabs.index.get(k(0))
     page = store.slabs.page_store._pages[loc.page_id]
     page[loc.offset + loc.record_size - 1] ^= 0x01  # b"...xxx" -> b"...xxy"

@@ -93,6 +93,8 @@ class TestPageStore:
         pids = ps.allocate(2)
         dev.traffic.reset()
         ps.write_spans({pids[0]: [2, 0, b"x" * 5000]}, TrafficKind.FOREGROUND)
+        assert dev.traffic.write_bytes() == 0  # held by the write window
+        ps.commit()
         assert dev.traffic.write_bytes() == 2 * 4096
 
     def test_out_of_bounds_write_rejected(self):
@@ -336,6 +338,8 @@ class TestPerformanceTier:
         tier = self.make_tier()
         tier.device.traffic.reset()
         tier.put(rec(1))
+        assert tier.device.traffic.write_bytes(TrafficKind.FOREGROUND) == 0
+        tier.page_store.commit()
         assert tier.device.traffic.write_bytes(TrafficKind.FOREGROUND) == 4096
 
     def test_reads_cached(self):

@@ -88,8 +88,10 @@ def k(i):
 
 
 def corrupt_slot(db, key, bit=0):
-    """Flip one bit of ``key``'s resident NVMe slot bytes on media."""
+    """Flip one bit of ``key``'s resident NVMe slot bytes on media (the
+    write window committed first, so the flip is not written over)."""
     partition = db.performance_tier.partition_for_key(key)
+    partition.page_store.commit()
     loc = partition.resident_location(key)
     assert loc is not None, "key is not NVMe-resident"
     page = partition.page_store._pages[loc.page_id]
@@ -520,10 +522,11 @@ class TestScrubHealthDiscipline:
         assert st.paused_passes == 1
         assert st.passes == 0
         assert db.scrubber.has_catch_up
-        # Foreground writes advance the shared I/O clock past the window;
-        # the write path drains the queued pass exactly once.
+        # Foreground writes advance the shared I/O clock past the window,
+        # a command per page each time their write window commits (960
+        # puts here); the write path drains the queued pass exactly once.
         i = 2
-        while db.scrubber.has_catch_up and i < 300:
+        while db.scrubber.has_catch_up and i < 3000:
             db.put(k(i), b"v" * 32)
             i += 1
         assert st.catch_up_drains == 1

@@ -1,10 +1,15 @@
-"""Every NVMe slot write is one sequence: stage, write each page once, account.
+"""Every NVMe slot write is one sequence: stage, hand the batch over, account.
 
 A put, an in-place update, a resize (its tombstone included) and a
 promotion all go through :meth:`repro.nvme.zone.SlotTable.write`, on a
 partition and on PrismDB's slabs alike, and on the whole PrismDB-like store
-(whose put reaches its slabs).  These tests pin what each kind of slot write
-charges and where its bytes land, and that a write which fails -- for want
+(whose put reaches its slabs).  A foreground write joins the page store's
+write window, which writes each page it holds with one command every
+:data:`repro.lsm.wal.GROUP` foreground writes; any other write is written
+through.  These tests pin what each kind of slot write charges and where
+its bytes land, what the window charges and when, that a read of a page it
+holds commits it first, that a failed commit keeps it, that an NVMe outage
+loses none of it, and that a written-through write which fails -- for want
 of room or in its page write -- frees what it staged and leaves the old
 location indexed and allocated.
 """
@@ -12,10 +17,12 @@ location indexed and allocated.
 import pytest
 
 from repro.baselines.prismdb import PrismDBStore, _SlabStore
-from repro.common.errors import OutOfSpaceError, TransientIOError
+from repro.common.errors import DeviceOfflineError, OutOfSpaceError, TransientIOError
 from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
+from repro.health.state import HealthState, HealthWindow
 from repro.lsm.blocks import encode_record
+from repro.lsm.wal import GROUP
 from repro.nvme import NVMeConfig, PerformanceTier
 from repro.simssd import (
     DeviceProfile,
@@ -32,9 +39,9 @@ ENGINES = ("partition", "prismdb", "prismdb_store")
 K, N, M, O = (encode_key(i) for i in (10, 11, 12, 13))
 
 
-def make_device(pages):
+def make_device(pages, injector=None, name="nvme"):
     profile = DeviceProfile(
-        name="nvme",
+        name=name,
         capacity_bytes=pages * 4096,
         page_size=4096,
         read_latency_s=8e-5,
@@ -42,15 +49,18 @@ def make_device(pages):
         read_bandwidth=6.5e9,
         write_bandwidth=3.5e9,
     )
-    return SimDevice(profile, injector=FaultInjector(FaultPlan()))
+    return SimDevice(profile, injector=injector or FaultInjector(FaultPlan()))
 
 
 class Engine:
     """A partition, PrismDB's slab store or the whole PrismDB-like store,
-    behind the calls these tests make; ``store`` is the slot table."""
+    behind the calls these tests make; ``store`` is the slot table.  Its
+    NVMe device shares one injector, and so one I/O clock, with ``sata``."""
 
-    def __init__(self, name, pages=64):
-        self.device = make_device(pages)
+    def __init__(self, name, pages=64, windows=()):
+        injector = FaultInjector(FaultPlan(health_windows=tuple(windows)))
+        self.device = make_device(pages, injector)
+        self.sata = make_device(1024, injector, name="sata")
         self.db = None
         if name == "partition":
             tier = PerformanceTier(
@@ -62,15 +72,16 @@ class Engine:
         elif name == "prismdb":
             self.store = _SlabStore(self.device, NVMeConfig())
         else:
-            self.db = PrismDBStore(self.device, make_device(1024))
+            self.db = PrismDBStore(self.device, self.sata)
             self.store = self.db.slabs
         self.name = name
 
-    def put(self, key, value, seqno):
-        if self.db is None:
-            self.store.put(Record(key, value, seqno))
-        else:  # the store numbers its own writes, as the byte checks do
-            self.db.put(key, value)
+    def put(self, key, value, seqno, kind=FG):
+        """The write's returned service time."""
+        if self.db is None or kind is not FG:
+            return self.store.put(Record(key, value, seqno), kind)
+        # The store numbers its own writes, as the byte checks do.
+        return self.db.put(key, value)
 
     def promote(self, key, value, seqno):
         rec = Record(key, value, seqno)
@@ -78,6 +89,12 @@ class Engine:
             self.store.promote(rec)
         else:  # PrismDB promotes by a MIGRATION put into its slabs
             self.store.put(rec, MIGRATION)
+
+    def commit(self):
+        return self.store.page_store.commit()
+
+    def window(self):
+        return self.store.page_store._window
 
     def value(self, key):
         rec, _ = self.store.get(key)
@@ -114,6 +131,12 @@ def slot_bytes(engine, loc):
     return engine.store.page_store.peek(loc.page_id, loc.offset, loc.record_size)
 
 
+def on_media(engine, loc):
+    """The slot's bytes as the media holds them, without committing."""
+    page = engine.store.page_store._pages[loc.page_id]
+    return bytes(page[loc.offset : loc.offset + loc.record_size])
+
+
 # ------------------------------------------------------------ what it charges
 
 
@@ -121,7 +144,9 @@ def slot_bytes(engine, loc):
 def test_fresh_put_is_one_command(name):
     e = Engine(name)
     traffic = e.device.traffic
-    e.put(K, b"k" * 20, 1)
+    assert e.put(K, b"k" * 20, 1) == 0.0
+    assert traffic.write_ios() == 0  # held by the window
+    e.commit()
     assert (traffic.write_ios(FG), traffic.write_bytes(FG)) == (1, 4096)
     assert traffic.write_ios() == 1
     assert slot_bytes(e, e.loc(K)) == encode_record(Record(K, b"k" * 20, 1))
@@ -131,11 +156,14 @@ def test_fresh_put_is_one_command(name):
 def test_in_place_update_is_one_command_on_its_slot(name):
     e = Engine(name)
     e.put(K, b"k" * 20, 1)
+    e.commit()
     before = e.loc(K)
     traffic = e.device.traffic
     traffic.reset()
     e.put(K, b"K" * 30, 2)
     after = e.loc(K)
+    assert traffic.write_ios() == 0
+    e.commit()
     assert (traffic.write_ios(FG), traffic.write_bytes(FG)) == (1, 4096)
     assert (after.page_id, after.slot_index) == (before.page_id, before.slot_index)
     assert after.record_size == before.record_size + 10
@@ -147,6 +175,7 @@ def test_resize_writes_tombstone_then_new_slot(name, monkeypatch):
     e = Engine(name)
     e.put(K, b"k" * 20, 1)
     e.put(N, b"n" * 20, 2)  # a neighbour keeps the old slot's page alive
+    e.commit()
     old = e.loc(K)
     marker = tombstone_marker(old)
     store, device = e.store.page_store, e.device
@@ -154,12 +183,14 @@ def test_resize_writes_tombstone_then_new_slot(name, monkeypatch):
     real = device.write_pages
 
     def spy(npages, kind, sequential=False):
-        seen.append(store.peek(old.page_id, old.offset, len(marker)))
+        seen.append(bytes(store._pages[old.page_id][old.offset : old.offset + len(marker)]))
         return real(npages, kind, sequential=sequential)
 
     monkeypatch.setattr(device, "write_pages", spy)
     device.traffic.reset()
     e.put(K, b"K" * 900, 3)
+    assert seen == []
+    e.commit()
     new = e.loc(K)
     assert (device.traffic.write_ios(FG), device.traffic.write_bytes(FG)) == (2, 8192)
     # The tombstone page is written first: the second command already
@@ -180,6 +211,124 @@ def test_promotion_is_one_migration_command(name):
     assert traffic.write_ios() == 1
     assert slot_bytes(e, e.loc(K)) == encode_record(Record(K, b"k" * 20, 1))
     assert e.loc(K).promoted == (name == "partition")
+
+
+# ------------------------------------------------------------ the window
+
+#: Value sizes that spread one window over three slot classes' pages.
+SIZES = (20, 200, 900)
+
+
+def window_value(i):
+    return bytes([65 + i % 26]) * SIZES[i % 3]
+
+
+def window_puts(e, count, first=0):
+    """Fresh puts of keys ``first`` .. ``first + count - 1``; their
+    returned services."""
+    return [
+        e.put(encode_key(i), window_value(i), i + 1) for i in range(first, first + count)
+    ]
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_window_commits_every_group_puts(name):
+    # 31 puts charge nothing; the 32nd writes each page they touched once,
+    # with one command, and pays for all of them.
+    e = Engine(name)
+    traffic = e.device.traffic
+    assert window_puts(e, GROUP - 1) == [0.0] * (GROUP - 1)
+    assert traffic.write_ios() == 0 and traffic.read_ios() == 0
+    (service,) = window_puts(e, 1, first=GROUP - 1)
+    pages = {e.loc(encode_key(i)).page_id for i in range(GROUP)}
+    assert len(pages) > 2
+    assert (traffic.write_ios(FG), traffic.write_bytes(FG)) == (len(pages), 4096 * len(pages))
+    assert traffic.write_ios() == len(pages)
+    assert service == pytest.approx(e.device.busy_seconds())
+    assert e.window() == {}
+    for i in range(GROUP):
+        loc = e.loc(encode_key(i))
+        assert on_media(e, loc) == encode_record(Record(encode_key(i), window_value(i), i + 1))
+    # The next window starts empty: another 31 puts charge nothing.
+    assert window_puts(e, GROUP - 1, first=GROUP) == [0.0] * (GROUP - 1)
+    assert traffic.write_ios() == len(pages)
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_read_of_a_pending_page_commits_first(name):
+    e = Engine(name)
+    e.put(K, b"k" * 20, 1)
+    e.put(N, b"n" * 20, 2)
+    e.commit()
+    e.put(K, b"K" * 20, 3)  # in place, held by the window
+    loc = e.loc(K)
+    assert on_media(e, loc) == encode_record(Record(K, b"k" * 20, 1))
+    traffic = e.device.traffic
+    traffic.reset()
+    rec, service = e.store.get(K)
+    assert rec.value == b"K" * 20
+    assert (traffic.write_ios(FG), traffic.read_ios(FG)) == (1, 1)
+    assert service == pytest.approx(e.device.busy_seconds())
+    assert e.window() == {}
+    assert on_media(e, loc) == encode_record(Record(K, b"K" * 20, 3))
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_failed_commit_keeps_the_window(name):
+    # The GROUP-th put's commit fails: it raises, but every put of the
+    # window stays indexed and held, and the next commit writes them all.
+    e = Engine(name)
+    window_puts(e, GROUP - 1)
+    fail_page_write(e.device, 1)
+    with pytest.raises(TransientIOError):
+        window_puts(e, 1, first=GROUP - 1)
+    keys = [encode_key(i) for i in range(GROUP)]
+    pages = {e.loc(key).page_id for key in keys}
+    assert set(e.window()) == pages
+    e.device.injector = FaultInjector(FaultPlan())
+    e.device.traffic.reset()
+    e.commit()
+    assert e.device.traffic.write_ios(FG) == len(pages)
+    assert e.window() == {}
+    for i, key in enumerate(keys):
+        assert e.value(key) == window_value(i), key
+
+
+def failover(e, key):
+    """The NVMe side of a failover write of ``key``: the whole store writes
+    it to SATA; a bare slot table only drops its resident copy."""
+    if e.db is not None:
+        e.db.put(key, b"failover")
+    elif e.name == "partition":
+        e.store.drop_resident(key)
+    else:
+        e.store.remove(key)
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_window_open_at_nvme_outage_loses_no_acked_write(name):
+    # NVMe goes OFFLINE at the second I/O while the window holds three
+    # acked puts; SATA I/O moves the shared clock through the outage.
+    e = Engine(name, windows=[HealthWindow("nvme", HealthState.OFFLINE, 2, 12)])
+    for i, key in enumerate((K, N, M)):
+        e.put(key, b"%d" % i * 20, i + 1)
+    e.sata.read_pages(1, FG)
+    assert e.device.health() is HealthState.OFFLINE
+    nvme_ios = (e.device.traffic.write_ios(), e.device.traffic.read_ios())
+    failover(e, N)  # a key the window holds
+    assert (e.device.traffic.write_ios(), e.device.traffic.read_ios()) == nvme_ios
+    with pytest.raises(DeviceOfflineError):
+        e.commit()
+    assert e.loc(K) is not None and e.loc(N) is None
+    while e.device.health() is not HealthState.HEALTHY:
+        e.sata.read_pages(1, FG)
+    assert e.value(K) == b"0" * 20
+    assert e.value(M) == b"2" * 20
+    assert e.window() == {}
+    if e.db is not None:
+        assert e.db.get(N)[0] == b"failover"
+    else:
+        assert e.store.get(N)[0] is None
 
 
 # ------------------------------------------------------------ when it fails
@@ -207,16 +356,20 @@ def test_failed_resize_keeps_the_old_slot(name):
         assert e.value(key) == value * 20, key
 
 
+# Each write below is written through (a non-foreground write, as a
+# promotion is), so its own page write can fail.
+
+
 def fresh_put(e):
-    e.put(K, b"k" * 20, 1)
+    e.put(K, b"k" * 20, 1, MIGRATION)
 
 
 def in_place_update(e):
-    e.put(K, b"K" * 30, 2)
+    e.put(K, b"K" * 30, 2, MIGRATION)
 
 
 def resize(e):
-    e.put(K, b"K" * 900, 2)
+    e.put(K, b"K" * 900, 2, MIGRATION)
 
 
 def promotion(e):
@@ -238,6 +391,7 @@ def test_failed_page_write_frees_what_it_staged(name, write, existing, failing_c
     e.put(N, b"n" * 20, 1)
     if existing:
         e.put(K, b"k" * 20, 1)
+    e.commit()
     before = e.state()
     fail_page_write(e.device, failing_command)
     with pytest.raises(TransientIOError):

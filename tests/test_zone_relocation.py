@@ -324,6 +324,21 @@ def test_eviction_write_failure_rolls_back(monkeypatch):
     assert_reads_back(part, keys, {key: b"u" * 100 for key in keys})
 
 
+def test_eviction_service_counts_a_corrupt_slots_read(monkeypatch):
+    # The eviction reads the oldest slot's page, finds its bytes flipped
+    # and drops it: that read is device time, so it is in the service the
+    # promotion returns, which equals the NVMe busy delta.
+    device, part, keys = _hot_zone_of_unpromoted(monkeypatch)
+    monkeypatch.setattr(part, "_hot_zone_page_budget", lambda vacated=0: 2)
+    part.page_store.commit()  # the updates are on media before the flip
+    loc = part.index.get(keys[0])
+    part.page_store._pages[loc.page_id][loc.offset] ^= 0x01
+    busy = device.busy_seconds()
+    service = part.promote(Record(encode_key(KEYSPACE - 1), b"n" * 100, 10_000))
+    assert part.index.get(keys[0]) is None  # dropped, not relocated
+    assert service == pytest.approx(device.busy_seconds() - busy, rel=1e-12)
+
+
 # ------------------------------------------------------ PageStore.write_spans
 
 
