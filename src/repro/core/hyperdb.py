@@ -444,12 +444,21 @@ class HyperDB(KVStore):
     def checkpoint(self) -> float:
         """Back up every partition's index to NVMe (§3.1); returns the
         service time.  Call before a planned shutdown; :meth:`recover`
-        rebuilds the in-memory indexes from the backups.  The NVMe write
-        window commits first, and its service is the checkpoint's."""
+        rebuilds the in-memory indexes from the backups.  The staged
+        promotions drain and the NVMe write window commits first; the
+        device time of both, and of any migration the drain sets off, is
+        the checkpoint's."""
+        busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
         self.promotion.drain()
         tier = self.performance_tier
-        service = tier.page_store.commit()
-        service += sum(p.checkpoint() for p in tier.partitions)
+        tier.page_store.commit()
+        for p in tier.partitions:
+            p.checkpoint()
+        service = (
+            self.nvme_device.busy_seconds()
+            + self.sata_device.busy_seconds()
+            - busy_before
+        )
         rec = obs.RECORDER
         if rec is not None:
             rec.emit(

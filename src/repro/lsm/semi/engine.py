@@ -61,27 +61,56 @@ class CapacityTier:
         The whole merge-and-rebalance runs inside one device health epoch:
         an OFFLINE capacity device rejects the batch atomically at entry
         (``DeviceOfflineError`` before any table mutates), so a demotion
-        that frees its zone only after ingest returns loses nothing.
+        that frees its zone only after ingest returns loses nothing.  For
+        the same reason, when the compaction a merge sets off drops a
+        corrupt block holding one of the batch's entries, that entry is
+        merged again: on return the tier holds every entry of the batch or
+        a newer copy of its key.
         """
         if not entries:
             return 0.0
         entries = as_entries(entries)
+        levels = self.levels
         with self.fs.device.health_epoch:
-            by_segment: dict[int, dict[bytes, Entry]] = {}
-            segment_of = self.levels.level(1).segment_of
-            for entry in entries:
-                newest = by_segment.setdefault(segment_of(entry[0]), {})
-                held = newest.get(entry[0])
-                if held is None or entry[1] > held[1]:
-                    newest[entry[0]] = entry
-            service = 0.0
-            for seg, newest in sorted(by_segment.items()):
-                deduped = sorted(newest.values(), key=itemgetter(0))
-                table = self.levels.table_for_key(1, deduped[0][0], create=True)
-                service += table.merge_append(deduped, kind)
-                self.compactor._maybe_full_compact(table)
-            self.compactor.maybe_compact()
+            corrupt = levels.corrupt_blocks
+            service = self._merge(entries, kind)
+            while levels.corrupt_blocks != corrupt:
+                corrupt = levels.corrupt_blocks
+                lost = [e for e in entries if self._newest_seqno(e[0]) < e[1]]
+                if not lost:
+                    break
+                service += self._merge(lost, kind)
             return service
+
+    def _merge(self, entries: list[Entry], kind: TrafficKind) -> float:
+        """Merge ``entries`` into L1, the newest copy of a key winning, then
+        rebalance the levels; returns the L1 merge's service time."""
+        by_segment: dict[int, dict[bytes, Entry]] = {}
+        segment_of = self.levels.level(1).segment_of
+        for entry in entries:
+            newest = by_segment.setdefault(segment_of(entry[0]), {})
+            held = newest.get(entry[0])
+            if held is None or entry[1] > held[1]:
+                newest[entry[0]] = entry
+        service = 0.0
+        for seg, newest in sorted(by_segment.items()):
+            deduped = sorted(newest.values(), key=itemgetter(0))
+            table = self.levels.table_for_key(1, deduped[0][0], create=True)
+            service += table.merge_append(deduped, kind)
+            self.compactor._maybe_full_compact(table)
+        self.compactor.maybe_compact()
+        return service
+
+    def _newest_seqno(self, key: bytes) -> int:
+        """The seqno of ``key``'s newest copy in the tier (-1 for none);
+        index only, no I/O."""
+        for level_no in range(1, self.levels.num_levels + 1):
+            table = self.levels.table_for_key(level_no, key)
+            if table is not None:
+                seqno = table.seqno_of(key)
+                if seqno is not None:
+                    return seqno
+        return -1
 
     # -------------------------------------------------------------- reads
 

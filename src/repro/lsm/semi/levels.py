@@ -104,9 +104,12 @@ class SemiLevels:
             bounds = [encode_key(lo + int(i * step)) for i in range(nseg)]
             bounds[0] = config.key_space.lo  # exact lower edge
             self._levels[level_no] = _SemiLevel(level_no, bounds)
-        #: Copied into every table created here — see
+        #: Called for every corrupt block a table created here triages — see
         #: :attr:`repro.lsm.semi.semisstable.SemiSSTable.on_corrupt_block`.
         self.on_corrupt_block = None
+        #: Corrupt blocks triaged so far: an ingest compares it to learn
+        #: whether a block its own merge wrote may have died.
+        self.corrupt_blocks = 0
 
     # ------------------------------------------------------------ lookup
 
@@ -144,9 +147,14 @@ class SemiLevels:
                 declared_range=self.segment_range(level_no, segment),
                 block_size=self.config.block_size,
             )
-            table.on_corrupt_block = self.on_corrupt_block
+            if self.on_corrupt_block is not None:
+                table.on_corrupt_block = self._triage
             lvl.tables[segment] = table
         return table
+
+    def _triage(self, table: SemiSSTable, block, superseded) -> int:
+        self.corrupt_blocks += 1
+        return self.on_corrupt_block(table, block, superseded)
 
     def tables_overlapping(
         self, level_no: int, lo: bytes, hi: Optional[bytes]

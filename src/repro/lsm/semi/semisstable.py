@@ -172,6 +172,12 @@ class SemiSSTable:
         """Index-only membership test (no data-block I/O)."""
         return key in self._key_map
 
+    def seqno_of(self, key: bytes) -> Optional[int]:
+        """The seqno of ``key``'s valid copy (None when the index does not
+        list it); no I/O."""
+        entry = self._key_map.get(key)
+        return None if entry is None else entry[1]
+
     def valid_keys(self) -> list[bytes]:
         """Every valid key in order — the table's sorted view itself, so
         read-only for callers: built on first use, dropped on mutation."""

@@ -13,16 +13,24 @@ write — a slot's, a tombstone's, a checkpoint's — goes through
   with one command, in the order the window first took it, and the call
   that closed the window returns that service, as a WAL group commit does
   (KVell batches its page writes the same way);
-* any other batch (a relocation, a park, an eviction, a promotion, a
-  checkpoint) commits the window first, then writes each of its pages with
-  one command.
+* any other non-empty batch (a relocation, a park, an eviction, a
+  promotion, a checkpoint) commits the window first, then writes each of
+  its pages with one command.
 
-A page the window holds is never reached behind its back: a read, a peek or
-a bulk read of it commits the window first, and freeing it drops its
-pending bytes with it (a freed page is never read again).  The DRAM cache
-is invalidated when a page is staged, so it sees the sequence a write
-through would.  A failed commit keeps every page it did not write, and the
-next commit writes them; a restart forgets the window (:meth:`discard`).
+Those are the window's only commit triggers, with :meth:`PageStore.commit`
+called by ``finalize`` or a checkpoint: no read commits it.  A slot read
+(:meth:`PageStore.read_slot`) of a page the window holds is served from
+DRAM when the window's newest span over the slot covers it, charging
+nothing, as a memtable read would; another slot of such a page is one
+device read of its media bytes, which never enters the DRAM cache, since
+they are about to change.  :meth:`PageStore.peek` and
+:meth:`PageStore.read` see the window's bytes over the media's, and
+:meth:`PageStore.read_many` charges as for any page.  Freeing a held page
+drops its pending bytes with it (a freed page is never read again).  The
+DRAM cache is invalidated when a page is staged and filled only by a read
+of a page the window does not hold.  A failed commit keeps every page it
+did not write, and the next commit writes them; a restart forgets the
+window (:meth:`discard`).
 """
 
 from __future__ import annotations
@@ -93,8 +101,8 @@ class PageStore:
         A FOREGROUND batch joins the window and returns 0.0, or the
         :meth:`commit` service when it is the window's :data:`GROUP` th; a
         page the window already holds takes the batch's spans after its
-        own.  Any other batch commits the window, then writes each of its
-        pages with one command, in order.  Either way the batch belongs to
+        own.  Any other batch, unless empty, commits the window, then
+        writes each of its pages with one command, in order.  Either way the batch belongs to
         the store from here on.
         """
         pages, size = self._pages, self.page_size
@@ -111,7 +119,7 @@ class PageStore:
             if cache is not None:
                 cache.invalidate(page_id)
         if kind is not FOREGROUND:
-            return self.commit() + self._write(batch, kind)
+            return self.commit() + self._write(batch, kind) if batch else 0.0
         window = self._window
         for page_id, spans in batch.items():
             held = window.get(page_id)
@@ -180,6 +188,33 @@ class PageStore:
             page[offset : offset + len(piece)] = piece
             pos += n
 
+    def read_slot(
+        self,
+        page_id: int,
+        offset: int,
+        length: int,
+        kind: TrafficKind,
+        cache: Optional[LRUCache] = None,
+        npages: int = 1,
+    ) -> tuple[bytes, float]:
+        """Read ``length`` slot bytes at ``offset`` of an ``npages`` slot's
+        page; returns them and the service time.
+
+        When the window holds the page, the slot is read from DRAM if the
+        window's newest span over it covers it (the staged payload itself,
+        no page copy, charged nothing, the cache untouched); otherwise it is
+        one device read of the media bytes under the window's, which does
+        not fill the cache.  Any other page is read through ``cache``."""
+        spans = self._window.get(page_id)
+        if spans is None:
+            data, service = self.read(page_id, kind, cache, npages)
+            return data[offset : offset + length], service
+        staged = self._staged_slot(spans, offset, length)
+        if staged is not None:
+            return staged, 0.0
+        service = self.device.read_pages(npages, kind, sequential=False)
+        return self._pending_page(page_id, spans)[offset : offset + length], service
+
     def read(
         self,
         page_id: int,
@@ -187,47 +222,73 @@ class PageStore:
         cache: Optional[LRUCache] = None,
         npages: int = 1,
     ) -> tuple[bytes, float]:
-        """Read a slot's page(s), optionally through the DRAM page cache;
-        a page the window holds commits it first, and the service includes
-        the commit's."""
+        """Read a slot's page(s), optionally through the DRAM page cache.
+        A page the window holds is one device read outside the cache, its
+        bytes the window's over the media's."""
+        spans = self._window.get(page_id)
+        if spans is not None:
+            service = self.device.read_pages(npages, kind, sequential=False)
+            return self._pending_page(page_id, spans), service
         page = self._pages.get(page_id)
         if page is None:
             raise ReproError(f"read of unallocated page {page_id}")
-        # Staging dropped a held page from the cache: only a miss commits.
-        service = self.commit() if page_id in self._window else 0.0
         # Page ids key the shared cache directly: every other tenant of the
         # shared LRU uses tuple keys, so bare ints cannot collide with them.
         if cache is not None:
             cached = cache.get(page_id)
             if cached is not None:
-                return cached, service
-        service += self.device.read_pages(npages, kind, sequential=False)
+                return cached, 0.0
+        service = self.device.read_pages(npages, kind, sequential=False)
         data = bytes(page)
         if cache is not None:
             cache.put(page_id, data, charge=npages * self.page_size)
         return data, service
 
+    @staticmethod
+    def _staged_slot(spans: list, offset: int, length: int) -> Optional[bytes]:
+        """``[offset, offset + length)`` of a held page when the newest of
+        its window ``spans`` that overlaps the range covers all of it."""
+        end = offset + length
+        for i in range(len(spans) - 2, 0, -2):
+            start, data = spans[i], spans[i + 1]
+            stop = start + len(data)
+            if start < end and offset < stop:
+                if start > offset or stop < end:
+                    return None
+                if start == offset and stop == end:
+                    return data
+                return data[offset - start : end - start]
+        return None
+
+    def _pending_page(self, page_id: int, spans: list) -> bytes:
+        """A held page as its commit will leave it: the media's bytes with
+        the window's ``spans`` laid over them in order."""
+        page = bytearray(self._pages[page_id])
+        self._land(page, spans, b"".join(spans[2::2]))
+        return bytes(page)
+
     def peek(self, page_id: int, offset: int, length: int) -> bytes:
         """Zero-cost access to page contents whose I/O was already paid
-        (e.g. after a bulk migration read); a page the window holds commits
-        it first."""
+        (e.g. after a bulk migration read); a page the window holds shows
+        the window's bytes."""
         page = self._pages.get(page_id)
         if page is None:
             raise ReproError(f"peek of unallocated page {page_id}")
-        if page_id in self._window:
-            self.commit()
-        return bytes(page[offset : offset + length])
+        spans = self._window.get(page_id)
+        if spans is None:
+            return bytes(page[offset : offset + length])
+        staged = self._staged_slot(spans, offset, length)
+        if staged is not None:
+            return staged
+        return self._pending_page(page_id, spans)[offset : offset + length]
 
     def read_many(self, page_ids: list[int], kind: TrafficKind) -> float:
         """Charge a bulk read (migration, split, scrub): one I/O per page
         (zone pages are discontiguous on media), bypassing the cache.
-        Returns the service time, a commit of the window included when it
-        holds one of the pages; callers :meth:`peek` what they need."""
+        Returns the service time; callers :meth:`peek` what they need."""
         for pid in page_ids:
             if pid not in self._pages:
                 raise ReproError(f"read of unallocated page {pid}")
         if not page_ids:
             return 0.0
-        window = self._window
-        service = 0.0 if window.keys().isdisjoint(page_ids) else self.commit()
-        return service + self.device.read_pages(len(page_ids), kind, sequential=False)
+        return self.device.read_pages(len(page_ids), kind, sequential=False)

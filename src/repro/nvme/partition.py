@@ -372,10 +372,12 @@ class Partition(SlotTable):
                     self.drop(hot, key, loc)
                     continue
                 npages = -(-loc.slot_size // self.page_store.page_size)
-                _, s_read = self.page_store.read(loc.page_id, kind, self.cache, npages)
+                raw, s_read = self.page_store.read_slot(
+                    loc.page_id, loc.offset, loc.record_size, kind, self.cache, npages
+                )
                 service += s_read  # charged whether or not the slot verifies
                 try:
-                    payload = hot.verified_slot(loc)
+                    payload = hot.verified_slot(loc, raw)
                 except CorruptionError:
                     self.drop_corrupt_slot(hot, key, loc)
                     continue

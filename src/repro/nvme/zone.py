@@ -19,7 +19,10 @@ places the slot bytes into a batch, :meth:`PageStore.write_spans` takes it
 page it holds with one command every :data:`repro.lsm.wal.GROUP` puts; any
 other batch written through, a page a command), and only then is the old
 slot freed and the index switched: :meth:`SlotTable.write` for one put,
-:meth:`SlotTable.commit` for a relocation.
+:meth:`SlotTable.commit` for a relocation.  Every read of a slot sees its
+newest bytes, the window's when it holds them (:meth:`Zone.read_object`,
+:meth:`Zone.verified_slot`), so reads, moves and scrub check those against
+the index CRC.
 """
 
 from __future__ import annotations
@@ -273,12 +276,15 @@ class Zone:
         kind: TrafficKind = TrafficKind.FOREGROUND,
         cache=None,
     ) -> tuple[Entry, float]:
-        """Read one object's page and return the entry in its slot, which
-        passes :meth:`verified_slot` first: latent media corruption surfaces
-        as :class:`CorruptionError` instead of a silently wrong record."""
+        """Read one object's slot (:meth:`PageStore.read_slot`: from the
+        write window when it holds the slot, else its page) and return the
+        entry in it, which passes :meth:`verified_slot` first: latent media
+        corruption surfaces as :class:`CorruptionError` instead of a
+        silently wrong record."""
         npages = -(-loc.slot_size // self.page_store.page_size)
-        data, service = self.page_store.read(loc.page_id, kind, cache, npages=npages)
-        raw = data[loc.offset : loc.offset + loc.record_size]
+        raw, service = self.page_store.read_slot(
+            loc.page_id, loc.offset, loc.record_size, kind, cache, npages
+        )
         entry = entry_at(self.verified_slot(loc, raw))
         self.read_ios += 1
         return entry, service

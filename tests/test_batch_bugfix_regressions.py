@@ -104,6 +104,7 @@ class TestFreeInvalidatesCache:
         ps = PageStore(make_device(1), cache=cache)
         (pid,) = ps.allocate()
         ps.write_spans({pid: [1, 0, b"payload"]}, TrafficKind.FOREGROUND, cache)
+        ps.commit()  # a page the write window holds never enters the cache
         ps.read(pid, TrafficKind.FOREGROUND, cache)
         assert pid in cache
         ps.free(pid)
@@ -123,6 +124,7 @@ class TestFreeInvalidatesCache:
         # A big value gets a dedicated (oversized) slot, so freeing it
         # releases its pages immediately.
         part.put(Record(key, b"v" * 8000, 1))
+        part.page_store.commit()  # out of the write window, so cacheable
         part.get(key)  # populate the page cache
         loc = part.resident_location(key)
         assert loc.page_id in cache

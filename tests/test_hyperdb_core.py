@@ -175,6 +175,27 @@ class TestPromotionFlow:
         assert stats.promoted_objects == db.promotion.promotions
         assert stats.promoted_bytes == db.promotion.promoted_bytes > 0
 
+    def test_checkpoint_returns_the_promotions_it_drains(self):
+        # The staged promotions' hot-zone writes (and any migration they
+        # set off) are device time the checkpoint caused: it returns all of
+        # it, on both devices.
+        db = make_db(nvme_mib=2)
+        db.put(k(0), b"hot-object" * 10)
+        for i in range(1, 200):
+            db.put(k(i), b"x" * 512)
+        self.demote_key_zone(db, k(0))
+        part = db.performance_tier.partition_for_key(k(0))
+        for _ in range(part.tracker.discriminator.window_capacity * 5):
+            db.get(k(0))
+        assert len(db.promotion.cache) >= 1
+        promoted = db.promotion.promotions
+        busy = db.nvme_device.busy_seconds() + db.sata_device.busy_seconds()
+        service = db.checkpoint()
+        assert db.promotion.promotions > promoted
+        assert service == pytest.approx(
+            db.nvme_device.busy_seconds() + db.sata_device.busy_seconds() - busy
+        )
+
     def test_staged_copy_served(self):
         db = make_db(nvme_mib=2)
         db.put(k(0), b"hot-object" * 10)

@@ -5,10 +5,11 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigError, ReproError
+from repro.common.errors import ConfigError, CorruptionError, ReproError
 from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
 from repro.lsm.semi import CapacityTier, SemiLevelConfig, SemiLevels
+from repro.lsm.semi.semisstable import SemiSSTable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
 
 KEYSPACE = 100_000
@@ -129,6 +130,37 @@ class TestCapacityTier:
         tier.ingest(batch)
         rec, _ = tier.get(encode_key(7))
         assert rec.value == b"new"
+
+    def test_entry_lost_with_a_corrupt_block_is_merged_again(self, monkeypatch):
+        # The compaction an ingest sets off reads a block of the batch just
+        # merged and finds it corrupt: the triage drops the block, yet the
+        # caller (a demotion) frees its own copy once ingest returns, so
+        # ingest merges the lost entry again.
+        tier = CapacityTier(make_fs(), config())
+        triaged = []
+        tier.levels.on_corrupt_block = lambda table, block, superseded: triaged.append(
+            table.keys_of_block(block)
+        ) or 0
+        tier.ingest(recs(range(1000), value=b"old", seqno_base=1))
+        key = encode_key(500)
+        real = SemiSSTable._read_block
+
+        def read_block(table, block, kind, cache=None):
+            if (
+                not triaged
+                and kind is TrafficKind.COMPACTION
+                and key in table.keys_of_block(block)
+                and table.seqno_of(key) == 5000
+            ):
+                raise CorruptionError("flipped")
+            return real(table, block, kind, cache)
+
+        monkeypatch.setattr(SemiSSTable, "_read_block", read_block)
+        tier.ingest([Record(key, b"new", 5000)] + recs(range(1000, 2000), seqno_base=6000))
+        assert triaged and any(key in keys for keys in triaged)
+        assert tier.levels.corrupt_blocks == len(triaged)
+        rec, _ = tier.get(key)
+        assert (rec.value, rec.seqno) == (b"new", 5000)
 
     def test_compaction_triggered_and_levels_bounded(self):
         tier = CapacityTier(make_fs(), config())

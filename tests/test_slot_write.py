@@ -7,21 +7,29 @@ partition and on PrismDB's slabs alike, and on the whole PrismDB-like store
 write window, which writes each page it holds with one command every
 :data:`repro.lsm.wal.GROUP` foreground writes; any other write is written
 through.  These tests pin what each kind of slot write charges and where
-its bytes land, what the window charges and when, that a read of a page it
-holds commits it first, that a failed commit keeps it, that an NVMe outage
-loses none of it, and that a written-through write which fails -- for want
-of room or in its page write -- frees what it staged and leaves the old
+its bytes land, what the window charges and when, that reads never commit
+it (a slot it holds is served from it, another slot of its pages is one
+device read, and none of its pages enters the DRAM cache), that a demotion
+ships its bytes, that a failed commit keeps it, that an NVMe outage loses
+none of it, and that a written-through write which fails -- for want of
+room or in its page write -- frees what it staged and leaves the old
 location indexed and allocated.
 """
 
 import pytest
 
 from repro.baselines.prismdb import PrismDBStore, _SlabStore
-from repro.common.errors import DeviceOfflineError, OutOfSpaceError, TransientIOError
+from repro.common.cache import LRUCache
+from repro.common.errors import (
+    CorruptionError,
+    DeviceOfflineError,
+    OutOfSpaceError,
+    TransientIOError,
+)
 from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
 from repro.health.state import HealthState, HealthWindow
-from repro.lsm.blocks import encode_record
+from repro.lsm.blocks import encode_record, entry_of
 from repro.lsm.wal import GROUP
 from repro.nvme import NVMeConfig, PerformanceTier
 from repro.simssd import (
@@ -55,22 +63,26 @@ def make_device(pages, injector=None, name="nvme"):
 class Engine:
     """A partition, PrismDB's slab store or the whole PrismDB-like store,
     behind the calls these tests make; ``store`` is the slot table.  Its
-    NVMe device shares one injector, and so one I/O clock, with ``sata``."""
+    NVMe device shares one injector, and so one I/O clock, with ``sata``.
+    With ``cached`` the slot table reads through a DRAM page cache (the
+    whole store always has its own)."""
 
-    def __init__(self, name, pages=64, windows=()):
+    def __init__(self, name, pages=64, windows=(), cached=False):
         injector = FaultInjector(FaultPlan(health_windows=tuple(windows)))
         self.device = make_device(pages, injector)
         self.sata = make_device(1024, injector, name="sata")
         self.db = None
+        cache = LRUCache(1 << 20) if cached else None
         if name == "partition":
             tier = PerformanceTier(
                 self.device,
                 KeyRange(encode_key(0), encode_key(1000)),
                 NVMeConfig(num_partitions=1, initial_zones_per_partition=1),
+                cache=cache,
             )
             self.store = tier.partitions[0]
         elif name == "prismdb":
-            self.store = _SlabStore(self.device, NVMeConfig())
+            self.store = _SlabStore(self.device, NVMeConfig(), cache=cache)
         else:
             self.db = PrismDBStore(self.device, self.sata)
             self.store = self.db.slabs
@@ -95,6 +107,27 @@ class Engine:
 
     def window(self):
         return self.store.page_store._window
+
+    def held(self):
+        """A copy of the window: each held page's spans."""
+        return {pid: list(spans) for pid, spans in self.window().items()}
+
+    def demote(self, keys):
+        """Demote ``keys`` (one whole zone's, on a partition) through an
+        ingest that only keeps what it is given; the shipped entries."""
+        shipped = []
+
+        def ingest(entries, kind):
+            shipped.extend(entries)
+            return 0.0
+
+        if self.name == "partition":
+            (zone,) = [z for z in self.store.zones() if z.keys]
+            assert sorted(zone.keys) == sorted(keys)
+            self.store.collect_zone(zone, ingest)
+        else:
+            self.store.collect(keys, ingest)
+        return shipped
 
     def value(self, key):
         rec, _ = self.store.get(key)
@@ -254,23 +287,100 @@ def test_window_commits_every_group_puts(name):
     assert traffic.write_ios() == len(pages)
 
 
-@pytest.mark.parametrize("name", ENGINES)
-def test_read_of_a_pending_page_commits_first(name):
-    e = Engine(name)
+def held_update(e, cached=False):
+    """K and N share a committed page; K's in-place update is then held by
+    the window.  K's slot."""
     e.put(K, b"k" * 20, 1)
     e.put(N, b"n" * 20, 2)
     e.commit()
-    e.put(K, b"K" * 20, 3)  # in place, held by the window
+    e.put(K, b"K" * 20, 3)
     loc = e.loc(K)
+    assert loc.page_id == e.loc(N).page_id and loc.page_id in e.window()
     assert on_media(e, loc) == encode_record(Record(K, b"k" * 20, 1))
+    return loc
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_read_of_a_held_slot_is_served_from_the_window(name):
+    e = Engine(name)
+    loc = held_update(e)
+    held = e.held()
     traffic = e.device.traffic
     traffic.reset()
     rec, service = e.store.get(K)
     assert rec.value == b"K" * 20
-    assert (traffic.write_ios(FG), traffic.read_ios(FG)) == (1, 1)
+    assert service == 0.0
+    assert (traffic.read_ios(), traffic.write_ios()) == (0, 0)
+    assert e.held() == held
+    assert on_media(e, loc) == encode_record(Record(K, b"k" * 20, 1))
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_read_of_another_slot_on_a_held_page_is_one_read(name):
+    e = Engine(name)
+    held_update(e)
+    held = e.held()
+    traffic = e.device.traffic
+    traffic.reset()
+    rec, service = e.store.get(N)
+    assert rec.value == b"n" * 20
+    assert (traffic.read_ios(FG), traffic.read_ios(), traffic.write_ios()) == (1, 1, 0)
     assert service == pytest.approx(e.device.busy_seconds())
-    assert e.window() == {}
-    assert on_media(e, loc) == encode_record(Record(K, b"K" * 20, 3))
+    assert e.held() == held
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_held_page_never_enters_the_cache(name):
+    e = Engine(name, cached=True)
+    loc = held_update(e)
+    cache = e.store.cache
+    assert loc.page_id not in cache  # staging dropped it
+    assert e.value(K) == b"K" * 20
+    assert e.value(N) == b"n" * 20
+    assert loc.page_id not in cache
+    e.commit()
+    traffic = e.device.traffic
+    traffic.reset()
+    assert e.value(N) == b"n" * 20
+    assert loc.page_id in cache
+    assert e.value(K) == b"K" * 20
+    assert traffic.read_ios() == 1  # the second read hit the cache
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_demotion_of_held_pages_ships_the_windows_bytes(name):
+    e = Engine(name)
+    loc = held_update(e)
+    traffic = e.device.traffic
+    traffic.reset()
+    shipped = e.demote([K, N])
+    assert traffic.write_ios() == 0  # nothing committed
+    assert [(entry[0], entry[1]) for entry in shipped] == [(K, 3), (N, 2)]
+    assert dict((entry[0], entry) for entry in shipped)[K] == entry_of(
+        Record(K, b"K" * 20, 3)
+    )
+    assert e.loc(K) is None and e.loc(N) is None
+    assert loc.page_id not in e.window()  # freed with its pending bytes
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_flip_landing_with_the_commit_is_caught_by_the_next_read(name, monkeypatch):
+    # A window-served read sees the bytes as staged; once the commit lands
+    # them with a flip, the next read goes to the media and fails its CRC.
+    e = Engine(name)
+    loc = held_update(e)
+    injector = e.device.injector
+    monkeypatch.setattr(
+        injector, "corrupt_payload", lambda data, pages=None: bytes([data[0] ^ 1]) + data[1:]
+    )
+    assert e.value(K) == b"K" * 20
+    e.commit()
+    assert on_media(e, loc) != encode_record(Record(K, b"K" * 20, 3))
+    traffic = e.device.traffic
+    traffic.reset()
+    with pytest.raises(CorruptionError):
+        e.store.get(K)
+    assert traffic.read_ios(FG) == 1
 
 
 @pytest.mark.parametrize("name", ENGINES)
@@ -324,7 +434,15 @@ def test_window_open_at_nvme_outage_loses_no_acked_write(name):
         e.sata.read_pages(1, FG)
     assert e.value(K) == b"0" * 20
     assert e.value(M) == b"2" * 20
+    # No read closes the window: it still holds the acked puts, and the
+    # next commit writes them.
+    pages = set(e.window())
+    assert {e.loc(K).page_id, e.loc(M).page_id} <= pages
+    e.device.traffic.reset()
+    e.commit()
+    assert e.device.traffic.write_ios(FG) == len(pages)
     assert e.window() == {}
+    assert on_media(e, e.loc(K)) == encode_record(Record(K, b"0" * 20, 1))
     if e.db is not None:
         assert e.db.get(N)[0] == b"failover"
     else:
