@@ -63,7 +63,7 @@ class _SlabStore(SlotTable):
     slab is a keyless zone of the slot table."""
 
     def __init__(self, device: SimDevice, config: NVMeConfig, cache=None) -> None:
-        super().__init__(PageStore(device, cache=cache), cache)
+        super().__init__(PageStore(device, cache=cache))
         self.device = device
         self.config = config
         #: One keyless zone per slot class acts as that class's slab file.
@@ -90,7 +90,7 @@ class _SlabStore(SlotTable):
         loc: Optional[SlotLocation] = self.index.get(key)
         if loc is None:
             return None, 0.0
-        entry, service = self.zone_of(loc.zone_id).read_object(loc, kind, self.cache)
+        entry, service = self.zone_of(loc.zone_id).read_object(loc, kind)
         return record_of(entry), service
 
     def remove(self, key: bytes) -> None:

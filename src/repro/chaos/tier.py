@@ -338,5 +338,9 @@ class TierTarget:
         if scenario.scrub_interval > 0 and result.counters["scrub_passes"] == 0:
             result.violations.append("scrubber was armed but never completed a pass")
 
-    def busy_seconds(self) -> float:
-        return sum(d.busy_seconds() for d in self.store.devices().values())
+    def busy_seconds(self) -> tuple[float, float]:
+        """Device time summed over both devices, split as (foreground +
+        WAL, background)."""
+        devices = self.store.devices().values()
+        background = sum(d.traffic.background_busy_seconds() for d in devices)
+        return sum(d.busy_seconds() for d in devices) - background, background

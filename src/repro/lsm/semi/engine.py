@@ -146,8 +146,10 @@ class CapacityTier:
         """A lazy cursor over the live entries >= ``start``, in key order.
 
         Index-directed sequential point queries (§4.2): the candidate keys
-        come from the tables' index blocks (kept on NVMe, no data-tier
-        I/O) and go in runs to their tables' readers
+        come from the tables' indexes, in-memory maps a scan reads without
+        I/O (only Algorithm 1's index reads, when compaction picks a
+        victim, are charged, to the capacity device), and go in runs to
+        their tables' readers
         (:meth:`SemiSSTable.entries`); a record's one block lookup happens
         when the consumer asks for that record, so a scan is charged for
         what it pulls.  Blocks being unordered between themselves is why

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
 
 from repro.common.bloom import TABLE_BITS_PER_KEY
@@ -239,12 +239,12 @@ class SemiSSTable:
             bid, _, _, offset = key_map[key]
             if bid != block_id:
                 block_id, block = bid, blocks_by_id[bid]
-                # The key :meth:`_read_block` caches the block under, built
-                # once per run of keys in one block.
+                # The key the block is cached under, built once per run of
+                # keys in one block.
                 cache_key = ("semiblk", name, generation, block.offset)
             payload = None if cache is None else cache.get(cache_key)
             if payload is None:
-                payload, service = self._load_block(block, kind, cache, cache_key)
+                payload, service = self._read_block(block, kind, cache, cache_key)
                 if spent is not None:
                     spent.append(service)
             entry = entry_at(payload, offset)
@@ -257,58 +257,73 @@ class SemiSSTable:
         return ReproError(f"index says key {key!r} is in block {block_id} but it is not")
 
     def _read_block(
-        self, block: SemiBlock, kind: TrafficKind, cache=None
+        self, block: SemiBlock, kind: TrafficKind, cache=None, cache_key=None
     ) -> tuple[bytes, float]:
-        """The block's payload (checksum stripped): a cache lookup, then on
-        a miss :meth:`_load_block`."""
-        cache_key = None
-        if cache is not None:
-            cache_key = ("semiblk", self.file.name, self._generation, block.offset)
-            cached = cache.get(cache_key)
-            if cached is not None:
-                return cached, 0.0
-        return self._load_block(block, kind, cache, cache_key)
-
-    def _load_block(
-        self, block: SemiBlock, kind: TrafficKind, cache, cache_key
-    ) -> tuple[bytes, float]:
-        """Read the block from media and verify its CRC (a cached payload was
-        verified when it was read), then cache it under ``cache_key``."""
+        """The block's payload (checksum stripped), read from media and
+        verified on its own (a cached payload was verified when it was
+        read), then cached under ``cache_key``.  The record reader's miss
+        path, and the scrubber's per-block read with no cache."""
         raw, service = self.file.read(block.offset, block.length, kind)
         payload = verify_block(raw)
         if cache is not None:
             cache.put(cache_key, payload, charge=block.length)
         return payload, service
 
-    def _read_live_entries(
-        self, block: SemiBlock, kind: TrafficKind, superseded, cache=None
+    def _read_blocks(
+        self, blocks: Iterable[SemiBlock], kind: TrafficKind, superseded
     ) -> tuple[list[Entry], float]:
-        """Background read of ``block``: in key order, an entry sliced at each
-        offset the index still points at (key compared).  A block failing a
-        check is triaged by :attr:`on_corrupt_block`, retired, and yields none."""
-        try:
-            payload, service = self._read_block(block, kind, cache)
-            keys, key_map = self.keys_of_block(block), self._key_map
-            out = [entry_at(payload, key_map[k][3]) for k in keys]
-            if [e[0] for e in out] != keys:
-                raise self._misindexed(next(k for k, e in zip(keys, out) if e[0] != k))
-            return out, service
-        except CorruptionError:
-            if self.on_corrupt_block is None:
-                raise
-            self.on_corrupt_block(self, block, superseded)
-            self._kill_block(block)
-            return [], 0.0
+        """Background read of ``blocks`` (compaction victim, merge survivors,
+        ride-along): the valid entries of each, block by block in file order
+        and in key order within a block; returns them and the service time.
 
-    def live_entries(
-        self, kind: TrafficKind = TrafficKind.COMPACTION, cache=None
-    ) -> list[Entry]:
-        """All valid entries in key order (reads every live block once)."""
+        Each run of two or more file-adjacent blocks is one sequential read
+        over exactly their bytes, so the page two neighbours share is read
+        once; a lone block is one random command per page.  Each block is
+        then checked on its own (:meth:`_check_block`): a block failing its
+        check is triaged by :attr:`on_corrupt_block` and retired, yielding
+        none, while its run-neighbours still yield."""
+        runs: list[list[SemiBlock]] = []
+        for block in sorted(blocks, key=attrgetter("offset")):
+            if runs and (prev := runs[-1][-1]).offset + prev.length == block.offset:
+                runs[-1].append(block)
+            else:
+                runs.append([block])
         out: list[Entry] = []
-        for block in self.blocks:
-            if block.is_dead:
-                continue
-            out += self._read_live_entries(block, kind, frozenset(), cache)[0]
+        service = 0.0
+        for run in runs:
+            start = run[0].offset
+            raw, s = self.file.read(
+                start, run[-1].offset + run[-1].length - start, kind, len(run) > 1
+            )
+            service += s
+            view = memoryview(raw)
+            for block in run:
+                pos = block.offset - start
+                try:
+                    out += self._check_block(block, view[pos : pos + block.length])
+                except CorruptionError:
+                    if self.on_corrupt_block is None:
+                        raise
+                    self.on_corrupt_block(self, block, superseded)
+                    self._kill_block(block)
+        return out, service
+
+    def _check_block(self, block: SemiBlock, raw: memoryview) -> list[Entry]:
+        """``block``'s valid entries in key order from a view of its media
+        bytes ``raw``: the CRC verified in place, then the payload copied
+        once and an entry sliced at each offset the index still points at,
+        its key compared with the index's."""
+        payload = bytes(verify_block(raw))
+        keys, key_map = self.keys_of_block(block), self._key_map
+        out = [entry_at(payload, key_map[k][3]) for k in keys]
+        if [e[0] for e in out] != keys:
+            raise self._misindexed(next(k for k, e in zip(keys, out) if e[0] != k))
+        return out
+
+    def live_entries(self, kind: TrafficKind = TrafficKind.COMPACTION) -> list[Entry]:
+        """All valid entries in key order (:meth:`_read_blocks` of every
+        live block)."""
+        out = self._read_blocks([b for b in self.blocks if not b.is_dead], kind, ())[0]
         out.sort(key=itemgetter(0))
         return out
 
@@ -368,13 +383,11 @@ class SemiSSTable:
                 block = self._blocks_by_id[entry[0]]
                 touched[block.block_id] = block
 
-        survivors: list[Entry] = []
-        for block in touched.values():
-            # Keys being overwritten by this merge are superseded either
-            # way; a corrupt block's hook triages its *other* survivors.
-            live, s = self._read_live_entries(block, kind, incoming.keys())
-            service += s
-            survivors += [e for e in live if e[0] not in incoming]
+        # Keys being overwritten by this merge are superseded either way;
+        # a corrupt block's hook triages its *other* survivors.
+        live, s = self._read_blocks(touched.values(), kind, incoming.keys())
+        service += s
+        survivors = [e for e in live if e[0] not in incoming]
 
         merged = sorted(list(incoming.values()) + survivors, key=itemgetter(0))
 
@@ -472,7 +485,7 @@ class SemiSSTable:
         block = self._blocks_by_id[entry[0]]
         # The triggering key is superseded by the record travelling down; a
         # corrupt block's hook triages the rest.  Either way the block dies.
-        got = self._read_live_entries(block, kind, frozenset((key,)))
+        got = self._read_blocks((block,), kind, frozenset((key,)))
         self._kill_block(block)
         return got
 

@@ -119,9 +119,10 @@ class PartitionCheckpoint:
         service = 0.0
         chunks = []
         for pid in partition._checkpoint_pages:
-            data, s = store.read(pid, kind)
-            service += s
-            chunks.append(data)
+            # A page at a time, outside the DRAM cache: restore reads are
+            # not worth caching.
+            service += store.read_many([pid], kind)
+            chunks.append(store.peek(pid, 0, store.page_size))
         image = b"".join(chunks)[: partition._checkpoint_len]
         payload = verify_block(image, "checkpoint")
         if len(payload) < _HEADER.size:

@@ -21,16 +21,17 @@ Those are the window's only commit triggers, with :meth:`PageStore.commit`
 called by ``finalize`` or a checkpoint: no read commits it.  A slot read
 (:meth:`PageStore.read_slot`) of a page the window holds is served from
 DRAM when the window's newest span over the slot covers it, charging
-nothing, as a memtable read would; another slot of such a page is one
-device read of its media bytes, which never enters the DRAM cache, since
-they are about to change.  :meth:`PageStore.peek` and
+nothing, as a memtable read would; another slot of such a page is read as
+any page is, through the DRAM cache, with the window's bytes laid over the
+media's.  The cache only ever holds media bytes: a foreground batch leaves
+a page's cached copy in place (the media has not changed), a cache miss
+fills it with the media's bytes, never the window's, and a commit, or any
+other batch, drops each page it writes.  :meth:`PageStore.peek` and
 :meth:`PageStore.read` see the window's bytes over the media's, and
 :meth:`PageStore.read_many` charges as for any page.  Freeing a held page
-drops its pending bytes with it (a freed page is never read again).  The
-DRAM cache is invalidated when a page is staged and filled only by a read
-of a page the window does not hold.  A failed commit keeps every page it
-did not write, and the next commit writes them; a restart forgets the
-window (:meth:`discard`).
+drops its pending bytes with it (a freed page is never read again).  A
+failed commit keeps every page it did not write, and the next commit
+writes them; a restart forgets the window (:meth:`discard`).
 """
 
 from __future__ import annotations
@@ -90,20 +91,19 @@ class PageStore:
             self.cache.invalidate(page_id)
         self.device.trim(1)
 
-    def write_spans(
-        self, batch: dict, kind: TrafficKind, cache: Optional[LRUCache] = None
-    ) -> float:
+    def write_spans(self, batch: dict, kind: TrafficKind) -> float:
         """Write a staged ``{page_id: [npages, offset, payload, ...]}`` batch
         (:meth:`repro.nvme.zone.Zone.stage`), each page an in-place update of
         its ``npages`` random pages (an oversized slot's payload sits in its
-        head page's buffer), dropping each page from ``cache`` first.
+        head page's buffer).
 
         A FOREGROUND batch joins the window and returns 0.0, or the
         :meth:`commit` service when it is the window's :data:`GROUP` th; a
         page the window already holds takes the batch's spans after its
-        own.  Any other batch, unless empty, commits the window, then
-        writes each of its pages with one command, in order.  Either way the batch belongs to
-        the store from here on.
+        own, and the DRAM cache keeps the page's media copy.  Any other
+        batch, unless empty, drops its pages from the cache, commits the
+        window, then writes each of its pages with one command, in order.
+        Either way the batch belongs to the store from here on.
         """
         pages, size = self._pages, self.page_size
         for page_id, spans in batch.items():
@@ -116,8 +116,8 @@ class PageStore:
                 offset, end = spans[i], spans[i] + len(spans[i + 1])
                 if not 0 <= offset < size or end > limit:
                     raise ReproError(f"write [{offset}, {end}) exceeds {spans[0]} page(s)")
-            if cache is not None:
-                cache.invalidate(page_id)
+            if self.cache is not None and kind is not FOREGROUND:
+                self.cache.invalidate(page_id)
         if kind is not FOREGROUND:
             return self.commit() + self._write(batch, kind) if batch else 0.0
         window = self._window
@@ -132,12 +132,16 @@ class PageStore:
 
     def commit(self) -> float:
         """Write every page the window holds, each with one FOREGROUND
-        command, in the order the window took them; returns the service.
+        command, in the order the window took them, dropping each from the
+        DRAM cache first; returns the service.
         Inside one health epoch, so an outage rejects the whole commit
         before any page is written.  A failure keeps every page not yet
         written in the window."""
         service = 0.0
         if self._window:
+            if self.cache is not None:
+                for page_id in self._window:
+                    self.cache.invalidate(page_id)
             with self.device.health_epoch:
                 service = self._write(self._window, FOREGROUND)
         self._staged = 0
@@ -194,7 +198,6 @@ class PageStore:
         offset: int,
         length: int,
         kind: TrafficKind,
-        cache: Optional[LRUCache] = None,
         npages: int = 1,
     ) -> tuple[bytes, float]:
         """Read ``length`` slot bytes at ``offset`` of an ``npages`` slot's
@@ -202,46 +205,38 @@ class PageStore:
 
         When the window holds the page, the slot is read from DRAM if the
         window's newest span over it covers it (the staged payload itself,
-        no page copy, charged nothing, the cache untouched); otherwise it is
-        one device read of the media bytes under the window's, which does
-        not fill the cache.  Any other page is read through ``cache``."""
-        spans = self._window.get(page_id)
-        if spans is None:
-            data, service = self.read(page_id, kind, cache, npages)
-            return data[offset : offset + length], service
-        staged = self._staged_slot(spans, offset, length)
-        if staged is not None:
-            return staged, 0.0
-        service = self.device.read_pages(npages, kind, sequential=False)
-        return self._pending_page(page_id, spans)[offset : offset + length], service
-
-    def read(
-        self,
-        page_id: int,
-        kind: TrafficKind,
-        cache: Optional[LRUCache] = None,
-        npages: int = 1,
-    ) -> tuple[bytes, float]:
-        """Read a slot's page(s), optionally through the DRAM page cache.
-        A page the window holds is one device read outside the cache, its
-        bytes the window's over the media's."""
+        no page copy, charged nothing, the cache untouched).  Otherwise the
+        page is :meth:`read`."""
         spans = self._window.get(page_id)
         if spans is not None:
-            service = self.device.read_pages(npages, kind, sequential=False)
-            return self._pending_page(page_id, spans), service
+            staged = self._staged_slot(spans, offset, length)
+            if staged is not None:
+                return staged, 0.0
+        data, service = self.read(page_id, kind, npages)
+        return data[offset : offset + length], service
+
+    def read(
+        self, page_id: int, kind: TrafficKind, npages: int = 1
+    ) -> tuple[bytes, float]:
+        """Read a slot's page(s) through the DRAM page cache, when the store
+        has one, which only ever holds media bytes; a page the window holds
+        has the window's bytes laid over them."""
         page = self._pages.get(page_id)
         if page is None:
             raise ReproError(f"read of unallocated page {page_id}")
         # Page ids key the shared cache directly: every other tenant of the
         # shared LRU uses tuple keys, so bare ints cannot collide with them.
-        if cache is not None:
-            cached = cache.get(page_id)
-            if cached is not None:
-                return cached, 0.0
-        service = self.device.read_pages(npages, kind, sequential=False)
-        data = bytes(page)
-        if cache is not None:
-            cache.put(page_id, data, charge=npages * self.page_size)
+        cache = self.cache
+        data = None if cache is None else cache.get(page_id)
+        service = 0.0
+        if data is None:
+            service = self.device.read_pages(npages, kind, sequential=False)
+            data = bytes(page)
+            if cache is not None:
+                cache.put(page_id, data, charge=npages * self.page_size)
+        spans = self._window.get(page_id)
+        if spans is not None:
+            data = self._pending(data, spans)
         return data, service
 
     @staticmethod
@@ -260,10 +255,10 @@ class PageStore:
                 return data[offset - start : end - start]
         return None
 
-    def _pending_page(self, page_id: int, spans: list) -> bytes:
-        """A held page as its commit will leave it: the media's bytes with
+    def _pending(self, media: bytes, spans: list) -> bytes:
+        """A held page as its commit will leave it: its ``media`` bytes with
         the window's ``spans`` laid over them in order."""
-        page = bytearray(self._pages[page_id])
+        page = bytearray(media)
         self._land(page, spans, b"".join(spans[2::2]))
         return bytes(page)
 
@@ -280,7 +275,7 @@ class PageStore:
         staged = self._staged_slot(spans, offset, length)
         if staged is not None:
             return staged
-        return self._pending_page(page_id, spans)[offset : offset + length]
+        return self._pending(page, spans)[offset : offset + length]
 
     def read_many(self, page_ids: list[int], kind: TrafficKind) -> float:
         """Charge a bulk read (migration, split, scrub): one I/O per page

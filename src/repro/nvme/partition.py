@@ -44,7 +44,6 @@ class Partition(SlotTable):
         page_store: PageStore,
         config: NVMeConfig,
         page_budget: int,
-        cache=None,
         key_hashes: Optional[KeyHashes] = None,
     ) -> None:
         if key_range.hi is None:
@@ -56,7 +55,7 @@ class Partition(SlotTable):
         #: The engine's key-digest memo, handed to every tracker this
         #: partition builds (calibration and reset replace the tracker).
         self.key_hashes = key_hashes
-        super().__init__(page_store, cache)
+        super().__init__(page_store)
         self._zone_seq = 0
         #: Engine hook fired by :meth:`drop_corrupt_slot` whenever a read,
         #: a relocation or the scrubber finds a slot whose payload no longer
@@ -268,7 +267,7 @@ class Partition(SlotTable):
             return None, 0.0
         zone = self.zone_of(loc.zone_id)
         try:
-            return zone.read_object(loc, kind, self.cache)
+            return zone.read_object(loc, kind)
         except CorruptionError:
             self.drop_corrupt_slot(zone, key, loc)
             raise
@@ -373,7 +372,7 @@ class Partition(SlotTable):
                     continue
                 npages = -(-loc.slot_size // self.page_store.page_size)
                 raw, s_read = self.page_store.read_slot(
-                    loc.page_id, loc.offset, loc.record_size, kind, self.cache, npages
+                    loc.page_id, loc.offset, loc.record_size, kind, npages
                 )
                 service += s_read  # charged whether or not the slot verifies
                 try:

@@ -55,7 +55,6 @@ class PerformanceTier:
                 page_store=self.page_store,
                 config=self.config,
                 page_budget=budget,
-                cache=cache,
                 key_hashes=self.key_hashes,
             )
             self.partitions.append(part)

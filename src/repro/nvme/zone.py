@@ -274,7 +274,6 @@ class Zone:
         self,
         loc: SlotLocation,
         kind: TrafficKind = TrafficKind.FOREGROUND,
-        cache=None,
     ) -> tuple[Entry, float]:
         """Read one object's slot (:meth:`PageStore.read_slot`: from the
         write window when it holds the slot, else its page) and return the
@@ -283,7 +282,7 @@ class Zone:
         silently wrong record."""
         npages = -(-loc.slot_size // self.page_store.page_size)
         raw, service = self.page_store.read_slot(
-            loc.page_id, loc.offset, loc.record_size, kind, cache, npages
+            loc.page_id, loc.offset, loc.record_size, kind, npages
         )
         entry = entry_at(self.verified_slot(loc, raw))
         self.read_ios += 1
@@ -334,8 +333,8 @@ class SlotTable:
     HyperDB partition, or PrismDB's slab store.
 
     It owns the index (:class:`BTreeIndex`), every live zone by id, the
-    page store, the DRAM cache and the page counter each zone mirrors its
-    pages into, and every change to them: a put (:meth:`write`), a
+    page store (which owns the DRAM page cache) and the page counter each
+    zone mirrors its pages into, and every change to them: a put (:meth:`write`), a
     relocation's :meth:`commit` or :meth:`unstage`, a :meth:`drop` and a
     recovered zone's :meth:`reseat`.  Only a fresh key goes through
     ``index.insert`` and only a dropped one through ``index.delete``;
@@ -344,9 +343,8 @@ class SlotTable:
     ``key``'s fresh ``slot_size`` slot.
     """
 
-    def __init__(self, page_store: PageStore, cache=None) -> None:
+    def __init__(self, page_store: PageStore) -> None:
         self.page_store = page_store
-        self.cache = cache
         self.clear_slots()
 
     def clear_slots(self) -> None:
@@ -413,7 +411,7 @@ class SlotTable:
             new = zone.stage(batch, key, payload, seqno, crc, promoted, slot_size)
         failure = None
         try:
-            service = self.page_store.write_spans(batch, kind, self.cache)
+            service = self.page_store.write_spans(batch, kind)
         except ReproError as e:
             if kind is not TrafficKind.FOREGROUND:
                 if fresh is not None:
@@ -448,7 +446,7 @@ class SlotTable:
         """
         if vacated is not None and len(vacated.keys) != len(moves):
             raise ReproError(f"zone {vacated.zone_id} would leave keys behind")
-        service = self.page_store.write_spans(batch, kind, self.cache)
+        service = self.page_store.write_spans(batch, kind)
         index, zones = self.index, self._zone_map
         for key, new in moves.items():
             if vacated is None:

@@ -255,8 +255,8 @@ class Scrubber:
             try:
                 # Full media check: the CRC, then every record header (other
                 # readers decode only what the index points at; scrub's job
-                # is the medium).  cache=None: read the media, not the cache.
-                payload, _ = table._read_block(block, TrafficKind.SCRUB, cache=None)
+                # is the medium), read from the media, not the cache.
+                payload, _ = table._read_block(block, TrafficKind.SCRUB)
                 payload_entries(payload)
             except CorruptionError:
                 self._detect("semi_block", table=table.table_id, block=block.block_id)

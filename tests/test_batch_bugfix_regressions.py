@@ -103,9 +103,9 @@ class TestFreeInvalidatesCache:
         cache = LRUCache(1 << 20)
         ps = PageStore(make_device(1), cache=cache)
         (pid,) = ps.allocate()
-        ps.write_spans({pid: [1, 0, b"payload"]}, TrafficKind.FOREGROUND, cache)
-        ps.commit()  # a page the write window holds never enters the cache
-        ps.read(pid, TrafficKind.FOREGROUND, cache)
+        ps.write_spans({pid: [1, 0, b"payload"]}, TrafficKind.FOREGROUND)
+        ps.commit()
+        ps.read(pid, TrafficKind.FOREGROUND)
         assert pid in cache
         ps.free(pid)
         assert pid not in cache

@@ -78,13 +78,12 @@ class TestPageStore:
             ps.allocate(1)
 
     def test_cache_invalidated_on_write(self):
-        ps = PageStore(make_device(1))
-        cache = LRUCache(1 << 20)
+        ps = PageStore(make_device(1), cache=LRUCache(1 << 20))
         (pid,) = ps.allocate()
         ps.write_spans({pid: [1, 0, b"v1"]}, TrafficKind.FOREGROUND)
-        ps.read(pid, TrafficKind.FOREGROUND, cache)
-        ps.write_spans({pid: [1, 0, b"v2"]}, TrafficKind.FOREGROUND, cache)
-        data, _ = ps.read(pid, TrafficKind.FOREGROUND, cache)
+        ps.read(pid, TrafficKind.FOREGROUND)
+        ps.write_spans({pid: [1, 0, b"v2"]}, TrafficKind.FOREGROUND)
+        data, _ = ps.read(pid, TrafficKind.FOREGROUND)
         assert data[:2] == b"v2"
 
     def test_oversized_write_charges_multiple_pages(self):

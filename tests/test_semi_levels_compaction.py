@@ -143,9 +143,18 @@ class TestCapacityTier:
         ) or 0
         tier.ingest(recs(range(1000), value=b"old", seqno_base=1))
         key = encode_key(500)
-        real = SemiSSTable._read_block
+        real_read, real_check = SemiSSTable._read_blocks, SemiSSTable._check_block
+        kinds = []  # the kind of each background read in progress
 
-        def read_block(table, block, kind, cache=None):
+        def read_blocks(table, blocks, kind, superseded):
+            kinds.append(kind)
+            try:
+                return real_read(table, blocks, kind, superseded)
+            finally:
+                kinds.pop()
+
+        def check_block(table, block, raw):
+            kind = kinds[-1]
             if (
                 not triaged
                 and kind is TrafficKind.COMPACTION
@@ -153,9 +162,10 @@ class TestCapacityTier:
                 and table.seqno_of(key) == 5000
             ):
                 raise CorruptionError("flipped")
-            return real(table, block, kind, cache)
+            return real_check(table, block, raw)
 
-        monkeypatch.setattr(SemiSSTable, "_read_block", read_block)
+        monkeypatch.setattr(SemiSSTable, "_read_blocks", read_blocks)
+        monkeypatch.setattr(SemiSSTable, "_check_block", check_block)
         tier.ingest([Record(key, b"new", 5000)] + recs(range(1000, 2000), seqno_base=6000))
         assert triaged and any(key in keys for keys in triaged)
         assert tier.levels.corrupt_blocks == len(triaged)

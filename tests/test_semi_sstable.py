@@ -8,7 +8,7 @@ from repro.common.keys import KeyRange, encode_key
 from repro.common.errors import ReproError
 from repro.common.records import Record
 from repro.lsm.blocks import decode_one
-from repro.lsm.semi import SemiSSTable
+from repro.lsm.semi import SemiLevelConfig, SemiLevels, SemiSSTable
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
 from tests.reference_codec import decode_payload
 
@@ -197,6 +197,110 @@ class TestFullCompact:
         table.full_compact()
         assert table.num_valid_records == 0
         assert table.file_bytes == 0
+
+
+PAGE = 4096
+
+
+def page_span(start, end):
+    """Pages a read of file bytes ``[start, end)`` is charged for."""
+    return (end - 1) // PAGE - start // PAGE + 1
+
+
+def block_span(*blocks):
+    """Pages of one read over ``blocks``, file-adjacent and in file order."""
+    return page_span(blocks[0].offset, blocks[-1].offset + blocks[-1].length)
+
+
+def compaction_reads(fs):
+    traffic = fs.device.traffic
+    return (
+        traffic.read_ios(TrafficKind.COMPACTION),
+        traffic.read_bytes(TrafficKind.COMPACTION),
+    )
+
+
+def big_table(fs, table=None):
+    """Blocks of about 4.3 KiB, each on two or three pages, all written by
+    one append and so file-adjacent."""
+    table = table or SemiSSTable(1, fs, full_range(), block_size=PAGE)
+    table.merge_append(recs(range(100), value=b"v" * 200))
+    assert len(table.blocks) >= 5
+    for a, b in zip(table.blocks, table.blocks[1:]):
+        assert a.offset + a.length == b.offset
+    fs.device.traffic.reset()
+    return table
+
+
+class TestBackgroundReads:
+    """A background read issues one sequential command per run of
+    file-adjacent blocks, over exactly their pages, and one random command
+    per page of a lone block."""
+
+    def test_adjacent_live_blocks_are_one_command(self, fs):
+        table = big_table(fs)
+        out = table.live_entries()
+        assert [e[0] for e in out] == [encode_key(i) for i in range(100)]
+        pages = block_span(*table.blocks)
+        assert compaction_reads(fs) == (1, pages * PAGE)
+        # Each page is read once: block by block, shared pages read twice.
+        assert pages < sum(block_span(b) for b in table.blocks)
+
+    def test_a_dead_block_splits_the_read(self, fs):
+        table = big_table(fs)
+        blocks = list(table.blocks)
+        table._kill_block(blocks[2])
+        out = table.live_entries()
+        assert len(out) == 100 - blocks[2].num_records
+        pages = block_span(*blocks[:2]) + block_span(*blocks[3:])
+        assert compaction_reads(fs) == (2, pages * PAGE)
+
+    def test_a_lone_block_is_one_command_per_page(self, fs):
+        table = big_table(fs)
+        block = table.blocks[1]
+        key = table.keys_of_block(block)[0]
+        out, _ = table.extract_block_records(key)
+        assert len(out) == block.num_records
+        assert block_span(block) >= 2
+        assert compaction_reads(fs) == (block_span(block), block_span(block) * PAGE)
+
+    def test_merge_reads_adjacent_touched_blocks_with_one_command(self, fs):
+        table = big_table(fs)
+        b1, b2 = table.blocks[1:3]
+        keys = [table.keys_of_block(b1)[0], table.keys_of_block(b2)[-1]]
+        table.merge_append([Record(k, b"new", 1000 + n) for n, k in enumerate(keys)])
+        assert compaction_reads(fs) == (1, block_span(b1, b2) * PAGE)
+        assert b1.is_dead and b2.is_dead
+        assert [table.get(k)[0].value for k in keys] == [b"new", b"new"]
+
+    def test_a_corrupt_block_inside_a_run_is_triaged_alone(self, fs):
+        levels = SemiLevels(fs, SemiLevelConfig(
+            key_space=full_range(), num_levels=2, size_ratio=2,
+            bottom_segments=2, block_size=PAGE,
+        ))
+        calls = []
+        levels.on_corrupt_block = lambda t, b, superseded: calls.append(
+            (t, b, set(superseded), t.keys_of_block(b))
+        ) or 0
+        table = big_table(fs, levels.table_for_key(1, encode_key(0), create=True))
+        b0, b1, b2 = table.blocks[:3]
+        before = {b.block_id: table.keys_of_block(b) for b in (b0, b1, b2)}
+        incoming = [before[b.block_id][1] for b in (b0, b1, b2)]
+        table.file._data[b1.offset + 100] ^= 1  # a flip in b1's payload
+        table.merge_append([Record(k, b"new", 1000 + n) for n, k in enumerate(incoming)])
+        assert len(calls) == 1
+        hit_table, hit_block, superseded, lost = calls[0]
+        assert (hit_table, hit_block) == (table, b1)
+        assert superseded == set(incoming)
+        assert lost == before[b1.block_id]
+        assert levels.corrupt_blocks == 1
+        assert compaction_reads(fs) == (1, block_span(b0, b1, b2) * PAGE)
+        for key in before[b0.block_id] + before[b2.block_id]:
+            rec, _ = table.get(key)
+            assert rec.value == (b"new" if key in incoming else b"v" * 200)
+        for key in before[b1.block_id]:
+            assert table.contains_key(key) == (key in incoming)
+        assert table.get(incoming[1])[0].value == b"new"
 
 
 class TestDestroy:

@@ -8,8 +8,8 @@ write window, which writes each page it holds with one command every
 :data:`repro.lsm.wal.GROUP` foreground writes; any other write is written
 through.  These tests pin what each kind of slot write charges and where
 its bytes land, what the window charges and when, that reads never commit
-it (a slot it holds is served from it, another slot of its pages is one
-device read, and none of its pages enters the DRAM cache), that a demotion
+it (a slot it holds is served from it, another slot of its pages is read
+through the DRAM cache, which holds only media bytes), that a demotion
 ships its bytes, that a failed commit keeps it, that an NVMe outage loses
 none of it, and that a written-through write which fails -- for want of
 room or in its page write -- frees what it staged and leaves the old
@@ -331,20 +331,29 @@ def test_read_of_another_slot_on_a_held_page_is_one_read(name):
 
 @pytest.mark.parametrize("name", ENGINES)
 def test_held_page_never_enters_the_cache(name):
+    # The window's bytes never enter the DRAM cache; the page's media copy
+    # may, a foreground write leaves it there, and a commit drops it.
     e = Engine(name, cached=True)
     loc = held_update(e)
-    cache = e.store.cache
-    assert loc.page_id not in cache  # staging dropped it
-    assert e.value(K) == b"K" * 20
-    assert e.value(N) == b"n" * 20
-    assert loc.page_id not in cache
-    e.commit()
+    cache, pages = e.store.page_store.cache, e.store.page_store._pages
     traffic = e.device.traffic
     traffic.reset()
+    assert e.value(K) == b"K" * 20  # from the window
+    assert loc.page_id not in cache
+    assert e.value(N) == b"n" * 20  # a miss: one device read
+    assert cache.peek(loc.page_id) == bytes(pages[loc.page_id])
+    assert e.value(N) == b"n" * 20  # a hit, the window laid over it
+    assert traffic.read_ios() == 1
+    e.put(K, b"Q" * 20, 4)
+    assert loc.page_id in e.window() and loc.page_id in cache
+    assert e.value(K) == b"Q" * 20 and e.value(N) == b"n" * 20
+    assert traffic.read_ios() == 1
+    e.commit()
+    assert loc.page_id not in cache
     assert e.value(N) == b"n" * 20
-    assert loc.page_id in cache
-    assert e.value(K) == b"K" * 20
-    assert traffic.read_ios() == 1  # the second read hit the cache
+    assert cache.peek(loc.page_id) == bytes(pages[loc.page_id])
+    assert e.value(K) == b"Q" * 20
+    assert traffic.read_ios() == 2  # the last read hit the cache
 
 
 @pytest.mark.parametrize("name", ENGINES)
