@@ -150,9 +150,9 @@ class CapacityTier:
         I/O (only Algorithm 1's index reads, when compaction picks a
         victim, are charged, to the capacity device), and go in runs to
         their tables' readers
-        (:meth:`SemiSSTable.entries`); a record's one block lookup happens
-        when the consumer asks for that record, so a scan is charged for
-        what it pulls.  Blocks being unordered between themselves is why
+        (:meth:`SemiSSTable.entries`); a record's page lookup happens when
+        the consumer asks for that record, so a scan is charged for what
+        it pulls.  Blocks being unordered between themselves is why
         HyperDB gains nothing on YCSB-E relative to a strictly sorted LSM.
 
         ``count`` sizes a round: each level lists at most ``count + 16``

@@ -9,7 +9,8 @@ Layout of one semi-SSTable:
 * **index blocks** — per-block key ranges, offsets, and validity, plus the
   set of all *valid* keys in the table (the paper prefix-compresses these;
   we keep them in an in-memory map, each key pointing at its record's
-  block and offset, and charge their serialized size).
+  block, file offset and CRC32, and charge their serialized size), so a
+  point read fetches the page its record is on, not the whole block.
 
 Merging new objects (:meth:`SemiSSTable.merge_append`) rewrites only the
 blocks whose keys are touched: their surviving records — entries sliced out
@@ -27,6 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional
+from zlib import crc32
 
 from repro.common.bloom import TABLE_BITS_PER_KEY
 from repro.common.errors import CorruptionError, ReproError
@@ -111,8 +113,9 @@ class SemiSSTable:
         self.blocks: list[SemiBlock] = []
         self._blocks_by_id: dict[int, SemiBlock] = {}
         self._next_block_id = 0
-        # key -> (block_id, seqno, record_size, payload_offset): the "index block".
-        self._key_map: dict[bytes, tuple[int, int, int, int]] = {}
+        # key -> (block_id, seqno, record_size, file_offset, crc32 of the
+        # record's bytes): the "index block".
+        self._key_map: dict[bytes, tuple[int, int, int, int, int]] = {}
         self._valid_bytes = 0
         self._key_bytes = 0  # sum of len(key) over _key_map
         # The index's other two access paths.  By block: the keys each live
@@ -228,46 +231,77 @@ class SemiSSTable:
         spent: Optional[list[float]] = None,
     ) -> Iterator[Entry]:
         """The entry of each of ``keys`` (keys this table's index lists),
-        lazily: the table's one record reader.  A key pulled costs one block
-        lookup (a ``cache.get``; a miss reads and verifies the block, its
-        service time appended to ``spent``), then the entry is sliced at the
-        indexed offset and its key compared with the index's."""
-        key_map, blocks_by_id = self._key_map, self._blocks_by_id
+        lazily: the table's one record reader.  A key pulled costs one page
+        lookup per page its record lies on (a ``cache.get``; unless all hit,
+        those pages are read with one random read, its service time
+        appended to ``spent``) — none when its record lies on the pages the
+        previous key's was read from.  The entry is sliced at its indexed
+        offset, its bytes checked against the index's CRC and its key
+        compared with the index's: a read verifies exactly the bytes it
+        returns."""
+        key_map, ps = self._key_map, self.fs.device.page_size
         name, generation = self.file.name, self._generation
-        block_id = block = cache_key = None
+        get = None if cache is None else cache.get
+        # The pages last read: file bytes ``[base, limit)``.
+        base, limit, data = 0, 0, b""
         for key in keys:
-            bid, _, _, offset = key_map[key]
-            if bid != block_id:
-                block_id, block = bid, blocks_by_id[bid]
-                # The key the block is cached under, built once per run of
-                # keys in one block.
-                cache_key = ("semiblk", name, generation, block.offset)
-            payload = None if cache is None else cache.get(cache_key)
-            if payload is None:
-                payload, service = self._read_block(block, kind, cache, cache_key)
-                if spent is not None:
-                    spent.append(service)
-            entry = entry_at(payload, offset)
+            _, _, size, offset, crc = key_map[key]
+            end = offset + size
+            if offset < base or end > limit:
+                first = offset // ps
+                base = first * ps
+                data = None if get is None else get((name, generation, first))
+                if data is None or end > base + len(data):
+                    data = self._pages(first, end - base, data, kind, cache, spent)
+                limit = base + len(data)
+            entry = entry_at(data, offset - base)
+            if crc32(entry[3]) != crc:
+                raise CorruptionError(f"record checksum mismatch for key {key!r}")
             if entry[0] != key:
                 raise self._misindexed(key)
             yield entry
+
+    def _pages(
+        self, first: int, end: int, head: Optional[bytes], kind: TrafficKind, cache, spent
+    ) -> bytes:
+        """The pages from ``first`` on that hold ``end`` bytes, joined:
+        ``head`` is the cached copy of page ``first`` (None for a miss) and
+        each later page is looked up in ``cache``.  Unless every page hits,
+        the pages are read with one random read and cached.  A cached page
+        shorter than the bytes wanted of it was the file's partial last
+        page before an append grew it, and counts as a miss."""
+        ps = self.fs.device.page_size
+        name, generation = self.file.name, self._generation
+        count = (end - 1) // ps + 1
+        pages = [head]  # None without a cache
+        if cache is not None:
+            pages += [cache.get((name, generation, first + i)) for i in range(1, count)]
+        if all(
+            page is not None and len(page) >= min(ps, end - i * ps)
+            for i, page in enumerate(pages)
+        ):
+            return b"".join(pages)
+        start = first * ps
+        raw, service = self.file.read(
+            start, min(start + count * ps, self.file.size) - start, kind
+        )
+        if spent is not None:
+            spent.append(service)
+        if cache is not None:
+            for i in range(count):
+                page = raw[i * ps : (i + 1) * ps]
+                cache.put((name, generation, first + i), page, charge=len(page))
+        return raw
 
     def _misindexed(self, key: bytes) -> ReproError:
         block_id = self._key_map[key][0]
         return ReproError(f"index says key {key!r} is in block {block_id} but it is not")
 
-    def _read_block(
-        self, block: SemiBlock, kind: TrafficKind, cache=None, cache_key=None
-    ) -> tuple[bytes, float]:
+    def _read_block(self, block: SemiBlock, kind: TrafficKind) -> tuple[bytes, float]:
         """The block's payload (checksum stripped), read from media and
-        verified on its own (a cached payload was verified when it was
-        read), then cached under ``cache_key``.  The record reader's miss
-        path, and the scrubber's per-block read with no cache."""
+        verified on its own: the scrubber's per-block read."""
         raw, service = self.file.read(block.offset, block.length, kind)
-        payload = verify_block(raw)
-        if cache is not None:
-            cache.put(cache_key, payload, charge=block.length)
-        return payload, service
+        return verify_block(raw), service
 
     def _read_blocks(
         self, blocks: Iterable[SemiBlock], kind: TrafficKind, superseded
@@ -314,8 +348,8 @@ class SemiSSTable:
         once and an entry sliced at each offset the index still points at,
         its key compared with the index's."""
         payload = bytes(verify_block(raw))
-        keys, key_map = self.keys_of_block(block), self._key_map
-        out = [entry_at(payload, key_map[k][3]) for k in keys]
+        keys, key_map, start = self.keys_of_block(block), self._key_map, block.offset
+        out = [entry_at(payload, key_map[k][3] - start) for k in keys]
         if [e[0] for e in out] != keys:
             raise self._misindexed(next(k for k, e in zip(keys, out) if e[0] != k))
         return out
@@ -439,7 +473,7 @@ class SemiSSTable:
         self._sorted_keys = None
         key_map = self._key_map
         bid = block.block_id
-        pos = 0  # offset of ``raw`` in the block's payload
+        pos = offset  # file offset of ``raw``
         for key, seqno, _, raw in chunk:
             old = key_map.get(key)
             if old is not None:
@@ -447,12 +481,12 @@ class SemiSSTable:
             else:
                 self._key_bytes += len(key)
             size = len(raw)
-            key_map[key] = (bid, seqno, size, pos)
+            key_map[key] = (bid, seqno, size, pos, crc32(raw))
             pos += size
             self._valid_bytes += size
         self._block_keys[bid] = [e[0] for e in chunk]
 
-    def _retire_entry(self, key: bytes, entry: tuple[int, int, int, int]) -> None:
+    def _retire_entry(self, key: bytes, entry: tuple[int, int, int, int, int]) -> None:
         old_block = self._blocks_by_id[entry[0]]
         old_block.valid_count -= 1
         if old_block.valid_count == 0:

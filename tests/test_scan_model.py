@@ -254,8 +254,9 @@ def test_scan_start_outside_the_key_space(name):
 
 
 class TestScanReadsWhatItReturns:
-    """§4.2: one data-block lookup per object the scan returns (plus the
-    merge's one record of look-ahead)."""
+    """§4.2: one page lookup per page of each object the scan returns (plus
+    the merge's one record of look-ahead), none for a record on the pages
+    its predecessor was read from."""
 
     N = 50
 
@@ -268,14 +269,14 @@ class TestScanReadsWhatItReturns:
         assert db.performance_tier.object_count() == 0
         return db
 
-    def test_block_lookups_and_read_commands(self, monkeypatch):
+    def test_page_lookups_and_read_commands(self, monkeypatch):
         db = self.capacity_resident_store()
         n = self.N
         lookups = []
         inner = SemiSSTable.entries
 
         def counted(table, keys, kind, cache=None, spent=None):
-            # The reader pulls a key just before that key's block lookup.
+            # The reader pulls a key just before that key's page lookups.
             def pulled():
                 for key in keys:
                     lookups.append((table, key))
@@ -291,19 +292,31 @@ class TestScanReadsWhatItReturns:
         pairs, _ = db.scan(encode_key(1000), n)
         assert [k for k, _ in pairs] == [encode_key(i) for i in range(1000, 1000 + n)]
         assert [k for _, k in lookups] == [encode_key(i) for i in range(1000, 1000 + n + 1)]
-        # One block lookup per key pulled, and only those.
-        assert cache.hits + cache.misses - cache_gets == n + 1
-        # Cold cache: every distinct block of those keys is read once, a
-        # non-sequential read being one command per page it spans.
-        pages = {}
+        # One lookup per page of each record pulled, skipped while a record
+        # lies on the pages the one before it in its table was read from.
+        ps = db.sata_device.page_size
+        wanted, held, page_lookups = set(), {}, 0
+        for table, key in lookups:
+            _, _, size, offset, _ = table._key_map[key]
+            pages = range(offset // ps, (offset + size - 1) // ps + 1)
+            wanted.update((table.table_id, p) for p in pages)
+            if not set(pages) <= held.get(table.table_id, set()):
+                held[table.table_id] = set(pages)
+                page_lookups += len(pages)
+        assert cache.hits + cache.misses - cache_gets == page_lookups
+        # Cold cache: each distinct page of those records is read, one
+        # command per page, and never more than the pages of their blocks
+        # (a record across a page boundary reads both pages when one
+        # misses).
+        reads = traffic.read_ios(TrafficKind.FOREGROUND) - reads_before
+        assert reads >= len(wanted)
+        blocks = {}
         for table, key in lookups:
             block = table.block_of(key)
-            pages[table.table_id, block.block_id] = table.file._page_span(
+            blocks[table.table_id, block.block_id] = table.file._page_span(
                 block.offset, block.length
             )
-        assert traffic.read_ios(TrafficKind.FOREGROUND) - reads_before <= sum(
-            pages.values()
-        )
+        assert reads <= sum(blocks.values())
 
 
 @pytest.mark.parametrize("name", STORE_NAMES)

@@ -1,14 +1,18 @@
 """Unit tests for the semi-SSTable."""
 
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.cache import LRUCache
 from repro.common.keys import KeyRange, encode_key
-from repro.common.errors import ReproError
-from repro.common.records import Record
+from repro.common.errors import CorruptionError, ReproError
+from repro.common.records import RECORD_HEADER_SIZE, Record
 from repro.lsm.blocks import decode_one
 from repro.lsm.semi import SemiLevelConfig, SemiLevels, SemiSSTable
+from repro.scrub.scrubber import Scrubber
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
 from tests.reference_codec import decode_payload
 
@@ -303,6 +307,98 @@ class TestBackgroundReads:
         assert table.get(incoming[1])[0].value == b"new"
 
 
+def foreground_reads(fs):
+    traffic = fs.device.traffic
+    return (
+        traffic.read_ios(TrafficKind.FOREGROUND),
+        traffic.read_bytes(TrafficKind.FOREGROUND),
+    )
+
+
+def record_span(table, key):
+    """File bytes ``[start, end)`` of ``key``'s indexed record."""
+    _, _, size, offset, _ = table._key_map[key]
+    return offset, offset + size
+
+
+def key_on_pages(table, pages):
+    """The first key whose record lies on exactly ``pages`` pages."""
+    return next(k for k in table.valid_keys() if page_span(*record_span(table, k)) == pages)
+
+
+class TestForegroundPageReads:
+    """A foreground read fetches the pages its record lies on, not its
+    block (each block of ``big_table`` spans two or three pages), and
+    verifies exactly the bytes it returns."""
+
+    def test_a_record_inside_one_page_is_one_command(self, fs):
+        table = big_table(fs)
+        key = key_on_pages(table, 1)
+        rec, service = table.get(key, cache=LRUCache(1 << 20))
+        assert rec.value == b"v" * 200
+        assert foreground_reads(fs) == (1, PAGE)
+        assert service > 0
+
+    def test_a_record_across_a_page_boundary_is_two_commands(self, fs):
+        table = big_table(fs)
+        key = key_on_pages(table, 2)
+        rec, _ = table.get(key, cache=LRUCache(1 << 20))
+        assert rec.value == b"v" * 200
+        assert foreground_reads(fs) == (2, 2 * PAGE)
+
+    def test_a_neighbour_on_a_cached_page_costs_nothing(self, fs):
+        table = big_table(fs)
+        cache = LRUCache(1 << 20)
+        key = key_on_pages(table, 1)
+        page = record_span(table, key)[0] // PAGE
+        neighbour = next(
+            k for k in table.valid_keys()
+            if k != key and {s // PAGE for s in record_span(table, k)} == {page}
+        )
+        table.get(key, cache=cache)
+        before = foreground_reads(fs)
+        rec, service = table.get(neighbour, cache=cache)
+        assert rec.key == neighbour
+        assert (foreground_reads(fs), service) == (before, 0.0)
+
+    @pytest.mark.parametrize("at", [0, RECORD_HEADER_SIZE, RECORD_HEADER_SIZE + 8 + 100])
+    def test_a_flip_inside_the_record_is_a_corruption_error(self, fs, at):
+        # ``at``: a header byte, a key byte, a value byte.
+        table = big_table(fs)
+        key = key_on_pages(table, 1)
+        table.file._data[record_span(table, key)[0] + at] ^= 1
+        with pytest.raises(CorruptionError):
+            table.get(key)
+
+    def test_a_flip_in_a_neighbour_is_left_to_compaction_and_scrub(self, fs):
+        table = big_table(fs)
+        block = table.blocks[1]
+        key, neighbour = table.keys_of_block(block)[:2]
+        table.file._data[record_span(table, neighbour)[0] + 30] ^= 1
+        assert table.get(key)[0].value == b"v" * 200
+        raw = bytes(table.file._data[block.offset : block.offset + block.length])
+        with pytest.raises(CorruptionError):
+            table._check_block(block, memoryview(raw))
+        reported = []
+        table.on_corrupt_block = lambda t, b, superseded: reported.append(b) or 0
+        scrubber = Scrubber(None)
+        scrubber._scrub_semi_table(table)
+        assert (reported, scrubber.stats.detected) == ([block], 1)
+
+    def test_an_append_onto_a_cached_last_page_is_read_again(self, fs):
+        table = SemiSSTable(1, fs, full_range(), block_size=PAGE)
+        cache = LRUCache(1 << 20)
+        table.merge_append(recs([1, 2], value=b"a" * 200))
+        assert table.get(encode_key(2), cache=cache)[0].value == b"a" * 200
+        # A second block lands on the same, still partial, last page.
+        table.merge_append(recs([3], value=b"b" * 200, seqno_base=10))
+        assert table.file_bytes < PAGE
+        before = foreground_reads(fs)
+        assert table.get(encode_key(3), cache=cache)[0].value == b"b" * 200
+        assert foreground_reads(fs) == (before[0] + 1, before[1] + PAGE)
+        assert table.get(encode_key(1), cache=cache)[1] == 0.0
+
+
 class TestDestroy:
     def test_destroy_frees_file(self, fs, table):
         table.merge_append(recs(range(100)))
@@ -336,14 +432,16 @@ def walk_block(table, block):
 
 def check_index_offsets(table):
     """Every index entry points at its own record: decoding at the indexed
-    offset gives the key, seqno and size the entry states, and the very
-    record the walk finds under that key."""
+    offset gives the key, seqno and size the entry states, the very record
+    the walk finds under that key, and bytes whose CRC the entry holds."""
     walked = {b.block_id: walk_block(table, b) for b in table.blocks if not b.is_dead}
-    for key, (block_id, seqno, size, offset) in table._key_map.items():
+    for key, (block_id, seqno, size, offset, crc) in table._key_map.items():
         payload, records = walked[block_id]
-        rec = decode_one(payload, offset)
+        pos = offset - table._blocks_by_id[block_id].offset
+        rec = decode_one(payload, pos)
         assert (rec.key, rec.seqno, rec.encoded_size) == (key, seqno, size)
         assert [rec] == [r for r in records if r.key == key]
+        assert zlib.crc32(payload[pos : pos + size]) == crc
 
 
 def check_index_paths(table, probes):
@@ -404,7 +502,7 @@ class TestIndexAccessPaths:
         table.merge_append(recs(range(8), value=b"v" * 40))
         key, neighbour = encode_key(3), encode_key(4)
         assert table._key_map[key][0] == table._key_map[neighbour][0]  # same block
-        table._key_map[key] = table._key_map[key][:3] + (table._key_map[neighbour][3],)
+        table._key_map[key] = table._key_map[key][:3] + table._key_map[neighbour][3:]
         with pytest.raises(ReproError, match="index says key"):
             table.get(key)
         assert table.get(neighbour)[0].key == neighbour
