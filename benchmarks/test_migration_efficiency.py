@@ -24,17 +24,12 @@ def _pages_per_object(store_name: str, scale: BenchScale) -> float:
     runner.load()
     nvme = store.devices()["nvme"]
     reads_before = nvme.traffic.read_ios(TrafficKind.MIGRATION)
-    if store_name == "hyperdb":
-        objs_before = store.migration.stats.demoted_objects
-    else:
-        objs_before = store.demoted_objects
+    demotion = store.migration.stats
+    objs_before = demotion.demoted_objects
     spec = YCSB_WORKLOADS["A"].with_distribution("uniform")
     runner.run(spec, scale.operations)
     reads = nvme.traffic.read_ios(TrafficKind.MIGRATION) - reads_before
-    if store_name == "hyperdb":
-        objs = store.migration.stats.demoted_objects - objs_before
-    else:
-        objs = store.demoted_objects - objs_before
+    objs = demotion.demoted_objects - objs_before
     assert objs > 0, f"{store_name} never migrated"
     return reads / objs
 

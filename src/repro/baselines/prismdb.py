@@ -1,32 +1,40 @@
 """PrismDB-like baseline: the *caching* architecture (§2.2, §4.1).
 
-NVMe holds a slab-layout object store (objects packed into size-class slabs
-in insertion order — no key locality), with a clock-based hotness tracker.
-The slab store is a :class:`repro.nvme.zone.SlotTable`, as a HyperDB
-partition is: the same index, slot writes and drops, over one keyless zone
-per slot class.
-When the NVMe tier fills past its watermark, the coldest objects are
-gathered — scattered across slab pages, which is exactly the
-read-amplification the paper measures in Fig. 2a — and merged into a
-leveled LSM-tree on SATA.  Hot objects read from SATA are promoted back
-into the slabs.
+It runs the shared tiered body (:class:`repro.core.tiered.TieredStore`)
+with the policies PrismDB's paper (PAPERS.md) names:
+
+* NVMe layout: a slab store — objects packed into size-class slabs in
+  insertion order, with no key locality.  It is a
+  :class:`repro.nvme.zone.SlotTable`, as a HyperDB partition is: one
+  keyless zone per slot class, and the store is its own single partition.
+* Demotion victim: the key-contiguous resident window with the most cold
+  objects under a clock tracker.  Its objects are scattered across slab
+  pages, which is exactly the read amplification the paper measures in
+  Fig. 2a.
+* Capacity tier: a leveled LSM-tree on SATA that ingests each window.
+* Promotion: a capacity-tier key read twice within a bounded recency
+  window is put straight back into the slabs.
+* NVMe copy during an outage: every slab copy is authoritative (promotion
+  re-stamps seqnos), so a read of a resident blocks and a corrupt slot
+  raises; writes fail over to the tree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
-from repro import obs
 from repro.common.cache import LRUCache
-from repro.common.errors import CorruptionError, DeviceOfflineError, ReproError
+from repro.common.errors import CorruptionError, ReproError
+from repro.common.keys import KeyRange
 from repro.common.records import Record
-from repro.core.interface import KVStore
-from repro.health.state import HealthState
-from repro.lsm.blocks import Entry, entry_at, entry_of, record_of
-from repro.lsm.iterator import keyed, merge_records
+from repro.core.tiered import TieredStore
+from repro.lsm.blocks import Entry, entry_at, record_of
 from repro.lsm.lsmtree import DbPath, LSMOptions, LSMTree
+from repro.migration.scheduler import MigrationScheduler
 from repro.nvme.config import SLOT_CLASSES, NVMeConfig
 from repro.nvme.pagestore import PageStore
 from repro.nvme.zone import SlotLocation, SlotTable, Zone
@@ -34,42 +42,40 @@ from repro.simssd.device import SimDevice
 from repro.simssd.fs import SimFilesystem
 from repro.simssd.traffic import TrafficKind
 
-#: The counter value an access sets.
+#: The clock value an access sets; a demotion window's pass ages it by one.
 CLOCK_MAX_BITS = 3
-
-
-class ClockTracker:
-    """Two-bit clock over resident objects (PrismDB's hotness mechanism).
-
-    An access sets a key's counter to :data:`CLOCK_MAX_BITS`; the store's
-    demotion window ages the counters it passes over.
-    """
-
-    def __init__(self) -> None:
-        self._bits: dict[bytes, int] = {}
-
-    def access(self, key: bytes) -> None:
-        self._bits[key] = CLOCK_MAX_BITS
-
-    def bits(self, key: bytes) -> int:
-        return self._bits.get(key, 0)
-
-    def forget(self, key: bytes) -> None:
-        self._bits.pop(key, None)
 
 
 class _SlabStore(SlotTable):
     """Size-class slabs over the NVMe device (insertion-order packing); a
-    slab is a keyless zone of the slot table."""
+    slab is a keyless zone of the slot table.  The store is the whole
+    performance tier, its own one partition, with a two-bit clock over its
+    residents (PrismDB's hotness mechanism): a put or a point-read hit sets
+    a key's bits to :data:`CLOCK_MAX_BITS`."""
+
+    partition_id = 0
+    # Each demoted window counts as a job, and none is placed on a
+    # background queue: the baseline's figures were measured so.
+    job_per_round = True
 
     def __init__(self, device: SimDevice, config: NVMeConfig, cache=None) -> None:
         super().__init__(PageStore(device, cache=cache))
         self.device = device
         self.config = config
+        self.partitions = (self,)
+        self.clock: dict[bytes, int] = {}
         #: One keyless zone per slot class acts as that class's slab file.
         self._slabs: dict[int, Zone] = {}
-        #: Slots :meth:`collect` found corrupt and dropped instead of shipping.
+        #: Slots :meth:`collect_zone` found corrupt and dropped instead of
+        #: shipping.
         self.corrupt_slots = 0
+        #: NVMe pages read to gather the demoted windows (Fig. 2a).
+        self.demotion_page_reads = 0
+        #: The last key of the previous demotion window.
+        self._demote_hand: Optional[bytes] = None
+
+    def partition_for_key(self, key: bytes) -> "_SlabStore":
+        return self
 
     def _fresh_zone(self, key: bytes, slot_size: int, promoted: bool) -> Zone:
         slab = self._slabs.get(slot_size)
@@ -77,34 +83,113 @@ class _SlabStore(SlotTable):
             slab = self._slabs[slot_size] = self.add_zone(len(self._slabs) + 1, None)
         return slab
 
+    # ------------------------------------------------------------- space
+
+    @property
+    def fill_fraction(self) -> float:
+        return self.used_pages / self.device.profile.num_pages
+
+    def over_high_watermark(self) -> bool:
+        return (
+            self.used_pages
+            >= self.device.profile.num_pages * self.config.high_watermark
+        )
+
+    def below_low_watermark(self) -> bool:
+        """PrismDB demotes only while over its high watermark: a window
+        that takes the slabs under it ends the job, as the low one does."""
+        return not self.over_high_watermark() or (
+            self.used_pages
+            <= self.device.profile.num_pages * self.config.low_watermark
+        )
+
+    # --------------------------------------------------------------- ops
+
     def put(self, rec: Record, kind=TrafficKind.FOREGROUND) -> float:
+        self.clock[rec.key] = CLOCK_MAX_BITS
         # Epoch: a resize's tombstone and rewrite must not be torn by a
         # health window opening between its I/Os.
         with self.device.health_epoch:
             return self.write(rec, False, kind)[0]
 
+    def get_entry(self, key: bytes, kind=TrafficKind.FOREGROUND):
+        """Point read: ``(entry_or_none, service)``; a hit sets the key's
+        clock bits.  A corrupt slot raises :class:`CorruptionError` and
+        stays: it is the only newest copy, and dropping it would surface a
+        stale SATA version."""
+        loc: Optional[SlotLocation] = self.index.get(key)
+        if loc is None:
+            return None, 0.0
+        entry, service = self.zone_of(loc.zone_id).read_object(loc, kind)
+        self.clock[key] = CLOCK_MAX_BITS
+        return entry, service
+
     def get(self, key: bytes, kind=TrafficKind.FOREGROUND):
-        """A corrupt slot raises :class:`CorruptionError` and stays: it is
-        the only newest copy, and dropping it would surface a stale SATA
-        version."""
+        """:meth:`get_entry` as a record, touching no clock bit (scans)."""
         loc: Optional[SlotLocation] = self.index.get(key)
         if loc is None:
             return None, 0.0
         entry, service = self.zone_of(loc.zone_id).read_object(loc, kind)
         return record_of(entry), service
 
-    def remove(self, key: bytes) -> None:
-        loc: Optional[SlotLocation] = self.index.get(key)
-        if loc is not None:
-            self.drop(self.zone_of(loc.zone_id), key, loc)
+    def drop_resident(self, key: bytes) -> bool:
+        self.clock.pop(key, None)
+        return super().drop_resident(key)
 
-    def collect(self, keys: list[bytes], ingest, kind=TrafficKind.MIGRATION):
-        """Demote ``keys``: read and verify their slots, ship the entries in
-        key order through ``ingest(entries, kind)``, and only then remove
-        them, so a rejected ingest leaves every one resident.  Charges the
-        scattered page reads their slab placement requires.  A slot failing
-        :meth:`Zone.verified_slot` is not shipped; it is removed with the
-        rest and counted."""
+    # ---------------------------------------------------------- demotion
+
+    def select_demotion_zone(self) -> Optional[list[bytes]]:
+        """Cost-benefit range selection (PrismDB's multi-tiered compaction):
+        the key-contiguous resident window with the most cold objects, so
+        the SATA merge overlaps few SSTables even though the objects' NVMe
+        pages are scattered.  None when no key qualifies."""
+        residents = list(self.index.keys())
+        if not residents:
+            return None
+        clock = self.clock
+        avg = max(
+            32, self.used_pages * self.device.page_size // max(1, len(residents))
+        )
+        want = max(16, self.config.migration_batch_bytes // avg)
+        want = min(want, len(residents))
+        # Start the window search at the demotion hand so that ties (no cold
+        # anywhere, e.g. right after load) rotate around the ring instead of
+        # repeatedly draining — and thereby sparsifying — the lowest keys.
+        start = 0
+        if self._demote_hand is not None:
+            start = bisect_left(residents, self._demote_hand) % len(residents)
+        bits = np.array([clock.get(k, 0) for k in residents])
+        coldness = (bits == 0).astype(np.int32)
+        if len(residents) <= want:
+            best = 0
+        else:
+            window_cold = np.convolve(coldness, np.ones(want, dtype=np.int32), "valid")
+            maxv = window_cold.max()
+            candidates = np.flatnonzero(window_cold == maxv)
+            after = candidates[candidates >= min(start, len(window_cold) - 1)]
+            best = int(after[0] if len(after) else candidates[0])
+        window = residents[best : best + want]
+        self._demote_hand = window[-1]
+        # The hand passes over the chosen window: age what it skips.
+        chosen = [k for k in window if clock.get(k, 0) == 0]
+        for k in window:
+            b = clock.get(k, 0)
+            if b > 0:
+                clock[k] = b - 1
+        if len(chosen) < want // 2:
+            # Not enough truly-cold objects: demote the lukewarm too (the
+            # tier must shrink regardless).
+            chosen = [k for k in window if clock.get(k, 0) <= 1] or window
+        return chosen or None
+
+    def collect_zone(self, keys: list[bytes], ingest, kind=TrafficKind.MIGRATION):
+        """Demote the window ``keys``: read and verify their slots, ship the
+        entries in key order through ``ingest(entries, kind)``, and only
+        then remove them, so a rejected ingest leaves every one resident.
+        Charges the scattered page reads their slab placement requires.  A
+        slot failing :meth:`Zone.verified_slot` is not shipped; it is
+        removed with the rest and counted.  Returns the shipped entries and
+        the NVMe service time."""
         pages: set[int] = set()
         located: list[tuple[bytes, SlotLocation, Zone]] = []
         for key in keys:
@@ -125,16 +210,77 @@ class _SlabStore(SlotTable):
         self.corrupt_slots += len(located) - len(out)
         for key, loc, slab in located:
             self.drop(slab, key, loc)
-        return out, service, len(pages)
+        if out:
+            self.demotion_page_reads += len(pages)
+            for entry in out:
+                self.clock.pop(entry[0], None)
+        return out, service
 
-    def keys(self):
-        return self.index.keys()
+
+class _LeveledTier:
+    """PrismDB's capacity tier: the leveled LSM-tree as the shared body
+    reads one — a point read as a record, a batch ingest, a scan stream."""
+
+    def __init__(self, tree: LSMTree, fs: SimFilesystem) -> None:
+        self.tree = tree
+        self.fs = fs
+
+    def get(self, key: bytes) -> tuple[Optional[Record], float]:
+        value, service = self.tree.get(key)
+        return (None if value is None else Record(key, value, 0)), service
+
+    def ingest(self, entries: list[Entry], kind: TrafficKind) -> float:
+        return self.tree.ingest_batch(entries, kind)
+
+    def scan(self, start: bytes, count: int):
+        # Tree records carry seqno 0, so a slab-resident version wins its key.
+        return ((r.key, 0, 0, r) for r in self.tree.iter_from(start))
 
 
-class PrismDBStore(KVStore):
+class _RecentReads:
+    """PrismDB's promotion rule.  Clock bits exist per resident object;
+    reads of capacity-tier keys are remembered in a bounded recency window
+    instead, and a key read twice within it is put back into the slabs
+    under a new seqno.  Nothing is staged, so :meth:`lookup` only notes
+    the read, and :meth:`offer` acts on that note."""
+
+    def __init__(self, store: "PrismDBStore", horizon: int) -> None:
+        self._store = store
+        self._window = LRUCache(horizon)
+        self._repeat = False
+
+    def lookup(self, key: bytes) -> None:
+        # Promotion eligibility is judged on history *before* this access —
+        # otherwise every capacity-tier read would self-qualify and thrash.
+        window = self._window
+        self._repeat = window.get(key) is not None
+        window.put(key, True, charge=1)
+        return None
+
+    def offer(self, slabs: _SlabStore, rec: Record) -> bool:
+        if not self._repeat:
+            return False
+        store = self._store
+        promoted = Record(rec.key, rec.value, store.next_seqno())
+        slabs.put(promoted, TrafficKind.MIGRATION)
+        stats = store.migration.stats
+        stats.promoted_objects += 1
+        stats.promoted_bytes += promoted.encoded_size
+        if slabs.over_high_watermark():
+            store.migration.run_if_needed()
+        return True
+
+    def invalidate(self, key: bytes) -> None:
+        """Nothing is staged, so a write has nothing to drop."""
+
+
+class PrismDBStore(TieredStore):
     """The caching-architecture baseline."""
 
     name = "prismdb"
+    corrupt_slot_is_miss = False
+    #: Scan rows carry records.
+    scan_value = staticmethod(lambda item: item[3].value)
 
     def __init__(
         self,
@@ -144,271 +290,34 @@ class PrismDBStore(KVStore):
         lsm_options: Optional[LSMOptions] = None,
         dram_cache_bytes: int = 64 * 1024,
     ) -> None:
-        self.nvme_device = nvme_device
-        self.sata_device = sata_device
-        self.config = nvme_config or NVMeConfig()
-        self.cache = LRUCache(dram_cache_bytes)
-        self.slabs = _SlabStore(nvme_device, self.config, cache=self.cache)
-        self.clock = ClockTracker()
-        # Clock bits exist per resident object; reads of capacity-tier keys
-        # are remembered in a bounded recency window instead (a key read
-        # twice within the window qualifies for promotion).
-        horizon = max(
-            1024, nvme_device.capacity_bytes // SLOT_CLASSES[0]
+        super().__init__(nvme_device, sata_device, dram_cache_bytes)
+        #: No key space: every key routes to the one slab store.
+        self.key_space = KeyRange(b"")
+        self.slabs = self.performance_tier = _SlabStore(
+            nvme_device, nvme_config or NVMeConfig(), cache=self.cache
         )
-        self._recent_reads = LRUCache(horizon)
         self.sata_fs = SimFilesystem(sata_device)
         if lsm_options is not None and lsm_options.wal_enabled:
             raise ReproError(
                 "PrismDB's SATA tree ingests already-durable batches: "
                 "a WAL would double-log them"
             )
-        if lsm_options is None:
-            opts = LSMOptions(first_level=1, wal_enabled=False)
-        else:
-            from dataclasses import replace
-
-            opts = replace(lsm_options, first_level=1)
+        opts = replace(lsm_options or LSMOptions(wal_enabled=False), first_level=1)
         self.tree = LSMTree(
             [DbPath(self.sata_fs, target_bytes=1 << 62)], opts, cache=self.cache
         )
-        self._seqno = 0
-        self.demotion_jobs = 0
-        self.demoted_objects = 0
-        self.demotion_page_reads = 0
-        self.promotions = 0
-        # Degraded-mode accounting (tier outage failover).
-        self.failover_writes = 0
-        self.failover_blocked_reads = 0
-        self.paused_demotions = 0
-        self.catch_up_drains = 0
-        self.has_catch_up = False
-        #: The last key of the previous demotion window.
-        self._demote_hand: Optional[bytes] = None
+        self.capacity_tier = _LeveledTier(self.tree, self.sata_fs)
+        self.migration = MigrationScheduler(self.slabs, self.capacity_tier)
+        horizon = max(1024, nvme_device.capacity_bytes // SLOT_CLASSES[0])
+        self.promotion = _RecentReads(self, horizon)
 
-    # ------------------------------------------------------------- space
-
-    def _page_budget(self) -> int:
-        return self.nvme_device.profile.num_pages
-
-    def _over_watermark(self) -> bool:
-        return (
-            self.slabs.used_pages
-            >= self._page_budget() * self.config.high_watermark
-        )
-
-    def _below_low(self) -> bool:
-        return (
-            self.slabs.used_pages
-            <= self._page_budget() * self.config.low_watermark
-        )
-
-    # --------------------------------------------------------------- ops
-
-    def next_seqno(self) -> int:
-        self._seqno += 1
-        return self._seqno
-
-    def put(self, key: bytes, value: bytes) -> float:
-        return self._write(Record(key, value, self.next_seqno()))
-
-    def delete(self, key: bytes) -> float:
-        return self._write(Record.tombstone(key, self.next_seqno()))
-
-    def _write(self, rec: Record) -> float:
-        if self.nvme_device.health() is HealthState.OFFLINE:
-            return self._failover_write(rec)
-        self.clock.access(rec.key)
-        service = self.slabs.put(rec)
-        if self._over_watermark():
-            self._demote()
-        if self.has_catch_up:
-            self.run_catch_up()
-        return service
-
-    def _failover_write(self, rec: Record) -> float:
-        """NVMe OFFLINE: write straight into the SATA tree.
-
-        The stale slab-resident copy (if any) is forgotten in memory so it
-        cannot shadow the newer SATA version after recovery.  Slab copies
-        are always authoritative in PrismDB (promotion re-stamps seqnos),
-        so there is no safe read fallthrough — but writes are absorbed.
-        """
-        service = self.tree.ingest_batch([entry_of(rec)], TrafficKind.FOREGROUND)
-        self.slabs.remove(rec.key)
-        self.clock.forget(rec.key)
-        self.failover_writes += 1
-        r = obs.RECORDER
-        if r is not None:
-            r.emit(
-                "failover", t=self.sata_device.busy_seconds(),
-                op="write", tier="sata",
-            )
-        return service
-
-    def get(self, key: bytes):
-        nvme_offline = self.nvme_device.health() is HealthState.OFFLINE
-        if nvme_offline:
-            if self.slabs.index.get(key) is not None:
-                # The slab copy is the only current version.
-                self.failover_blocked_reads += 1
-                raise DeviceOfflineError(
-                    f"key resident only on offline device "
-                    f"{self.nvme_device.profile.name!r}"
-                )
-            service = 0.0
-        else:
-            rec, service = self.slabs.get(key)
+    def _nvme_scan(self, start: bytes):
+        # A record per slab key, as :func:`repro.lsm.iterator.keyed` yields.
+        slabs = self.slabs
+        for key in slabs.index.keys(start):
+            rec, _ = slabs.get(key)
             if rec is not None:
-                self.clock.access(key)
-                return (None if rec.is_tombstone else rec.value), service
-        # Promotion eligibility is judged on history *before* this access —
-        # otherwise every capacity-tier read would self-qualify and thrash.
-        seen_recently = self._recent_reads.get(key) is not None
-        self._recent_reads.put(key, True, charge=1)
-        value, s = self.tree.get(key)
-        service += s
-        if value is not None and seen_recently and not nvme_offline:
-            # Promote: install the object back into the slabs.
-            promoted = Record(key, value, self.next_seqno())
-            self.slabs.put(promoted, TrafficKind.MIGRATION)
-            self.clock.access(key)
-            self.promotions += 1
-            if self._over_watermark():
-                self._demote()
-        return value, service
-
-    def scan(self, start: bytes, count: int):
-        if count <= 0:
-            return [], 0.0
-        busy_before = self.nvme_device.busy_seconds() + self.sata_device.busy_seconds()
-
-        def slab_stream():
-            for key in self.slabs.index.keys(start):
-                rec, _s = self.slabs.get(key)
-                if rec is not None:
-                    yield rec
-
-        # Tree records carry seqno 0, so a slab-resident version wins its key.
-        sata_items = ((r.key, 0, 0, r) for r in self.tree.iter_from(start))
-        out = []
-        for item in merge_records([keyed(slab_stream()), sata_items], drop_tombstones=True):
-            out.append((item[0], item[3].value))
-            if len(out) >= count:
-                break
-        service = (
-            self.nvme_device.busy_seconds()
-            + self.sata_device.busy_seconds()
-            - busy_before
-        )
-        return out, service
-
-    # ----------------------------------------------------------- demotion
-
-    def _demote(self) -> None:
-        if self.sata_device.health() is HealthState.OFFLINE:
-            # Capacity tier down: pause demotion, catch up after recovery.
-            self._pause_demotion()
-            return
-        rounds = 0
-        while self._over_watermark() and not self._below_low() and rounds < 64:
-            victims = self._select_demotion_window()
-            if not victims:
-                break
-            try:
-                batch, _, pages = self.slabs.collect(
-                    victims, self.tree.ingest_batch, TrafficKind.MIGRATION
-                )
-            except DeviceOfflineError:
-                # The window opened before ingest, whose epoch rejects
-                # atomically: the victims are still in the slabs.
-                self._pause_demotion()
-                return
-            if batch:
-                self.demoted_objects += len(batch)
-                self.demotion_page_reads += pages
-                for entry in batch:
-                    self.clock.forget(entry[0])
-            self.demotion_jobs += 1
-            rounds += 1
-
-    def _pause_demotion(self) -> None:
-        self.paused_demotions += 1
-        self.has_catch_up = True
-        r = obs.RECORDER
-        if r is not None:
-            r.emit(
-                "migration_paused", t=self.nvme_device.busy_seconds(),
-                engine=self.name,
-            )
-
-    def run_catch_up(self) -> None:
-        """Drain the deferred demotion exactly once after SATA recovery."""
-        if self.sata_device.health() is HealthState.OFFLINE:
-            return
-        self.has_catch_up = False
-        self.catch_up_drains += 1
-        r = obs.RECORDER
-        if r is not None:
-            r.emit(
-                "migration_catchup", t=self.nvme_device.busy_seconds(),
-                engine=self.name,
-            )
-        if self._over_watermark():
-            self._demote()
-
-    def _select_demotion_window(self) -> list[bytes]:
-        """Cost-benefit range selection (PrismDB's multi-tiered compaction):
-        demote the key-contiguous resident window with the most cold bytes,
-        so the SATA merge overlaps few SSTables even though the objects'
-        NVMe pages are scattered."""
-        residents = list(self.slabs.keys())
-        if not residents:
-            return []
-        avg = max(
-            32,
-            self.slabs.used_pages
-            * self.nvme_device.page_size
-            // max(1, len(residents)),
-        )
-        want = max(16, self.config.migration_batch_bytes // avg)
-        want = min(want, len(residents))
-        # Start the window search at the demotion hand so that ties (no cold
-        # anywhere, e.g. right after load) rotate around the ring instead of
-        # repeatedly draining — and thereby sparsifying — the lowest keys.
-        from bisect import bisect_left
-
-        start = 0
-        if self._demote_hand is not None:
-            start = bisect_left(residents, self._demote_hand) % len(residents)
-        bits = np.array([self.clock.bits(k) for k in residents])
-        coldness = (bits == 0).astype(np.int32)
-        if len(residents) <= want:
-            best = 0
-        else:
-            window_cold = np.convolve(coldness, np.ones(want, dtype=np.int32), "valid")
-            maxv = window_cold.max()
-            candidates = np.flatnonzero(window_cold == maxv)
-            after = candidates[candidates >= min(start, len(window_cold) - 1)]
-            best = int(after[0] if len(after) else candidates[0])
-        window = residents[best : best + want]
-        self._demote_hand = window[-1]
-        # The hand passes over the chosen window: age what it skips.
-        chosen = [k for k in window if self.clock.bits(k) == 0]
-        for k in window:
-            b = self.clock.bits(k)
-            if b > 0:
-                self.clock._bits[k] = b - 1
-        if len(chosen) < want // 2:
-            # Not enough truly-cold objects: demote the lukewarm too (the
-            # tier must shrink regardless).
-            chosen = [k for k in window if self.clock.bits(k) <= 1] or window
-        return chosen
-
-    # -------------------------------------------------------------- admin
-
-    def devices(self) -> dict[str, SimDevice]:
-        return {"nvme": self.nvme_device, "sata": self.sata_device}
+                yield rec.key, rec.seqno, rec.deleted, rec
 
     def finalize(self) -> None:
         """Commit the slabs' write window, then let the tree compact."""

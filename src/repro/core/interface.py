@@ -48,10 +48,11 @@ class KVStore(abc.ABC):
     #
     # Batched variants carry a whole slice of the workload through the
     # store in one call.  These defaults run :func:`each` over the scalar
-    # methods, one call per op — the only batch path of the three
-    # LSM-backed baselines.  ``HyperDB`` has no scalar body: its ``put`` /
-    # ``get`` / ``delete`` are batches of one through its own loops, which
-    # keep the same contract (DESIGN.md §11).
+    # methods, one call per op — the only batch path of the two RocksDB-like
+    # baselines.  The tiered engines (``HyperDB``, ``PrismDBStore``) have no
+    # scalar body: their ``put`` / ``get`` / ``delete`` are batches of one
+    # through :class:`repro.core.tiered.TieredStore`'s loops, which keep the
+    # same contract (DESIGN.md §11).
     #
     # ``busy_out``, when given, receives one tuple per op of cumulative
     # per-device busy seconds *after* that op, in ``devices()`` order —

@@ -65,6 +65,14 @@ class PromotionManager:
         """Remember a hot object read from SATA for promotion."""
         self.cache.put(rec.key, rec)
 
+    def offer(self, partition, rec: Record) -> bool:
+        """Stage ``rec``, just read from SATA, if its partition's tracker
+        considers it hot; returns whether it was staged."""
+        if partition.tracker.is_hot(rec.key):
+            self.stage(rec)
+            return True
+        return False
+
     def lookup(self, key: bytes) -> Record | None:
         """Serve a read from the staging cache (newest promoted copy)."""
         return self.cache.get(key)

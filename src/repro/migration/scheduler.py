@@ -1,4 +1,4 @@
-"""Watermark-driven zone demotion."""
+"""Watermark-driven demotion: the one demotion driver of a tiered engine."""
 
 from __future__ import annotations
 
@@ -7,9 +7,6 @@ from dataclasses import dataclass
 from repro import obs
 from repro.common.errors import DeviceOfflineError
 from repro.health.state import HealthState
-from repro.lsm.semi.engine import CapacityTier
-from repro.nvme.partition import Partition
-from repro.nvme.tier import PerformanceTier
 from repro.simssd.traffic import TrafficKind
 
 
@@ -30,27 +27,27 @@ class MigrationStats:
 
 
 class MigrationScheduler:
-    """Monitors NVMe capacity and demotes cold zones until the low watermark.
+    """Monitors NVMe capacity and demotes each over-full partition's victims
+    until its low watermark.
 
-    Each partition has its own background migration job in the paper; the
-    simulation runs them synchronously and lets the device time model account
-    for the bandwidth they consume.
+    ``performance_tier.partitions`` are the demotion units — HyperDB's
+    range partitions, or PrismDB's one slab store.  Each names its
+    demotion victim (``select_demotion_zone``: the best cost-benefit zone,
+    or PrismDB's clock window of keys; None when there is none) and moves it
+    to the capacity tier (``collect_zone(victim, ingest, kind)``).  Each
+    partition has its own background migration job in the paper; the
+    simulation runs them synchronously and lets the device time model
+    account for the bandwidth they consume.
 
     Degraded mode: while the capacity device is in an OFFLINE health window
     no demotion runs — partitions above their watermark are queued, and the
-    queue drains exactly once after recovery (:meth:`run_catch_up`).  A zone
-    is freed only once the capacity tier holds its batch
-    (:meth:`Partition.collect_zone`), so a window opening just before ingest
-    leaves it fully resident: demotion is zone-atomic, fully migrated or
-    fully resident.
+    queue drains exactly once after recovery (:meth:`run_catch_up`).  A
+    victim is freed only once the capacity tier holds its batch, so a window
+    opening just before ingest leaves it fully resident: demotion is
+    victim-atomic, fully migrated or fully resident.
     """
 
-    def __init__(
-        self,
-        performance_tier: PerformanceTier,
-        capacity_tier: CapacityTier,
-        max_zones_per_job: int = 64,
-    ) -> None:
+    def __init__(self, performance_tier, capacity_tier, max_zones_per_job=64) -> None:
         self.performance_tier = performance_tier
         self.capacity_tier = capacity_tier
         self.max_zones_per_job = max_zones_per_job
@@ -68,7 +65,7 @@ class MigrationScheduler:
     def has_catch_up(self) -> bool:
         return bool(self._catch_up)
 
-    def _pause(self, partition: Partition) -> None:
+    def _pause(self, partition) -> None:
         self.stats.paused_jobs += 1
         if partition.partition_id not in self._catch_up:
             self._catch_up.append(partition.partition_id)
@@ -86,7 +83,7 @@ class MigrationScheduler:
 
         The queue is taken whole before demoting, so one recovery drains it
         exactly once — repeated calls are no-ops until another outage
-        queues new work.  Returns the number of zones demoted.
+        queues new work.  Returns the number of victims demoted.
         """
         if not self._catch_up or not self.capacity_online():
             return 0
@@ -112,7 +109,7 @@ class MigrationScheduler:
     def run_if_needed(self) -> int:
         """Demote from every partition above its high watermark.
 
-        Returns the number of zones demoted.
+        Returns the number of victims demoted.
         """
         zones = 0
         for partition in self.performance_tier.partitions:
@@ -123,24 +120,31 @@ class MigrationScheduler:
                 zones += self._demote_partition(partition)
         return zones
 
-    def _demote_partition(self, partition: Partition) -> int:
+    def _demote_partition(self, partition) -> int:
         # One background migration job per partition invocation; a job may
-        # demote many zones (up to max_zones_per_job) before it finishes.
-        self.stats.demotion_jobs += 1
-        zones = 0
-        rec = obs.RECORDER
+        # demote many victims (up to max_zones_per_job) before it finishes.
+        # A partition with ``job_per_round`` (PrismDB's slab store) counts
+        # each victim as a job instead, and its rounds are neither placed on
+        # a background queue nor traced as a job.
+        stats = self.stats
+        per_round = partition.job_per_round
+        rec = None if per_round else obs.RECORDER
         device = self.performance_tier.device
-        # Place this migration job on the least-busy background queue of
-        # both tiers it moves data between (no-op on single-queue devices).
-        device.begin_background_job(TrafficKind.MIGRATION)
-        capacity_device = self.capacity_tier.fs.device
-        if capacity_device is not device:
-            capacity_device.begin_background_job(TrafficKind.MIGRATION)
+        if not per_round:
+            stats.demotion_jobs += 1
+            # Place this migration job on the least-busy background queue
+            # of both tiers it moves data between (no-op on single-queue
+            # devices).
+            device.begin_background_job(TrafficKind.MIGRATION)
+            capacity_device = self.capacity_tier.fs.device
+            if capacity_device is not device:
+                capacity_device.begin_background_job(TrafficKind.MIGRATION)
         if rec is not None:
             rec.begin(
                 "migration_job", t=device.busy_seconds(),
                 fill=round(partition.fill_fraction, 6),
             )
+        zones = 0
         while (
             not partition.below_low_watermark() and zones < self.max_zones_per_job
         ):
@@ -156,12 +160,14 @@ class MigrationScheduler:
             except DeviceOfflineError:
                 # The NVMe tier was offline at collection entry, or the
                 # capacity tier at ingest: either rejects atomically, and
-                # the zone stays fully resident.  Catch up after recovery.
+                # the victim stays fully resident.  Catch up after recovery.
                 self._pause(partition)
                 break
             nbytes = sum(len(e[3]) for e in batch)
-            self.stats.demoted_objects += len(batch)
-            self.stats.demoted_bytes += nbytes
+            stats.demoted_objects += len(batch)
+            stats.demoted_bytes += nbytes
+            if per_round:
+                stats.demotion_jobs += 1
             if rec is not None:
                 rec.emit(
                     "zone_demotion", t=device.busy_seconds(),
@@ -169,7 +175,7 @@ class MigrationScheduler:
                     bytes=nbytes,
                 )
             zones += 1
-            if not batch and zone.object_count == 0 and partition.object_count() == 0:
+            if not batch and partition.object_count() == 0:
                 break
         if rec is not None:
             rec.end(

@@ -204,9 +204,6 @@ class Partition(SlotTable):
     def below_low_watermark(self) -> bool:
         return self.fill_fraction <= self.config.low_watermark
 
-    def object_count(self) -> int:
-        return len(self.index)
-
     def used_bytes(self) -> int:
         return self.hot_zone.used_bytes + sum(z.used_bytes for z in self._zones)
 
@@ -281,24 +278,6 @@ class Partition(SlotTable):
 
     def contains(self, key: bytes) -> bool:
         return key in self.index
-
-    def resident_location(self, key: bytes) -> Optional[SlotLocation]:
-        """Index-only residency peek: no device I/O, no tracker access."""
-        return self.index.get(key)
-
-    def drop_resident(self, key: bytes) -> bool:
-        """Forget a resident object without touching the device.
-
-        Used by failover writes while the NVMe device is OFFLINE: the new
-        version lands in the capacity tier, and the stale resident copy must
-        not shadow it after recovery.  Slot and page bookkeeping are
-        in-memory (frees charge no I/O), so this is legal mid-outage.
-        """
-        loc: Optional[SlotLocation] = self.index.get(key)
-        if loc is None:
-            return False
-        self.drop(self.zone_of(loc.zone_id), key, loc)
-        return True
 
     def keys_in_range(self, start: bytes, end: Optional[bytes]) -> Iterator[bytes]:
         """Index-only ordered key cursor (used by scans), lazy."""

@@ -343,6 +343,11 @@ class SlotTable:
     ``key``'s fresh ``slot_size`` slot.
     """
 
+    #: How :class:`repro.migration.scheduler.MigrationScheduler` runs this
+    #: table's demotions: one traced background job per invocation, or one
+    #: untraced job per victim.
+    job_per_round = False
+
     def __init__(self, page_store: PageStore) -> None:
         self.page_store = page_store
         self.clear_slots()
@@ -360,6 +365,27 @@ class SlotTable:
     @property
     def used_pages(self) -> int:
         return self._used_pages_box[0]
+
+    def object_count(self) -> int:
+        return len(self.index)
+
+    def resident_location(self, key: bytes) -> Optional[SlotLocation]:
+        """Index-only residency peek: no device I/O, no tracker access."""
+        return self.index.get(key)
+
+    def drop_resident(self, key: bytes) -> bool:
+        """Forget a resident object without touching the device.
+
+        Used by failover writes while the NVMe device is OFFLINE: the new
+        version lands in the capacity tier, and the stale resident copy must
+        not shadow it after recovery.  Slot and page bookkeeping are
+        in-memory (frees charge no I/O), so this is legal mid-outage.
+        """
+        loc: Optional[SlotLocation] = self.index.get(key)
+        if loc is None:
+            return False
+        self.drop(self.zone_of(loc.zone_id), key, loc)
+        return True
 
     def add_zone(self, zone_id: int, key_range: Optional[KeyRange]) -> Zone:
         zone = Zone(zone_id, key_range, self.page_store)

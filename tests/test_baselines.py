@@ -178,11 +178,12 @@ class TestPrismDBStore:
     def test_demotion_on_watermark(self):
         store = self.make_store()
         i = 0
-        while store.demotion_jobs == 0 and i < 50_000:
+        stats = store.migration.stats
+        while stats.demotion_jobs == 0 and i < 50_000:
             store.put(k(i), b"x" * 500)
             i += 1
-        assert store.demotion_jobs > 0
-        assert store.demoted_objects > 0
+        assert stats.demotion_jobs > 0
+        assert stats.demoted_objects > 0
         assert store.sata_device.used_bytes > 0
         # Values survive demotion.
         for j in range(0, i, max(1, i // 50)):
@@ -196,11 +197,12 @@ class TestPrismDBStore:
         rng = np.random.default_rng(0)
         ids = rng.permutation(50_000)
         n = 0
-        while store.demotion_jobs < 5 and n < len(ids):
+        stats = store.migration.stats
+        while stats.demotion_jobs < 5 and n < len(ids):
             store.put(k(int(ids[n])), b"x" * 120)
             n += 1
-        assert store.demoted_objects > 0
-        assert store.demotion_page_reads > store.demoted_objects * 0.5
+        assert stats.demoted_objects > 0
+        assert store.slabs.demotion_page_reads > stats.demoted_objects * 0.5
 
     def test_hot_objects_stay_on_nvme(self):
         store = self.make_store()
@@ -226,7 +228,7 @@ class TestPrismDBStore:
         assert store.slabs.index.get(k(5)) is None
         store.get(k(5))  # clock bit set, read from SATA
         store.get(k(5))  # second read qualifies for promotion
-        assert store.promotions > 0
+        assert store.migration.stats.promoted_objects > 0
         assert store.slabs.index.get(k(5)) is not None
 
     def test_get_many_captures_corrupt_slot(self):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.prismdb import PrismDBStore
 from repro.bench.context import BenchScale, build_store, hyperdb_config
 from repro.common.errors import CorruptionError, DeviceOfflineError
 from repro.common.keys import encode_key, encode_keys
@@ -20,6 +21,7 @@ from repro.core import HyperDB
 from repro.core.interface import KVStore
 from repro.health.state import HealthState, HealthWindow
 from repro.lsm.lsmtree import LSMTree
+from repro.nvme import NVMeConfig
 from repro.simssd import FaultInjector, FaultPlan
 from repro.ycsb.runner import WorkloadRunner
 from repro.ycsb.workload import YCSB_WORKLOADS
@@ -99,10 +101,10 @@ def _small_store(name: str):
     return build_store(name, BenchScale(**SCALE_KW))
 
 
-# A HyperDB whose NVMe tier overflows (demotions run) and whose devices
-# share one injector.  No DRAM cache: every read is a device I/O, so the
-# injector's I/O clock keeps moving through an outage and each window
-# closes inside the batch it opened in.
+# A tiered store whose NVMe tier overflows (demotions run) and whose
+# devices share one injector.  No DRAM cache: every read is a device I/O,
+# so the injector's I/O clock keeps moving through an outage and each
+# window closes inside the batch it opened in.
 FAULTED_SCALE = BenchScale(record_count=1000, value_size=300, nvme_ratio=0.25, seed=11)
 # Far past any run: keeps both devices health-guarded in the probe runs.
 _FAR_WINDOW = HealthWindow("nvme", HealthState.OFFLINE, 1 << 40, (1 << 40) + 1)
@@ -110,10 +112,15 @@ _CAUGHT = {"put": DeviceOfflineError, "delete": DeviceOfflineError,
            "get": (DeviceOfflineError, CorruptionError)}
 
 
-def _faulted_hyperdb(windows=()):
+def _faulted_store(engine, windows=()):
     inj = FaultInjector(FaultPlan(seed=3, health_windows=(*windows, _FAR_WINDOW)))
     scale = FAULTED_SCALE
-    return HyperDB(*scale.devices(inj), hyperdb_config(scale, dram_cache_bytes=0)), inj
+    devices = scale.devices(inj)
+    if engine == "prismdb":
+        # Watermarks low enough that half the records demote.
+        config = NVMeConfig(high_watermark=0.5, low_watermark=0.4)
+        return PrismDBStore(*devices, config, dram_cache_bytes=0), inj
+    return HyperDB(*devices, hyperdb_config(scale, dram_cache_bytes=0)), inj
 
 
 def _batch(store, op, rows, busy_out=None):
@@ -136,7 +143,7 @@ def _per_op(store, op, rows, busy_out):
     return out
 
 
-def _outage_windows(script):
+def _outage_windows(engine, script):
     """Per batch of ``script``, an NVMe and then a SATA OFFLINE window of
     20 I/Os, each opening at an op boundary read off a probe run that
     carries every earlier window.  The SATA window opens on the first op
@@ -145,7 +152,7 @@ def _outage_windows(script):
     windows = []
     for b, (op, rows) in enumerate(script):
         for device, frac in (("nvme", 0.2), ("sata", 0.55)):
-            store, inj = _faulted_hyperdb(windows)
+            store, inj = _faulted_store(engine, windows)
             for earlier in script[:b]:
                 _batch(store, *earlier)
             starts, demotes = [], []
@@ -170,19 +177,27 @@ def _slots(results):
     ]
 
 
-@pytest.mark.parametrize("store_name", ["hyperdb", "rocksdb", "hyperdb-faulted"])
+@pytest.mark.parametrize(
+    "store_name",
+    ["hyperdb", "rocksdb", "prismdb", "hyperdb-faulted", "prismdb-faulted"],
+)
 def test_store_batch_methods_match_loops(store_name):
-    n = 1000 if store_name == "hyperdb-faulted" else 64
+    faulted = store_name.endswith("-faulted")
+    n = 1000 if faulted else 64
     keys = encode_keys(list(range(n)))
     values = [b"v%0299d" % i for i in range(n)]
+    # Reads stride over the key space, so both tiers' keys interleave in
+    # every stretch: an outage that blocks one tier's reads still sees the
+    # other's I/O, and its window closes inside the batch.
     script = [
         ("put", list(zip(keys, values))),
-        ("get", [(k,) for k in reversed(keys)]),
+        ("get", [(keys[i * 389 % n],) for i in range(n)]),
         ("delete", [(k,) for k in keys[::3]]),
     ]
-    if store_name == "hyperdb-faulted":
-        windows = _outage_windows(script)
-        (s1, _), (s2, _) = _faulted_hyperdb(windows), _faulted_hyperdb(windows)
+    if faulted:
+        engine = store_name.removesuffix("-faulted")
+        windows = _outage_windows(engine, script)
+        (s1, _), (s2, _) = _faulted_store(engine, windows), _faulted_store(engine, windows)
     else:
         s1, s2 = _small_store(store_name), _small_store(store_name)
 
@@ -197,7 +212,7 @@ def test_store_batch_methods_match_loops(store_name):
         # The batch's per-op busy rows are the same snapshots a per-op
         # caller would take after each call.
         assert rows_b == rows_p, op
-        if store_name == "hyperdb-faulted":
+        if faulted:
             # Both of this batch's windows opened and closed inside it.
             for dev in s1.devices().values():
                 assert dev.health() is HealthState.HEALTHY, op
@@ -213,8 +228,8 @@ def test_store_batch_methods_match_loops(store_name):
         assert [(k, c.value) for k, c in stats1.counters.items()] == [
             (k, c.value) for k, c in s2.stats.counters.items()
         ]
-        assert s1.suspect_keys == s2.suspect_keys
-    if store_name == "hyperdb-faulted":
+        assert getattr(s1, "suspect_keys", None) == getattr(s2, "suspect_keys", None)
+    if faulted:
         counters = stats1.counters
         for name in ("failover_writes", "failover_reads", "failover_blocked_reads"):
             assert counters[name].value > 0, name
@@ -222,10 +237,11 @@ def test_store_batch_methods_match_loops(store_name):
         assert s1.migration.stats.catch_up_drains > 0
 
 
-def test_hyperdb_scalar_ops_are_batches_of_one(monkeypatch):
-    """``put`` / ``get`` / ``delete`` have no body of their own: each is
-    one call of its batch form, with one key."""
-    store = _small_store("hyperdb")
+@pytest.mark.parametrize("store_name", ["hyperdb", "prismdb"])
+def test_scalar_ops_are_batches_of_one(monkeypatch, store_name):
+    """``put`` / ``get`` / ``delete`` of the tiered engines have no body of
+    their own: each is one call of its batch form, with one key."""
+    store = _small_store(store_name)
     calls = []
     for name in ("put_many", "get_many", "delete_many"):
         batch = getattr(store, name)
@@ -244,9 +260,10 @@ def test_hyperdb_scalar_ops_are_batches_of_one(monkeypatch):
         ("get_many", [[key]]),
         ("delete_many", [[key]]),
     ]
+    assert type(store).put_many is not KVStore.put_many
 
 
-@pytest.mark.parametrize("store_name", ["rocksdb", "rocksdb-sc", "prismdb"])
+@pytest.mark.parametrize("store_name", ["rocksdb", "rocksdb-sc"])
 def test_lsm_backed_stores_have_no_batch_body_of_their_own(store_name):
     """One body per op on the classic LSM: the batch entry points are
     ``KVStore``'s per-op loop over ``put`` / ``get`` — the only bodies that

@@ -2,9 +2,10 @@
 
 Covers the device health-state machine (outage rejection, brownout
 surcharges, epoch pinning), engine failover across tier outages, and the migration pause/catch-up edges —
-including the satellite guarantees: a demotion interrupted mid-zone leaves
-the zone fully migrated or fully resident, and the catch-up queue drains
-exactly once on recovery.
+including the satellite guarantees: a demotion interrupted mid-victim leaves
+the victim fully migrated or fully resident, and the catch-up queue drains
+exactly once on recovery.  The failover and pause contracts run over both
+tiered engines; each engine's own rule is its own case.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro import obs
 from repro.common.errors import DeviceOfflineError
 from repro.common.keys import KeyRange, encode_key
 from repro.common.records import Record
+from repro.lsm.blocks import entry_of
 from repro.core import HyperDB, HyperDBConfig
 from repro.baselines.prismdb import PrismDBStore
 from repro.health.state import HealthState, HealthWindow, resolve_health
@@ -193,10 +195,13 @@ class TestHealthEpoch:
         assert s1 == pytest.approx(5.0 * f)
 
 
-def make_hyperdb(windows=(), seed=0):
+def make_store(engine, windows=(), seed=0):
+    """A HyperDB or a PrismDB over two devices sharing one injector."""
     inj = FaultInjector(FaultPlan(seed=seed, health_windows=tuple(windows)))
     nvme = SimDevice(nvme_profile(), injector=inj)
     sata = SimDevice(sata_profile(), injector=inj)
+    if engine == "prismdb":
+        return PrismDBStore(nvme, sata), inj
     db = HyperDB(
         nvme,
         sata,
@@ -216,18 +221,29 @@ def make_hyperdb(windows=(), seed=0):
     return db, inj
 
 
-class TestHyperDBFailover:
-    def _loaded_outage_db(self, n_load=60):
+class _FailoverContract:
+    """What a tiered engine does while its NVMe device is OFFLINE.  The
+    shared body (:class:`repro.core.tiered.TieredStore`) holds it, so each
+    case runs under both engines' policies."""
+
+    engine = "hyperdb"
+
+    def _loaded_outage_db(self, n_load=60, setup=None):
         """Load with a clean injector to learn the ordinal where the
-        outage should start, then replay into a windowed instance."""
-        db, inj = make_hyperdb()
+        outage should start, then replay into a windowed instance.
+        ``setup(db)`` runs after the load in both."""
+        db, inj = make_store(self.engine)
         for i in range(n_load):
             db.put(encode_key(i), b"base-%04d" % i)
+        if setup is not None:
+            setup(db)
         db.finalize()  # the load's write window is on media
         start = inj.total_ios + 1
-        db, inj = make_hyperdb([offline("nvme", start, start + 60)])
+        db, inj = make_store(self.engine, [offline("nvme", start, start + 60)])
         for i in range(n_load):
             db.put(encode_key(i), b"base-%04d" % i)
+        if setup is not None:
+            setup(db)
         db.finalize()
         assert db.nvme_device.health() is HealthState.OFFLINE
         return db
@@ -250,11 +266,11 @@ class TestHyperDBFailover:
         # The outage opens one (SATA) I/O after a 40-put load, whose last
         # 8 puts the NVMe write window still holds: failover writes during
         # it issue no NVMe I/O, and after it every acked put reads back.
-        db, inj = make_hyperdb()
+        db, inj = make_store(self.engine)
         for i in range(40):
             db.put(encode_key(i), b"base-%04d" % i)
         start = inj.total_ios + 2
-        db, inj = make_hyperdb([offline("nvme", start, start + 30)])
+        db, inj = make_store(self.engine, [offline("nvme", start, start + 30)])
         for i in range(40):
             db.put(encode_key(i), b"base-%04d" % i)
         assert db.performance_tier.page_store._window
@@ -293,115 +309,65 @@ class TestHyperDBFailover:
         got, _ = db.get(encode_key(3))
         assert got == b"new-version"
 
-class TestPrismDBFailover:
-    def _loaded_outage_store(self, n_load=40):
-        inj = FaultInjector(FaultPlan(seed=0))
-        store = PrismDBStore(
-            SimDevice(nvme_profile(), injector=inj),
-            SimDevice(sata_profile(), injector=inj),
-        )
-        for i in range(n_load):
-            store.put(encode_key(i), b"base-%04d" % i)
-        store.finalize()  # the load's write window is on media
-        start = inj.total_ios + 1
-        inj = FaultInjector(
-            FaultPlan(seed=0, health_windows=(offline("nvme", start, start + 60),))
-        )
-        store = PrismDBStore(
-            SimDevice(nvme_profile(), injector=inj),
-            SimDevice(sata_profile(), injector=inj),
-        )
-        for i in range(n_load):
-            store.put(encode_key(i), b"base-%04d" % i)
-        store.finalize()
-        assert store.nvme_device.health() is HealthState.OFFLINE
-        return store
 
-    def test_writes_fail_over_and_reads_block_on_residents(self):
-        store = self._loaded_outage_store()
-        store.put(encode_key(500), b"degraded")
-        assert store.failover_writes == 1
-        got, _ = store.get(encode_key(500))
-        assert got == b"degraded"
-        # Slab copies are always authoritative in PrismDB: no fallthrough.
+def _on_capacity_tier(db, key, value):
+    """Write ``key`` straight into the capacity tier, as a demotion would."""
+    entries = [entry_of(Record(key, value, db.next_seqno()))]
+    db.capacity_tier.ingest(entries, TrafficKind.MIGRATION)
+
+
+class TestHyperDBFailover(_FailoverContract):
+    engine = "hyperdb"
+
+    def test_promoted_resident_falls_through_to_capacity_tier(self):
+        # A promoted copy's authoritative twin is on SATA: the read is
+        # served there during the outage instead of blocking.
+        key = encode_key(700)
+
+        def promote(db):
+            _on_capacity_tier(db, key, b"demoted")
+            rec = db.capacity_tier.get(key)[0]
+            db.performance_tier.partition_for_key(key).promote(rec)
+
+        db = self._loaded_outage_db(setup=promote)
+        assert db.performance_tier.partition_for_key(key).resident_location(key).promoted
+        assert db.get(key)[0] == b"demoted"
+        assert db.stats.counter("failover_blocked_reads").value == 0
+
+
+class TestPrismDBFailover(_FailoverContract):
+    engine = "prismdb"
+
+    def test_promoted_resident_blocks(self):
+        # Promotion re-stamps the slab copy, so it is authoritative: unlike
+        # HyperDB's promoted residents, it blocks during the outage.
+        key = encode_key(700)
+
+        def promote(db):
+            _on_capacity_tier(db, key, b"demoted")
+            for _ in range(2):  # a repeat read within the window promotes
+                assert db.get(key)[0] == b"demoted"
+            assert db.migration.stats.promoted_objects == 1
+
+        db = self._loaded_outage_db(setup=promote)
+        assert db.slabs.resident_location(key) is not None
         with pytest.raises(DeviceOfflineError):
-            store.get(encode_key(3))
-        assert store.failover_blocked_reads == 1
-
-    def test_failover_update_survives_recovery(self):
-        store = self._loaded_outage_store()
-        store.put(encode_key(3), b"new-version")
-        while store.nvme_device.health() is not HealthState.HEALTHY:
-            store.put(encode_key(600), b"pump")
-        got, _ = store.get(encode_key(3))
-        assert got == b"new-version"
+            db.get(key)
+        assert db.stats.counter("failover_blocked_reads").value == 1
 
 
-class TestPrismDBDemotionPause:
-    @staticmethod
-    def _store(windows=()):
-        inj = FaultInjector(FaultPlan(seed=0, health_windows=tuple(windows)))
-        store = PrismDBStore(
-            SimDevice(nvme_profile(), injector=inj),
-            SimDevice(sata_profile(), injector=inj),
-        )
-        return store, inj
-
-    @staticmethod
-    def _fill_until_collect(store, inj):
-        """Put keys until the first demotion collects; returns the keys put
-        and ``inj.total_ios`` at that collection's entry."""
-        at_collect = []
-        collect = store.slabs.collect
-
-        def spy(*args, **kwargs):
-            at_collect.append(inj.total_ios)
-            return collect(*args, **kwargs)
-
-        store.slabs.collect = spy
-        keys = []
-        while not at_collect:
-            keys.append(encode_key(len(keys)))
-            store.put(keys[-1], b"v%05d" % len(keys) * 40)
-        del store.slabs.collect
-        return keys, at_collect[0]
-
-    def test_outage_between_collect_and_ingest_frees_nothing(self):
-        store, inj = self._store()
-        _, start = self._fill_until_collect(store, inj)
-        # Replay the identical fill; SATA goes offline right after the
-        # collection's first slab read, before the tree ingests the batch.
-        start += 2
-        store, inj = self._store([offline("sata", start, start + 400)])
-        windows = []
-        select = store._select_demotion_window
-        store._select_demotion_window = lambda: windows.append(select()) or windows[-1]
-        keys, _ = self._fill_until_collect(store, inj)
-        (victims,) = windows
-        assert victims and store.paused_demotions == 1 and store.has_catch_up
-        assert store.demoted_objects == 0
-        assert store.nvme_device.traffic.write_bytes(TrafficKind.MIGRATION) == 0
-        for key in victims:
-            assert store.slabs.index.get(key) is not None, key
-        # Age the outage out with NVMe writes; the first put after it drains
-        # the catch-up.
-        while store.catch_up_drains == 0:
-            store.put(encode_key(KEYSPACE - 1), b"pump")
-        assert not store.has_catch_up
-        assert store.demoted_objects >= len(victims)
-        for n, key in enumerate(keys, start=1):
-            assert store.get(key)[0] == b"v%05d" % n * 40, key
-
-
-def make_faulty_tiers(windows=(), seed=0):
+def make_faulty_tiers(windows=(), seed=0, engine="hyperdb"):
+    """An engine's two tiers (performance, capacity) over devices sharing
+    one injector, with no demotion driver of their own attached."""
     inj = FaultInjector(FaultPlan(seed=seed, health_windows=tuple(windows)))
     nvme = SimDevice(nvme_profile(), injector=inj)
     sata = SimDevice(sata_profile(), injector=inj)
-    perf = PerformanceTier(
-        nvme,
-        KeyRange(encode_key(0), encode_key(KEYSPACE)),
-        NVMeConfig(num_partitions=2, migration_batch_bytes=16 * KiB),
-    )
+    config = NVMeConfig(num_partitions=2, migration_batch_bytes=16 * KiB)
+    if engine == "prismdb":
+        # No DRAM cache, as the HyperDB tiers below have none.
+        store = PrismDBStore(nvme, sata, config, dram_cache_bytes=0)
+        return store.performance_tier, store.capacity_tier, inj
+    perf = PerformanceTier(nvme, KeyRange(encode_key(0), encode_key(KEYSPACE)), config)
     cap = CapacityTier(
         SimFilesystem(sata),
         SemiLevelConfig(
@@ -415,88 +381,72 @@ def make_faulty_tiers(windows=(), seed=0):
     return perf, cap, inj
 
 
+def over_watermark(perf):
+    return [p for p in perf.partitions if p.over_high_watermark()]
+
+
+def resident(perf, key):
+    return perf.partition_for_key(key).resident_location(key)
+
+
 def fill_over_watermark(perf):
     keys = []
     i = 0
-    while not perf.partitions_over_watermark() and i < KEYSPACE:
-        perf.put(rec(i))
+    while not over_watermark(perf) and i < KEYSPACE:
+        perf.partition_for_key(encode_key(i)).put(rec(i))
         keys.append(encode_key(i))
         i += 1
     return keys
 
 
-class TestMigrationPauseResume:
+class _MigrationPauseContract:
+    """The one demotion driver's pause and catch-up around a capacity-tier
+    outage, run over an engine's tiers: HyperDB's zoned partitions and
+    semi-LSM, or PrismDB's slab store and leveled LSM."""
+
+    engine = "hyperdb"
+    #: Whether the catch-up drains the tier under its high watermark.
+    catch_up_clears_watermark = True
+
     def test_pause_when_capacity_offline_at_job_start(self):
-        perf, cap, _ = make_faulty_tiers([offline("sata", 1, 1 << 30)])
+        perf, cap, _ = make_faulty_tiers([offline("sata", 1, 1 << 30)], engine=self.engine)
         sched = MigrationScheduler(perf, cap)
         fill_over_watermark(perf)
         assert sched.run_if_needed() == 0
         assert sched.stats.paused_jobs >= 1
         assert sched.stats.demotion_jobs == 0
         assert sched.has_catch_up
-        assert cap.valid_bytes() == 0
+        assert cap.fs.device.used_bytes == 0
 
     def _interrupted_mid_zone(self):
-        """Outage opens between a zone's collection and its ingest."""
-        perf, cap, inj = make_faulty_tiers()
-        sched = MigrationScheduler(perf, cap)
+        """Outage opens between a victim's collection and its ingest."""
+        perf, cap, inj = make_faulty_tiers(engine=self.engine)
         keys = fill_over_watermark(perf)
         # Replay the identical fill into a windowed instance; the window
-        # opens right after zone collection's first read.
+        # opens right after the collection's first read.
         start = inj.total_ios + 2
-        perf, cap, inj = make_faulty_tiers([offline("sata", start, start + 400)])
+        perf, cap, inj = make_faulty_tiers(
+            [offline("sata", start, start + 400)], engine=self.engine
+        )
         sched = MigrationScheduler(perf, cap)
         keys = fill_over_watermark(perf)
         return perf, cap, sched, keys
 
     def test_mid_zone_interruption_leaves_zone_fully_resident(self):
         perf, cap, sched, keys = self._interrupted_mid_zone()
-        before = {k: perf.partition_for_key(k).index.get(k) for k in keys}
+        before = {k: resident(perf, k) for k in keys}
         assert None not in before.values()
         nvme_written = perf.device.traffic.write_bytes(TrafficKind.MIGRATION)
         assert sched.run_if_needed() == 0
         # The collected batch was rejected at the capacity tier's epoch
-        # entry before the zone was freed: fully resident, nothing
+        # entry before the victim was freed: fully resident, nothing
         # migrated, and nothing written back to NVMe.
-        assert sched.stats.paused_jobs >= 1
-        assert cap.valid_bytes() == 0
+        assert sched.stats.paused_jobs == 1 and sched.has_catch_up
+        assert sched.stats.demoted_objects == 0
+        assert cap.fs.device.used_bytes == 0
         assert perf.device.traffic.write_bytes(TrafficKind.MIGRATION) == nvme_written
         for key in keys:
-            assert perf.partition_for_key(key).index.get(key) == before[key], key
-
-    def test_commit_failure_after_ingest_keeps_both_copies(self, monkeypatch):
-        # A zone with a hot object to park: the park's NVMe write is the
-        # commit, and it fails after the capacity tier took the batch.
-        perf, cap, _ = make_faulty_tiers()
-        sched = MigrationScheduler(perf, cap)
-        keys = fill_over_watermark(perf)
-        part = perf.partitions_over_watermark()[0]
-        zone = part.select_demotion_zone()
-        hot = sorted(zone.keys)[3]
-        for _ in range(part.tracker.discriminator.window_capacity * 4):
-            part.tracker.record_access(hot)
-        assert part.tracker.is_hot(hot)
-        before = {k: perf.partition_for_key(k).index.get(k) for k in keys}
-        assert None not in before.values()
-        zone_keys = sorted(zone.keys)
-
-        def offline_write(*args, **kwargs):
-            raise DeviceOfflineError("nvme offline at commit")
-
-        monkeypatch.setattr(part.page_store, "write_spans", offline_write)
-        assert sched.run_if_needed() == 0
-        assert sched.stats.paused_jobs == 1 and sched.has_catch_up
-        for key in keys:
-            assert perf.partition_for_key(key).index.get(key) == before[key], key
-        assert cap.get(hot)[0] is None
-        for key in zone_keys:
-            if key == hot:
-                continue
-            resident, _ = perf.get(key)
-            demoted, _ = cap.get(key)
-            assert demoted is not None, key
-            assert (demoted.seqno, demoted.value) == (resident.seqno, resident.value)
-            assert resident.seqno == before[key].seqno
+            assert resident(perf, key) == before[key], key
 
     def test_catch_up_drains_exactly_once_on_recovery(self):
         perf, cap, sched, keys = self._interrupted_mid_zone()
@@ -509,21 +459,68 @@ class TestMigrationPauseResume:
         for _ in range(2000):
             if sched.capacity_online():
                 break
-            perf.get(keys[0])
+            perf.partition_for_key(keys[0]).get(keys[0])
         assert sched.capacity_online()
         zones = sched.run_catch_up()
         assert zones > 0
         assert sched.stats.catch_up_drains == 1
         assert not sched.has_catch_up
-        assert not perf.partitions_over_watermark()
+        if self.catch_up_clears_watermark:
+            assert not over_watermark(perf)
         # A second drain is a no-op until another outage queues work.
         assert sched.run_catch_up() == 0
         assert sched.stats.catch_up_drains == 1
         # Nothing was lost across pause and catch-up.
         for key in keys:
-            on_nvme = perf.contains(key)
+            on_nvme = resident(perf, key) is not None
             got, _ = cap.get(key)
             assert on_nvme or (got is not None and not got.is_tombstone), key
+
+
+class TestMigrationPauseResume(_MigrationPauseContract):
+    engine = "hyperdb"
+
+    def test_commit_failure_after_ingest_keeps_both_copies(self, monkeypatch):
+        # A zone with a hot object to park: the park's NVMe write is the
+        # commit, and it fails after the capacity tier took the batch.
+        perf, cap, _ = make_faulty_tiers()
+        sched = MigrationScheduler(perf, cap)
+        keys = fill_over_watermark(perf)
+        part = over_watermark(perf)[0]
+        zone = part.select_demotion_zone()
+        hot = sorted(zone.keys)[3]
+        for _ in range(part.tracker.discriminator.window_capacity * 4):
+            part.tracker.record_access(hot)
+        assert part.tracker.is_hot(hot)
+        before = {k: resident(perf, k) for k in keys}
+        assert None not in before.values()
+        zone_keys = sorted(zone.keys)
+
+        def offline_write(*args, **kwargs):
+            raise DeviceOfflineError("nvme offline at commit")
+
+        monkeypatch.setattr(part.page_store, "write_spans", offline_write)
+        assert sched.run_if_needed() == 0
+        assert sched.stats.paused_jobs == 1 and sched.has_catch_up
+        for key in keys:
+            assert resident(perf, key) == before[key], key
+        assert cap.get(hot)[0] is None
+        for key in zone_keys:
+            if key == hot:
+                continue
+            resident_rec, _ = perf.get(key)
+            demoted, _ = cap.get(key)
+            assert demoted is not None, key
+            assert (demoted.seqno, demoted.value) == (resident_rec.seqno, resident_rec.value)
+            assert resident_rec.seqno == before[key].seqno
+
+
+class TestPrismDBDemotionPause(_MigrationPauseContract):
+    engine = "prismdb"
+    # After an aborted round the clock hand stays on that window's last
+    # key, which each later round ages first: the catch-up's 64 rounds
+    # then demote one object each, short of the watermark.
+    catch_up_clears_watermark = False
 
 
 class TestChaosHarness:

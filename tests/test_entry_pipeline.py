@@ -297,12 +297,13 @@ def test_prismdb_demotion_moves_slot_bytes(monkeypatch):
     for i in range(600):
         store.put(k(i), b"x" * 500)
     store.delete(k(2))
-    store.config = dataclasses.replace(store.config, high_watermark=0.1, low_watermark=0.05)
+    slabs = store.slabs
+    slabs.config = dataclasses.replace(slabs.config, high_watermark=0.1, low_watermark=0.05)
     calls = count_codec(monkeypatch)
-    store._demote()
+    store.migration.run_if_needed()
     assert calls == Counter()
     monkeypatch.undo()
-    assert store.demoted_objects > 0
+    assert store.migration.stats.demoted_objects > 0
     assert store.get(k(0))[0] == b"x" * 500
     assert store.get(k(2))[0] is None
 

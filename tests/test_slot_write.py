@@ -121,12 +121,11 @@ class Engine:
             shipped.extend(entries)
             return 0.0
 
+        victim = keys
         if self.name == "partition":
-            (zone,) = [z for z in self.store.zones() if z.keys]
-            assert sorted(zone.keys) == sorted(keys)
-            self.store.collect_zone(zone, ingest)
-        else:
-            self.store.collect(keys, ingest)
+            (victim,) = [z for z in self.store.zones() if z.keys]
+            assert sorted(victim.keys) == sorted(keys)
+        self.store.collect_zone(victim, ingest)
         return shipped
 
     def value(self, key):
@@ -418,10 +417,8 @@ def failover(e, key):
     it to SATA; a bare slot table only drops its resident copy."""
     if e.db is not None:
         e.db.put(key, b"failover")
-    elif e.name == "partition":
-        e.store.drop_resident(key)
     else:
-        e.store.remove(key)
+        e.store.drop_resident(key)
 
 
 @pytest.mark.parametrize("name", ENGINES)
