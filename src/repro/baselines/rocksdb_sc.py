@@ -70,9 +70,7 @@ class SecondaryBlockCache:
         value, charge, _pages = entry
         self._entries.move_to_end(key)
         # Secondary-cache hit: pay an NVMe read, refresh into DRAM.
-        self.last_get_service += self.device.read_bytes_io(
-            charge, TrafficKind.FOREGROUND, sequential=False
-        )
+        self.last_get_service += self.device.read_bytes_io(charge, TrafficKind.FOREGROUND)
         self.dram.put(key, value, charge)
         self.hits += 1
         return value

@@ -144,22 +144,6 @@ def _build_prismdb(nvme, sata, scenario: TierScenario) -> PrismDBStore:
     return PrismDBStore(nvme, sata, nvme_config=NVMeConfig(**_WATERMARKS))
 
 
-def _recovery(db):
-    """The store's degraded-mode counts by result-counter name.  PrismDB's
-    report has never printed its failover reads (they read 0 there), so
-    the count is left out of it until a re-pin of the soak digests."""
-    ms = db.migration.stats
-    counts = {
-        "failover_writes": db.stats.counter("failover_writes").value,
-        "failover_reads": db.stats.counter("failover_reads").value,
-        "paused_migrations": ms.paused_jobs,
-        "catch_up_drains": ms.catch_up_drains,
-    }
-    if db.name == "prismdb":
-        del counts["failover_reads"]
-    return counts
-
-
 #: engine -> how to build it.
 _ENGINES = {"hyperdb": _build_hyperdb, "prismdb": _build_prismdb}
 
@@ -290,8 +274,14 @@ class TierTarget:
         for name, dev in self.store.devices().items():
             result.offline_rejections[name] = dev.offline_rejections
             result.brownouts[name] = dev.brownout_ios
-        result.counters.update(_recovery(self.store))
-        result.counters["restarts"] = self.restarts
+        db, ms = self.store, self.store.migration.stats
+        result.counters.update(
+            failover_writes=db.stats.counter("failover_writes").value,
+            failover_reads=db.stats.counter("failover_reads").value,
+            paused_migrations=ms.paused_jobs,
+            catch_up_drains=ms.catch_up_drains,
+            restarts=self.restarts,
+        )
         result.latent_flips = self.injector.latent_bitflips
         if self.scrubber is not None:
             st = self.scrubber.stats

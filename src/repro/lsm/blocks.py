@@ -75,8 +75,8 @@ def record_of(entry: Entry) -> Record:
 
 
 def decode_one(data: bytes, offset: int = 0) -> Record:
-    """Decode the one record starting at ``offset``: a classic SSTable's
-    point-read hit (:func:`find_record`) and range cursor."""
+    """``record_of(entry_at(data, offset))``: no reader calls it; the name
+    stays because ``perfbench/layers.py`` times the codec through it."""
     return record_of(entry_at(data, offset))
 
 
@@ -113,7 +113,7 @@ def find_record(payload: bytes, key: bytes) -> tuple[int, Optional[Record]]:
             raise CorruptionError(f"truncated record body at offset {body}")
         found = payload[body : body + klen]
         if found >= key:
-            return pos, (decode_one(payload, pos) if found == key else None)
+            return pos, (record_of(entry_at(payload, pos)) if found == key else None)
         pos = stop
     return pos, None
 

@@ -145,7 +145,7 @@ class CapacityTier:
     ) -> Iterator[Entry]:
         """A lazy cursor over the live entries >= ``start``, in key order.
 
-        Index-directed sequential point queries (§4.2): the candidate keys
+        Index-directed point queries in key order (§4.2): the candidate keys
         come from the tables' indexes, in-memory maps a scan reads without
         I/O (only Algorithm 1's index reads, when compaction picks a
         victim, are charged, to the capacity device), and go in runs to

@@ -11,6 +11,8 @@ Layout of one semi-SSTable:
   we keep them in an in-memory map, each key pointing at its record's
   block, file offset and CRC32, and charge their serialized size), so a
   point read fetches the page its record is on, not the whole block.
+  Every read of the file — a point read's pages, a background read's
+  blocks, the scrubber's block — is one :meth:`SimFile.read_extents`.
 
 Merging new objects (:meth:`SemiSSTable.merge_append`) rewrites only the
 blocks whose keys are touched: their surviving records — entries sliced out
@@ -282,8 +284,8 @@ class SemiSSTable:
         ):
             return b"".join(pages)
         start = first * ps
-        raw, service = self.file.read(
-            start, min(start + count * ps, self.file.size) - start, kind
+        (raw,), service = self.file.read_extents(
+            [(start, min(start + count * ps, self.file.size) - start)], kind
         )
         if spent is not None:
             spent.append(service)
@@ -297,12 +299,6 @@ class SemiSSTable:
         block_id = self._key_map[key][0]
         return ReproError(f"index says key {key!r} is in block {block_id} but it is not")
 
-    def _read_block(self, block: SemiBlock, kind: TrafficKind) -> tuple[bytes, float]:
-        """The block's payload (checksum stripped), read from media and
-        verified on its own: the scrubber's per-block read."""
-        raw, service = self.file.read(block.offset, block.length, kind)
-        return verify_block(raw), service
-
     def _read_blocks(
         self, blocks: Iterable[SemiBlock], kind: TrafficKind, superseded
     ) -> tuple[list[Entry], float]:
@@ -310,43 +306,28 @@ class SemiSSTable:
         ride-along): the valid entries of each, block by block in file order
         and in key order within a block; returns them and the service time.
 
-        Each run of two or more file-adjacent blocks is one sequential read
-        over exactly their bytes, so the page two neighbours share is read
-        once; a lone block is one random command per page.  Each block is
-        then checked on its own (:meth:`_check_block`): a block failing its
+        The blocks are read with one :meth:`SimFile.read_extents`, then each
+        is checked on its own (:meth:`_check_block`): a block failing its
         check is triaged by :attr:`on_corrupt_block` and retired, yielding
         none, while its run-neighbours still yield."""
-        runs: list[list[SemiBlock]] = []
-        for block in sorted(blocks, key=attrgetter("offset")):
-            if runs and (prev := runs[-1][-1]).offset + prev.length == block.offset:
-                runs[-1].append(block)
-            else:
-                runs.append([block])
+        blocks = sorted(blocks, key=attrgetter("offset"))
+        raws, service = self.file.read_extents([(b.offset, b.length) for b in blocks], kind)
         out: list[Entry] = []
-        service = 0.0
-        for run in runs:
-            start = run[0].offset
-            raw, s = self.file.read(
-                start, run[-1].offset + run[-1].length - start, kind, len(run) > 1
-            )
-            service += s
-            view = memoryview(raw)
-            for block in run:
-                pos = block.offset - start
-                try:
-                    out += self._check_block(block, view[pos : pos + block.length])
-                except CorruptionError:
-                    if self.on_corrupt_block is None:
-                        raise
-                    self.on_corrupt_block(self, block, superseded)
-                    self._kill_block(block)
+        for block, raw in zip(blocks, raws):
+            try:
+                out += self._check_block(block, raw)
+            except CorruptionError:
+                if self.on_corrupt_block is None:
+                    raise
+                self.on_corrupt_block(self, block, superseded)
+                self._kill_block(block)
         return out, service
 
-    def _check_block(self, block: SemiBlock, raw: memoryview) -> list[Entry]:
-        """``block``'s valid entries in key order from a view of its media
-        bytes ``raw``: the CRC verified in place, then the payload copied
-        once and an entry sliced at each offset the index still points at,
-        its key compared with the index's."""
+    def _check_block(self, block: SemiBlock, raw) -> list[Entry]:
+        """``block``'s valid entries in key order from its media bytes
+        ``raw`` (or a view of them): the CRC verified, then the payload
+        copied once and an entry sliced at each offset the index still
+        points at, its key compared with the index's."""
         payload = bytes(verify_block(raw))
         keys, key_map, start = self.keys_of_block(block), self._key_map, block.offset
         out = [entry_at(payload, key_map[k][3] - start) for k in keys]
@@ -541,16 +522,16 @@ class SemiSSTable:
             return 0.0
         # Index/metadata blocks are small relative to data blocks (§3.1) and
         # are charged as I/O without growing the data extent.
-        return self.fs.device.write_bytes_io(size, kind, sequential=True)
+        return self.fs.device.write_bytes_io(size, kind)
 
     # ------------------------------------------------------ housekeeping
 
     def full_compact(self, kind: TrafficKind = TrafficKind.COMPACTION) -> float:
         """Rewrite the table clean: read live blocks, rewrite a fresh file.
 
-        Reclaims dead bytes and restores block ordering, improving later
-        sequential reads (paper: "regular full compaction can enhance the
-        organization of data within the table").
+        Reclaims dead bytes and restores block ordering, so blocks next in
+        key order are next in the file (paper: "regular full compaction can
+        enhance the organization of data within the table").
         """
         live = self.live_entries(kind)
         service = 0.0

@@ -29,7 +29,7 @@ from repro.common.errors import CorruptionError, PowerLossError, ReproError
 from repro.common.keys import KeyRange
 from repro.common.records import Record
 from repro.lsm.blocks import (
-    Entry, decode_one, find_record, payload_entries, seal_block, verify_block,
+    Entry, find_record, payload_entries, record_of, seal_block, verify_block,
 )
 from repro.simssd.fs import SimFile, SimFilesystem
 from repro.simssd.traffic import TrafficKind
@@ -123,7 +123,7 @@ class SSTable:
             cached = cache.get(cache_key)
             if cached is not None:
                 return cached, 0.0
-        raw, service = self.file.read(handle.offset, handle.length, kind)
+        (raw,), service = self.file.read_extents([(handle.offset, handle.length)], kind)
         try:
             payload = verify_block(raw)
         except CorruptionError as exc:
@@ -176,19 +176,16 @@ class SSTable:
         cache: Optional[LRUCache] = None,
     ) -> Iterator[Record]:
         """Ordered iteration beginning at the first key >= ``start``: a block
-        is read when the consumer reaches it, and a record is decoded when
-        the consumer pulls it."""
+        is read when the consumer reaches it, its entries from
+        :func:`find_record`'s offset on are sliced, and a record is built
+        when the consumer pulls it."""
         idx = max(0, bisect_right(self._firsts, start) - 1)
         for handle in self.handles[idx:]:
             if handle.last_key < start:
                 continue
             payload, _ = self._load_block(handle, kind, cache)
             pos, _ = find_record(payload, start)
-            end = len(payload)
-            while pos < end:
-                rec = decode_one(payload, pos)
-                pos += rec.encoded_size
-                yield rec
+            yield from map(record_of, payload_entries(payload[pos:]))
 
 
 class SSTableBuilder:

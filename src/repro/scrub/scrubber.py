@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Optional
 from repro import obs
 from repro.common.errors import CorruptionError, DeviceOfflineError
 from repro.health.state import HealthState
-from repro.lsm.blocks import payload_entries
+from repro.lsm.blocks import payload_entries, verify_block
 from repro.nvme.checkpoint import PartitionCheckpoint
 from repro.simssd.traffic import TrafficKind
 
@@ -256,8 +256,10 @@ class Scrubber:
                 # Full media check: the CRC, then every record header (other
                 # readers decode only what the index points at; scrub's job
                 # is the medium), read from the media, not the cache.
-                payload, _ = table._read_block(block, TrafficKind.SCRUB)
-                payload_entries(payload)
+                (raw,), _ = table.file.read_extents(
+                    [(block.offset, block.length)], TrafficKind.SCRUB
+                )
+                payload_entries(verify_block(raw))
             except CorruptionError:
                 self._detect("semi_block", table=table.table_id, block=block.block_id)
                 lost = table.on_corrupt_block(table, block, frozenset())

@@ -423,11 +423,9 @@ class SimDevice:
         """Charge a write of ``nbytes`` rounded up to whole pages."""
         return self.write_pages(-(-nbytes // self.page_size), kind, sequential)
 
-    def read_bytes_io(
-        self, nbytes: int, kind: TrafficKind, sequential: bool = False
-    ) -> float:
-        """Charge a read of ``nbytes`` rounded up to whole pages."""
-        return self.read_pages(-(-nbytes // self.page_size), kind, sequential)
+    def read_bytes_io(self, nbytes: int, kind: TrafficKind) -> float:
+        """Charge a random read of ``nbytes`` rounded up to whole pages."""
+        return self.read_pages(-(-nbytes // self.page_size), kind)
 
     # --------------------------------------------------------- batch I/O
     #

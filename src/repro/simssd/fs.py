@@ -108,6 +108,36 @@ class SimFile:
         service = self.device.read_pages(pages, kind, sequential)
         return bytes(self._data[offset : offset + length]), service
 
+    def read_extents(
+        self, extents: list[tuple[int, int]], kind: TrafficKind
+    ) -> tuple[list, float]:
+        """Read ``extents``, ``(offset, length)`` pairs sorted by offset: the
+        one rule every table read is charged by.  File-adjacent extents
+        merge into runs; a run of two or more is one sequential read over
+        exactly their bytes, so a page two neighbours share is read once,
+        and a lone extent is one random read, one command per page.
+        Returns each extent's bytes (a view of its run's when there are
+        several extents) and the service time."""
+        if len(extents) == 1:  # every point-read miss: no run to find
+            ((offset, length),) = extents
+            raw, service = self.read(offset, length, kind)
+            return [raw], service
+        out: list = []
+        service = 0.0
+        i, n = 0, len(extents)
+        while i < n:
+            start, end = extents[i][0], sum(extents[i])
+            j = i + 1
+            while j < n and extents[j][0] == end:
+                end += extents[j][1]
+                j += 1
+            raw, s = self.read(start, end - start, kind, j - i > 1)
+            service += s
+            view = memoryview(raw)
+            out += [view[o - start : o - start + size] for o, size in extents[i:j]]
+            i = j
+        return out, service
+
     def truncate(self, new_size: int) -> None:
         """Drop bytes past ``new_size`` and release now-unused whole pages.
 

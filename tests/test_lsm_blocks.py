@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.common.errors import CorruptionError
 from repro.common.records import Record
 from repro.lsm import blocks
-from repro.lsm.blocks import decode_one, encode_record
+from repro.lsm.blocks import encode_record, entry_at, record_of
 from tests.reference_codec import decode_block, decode_payload, encode_block
 
 records = st.builds(
@@ -97,11 +97,11 @@ class TestCodecContract:
         rec = recs[0]
         blob = encode_record(rec)
         assert len(blob) == rec.encoded_size
-        assert decode_one(pad + blob, len(pad)) == rec
+        assert record_of(entry_at(pad + blob, len(pad))) == rec
         assert decode_block(encode_block(recs)) == recs
         # Any proper prefix is a truncated header or a truncated body.
         with pytest.raises(CorruptionError):
-            decode_one(pad + blob[: cut % len(blob)], len(pad))
+            record_of(entry_at(pad + blob[: cut % len(blob)], len(pad)))
 
     def test_decoding_equal_bytes_twice_does_not_alias(self):
         block = encode_block([Record(b"a", b"1", 1), Record(b"b", b"2", 2)])
@@ -109,7 +109,7 @@ class TestCodecContract:
         first.clear()
         assert [r.key for r in decode_block(bytes(block))] == [b"a", b"b"]
         blob = encode_record(Record(b"k", b"v", 3))
-        assert decode_one(blob) is not decode_one(bytes(blob))
+        assert record_of(entry_at(blob)) is not record_of(entry_at(bytes(blob)))
 
     def test_codec_module_holds_no_mutable_state(self):
         held = {

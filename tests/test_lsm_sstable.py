@@ -194,6 +194,22 @@ class TestSSTableReads:
         out = [r.key for r in table.iter_from(encode_key(45))]
         assert out[0] == encode_key(50)
 
+    def test_iter_entries_is_one_random_read_per_block(self, fs):
+        # A compaction input is read block by block: each block a lone
+        # extent, one command per page it spans, so a page two blocks share
+        # is read twice.
+        table = build_sstable(fs, 1, records(300))
+        ps = fs.device.page_size
+        spans = [
+            (h.offset + h.length - 1) // ps - h.offset // ps + 1 for h in table.handles
+        ]
+        assert len(spans) >= 3
+        assert sum(spans) > -(-table.data_bytes // ps)
+        fs.device.traffic.reset()
+        list(table.iter_entries(TrafficKind.COMPACTION))
+        assert fs.device.traffic.read_ios(TrafficKind.COMPACTION) == sum(spans)
+        assert fs.device.traffic.read_bytes(TrafficKind.COMPACTION) == sum(spans) * ps
+
     def test_get_with_compaction_kind_charges_compaction(self, fs):
         table = build_sstable(fs, 1, records(100))
         fs.device.traffic.reset()

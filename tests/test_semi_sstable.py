@@ -10,7 +10,7 @@ from repro.common.cache import LRUCache
 from repro.common.keys import KeyRange, encode_key
 from repro.common.errors import CorruptionError, ReproError
 from repro.common.records import RECORD_HEADER_SIZE, Record
-from repro.lsm.blocks import decode_one
+from repro.lsm.blocks import entry_at, record_of, verify_block
 from repro.lsm.semi import SemiLevelConfig, SemiLevels, SemiSSTable
 from repro.scrub.scrubber import Scrubber
 from repro.simssd import DeviceProfile, SimDevice, SimFilesystem, TrafficKind
@@ -426,7 +426,8 @@ def old_index_read_size(table):
 def walk_block(table, block):
     """``(payload, every record in it)`` by a whole-payload walk — how a
     block was read before index entries carried offsets."""
-    payload, _ = table._read_block(block, TrafficKind.COMPACTION)
+    raw, _ = table.file.read(block.offset, block.length, TrafficKind.COMPACTION)
+    payload = verify_block(raw)
     return payload, list(decode_payload(payload))
 
 
@@ -438,7 +439,7 @@ def check_index_offsets(table):
     for key, (block_id, seqno, size, offset, crc) in table._key_map.items():
         payload, records = walked[block_id]
         pos = offset - table._blocks_by_id[block_id].offset
-        rec = decode_one(payload, pos)
+        rec = record_of(entry_at(payload, pos))
         assert (rec.key, rec.seqno, rec.encoded_size) == (key, seqno, size)
         assert [rec] == [r for r in records if r.key == key]
         assert zlib.crc32(payload[pos : pos + size]) == crc

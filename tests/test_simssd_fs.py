@@ -88,6 +88,56 @@ class TestSimFile:
             f.append(b"y", TrafficKind.FLUSH)
 
 
+class TestReadExtents:
+    """``SimFile.read_extents``: a run of file-adjacent extents is one
+    sequential read over exactly their bytes, a lone extent one random
+    read per page."""
+
+    PAGE = 4096
+
+    def file(self, fs):
+        f = fs.create("a")
+        f.append(bytes(i % 251 for i in range(5 * self.PAGE)), TrafficKind.FLUSH)
+        fs.device.traffic.reset()
+        return f
+
+    def test_adjacent_extents_are_one_command_reading_the_shared_page_once(self, fs):
+        f = self.file(fs)
+        # Page 1 holds bytes of both extents.
+        _, service = f.read_extents([(0, 5000), (5000, 4000)], TrafficKind.COMPACTION)
+        assert fs.device.traffic.read_ios() == 1
+        assert fs.device.traffic.read_bytes() == 3 * self.PAGE
+        assert service == pytest.approx(fs.device.profile.read_service_time(3, True))
+
+    def test_a_gap_splits_the_runs(self, fs):
+        f = self.file(fs)
+        # A run of two in page 0 (one command), then, past a gap, a lone
+        # extent over pages 1-3 (one command per page).
+        extents = [(0, 100), (100, 100), (5000, 2 * self.PAGE)]
+        f.read_extents(extents, TrafficKind.COMPACTION)
+        assert fs.device.traffic.read_ios() == 1 + 3
+        assert fs.device.traffic.read_bytes() == 4 * self.PAGE
+
+    def test_a_lone_extent_is_one_command_per_page(self, fs):
+        f = self.file(fs)
+        _, service = f.read_extents([(100, 3 * self.PAGE)], TrafficKind.COMPACTION)
+        assert fs.device.traffic.read_ios() == 4
+        assert fs.device.traffic.read_bytes() == 4 * self.PAGE
+        assert service == pytest.approx(fs.device.profile.read_service_time(4, False))
+
+    def test_returned_bytes_are_the_files_bytes(self, fs):
+        f = self.file(fs)
+        extents = [(0, 10), (10, 5000), (6000, 7), (8000, self.PAGE), (12096, 1)]
+        out, _ = f.read_extents(extents, TrafficKind.COMPACTION)
+        data = bytes(f._data)
+        assert [bytes(b) for b in out] == [data[o : o + n] for o, n in extents]
+
+    def test_no_extents_cost_nothing(self, fs):
+        f = self.file(fs)
+        assert f.read_extents([], TrafficKind.COMPACTION) == ([], 0.0)
+        assert fs.device.traffic.read_ios() == 0
+
+
 class TestSimFilesystem:
     def test_create_open_exists(self, fs):
         fs.create("a")
